@@ -69,25 +69,6 @@ _pack_header = _HEADER.pack
 _unpack_header = _HEADER.unpack_from
 
 
-def encode_items(items: Iterable[KVItem]) -> bytes:
-    """Serialise items (already sorted by hashed key) into a container.
-
-    Wire format per item: 8-byte big-endian hashed key, 2-byte key length,
-    4-byte value length, key bytes, value bytes.  Big-endian hashed keys
-    make lexicographic order equal numeric order, which the sorted layout
-    relies on.
-    """
-    chunks: List[bytes] = []
-    append = chunks.append
-    for item in items:
-        if item.hashed_key < 0:
-            raise ValueError(f"item {item.key!r} is missing its hashed key")
-        append(_pack_header(item.hashed_key, len(item.key), len(item.value)))
-        append(item.key)
-        append(item.value)
-    return b"".join(chunks)
-
-
 def decode_items(container: bytes) -> List[KVItem]:
     """Decode every item of a serialised container."""
     items: List[KVItem] = []
@@ -109,30 +90,47 @@ def decode_items(container: bytes) -> List[KVItem]:
     return items
 
 
-def encode_item(key: bytes, value: bytes, hashed: int) -> bytes:
-    """Serialise one item in the container wire format."""
-    return _pack_header(hashed, len(key), len(value)) + key + value
+#: A container entry as the zone's write path handles it: ``(hashed_key,
+#: key, wire)``, ``wire`` being the entry's complete wire-format bytes
+#: (header, key, value).  Every reconstruction — merge, sweep, delete —
+#: filters and re-joins these; values are never decoded on the way, and
+#: plain tuple order is the container's canonical (hashed key, key) order.
+Entry = Tuple[int, bytes, bytes]
 
 
-def entry_spans(container: bytes) -> List[Tuple[int, int, int]]:
-    """(hashed_key, start, end) byte spans of a container's entries.
+def item_entry(key: bytes, value: bytes, hashed_key: int) -> Entry:
+    """The :data:`Entry` of one item."""
+    if hashed_key < 0:
+        raise ValueError(f"item {key!r} is missing its hashed key")
+    return hashed_key, key, _pack_header(hashed_key, len(key), len(value)) + key + value
 
-    The batched sweep/rebuild path works on spans: it slices surviving
-    entries straight out of the old container instead of materialising a
-    :class:`KVItem` per entry and re-packing each header.  The encoding
-    is canonical, so a container assembled from sorted spans is
-    byte-identical to one re-encoded from decoded items.
+
+def encode_items(items: Iterable[KVItem]) -> bytes:
+    """Serialise items (already sorted by hashed key) into a container.
+
+    Wire format per item: 8-byte big-endian hashed key, 2-byte key length,
+    4-byte value length, key bytes, value bytes.  Big-endian hashed keys
+    make lexicographic order equal numeric order, which the sorted layout
+    relies on.
     """
-    spans: List[Tuple[int, int, int]] = []
-    append = spans.append
+    return b"".join(
+        [item_entry(item.key, item.value, item.hashed_key)[2] for item in items]
+    )
+
+
+def container_entries(container: bytes) -> List[Entry]:
+    """Split a serialised container into its entries, in stored order."""
+    entries: List[Entry] = []
+    append = entries.append
     pos = 0
     end = len(container)
     while pos < end:
         hashed, klen, vlen = _unpack_header(container, pos)
-        nxt = pos + _HEADER_SIZE + klen + vlen
-        append((hashed, pos, nxt))
+        key_start = pos + _HEADER_SIZE
+        nxt = key_start + klen + vlen
+        append((hashed, container[key_start : key_start + klen], container[pos:nxt]))
         pos = nxt
-    return spans
+    return entries
 
 
 #: Monotonic block identity for the zone's decompressed-container cache.
@@ -140,14 +138,6 @@ def entry_spans(container: bytes) -> List[Tuple[int, int, int]]:
 #: bytes for the life of the process; any rebuild produces a new block
 #: with a new generation, which is what invalidates cache entries.
 _BLOCK_GENERATION = itertools.count(1)
-
-
-def _decode_one(container: bytes, pos: int) -> Tuple[KVItem, int]:
-    hashed, klen, vlen = _unpack_header(container, pos)
-    key_start = pos + _HEADER_SIZE
-    key = container[key_start : key_start + klen]
-    value = container[key_start + klen : key_start + klen + vlen]
-    return KVItem(key=key, value=value, hashed_key=hashed), key_start + klen + vlen
 
 
 class Block:
@@ -226,8 +216,8 @@ class Block:
         self.staged_checksum = 0
         #: Process-unique identity for the decompressed-container cache.
         self.generation = next(_BLOCK_GENERATION)
-        #: Uncompressed container bytes kept by ``build`` /
-        #: ``from_sorted_entries`` when asked (``keep_container=True``) so
+        #: Uncompressed container bytes kept by ``from_entries`` when
+        #: asked (``keep_container=True``) so
         #: the zone can seed its decompressed-container cache without
         #: paying a decompression; the zone consumes and clears it
         #: immediately — it never outlives the construction call.
@@ -245,43 +235,54 @@ class Block:
         large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
         keep_container: bool = False,
     ) -> "Block":
-        """Build a block from ``items`` (any order; sorted here).
+        """Build a block from ``items`` (any order; sorted here)."""
+        entries = sorted(
+            item_entry(item.key, item.value, item.hashed_key) for item in items
+        )
+        return cls.from_entries(
+            entries, compressor, depth, prefix, large_refs, keep_container
+        )
 
-        Serialisation, the Content Filter, and the sparse index are all
-        produced in one pass over the sorted items; a rebuild used to
-        traverse them three times.
+    @classmethod
+    def from_entries(
+        cls,
+        entries: List[Entry],
+        compressor: Compressor,
+        depth: int = 0,
+        prefix: int = 0,
+        large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
+        keep_container: bool = False,
+    ) -> "Block":
+        """Build a block from ``entries`` already in canonical order.
+
+        The one construction body: the container, the Content Filter and
+        the sparse index are all produced in one pass.  Entries sliced
+        out of an existing container (their headers are already in wire
+        format) give the same bytes as re-encoding the decoded items.
         """
-        ordered = sorted(items, key=lambda it: (it.hashed_key, it.key))
-        chunks: List[bytes] = []
-        append_chunk = chunks.append
+        wires: List[bytes] = []
+        append_wire = wires.append
         content = Bloom128()
         content_add = content.add
         index_hashes: List[int] = []
         index_offsets: List[int] = []
-        step = max(1, len(ordered) // _INDEX_FANOUT)
+        step = max(1, len(entries) // _INDEX_FANOUT)
         offset = 0
-        for position, item in enumerate(ordered):
-            hashed = item.hashed_key
-            if hashed < 0:
-                raise ValueError(f"item {item.key!r} is missing its hashed key")
-            key = item.key
-            value = item.value
+        for position, (hashed, _key, wire) in enumerate(entries):
             if position % step == 0 and len(index_hashes) < _INDEX_FANOUT:
                 index_hashes.append(hashed)
                 index_offsets.append(offset)
-            append_chunk(_pack_header(hashed, len(key), len(value)))
-            append_chunk(key)
-            append_chunk(value)
+            append_wire(wire)
             content_add(hashed)
-            offset += _HEADER_SIZE + len(key) + len(value)
-        container = b"".join(chunks)
+            offset += len(wire)
+        container = b"".join(wires)
         compressed = compressor.compress(container)
         block = cls(
             depth=depth,
             prefix=prefix,
             compressed=compressed,
             uncompressed_size=len(container),
-            item_count=len(ordered),
+            item_count=len(entries),
             content_filter=content,
             index_hashes=index_hashes,
             index_offsets=index_offsets,
@@ -295,64 +296,6 @@ class Block:
             block.built_container = container
         return block
 
-    @classmethod
-    def from_sorted_entries(
-        cls,
-        container: bytes,
-        spans: List[Tuple[int, int, int]],
-        compressor: Compressor,
-        depth: int = 0,
-        prefix: int = 0,
-        large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
-        keep_container: bool = False,
-    ) -> "Block":
-        """Build a block from entry spans of an existing ``container``.
-
-        The batched sweep/rebuild fast path: survivors are sliced straight
-        out of the source container (their headers are already in wire
-        format) instead of being decoded into :class:`KVItem` objects and
-        re-encoded one by one.  ``spans`` must preserve the container's
-        canonical (hashed key, key) order, which holds whenever they come
-        from :func:`entry_spans` of a well-formed container with drops but
-        no reordering.  The result is byte-identical to
-        :meth:`build` over the decoded survivors.
-        """
-        chunks: List[bytes] = []
-        append_chunk = chunks.append
-        content = Bloom128()
-        content_add = content.add
-        index_hashes: List[int] = []
-        index_offsets: List[int] = []
-        step = max(1, len(spans) // _INDEX_FANOUT)
-        offset = 0
-        for position, (hashed, start, end) in enumerate(spans):
-            if position % step == 0 and len(index_hashes) < _INDEX_FANOUT:
-                index_hashes.append(hashed)
-                index_offsets.append(offset)
-            append_chunk(container[start:end])
-            content_add(hashed)
-            offset += end - start
-        new_container = b"".join(chunks)
-        compressed = compressor.compress(new_container)
-        block = cls(
-            depth=depth,
-            prefix=prefix,
-            compressed=compressed,
-            uncompressed_size=len(new_container),
-            item_count=len(spans),
-            content_filter=content,
-            index_hashes=index_hashes,
-            index_offsets=index_offsets,
-            large_refs=large_refs,
-            codec=compressor,
-        )
-        if large_refs:
-            for large in large_refs.values():
-                content.add(large.hashed_key)
-        if keep_container:
-            block.built_container = new_container
-        return block
-
     # -- write-combining append region (§3.2) ---------------------------------
 
     def stage_put(self, key: bytes, value: bytes, hashed_key: int) -> bool:
@@ -364,7 +307,7 @@ class Block:
         running CRC is extended over exactly the appended bytes
         (``crc32(a + b) == crc32(b, crc32(a))``).
         """
-        entry = _pack_header(hashed_key, len(key), len(value)) + key + value
+        entry = item_entry(key, value, hashed_key)[2]
         is_new = key not in self.staged_index
         self.staged_index[key] = len(self.staged_buffer)
         self.staged_buffer += entry
@@ -398,8 +341,15 @@ class Block:
         return items
 
     def staged_checksum_ok(self) -> bool:
-        """Whether the staged bytes still match their running CRC32."""
-        return _crc32(bytes(self.staged_buffer)) == self.staged_checksum
+        """Whether the staged bytes still match their running CRC32.
+
+        Every small put checks this before it merges, so the empty region
+        (all a zone without append regions ever has) answers without a
+        CRC call, and a filled one is read in place, not copied.
+        """
+        if not self.staged_buffer:
+            return self.staged_checksum == 0
+        return _crc32(self.staged_buffer) == self.staged_checksum
 
     def adopt_staging(self, donor: "Block") -> None:
         """Carry ``donor``'s append region over to this rebuilt block.
@@ -482,58 +432,6 @@ class Block:
                 return container[value_start : value_start + vlen]
             pos = value_start + vlen
         return None
-
-    def scan_many(
-        self, container: bytes, queries: List[Tuple[bytes, int]]
-    ) -> List[Optional[bytes]]:
-        """Find many ``(key, hashed_key)`` queries in one forward pass.
-
-        The batched-GET fast path for several keys landing in the same
-        block: queries are visited in the container's canonical
-        (hashed key, key) order, so one monotonic walk resolves all of
-        them — each container byte is inspected at most once instead of
-        once per key — while the sparse index still fast-forwards over
-        runs no query touches.  Duplicate queries reuse the first
-        occurrence's answer.  Results come back in ``queries`` order and
-        match per-key :meth:`scan` calls exactly.
-        """
-        count = len(queries)
-        values: List[Optional[bytes]] = [None] * count
-        order = sorted(range(count), key=lambda i: (queries[i][1], queries[i][0]))
-        index_hashes = self._index_hashes
-        index_offsets = self._index_offsets
-        end = len(container)
-        pos = 0
-        previous: Optional[Tuple[int, bytes]] = None
-        previous_value: Optional[bytes] = None
-        for query_index in order:
-            key, hashed_key = queries[query_index]
-            if previous == (hashed_key, key):
-                values[query_index] = previous_value
-                continue
-            if index_hashes:
-                slot = bisect.bisect_right(index_hashes, hashed_key) - 1
-                if slot >= 0 and index_offsets[slot] > pos:
-                    pos = index_offsets[slot]
-            value = None
-            while pos < end:
-                item_hash, klen, vlen = _unpack_header(container, pos)
-                if item_hash > hashed_key:
-                    break  # sorted layout: passed the possible position
-                key_start = pos + _HEADER_SIZE
-                value_start = key_start + klen
-                if item_hash == hashed_key:
-                    item_key = container[key_start:value_start]
-                    if item_key == key:
-                        value = container[value_start : value_start + vlen]
-                        break
-                    if item_key > key:
-                        break  # same hash run is key-sorted too
-                pos = value_start + vlen
-            previous = (hashed_key, key)
-            previous_value = value
-            values[query_index] = value
-        return values
 
     def items(self, compressor: Compressor) -> List[KVItem]:
         """Decode all compacted items (excludes large-item references)."""

@@ -189,12 +189,6 @@ class BlockTrie:
             self._height = child_depth
         self.version += 1
 
-    def remove_leaf(self, block: Block) -> None:
-        """Delete a leaf outright (zone teardown / merges)."""
-        self._set_pointer(self._position(block.depth, block.prefix), None)
-        self._block_count -= 1
-        self.version += 1
-
     def get_leaf(self, depth: int, prefix: int) -> Optional[Block]:
         """Direct pointer read (used to find a leaf's sibling)."""
         return self._get_pointer(self._position(depth, prefix))

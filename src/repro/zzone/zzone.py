@@ -1,10 +1,14 @@
 """The Z-zone manager (§3.1–3.3).
 
 Owns the block trie, the circular sweep list, the deferred-removal queue,
-and the byte budget.  All mutation goes through block reconstruction —
-"writing a new item into a block always leads to its reconstruction" — and
-every reconstruction is charged to the compression/decompression counters
-that the performance model and the adaptive controller consume.
+and the byte budget.  There is one way out of a block and one way in:
+every GET — single or one key of a batch — is :meth:`ZZone._resolve`
+(trie, Content Filter, append region, large ref, container scan), and
+every small-item write is :meth:`ZZone._merge` — "writing a new item into
+a block always leads to its reconstruction" — which the optional append
+region only postpones.  Every reconstruction is charged to the
+compression/decompression counters that the performance model and the
+adaptive controller consume.
 """
 
 from __future__ import annotations
@@ -17,13 +21,19 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.clock import VirtualClock
 from repro.common.errors import CacheError, CodecError, ItemTooLargeError
 from repro.common.hashing import hash_key
-from repro.common.records import KVItem
 from repro.common.rng import make_rng
 from repro.compression.base import Compressor
 from repro.compression.lz4 import LZ4Compressor
 from repro.compression.null import NullCompressor
 from repro.compression.zlibc import ZlibCompressor
-from repro.zzone.block import Block, LargeItem, decode_items, entry_spans
+from repro.zzone.block import (
+    Block,
+    Entry,
+    LargeItem,
+    container_entries,
+    decode_items,
+    item_entry,
+)
 from repro.zzone.trie import BlockTrie
 
 DEFAULT_BLOCK_CAPACITY = 2048
@@ -96,28 +106,20 @@ class ZZoneStats:
         """Operations involving block (de)compression (§3.3.1's metric)."""
         return self.decompressions + self.compressions
 
-    @property
-    def integrity_events(self) -> int:
-        """Total detected integrity failures (checksum + codec)."""
-        return (
-            self.checksum_failures
-            + self.codec_failures
-            + self.staged_checksum_failures
-        )
-
 
 class ReadBatch:
-    """Per-batch memo shared by one :meth:`ZZone.get_many` call.
+    """Per-batch memo shared by the :meth:`ZZone.get_batched` calls of one
+    batched read.
 
     Holds work that may legally be shared across the keys of one batch
-    without changing any observable state or counter relative to the
-    sequential path:
+    without changing any observable state or counter relative to issuing
+    the same GETs one by one:
 
     * decoded containers keyed by block generation (one physical
       decompression serves every key in the block; the priced
       ``decompressions`` counter is still charged per key),
-    * payload/staged CRC verification results (CRC is verified once per
-      container per batch — re-verifying identical bytes is pure waste),
+    * CRC verification results (a payload or an append region is verified
+      once per batch — re-verifying identical bytes is pure waste),
     * the trie-walk memo (same last-level prefix -> same leaf, with the
       probe telemetry replayed so ``average_probes()`` stays exact).
 
@@ -127,21 +129,15 @@ class ReadBatch:
     is guarded by :attr:`BlockTrie.version`.
     """
 
-    __slots__ = ("containers", "payload_verified", "staged_verified",
-                 "leaf_cache", "trie_version")
+    __slots__ = ("containers", "verified", "leaf_cache", "trie_version")
 
     def __init__(self) -> None:
         self.containers: Dict[int, bytes] = {}
-        self.payload_verified: set = set()
-        self.staged_verified: set = set()
+        #: Tokens of CRC-verified bytes: a generation for a compressed
+        #: payload, ``(generation, buffer length)`` for an append region.
+        self.verified: set = set()
         self.leaf_cache: Dict[int, tuple] = {}
         self.trie_version = -1
-
-
-#: Sentinel returned by ``_resolve_batched`` when the key still needs a
-#: container scan (vs. a fully resolved hit/miss).
-_SCAN = object()
-_DONE = object()
 
 
 class ZZone:
@@ -307,61 +303,83 @@ class ZZone:
             self.stats.codec_fallbacks += 1
             self._codec_strikes = 0
 
+    def _with_codec(self, build):
+        """Run ``build(codec)`` — one compression — degrading on codec faults."""
+        for _attempt in range(4 * (len(self._fallbacks) + 1)):
+            codec = self.compressor
+            try:
+                built = build(codec)
+            except CodecError:
+                self._note_codec_failure()
+                continue
+            self._codec_strikes = 0
+            self.stats.compressions += 1
+            return built
+        raise CodecError("compression failed with every codec in the chain")
+
     def _build_block(
         self,
-        items: List[KVItem],
+        entries: List[Entry],
         depth: int = 0,
         prefix: int = 0,
         large_refs: Optional[Dict[bytes, LargeItem]] = None,
     ) -> Block:
-        """Build a block with the current codec, degrading on codec faults."""
-        for _attempt in range(4 * (len(self._fallbacks) + 1)):
-            try:
-                block = Block.build(
-                    items,
-                    self.compressor,
-                    depth=depth,
-                    prefix=prefix,
-                    large_refs=large_refs,
-                    keep_container=self.decompressed_cache_blocks > 0,
-                )
-            except CodecError:
-                self._note_codec_failure()
-                continue
-            self._codec_strikes = 0
-            self.stats.compressions += 1
-            self._cache_store(block)
-            return block
-        raise CodecError("compression failed with every codec in the chain")
+        """Build a block of ``entries`` (in canonical order) with the
+        current codec, degrading on codec faults."""
+        block = self._with_codec(
+            lambda codec: Block.from_entries(
+                entries,
+                codec,
+                depth=depth,
+                prefix=prefix,
+                large_refs=large_refs,
+                keep_container=self.decompressed_cache_blocks > 0,
+            )
+        )
+        self._cache_store(block)
+        return block
 
-    def _compress_value(self, value: bytes) -> Tuple["Compressed", Compressor]:
-        """Compress a large item's value, degrading on codec faults."""
-        for _attempt in range(4 * (len(self._fallbacks) + 1)):
-            codec = self.compressor
-            try:
-                compressed = codec.compress(value)
-            except CodecError:
-                self._note_codec_failure()
-                continue
-            self._codec_strikes = 0
-            self.stats.compressions += 1
-            return compressed, codec
-        raise CodecError("compression failed with every codec in the chain")
+    @staticmethod
+    def _verified(batch: Optional[ReadBatch], token, check) -> bool:
+        """CRC ``check()`` of the bytes ``token`` names, once per batch."""
+        if batch is None:
+            return check()
+        if token in batch.verified:
+            return True
+        if check():
+            batch.verified.add(token)
+            return True
+        return False
 
-    def _container_of(self, leaf: Block, charge: bool = True) -> Optional[bytes]:
+    def _container_of(
+        self,
+        leaf: Block,
+        batch: Optional[ReadBatch] = None,
+        charge: bool = True,
+    ) -> Optional[bytes]:
         """Checksummed decompression of ``leaf``'s container.
 
         Returns the container bytes, or None after quarantining the block
         when its checksum fails or its codec raises / returns bytes of the
         wrong size.  ``charge=False`` keeps the decompression off the
-        priced stats (accounting-neutral iteration).
+        priced stats (accounting-neutral iteration).  A ``batch`` memo
+        only spares the physical work: ``decompressions`` is charged per
+        call regardless, and ``container_decodes_saved`` counts the
+        decodes the memo answered.
         """
         if charge:
             self.stats.decompressions += 1
-        if self.verify_checksums and not leaf.checksum_ok():
+        if self.verify_checksums and not self._verified(
+            batch, leaf.generation, leaf.checksum_ok
+        ):
             self.stats.checksum_failures += 1
             self._quarantine(leaf)
             return None
+        if batch is not None:
+            memo = batch.containers.get(leaf.generation)
+            if memo is not None:
+                self.stats.container_decodes_saved += 1
+                return memo
         codec = leaf.codec or self.compressor
         try:
             container = codec.decompress(leaf.compressed)
@@ -374,24 +392,33 @@ class ZZone:
             self._note_codec_failure()
             self._quarantine(leaf)
             return None
+        if batch is not None:
+            batch.containers[leaf.generation] = container
         return container
 
-    def _lookup_container(self, leaf: Block) -> Optional[bytes]:
+    def _lookup_container(
+        self, leaf: Block, batch: Optional[ReadBatch] = None
+    ) -> Optional[bytes]:
         """Container of ``leaf`` via the decompressed-container cache.
 
-        Every read path — GET, flush merges, sweep, delete — goes through
-        here.  A hit still verifies the payload CRC before trusting the
-        cached bytes: CRC32 over the compressed payload is an order of
-        magnitude cheaper than decompression, so corruption is detected
-        with its usual latency (a flipped bit quarantines the block even
-        when the cache is warm) while the expensive work is skipped.
-        With the cache disabled this is exactly :meth:`_container_of`.
+        Every read path — GET, batched GET, merges, sweep, delete — goes
+        through here.  A hit still verifies the payload CRC before
+        trusting the cached bytes: CRC32 over the compressed payload is an
+        order of magnitude cheaper than decompression, so corruption is
+        detected with its usual latency (a flipped bit quarantines the
+        block even when the cache is warm) while the expensive work is
+        skipped.  The cache is probed and maintained the same way with or
+        without a ``batch`` memo — same counters, same LRU movement — so
+        its state after a batch is that of the equivalent GET loop.  With
+        the cache disabled this is exactly :meth:`_container_of`.
         """
         if self.decompressed_cache_blocks == 0:
-            return self._container_of(leaf)
+            return self._container_of(leaf, batch)
         cached = self._container_cache.get(leaf.generation)
         if cached is not None:
-            if self.verify_checksums and not leaf.checksum_ok():
+            if self.verify_checksums and not self._verified(
+                batch, leaf.generation, leaf.checksum_ok
+            ):
                 self.stats.checksum_failures += 1
                 self._quarantine(leaf)
                 return None
@@ -399,12 +426,16 @@ class ZZone:
             self._container_cache.move_to_end(leaf.generation)
             return cached
         self.stats.container_cache_misses += 1
-        container = self._container_of(leaf)
+        container = self._container_of(leaf, batch)
         if container is not None:
-            self._container_cache[leaf.generation] = container
-            while len(self._container_cache) > self.decompressed_cache_blocks:
-                self._container_cache.popitem(last=False)
+            self._cache_fill(leaf.generation, container)
         return container
+
+    def _cache_fill(self, generation: int, container: bytes) -> None:
+        """Insert as most recent, trimming the LRU to its block budget."""
+        self._container_cache[generation] = container
+        while len(self._container_cache) > self.decompressed_cache_blocks:
+            self._container_cache.popitem(last=False)
 
     def _invalidate_cached(self, block: Block) -> None:
         """Drop a replaced block's cached container (if any)."""
@@ -423,9 +454,7 @@ class ZZone:
         if container is None:
             return
         block.built_container = None
-        self._container_cache[block.generation] = container
-        while len(self._container_cache) > self.decompressed_cache_blocks:
-            self._container_cache.popitem(last=False)
+        self._cache_fill(block.generation, container)
 
     def container_cache_bytes(self) -> int:
         """Scratch bytes currently held by the decompressed-container
@@ -493,67 +522,15 @@ class ZZone:
         """
         if hashed is None:
             hashed = hash_key(key)
-        self.stats.gets += 1
-        leaf = self._trie.find_leaf(hashed)
-        if leaf is None:
-            self.stats.misses += 1
-            return None
-        if self._faults is not None:
-            self._faults.maybe_corrupt(leaf)
-        if self.use_content_filter and not leaf.maybe_contains(hashed):
-            self.stats.filter_skips += 1
-            self.stats.misses += 1
-            return None
-        if leaf.staged_index:
-            # The append region is checked before the container and before
-            # large refs: a staged entry is always the newest write of its
-            # key.  Its running CRC is verified first so a bit-flip in
-            # staged bytes can never be served.
-            if self.verify_checksums and not leaf.staged_checksum_ok():
-                self.stats.staged_checksum_failures += 1
-                self._quarantine(leaf)
-                self.stats.misses += 1
-                return None
-            value = leaf.staged_lookup(key)
-            if value is not None:
-                reuse = leaf.record_get(hashed, self.clock.now())
-                self.stats.hits += 1
-                return value, reuse
-        large = leaf.large_refs.get(key)
-        if large is not None:
-            value = self._large_bytes(leaf, key, large)
-            if value is None:
-                # Damaged large item: quarantined, counted as a miss.
-                self.stats.misses += 1
-                return None
-            large.accessed = True
-            reuse = leaf.record_get(hashed, self.clock.now())
-            self.stats.hits += 1
-            return value, reuse
-        container = self._lookup_container(leaf)
-        if container is None:
-            # Damaged block: quarantined, its items are misses from now on.
-            self.stats.misses += 1
-            return None
-        value = leaf.scan(container, key, hashed)
-        if value is None:
-            # A decompression that found nothing: a filter false positive
-            # when the filter is on, plain wasted work when it is off.
-            self.stats.false_positives += 1
-            self.stats.misses += 1
-            return None
-        reuse = leaf.record_get(hashed, self.clock.now())
-        self.stats.hits += 1
-        return value, reuse
-
-    # -- batched reads ----------------------------------------------------------
+        return self._resolve(key, hashed, None)
 
     def read_batch(self) -> Optional[ReadBatch]:
         """A fresh per-batch memo, or None when batching must stand down.
 
-        With a fault injector armed, every keyed access must pass through
-        :meth:`get` so corruption points fire at their seeded positions —
-        the chaos harnesses' byte-identical verdicts depend on it.
+        With a fault injector armed nothing may be memoised: every keyed
+        access must re-verify what it reads so corruption points fire at
+        their seeded positions — the chaos harnesses' byte-identical
+        verdicts depend on it.
         """
         if self._faults is not None:
             return None
@@ -563,209 +540,81 @@ class ZZone:
         self, key: bytes, hashed: int, batch: Optional[ReadBatch]
     ) -> Optional[Tuple[bytes, Optional[float]]]:
         """One key of a batched read; exactly :meth:`get` plus the memo."""
-        if batch is None or self._faults is not None:
-            return self.get(key, hashed)
-        kind, payload = self._resolve_batched(key, hashed, batch)
-        if kind is _SCAN:
-            leaf, container = payload
-            return self._finish_scan(leaf, key, hashed, leaf.scan(container, key, hashed))
-        return payload
+        return self._resolve(key, hashed, None if self._faults is not None else batch)
 
-    def get_many(
-        self, keyed: List[Tuple[bytes, int]]
-    ) -> List[Optional[Tuple[bytes, Optional[float]]]]:
-        """Batched lookup of ``(key, hashed)`` pairs, in caller order.
-
-        Result- and stats-identical to calling :meth:`get` per key (the
-        property tests assert this bit for bit), while each block's
-        container is physically decoded and CRC-verified at most once per
-        batch.  Keys are *processed* in caller order — bucketing happens
-        through the generation-keyed memo, not by reordering — because
-        order is observable: container-cache LRU state, promotion
-        bookkeeping, and recent-access records all depend on it.  Scans
-        against blocks with no staged entries or large refs are deferred
-        per block and resolved in one sorted pass (:meth:`Block.scan_many`);
-        that is safe because a pure-container block's per-key effects
-        (counters, ``record_get``) commute with other blocks' and are
-        still applied in caller order.
-        """
-        if self._faults is not None:
-            return [self.get(key, hashed) for key, hashed in keyed]
-        batch = ReadBatch()
-        results: List[Optional[Tuple[bytes, Optional[float]]]] = [None] * len(keyed)
-        #: generation -> (leaf, container, [(index, key, hashed), ...])
-        deferred: "OrderedDict[int, tuple]" = OrderedDict()
-        for index, (key, hashed) in enumerate(keyed):
-            kind, payload = self._resolve_batched(key, hashed, batch)
-            if kind is _SCAN:
-                leaf, container = payload
-                if leaf.staged_index or leaf.large_refs:
-                    # Mixed-path blocks keep strict per-key order: their
-                    # recent-access records interleave staged hits with
-                    # container hits, which a deferred scan would reorder.
-                    results[index] = self._finish_scan(
-                        leaf, key, hashed, leaf.scan(container, key, hashed)
-                    )
-                else:
-                    group = deferred.get(leaf.generation)
-                    if group is None:
-                        deferred[leaf.generation] = (leaf, container, [(index, key, hashed)])
-                    else:
-                        group[2].append((index, key, hashed))
-            else:
-                results[index] = payload
-        for leaf, container, queries in deferred.values():
-            values = leaf.scan_many(container, [(key, hashed) for _i, key, hashed in queries])
-            for (index, key, hashed), value in zip(queries, values):
-                results[index] = self._finish_scan(leaf, key, hashed, value)
-        return results
-
-    def _finish_scan(
-        self, leaf: Block, key: bytes, hashed: int, value: Optional[bytes]
+    def _resolve(
+        self, key: bytes, hashed: int, batch: Optional[ReadBatch]
     ) -> Optional[Tuple[bytes, Optional[float]]]:
-        """Shared tail of :meth:`get`: account for a container-scan outcome."""
-        if value is None:
-            self.stats.false_positives += 1
-            self.stats.misses += 1
-            return None
-        reuse = leaf.record_get(hashed, self.clock.now())
-        self.stats.hits += 1
-        return value, reuse
+        """The one read path: trie, fault hook, block read, accounting.
 
-    def _resolve_batched(self, key: bytes, hashed: int, batch: ReadBatch):
-        """Mirror of :meth:`get` up to (but excluding) the container scan.
-
-        Returns ``(_DONE, result)`` for a fully resolved hit/miss or
-        ``(_SCAN, (leaf, container))`` when the key still needs its block
-        scanned.  Every counter is charged exactly where the sequential
-        path charges it.
+        ``batch`` is a memo shared with the other keys of a batched read,
+        or None to memoise nothing.  Either way every counter, LRU move
+        and access record is what a key-by-key GET loop leaves behind.
         """
         stats = self.stats
         stats.gets += 1
         trie = self._trie
-        if batch.trie_version != trie.version:
-            batch.leaf_cache.clear()
-            batch.trie_version = trie.version
-        leaf = trie.find_leaf_batched(hashed, batch.leaf_cache)
-        if leaf is None:
+        if batch is None:
+            leaf = trie.find_leaf(hashed)
+        else:
+            if batch.trie_version != trie.version:
+                batch.leaf_cache.clear()
+                batch.trie_version = trie.version
+            leaf = trie.find_leaf_batched(hashed, batch.leaf_cache)
+        value = None
+        if leaf is not None:
+            if self._faults is not None:
+                self._faults.maybe_corrupt(leaf)
+            value = self._read_leaf(leaf, key, hashed, batch)
+        if value is None:
             stats.misses += 1
-            return _DONE, None
+            return None
+        reuse = leaf.record_get(hashed, self.clock.now())
+        stats.hits += 1
+        return value, reuse
+
+    def _read_leaf(
+        self, leaf: Block, key: bytes, hashed: int, batch: Optional[ReadBatch]
+    ) -> Optional[bytes]:
+        """``key``'s value in ``leaf``: Content Filter, append region,
+        large ref, then container scan.  None is a miss — including a
+        damaged block or large item, quarantined on the way."""
         if self.use_content_filter and not leaf.maybe_contains(hashed):
-            stats.filter_skips += 1
-            stats.misses += 1
-            return _DONE, None
+            self.stats.filter_skips += 1
+            return None
         if leaf.staged_index:
-            if self.verify_checksums and not self._staged_ok_batched(leaf, batch):
-                stats.staged_checksum_failures += 1
+            # The append region is checked before the container and before
+            # large refs: a staged entry is always the newest write of its
+            # key.  Its running CRC is verified first so a bit-flip in
+            # staged bytes can never be served.  The buffer length rides
+            # in the memo token because staged appends do not mint a new
+            # generation.
+            if self.verify_checksums and not self._verified(
+                batch,
+                (leaf.generation, len(leaf.staged_buffer)),
+                leaf.staged_checksum_ok,
+            ):
+                self.stats.staged_checksum_failures += 1
                 self._quarantine(leaf)
-                stats.misses += 1
-                return _DONE, None
+                return None
             value = leaf.staged_lookup(key)
             if value is not None:
-                reuse = leaf.record_get(hashed, self.clock.now())
-                stats.hits += 1
-                return _DONE, (value, reuse)
+                return value
         large = leaf.large_refs.get(key)
         if large is not None:
             value = self._large_bytes(leaf, key, large)
-            if value is None:
-                stats.misses += 1
-                return _DONE, None
-            large.accessed = True
-            reuse = leaf.record_get(hashed, self.clock.now())
-            stats.hits += 1
-            return _DONE, (value, reuse)
-        container = self._lookup_container_batched(leaf, batch)
+            if value is not None:
+                large.accessed = True
+            return value
+        container = self._lookup_container(leaf, batch)
         if container is None:
-            stats.misses += 1
-            return _DONE, None
-        return _SCAN, (leaf, container)
-
-    def _staged_ok_batched(self, leaf: Block, batch: ReadBatch) -> bool:
-        """Staged CRC, verified once per (generation, buffer length).
-
-        The buffer length rides in the token because staged appends do
-        not mint a new generation: a put between two reads of the same
-        batch cannot happen today (batches only read), but the token
-        keeps the memo safe if that ever changes.
-        """
-        token = (leaf.generation, len(leaf.staged_buffer))
-        if token in batch.staged_verified:
-            return True
-        if leaf.staged_checksum_ok():
-            batch.staged_verified.add(token)
-            return True
-        return False
-
-    def _payload_ok_batched(self, leaf: Block, batch: ReadBatch) -> bool:
-        """Payload CRC, verified once per generation per batch."""
-        if leaf.generation in batch.payload_verified:
-            return True
-        if leaf.checksum_ok():
-            batch.payload_verified.add(leaf.generation)
-            return True
-        return False
-
-    def _container_of_batched(
-        self, leaf: Block, batch: ReadBatch
-    ) -> Optional[bytes]:
-        """:meth:`_container_of` backed by the batch's container memo.
-
-        The priced ``decompressions`` counter is charged unconditionally
-        — exactly as the sequential path would — and the memo only spares
-        the physical decode, counted in ``container_decodes_saved``.
-        """
-        self.stats.decompressions += 1
-        if self.verify_checksums and not self._payload_ok_batched(leaf, batch):
-            self.stats.checksum_failures += 1
-            self._quarantine(leaf)
             return None
-        memo = batch.containers.get(leaf.generation)
-        if memo is not None:
-            self.stats.container_decodes_saved += 1
-            return memo
-        codec = leaf.codec or self.compressor
-        try:
-            container = codec.decompress(leaf.compressed)
-        except Exception:
-            self._note_codec_failure()
-            self._quarantine(leaf)
-            return None
-        if len(container) != leaf.uncompressed_size:
-            self._note_codec_failure()
-            self._quarantine(leaf)
-            return None
-        batch.containers[leaf.generation] = container
-        return container
-
-    def _lookup_container_batched(
-        self, leaf: Block, batch: ReadBatch
-    ) -> Optional[bytes]:
-        """:meth:`_lookup_container` with the batch memo underneath.
-
-        The *real* decompressed-container cache is probed and maintained
-        exactly as on the sequential path — same hit/miss counters, same
-        LRU movement, same fills and trims — so cache state after a batch
-        is indistinguishable from the equivalent GET loop.
-        """
-        if self.decompressed_cache_blocks == 0:
-            return self._container_of_batched(leaf, batch)
-        cached = self._container_cache.get(leaf.generation)
-        if cached is not None:
-            if self.verify_checksums and not self._payload_ok_batched(leaf, batch):
-                self.stats.checksum_failures += 1
-                self._quarantine(leaf)
-                return None
-            self.stats.container_cache_hits += 1
-            self._container_cache.move_to_end(leaf.generation)
-            return cached
-        self.stats.container_cache_misses += 1
-        container = self._container_of_batched(leaf, batch)
-        if container is not None:
-            self._container_cache[leaf.generation] = container
-            while len(self._container_cache) > self.decompressed_cache_blocks:
-                self._container_cache.popitem(last=False)
-        return container
+        value = leaf.scan(container, key, hashed)
+        if value is None:
+            # A decompression that found nothing: a filter false positive
+            # when the filter is on, plain wasted work when it is off.
+            self.stats.false_positives += 1
+        return value
 
     def maybe_contains(self, key: bytes, hashed: Optional[int] = None) -> bool:
         """Content-Filter-only membership check (no decompression)."""
@@ -794,7 +643,7 @@ class ZZone:
             if item_size > self.block_capacity // 2:
                 self._put_large(leaf, key, value, hashed)
             else:
-                self._put_compact(leaf, key, value, hashed)
+                self._put_staged(leaf, key, value, hashed)
         except CacheError:
             # Rollback path: reconstruction failed before any structure
             # was swapped in (all mutation happens after a successful
@@ -829,45 +678,15 @@ class ZZone:
 
     # -- insertion internals ------------------------------------------------------
 
-    def _put_compact(self, leaf: Block, key: bytes, value: bytes, hashed: int) -> None:
-        if self.append_region_bytes > 0:
-            self._put_staged(leaf, key, value, hashed)
-            return
-        container = self._lookup_container(leaf)
-        if container is None:
-            # The block was damaged and quarantined; insert into the
-            # rebuilt (empty, checksum-valid) slot instead.
-            self._put_compact(self._trie.find_leaf(hashed), key, value, hashed)
-            return
-        items = decode_items(container)
-        replaced = False
-        for position, existing in enumerate(items):
-            if existing.key == key:
-                items[position] = KVItem(key=key, value=value, hashed_key=hashed)
-                replaced = True
-                break
-        if not replaced:
-            items.append(KVItem(key=key, value=value, hashed_key=hashed))
-        large_refs = dict(leaf.large_refs)
-        stale_large = large_refs.pop(key, None)
-        serialized = sum(14 + len(it.key) + len(it.value) for it in items)
-        if serialized <= self.block_capacity:
-            self._rebuild(leaf, items, large_refs)
-        else:
-            self._split(leaf, items, large_refs)
-        # Count only after the new structure is in place so a failed
-        # reconstruction leaves the zone's accounting untouched.
-        if not replaced:
-            self._item_count += 1
-        if stale_large is not None:
-            self._item_count -= 1  # the compact copy replaces the large one
-
     def _put_staged(self, leaf: Block, key: bytes, value: bytes, hashed: int) -> None:
-        """Write-combining put: stage in O(item); merge when the region fills.
+        """The small-item put: stage in O(item) while the block's append
+        region has room, otherwise reconstruct the block (:meth:`_merge`).
 
-        While a key sits staged, a stale copy may remain in the compressed
+        With ``append_region_bytes == 0`` the region never has room, so
+        every put is a reconstruction — the paper's baseline write.  While
+        a key sits staged, a stale copy may remain in the compressed
         container (or as a large ref) — reads are shadowed by the staging
-        index and the flush scrubs the stale copy, so both copies are
+        index and the merge scrubs the stale copy, so both copies are
         charged for memory and counted until the merge reconciles them.
         """
         entry_size = 14 + len(key) + len(value)
@@ -879,45 +698,21 @@ class ZZone:
             if is_new:
                 self._item_count += 1
             return
-        # Region full (or the entry alone exceeds it): one decode + one
-        # compression merges the container, every staged entry, and the
-        # incoming item — the amortisation the region exists to buy.
-        if self.verify_checksums and not leaf.staged_checksum_ok():
-            self.stats.staged_checksum_failures += 1
-            replacement = self._quarantine(leaf)
-            self._put_staged(replacement, key, value, hashed)
-            return
-        container = self._lookup_container(leaf)
-        if container is None:
-            # Damaged and quarantined; stage into the rebuilt empty slot.
+        if not self._merge(leaf, item_entry(key, value, hashed)):
+            # Damaged and quarantined; put into the rebuilt empty slot.
             self._put_staged(self._trie.find_leaf(hashed), key, value, hashed)
-            return
-        if leaf.staged_index:
-            self.stats.staging_flushes += 1
-        newest = {it.key: it for it in leaf.staged_items()}
-        newest[key] = KVItem(key=key, value=value, hashed_key=hashed)
-        items = [it for it in decode_items(container) if it.key not in newest]
-        items.extend(newest.values())
-        large_refs = {
-            k: v for k, v in leaf.large_refs.items() if k not in newest
-        }
-        old_total = leaf.item_count + leaf.staged_count + len(leaf.large_refs)
-        serialized = sum(14 + len(it.key) + len(it.value) for it in items)
-        if serialized <= self.block_capacity:
-            self._rebuild(leaf, items, large_refs)
-        else:
-            self._split(leaf, items, large_refs)
-        self._item_count += len(items) + len(large_refs) - old_total
 
-    def _flush_staging(self, leaf: Block) -> Optional[Block]:
-        """Merge ``leaf``'s staged entries into its compressed container.
+    def _merge(self, leaf: Block, incoming: Optional[Entry] = None) -> bool:
+        """Reconstruct ``leaf`` from its container, its staged entries and
+        ``incoming`` — the one way items enter a compressed container.
 
-        Returns the replacement leaf, or None when the merge could not
-        preserve the data (staged CRC failure or damaged container — the
-        block is quarantined) or the merge split the block into several
-        leaves (callers re-find by hash when they need a specific one).
+        One decode + one compression merges everything (the amortisation
+        the append region exists to buy), splitting the block when the
+        result outgrows it.  Returns False when the data could not be
+        preserved: staged CRC failure or damaged container, the block
+        having been quarantined.
         """
-        if not leaf.staged_index:
+        if incoming is None and not leaf.staged_index:
             if leaf.staged_buffer:
                 # Only dead bytes remain (every staged key was deleted):
                 # no merge needed, just reclaim the buffer in place.
@@ -925,30 +720,43 @@ class ZZone:
                 leaf.staged_buffer = bytearray()
                 leaf.staged_checksum = 0
                 self._recharge(old_bytes, leaf.memory_bytes)
-            return leaf
+            return True
         if self.verify_checksums and not leaf.staged_checksum_ok():
             self.stats.staged_checksum_failures += 1
             self._quarantine(leaf)
-            return None
+            return False
         container = self._lookup_container(leaf)
         if container is None:
-            return None
-        self.stats.staging_flushes += 1
-        newest = {it.key: it for it in leaf.staged_items()}
-        items = [it for it in decode_items(container) if it.key not in newest]
-        items.extend(newest.values())
+            return False
+        newest: Dict[bytes, Entry] = {}
+        if leaf.staged_index:
+            self.stats.staging_flushes += 1
+            newest = {
+                it.key: item_entry(it.key, it.value, it.hashed_key)
+                for it in leaf.staged_items()
+            }
+        if incoming is not None:
+            newest[incoming[1]] = incoming
+        entries = [e for e in container_entries(container) if e[1] not in newest]
+        entries.extend(newest.values())
+        entries.sort()
         large_refs = {
             k: v for k, v in leaf.large_refs.items() if k not in newest
         }
         old_total = leaf.item_count + leaf.staged_count + len(leaf.large_refs)
-        serialized = sum(14 + len(it.key) + len(it.value) for it in items)
-        if serialized <= self.block_capacity:
-            replacement = self._rebuild(leaf, items, large_refs)
+        if self._serialized(entries) <= self.block_capacity:
+            self._rebuild(leaf, entries, large_refs)
         else:
-            self._split(leaf, items, large_refs)
-            replacement = None
-        self._item_count += len(items) + len(large_refs) - old_total
-        return replacement
+            self._split(leaf, entries, large_refs)
+        # Count only after the new structure is in place so a failed
+        # reconstruction leaves the zone's accounting untouched.
+        self._item_count += len(entries) + len(large_refs) - old_total
+        return True
+
+    @staticmethod
+    def _serialized(entries: List[Entry]) -> int:
+        """Container bytes ``entries`` would occupy."""
+        return sum([len(wire) for _hashed, _key, wire in entries])
 
     def _put_large(self, leaf: Block, key: bytes, value: bytes, hashed: int) -> None:
         if key in leaf.staged_index:
@@ -956,9 +764,11 @@ class ZZone:
             # this very key exists, flush first so it cannot shadow (or be
             # shadowed by) the large one.  Other staged keys ride through
             # the rebuild below untouched.
-            self._flush_staging(leaf)
+            self._merge(leaf)
             leaf = self._trie.find_leaf(hashed)
-        compressed, codec = self._compress_value(value)
+        compressed, codec = self._with_codec(
+            lambda codec: (codec.compress(value), codec)
+        )
         large = LargeItem(
             key=key,
             hashed_key=hashed,
@@ -974,13 +784,13 @@ class ZZone:
                 # Quarantined: fall through to the rebuilt empty slot.
                 leaf = self._trie.find_leaf(hashed)
             else:
-                items = [it for it in decode_items(container) if it.key != key]
+                entries = [e for e in container_entries(container) if e[1] != key]
                 was_present = (
-                    len(items) < leaf.item_count or key in leaf.large_refs
+                    len(entries) < leaf.item_count or key in leaf.large_refs
                 )
                 large_refs = dict(leaf.large_refs)
                 large_refs[key] = large
-                self._rebuild(leaf, items, large_refs, adopt_staging=True)
+                self._rebuild(leaf, entries, large_refs, adopt_staging=True)
                 if not was_present:
                     self._item_count += 1
                 return
@@ -994,12 +804,14 @@ class ZZone:
     def _rebuild(
         self,
         old: Block,
-        items: List[KVItem],
+        entries: List[Entry],
         large_refs: Dict[bytes, LargeItem],
         adopt_staging: bool = False,
     ) -> Block:
+        """Put a block of ``entries`` in ``old``'s place: trie slot, sweep
+        ring, byte accounting; optionally carrying the append region over."""
         new = self._build_block(
-            items, depth=old.depth, prefix=old.prefix, large_refs=large_refs
+            entries, depth=old.depth, prefix=old.prefix, large_refs=large_refs
         )
         if adopt_staging and old.staged_index:
             new.adopt_staging(old)
@@ -1009,51 +821,10 @@ class ZZone:
         self._invalidate_cached(old)
         return new
 
-    def _rebuild_from_spans(
-        self,
-        old: Block,
-        container: bytes,
-        spans: List[Tuple[int, int, int]],
-        large_refs: Dict[bytes, LargeItem],
-        adopt_staging: bool = False,
-    ) -> Block:
-        """Rebuild ``old`` from entry spans of its decoded ``container``.
-
-        The sweep's batched path: survivors are sliced, not decoded and
-        re-encoded, producing a byte-identical container in one pass.
-        Codec faults degrade through the same fallback chain as
-        :meth:`_build_block`.
-        """
-        for _attempt in range(4 * (len(self._fallbacks) + 1)):
-            try:
-                new = Block.from_sorted_entries(
-                    container,
-                    spans,
-                    self.compressor,
-                    depth=old.depth,
-                    prefix=old.prefix,
-                    large_refs=large_refs,
-                    keep_container=self.decompressed_cache_blocks > 0,
-                )
-            except CodecError:
-                self._note_codec_failure()
-                continue
-            self._codec_strikes = 0
-            self.stats.compressions += 1
-            self._cache_store(new)
-            if adopt_staging and old.staged_index:
-                new.adopt_staging(old)
-            self._trie.replace_leaf(old, new)
-            self._splice_replace(old, [new])
-            self._recharge(old.memory_bytes, new.memory_bytes)
-            self._invalidate_cached(old)
-            return new
-        raise CodecError("compression failed with every codec in the chain")
-
     def _split(
         self,
         old: Block,
-        items: List[KVItem],
+        entries: List[Entry],
         large_refs: Dict[bytes, LargeItem],
     ) -> None:
         """Split ``old`` into two children by the next hashed-key bit.
@@ -1068,12 +839,12 @@ class ZZone:
         from repro.zzone.trie import MAX_DEPTH
 
         if old.depth >= MAX_DEPTH:
-            self._rebuild(old, items, large_refs)
+            self._rebuild(old, entries, large_refs)
             return
         trie_before = self._trie.memory_bytes
         bit_shift = 63 - old.depth
-        left_items = [it for it in items if not (it.hashed_key >> bit_shift) & 1]
-        right_items = [it for it in items if (it.hashed_key >> bit_shift) & 1]
+        left_entries = [e for e in entries if not (e[0] >> bit_shift) & 1]
+        right_entries = [e for e in entries if (e[0] >> bit_shift) & 1]
         left_large = {
             k: v for k, v in large_refs.items() if not (v.hashed_key >> bit_shift) & 1
         }
@@ -1081,13 +852,13 @@ class ZZone:
             k: v for k, v in large_refs.items() if (v.hashed_key >> bit_shift) & 1
         }
         left = self._build_block(
-            left_items,
+            left_entries,
             depth=old.depth + 1,
             prefix=old.prefix * 2,
             large_refs=left_large,
         )
         right = self._build_block(
-            right_items,
+            right_entries,
             depth=old.depth + 1,
             prefix=old.prefix * 2 + 1,
             large_refs=right_large,
@@ -1100,12 +871,12 @@ class ZZone:
             old.memory_bytes + trie_before,
             left.memory_bytes + right.memory_bytes + self._trie.memory_bytes,
         )
-        for child, child_items, child_large in (
-            (left, left_items, left_large),
-            (right, right_items, right_large),
+        for child, child_entries, child_large in (
+            (left, left_entries, left_large),
+            (right, right_entries, right_large),
         ):
-            if sum(14 + len(it.key) + len(it.value) for it in child_items) > self.block_capacity:
-                self._split(child, child_items, child_large)
+            if self._serialized(child_entries) > self.block_capacity:
+                self._split(child, child_entries, child_large)
 
     # -- removal internals ---------------------------------------------------------
 
@@ -1121,28 +892,21 @@ class ZZone:
             del leaf.staged_index[key]
             self._item_count -= 1
             staged_removed = True
-        if key in leaf.large_refs:
-            large_refs = dict(leaf.large_refs)
-            del large_refs[key]
-            container = self._lookup_container(leaf)
-            if container is None:
-                # Quarantined whole; the key is gone either way.
-                return staged_removed
-            items = decode_items(container)
-            self._rebuild(leaf, items, large_refs, adopt_staging=True)
-            self._item_count -= 1
-            return True
         container = self._lookup_container(leaf)
         if container is None:
+            # Quarantined whole; the key is gone either way.
             return staged_removed
-        items = decode_items(container)
-        remaining = [it for it in items if it.key != key]
-        if len(remaining) == len(items):
+        remaining = [e for e in container_entries(container) if e[1] != key]
+        large_refs = {k: v for k, v in leaf.large_refs.items() if k != key}
+        removed = (
+            leaf.item_count - len(remaining) + len(leaf.large_refs) - len(large_refs)
+        )
+        if not removed:
             if not staged_removed:
                 self.stats.false_positives += 1
             return staged_removed
-        self._rebuild(leaf, remaining, dict(leaf.large_refs), adopt_staging=True)
-        self._item_count -= 1
+        self._rebuild(leaf, remaining, large_refs, adopt_staging=True)
+        self._item_count -= removed
         return True
 
     # -- replacement (§3.2) -----------------------------------------------------------
@@ -1243,7 +1007,7 @@ class ZZone:
             # Emergency pressure merges the append region outright:
             # compressing the raw staged bytes frees their overhead and
             # leaves a plain compressed block for the forced re-visit.
-            self._flush_staging(block)
+            self._merge(block)
             return True
         # A non-forced sweep leaves the append region alone: staged
         # entries are by definition the block's most recently written
@@ -1270,20 +1034,16 @@ class ZZone:
                 self._item_count -= 1
                 freed = True
         if block.item_count > 0:
-            # Batched path: one header scan yields every entry's span, the
-            # survivors are sliced straight into the replacement container
-            # — no per-item decode/re-encode.  Candidate selection and the
-            # RNG draw are identical to the per-item path, so sweep
-            # behaviour (and the committed experiment outputs) do not
-            # depend on which path built the block.
-            spans = entry_spans(container)
+            # Survivors are entries sliced straight into the replacement
+            # container — no per-item decode/re-encode.
+            entries = container_entries(container)
             if force or not self.use_access_filter:
-                candidates = list(range(len(spans)))
+                candidates = list(range(len(entries)))
             else:
                 access_filter = block.access_filter
                 candidates = [
                     position
-                    for position, (hashed, _start, _end) in enumerate(spans)
+                    for position, (hashed, _key, _wire) in enumerate(entries)
                     if hashed not in access_filter
                 ]
             if candidates:
@@ -1299,27 +1059,21 @@ class ZZone:
                 else:
                     victim_count = max(1, math.ceil(len(candidates) / 2))
                     victims = set(self._rng.sample(candidates, victim_count))
-                survivor_spans = [
-                    span
-                    for position, span in enumerate(spans)
+                survivors = [
+                    entry
+                    for position, entry in enumerate(entries)
                     if position not in victims
                 ]
                 self.stats.evicted_items += len(victims)
                 self.stats.evicted_bytes += sum(
-                    spans[position][2] - spans[position][1] - 14
-                    for position in victims
+                    len(entries[position][2]) - 14 for position in victims
                 )
                 self._item_count -= len(victims)
                 block.access_filter.clear()
-                self._rebuild_from_spans(
-                    block, container, survivor_spans, hot_large,
-                    adopt_staging=True,
-                )
+                self._rebuild(block, survivors, hot_large, adopt_staging=True)
                 return True
             if len(hot_large) != len(block.large_refs):
-                self._rebuild_from_spans(
-                    block, container, spans, hot_large, adopt_staging=True
-                )
+                self._rebuild(block, entries, hot_large, adopt_staging=True)
                 block.access_filter.clear()
                 return True
         elif len(hot_large) != len(block.large_refs):
@@ -1337,7 +1091,7 @@ class ZZone:
             # and the region holds enough raw bytes that compressing them
             # frees real memory: merge.  A near-empty region is left alone
             # — flushing it would reset the put amortisation for crumbs.
-            self._flush_staging(block)
+            self._merge(block)
             return True
         return freed
 

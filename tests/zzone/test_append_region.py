@@ -41,46 +41,41 @@ class TestOracleAgreement:
     @given(ops=_OPS)
     @settings(max_examples=30, deadline=None)
     def test_fastpath_agrees_with_flush_every_time_oracle(self, ops):
-        """Without eviction pressure, staging is invisible to readers.
+        """Without eviction pressure, the zone is exactly a dict.
 
-        The oracle is the default configuration (``append_region_bytes=0``),
-        which merges — "flushes" — on every single put.  Ample capacity
-        keeps eviction out of the picture, so any disagreement on a GET's
-        *value* is a staging bug, not a sweep-ordering artefact.
+        The oracle is a plain ``dict`` — independent of the zone's code,
+        which a region-0 zone no longer is: that configuration is the
+        same staged put path with a region nothing ever fits.  Ample
+        capacity keeps eviction out of the picture, so every GET value
+        and every delete result must agree exactly, for the
+        merge-on-every-put zone (region 0) and the staging one alike.
 
-        Two observables legitimately differ while entries sit staged, so
-        they are compared only after a forced flush: ``item_count``
+        ``item_count`` is compared only after a forced merge: it
         double-counts a staged key whose stale copy still sits in the
         container (both copies are charged and counted until the merge
-        reconciles them), and the reuse-time hint survives staged
-        overwrites that would wipe a rebuilt block's access records.
+        reconciles them).
         """
-        fast = _zone(append=256, cache=4)
-        oracle = _zone(append=0)
-        for op, key_id, size in ops:
-            key = b"a%03d" % key_id
-            if op == "put":
-                value = bytes([(key_id + size) % 251]) * size
-                fast.put(key, value)
-                oracle.put(key, value)
-            elif op == "delete":
-                assert fast.delete(key) == oracle.delete(key)
-            else:  # get and sweep both read; sweep isn't reachable
-                # without pressure, so it degrades to a read here.
-                assert self._value_of(fast.get(key)) == self._value_of(
-                    oracle.get(key)
-                )
-        for leaf in list(fast._trie.leaves()):
-            if leaf.staged_index:
-                fast._flush_staging(leaf)
-        for key_id in range(41):
-            key = b"a%03d" % key_id
-            assert self._value_of(fast.get(key)) == self._value_of(
-                oracle.get(key)
-            )
-        assert fast.item_count == oracle.item_count
-        fast.check_invariants()
-        oracle.check_invariants()
+        for append, cache in ((0, 0), (256, 4)):
+            zone = _zone(append=append, cache=cache)
+            oracle = {}
+            for op, key_id, size in ops:
+                key = b"a%03d" % key_id
+                if op == "put":
+                    value = bytes([(key_id + size) % 251]) * size
+                    zone.put(key, value)
+                    oracle[key] = value
+                elif op == "delete":
+                    assert zone.delete(key) == (oracle.pop(key, None) is not None)
+                else:  # get and sweep both read; sweep isn't reachable
+                    # without pressure, so it degrades to a read here.
+                    assert self._value_of(zone.get(key)) == oracle.get(key)
+            for leaf in list(zone._trie.leaves()):
+                assert zone._merge(leaf)
+            for key_id in range(41):
+                key = b"a%03d" % key_id
+                assert self._value_of(zone.get(key)) == oracle.get(key)
+            assert zone.item_count == len(oracle)
+            zone.check_invariants()
 
     @given(ops=_OPS, capacity_kb=st.integers(min_value=8, max_value=24))
     @settings(max_examples=30, deadline=None)
@@ -134,8 +129,8 @@ class TestStagedFlush:
         assert zone.stats.staged_puts == 4
         for leaf in list(staged_leaves):
             assert leaf.staged_checksum_ok()
-            replacement = zone._flush_staging(leaf)
-            assert replacement is not None
+            assert zone._merge(leaf)
+            replacement = zone._trie.get_leaf(leaf.depth, leaf.prefix)
             assert not replacement.staged_index
             assert replacement.staged_bytes == 0
             assert replacement.checksum_ok()
