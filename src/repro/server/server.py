@@ -1,9 +1,25 @@
 """Asyncio memcached-protocol front-end over a (sharded) zExpander.
 
+The data plane is callbacks, not coroutines: one :class:`asyncio.Protocol`
+per connection serves every request inside ``data_received`` (feed the
+parser, dispatch synchronously, one ``transport.write`` per read), so a
+GET costs no task, timer or stream on top of the event loop.
+
 Robustness is the design driver, not protocol coverage:
 
-* **Slow-client isolation** — every socket read and write carries a
-  timeout; a stalled peer costs one connection, never the event loop.
+* **Slow-client isolation** — a stalled peer costs one connection, never
+  the event loop, and no bound is a per-request timer.  *Reads*: one
+  ``call_later`` per connection; ``data_received`` stamps the clock and
+  the timer, when it fires, hangs up or re-arms for the remainder.
+  *Writes*: ``pause_writing`` (buffer past high-water) stops the reads
+  and starts a stall timer; ``resume_writing`` cancels it, expiry aborts
+  the peer.  *Buffering*: replies are written early at 64 KiB and
+  dispatch stops at the first event after the transport pauses (the
+  rest wait, parsed, in a per-connection deque), so a peer that never
+  reads holds at most high-water + 64 KiB + one dispatch unit's reply —
+  one command's, or one coalesced burst's.
+* **Ordered replies** — ``promote``, the one verb that awaits, runs as a
+  task with its connection's reads paused and later events parked.
 * **Bounded concurrency** — a global inflight gauge feeds the
   :class:`~repro.server.admission.AdmissionController`; past the hard
   cap nothing executes, so queue growth is bounded by construction.
@@ -27,8 +43,9 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
 from repro.common.errors import JournalError
@@ -60,6 +77,10 @@ _DRAINING = protocol.server_error("draining")
 _LAGGING = protocol.server_error("lagging")
 _READ_ONLY = protocol.server_error("read-only replica")
 PROMOTED = b"PROMOTED" + protocol.CRLF
+
+#: Pending replies are written early once they reach this many bytes, so
+#: the transport's high-water mark gets its say inside a long pipeline.
+_FLUSH_BYTES = 64 * 1024
 
 
 @dataclass
@@ -186,6 +207,8 @@ class ServerStats:
     #: cache evicted without telling the flags/CAS sidecar).
     meta_pruned: int = 0
     read_timeouts: int = 0
+    #: Peers aborted because they stopped reading their replies.
+    write_timeouts: int = 0
     peer_resets: int = 0
     protocol_errors: int = 0
     oversized_rejects: int = 0
@@ -196,6 +219,161 @@ class ServerStats:
     snapshot_written: int = 0
     #: 1 when the warm-start snapshot had a damaged tail (lossy restart).
     snapshot_truncated: int = 0
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, served inside its transport callbacks."""
+
+    def __init__(self, server: "CacheServer") -> None:
+        self.server = server
+        self.parser = RequestParser(server.config.max_value_bytes)
+        #: Parsed events not yet dispatched.  Outlives a callback only
+        #: while reads are paused (write stall or promotion), so a held
+        #: connection buffers at most the one read it was parsing.
+        self.parked: Deque[protocol.Event] = deque()
+        self.write_paused = False
+        self.promotion: Optional[asyncio.Task] = None
+        self.stall_timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.loop = asyncio.get_running_loop()
+        self.server.stats.connections_total += 1
+        self.server.stats.connections_current += 1
+        self.server._connections.add(self)
+        self.last_read = self.loop.time()
+        self.idle_timer = self.loop.call_later(
+            self.server.config.read_timeout, self._idle_check
+        )
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+            self.server.stats.peer_resets += 1
+        self.server.stats.connections_current -= 1
+        self.server._connections.discard(self)
+        self.parked.clear()
+        self.idle_timer.cancel()
+        if self.stall_timer is not None:
+            self.stall_timer.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        self.last_read = self.loop.time()
+        self.parser.feed(data)
+        self.parked.extend(self.parser.events())
+        if not self._held():
+            self._pump()
+
+    def eof_received(self) -> None:
+        # A half-received command (e.g. an abrupt mid-set disconnect)
+        # dies in the parser buffer: it never reached the cache.
+        # Returning None closes the transport, flushing replies first.
+        if self.parser.mid_command:
+            self.server.stats.peer_resets += 1
+
+    # -- read timeout: one lazily re-armed timer, no per-request work ----------
+
+    def _idle_check(self) -> None:
+        timeout = self.server.config.read_timeout
+        # While reads are paused the silence is ours, not the peer's.
+        idle = 0.0 if self._held() else self.loop.time() - self.last_read
+        if idle < timeout:
+            self.idle_timer = self.loop.call_later(timeout - idle, self._idle_check)
+        elif not self.transport.is_closing():
+            self.server.stats.read_timeouts += 1
+            self.transport.close()
+
+    # -- write timeout: transport flow control + a stall timer -----------------
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop reading its requests
+        # and give it ``write_timeout`` to drain below low-water.
+        self.write_paused = True
+        self.transport.pause_reading()
+        self.stall_timer = self.loop.call_later(
+            self.server.config.write_timeout, self._stalled
+        )
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.stall_timer.cancel()
+        self.stall_timer = None
+        self._resume()
+
+    def _stalled(self) -> None:
+        self.server.stats.write_timeouts += 1
+        self.transport.abort()
+
+    # -- dispatch --------------------------------------------------------------
+
+    def _held(self) -> bool:
+        """Must parked events wait (stalled peer, promotion in flight)?"""
+        return self.write_paused or self.promotion is not None
+
+    def _pump(self) -> None:
+        """Dispatch parked events in order, one write per read, until
+        the queue is empty or something holds the connection."""
+        server = self.server
+        parked = self.parked
+        out: List[bytes] = []
+        counted = pending = 0
+        alive = True
+        while parked and alive and not self._held():
+            event = parked.popleft()
+            # One command per read, the common interactive case, never
+            # pays a coalescing check (``parked`` is already empty).
+            if (
+                parked
+                and server._coalescible(event)
+                and server._coalescible(parked[0])
+            ):
+                run = [event]
+                while parked and server._coalescible(parked[0]):
+                    run.append(parked.popleft())
+                server._dispatch_read_burst(run, out)
+            else:
+                alive = server._dispatch(event, out, self)
+            pending += sum(map(len, out[counted:]))
+            counted = len(out)
+            if pending >= _FLUSH_BYTES:
+                self.transport.write(b"".join(out))  # may pause_writing()
+                out.clear()
+                counted = pending = 0
+        if out:
+            self.transport.write(out[0] if len(out) == 1 else b"".join(out))
+        if not alive:
+            # quit or a fatal protocol error: the rest of the pipeline
+            # is discarded; close() still flushes the replies so far.
+            parked.clear()
+            self.transport.close()
+
+    def _resume(self) -> None:
+        """A hold was lifted: serve what was parked, then read again."""
+        if self._held() or self.transport.is_closing():
+            return
+        self._pump()
+        if not self._held():
+            self.last_read = self.loop.time()
+            self.transport.resume_reading()
+
+    def promote(self, command: Command) -> None:
+        """Run ``promote`` as a task; reads pause and later events stay
+        parked until its reply is written, so replies keep their order."""
+        self.transport.pause_reading()
+        self.promotion = self.loop.create_task(self.server._promote(command))
+        self.promotion.add_done_callback(self._promoted)
+
+    def _promoted(self, task: asyncio.Task) -> None:
+        self.promotion = None
+        if task.cancelled():
+            return
+        try:
+            reply = task.result()
+        except Exception as exc:  # the connection must not stay held
+            self.server.incidents.append(f"promotion failed: {exc!r}")
+            reply = protocol.server_error("promotion failed")
+        if not self.transport.is_closing():
+            self.transport.write(reply)
+            self._resume()
 
 
 class CacheServer:
@@ -214,6 +392,14 @@ class CacheServer:
         #: cache flavors (ZExpander, ShardedZExpander, SimpleKVCache) do;
         #: the getattr keeps bare test doubles working on the per-key path.
         self._get_many = getattr(cache, "get_many", None)
+        # Per-request lookups resolved once: nothing rebinds these after
+        # construction.  (The fault injector is NOT among them — chaos
+        # harnesses arm injectors after the server is built.)
+        self._routes_to_zzone = getattr(cache, "routes_to_zzone", None)
+        self._shard_for = getattr(cache, "shard_for", None)
+        clock = getattr(cache, "clock", None)
+        ticking = self.config.clock_mode == "tick" and clock is not None
+        self._tick = clock.advance if ticking else None
         # Admission meters *real* arrival rates (wall clock) regardless of
         # the cache's clock_mode; deterministic runs inject a controller
         # driven by a TickClock instead.
@@ -275,7 +461,7 @@ class CacheServer:
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
-        self._connections: List[asyncio.StreamWriter] = []
+        self._connections: Set[_Connection] = set()
         self._exit_code = 0
         #: Messages for post-mortems: invariant failures, snapshot issues.
         self.incidents: List[str] = []
@@ -299,8 +485,8 @@ class CacheServer:
             self._warm_restart(self.config.snapshot_path)
         if self.config.journal_dir is not None:
             self._recover_durable()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         self._port = self._server.sockets[0].getsockname()[1]
         if self.durability is not None:
@@ -439,103 +625,17 @@ class CacheServer:
                 self._exit_code = 1
         if self.stats.invariant_failures:
             self._exit_code = 1
-        for writer in list(self._connections):
-            writer.close()
+        for connection in list(self._connections):
+            connection.transport.close()
         self._stopped.set()
 
     async def _inflight_zero(self) -> None:
         while self._inflight > 0:
             await asyncio.sleep(0.01)
 
-    # -- connection handling ---------------------------------------------------
+    # -- dispatch --------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.connections_total += 1
-        self.stats.connections_current += 1
-        self._connections.append(writer)
-        parser = RequestParser(self.config.max_value_bytes)
-        try:
-            await self._connection_loop(reader, writer, parser)
-        except (ConnectionResetError, BrokenPipeError):
-            self.stats.peer_resets += 1
-        except (asyncio.TimeoutError, TimeoutError):
-            self.stats.read_timeouts += 1
-        finally:
-            self.stats.connections_current -= 1
-            if writer in self._connections:
-                self._connections.remove(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _connection_loop(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        parser: RequestParser,
-    ) -> None:
-        while True:
-            events = list(parser.events())
-            if len(events) < 2:
-                # The common interactive case: one command per read.
-                # Never pays any coalescing checks, so single-key GET
-                # latency is untouched by the batch machinery.
-                for event in events:
-                    if not await self._dispatch(event, writer):
-                        return
-            else:
-                index = 0
-                total = len(events)
-                while index < total:
-                    event = events[index]
-                    if self._coalescible(event):
-                        run_end = index + 1
-                        while run_end < total and self._coalescible(
-                            events[run_end]
-                        ):
-                            run_end += 1
-                        if run_end - index >= 2:
-                            await self._dispatch_read_burst(
-                                events[index:run_end], writer
-                            )
-                            index = run_end
-                            continue
-                    if not await self._dispatch(event, writer):
-                        return
-                    index += 1
-            try:
-                data = await asyncio.wait_for(
-                    reader.read(65536), self.config.read_timeout
-                )
-            except (asyncio.TimeoutError, TimeoutError):
-                self.stats.read_timeouts += 1
-                return
-            if not data:
-                # EOF.  A half-received command (e.g. an abrupt mid-set
-                # disconnect) dies in the parser buffer: it never reached
-                # the cache, so accounting needs no repair.
-                if parser.mid_command:
-                    self.stats.peer_resets += 1
-                return
-            parser.feed(data)
-
-    async def _dispatch(
-        self, event: protocol.Event, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Execute one event; False ends the connection."""
-        if isinstance(event, BadCommand):
-            self.stats.protocol_errors += 1
-            if b"too large" in event.reply:
-                self.stats.oversized_rejects += 1
-            await self._send(writer, event.reply)
-            return not event.fatal
-        command: Command = event
-        if command.name == "quit":
-            return False
+    def _count_command(self) -> None:
         self.stats.commands += 1
         if self.auditor is not None:
             try:
@@ -546,35 +646,55 @@ class CacheServer:
                     f"invariant check failed at command "
                     f"{self.stats.commands}: {exc}"
                 )
+
+    def _maybe_checkpoint(self) -> None:
+        if self.durability is not None and self.durability.should_checkpoint():
+            try:
+                self.durability.checkpoint(self.cache)
+            except Exception as exc:
+                self.incidents.append(f"checkpoint failed: {exc}")
+
+    def _dispatch(
+        self, event: protocol.Event, out: List[bytes], connection: "_Connection"
+    ) -> bool:
+        """Execute one event, appending its reply (if any) to ``out``;
+        False ends the connection."""
+        if isinstance(event, BadCommand):
+            self.stats.protocol_errors += 1
+            if b"too large" in event.reply:
+                self.stats.oversized_rejects += 1
+            out.append(event.reply)
+            return not event.fatal
+        command: Command = event
+        if command.name == "quit":
+            return False
+        self._count_command()
         if self._draining and command.name not in ("stats", "version"):
             self.stats.drained_commands += 1
             if not command.noreply:
-                await self._send(writer, _DRAINING)
+                out.append(_DRAINING)
             return True
         if command.name == "version":
-            await self._send(
-                writer, b"VERSION repro-zx/" + __version__.encode() + protocol.CRLF
-            )
+            out.append(b"VERSION repro-zx/" + __version__.encode() + protocol.CRLF)
             return True
         if command.name == "stats":
-            await self._send(writer, protocol.encode_stats(self.stats_dict()))
+            out.append(protocol.encode_stats(self.stats_dict()))
             return True
         if command.name == "promote":
-            await self._handle_promote(command, writer)
+            connection.promote(command)
             return True
-        if self.config.role == "replica" and await self._replica_gate(
-            command, writer
-        ):
+        if self.config.role == "replica" and self._replica_gate(command, out):
             return True
         if not self.admission.admit(
             zzone_bound=self._zzone_bound(command), inflight=self._inflight
         ):
             if not command.noreply:
-                await self._send(writer, _OVERLOADED)
+                out.append(_OVERLOADED)
             return True
         self._inflight += 1
         try:
-            self._tick_clock()
+            if self._tick is not None:
+                self._tick(TICK_SECONDS)
             if self._timer is not None:
                 started = self._timer()
                 reply = self._execute(command)
@@ -584,11 +704,7 @@ class CacheServer:
             self._fault_hook(command)
         finally:
             self._inflight -= 1
-        if self.durability is not None and self.durability.should_checkpoint():
-            try:
-                self.durability.checkpoint(self.cache)
-            except Exception as exc:
-                self.incidents.append(f"checkpoint failed: {exc}")
+        self._maybe_checkpoint()
         # Sidecar hygiene: evictions happen inside the cache without
         # notifying the flags/CAS sidecar, so under churn it can outgrow
         # the live item set.  Walk off entries for departed keys once it
@@ -599,12 +715,8 @@ class CacheServer:
         ):
             self.stats.meta_pruned += self.meta.prune(self.cache)
         if reply and not command.noreply:
-            await self._send(writer, reply)
+            out.append(reply)
         return True
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: bytes) -> None:
-        writer.write(payload)
-        await asyncio.wait_for(writer.drain(), self.config.write_timeout)
 
     # -- batched reads ---------------------------------------------------------
 
@@ -637,41 +749,34 @@ class CacheServer:
             and not self._faults_armed()
         )
 
-    async def _dispatch_read_burst(
-        self, commands: List[Command], writer: asyncio.StreamWriter
+    def _dispatch_read_burst(
+        self, commands: List[Command], out: List[bytes]
     ) -> None:
-        """Serve a run of pipelined get/gets as one batch + one write.
+        """Serve a run of pipelined get/gets as one batch.
 
         Every per-command control-plane step — command counting, audits,
         admission, clock ticks, per-command reply frames (each with its
         own END) — happens exactly as on the sequential path and in the
         same order; only the cache lookups fuse into one ``get_many``
-        and the reply frames into one socket write.  Clock ticks stay
-        interleaved with admission so an injected tick-driven admission
-        controller sees the same clock it would have sequentially
-        (command execution never advances the clock).  Overload refusals
-        take their place in the reply stream in command order.
+        (the reply frames share the read's one socket write either way).
+        Clock ticks stay interleaved with admission so an injected
+        tick-driven admission controller sees the same clock it would
+        have sequentially (command execution never advances the clock).
+        Overload refusals take their place in the reply stream in
+        command order.
         """
         plan: List[Tuple[Command, bool]] = []
         admitted: List[Command] = []
         for command in commands:
-            self.stats.commands += 1
-            if self.auditor is not None:
-                try:
-                    self.auditor.on_request(self.stats.commands)
-                except Exception as exc:
-                    self.stats.invariant_failures += 1
-                    self.incidents.append(
-                        f"invariant check failed at command "
-                        f"{self.stats.commands}: {exc}"
-                    )
+            self._count_command()
             ok = self.admission.admit(
                 zzone_bound=self._zzone_bound(command), inflight=self._inflight
             )
             plan.append((command, ok))
             if ok:
                 admitted.append(command)
-                self._tick_clock()
+                if self._tick is not None:
+                    self._tick(TICK_SECONDS)
         replies: List[bytes] = []
         if admitted:
             keys = [key for command in admitted for key in command.keys]
@@ -697,14 +802,8 @@ class CacheServer:
                 )
                 position += count
         reply_iter = iter(replies)
-        chunks = [
-            next(reply_iter) if ok else _OVERLOADED for _, ok in plan
-        ]
-        if self.durability is not None and self.durability.should_checkpoint():
-            try:
-                self.durability.checkpoint(self.cache)
-            except Exception as exc:
-                self.incidents.append(f"checkpoint failed: {exc}")
+        out.extend(next(reply_iter) if ok else _OVERLOADED for _, ok in plan)
+        self._maybe_checkpoint()
         # Sequential dispatch prunes the meta sidecar when the command
         # counter hits a multiple of 4096; the burst checks whether the
         # counter crossed one instead of landing exactly on it.
@@ -714,13 +813,10 @@ class CacheServer:
             and len(self.meta) > 2 * self.cache.item_count + 64
         ):
             self.stats.meta_pruned += self.meta.prune(self.cache)
-        await self._send(writer, b"".join(chunks))
 
     # -- replica policy --------------------------------------------------------
 
-    async def _replica_gate(
-        self, command: Command, writer: asyncio.StreamWriter
-    ) -> bool:
+    def _replica_gate(self, command: Command, out: List[bytes]) -> bool:
         """Replica-role refusals; True when the command was answered here.
 
         Writes are refused outright (the stream is the only writer), and
@@ -731,7 +827,7 @@ class CacheServer:
         if command.name in ("set", "cas", "delete"):
             self.replication_stats.read_only_rejects += 1
             if not command.noreply:
-                await self._send(writer, _READ_ONLY)
+                out.append(_READ_ONLY)
             return True
         if command.name in ("get", "gets") and self.repl_client is not None:
             level = self.repl_client.pressure_level()
@@ -739,14 +835,16 @@ class CacheServer:
                 self.replication_stats.lagging_rejects += 1
                 self.admission.note_lag_shed()
                 if not command.noreply:
-                    await self._send(writer, _LAGGING)
+                    out.append(_LAGGING)
                 return True
         return False
 
-    async def _handle_promote(
-        self, command: Command, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _promote(self, command: Command) -> bytes:
         """The consensus-free failover hook: replica -> primary, now.
+
+        The one verb that awaits (the replication client has to stop),
+        so :meth:`_Connection.promote` runs it as a task; returns the
+        reply.
 
         With a catch-up directory (the dead primary's journal on shared
         or local disk) the replica first replays everything past its
@@ -755,17 +853,12 @@ class CacheServer:
         loss is bounded by the replication lag at the moment of death.
         """
         if self.config.role != "replica":
-            await self._send(writer, protocol.server_error("not a replica"))
-            return
+            return protocol.server_error("not a replica")
         catch_up_dir: Optional[str] = None
         if command.value:
             catch_up_dir = command.value.decode("utf-8", "replace")
             if not os.path.isdir(catch_up_dir):
-                await self._send(
-                    writer,
-                    protocol.server_error("catch-up dir not found"),
-                )
-                return
+                return protocol.server_error("catch-up dir not found")
         client = self.repl_client
         self.repl_client = None
         position = (0, 0)
@@ -786,7 +879,7 @@ class CacheServer:
         self.incidents.append(
             f"promoted to primary (catch-up {mode}: {caught} records)"
         )
-        await self._send(writer, PROMOTED)
+        return PROMOTED
 
     # -- command execution -----------------------------------------------------
 
@@ -798,10 +891,8 @@ class CacheServer:
         counts as Z-bound only when *every* key routes to the Z-zone, so
         a request with any hot key keeps N-zone latency.
         """
-        if command.name not in ("get", "gets"):
-            return False
-        routes = getattr(self.cache, "routes_to_zzone", None)
-        if routes is None:
+        routes = self._routes_to_zzone
+        if routes is None or command.name not in ("get", "gets"):
             return False
         return all(routes(key) for key in command.keys)
 
@@ -924,17 +1015,11 @@ class CacheServer:
             return protocol.DELETED if found else protocol.NOT_FOUND
         raise AssertionError(f"unroutable command {command.name!r}")
 
-    def _tick_clock(self) -> None:
-        if self.config.clock_mode == "tick":
-            clock = getattr(self.cache, "clock", None)
-            if clock is not None:
-                clock.advance(TICK_SECONDS)
-
     def _fault_hook(self, command: Command) -> None:
         """Fire control-plane fault sites (squeeze/skew) on the serving path."""
         if not command.keys:
             return
-        shard_for = getattr(self.cache, "shard_for", None)
+        shard_for = self._shard_for
         target = shard_for(command.keys[0]) if shard_for else self.cache
         injector = getattr(target, "fault_injector", None)
         if injector is not None:

@@ -257,6 +257,52 @@ class TestPromotion:
 
         asyncio.run(go())
 
+    def test_pipelined_commands_wait_for_the_promotion(self, tmp_path):
+        """``promote`` is the one verb that awaits: commands pipelined
+        behind it in the same segment are answered after ``PROMOTED``,
+        in order, by the node it made — a primary that takes writes."""
+
+        async def go():
+            primary, ptask = await start_primary(tmp_path)
+            replica, rtask = await start_replica(primary.repl_source.port)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", primary.port
+            )
+            assert (
+                await send(writer, reader, b"set old 0 0 3\r\nwas\r\n")
+                == b"STORED\r\n"
+            )
+            assert await wait_until(lambda: replica.cache.get(b"old") == b"was")
+            writer.close()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", replica.port
+            )
+            # A replica refuses writes until promoted.
+            assert b"read-only" in await send(
+                writer, reader, b"set early 0 0 1\r\nx\r\n"
+            )
+            writer.write(
+                b"get old\r\npromote\r\nset new 0 0 2\r\nhi\r\n"
+                b"get new\r\nget old\r\nversion\r\n"
+            )
+            await writer.drain()
+            replies = await asyncio.wait_for(reader.readuntil(b"VERSION"), 10.0)
+            assert replies == (
+                b"VALUE old 0 3\r\nwas\r\nEND\r\n"
+                b"PROMOTED\r\n"
+                b"STORED\r\n"
+                b"VALUE new 0 2\r\nhi\r\nEND\r\n"
+                b"VALUE old 0 3\r\nwas\r\nEND\r\n"
+                b"VERSION"
+            )
+            assert replica.config.role == "primary"
+            assert replica.replication_stats.read_only_rejects == 1
+            writer.close()
+            await drain(replica, rtask)
+            await drain(primary, ptask)
+
+        asyncio.run(go())
+
     def test_promote_refused_on_a_primary(self, tmp_path):
         async def go():
             primary, ptask = await start_primary(tmp_path)

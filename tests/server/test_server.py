@@ -2,6 +2,9 @@
 
 import asyncio
 import contextlib
+import socket
+
+import pytest
 
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
@@ -193,6 +196,90 @@ class TestRobustness:
                 assert server.stats.read_timeouts >= 1
                 # The half-received set never touched the cache.
                 assert server.cache.get(b"k") is None
+
+        asyncio.run(scenario())
+
+    def test_steady_trickle_is_not_an_idle_connection(self):
+        """The read timeout is one lazily re-armed timer: it must measure
+        silence since the *last* read, not since it was armed."""
+
+        async def scenario():
+            timeout = 0.3
+            async with running_server(read_timeout=timeout) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                loop = asyncio.get_running_loop()
+                # One request every timeout/3 for 3x the timeout.
+                for _ in range(9):
+                    assert await send(writer, reader, b"get k\r\n") == b"END\r\n"
+                    await asyncio.sleep(timeout / 3)
+                assert server.stats.read_timeouts == 0
+                assert server.stats.connections_current == 1
+                # Going silent now is dropped one full timeout after the
+                # last read (the sleep above already used a third of it).
+                silent_since = loop.time() - timeout / 3
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                assert loop.time() - silent_since >= timeout * 0.9
+                assert server.stats.read_timeouts == 1
+                writer.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("batch_reads", [False, True])
+    def test_slow_reader_is_dropped_and_buffering_stays_bounded(self, batch_reads):
+        """A peer that pipelines big GETs and never reads costs one
+        connection and a bounded buffer — not the loop, not the heap."""
+
+        async def scenario():
+            value = b"v" * 16384
+            reply_len = len(b"VALUE big 0 16384\r\n") + len(value) + len(b"\r\nEND\r\n")
+            frame = b"get big\r\n"
+            pipelined = 600  # ~9.6 MB of replies into a 4 KiB receive window
+            cache = make_cache(capacity=4 << 20)
+            async with running_server(
+                cache, write_timeout=0.4, batch_reads=batch_reads
+            ) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                store = b"set big 0 0 %d\r\n%s\r\n" % (len(value), value)
+                assert await send(writer, reader, store) == b"STORED\r\n"
+                assert (
+                    await send(writer, reader, b"set small 0 0 2\r\nok\r\n")
+                    == b"STORED\r\n"
+                )
+                loop = asyncio.get_running_loop()
+                slow = socket.socket()
+                slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                slow.setblocking(False)
+                await loop.sock_connect(slow, ("127.0.0.1", server.port))
+                await loop.sock_sendall(slow, frame * pipelined)
+                # The dispatch unit is one command — or, coalesced, the
+                # GETs of one 64 KiB read.
+                unit = reply_len * (pipelined if batch_reads else 1)
+                started = loop.time()
+                peak = 0
+                while server.stats.write_timeouts == 0:
+                    assert loop.time() - started < 5.0, "slow reader never dropped"
+                    for connection in server._connections:
+                        peak = max(
+                            peak, connection.transport.get_write_buffer_size()
+                        )
+                    # The well-behaved client is served throughout.
+                    reply = await asyncio.wait_for(
+                        send(writer, reader, b"get small\r\n", reply_lines=3), 1.0
+                    )
+                    assert reply == b"VALUE small 0 2\r\nok\r\nEND\r\n"
+                    await asyncio.sleep(0.01)
+                high_water = 64 * 1024
+                assert high_water < peak <= high_water + 64 * 1024 + unit
+                await asyncio.sleep(0.05)
+                assert server.stats.connections_current == 1
+                assert server.stats.write_timeouts == 1
+                assert server.stats.read_timeouts == 0
+                slow.close()
+                writer.close()
 
         asyncio.run(scenario())
 
