@@ -206,7 +206,7 @@ async def _replicated_samples(ops: int, keys: int, seed: int, journal_dir: str):
     event loop.  Returns (set_samples_us, set_wall_s, get_samples_us,
     get_wall_s).
     """
-    from repro.server.replchaos import ReplChaosConfig, _replica_child
+    from repro.harness import ServeChild
 
     cache = ShardedZExpander(
         ZExpanderConfig(total_capacity=8 * 1024 * 1024, seed=seed),
@@ -220,8 +220,21 @@ async def _replicated_samples(ops: int, keys: int, seed: int, journal_dir: str):
     )
     await server.start()
     task = asyncio.create_task(server.run())
-    replica = _replica_child(
-        ReplChaosConfig(seed=seed), server.repl_source.port
+    replica = ServeChild(
+        [
+            "--port", "0",
+            "--seed", str(seed),
+            "--capacity", str(8 * 1024 * 1024),
+            "--shards", "2",
+            "--role", "replica",
+            "--primary-host", "127.0.0.1",
+            "--primary-port", str(server.repl_source.port),
+            "--stale-grace", "0.4",
+            "--max-lag-bytes", str(1 << 20),
+            "--repl-silence-timeout", "2.0",
+            "--read-timeout", "10.0",
+            "--drain-deadline", "10.0",
+        ]
     )
     await replica.start()
 

@@ -30,6 +30,7 @@ timing-dependent goes to stderr via ``render_metrics``.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import random
 import tempfile
 from dataclasses import dataclass, field
@@ -37,10 +38,19 @@ from typing import Dict, List, Optional
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.procs import ClusterConfig, ClusterSupervisor
-from repro.common.errors import NodeDownError, ServingError
+from repro.common.errors import ServingError
 from repro.common.rng import derive_seed
-from repro.server.crash import _Oracle, _tally
-from repro.server.loadgen import TOMBSTONE, UNKNOWN, expected_value, key_name
+from repro.harness import (
+    CampaignConfig,
+    CampaignReport,
+    Oracle,
+    RoundOutcome,
+    closing,
+    drive,
+    event_point,
+    sweep,
+)
+from repro.server.loadgen import key_name
 
 #: Kill point, as a fraction of the round's total op budget.
 KILL_FRACTION_LO = 0.2
@@ -51,21 +61,11 @@ RING_PROBE_KEYS = 48
 
 
 @dataclass
-class ClusterChaosConfig:
+class ClusterChaosConfig(CampaignConfig):
     """One node-kill campaign over an N-node cluster."""
 
-    seed: int = 0
     nodes: int = 3
     kill_points: int = 4
-    connections: int = 3
-    requests_per_conn: int = 150
-    keys_per_conn: int = 120
-    fsync: str = "always"
-    capacity: int = 8 * 1024 * 1024
-    shards: int = 2
-    workdir: Optional[str] = None
-    set_fraction: float = 0.5
-    delete_fraction: float = 0.08
     deadline: float = 5.0
 
     def validate(self) -> None:
@@ -73,72 +73,40 @@ class ClusterChaosConfig:
             raise ValueError("cluster chaos needs >= 2 nodes")
         if self.kill_points < 1:
             raise ValueError("kill_points must be >= 1")
-        if self.connections < 1 or self.requests_per_conn < 1:
-            raise ValueError("connections and requests_per_conn must be >= 1")
-        if self.keys_per_conn < 1:
-            raise ValueError("keys_per_conn must be >= 1")
-        if self.fsync not in ("always", "interval", "never"):
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
+        super().validate()
 
 
 @dataclass
-class ClusterRoundOutcome:
+class ClusterRoundOutcome(RoundOutcome):
     """Timing-dependent per-round record (metrics only)."""
 
-    round_index: int
-    victim: str
-    kill_after_ops: int
-    ops_issued: int = 0
-    acked_sets: int = 0
-    acked_deletes: int = 0
-    node_down_ops: int = 0
-    degraded_checked: int = 0
-    degraded_dead_arc: int = 0
-    verified_keys: int = 0
+    victim: str = "-"
     ring_probed: int = 0
-    lost_unsynced: int = 0
+
+    def describe(self) -> str:
+        return (
+            f"round {self.round_index}: victim={self.victim} "
+            f"kill_after={self.event_after_ops} {self.traffic()} "
+            f"ring_probed={self.ring_probed}"
+        )
 
 
 @dataclass
-class ClusterChaosReport:
+class ClusterChaosReport(CampaignReport):
     """Campaign verdict; ``render()`` is byte-deterministic per config."""
 
-    config: ClusterChaosConfig
-    wrong_bytes: int = 0
-    acked_write_loss: int = 0
-    deleted_resurrections: int = 0
     ring_violations: int = 0
-    lost_unsynced: int = 0
     drain_exits: List[int] = field(default_factory=list)
-    rounds: List[ClusterRoundOutcome] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def finalise(self) -> None:
-        if self.wrong_bytes:
-            self.violations.append(
-                f"{self.wrong_bytes} reads returned bytes matching no "
-                "version ever written"
-            )
+        self.check_bytes()
         if self.ring_violations:
             self.violations.append(
                 f"{self.ring_violations} keys answered from a node other "
                 "than their single ring owner"
             )
-        if self.config.fsync == "always":
-            if self.acked_write_loss:
-                self.violations.append(
-                    f"{self.acked_write_loss} acknowledged writes lost "
-                    "under fsync=always"
-                )
-            if self.deleted_resurrections:
-                self.violations.append(
-                    f"{self.deleted_resurrections} acknowledged deletes "
-                    "resurrected under fsync=always"
-                )
+        self.check_durability()
+        self.check_sweeps()
         if any(code != 0 for code in self.drain_exits):
             self.violations.append(
                 f"final drain exits {self.drain_exits}, expected all 0"
@@ -148,137 +116,19 @@ class ClusterChaosReport:
         config = self.config
         lines = [
             f"cluster-chaos: nodes={config.nodes} "
-            f"kill_points={config.kill_points} "
-            f"connections={config.connections} "
-            f"requests_per_conn={config.requests_per_conn} "
-            f"keys_per_conn={config.keys_per_conn} seed={config.seed}",
+            f"kill_points={config.kill_points} " + config.traffic(),
             f"fsync: {config.fsync}",
             f"wrong_bytes: {self.wrong_bytes}",
             f"ring_violations: {self.ring_violations}",
-            f"acked_write_loss: "
-            + (
-                str(self.acked_write_loss)
-                if config.fsync == "always"
-                else f"not enforced (fsync={config.fsync})"
-            ),
-            f"deleted_resurrections: "
-            + (
-                str(self.deleted_resurrections)
-                if config.fsync == "always"
-                else f"not enforced (fsync={config.fsync})"
-            ),
-            f"final_drain_exits: "
+            *self.durability_lines(),
+            "final_drain_exits: "
             + ",".join(str(code) for code in self.drain_exits),
-        ]
-        if self.violations:
-            lines.append(f"FAIL ({len(self.violations)} violations)")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        else:
-            lines.append(
-                "OK: every kill stayed confined to its arc; recovery and "
+            *self.verdict_lines(
+                "every kill stayed confined to its arc; recovery and "
                 "ring ownership held"
-            )
-        return "\n".join(lines)
-
-    def render_metrics(self) -> str:
-        lines = [
-            f"rounds: {len(self.rounds)}",
-            f"lost_unsynced: {self.lost_unsynced}",
+            ),
         ]
-        for outcome in self.rounds:
-            lines.append(
-                f"  round {outcome.round_index}: victim={outcome.victim} "
-                f"kill_after={outcome.kill_after_ops} "
-                f"issued={outcome.ops_issued} acked_sets={outcome.acked_sets} "
-                f"acked_deletes={outcome.acked_deletes} "
-                f"node_down_ops={outcome.node_down_ops} "
-                f"degraded_checked={outcome.degraded_checked} "
-                f"degraded_dead_arc={outcome.degraded_dead_arc} "
-                f"verified={outcome.verified_keys} "
-                f"ring_probed={outcome.ring_probed} "
-                f"lost={outcome.lost_unsynced}"
-            )
         return "\n".join(lines)
-
-
-# -- per-round traffic drivers --------------------------------------------------
-
-
-class _ClusterDriver:
-    """One connection's worth of seeded ring-routed traffic."""
-
-    def __init__(
-        self,
-        config: ClusterChaosConfig,
-        oracle: _Oracle,
-        conn_id: int,
-        round_index: int,
-        client: ClusterClient,
-        outcome: ClusterRoundOutcome,
-        report: ClusterChaosReport,
-        counter: List[int],
-    ) -> None:
-        self.config = config
-        self.oracle = oracle
-        self.conn_id = conn_id
-        self.client = client
-        self.outcome = outcome
-        self.report = report
-        self.counter = counter
-        self.ops_rng = random.Random(
-            derive_seed(config.seed, f"cluster-ops-r{round_index}-c{conn_id}")
-        )
-
-    async def run(self) -> None:
-        config = self.config
-        for _position in range(config.requests_per_conn):
-            draw = self.ops_rng.random()
-            key_id = int(config.keys_per_conn * self.ops_rng.random() ** 2)
-            key_id = min(key_id, config.keys_per_conn - 1)
-            if draw < config.set_fraction:
-                op = "set"
-            elif draw < config.set_fraction + config.delete_fraction:
-                op = "delete"
-            else:
-                op = "get"
-            self.counter[0] += 1
-            self.outcome.ops_issued += 1
-            try:
-                await self._issue(op, key_id)
-            except (NodeDownError, ServingError, OSError, EOFError,
-                    asyncio.IncompleteReadError):
-                # The victim's arc (or a connection the kill broke):
-                # a mutation's outcome is unknowable, a read is unjudged.
-                self.outcome.node_down_ops += 1
-                if op in ("set", "delete"):
-                    self.oracle.state[(self.conn_id, key_id)] = UNKNOWN
-
-    async def _issue(self, op: str, key_id: int) -> None:
-        key = key_name(self.conn_id, key_id)
-        slot = (self.conn_id, key_id)
-        if op == "set":
-            version = self.oracle.attempted.get(slot, 0) + 1
-            self.oracle.attempted[slot] = version
-            value = expected_value(
-                self.config.seed, self.conn_id, key_id, version
-            )
-            if await self.client.set(key, value):
-                self.oracle.state[slot] = version
-                self.outcome.acked_sets += 1
-            return
-        if op == "delete":
-            await self.client.delete(key)
-            # DELETED and NOT_FOUND both acknowledge "key is now absent".
-            self.oracle.state[slot] = TOMBSTONE
-            self.outcome.acked_deletes += 1
-            return
-        value = await self.client.get(key)
-        if value is None:
-            verdict = self.oracle.judge_miss(self.conn_id, key_id)
-        else:
-            verdict = self.oracle.judge_hit(self.conn_id, key_id, value)
-        _tally(self.report, self.outcome, verdict, self.config.fsync)
 
 
 # -- the campaign ---------------------------------------------------------------
@@ -291,221 +141,144 @@ def run_cluster_chaos(
     if config is None:
         config = ClusterChaosConfig(**kwargs)
     config.validate()
-    return asyncio.run(_run_cluster_chaos(config))
+    return asyncio.run(_Campaign(config).run())
 
 
-async def _run_cluster_chaos(config: ClusterChaosConfig) -> ClusterChaosReport:
-    report = ClusterChaosReport(config=config)
-    workdir = config.workdir or tempfile.mkdtemp(prefix="zx-cluster-")
-    supervisor = ClusterSupervisor(
-        ClusterConfig(
-            nodes=config.nodes,
-            seed=config.seed,
-            workdir=workdir,
-            capacity=config.capacity,
-            shards=config.shards,
-            fsync=config.fsync,
-            # Small on purpose: rotations/checkpoints must happen during
-            # rounds so kills land inside them.
-            segment_bytes=16 * 1024,
-            checkpoint_bytes=48 * 1024,
+class _Campaign:
+    """The fleet, its address book, the oracle and the report of one run."""
+
+    def __init__(self, config: ClusterChaosConfig) -> None:
+        self.config = config
+        self.report = ClusterChaosReport(config=config)
+        self.oracle = Oracle(config.seed)
+        self.supervisor = ClusterSupervisor(
+            ClusterConfig(
+                nodes=config.nodes,
+                seed=config.seed,
+                workdir=config.workdir or tempfile.mkdtemp(prefix="zx-cluster-"),
+                capacity=config.capacity,
+                shards=config.shards,
+                fsync=config.fsync,
+                # Small on purpose: rotations/checkpoints must happen during
+                # rounds so kills land inside them.
+                segment_bytes=16 * 1024,
+                checkpoint_bytes=48 * 1024,
+            )
         )
-    )
-    oracle = _Oracle(config.seed, config.connections)
-    kill_rng = random.Random(derive_seed(config.seed, "cluster-kill-points"))
-    total_ops = config.connections * config.requests_per_conn
+        self.addresses: Dict[str, tuple] = {}
 
-    try:
-        addresses = await supervisor.start()
-        for round_index in range(config.kill_points):
-            victim_id = f"node{kill_rng.randrange(config.nodes)}"
-            kill_after = kill_rng.randint(
-                max(1, int(total_ops * KILL_FRACTION_LO)),
-                max(1, int(total_ops * KILL_FRACTION_HI)),
-            )
-            outcome = ClusterRoundOutcome(
-                round_index=round_index,
-                victim=victim_id,
-                kill_after_ops=kill_after,
-            )
-            report.rounds.append(outcome)
-            await _run_round(
-                config, supervisor, addresses, oracle, report, outcome
-            )
-
-        # Full-strength final sweep, then graceful drain of every node.
-        final = ClusterRoundOutcome(
-            round_index=config.kill_points, victim="-", kill_after_ops=0
+    def _client(self, on_node_down: str, **kwargs) -> ClusterClient:
+        return ClusterClient(
+            self.addresses,
+            on_node_down=on_node_down,
+            deadline=self.config.deadline,
+            **kwargs,
         )
-        report.rounds.append(final)
-        await _verify_sweep(config, addresses, oracle, report, final)
-        await _ring_probe(config, supervisor, addresses, oracle, report, final)
-        codes = await supervisor.stop()
-        report.drain_exits = [codes[f"node{i}"] for i in range(config.nodes)]
-    finally:
-        await supervisor.terminate()
 
-    report.finalise()
-    return report
-
-
-async def _run_round(
-    config: ClusterChaosConfig,
-    supervisor: ClusterSupervisor,
-    addresses: Dict[str, tuple],
-    oracle: _Oracle,
-    report: ClusterChaosReport,
-    outcome: ClusterRoundOutcome,
-) -> None:
-    victim = supervisor.node(outcome.victim)
-    client = ClusterClient(
-        addresses,
-        on_node_down="error",
-        deadline=config.deadline,
-        rng=random.Random(
-            derive_seed(config.seed, f"cluster-jitter-r{outcome.round_index}")
-        ),
-    )
-    counter = [0]
-    drivers = [
-        _ClusterDriver(
-            config, oracle, conn_id, outcome.round_index, client,
-            outcome, report, counter,
+    async def run(self) -> ClusterChaosReport:
+        config, report = self.config, self.report
+        kill_rng = random.Random(
+            derive_seed(config.seed, "cluster-kill-points")
         )
-        for conn_id in range(config.connections)
-    ]
-    tasks = [asyncio.create_task(driver.run()) for driver in drivers]
+        try:
+            self.addresses = await self.supervisor.start()
+            for round_index in range(config.kill_points):
+                victim = f"node{kill_rng.randrange(config.nodes)}"
+                kill_after = event_point(
+                    kill_rng, config, KILL_FRACTION_LO, KILL_FRACTION_HI
+                )
+                outcome = ClusterRoundOutcome(
+                    round_index, kill_after, victim=victim
+                )
+                report.rounds.append(outcome)
+                await self._kill_round(outcome)
+            # Full-strength final sweep, then graceful drain of every node.
+            final = ClusterRoundOutcome(config.kill_points)
+            report.rounds.append(final)
+            await self._judge_whole_fleet(final)
+            codes = await self.supervisor.stop()
+            report.drain_exits = [
+                codes[f"node{i}"] for i in range(config.nodes)
+            ]
+        finally:
+            await self.supervisor.terminate()
+        report.finalise()
+        return report
 
-    async def watch_and_kill() -> None:
-        while counter[0] < outcome.kill_after_ops and not all(
-            task.done() for task in tasks
-        ):
-            await asyncio.sleep(0.002)
-        if victim.alive:
-            await victim.kill()
+    async def _kill_round(self, outcome: ClusterRoundOutcome) -> None:
+        config = self.config
+        victim = self.supervisor.node(outcome.victim)
+        # on_node_down="error": "shard unreachable" must never read as
+        # "cache miss" while the oracle is judging GETs.
+        client = self._client(
+            "error",
+            rng=random.Random(
+                derive_seed(
+                    config.seed, f"cluster-jitter-r{outcome.round_index}"
+                )
+            ),
+        )
 
-    killer = asyncio.create_task(watch_and_kill())
-    results = await asyncio.gather(*tasks, return_exceptions=True)
-    await killer
-    await client.close()
-    for result in results:
-        if isinstance(result, BaseException):
-            report.violations.append(
-                f"driver crashed: {type(result).__name__}: {result}"
+        async def kill() -> None:
+            if victim.alive:
+                await victim.kill()
+
+        # No stop event: the drivers finish the round against the
+        # degraded fleet.
+        await drive(
+            config, self.oracle, f"cluster-ops-r{outcome.round_index}",
+            [client] * config.connections,
+            lambda key: not self.supervisor.node(client.node_for(key)).alive,
+            outcome, self.report, kill,
+        )
+
+        # Degraded-but-correct: the victim is still dead; every live-owned
+        # key must answer exactly as the oracle predicts through a client
+        # that degrades the dead arc to misses.  A miss on the dead arc is
+        # the documented degradation, not a verdict about the data.
+        async with closing(self._client("miss")) as degraded:
+            await sweep(
+                self.oracle, degraded.get_many, self.report.tally, outcome,
+                "degraded",
+                skip=lambda key: degraded.node_for(key) == outcome.victim,
             )
 
-    # Degraded-but-correct: the victim is still dead; every live-owned
-    # key must answer exactly as the oracle predicts through a client
-    # that degrades the dead arc to misses.
-    await _degraded_probe(config, addresses, oracle, report, outcome)
+        # Restart the victim on its original port + journal dir, then judge
+        # the whole keyspace and the ring-ownership invariant.
+        await victim.start()
+        await self._judge_whole_fleet(outcome)
 
-    # Restart the victim on its original port + journal dir, then judge
-    # the whole keyspace and the ring-ownership invariant.
-    await victim.start()
-    await _verify_sweep(config, addresses, oracle, report, outcome)
-    await _ring_probe(config, supervisor, addresses, oracle, report, outcome)
+    async def _judge_whole_fleet(self, outcome: ClusterRoundOutcome) -> None:
+        """Every node up: sweep every oracle key, then probe ownership."""
+        async with closing(self._client("error")) as client:
+            await sweep(
+                self.oracle, client.get_many, self.report.tally, outcome,
+                "recovery",
+            )
+            await self._ring_probe(client, outcome)
 
+    async def _ring_probe(
+        self, client: ClusterClient, outcome: ClusterRoundOutcome
+    ) -> None:
+        """Assert single ownership: no key answers from two live nodes.
 
-async def _degraded_probe(
-    config: ClusterChaosConfig,
-    addresses: Dict[str, tuple],
-    oracle: _Oracle,
-    report: ClusterChaosReport,
-    outcome: ClusterRoundOutcome,
-) -> None:
-    client = ClusterClient(
-        addresses, on_node_down="miss", deadline=config.deadline
-    )
-    victim = outcome.victim
-    try:
-        for conn_id, key_ids in _oracle_keys(config, oracle):
-            keys = [key_name(conn_id, key_id) for key_id in key_ids]
-            for start in range(0, len(keys), 16):
-                batch_keys = keys[start : start + 16]
-                batch_ids = key_ids[start : start + 16]
-                try:
-                    found = await client.get_many(batch_keys)
-                except ServingError:
-                    continue
-                for key_id, key in zip(batch_ids, batch_keys):
-                    if client.node_for(key) == victim:
-                        # The dead arc: a miss here is the documented
-                        # degradation, not a verdict about the data.
-                        outcome.degraded_dead_arc += 1
-                        continue
-                    outcome.degraded_checked += 1
-                    value = found.get(key)
-                    if value is None:
-                        verdict = oracle.judge_miss(conn_id, key_id)
-                    else:
-                        verdict = oracle.judge_hit(conn_id, key_id, value)
-                    _tally(report, outcome, verdict, config.fsync)
-    finally:
-        await client.close()
-
-
-async def _verify_sweep(
-    config: ClusterChaosConfig,
-    addresses: Dict[str, tuple],
-    oracle: _Oracle,
-    report: ClusterChaosReport,
-    outcome: ClusterRoundOutcome,
-) -> None:
-    """Judge every key the oracle has an opinion about, whole cluster up."""
-    client = ClusterClient(
-        addresses, on_node_down="error", deadline=config.deadline
-    )
-    try:
-        for conn_id, key_ids in _oracle_keys(config, oracle):
-            keys = [key_name(conn_id, key_id) for key_id in key_ids]
-            for start in range(0, len(keys), 16):
-                batch_keys = keys[start : start + 16]
-                batch_ids = key_ids[start : start + 16]
-                try:
-                    found = await client.get_many(batch_keys)
-                except ServingError:
-                    continue
-                for key_id, key in zip(batch_ids, batch_keys):
-                    outcome.verified_keys += 1
-                    value = found.get(key)
-                    if value is None:
-                        verdict = oracle.judge_miss(conn_id, key_id)
-                    else:
-                        verdict = oracle.judge_hit(conn_id, key_id, value)
-                    _tally(report, outcome, verdict, config.fsync)
-    finally:
-        await client.close()
-
-
-async def _ring_probe(
-    config: ClusterChaosConfig,
-    supervisor: ClusterSupervisor,
-    addresses: Dict[str, tuple],
-    oracle: _Oracle,
-    report: ClusterChaosReport,
-    outcome: ClusterRoundOutcome,
-) -> None:
-    """Assert single ownership: no key answers from two live nodes.
-
-    Probes every node *directly* (bypassing the ring) for a
-    deterministic sample of keys; any value returned by a node other
-    than the key's ring owner — or by more than one node — is a ring
-    violation.
-    """
-    client = ClusterClient(
-        addresses, on_node_down="error", deadline=config.deadline
-    )
-    sample = []
-    for conn_id, key_ids in _oracle_keys(config, oracle):
-        sample.extend(key_name(conn_id, key_id) for key_id in key_ids)
-        if len(sample) >= RING_PROBE_KEYS:
-            break
-    sample = sample[:RING_PROBE_KEYS]
-    try:
+        Probes every node *directly* (bypassing the ring) for a
+        deterministic sample of keys; any value returned by a node other
+        than the key's ring owner — or by more than one node — is a ring
+        violation.
+        """
+        sample = itertools.islice(
+            (
+                key_name(lane, key_id)
+                for lane, key_ids in self.oracle.lanes()
+                for key_id in key_ids
+            ),
+            RING_PROBE_KEYS,
+        )
         for key in sample:
             owner = client.node_for(key)
             answered = []
-            for node in supervisor.nodes:
+            for node in self.supervisor.nodes:
                 if not node.alive:
                     continue
                 try:
@@ -517,16 +290,4 @@ async def _ring_probe(
             outcome.ring_probed += 1
             extras = [node_id for node_id in answered if node_id != owner]
             if extras or len(answered) > 1:
-                report.ring_violations += 1
-    finally:
-        await client.close()
-
-
-def _oracle_keys(config: ClusterChaosConfig, oracle: _Oracle):
-    """Deterministic iteration order over the oracle's keyspace."""
-    for conn_id in range(config.connections):
-        key_ids = sorted(
-            key_id for (owner, key_id) in oracle.state if owner == conn_id
-        )
-        if key_ids:
-            yield conn_id, key_ids
+                self.report.ring_violations += 1

@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-import re
-import signal
-import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.common.rng import derive_seed
-
-_SERVING_RE = re.compile(rb"serving memcached protocol on ([\d.]+):(\d+)")
+from repro.harness import ServeChild, journalled_argv
 
 
 @dataclass
@@ -94,131 +90,43 @@ class ClusterConfig:
         )
 
 
-class NodeProcess:
-    """One serve child: spawn, learn/rebind its port, kill or drain."""
+class NodeProcess(ServeChild):
+    """One fleet member: a serve child that rebinds its learned port."""
 
     def __init__(self, config: ClusterNodeConfig) -> None:
+        super().__init__(
+            [], config.start_timeout, name=f"node {config.node_id}"
+        )
         self.config = config
         self.node_id = config.node_id
-        self.proc: Optional[asyncio.subprocess.Process] = None
-        #: Learned on first start; reused on every restart so the
-        #: cluster's address book survives kill/restart cycles.
-        self.port: Optional[int] = None
-        self.output: List[bytes] = []
-        self._pump: Optional[asyncio.Task] = None
 
     @property
     def address(self) -> Tuple[str, int]:
         assert self.port is not None, "node not started"
         return (self.config.host, self.port)
 
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.returncode is None
-
     async def start(self) -> int:
         """Spawn the child; first start binds ``--port 0`` and learns the
-        port, restarts rebind the learned port (retrying briefly in case
-        the dead process's socket lingers in TIME_WAIT)."""
-        attempts = 1 if self.port is None else 10
-        last_text = ""
-        for attempt in range(attempts):
-            try:
-                return await self._spawn(self.port or 0)
-            except RuntimeError:
-                last_text = self.text()
-                if attempt + 1 == attempts:
-                    raise
-                await asyncio.sleep(0.2)
-        raise RuntimeError(f"node {self.node_id} failed to bind: {last_text}")
-
-    async def _spawn(self, port: int) -> int:
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        port, restarts rebind the learned port — so the cluster's address
+        book survives kill/restart cycles — retrying briefly in case the
+        dead process's socket lingers in TIME_WAIT."""
         config = self.config
-        self.output = []
-        self.proc = await asyncio.create_subprocess_exec(
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
+        retries = 0 if self.port is None else 9
+        self.argv = [
             "--host", config.host,
-            "--port", str(port),
-            "--seed", str(config.seed),
-            "--capacity", str(config.capacity),
-            "--shards", str(config.shards),
-            "--journal-dir", config.journal_dir,
-            "--fsync", config.fsync,
-            "--journal-segment-bytes", str(config.segment_bytes),
-            "--checkpoint-bytes", str(config.checkpoint_bytes),
-            "--read-timeout", "10.0",
-            "--drain-deadline", "10.0",
+            *journalled_argv(
+                self.port or 0, config.seed, config.capacity, config.shards,
+                config.journal_dir, config.fsync, config.segment_bytes,
+                config.checkpoint_bytes,
+            ),
             *config.extra_args,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.STDOUT,
-            env=env,
-        )
-        learned = await asyncio.wait_for(
-            self._await_port(), config.start_timeout
-        )
-        self.port = learned
-        self._pump = asyncio.get_running_loop().create_task(self._drain_output())
-        return learned
-
-    async def _await_port(self) -> int:
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            line = await self.proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    f"node {self.node_id} exited before binding: "
-                    + b"".join(self.output).decode(errors="replace")
-                )
-            self.output.append(line)
-            match = _SERVING_RE.search(line)
-            if match:
-                return int(match.group(2))
-
-    async def _drain_output(self) -> None:
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            line = await self.proc.stdout.readline()
-            if not line:
-                return
-            self.output.append(line)
-
-    async def kill(self) -> None:
-        """SIGKILL the node (chaos path)."""
-        assert self.proc is not None
-        try:
-            self.proc.kill()
-        except ProcessLookupError:
-            pass
-        await self.proc.wait()
-        await self._finish_pump()
-
-    async def drain(self) -> int:
-        """Graceful SIGTERM; returns the exit code."""
-        assert self.proc is not None
-        try:
-            self.proc.send_signal(signal.SIGTERM)
-        except ProcessLookupError:
-            pass
-        code = await self.proc.wait()
-        await self._finish_pump()
-        return code
-
-    async def _finish_pump(self) -> None:
-        if self._pump is not None:
+        ]
+        for _retry in range(retries):
             try:
-                await asyncio.wait_for(self._pump, 5.0)
-            except (asyncio.TimeoutError, TimeoutError):
-                self._pump.cancel()
-            self._pump = None
-
-    def text(self) -> str:
-        return b"".join(self.output).decode(errors="replace")
+                return await super().start()
+            except RuntimeError:
+                await asyncio.sleep(0.2)
+        return await super().start()
 
 
 class ClusterSupervisor:

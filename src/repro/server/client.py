@@ -102,6 +102,28 @@ class _Connection:
     async def read_exactly(self, count: int) -> bytes:
         return await self.reader.readexactly(count)
 
+    async def read_values(self):
+        """Yield (key, flags, value, cas) from VALUE blocks until END."""
+        while True:
+            line = (await self.read_line()).rstrip()
+            if line == b"END":
+                return
+            if not line.startswith(b"VALUE "):
+                _raise_for_error_line(line + CRLF)
+                raise ProtocolError(f"unexpected reply line {line!r}")
+            parts = line.split(b" ")
+            if len(parts) not in (4, 5):
+                raise ProtocolError(f"malformed VALUE header {line!r}")
+            key = parts[1]
+            flags = int(parts[2])
+            length = int(parts[3])
+            cas = int(parts[4]) if len(parts) == 5 else 0
+            value = await self.read_exactly(length)
+            trailer = await self.read_exactly(2)
+            if trailer != CRLF:
+                raise ProtocolError("VALUE block missing CRLF trailer")
+            yield key, flags, value, cas
+
 
 def _raise_for_error_line(line: bytes) -> None:
     """Map a protocol error line to the exception taxonomy."""
@@ -272,7 +294,7 @@ class MemcacheClient:
                 conn.writer.write(request)
                 await conn.writer.drain()
                 found: Dict[bytes, bytes] = {}
-                async for key, _flags, value, _cas in self._read_values(conn):
+                async for key, _flags, value, _cas in conn.read_values():
                     found[key] = value
                 return found
 
@@ -287,7 +309,7 @@ class MemcacheClient:
             conn.writer.write(request)
             await conn.writer.drain()
             result = None
-            async for got, flags, value, _cas in self._read_values(conn):
+            async for got, flags, value, _cas in conn.read_values():
                 if got == key:
                     result = (value, flags)
             return result
@@ -304,7 +326,7 @@ class MemcacheClient:
             result = None
             # Consume the whole reply (through END) so the connection
             # goes back to the pool with nothing buffered.
-            async for got, _flags, value, cas in self._read_values(conn):
+            async for got, _flags, value, cas in conn.read_values():
                 if got == key:
                     result = (value, cas)
             return result
@@ -483,28 +505,6 @@ class MemcacheClient:
             length += cost
         requests.append(verb + b" " + b" ".join(chunk) + CRLF)
         return requests
-
-    async def _read_values(self, conn: _Connection):
-        """Yield (key, flags, value, cas) from VALUE blocks until END."""
-        while True:
-            line = (await conn.read_line()).rstrip()
-            if line == b"END":
-                return
-            if not line.startswith(b"VALUE "):
-                _raise_for_error_line(line + CRLF)
-                raise ProtocolError(f"unexpected reply line {line!r}")
-            parts = line.split(b" ")
-            if len(parts) not in (4, 5):
-                raise ProtocolError(f"malformed VALUE header {line!r}")
-            key = parts[1]
-            flags = int(parts[2])
-            length = int(parts[3])
-            cas = int(parts[4]) if len(parts) == 5 else 0
-            value = await conn.read_exactly(length)
-            trailer = await conn.read_exactly(2)
-            if trailer != CRLF:
-                raise ProtocolError("VALUE block missing CRLF trailer")
-            yield key, flags, value, cas
 
 
 #: Read-path conditions that mean "try the next endpoint", not "give up":

@@ -35,20 +35,26 @@ from __future__ import annotations
 import asyncio
 import os
 import random
-import re
-import signal
-import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.common.errors import ServingError
 from repro.common.rng import derive_seed
-from repro.server.client import MemcacheClient, _Connection, _raise_for_error_line
-from repro.server.loadgen import TOMBSTONE, UNKNOWN, expected_value, key_name
-from repro.server.protocol import CRLF
-
-_SERVING_RE = re.compile(rb"serving memcached protocol on ([\d.]+):(\d+)")
+from repro.harness import (
+    HOST,
+    CampaignConfig,
+    CampaignReport,
+    Oracle,
+    RoundOutcome,
+    ServeChild,
+    closing,
+    drive,
+    event_point,
+    journalled_argv,
+    raw_client,
+    sweep,
+)
+from repro.server.client import MemcacheClient
 
 #: Kill point, as a fraction of the round's total op budget.
 KILL_FRACTION_LO = 0.15
@@ -56,455 +62,49 @@ KILL_FRACTION_HI = 0.95
 
 
 @dataclass
-class CrashConfig:
+class CrashConfig(CampaignConfig):
     """One kill-anywhere campaign."""
 
-    seed: int = 0
     kill_points: int = 20
-    connections: int = 3
-    #: Ops per connection per round (the kill lands somewhere inside).
-    requests_per_conn: int = 150
-    keys_per_conn: int = 120
-    fsync: str = "always"
-    capacity: int = 8 * 1024 * 1024
-    shards: int = 2
     #: Small on purpose: rotations and checkpoints must happen *during*
     #: rounds so kills land inside them.
     segment_bytes: int = 16 * 1024
     checkpoint_bytes: int = 48 * 1024
-    workdir: Optional[str] = None
-    set_fraction: float = 0.5
-    delete_fraction: float = 0.08
     #: Seconds to wait for the child to print its serving line.
     start_timeout: float = 30.0
 
     def validate(self) -> None:
         if self.kill_points < 1:
             raise ValueError("kill_points must be >= 1")
-        if self.connections < 1 or self.requests_per_conn < 1:
-            raise ValueError("connections and requests_per_conn must be >= 1")
-        if self.keys_per_conn < 1:
-            raise ValueError("keys_per_conn must be >= 1")
-        if self.fsync not in ("always", "interval", "never"):
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
+        super().validate()
 
 
 @dataclass
-class RoundOutcome:
-    """Timing-dependent per-round record (metrics only)."""
-
-    round_index: int
-    kill_after_ops: int
-    ops_issued: int = 0
-    acked_sets: int = 0
-    acked_deletes: int = 0
-    verified_keys: int = 0
-    lost_unsynced: int = 0
-
-
-@dataclass
-class CrashReport:
+class CrashReport(CampaignReport):
     """Campaign verdict; ``render()`` is byte-deterministic per config."""
 
-    config: CrashConfig
-    wrong_bytes: int = 0
-    acked_write_loss: int = 0
-    deleted_resurrections: int = 0
-    lost_unsynced: int = 0
     final_drain_exit: int = -1
-    rounds: List[RoundOutcome] = field(default_factory=list)
-    recovery_incidents: List[str] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def finalise(self) -> None:
-        if self.wrong_bytes:
-            self.violations.append(
-                f"{self.wrong_bytes} reads returned bytes matching no "
-                "version ever written"
-            )
-        if self.config.fsync == "always":
-            if self.acked_write_loss:
-                self.violations.append(
-                    f"{self.acked_write_loss} acknowledged writes lost "
-                    "under fsync=always"
-                )
-            if self.deleted_resurrections:
-                self.violations.append(
-                    f"{self.deleted_resurrections} acknowledged deletes "
-                    "resurrected under fsync=always"
-                )
-        if self.final_drain_exit != 0:
-            self.violations.append(
-                f"final graceful drain exited {self.final_drain_exit}, "
-                "expected 0"
-            )
+        self.check_bytes()
+        self.check_durability()
+        self.check_sweeps()
+        self.check_drain(self.final_drain_exit)
 
     def render(self) -> str:
         config = self.config
         lines = [
             f"crash-chaos: kill_points={config.kill_points} "
-            f"connections={config.connections} "
-            f"requests_per_conn={config.requests_per_conn} "
-            f"keys_per_conn={config.keys_per_conn} seed={config.seed}",
+            + config.traffic(),
             f"fsync: {config.fsync}",
             f"wrong_bytes: {self.wrong_bytes}",
-            f"acked_write_loss: "
-            + (
-                str(self.acked_write_loss)
-                if config.fsync == "always"
-                else f"not enforced (fsync={config.fsync})"
-            ),
-            f"deleted_resurrections: "
-            + (
-                str(self.deleted_resurrections)
-                if config.fsync == "always"
-                else f"not enforced (fsync={config.fsync})"
-            ),
+            *self.durability_lines(),
             f"final_drain_exit: {self.final_drain_exit}",
+            *self.verdict_lines(
+                "survived every kill with intact bytes and bounded loss"
+            ),
         ]
-        if self.violations:
-            lines.append(f"FAIL ({len(self.violations)} violations)")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        else:
-            lines.append(
-                "OK: survived every kill with intact bytes and bounded loss"
-            )
         return "\n".join(lines)
-
-    def render_metrics(self) -> str:
-        lines = [
-            f"rounds: {len(self.rounds)}",
-            f"lost_unsynced: {self.lost_unsynced}",
-        ]
-        for outcome in self.rounds:
-            lines.append(
-                f"  round {outcome.round_index}: kill_after={outcome.kill_after_ops} "
-                f"issued={outcome.ops_issued} acked_sets={outcome.acked_sets} "
-                f"acked_deletes={outcome.acked_deletes} "
-                f"verified={outcome.verified_keys} lost={outcome.lost_unsynced}"
-            )
-        for incident in self.recovery_incidents:
-            lines.append(f"  recovery: {incident}")
-        return "\n".join(lines)
-
-
-# -- the oracle -----------------------------------------------------------------
-
-
-class _Oracle:
-    """Ground truth: per-key acknowledged state, surviving across rounds."""
-
-    def __init__(self, seed: int, connections: int) -> None:
-        self.seed = seed
-        #: (conn, key_id) -> version acked, or UNKNOWN / TOMBSTONE.
-        self.state: Dict[Tuple[int, int], int] = {}
-        #: (conn, key_id) -> highest version ever *attempted*.
-        self.attempted: Dict[Tuple[int, int], int] = {}
-        self.connections = connections
-
-    def judge_hit(self, conn_id: int, key_id: int, value: bytes) -> str:
-        """Classify a GET hit: ok / wrong / acked_loss / resurrection / lost."""
-        slot = (conn_id, key_id)
-        matched = self._match_version(conn_id, key_id, value)
-        if matched is None:
-            return "wrong"
-        state = self.state.get(slot)
-        if state is None:
-            # Never attempted → any bytes are fabricated; but matched
-            # is impossible here (attempted range is empty).
-            return "wrong"
-        if state == UNKNOWN:
-            return "ok"
-        if state == TOMBSTONE:
-            return "resurrection"
-        return "ok" if matched == state else "acked_loss"
-
-    def judge_miss(self, conn_id: int, key_id: int) -> str:
-        state = self.state.get((conn_id, key_id))
-        if state is not None and state >= 0:
-            return "acked_loss"
-        return "ok"
-
-    def _match_version(
-        self, conn_id: int, key_id: int, value: bytes
-    ) -> Optional[int]:
-        # In-flight attempts (version attempted+0) may have applied
-        # without an ack, so the search ceiling is the attempt counter.
-        ceiling = self.attempted.get((conn_id, key_id), 0)
-        for version in range(ceiling, 0, -1):
-            if value == expected_value(self.seed, conn_id, key_id, version):
-                return version
-        return None
-
-
-# -- per-round traffic drivers --------------------------------------------------
-
-
-class _CrashDriver:
-    """One connection of seeded traffic; stops promptly when told."""
-
-    def __init__(
-        self,
-        config: CrashConfig,
-        oracle: _Oracle,
-        conn_id: int,
-        round_index: int,
-        port: int,
-        stop: asyncio.Event,
-        counter: List[int],
-        outcome: RoundOutcome,
-        report: CrashReport,
-    ) -> None:
-        self.config = config
-        self.oracle = oracle
-        self.conn_id = conn_id
-        self.port = port
-        self.stop = stop
-        self.counter = counter
-        self.outcome = outcome
-        self.report = report
-        self.ops_rng = random.Random(
-            derive_seed(config.seed, f"crash-ops-r{round_index}-c{conn_id}")
-        )
-        self.conn: Optional[_Connection] = None
-
-    async def run(self) -> None:
-        config = self.config
-        for _position in range(config.requests_per_conn):
-            if self.stop.is_set():
-                break
-            draw = self.ops_rng.random()
-            key_id = int(config.keys_per_conn * self.ops_rng.random() ** 2)
-            key_id = min(key_id, config.keys_per_conn - 1)
-            if draw < config.set_fraction:
-                op = "set"
-            elif draw < config.set_fraction + config.delete_fraction:
-                op = "delete"
-            else:
-                op = "get"
-            self.counter[0] += 1
-            self.outcome.ops_issued += 1
-            try:
-                await asyncio.wait_for(self._issue(op, key_id), 5.0)
-            except (ServingError, asyncio.TimeoutError, TimeoutError):
-                self._mark_unknown(op, key_id)
-                self._drop_conn()
-            except (ConnectionError, EOFError, OSError, asyncio.IncompleteReadError):
-                # The kill (or a dead socket) — outcome of an in-flight
-                # mutation is unknowable, exactly like a real client.
-                self._mark_unknown(op, key_id)
-                self._drop_conn()
-        self._drop_conn()
-
-    def _mark_unknown(self, op: str, key_id: int) -> None:
-        if op in ("set", "delete"):
-            self.oracle.state[(self.conn_id, key_id)] = UNKNOWN
-
-    def _drop_conn(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
-
-    async def _ensure_conn(self) -> _Connection:
-        if self.conn is None:
-            self.conn = await _Connection.open("127.0.0.1", self.port)
-        return self.conn
-
-    async def _issue(self, op: str, key_id: int) -> None:
-        conn = await self._ensure_conn()
-        key = key_name(self.conn_id, key_id)
-        slot = (self.conn_id, key_id)
-        if op == "set":
-            version = self.oracle.attempted.get(slot, 0) + 1
-            self.oracle.attempted[slot] = version
-            value = expected_value(self.config.seed, self.conn_id, key_id, version)
-            conn.writer.write(
-                b"set %s 0 0 %d" % (key, len(value)) + CRLF + value + CRLF
-            )
-            await conn.writer.drain()
-            line = (await conn.read_line()).rstrip()
-            if line == b"STORED":
-                self.oracle.state[slot] = version
-                self.outcome.acked_sets += 1
-                return
-            _raise_for_error_line(line + CRLF)
-            raise ServingError(f"unexpected set reply {line!r}")
-        if op == "delete":
-            conn.writer.write(b"delete %s" % key + CRLF)
-            await conn.writer.drain()
-            line = (await conn.read_line()).rstrip()
-            if line in (b"DELETED", b"NOT_FOUND"):
-                self.oracle.state[slot] = TOMBSTONE
-                self.outcome.acked_deletes += 1
-                return
-            _raise_for_error_line(line + CRLF)
-            raise ServingError(f"unexpected delete reply {line!r}")
-        # GET, judged against the oracle.
-        conn.writer.write(b"get %s" % key + CRLF)
-        await conn.writer.drain()
-        value = await self._read_single_get(key)
-        self._judge(key_id, value)
-
-    def _judge(self, key_id: int, value: Optional[bytes]) -> None:
-        if value is None:
-            verdict = self.oracle.judge_miss(self.conn_id, key_id)
-        else:
-            verdict = self.oracle.judge_hit(self.conn_id, key_id, value)
-        _tally(self.report, self.outcome, verdict, self.config.fsync)
-
-    async def _read_single_get(self, key: bytes) -> Optional[bytes]:
-        conn = self.conn
-        assert conn is not None
-        value: Optional[bytes] = None
-        while True:
-            line = (await conn.read_line()).rstrip()
-            if line == b"END":
-                return value
-            if not line.startswith(b"VALUE "):
-                _raise_for_error_line(line + CRLF)
-                raise ServingError(f"unexpected GET reply {line!r}")
-            parts = line.split(b" ")
-            length = int(parts[3])
-            payload = await conn.read_exactly(length)
-            trailer = await conn.read_exactly(2)
-            if trailer != CRLF:
-                raise ServingError("VALUE block missing CRLF trailer")
-            if parts[1] == key:
-                value = payload
-
-
-def _tally(
-    report: CrashReport,
-    outcome: Optional[RoundOutcome],
-    verdict: str,
-    fsync: str,
-) -> None:
-    if verdict == "ok":
-        return
-    if verdict == "wrong":
-        report.wrong_bytes += 1
-    elif verdict == "acked_loss":
-        if fsync == "always":
-            report.acked_write_loss += 1
-        else:
-            report.lost_unsynced += 1
-            if outcome is not None:
-                outcome.lost_unsynced += 1
-    elif verdict == "resurrection":
-        if fsync == "always":
-            report.deleted_resurrections += 1
-        else:
-            report.lost_unsynced += 1
-            if outcome is not None:
-                outcome.lost_unsynced += 1
-
-
-# -- child-process management ---------------------------------------------------
-
-
-class _ServerChild:
-    """The serve subprocess: spawn, learn the port, kill or drain."""
-
-    def __init__(self, config: CrashConfig, journal_dir: str) -> None:
-        self.config = config
-        self.journal_dir = journal_dir
-        self.proc: Optional[asyncio.subprocess.Process] = None
-        self.port: Optional[int] = None
-        self.output: List[bytes] = []
-        self._pump: Optional[asyncio.Task] = None
-
-    async def start(self) -> int:
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        self.proc = await asyncio.create_subprocess_exec(
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            "--port", "0",
-            "--seed", str(self.config.seed),
-            "--capacity", str(self.config.capacity),
-            "--shards", str(self.config.shards),
-            "--journal-dir", self.journal_dir,
-            "--fsync", self.config.fsync,
-            "--journal-segment-bytes", str(self.config.segment_bytes),
-            "--checkpoint-bytes", str(self.config.checkpoint_bytes),
-            "--scrub-interval", "1.0",
-            "--read-timeout", "10.0",
-            "--drain-deadline", "10.0",
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.STDOUT,
-            env=env,
-        )
-        port = await asyncio.wait_for(
-            self._await_port(), self.config.start_timeout
-        )
-        self.port = port
-        self._pump = asyncio.get_running_loop().create_task(self._drain_output())
-        return port
-
-    async def _await_port(self) -> int:
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            line = await self.proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    "server child exited before binding: "
-                    + b"".join(self.output).decode(errors="replace")
-                )
-            self.output.append(line)
-            match = _SERVING_RE.search(line)
-            if match:
-                return int(match.group(2))
-
-    async def _drain_output(self) -> None:
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            line = await self.proc.stdout.readline()
-            if not line:
-                return
-            self.output.append(line)
-
-    async def kill(self) -> None:
-        """SIGKILL — the whole point."""
-        assert self.proc is not None
-        try:
-            self.proc.kill()
-        except ProcessLookupError:
-            pass
-        await self.proc.wait()
-        await self._finish_pump()
-
-    async def drain(self) -> int:
-        """Graceful SIGTERM; returns the exit code."""
-        assert self.proc is not None
-        try:
-            self.proc.send_signal(signal.SIGTERM)
-        except ProcessLookupError:
-            pass
-        code = await self.proc.wait()
-        await self._finish_pump()
-        return code
-
-    async def _finish_pump(self) -> None:
-        if self._pump is not None:
-            try:
-                await asyncio.wait_for(self._pump, 5.0)
-            except (asyncio.TimeoutError, TimeoutError):
-                self._pump.cancel()
-            self._pump = None
-
-    def text(self) -> str:
-        return b"".join(self.output).decode(errors="replace")
-
-
-# -- the campaign ---------------------------------------------------------------
 
 
 def run_crash_chaos(config: Optional[CrashConfig] = None, **kwargs) -> CrashReport:
@@ -519,96 +119,56 @@ async def _run_crash_chaos(config: CrashConfig) -> CrashReport:
     report = CrashReport(config=config)
     workdir = config.workdir or tempfile.mkdtemp(prefix="zx-crash-")
     journal_dir = os.path.join(workdir, "journal")
-    oracle = _Oracle(config.seed, config.connections)
+    oracle = Oracle(config.seed)
     kill_rng = random.Random(derive_seed(config.seed, "crash-kill-points"))
-    total_ops = config.connections * config.requests_per_conn
 
-    for round_index in range(config.kill_points):
-        kill_after = kill_rng.randint(
-            max(1, int(total_ops * KILL_FRACTION_LO)),
-            max(1, int(total_ops * KILL_FRACTION_HI)),
+    # One child object, restarted every round on the one journal dir.
+    child = ServeChild(
+        journalled_argv(
+            0, config.seed, config.capacity, config.shards, journal_dir,
+            config.fsync, config.segment_bytes, config.checkpoint_bytes,
         )
-        outcome = RoundOutcome(round_index=round_index, kill_after_ops=kill_after)
+        + ["--scrub-interval", "1.0"],
+        config.start_timeout,
+    )
+
+    async def recover(outcome: RoundOutcome) -> RoundOutcome:
+        """Restart the child and judge everything it recovered."""
         report.rounds.append(outcome)
-        child = _ServerChild(config, journal_dir)
         await child.start()
-        assert child.port is not None
-        if round_index:
-            await _verify_sweep(config, oracle, child.port, report, outcome)
-        stop = asyncio.Event()
-        counter = [0]
-        drivers = [
-            _CrashDriver(
-                config, oracle, conn_id, round_index, child.port, stop,
-                counter, outcome, report,
+        client = MemcacheClient(HOST, child.port, pool_size=2, deadline=5.0)
+        async with closing(client):
+            await sweep(
+                oracle, client.get_many, report.tally, outcome, "recovery"
             )
-            for conn_id in range(config.connections)
-        ]
-        tasks = [asyncio.create_task(driver.run()) for driver in drivers]
+        return outcome
 
-        async def watch_and_kill() -> None:
-            while counter[0] < kill_after and not all(
-                task.done() for task in tasks
-            ):
-                await asyncio.sleep(0.002)
+    try:
+        for round_index in range(config.kill_points):
+            kill_after = event_point(
+                kill_rng, config, KILL_FRACTION_LO, KILL_FRACTION_HI
+            )
+            outcome = await recover(RoundOutcome(round_index, kill_after))
+            stop = asyncio.Event()
+
+            async def kill() -> None:
+                await child.kill()  # SIGKILL — the whole point.
+                stop.set()
+
+            await drive(
+                config, oracle, f"crash-ops-r{round_index}",
+                [raw_client(child.port) for _ in range(config.connections)],
+                lambda _key: not child.alive,
+                outcome, report, kill, stop,
+            )
+
+        # Final round: recover once more, verify everything, drain gracefully.
+        await recover(RoundOutcome(config.kill_points))
+        report.final_drain_exit = await child.drain()
+        report.incidents = child.incidents()
+    finally:
+        if child.alive:
             await child.kill()
-            stop.set()
-
-        killer = asyncio.create_task(watch_and_kill())
-        results = await asyncio.gather(*tasks, return_exceptions=True)
-        await killer
-        for result in results:
-            if isinstance(result, BaseException):
-                report.violations.append(
-                    f"driver crashed: {type(result).__name__}: {result}"
-                )
-
-    # Final round: recover once more, verify everything, drain gracefully.
-    child = _ServerChild(config, journal_dir)
-    await child.start()
-    assert child.port is not None
-    final = RoundOutcome(round_index=config.kill_points, kill_after_ops=0)
-    await _verify_sweep(config, oracle, child.port, report, final)
-    report.rounds.append(final)
-    report.final_drain_exit = await child.drain()
-    for line in child.text().splitlines():
-        if "recovery:" in line or "incident:" in line:
-            report.recovery_incidents.append(line.strip())
 
     report.finalise()
     return report
-
-
-async def _verify_sweep(
-    config: CrashConfig,
-    oracle: _Oracle,
-    port: int,
-    report: CrashReport,
-    outcome: RoundOutcome,
-) -> None:
-    """Judge every key the oracle has an opinion about, post-recovery."""
-    client = MemcacheClient("127.0.0.1", port, pool_size=2, deadline=5.0)
-    try:
-        for conn_id in range(config.connections):
-            key_ids = sorted(
-                key_id
-                for (owner, key_id) in oracle.state
-                if owner == conn_id
-            )
-            for start in range(0, len(key_ids), 16):
-                batch = key_ids[start : start + 16]
-                keys = [key_name(conn_id, key_id) for key_id in batch]
-                try:
-                    found = await client.get_many(keys)
-                except ServingError:
-                    continue
-                for key_id, key in zip(batch, keys):
-                    outcome.verified_keys += 1
-                    value = found.get(key)
-                    if value is None:
-                        verdict = oracle.judge_miss(conn_id, key_id)
-                    else:
-                        verdict = oracle.judge_hit(conn_id, key_id, value)
-                    _tally(report, outcome, verdict, config.fsync)
-    finally:
-        await client.close()

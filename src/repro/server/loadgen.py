@@ -363,7 +363,10 @@ class _ConnectionDriver:
         aborted = await self._send_with_faults(request, position)
         if aborted is not None:
             return
-        value = await self._read_single_get(key)
+        value = None
+        async for got, _flags, payload, _cas in self.conn.read_values():
+            if got == key:
+                value = payload
         expected = self.state.get(key_id)
         if value is None:
             self.report.misses += 1
@@ -385,26 +388,6 @@ class _ConnectionDriver:
             self.config.seed, self.conn_id, key_id, expected
         ):
             self.report.wrong_bytes += 1
-
-    async def _read_single_get(self, key: bytes) -> Optional[bytes]:
-        conn = self.conn
-        assert conn is not None
-        value: Optional[bytes] = None
-        while True:
-            line = (await conn.read_line()).rstrip()
-            if line == b"END":
-                return value
-            if not line.startswith(b"VALUE "):
-                _raise_for_error_line(line + CRLF)
-                raise ServingError(f"unexpected GET reply {line!r}")
-            parts = line.split(b" ")
-            length = int(parts[3])
-            payload = await conn.read_exactly(length)
-            trailer = await conn.read_exactly(2)
-            if trailer != CRLF:
-                raise ServingError("VALUE block missing CRLF trailer")
-            if parts[1] == key:
-                value = payload
 
 
 async def run_loadgen(config: LoadConfig) -> LoadReport:

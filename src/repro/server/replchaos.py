@@ -38,23 +38,29 @@ from __future__ import annotations
 import asyncio
 import os
 import random
-import re
-import signal
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from repro.common.errors import ServingError
+from repro.common.errors import ReplicaLaggingError
 from repro.common.rng import derive_seed
-from repro.server.client import MemcacheClient, _Connection
-from repro.server.crash import _SERVING_RE, _CrashDriver, _Oracle, _tally
-from repro.server.loadgen import UNKNOWN, expected_value, key_name
-from repro.server.protocol import CRLF
-
-_REPL_RE = re.compile(
-    rb"replication: streaming journal to replicas on ([\d.]+):(\d+)"
+from repro.harness import (
+    HOST,
+    OP_FAILURES,
+    CampaignConfig,
+    CampaignReport,
+    Oracle,
+    RoundOutcome,
+    ServeChild,
+    closing,
+    drive,
+    event_point,
+    journalled_argv,
+    raw_client,
+    sweep,
 )
+from repro.server.client import MemcacheClient
+from repro.server.loadgen import UNKNOWN, key_name
 
 #: The four seeded link events; the plan covers each at least once.
 LINK_KINDS = ("partition", "stall", "reset", "resync")
@@ -67,25 +73,15 @@ EVENT_FRACTION_HI = 0.6
 
 
 @dataclass
-class ReplChaosConfig:
+class ReplChaosConfig(CampaignConfig):
     """One partition/lag campaign over a primary/replica pair."""
 
-    seed: int = 0
     #: Link-chaos rounds; two kill rounds (restart, promote) follow.
     link_points: int = 10
-    connections: int = 3
-    requests_per_conn: int = 150
-    keys_per_conn: int = 120
-    fsync: str = "always"
-    capacity: int = 8 * 1024 * 1024
-    shards: int = 2
     #: Small so rotations/checkpoints/prunes happen *during* rounds —
     #: the resync event depends on pruning the replica's position.
     segment_bytes: int = 8 * 1024
     checkpoint_bytes: int = 24 * 1024
-    workdir: Optional[str] = None
-    set_fraction: float = 0.5
-    delete_fraction: float = 0.08
     #: Replica staleness advertisement under test (kept short so the
     #: partition probe does not dominate wall time).
     stale_grace: float = 0.4
@@ -96,81 +92,64 @@ class ReplChaosConfig:
     def validate(self) -> None:
         if self.link_points < 1:
             raise ValueError("link_points must be >= 1")
-        if self.connections < 1 or self.requests_per_conn < 1:
-            raise ValueError("connections and requests_per_conn must be >= 1")
-        if self.keys_per_conn < 1:
-            raise ValueError("keys_per_conn must be >= 1")
-        if self.fsync not in ("always", "interval", "never"):
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
+        super().validate()
         if self.stale_grace <= 0:
             raise ValueError("stale_grace must be positive")
 
 
 @dataclass
-class ReplRoundOutcome:
+class ReplRoundOutcome(RoundOutcome):
     """Timing-dependent per-round record (metrics only)."""
 
-    round_index: int
-    kind: str
-    event_after_ops: int
-    ops_issued: int = 0
-    acked_sets: int = 0
-    acked_deletes: int = 0
-    verified_keys: int = 0
-    lost_unsynced: int = 0
+    kind: str = ""
     replica_reads: int = 0
     replica_sheds: int = 0
     probe_refused: bool = False
     converged: bool = False
 
+    def describe(self) -> str:
+        return (
+            f"round {self.round_index} ({self.kind}): "
+            f"event_after={self.event_after_ops} {self.traffic()} "
+            f"replica_reads={self.replica_reads} sheds={self.replica_sheds} "
+            f"probe_refused={self.probe_refused} converged={self.converged}"
+        )
+
 
 @dataclass
-class ReplChaosReport:
+class ReplChaosReport(CampaignReport):
     """Campaign verdict; ``render()`` is byte-deterministic per config."""
 
-    config: ReplChaosConfig
     plan: List[str] = field(default_factory=list)
-    wrong_bytes: int = 0
     #: Stale serves: a probe answered while the link was provably dead
     #: past the grace, or a post-convergence mismatch (fsync=always).
     stale_reads: int = 0
-    acked_write_loss: int = 0
-    deleted_resurrections: int = 0
-    lost_unsynced: int = 0
     forced_resyncs_seen: int = 0
     promote_ok: bool = False
     promoted_write_ok: bool = False
     final_drain_exit: int = -1
-    rounds: List[ReplRoundOutcome] = field(default_factory=list)
-    incidents: List[str] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def tally_stale(self, verdict: str, outcome: RoundOutcome) -> None:
+        """The converged-replica rule: any deviation from the oracle
+        while advertising lag 0 is a stale serve."""
+        if verdict == "wrong":
+            self.wrong_bytes += 1
+        elif verdict == "ok":
+            return
+        elif self.enforced:
+            self.stale_reads += 1
+        else:
+            self.bounded_loss(outcome)
 
     def finalise(self) -> None:
-        if self.wrong_bytes:
-            self.violations.append(
-                f"{self.wrong_bytes} reads returned bytes matching no "
-                "version ever written"
-            )
+        self.check_bytes()
         if self.stale_reads:
             self.violations.append(
                 f"{self.stale_reads} reads served stale beyond the "
                 "advertised lag bound"
             )
-        if self.config.fsync == "always":
-            if self.acked_write_loss:
-                self.violations.append(
-                    f"{self.acked_write_loss} acknowledged writes lost "
-                    "under fsync=always"
-                )
-            if self.deleted_resurrections:
-                self.violations.append(
-                    f"{self.deleted_resurrections} acknowledged deletes "
-                    "resurrected under fsync=always"
-                )
+        self.check_durability()
+        self.check_sweeps()
         planned = self.plan.count("resync")
         if self.forced_resyncs_seen < planned:
             self.violations.append(
@@ -181,79 +160,30 @@ class ReplChaosReport:
             self.violations.append("replica promotion failed")
         if self.promote_ok and not self.promoted_write_ok:
             self.violations.append("promoted primary refused writes")
-        if self.final_drain_exit != 0:
-            self.violations.append(
-                f"final graceful drain exited {self.final_drain_exit}, "
-                "expected 0"
-            )
+        self.check_drain(self.final_drain_exit)
 
     def render(self) -> str:
         config = self.config
-        enforced = config.fsync == "always"
         lines = [
             f"replication-chaos: link_points={config.link_points} "
-            f"connections={config.connections} "
-            f"requests_per_conn={config.requests_per_conn} "
-            f"keys_per_conn={config.keys_per_conn} seed={config.seed}",
+            + config.traffic(),
             f"fsync: {config.fsync}  stale_grace: {config.stale_grace}",
             f"plan: {' '.join(self.plan)}",
             f"wrong_bytes: {self.wrong_bytes}",
-            f"stale_reads: "
-            + (
-                str(self.stale_reads)
-                if enforced
-                else f"not enforced (fsync={config.fsync})"
-            ),
-            f"acked_write_loss: "
-            + (
-                str(self.acked_write_loss)
-                if enforced
-                else f"not enforced (fsync={config.fsync})"
-            ),
-            f"deleted_resurrections: "
-            + (
-                str(self.deleted_resurrections)
-                if enforced
-                else f"not enforced (fsync={config.fsync})"
-            ),
+            f"stale_reads: {self.if_enforced(self.stale_reads)}",
+            *self.durability_lines(),
             f"forced_resyncs: {self.forced_resyncs_seen}/"
             f"{self.plan.count('resync')}",
-            f"promotion: "
+            "promotion: "
             + ("ok" if self.promote_ok else "FAILED")
             + ", writes "
             + ("ok" if self.promoted_write_ok else "FAILED"),
             f"final_drain_exit: {self.final_drain_exit}",
-        ]
-        if self.violations:
-            lines.append(f"FAIL ({len(self.violations)} violations)")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        else:
-            lines.append(
-                "OK: no wrong bytes, no stale serves beyond the bound, "
+            *self.verdict_lines(
+                "no wrong bytes, no stale serves beyond the bound, "
                 "no acked loss across promotion"
-            )
-        return "\n".join(lines)
-
-    def render_metrics(self) -> str:
-        lines = [
-            f"rounds: {len(self.rounds)}",
-            f"lost_unsynced: {self.lost_unsynced}",
+            ),
         ]
-        for outcome in self.rounds:
-            lines.append(
-                f"  round {outcome.round_index} ({outcome.kind}): "
-                f"event_after={outcome.event_after_ops} "
-                f"issued={outcome.ops_issued} acked_sets={outcome.acked_sets} "
-                f"acked_deletes={outcome.acked_deletes} "
-                f"replica_reads={outcome.replica_reads} "
-                f"sheds={outcome.replica_sheds} "
-                f"probe_refused={outcome.probe_refused} "
-                f"converged={outcome.converged} "
-                f"verified={outcome.verified_keys} lost={outcome.lost_unsynced}"
-            )
-        for incident in self.incidents:
-            lines.append(f"  {incident}")
         return "\n".join(lines)
 
 
@@ -366,282 +296,19 @@ class _LinkProxy:
             return
 
 
-# -- serve children -------------------------------------------------------------
+# -- replica-side observation ---------------------------------------------------
 
 
-class _Child:
-    """One ``cli serve`` subprocess; learns its ports from stdout."""
-
-    def __init__(self, argv: List[str], start_timeout: float) -> None:
-        self.argv = argv
-        self.start_timeout = start_timeout
-        self.proc: Optional[asyncio.subprocess.Process] = None
-        self.port: Optional[int] = None
-        self.repl_port: Optional[int] = None
-        self.output: List[bytes] = []
-        self._pump: Optional[asyncio.Task] = None
-
-    async def start(self) -> None:
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        self.proc = await asyncio.create_subprocess_exec(
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            *self.argv,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.STDOUT,
-            env=env,
-        )
-        await asyncio.wait_for(self._await_ports(), self.start_timeout)
-        self._pump = asyncio.get_running_loop().create_task(
-            self._drain_output()
-        )
-
-    async def _await_ports(self) -> None:
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            line = await self.proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    "serve child exited before binding: " + self.text()
-                )
-            self.output.append(line)
-            match = _REPL_RE.search(line)
-            if match:
-                self.repl_port = int(match.group(2))
-            match = _SERVING_RE.search(line)
-            if match:
-                self.port = int(match.group(2))
-                return
-
-    async def _drain_output(self) -> None:
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            line = await self.proc.stdout.readline()
-            if not line:
-                return
-            self.output.append(line)
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.returncode is None
-
-    async def kill(self) -> None:
-        assert self.proc is not None
-        try:
-            self.proc.kill()
-        except ProcessLookupError:
-            pass
-        await self.proc.wait()
-        await self._finish_pump()
-
-    async def drain(self) -> int:
-        assert self.proc is not None
-        try:
-            self.proc.send_signal(signal.SIGTERM)
-        except ProcessLookupError:
-            pass
-        code = await self.proc.wait()
-        await self._finish_pump()
-        return code
-
-    async def _finish_pump(self) -> None:
-        if self._pump is not None:
-            try:
-                await asyncio.wait_for(self._pump, 5.0)
-            except (asyncio.TimeoutError, TimeoutError):
-                self._pump.cancel()
-            self._pump = None
-
-    def text(self) -> str:
-        return b"".join(self.output).decode(errors="replace")
-
-
-def _primary_child(config: ReplChaosConfig, journal_dir: str) -> _Child:
-    return _Child(
-        [
-            "--port", "0",
-            "--seed", str(config.seed),
-            "--capacity", str(config.capacity),
-            "--shards", str(config.shards),
-            "--journal-dir", journal_dir,
-            "--fsync", config.fsync,
-            "--journal-segment-bytes", str(config.segment_bytes),
-            "--checkpoint-bytes", str(config.checkpoint_bytes),
-            "--scrub-interval", "5.0",
-            "--read-timeout", "10.0",
-            "--drain-deadline", "10.0",
-            "--repl-port", "0",
-        ],
-        config.start_timeout,
-    )
-
-
-def _replica_child(config: ReplChaosConfig, primary_port: int) -> _Child:
-    return _Child(
-        [
-            "--port", "0",
-            "--seed", str(config.seed),
-            "--capacity", str(config.capacity),
-            "--shards", str(config.shards),
-            "--role", "replica",
-            "--primary-host", "127.0.0.1",
-            "--primary-port", str(primary_port),
-            "--stale-grace", str(config.stale_grace),
-            "--max-lag-bytes", str(config.max_lag_bytes),
-            # Well past any stall the plan injects, well under the
-            # convergence deadline: a half-open link (SIGKILLed primary
-            # behind the proxy) must be cut and re-dialed quickly.
-            "--repl-silence-timeout", "2.0",
-            "--read-timeout", "10.0",
-            "--drain-deadline", "10.0",
-        ],
-        config.start_timeout,
-    )
-
-
-# -- replica-side probes and sweeps ---------------------------------------------
-
-
-async def _replica_reader(
-    config: ReplChaosConfig,
-    oracle: _Oracle,
-    port: int,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-    stop: asyncio.Event,
-) -> None:
-    """Background GET stream against the replica while the link churns.
-
-    Mid-stream, lag makes old-version hits and misses legitimate, so
-    only fabricated bytes are judged here; staleness has its own probes.
-    """
-    rng = random.Random(
-        derive_seed(config.seed, f"repl-read-r{outcome.round_index}")
-    )
-    conn: Optional[_Connection] = None
-    while not stop.is_set():
-        conn_id = rng.randrange(config.connections)
-        key_id = min(
-            int(config.keys_per_conn * rng.random() ** 2),
-            config.keys_per_conn - 1,
-        )
-        key = key_name(conn_id, key_id)
-        try:
-            if conn is None:
-                conn = await _Connection.open("127.0.0.1", port)
-            conn.writer.write(b"get %s" % key + CRLF)
-            await conn.writer.drain()
-            value, refused = await asyncio.wait_for(
-                _read_get_or_refusal(conn, key), 5.0
-            )
-        except (
-            ServingError,
-            ConnectionError,
-            EOFError,
-            OSError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            TimeoutError,
-        ):
-            if conn is not None:
-                conn.close()
-                conn = None
-            await asyncio.sleep(0.01)
-            continue
-        outcome.replica_reads += 1
-        if refused:
-            outcome.replica_sheds += 1
-        elif value is not None:
-            if oracle.judge_hit(conn_id, key_id, value) == "wrong":
-                report.wrong_bytes += 1
-        await asyncio.sleep(0.002)
-    if conn is not None:
-        conn.close()
-
-
-async def _read_get_or_refusal(
-    conn: _Connection, key: bytes
-) -> Tuple[Optional[bytes], bool]:
-    """Read one GET reply: ``(value, refused)``."""
-    value: Optional[bytes] = None
-    while True:
-        line = (await conn.read_line()).rstrip()
-        if line.startswith(b"SERVER_ERROR"):
-            return None, True
-        if line == b"END":
-            return value, False
-        if not line.startswith(b"VALUE "):
-            raise ServingError(f"unexpected GET reply {line!r}")
-        parts = line.split(b" ")
-        payload = await conn.read_exactly(int(parts[3]))
-        trailer = await conn.read_exactly(2)
-        if trailer != CRLF:
-            raise ServingError("VALUE block missing CRLF trailer")
-        if parts[1] == key:
-            value = payload
-
-
-async def _stale_probe(
-    config: ReplChaosConfig,
-    port: int,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-) -> None:
-    """With the link dead/silent past the grace, a read MUST be refused."""
-    await asyncio.sleep(config.stale_grace * 1.5 + 0.1)
-    key = key_name(0, 0)
-    try:
-        conn = await _Connection.open("127.0.0.1", port)
-    except OSError:
-        return  # replica not reachable = not serving stale
-    try:
-        conn.writer.write(b"get %s" % key + CRLF)
-        await conn.writer.drain()
-        value, refused = await asyncio.wait_for(
-            _read_get_or_refusal(conn, key), 5.0
-        )
-    except (
-        ConnectionError,
-        EOFError,
-        OSError,
-        ServingError,
-        asyncio.IncompleteReadError,
-        asyncio.TimeoutError,
-        TimeoutError,
-    ):
-        return
-    finally:
-        conn.close()
-    if refused:
-        outcome.probe_refused = True
-    else:
-        # Hit or miss, the replica answered while provably cut off past
-        # its advertised grace: a staleness-bound violation either way.
-        report.stale_reads += 1
+def _pooled(port: int, pool_size: int = 1, deadline: float = 5.0):
+    return closing(MemcacheClient(HOST, port, pool_size, deadline))
 
 
 async def _fetch_stats(port: int) -> Optional[dict]:
-    client = MemcacheClient("127.0.0.1", port, pool_size=1, deadline=5.0)
-    try:
-        return await client.stats()
-    except (ServingError, ConnectionError, OSError, EOFError):
-        return None
-    finally:
-        await client.close()
-
-
-async def _stat_int(port: int, name: str) -> int:
-    stats = await _fetch_stats(port)
-    if stats is None:
-        return 0
-    try:
-        return int(float(stats.get(name, "0")))
-    except ValueError:
-        return 0
+    async with _pooled(port) as client:
+        try:
+            return await client.stats()
+        except OP_FAILURES:
+            return None
 
 
 async def _await_convergence(
@@ -675,98 +342,6 @@ async def _await_convergence(
     return False
 
 
-async def _full_sweep(
-    config: ReplChaosConfig,
-    oracle: _Oracle,
-    port: int,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-    mode: str,
-) -> None:
-    """Judge every oracle key (all lanes, filler included).
-
-    ``mode="durability"`` applies the crash-harness tally (acked loss /
-    resurrection fatal under fsync=always) — used on a recovered or
-    promoted primary.  ``mode="staleness"`` is the converged-replica
-    contract: any deviation from the oracle while advertising lag 0 is a
-    stale serve (fatal under fsync=always; bounded loss otherwise).
-    """
-    client = MemcacheClient("127.0.0.1", port, pool_size=2, deadline=5.0)
-    try:
-        owners = sorted({owner for (owner, _key_id) in oracle.state})
-        for conn_id in owners:
-            key_ids = sorted(
-                key_id
-                for (owner, key_id) in oracle.state
-                if owner == conn_id
-            )
-            for start in range(0, len(key_ids), 16):
-                batch = key_ids[start : start + 16]
-                keys = [key_name(conn_id, key_id) for key_id in batch]
-                try:
-                    found = await client.get_many(keys)
-                except ServingError:
-                    continue
-                for key_id, key in zip(batch, keys):
-                    outcome.verified_keys += 1
-                    value = found.get(key)
-                    if value is None:
-                        verdict = oracle.judge_miss(conn_id, key_id)
-                    else:
-                        verdict = oracle.judge_hit(conn_id, key_id, value)
-                    if verdict == "ok":
-                        continue
-                    if mode == "durability":
-                        _tally(report, outcome, verdict, config.fsync)
-                    elif verdict == "wrong":
-                        report.wrong_bytes += 1
-                    elif config.fsync == "always":
-                        report.stale_reads += 1
-                    else:
-                        report.lost_unsynced += 1
-                        outcome.lost_unsynced += 1
-    finally:
-        await client.close()
-
-
-# -- filler traffic (forces checkpoint + prune during a partition) --------------
-
-
-async def _pump_past_checkpoint(
-    config: ReplChaosConfig, oracle: _Oracle, port: int
-) -> None:
-    """Write enough journal that the primary prunes the replica's position.
-
-    Runs while the link is partitioned.  Uses a reserved oracle lane
-    (``conn_id == config.connections``) so the concurrent per-connection
-    drivers' version sequences are untouched; the converged-replica
-    sweep covers this lane too, proving the snapshot resync carried it.
-    """
-    client = MemcacheClient("127.0.0.1", port, pool_size=1, deadline=5.0)
-    lane = config.connections
-    target = 3 * config.checkpoint_bytes + 4 * config.segment_bytes
-    written = 0
-    key_id = 0
-    try:
-        while written < target:
-            slot = (lane, key_id)
-            version = oracle.attempted.get(slot, 0) + 1
-            oracle.attempted[slot] = version
-            value = expected_value(config.seed, lane, key_id, version)
-            try:
-                stored = await client.set(key_name(lane, key_id), value)
-            except (ServingError, ConnectionError, OSError, EOFError):
-                stored = False
-            if stored:
-                oracle.state[slot] = version
-            else:
-                oracle.state[slot] = UNKNOWN
-            written += len(value) + 64
-            key_id = (key_id + 1) % config.keys_per_conn
-    finally:
-        await client.close()
-
-
 # -- the campaign ---------------------------------------------------------------
 
 
@@ -777,290 +352,308 @@ def run_replication_chaos(
     if config is None:
         config = ReplChaosConfig(**kwargs)
     config.validate()
-    return asyncio.run(_run_replication_chaos(config))
+    return asyncio.run(_Campaign(config).run())
 
 
-async def _run_replication_chaos(config: ReplChaosConfig) -> ReplChaosReport:
-    report = ReplChaosReport(config=config)
-    report.plan = build_plan(config)
-    workdir = config.workdir or tempfile.mkdtemp(prefix="zx-repl-")
-    journal_dir = os.path.join(workdir, "primary-journal")
-    oracle = _Oracle(config.seed, config.connections)
-    event_rng = random.Random(derive_seed(config.seed, "repl-event-points"))
-    total_ops = config.connections * config.requests_per_conn
+class _Campaign:
+    """The pair under test, the proxy between them, the oracle, the report."""
 
-    proxy = _LinkProxy()
-    await proxy.start()
-    assert proxy.port is not None
-    primary = _primary_child(config, journal_dir)
-    await primary.start()
-    if primary.repl_port is None:
-        raise RuntimeError(
-            "primary never announced its replication port: " + primary.text()
+    def __init__(self, config: ReplChaosConfig) -> None:
+        self.config = config
+        self.report = ReplChaosReport(config=config, plan=build_plan(config))
+        self.oracle = Oracle(config.seed)
+        workdir = config.workdir or tempfile.mkdtemp(prefix="zx-repl-")
+        self.journal_dir = os.path.join(workdir, "primary-journal")
+        self.proxy = _LinkProxy()
+        # Restarted in place by kill_restart: same journal, new ports.
+        self.primary = ServeChild(
+            journalled_argv(
+                0, config.seed, config.capacity, config.shards,
+                self.journal_dir, config.fsync, config.segment_bytes,
+                config.checkpoint_bytes,
+            )
+            + ["--scrub-interval", "5.0", "--repl-port", "0"],
+            config.start_timeout,
         )
-    proxy.target = ("127.0.0.1", primary.repl_port)
-    replica = _replica_child(config, proxy.port)
-    await replica.start()
-    children = [primary, replica]
+        self.replica: Optional[ServeChild] = None
 
-    try:
-        assert primary.port is not None
-        await _warmup(config, oracle, primary.port)
-        for round_index, kind in enumerate(report.plan):
-            event_after = event_rng.randint(
-                max(1, int(total_ops * EVENT_FRACTION_LO)),
-                max(1, int(total_ops * EVENT_FRACTION_HI)),
+    async def _start_primary(self) -> bool:
+        """(Re)start the primary and point the proxy at its stream."""
+        await self.primary.start()
+        if self.primary.repl_port is None:
+            return False
+        self.proxy.target = (HOST, self.primary.repl_port)
+        return True
+
+    async def run(self) -> ReplChaosReport:
+        config, report = self.config, self.report
+        event_rng = random.Random(derive_seed(config.seed, "repl-event-points"))
+        await self.proxy.start()
+        try:
+            if not await self._start_primary():
+                raise RuntimeError(
+                    "primary never announced its replication port: "
+                    + self.primary.text()
+                )
+            self.replica = ServeChild(
+                [
+                    "--port", "0",
+                    "--seed", str(config.seed),
+                    "--capacity", str(config.capacity),
+                    "--shards", str(config.shards),
+                    "--role", "replica",
+                    "--primary-host", HOST,
+                    "--primary-port", str(self.proxy.port),
+                    "--stale-grace", str(config.stale_grace),
+                    "--max-lag-bytes", str(config.max_lag_bytes),
+                    # Well past any stall the plan injects, well under the
+                    # convergence deadline: a half-open link (SIGKILLed
+                    # primary behind the proxy) must be cut and re-dialed
+                    # quickly.
+                    "--repl-silence-timeout", "2.0",
+                    "--read-timeout", "10.0",
+                    "--drain-deadline", "10.0",
+                ],
+                config.start_timeout,
             )
-            outcome = ReplRoundOutcome(
-                round_index=round_index, kind=kind, event_after_ops=event_after
+            await self.replica.start()
+            # Version 1 of every key, so probes and sweeps have material.
+            async with _pooled(self.primary.port, pool_size=2) as client:
+                for lane in range(config.connections):
+                    for key_id in range(config.keys_per_conn):
+                        await self._write_next(client, lane, key_id)
+            for round_index, kind in enumerate(report.plan):
+                outcome = ReplRoundOutcome(
+                    round_index,
+                    event_point(
+                        event_rng, config, EVENT_FRACTION_LO, EVENT_FRACTION_HI
+                    ),
+                    kind=kind,
+                )
+                report.rounds.append(outcome)
+                if kind in LINK_KINDS:
+                    await self._link_round(outcome)
+                elif kind == "kill_restart":
+                    await self._kill_restart_round(outcome)
+                else:  # kill_promote — always the last round
+                    await self._kill_promote_round(outcome)
+            report.incidents = (
+                self.primary.incidents() + self.replica.incidents()
             )
-            report.rounds.append(outcome)
-            if kind in LINK_KINDS:
-                await _link_round(
-                    config, oracle, primary, replica, proxy, outcome, report
-                )
-            elif kind == "kill_restart":
-                primary = await _kill_restart_round(
-                    config, oracle, primary, replica, proxy, outcome,
-                    report, journal_dir,
-                )
-                children.append(primary)
-            else:  # kill_promote — always the last round
-                await _kill_promote_round(
-                    config, oracle, primary, replica, outcome, report,
-                    journal_dir,
-                )
-        for child in children:
-            for line in child.text().splitlines():
-                if "recovery:" in line or "incident:" in line:
-                    report.incidents.append(line.strip())
-    finally:
-        for child in children:
-            if child.alive:
-                await child.kill()
-        await proxy.close()
+        finally:
+            for child in (self.primary, self.replica):
+                if child is not None and child.alive:
+                    await child.kill()
+            await self.proxy.close()
+        report.finalise()
+        return report
 
-    report.finalise()
-    return report
+    # -- traffic ---------------------------------------------------------------
 
+    async def _write_next(
+        self, client: MemcacheClient, lane: int, key_id: int
+    ) -> Tuple[bytes, bool]:
+        """SET the key's next version and book the outcome; returns
+        ``(bytes sent, acknowledged)``."""
+        version, value = self.oracle.attempt(lane, key_id)
+        try:
+            stored = await client.set(key_name(lane, key_id), value)
+        except OP_FAILURES:
+            stored = False
+        self.oracle.state[(lane, key_id)] = version if stored else UNKNOWN
+        return value, stored
 
-async def _warmup(
-    config: ReplChaosConfig, oracle: _Oracle, port: int
-) -> None:
-    """Version 1 of every key, so probes and sweeps have material."""
-    client = MemcacheClient("127.0.0.1", port, pool_size=2, deadline=5.0)
-    try:
-        for conn_id in range(config.connections):
-            for key_id in range(config.keys_per_conn):
-                slot = (conn_id, key_id)
-                oracle.attempted[slot] = 1
-                value = expected_value(config.seed, conn_id, key_id, 1)
+    async def _drive_load(self, outcome: ReplRoundOutcome, on_event) -> None:
+        """One round of writes-to-primary + reads-from-replica; fire
+        ``on_event`` once ``event_after_ops`` ops have been issued."""
+        config, primary = self.config, self.primary
+        stop = asyncio.Event()
+        reader = asyncio.create_task(self._replica_reader(outcome, stop))
+        try:
+            # Drivers run their full budget: catch-up under load is the
+            # point of the link rounds.  The stream label predates the
+            # kit (the crash campaign's driver was borrowed); renaming it
+            # would change every seed's traffic.
+            await drive(
+                config, self.oracle, f"crash-ops-r{outcome.round_index}",
+                [raw_client(primary.port) for _ in range(config.connections)],
+                lambda _key: not primary.alive,
+                outcome, self.report, on_event,
+            )
+        finally:
+            stop.set()
+            self.report.book_crashes(
+                await asyncio.gather(reader, return_exceptions=True)
+            )
+
+    async def _replica_reader(
+        self, outcome: ReplRoundOutcome, stop: asyncio.Event
+    ) -> None:
+        """Background GET stream against the replica while the link churns.
+
+        Mid-stream, lag makes old-version hits and misses legitimate, so
+        only fabricated bytes are judged here; staleness has its own probes.
+        """
+        config = self.config
+        rng = random.Random(
+            derive_seed(config.seed, f"repl-read-r{outcome.round_index}")
+        )
+        async with closing(raw_client(self.replica.port)) as client:
+            while not stop.is_set():
+                lane = rng.randrange(config.connections)
+                key_id = min(
+                    int(config.keys_per_conn * rng.random() ** 2),
+                    config.keys_per_conn - 1,
+                )
                 try:
-                    stored = await client.set(key_name(conn_id, key_id), value)
-                except (ServingError, ConnectionError, OSError, EOFError):
-                    stored = False
-                oracle.state[slot] = 1 if stored else UNKNOWN
-    finally:
-        await client.close()
+                    value = await client.get(key_name(lane, key_id))
+                except ReplicaLaggingError:
+                    outcome.replica_reads += 1
+                    outcome.replica_sheds += 1
+                except OP_FAILURES:
+                    await asyncio.sleep(0.01)
+                    continue
+                else:
+                    outcome.replica_reads += 1
+                    if (
+                        value is not None
+                        and self.oracle.judge(lane, key_id, value) == "wrong"
+                    ):
+                        self.report.wrong_bytes += 1
+                await asyncio.sleep(0.002)
 
-
-async def _drive_load(
-    config: ReplChaosConfig,
-    oracle: _Oracle,
-    primary_port: int,
-    replica_port: int,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-    on_event,
-) -> None:
-    """One round of writes-to-primary + reads-from-replica; fire
-    ``on_event`` once ``event_after_ops`` ops have been issued."""
-    stop = asyncio.Event()
-    counter = [0]
-    drivers = [
-        _CrashDriver(
-            config, oracle, conn_id, outcome.round_index, primary_port,
-            stop, counter, outcome, report,
-        )
-        for conn_id in range(config.connections)
-    ]
-    tasks = [asyncio.create_task(driver.run()) for driver in drivers]
-    reader = asyncio.create_task(
-        _replica_reader(config, oracle, replica_port, outcome, report, stop)
-    )
-
-    async def trigger() -> None:
-        while counter[0] < outcome.event_after_ops and not all(
-            task.done() for task in tasks
-        ):
-            await asyncio.sleep(0.002)
-        await on_event()
-
-    trigger_task = asyncio.create_task(trigger())
-    results = await asyncio.gather(*tasks, return_exceptions=True)
-    await trigger_task
-    stop.set()
-    results += tuple(await asyncio.gather(reader, return_exceptions=True))
-    for result in results:
-        if isinstance(result, BaseException):
-            report.violations.append(
-                f"driver crashed: {type(result).__name__}: {result}"
-            )
-
-
-async def _link_round(
-    config: ReplChaosConfig,
-    oracle: _Oracle,
-    primary: _Child,
-    replica: _Child,
-    proxy: _LinkProxy,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-) -> None:
-    assert primary.port is not None and replica.port is not None
-    snaps_before = 0
-    if outcome.kind == "resync":
-        snaps_before = await _stat_int(
-            replica.port, "replication_snapshots_applied"
-        )
-
-    async def on_event() -> None:
-        if outcome.kind == "partition":
-            proxy.partition()
-            await _stale_probe(config, replica.port, outcome, report)
-            proxy.heal()
-        elif outcome.kind == "stall":
-            proxy.stall()
-            await _stale_probe(config, replica.port, outcome, report)
-            proxy.heal()
-        elif outcome.kind == "reset":
-            proxy.reset()
-        else:  # resync
-            proxy.partition()
-            assert primary.port is not None
-            await _pump_past_checkpoint(config, oracle, primary.port)
-            proxy.heal()
-
-    await _drive_load(
-        config, oracle, primary.port, replica.port, outcome, report, on_event
-    )
-    outcome.converged = await _await_convergence(
-        replica.port, primary.port, config.converge_timeout
-    )
-    if not outcome.converged:
-        report.violations.append(
-            f"round {outcome.round_index} ({outcome.kind}): replica never "
-            "converged after the link healed"
-        )
-        return
-    if outcome.kind == "resync":
-        snaps_after = await _stat_int(
-            replica.port, "replication_snapshots_applied"
-        )
-        if snaps_after > snaps_before:
-            report.forced_resyncs_seen += 1
-    await _full_sweep(
-        config, oracle, replica.port, outcome, report, mode="staleness"
-    )
-
-
-async def _kill_restart_round(
-    config: ReplChaosConfig,
-    oracle: _Oracle,
-    primary: _Child,
-    replica: _Child,
-    proxy: _LinkProxy,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-    journal_dir: str,
-) -> _Child:
-    assert primary.port is not None and replica.port is not None
-
-    async def on_event() -> None:
-        await primary.kill()
-
-    await _drive_load(
-        config, oracle, primary.port, replica.port, outcome, report, on_event
-    )
-    new_primary = _primary_child(config, journal_dir)
-    await new_primary.start()
-    if new_primary.repl_port is None:
-        report.violations.append(
-            "restarted primary never announced its replication port"
-        )
-        return new_primary
-    proxy.target = ("127.0.0.1", new_primary.repl_port)
-    outcome.converged = await _await_convergence(
-        replica.port, new_primary.port, config.converge_timeout
-    )
-    if not outcome.converged:
-        report.violations.append(
-            "replica never re-converged after the primary restart"
-        )
-        return new_primary
-    assert new_primary.port is not None
-    await _full_sweep(
-        config, oracle, new_primary.port, outcome, report, mode="durability"
-    )
-    await _full_sweep(
-        config, oracle, replica.port, outcome, report, mode="staleness"
-    )
-    return new_primary
-
-
-async def _kill_promote_round(
-    config: ReplChaosConfig,
-    oracle: _Oracle,
-    primary: _Child,
-    replica: _Child,
-    outcome: ReplRoundOutcome,
-    report: ReplChaosReport,
-    journal_dir: str,
-) -> None:
-    assert primary.port is not None and replica.port is not None
-
-    async def on_event() -> None:
-        await primary.kill()
-
-    await _drive_load(
-        config, oracle, primary.port, replica.port, outcome, report, on_event
-    )
-    client = MemcacheClient("127.0.0.1", replica.port, pool_size=1, deadline=30.0)
-    try:
-        await client.promote(journal_dir)
-        report.promote_ok = True
-    except (ServingError, ConnectionError, OSError, EOFError) as exc:
-        report.violations.append(
-            f"promote failed: {type(exc).__name__}: {exc}"
-        )
-    finally:
-        await client.close()
-    if not report.promote_ok:
-        return
-    # The promoted primary must hold every write the dead one acked.
-    await _full_sweep(
-        config, oracle, replica.port, outcome, report, mode="durability"
-    )
-    # ... and take new writes, byte-verified right back.
-    writer = MemcacheClient("127.0.0.1", replica.port, pool_size=1, deadline=5.0)
-    promoted_ok = True
-    try:
-        for conn_id in range(config.connections):
-            slot = (conn_id, 0)
-            version = oracle.attempted.get(slot, 0) + 1
-            oracle.attempted[slot] = version
-            value = expected_value(config.seed, conn_id, 0, version)
-            key = key_name(conn_id, 0)
+    async def _stale_probe(self, outcome: ReplRoundOutcome) -> None:
+        """With the link dead/silent past the grace, a read MUST be refused."""
+        await asyncio.sleep(self.config.stale_grace * 1.5 + 0.1)
+        async with closing(raw_client(self.replica.port)) as client:
             try:
-                stored = await writer.set(key, value)
-                read_back = await writer.get(key)
-            except (ServingError, ConnectionError, OSError, EOFError):
-                stored, read_back = False, None
-            if stored:
-                oracle.state[slot] = version
-            if not stored or read_back != value:
-                promoted_ok = False
-    finally:
-        await writer.close()
-    report.promoted_write_ok = promoted_ok
-    report.final_drain_exit = await replica.drain()
+                await client.get(key_name(0, 0))
+            except ReplicaLaggingError:
+                outcome.probe_refused = True
+            except OP_FAILURES:
+                pass  # unreachable or erroring = not serving stale
+            else:
+                # Hit or miss, the replica answered while provably cut off
+                # past its advertised grace: a staleness-bound violation
+                # either way.
+                self.report.stale_reads += 1
+
+    async def _pump_past_checkpoint(self) -> None:
+        """Write enough journal that the primary prunes the replica's position.
+
+        Runs while the link is partitioned.  Uses a reserved oracle lane
+        (``config.connections``) so the concurrent per-connection
+        drivers' version sequences are untouched; the converged-replica
+        sweep covers this lane too, proving the snapshot resync carried it.
+        """
+        config = self.config
+        target = 3 * config.checkpoint_bytes + 4 * config.segment_bytes
+        written = 0
+        key_id = 0
+        async with _pooled(self.primary.port) as client:
+            while written < target:
+                # Budgeted by bytes attempted, acked or not, so a refusing
+                # primary cannot spin this loop forever.
+                value, _stored = await self._write_next(
+                    client, config.connections, key_id
+                )
+                written += len(value) + 64
+                key_id = (key_id + 1) % config.keys_per_conn
+
+    async def _sweep(self, child: ServeChild, outcome, tally, label) -> None:
+        """Judge every oracle key (all lanes, filler included) on ``child``."""
+        async with _pooled(child.port, pool_size=2) as client:
+            await sweep(self.oracle, client.get_many, tally, outcome, label)
+
+    async def _converge(self, outcome: ReplRoundOutcome, failure: str) -> bool:
+        outcome.converged = await _await_convergence(
+            self.replica.port, self.primary.port, self.config.converge_timeout
+        )
+        if not outcome.converged:
+            self.report.violations.append(failure)
+        return outcome.converged
+
+    # -- the three kinds of round ----------------------------------------------
+
+    async def _link_round(self, outcome: ReplRoundOutcome) -> None:
+        proxy, replica = self.proxy, self.replica
+
+        async def snapshots_applied() -> int:
+            stats = await _fetch_stats(replica.port) or {}
+            return int(stats.get("replication_snapshots_applied", 0))
+
+        snaps_before = 0
+        if outcome.kind == "resync":
+            snaps_before = await snapshots_applied()
+
+        async def on_event() -> None:
+            if outcome.kind == "reset":
+                proxy.reset()
+                return
+            if outcome.kind == "stall":
+                proxy.stall()
+            else:
+                proxy.partition()
+            if outcome.kind == "resync":
+                await self._pump_past_checkpoint()
+            else:
+                await self._stale_probe(outcome)
+            proxy.heal()
+
+        await self._drive_load(outcome, on_event)
+        if not await self._converge(
+            outcome,
+            f"round {outcome.round_index} ({outcome.kind}): replica never "
+            "converged after the link healed",
+        ):
+            return
+        if outcome.kind == "resync" and await snapshots_applied() > snaps_before:
+            self.report.forced_resyncs_seen += 1
+        await self._sweep(
+            replica, outcome, self.report.tally_stale, "replica-converged"
+        )
+
+    async def _kill_restart_round(self, outcome: ReplRoundOutcome) -> None:
+        await self._drive_load(outcome, self.primary.kill)
+        if not await self._start_primary():
+            self.report.violations.append(
+                "restarted primary never announced its replication port"
+            )
+            return
+        if not await self._converge(
+            outcome, "replica never re-converged after the primary restart"
+        ):
+            return
+        await self._sweep(
+            self.primary, outcome, self.report.tally, "primary-recovered"
+        )
+        await self._sweep(
+            self.replica, outcome, self.report.tally_stale, "replica-converged"
+        )
+
+    async def _kill_promote_round(self, outcome: ReplRoundOutcome) -> None:
+        config, report, replica = self.config, self.report, self.replica
+        await self._drive_load(outcome, self.primary.kill)
+        async with _pooled(replica.port, deadline=30.0) as client:
+            try:
+                await client.promote(self.journal_dir)
+                report.promote_ok = True
+            except OP_FAILURES as exc:
+                report.violations.append(
+                    f"promote failed: {type(exc).__name__}: {exc}"
+                )
+                return
+        # The promoted primary must hold every write the dead one acked.
+        await self._sweep(replica, outcome, report.tally, "promoted")
+        # ... and take new writes, byte-verified right back.
+        report.promoted_write_ok = True
+        async with _pooled(replica.port) as client:
+            for lane in range(config.connections):
+                value, stored = await self._write_next(client, lane, 0)
+                try:
+                    read_back = await client.get(key_name(lane, 0))
+                except OP_FAILURES:
+                    read_back = None
+                if not stored or read_back != value:
+                    report.promoted_write_ok = False
+        report.final_drain_exit = await replica.drain()
