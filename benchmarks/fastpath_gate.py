@@ -3,13 +3,16 @@
 
 Two gates, both over the seeded ETC replay:
 
-1. **Speedup floor** — with write-combining append regions and the
-   decompressed-container cache armed (the ``FASTPATH_*`` constants from
-   ``bench_wallclock``), replay throughput must beat the knobs-off
-   baseline by at least ``--floor`` (default 1.5x).  Interleaved
-   best-of-N walls so machine warmup and frequency drift hit both
-   configurations equally.
-2. **Baseline drift** — the knobs-*off* replay must stay within
+1. **Speedup floor** — the served default (``ZExpanderConfig``'s own
+   append region, promotion by postponed removal; "on") must beat the
+   paper's region 0 ("off") on replay throughput by at least ``--floor``
+   (default 1.15x: twenty-one interleaved best-of-3 measurements on the
+   builder's box at PR 16 read 1.18-1.68x, median 1.35x, twenty of them
+   at 1.29x or more; with PR 5's 1024 B region + 128-block container
+   cache, which nobody served, the same replay read 1.94-2.28x against
+   a 1.5x floor).  Interleaved best-of-N walls so machine warmup and
+   frequency drift hit both configurations equally.
+2. **Baseline drift** — the region-0 replay must stay within
    ``--budget`` (default 5 %) of the newest committed
    ``replay_etc_mzx_fastpath_off`` record in ``BENCH_wallclock.json``.
    Raw wall-clock numbers are not comparable across machines, so the
@@ -140,14 +143,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--floor",
         type=float,
-        default=1.5,
-        help="min fastpath-on / fastpath-off speedup (default 1.5)",
+        default=1.15,
+        help="min served-default / region-0 speedup (default 1.15)",
     )
     parser.add_argument(
         "--budget",
         type=float,
         default=0.05,
-        help="max knobs-off slowdown vs committed baseline (default 0.05)",
+        help="max region-0 slowdown vs committed baseline (default 0.05)",
     )
     parser.add_argument(
         "--rounds",

@@ -51,6 +51,7 @@ def _build(scale: Scale):
         adaptive=False,
         marker_interval_seconds=0.5,
         seed=scale.seed,
+        append_region_bytes=0,
     )
     return ZExpander(config, clock=clock), clock
 

@@ -14,7 +14,9 @@ from repro.zzone.zzone import DEFAULT_BLOCK_CAPACITY
 
 @dataclass
 class ZExpanderConfig:
-    """All tunables, defaulted to the paper's choices.
+    """All tunables, defaulted to the paper's choices — except
+    ``append_region_bytes``, whose default is what ``cli serve`` runs
+    (see the field); paper-figure configurations pass 0.
 
     * ``target_service_fraction`` — the fraction of (expensive) requests
       that should be handled by the N-zone; 90 % by default (§3.3.1).
@@ -51,14 +53,21 @@ class ZExpanderConfig:
     #: Optional seeded fault plan; setting one wraps the codec in a
     #: fault injector and arms the corruption hooks (chaos testing).
     fault_plan: Optional[FaultPlan] = None
-    #: Z-zone fast path: per-block write-combining append region size.
-    #: 0 (the default, and the experiment configuration) disables staging
-    #: — every put reconstructs its block, as the paper describes.
-    append_region_bytes: int = 0
+    #: Per-block write-combining append region size.  Unset, it is one
+    #: eighth of ``block_capacity`` (256 B at 2 KB): puts are staged raw
+    #: and a block is recompressed only when its region fills, and a
+    #: promoted item's Z-zone copy is removed by postponement.  0 is the
+    #: paper's write — every put reconstructs its block — and what every
+    #: paper-figure configuration passes explicitly.
+    append_region_bytes: Optional[int] = None
     #: Z-zone fast path: decompressed-container LRU capacity in blocks.
     #: 0 (the default) disables the cache.  Its memory is host-side
     #: scratch, metered by a gauge but not charged to the cache budget.
     decompressed_cache_blocks: int = 0
+
+    def __post_init__(self) -> None:
+        if self.append_region_bytes is None:
+            self.append_region_bytes = self.block_capacity // 8
 
     def validate(self) -> None:
         if self.total_capacity <= 0:

@@ -4,7 +4,9 @@ Request routing (§3):
 
 * GET — try the N-zone; on miss, try the Z-zone.  A Z-zone hit may promote
   the item into the N-zone if its measured re-use time beats the N-zone's
-  locality benchmark (§3.3.2).
+  locality benchmark (§3.3.2).  With a write-combining Z-zone the promoted
+  copy's removal is postponed like a SET's stale version; at region 0 it
+  is deleted on the spot.
 * SET — always admitted by the N-zone.  If an older version may live in
   the Z-zone (Content-Filter check), its removal is postponed by at least
   the locality benchmark so it can be merged with a future eviction
@@ -177,10 +179,7 @@ class ZExpander:
         hashed = hash_key(key)
         # Postpone removal of a stale Z-zone version (§3.3.2): if the item
         # is evicted before the deadline the removal merges with the write.
-        if self.zzone.maybe_contains(key, hashed):
-            delay = self.benchmark.value or 0.0
-            self.zzone.schedule_removal(key, hashed, self.clock.now() + delay)
-            self.stats.postponed_removals += 1
+        self._postpone_removal(key, hashed)
         self._set_into_nzone(key, value)
         # Journal only after the in-memory write succeeded: a rolled-back
         # SET was never acknowledged and must not resurrect at recovery.
@@ -327,8 +326,22 @@ class ZExpander:
         self.stats.promotions_declined += 1
         return False
 
+    def _postpone_removal(self, key: bytes, hashed: int) -> None:
+        """Leave the Z-zone's copy of ``key`` (if its Content Filter admits
+        one) to a later rebuild, no sooner than the locality benchmark."""
+        delay = self.benchmark.value or 0.0
+        if self.zzone.schedule_removal(key, hashed, self.clock.now() + delay):
+            self.stats.postponed_removals += 1
+
     def _promote(self, key: bytes, hashed: int, value: bytes) -> None:
-        self.zzone.delete(key, hashed)
+        if self.config.append_region_bytes > 0:
+            # A write-combining zone never rebuilds a block inside a GET:
+            # the N-zone shadows the promoted copy exactly as it shadows a
+            # SET's stale version, and the removal rides the next rebuild
+            # of its block.
+            self._postpone_removal(key, hashed)
+        else:
+            self.zzone.delete(key, hashed)
         self.stats.promotions += 1
         self._set_into_nzone(key, value)
 

@@ -67,6 +67,7 @@ def run(
             window_seconds=duration / 24.0,
             marker_interval_seconds=duration / 96.0,
             seed=scale.seed,
+            append_region_bytes=0,
         )
         hzx = ZExpander(config, clock=clock)
         zx_replay = replay_trace(

@@ -63,6 +63,7 @@ def run(scale: Scale = BENCH_SCALE, capacity_multiple: float = 5.0) -> AblPromot
             promotion_policy=policy,
             marker_interval_seconds=duration / 96.0,
             seed=scale.seed,
+            append_region_bytes=0,
         )
         cache = ZExpander(config, clock=clock)
         replay = replay_trace(

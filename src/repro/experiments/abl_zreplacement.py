@@ -54,6 +54,7 @@ def run(scale: Scale = BENCH_SCALE, capacity_multiple: float = 1.5) -> AblZRepla
             adaptive=False,
             use_access_filter=use_access_filter,
             seed=scale.seed,
+            append_region_bytes=0,
         )
         cache = ZExpander(config, clock=clock)
         replay = replay_trace(

@@ -76,6 +76,7 @@ def _run_one(
         adaptive=False,
         use_content_filter=use_filter,
         seed=scale.seed,
+        append_region_bytes=0,
     )
     cache = ZExpander(config, clock=clock)
     # Pre-fill: SET enough hot keys to fill the cache, most spilling to Z.

@@ -69,6 +69,7 @@ def run(
             window_seconds=duration / 24.0,
             marker_interval_seconds=duration / 96.0,
             seed=scale.seed,
+            append_region_bytes=0,
         )
         cache = ZExpander(config, clock=clock)
         for key_id in range(trace.num_keys):

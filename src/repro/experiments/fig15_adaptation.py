@@ -152,6 +152,7 @@ def run(
         window_seconds=window_seconds,
         marker_interval_seconds=window_seconds / 4.0,
         seed=scale.seed,
+        append_region_bytes=0,
     )
     cache = ZExpander(config, clock=clock)
     # Pre-fill to capacity: SETs land in the N-zone and spill into the

@@ -143,6 +143,7 @@ def _mix_cell_task(spec: MixCellSpec) -> HzxCell:
         window_seconds=window,
         marker_interval_seconds=window / 4.0,
         seed=scale.seed,
+        append_region_bytes=0,
     )
     hzx = ZExpander(config, clock=clock)
     replay = replay_trace(

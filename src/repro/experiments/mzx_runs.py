@@ -161,6 +161,7 @@ def _run_mzx(name, trace, values, capacity, multiple, nzone_fraction) -> MzxCell
         adaptive=False,
         marker_interval_seconds=_MARKER_INTERVAL,
         seed=scale_seed(trace),
+        append_region_bytes=0,
     )
     cache = ZExpander(config, clock=clock)
     replay = replay_trace(

@@ -1041,6 +1041,8 @@ class CacheServer:
             out[name] = value
         for name, value in self.admission.stats.as_dict().items():
             out["admission_" + name] = value
+        # Resident copies, not distinct keys: a key whose Z-zone copy
+        # awaits a postponed removal is counted in both zones.
         out["curr_items"] = self.cache.item_count
         out["bytes"] = self.cache.used_bytes
         out["limit_maxbytes"] = self.cache.capacity

@@ -13,6 +13,8 @@ adaptive controller consume.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -199,11 +201,18 @@ class ZZone:
         #: (which cannot fail), so a reconstruction can always complete.
         self._fallbacks = self._fallback_chain()
         self._codec_strikes = 0
-        #: key -> (hashed_key, earliest execution time); §3.3.2's postponed
-        #: removals of stale versions after a SET hit the N-zone.
-        self._pending_removals: Dict[bytes, Tuple[int, float]] = {}
-        #: Fast-path knobs (both default off, keeping the experiment
-        #: configuration's behaviour bit-for-bit unchanged).
+        #: key -> (hashed_key, earliest execution time, schedule order);
+        #: §3.3.2's postponed removals of copies the N-zone shadows — a
+        #: stale version after a SET, a promoted item's original.
+        self._pending_removals: Dict[bytes, Tuple[int, float, int]] = {}
+        #: Min-heap of every (deadline, key) scheduled, so finding the due
+        #: removals costs O(due), not a walk of the whole dict.  An entry
+        #: counts only while the dict still holds that deadline for the
+        #: key; the rest are skipped when they surface.
+        self._removal_deadlines: List[Tuple[float, bytes]] = []
+        self._removal_order = itertools.count()
+        #: Fast-path knobs.  A bare zone defaults both off (the paper's
+        #: write path); ``ZExpanderConfig`` sizes the region for a cache.
         self.append_region_bytes = append_region_bytes
         self.decompressed_cache_blocks = decompressed_cache_blocks
         #: LRU of decompressed containers keyed by block generation.  A
@@ -671,10 +680,56 @@ class ZZone:
         self._pending_removals.pop(key, None)
         return self._remove_from_block(leaf, key, hashed)
 
-    def schedule_removal(self, key: bytes, hashed: int, not_before: float) -> None:
-        """Postpone removing a stale version until ``not_before`` (§3.3.2)."""
-        if self.maybe_contains(key, hashed):
-            self._pending_removals[key] = (hashed, not_before)
+    def schedule_removal(self, key: bytes, hashed: int, not_before: float) -> bool:
+        """Postpone removing a stale version until ``not_before`` (§3.3.2).
+
+        Returns whether the Content Filter admits a copy may exist, i.e.
+        whether anything was scheduled.
+        """
+        if not self.maybe_contains(key, hashed):
+            return False
+        pending = self._pending_removals
+        previous = pending.get(key)
+        order = next(self._removal_order) if previous is None else previous[2]
+        pending[key] = (hashed, not_before, order)
+        deadlines = self._removal_deadlines
+        heapq.heappush(deadlines, (not_before, key))
+        if len(deadlines) > 2 * len(pending) + 64:
+            # Mostly superseded entries (re-scheduled, merged or deleted
+            # keys): rebuild from the dict so the heap stays O(pending).
+            deadlines[:] = [(when, k) for k, (_h, when, _o) in pending.items()]
+            heapq.heapify(deadlines)
+        return True
+
+    def _shed_stale(
+        self, entries: List[Entry], large_refs: Dict[bytes, LargeItem]
+    ) -> Tuple[List[Entry], Dict[bytes, LargeItem], List[bytes]]:
+        """What a rebuild keeps of ``entries`` and ``large_refs`` once the
+        copies with a removal pending are dropped, and the keys dropped.
+
+        Only a write-combining zone does this: a pending copy is shadowed
+        by the N-zone, so whichever reconstruction next touches its block
+        is the removal — the deadline only bounds how long it may wait.
+        At region 0 removals keep to their deadlines (the paper's policy,
+        and what the committed results were taken with).  The caller
+        settles the keys with :meth:`_forget_stale` once the new block is
+        in place.
+        """
+        pending = self._pending_removals
+        if not (self.append_region_bytes and pending):
+            return entries, large_refs, []
+        stale = [e[1] for e in entries if e[1] in pending]
+        stale += [key for key in large_refs if key in pending]
+        if stale:
+            entries = [e for e in entries if e[1] not in pending]
+            large_refs = {k: v for k, v in large_refs.items() if k not in pending}
+        return entries, large_refs, stale
+
+    def _forget_stale(self, stale: List[bytes]) -> None:
+        """The removals of ``stale`` rode a rebuild: "merged into one"."""
+        for key in stale:
+            self._pending_removals.pop(key, None)
+        self.stats.pending_removals_merged += len(stale)
 
     # -- insertion internals ------------------------------------------------------
 
@@ -739,10 +794,11 @@ class ZZone:
             newest[incoming[1]] = incoming
         entries = [e for e in container_entries(container) if e[1] not in newest]
         entries.extend(newest.values())
-        entries.sort()
         large_refs = {
             k: v for k, v in leaf.large_refs.items() if k not in newest
         }
+        entries, large_refs, stale = self._shed_stale(entries, large_refs)
+        entries.sort()
         old_total = leaf.item_count + leaf.staged_count + len(leaf.large_refs)
         if self._serialized(entries) <= self.block_capacity:
             self._rebuild(leaf, entries, large_refs)
@@ -751,6 +807,7 @@ class ZZone:
         # Count only after the new structure is in place so a failed
         # reconstruction leaves the zone's accounting untouched.
         self._item_count += len(entries) + len(large_refs) - old_total
+        self._forget_stale(stale)
         return True
 
     @staticmethod
@@ -905,17 +962,34 @@ class ZZone:
             if not staged_removed:
                 self.stats.false_positives += 1
             return staged_removed
+        remaining, large_refs, stale = self._shed_stale(remaining, large_refs)
         self._rebuild(leaf, remaining, large_refs, adopt_staging=True)
-        self._item_count -= removed
+        self._item_count -= removed + len(stale)
+        self._forget_stale(stale)
         return True
 
     # -- replacement (§3.2) -----------------------------------------------------------
 
     def _execute_pending_removals(self) -> None:
+        """Remove the copies whose postponement has run out, in the order
+        they were first scheduled."""
         now = self.clock.now()
-        due = [key for key, (_h, when) in self._pending_removals.items() if when <= now]
-        for key in due:
-            hashed, _when = self._pending_removals.pop(key)
+        pending = self._pending_removals
+        deadlines = self._removal_deadlines
+        due = []
+        while deadlines and deadlines[0][0] <= now:
+            when, key = heapq.heappop(deadlines)
+            entry = pending.get(key)
+            if entry is not None and entry[1] == when:
+                due.append((entry[2], key))
+        due.sort()
+        for _order, key in due:
+            entry = pending.pop(key, None)
+            if entry is None:
+                # Already gone with an earlier key's rebuild of the same
+                # block: a write-combining zone pays one per block.
+                continue
+            hashed = entry[0]
             leaf = self._trie.find_leaf(hashed)
             if leaf is not None and leaf.maybe_contains(hashed):
                 if self._remove_from_block(leaf, key, hashed):
@@ -1017,14 +1091,20 @@ class ZZone:
         # region keeps its O(item) put amortisation under cache pressure.
         # Verify the container before touching any accounting: a damaged
         # block is quarantined whole, which frees its bytes — progress.
-        container = None
+        entries: List[Entry] = []
         if block.item_count > 0:
             container = self._lookup_container(block)
             if container is None:
                 return True
+            # Survivors are entries sliced straight into the replacement
+            # container — no per-item decode/re-encode.
+            entries = container_entries(container)
+        # Stale copies go before any live victim, whatever the Access
+        # Filter says: the GET that promoted an item also marked it hot.
+        entries, large_refs, stale = self._shed_stale(entries, block.large_refs)
         # Large refs behave like one-item blocks with a reference bit.
         hot_large = {}
-        for key, large in block.large_refs.items():
+        for key, large in large_refs.items():
             if large.accessed and self.use_access_filter and not force:
                 large.accessed = False
                 hot_large[key] = large
@@ -1034,9 +1114,6 @@ class ZZone:
                 self._item_count -= 1
                 freed = True
         if block.item_count > 0:
-            # Survivors are entries sliced straight into the replacement
-            # container — no per-item decode/re-encode.
-            entries = container_entries(container)
             if force or not self.use_access_filter:
                 candidates = list(range(len(entries)))
             else:
@@ -1046,19 +1123,11 @@ class ZZone:
                     for position, (hashed, _key, _wire) in enumerate(entries)
                     if hashed not in access_filter
                 ]
+            victims: set = set()
             if candidates:
-                if self.append_region_bytes > 0:
-                    # Fast-path sweeps cut deeper: every filter-cold item
-                    # goes, so one rebuild (one compression) frees twice
-                    # the bytes and eviction episodes triggered by staged
-                    # puts visit half as many blocks.  The random-half
-                    # draw below stays the exclusive default behaviour —
-                    # committed experiment outputs depend on its RNG
-                    # stream.
-                    victims = set(candidates)
-                else:
-                    victim_count = max(1, math.ceil(len(candidates) / 2))
-                    victims = set(self._rng.sample(candidates, victim_count))
+                victim_count = max(1, math.ceil(len(candidates) / 2))
+                victims = set(self._rng.sample(candidates, victim_count))
+            if victims or stale or len(hot_large) != len(block.large_refs):
                 survivors = [
                     entry
                     for position, entry in enumerate(entries)
@@ -1068,18 +1137,16 @@ class ZZone:
                 self.stats.evicted_bytes += sum(
                     len(entries[position][2]) - 14 for position in victims
                 )
-                self._item_count -= len(victims)
-                block.access_filter.clear()
                 self._rebuild(block, survivors, hot_large, adopt_staging=True)
-                return True
-            if len(hot_large) != len(block.large_refs):
-                self._rebuild(block, entries, hot_large, adopt_staging=True)
-                block.access_filter.clear()
+                self._item_count -= len(victims) + len(stale)
+                self._forget_stale(stale)
                 return True
         elif len(hot_large) != len(block.large_refs):
             old_bytes = block.memory_bytes
             block.large_refs = hot_large
             self._recharge(old_bytes, block.memory_bytes)
+            self._item_count -= len(stale)
+            self._forget_stale(stale)
             return True
         block.access_filter.clear()
         if (

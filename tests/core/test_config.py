@@ -45,10 +45,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             valid_config(**{field: value}).validate()
 
-    def test_fastpath_knobs_default_off(self):
+    def test_region_defaults_to_an_eighth_of_the_block_and_cache_off(self):
         config = valid_config()
-        assert config.append_region_bytes == 0
+        assert config.append_region_bytes == config.block_capacity // 8 == 256
         assert config.decompressed_cache_blocks == 0
+        # Derived from the block it belongs to, not a second literal ...
+        small = ZExpanderConfig(total_capacity=1 << 20, block_capacity=512)
+        assert small.append_region_bytes == 64
+        # ... and an explicit 0 (every paper-figure configuration) stays 0.
+        assert valid_config(append_region_bytes=0).append_region_bytes == 0
 
     def test_fastpath_knobs_accepted(self):
         valid_config(

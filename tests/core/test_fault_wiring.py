@@ -45,7 +45,12 @@ class TestZExpanderWiring:
         for i in range(300):
             value = cache.get(b"k%04d" % i)
             assert value is None or value == b"v" * 120
+        # At the default config a flipped bit lands on a block's compressed
+        # payload or on its raw staged bytes; each has its own CRC and
+        # both must fire.
+        assert cache.zzone.append_region_bytes > 0
         assert cache.zzone.stats.checksum_failures > 0
+        assert cache.zzone.stats.staged_checksum_failures > 0
         assert cache.zzone.stats.quarantined_blocks > 0
         cache.check_invariants()
 

@@ -101,13 +101,19 @@ class TestFastPathSharding:
             assert shard.zzone.append_region_bytes == 512
             assert shard.zzone.decompressed_cache_blocks == 16
 
-    def test_default_fleet_keeps_fastpath_dark(self):
+    def test_default_fleet_combines_writes_and_keeps_the_cache_dark(self):
         fleet = make_fleet(num_shards=2)
         for shard in fleet.shards:
-            assert shard.zzone.append_region_bytes == 0
+            assert shard.zzone.append_region_bytes == 256
             assert shard.zzone.decompressed_cache_blocks == 0
+        assert all(value == 0 for value in fleet.aggregate_fastpath().values())
+        for i in range(2000):
+            fleet.clock.advance(1e-5)
+            fleet.set(b"key:%08d" % i, b"v" * 60)
         totals = fleet.aggregate_fastpath()
-        assert all(value == 0 for value in totals.values())
+        assert totals["staged_puts"] > 0
+        assert totals["container_cache_hits"] == 0
+        assert totals["container_cache_misses"] == 0
 
     def test_aggregate_fastpath_sums_shard_counters(self):
         fleet = make_fastpath_fleet(num_shards=4)

@@ -1,9 +1,16 @@
 """Hypothesis stateful tests: the cache vs an oracle dictionary.
 
-The rule machine drives a ZExpander (small capacity, adaptation on, fast
-markers) with interleaved sets/gets/deletes/time-jumps, checking after
+The rule machine drives a ZExpander (adaptation on, fast markers, and a
+capacity below the 61 keys' bytes so that demotion, promotion, sweeps and
+due removals all happen within a hundred steps) with interleaved sets/gets/deletes/time-jumps, checking after
 every step that the cache never serves wrong bytes, never resurrects
 deleted keys, and keeps its internal accounting consistent.
+
+The same machine runs twice: at the default config, where the Z-zone
+combines writes and a promoted or overwritten item's Z-zone copy waits
+for a postponed removal (so for a while two copies of a key exist and
+the stale one must never be served), and at region 0, the paper's
+reconstruct-on-every-put with promotion deleting on the spot.
 """
 
 import hypothesis.strategies as st
@@ -18,17 +25,22 @@ VALUES = st.binary(min_size=1, max_size=120)
 
 
 class ZExpanderMachine(RuleBasedStateMachine):
+    #: ``append_region_bytes``; None takes the config's default.
+    REGION = None
+
     def __init__(self):
         super().__init__()
         self.clock = VirtualClock()
         self.cache = ZExpander(
             ZExpanderConfig(
-                total_capacity=24 * 1024,
+                total_capacity=3 * 1024,
+                block_capacity=512,
                 nzone_fraction=0.3,
                 adaptive=True,
                 window_seconds=0.5,
                 marker_interval_seconds=0.1,
                 seed=17,
+                append_region_bytes=self.REGION,
             ),
             clock=self.clock,
         )
@@ -59,6 +71,13 @@ class ZExpanderMachine(RuleBasedStateMachine):
         self.steps += 1
 
     @rule(key_id=KEYS)
+    def reread_item(self, key_id):
+        """Two GETs a millisecond apart: the second sees a short re-use
+        time, which is what promotes a Z-zone item into the N-zone."""
+        self.get_item(key_id)
+        self.get_item(key_id)
+
+    @rule(key_id=KEYS)
     def delete_item(self, key_id):
         self.clock.advance(0.001)
         self.cache.delete(self._key(key_id))
@@ -67,6 +86,7 @@ class ZExpanderMachine(RuleBasedStateMachine):
 
     @rule(seconds=st.floats(min_value=0.01, max_value=30.0))
     def advance_time(self, seconds):
+        """Long enough for postponed removals to fall due."""
         self.clock.advance(seconds)
 
     @precondition(lambda self: self.steps % 7 == 0)
@@ -86,7 +106,12 @@ class ZExpanderMachine(RuleBasedStateMachine):
         assert self.cache.zzone.used_bytes <= self.cache.zzone.capacity
 
 
+class PaperRegionMachine(ZExpanderMachine):
+    REGION = 0
+
+
+_SETTINGS = settings(max_examples=25, stateful_step_count=100, deadline=None)
 TestZExpanderStateful = ZExpanderMachine.TestCase
-TestZExpanderStateful.settings = settings(
-    max_examples=25, stateful_step_count=60, deadline=None
-)
+TestZExpanderStateful.settings = _SETTINGS
+TestZExpanderStatefulRegion0 = PaperRegionMachine.TestCase
+TestZExpanderStatefulRegion0.settings = _SETTINGS
