@@ -44,21 +44,14 @@ SCALES = {
 }
 
 
-async def _started_server(
-    seed: int = 42,
-    journal_dir: str | None = None,
-    batch_reads: bool = True,
-):
+async def _started_server(seed: int = 42, journal_dir: str | None = None):
     cache = ShardedZExpander(
         ZExpanderConfig(total_capacity=8 * 1024 * 1024, seed=seed),
         num_shards=2,
     )
-    config = ServerConfig(port=0, batch_reads=batch_reads)
+    config = ServerConfig(port=0)
     if journal_dir is not None:
-        config = ServerConfig(
-            port=0, journal_dir=journal_dir, fsync="interval",
-            batch_reads=batch_reads,
-        )
+        config = ServerConfig(port=0, journal_dir=journal_dir, fsync="interval")
     server = CacheServer(cache, config)
     await server.start()
     task = asyncio.create_task(server.run())
@@ -416,13 +409,12 @@ async def bench_multiget_pipelined(
 ) -> BenchRecord:
     """Per-key pipelined baseline: ``batch`` single-key GETs in one write.
 
-    The server runs with ``batch_reads=False`` so every key takes the
-    old sequential path (one cache lookup, one socket write per
-    command).  This is the denominator of the multiget-gate speedup and
-    stays recorded so regressions against the native batch path show up
-    in the bench history.
+    Every command takes its own parse, admission and cache lookup; the
+    replies share the read's one socket write.  This is the denominator
+    of the multiget-gate speedup and stays recorded so regressions
+    against the native batch path show up in the bench history.
     """
-    server, task = await _started_server(seed, batch_reads=False)
+    server, task = await _started_server(seed)
     client = MemcacheClient(port=server.port, pool_size=1)
     await _populate(client, keys, seed)
     await client.close()
@@ -453,8 +445,7 @@ async def bench_multiget_pipelined(
     await task
     return _record(
         "server_multiget_pipelined",
-        {"ops": rounds * batch, "keys": keys, "seed": seed, "batch": batch,
-         "batch_reads": False},
+        {"ops": rounds * batch, "keys": keys, "seed": seed, "batch": batch},
         samples, wall, rounds * batch,
     )
 

@@ -1,26 +1,23 @@
 #!/usr/bin/env python
-"""CI gate for the batched multi-GET path (``multiget-gate`` job).
+"""CI gate for the batched multi-GET path (``bench-smoke`` job).
 
 Three gates over one Z-zone-heavy workload (a cache small enough that
-most resident items live compressed in the Z-zone):
+most resident items live compressed in the Z-zone), all on one server:
 
-1. **Byte fidelity** — every request shape is sent to *two* servers,
-   one with ``batch_reads`` on and one with it off, and the raw reply
-   bytes must match: native multi-key ``get`` (exercises the cache-level
-   ``get_many``) and a pipelined burst of single-key GETs in one write
-   (exercises server-side burst coalescing, whose replies must be
-   byte-identical to one-command-at-a-time dispatch).  Per-key hit/miss
-   counts must also match across the two servers.
-2. **Decode sharing** — the batch server must report
+1. **Value fidelity** — every round's keys are asked for twice: as one
+   native multi-key ``get`` (the one request shape that reaches the
+   cache-level ``get_many``) and as a pipelined burst of single-key
+   GETs in one write (served command by command).  The two must return
+   the same values key for key.
+2. **Decode sharing** — the server must report
    ``fastpath_container_decodes_saved > 0``: at least one Z-zone block
    decompression was shared across keys of a batch.
 3. **Speedup floor** — interleaved best-of-``--rounds``: native
-   ``get_many`` against the batch server must beat the same keys as
-   pipelined per-key GETs against the batch-off server by ``--floor``
-   (default 1.1x).  The margin is thin by design: all replies of one
-   read share one socket write whether the server batches or not, so
-   the batch only saves 15 of 16 parses and admissions plus the shared
-   Z-zone decodes — measured 1.27x (DESIGN.md §13.4 has the history).
+   ``get_many`` must beat the same keys as pipelined per-key GETs by
+   ``--floor`` (default 1.1x).  The margin is thin by design: all
+   replies of one read share one socket write either way, so the batch
+   only saves 15 of 16 parses and admissions plus the shared Z-zone
+   decodes — measured 1.27x (DESIGN.md §13.4 has the history).
 
 Deterministic facts (counts, digests, verdicts that cannot vary run to
 run) go to **stdout** — CI runs the gate twice and byte-diffs the two
@@ -57,7 +54,7 @@ BATCH = 16
 ROUNDS_CORRECTNESS = 40
 
 
-async def _started(seed: int, batch_reads: bool):
+async def _started(seed: int):
     cache = ZExpander(
         ZExpanderConfig(
             total_capacity=CAPACITY,
@@ -65,7 +62,7 @@ async def _started(seed: int, batch_reads: bool):
             seed=seed,
         )
     )
-    server = CacheServer(cache, ServerConfig(port=0, batch_reads=batch_reads))
+    server = CacheServer(cache, ServerConfig(port=0))
     await server.start()
     task = asyncio.create_task(server.run())
     return server, task
@@ -141,60 +138,44 @@ async def _stats(port: int):
     return out
 
 
-async def check_fidelity(port_on: int, port_off: int) -> dict:
-    """Send every round in both shapes to both servers; compare bytes."""
-    conn_on = await _raw_connect(port_on)
-    conn_off = await _raw_connect(port_off)
+async def check_fidelity(port: int) -> dict:
+    """Ask for every round's keys in both shapes; compare the values."""
+    reader, writer = await _raw_connect(port)
     digest = hashlib.sha256()
     hits = misses = 0
-    multiget_identical = burst_identical = True
+    shapes_agree = True
     for round_index in range(ROUNDS_CORRECTNESS):
         names = _batch_names(round_index)
         # Shape (a): one native multi-key get -> one END.
-        request = b"get " + b" ".join(names) + b"\r\n"
-        replies = []
-        for reader, writer in (conn_on, conn_off):
-            writer.write(request)
-            await writer.drain()
-            replies.append(await _read_replies(reader, 1))
-        if replies[0] != replies[1]:
-            multiget_identical = False
-        values = _parse_values(replies[0])
+        writer.write(b"get " + b" ".join(names) + b"\r\n")
+        await writer.drain()
+        values = _parse_values(await _read_replies(reader, 1))
         hits += len(values)
         misses += len(names) - len(values)
         for key, value in values:
             digest.update(key + b"=" + value + b";")
         # Shape (b): the same keys as pipelined single-key GETs in one
-        # write -> BATCH ENDs.  On the batch server this coalesces into
-        # one burst; bytes must match the per-command server exactly.
-        burst = b"".join(b"get " + name + b"\r\n" for name in names)
-        replies = []
-        for reader, writer in (conn_on, conn_off):
-            writer.write(burst)
-            await writer.drain()
-            replies.append(await _read_replies(reader, len(names)))
-        if replies[0] != replies[1]:
-            burst_identical = False
-        if _parse_values(replies[0]) != values:
-            burst_identical = False
-    for _, writer in (conn_on, conn_off):
-        writer.close()
-        await writer.wait_closed()
+        # write -> BATCH ENDs.
+        writer.write(b"".join(b"get " + name + b"\r\n" for name in names))
+        await writer.drain()
+        if _parse_values(await _read_replies(reader, len(names))) != values:
+            shapes_agree = False
+    writer.close()
+    await writer.wait_closed()
     return {
         "hits": hits,
         "misses": misses,
         "digest": digest.hexdigest(),
-        "multiget_identical": multiget_identical,
-        "burst_identical": burst_identical,
+        "shapes_agree": shapes_agree,
     }
 
 
-async def measure(port_on: int, port_off: int, rounds: int) -> dict:
+async def measure(port: int, rounds: int) -> dict:
     """Interleaved best-of-``rounds`` walls: native batch vs pipelined."""
     timing_rounds = 120
     walls = {"batch": float("inf"), "pipelined": float("inf")}
-    client = MemcacheClient(port=port_on, pool_size=1)
-    reader, writer = await _raw_connect(port_off)
+    client = MemcacheClient(port=port, pool_size=1)
+    reader, writer = await _raw_connect(port)
     for _ in range(rounds):
         started = time.perf_counter()
         for round_index in range(timing_rounds):
@@ -217,14 +198,12 @@ async def measure(port_on: int, port_off: int, rounds: int) -> dict:
 
 
 async def run(args) -> int:
-    server_on, task_on = await _started(args.seed, batch_reads=True)
-    server_off, task_off = await _started(args.seed, batch_reads=False)
+    server, task = await _started(args.seed)
     ok = True
     try:
-        await _populate(server_on.port, args.seed)
-        await _populate(server_off.port, args.seed)
-        fidelity = await check_fidelity(server_on.port, server_off.port)
-        stats = await _stats(server_on.port)
+        await _populate(server.port, args.seed)
+        fidelity = await check_fidelity(server.port)
+        stats = await _stats(server.port)
         saved = int(stats.get("fastpath_container_decodes_saved", "0"))
         batches = int(stats.get("cache_get_many_batches", "0"))
         # -- deterministic facts: stdout (CI byte-diffs two runs) ------------
@@ -232,17 +211,14 @@ async def run(args) -> int:
         print(f"hits {fidelity['hits']} misses {fidelity['misses']}")
         print(f"value digest {fidelity['digest']}")
         print(
-            "multiget replies identical: "
-            + ("yes" if fidelity["multiget_identical"] else "NO")
-        )
-        print(
-            "coalesced burst replies identical: "
-            + ("yes" if fidelity["burst_identical"] else "NO")
+            "pipelined singles match native multiget: "
+            + ("yes" if fidelity["shapes_agree"] else "NO")
         )
         print(f"get_many batches served {batches}")
         print(f"container decodes saved {saved}")
-        if not fidelity["multiget_identical"] or not fidelity["burst_identical"]:
-            print("FAIL: batched replies diverge from sequential", file=sys.stderr)
+        if not fidelity["shapes_agree"]:
+            print("FAIL: pipelined singles diverge from native multiget",
+                  file=sys.stderr)
             ok = False
         if saved <= 0:
             print(
@@ -251,12 +227,12 @@ async def run(args) -> int:
                 file=sys.stderr,
             )
             ok = False
-        if batches <= 0:
-            print("FAIL: the batch server served no get_many batches",
+        if batches != ROUNDS_CORRECTNESS:
+            print("FAIL: get_many batches are not one per native multiget",
                   file=sys.stderr)
             ok = False
         # -- wall-clock: stderr only -----------------------------------------
-        ops = await measure(server_on.port, server_off.port, args.rounds)
+        ops = await measure(server.port, args.rounds)
         speedup = ops["batch"] / ops["pipelined"]
         verdict = "OK" if speedup >= args.floor else "FAIL"
         print(
@@ -268,10 +244,8 @@ async def run(args) -> int:
         if speedup < args.floor:
             ok = False
     finally:
-        server_on.begin_drain()
-        server_off.begin_drain()
-        await task_on
-        await task_off
+        server.begin_drain()
+        await task
     return 0 if ok else 1
 
 

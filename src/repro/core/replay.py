@@ -114,11 +114,11 @@ def replay_trace(
     loop.  ``registry`` (a :class:`~repro.metrics.MetricsRegistry`)
     collects per-phase wall timings, the final request tallies, and a
     sampled per-request latency histogram; it never changes the request
-    sequence the cache sees, and a disabled registry costs nothing.
+    sequence the cache sees, and without one the loop records nothing.
     """
     if request_rate <= 0:
         raise ValueError(f"request_rate must be positive, got {request_rate}")
-    metrics = _ReplayMetrics(registry) if registry else None
+    metrics = _ReplayMetrics(registry) if registry is not None else None
     if not batched or on_request is not None or faults is not None:
         stats = _replay_reference(
             cache,

@@ -10,9 +10,10 @@ and replay timings.  Three design rules shape it:
   ``snapshot()`` time (:meth:`MetricsRegistry.mount`), so enabling
   metrics adds zero work per request on the data plane.  Only genuinely
   new measurements (latencies, payload sizes) are owned instruments.
-* **Near-zero-overhead no-op mode.**  A disabled registry hands out
-  shared null instruments whose ``inc``/``observe`` are empty methods;
-  call sites keep one attribute lookup and one no-op call, no branches.
+* **No-op stand-in, no branches.**  A component built without a
+  registry holds the shared :data:`NULL_INSTRUMENT`, whose
+  ``inc``/``observe`` are empty methods; its call sites keep one
+  attribute lookup and one no-op call.
 * **Deterministic, mergeable snapshots.**  Buckets are fixed and
   log-spaced, so histograms from different shards or processes merge by
   plain element-wise addition (:func:`merge_snapshots`), and the same
@@ -173,7 +174,7 @@ class Histogram:
 
 
 class _NullInstrument:
-    """Shared do-nothing stand-in handed out by a disabled registry."""
+    """Shared do-nothing stand-in for a component with no registry."""
 
     __slots__ = ()
     name = ""
@@ -205,15 +206,9 @@ NULL_INSTRUMENT = _NullInstrument()
 
 
 class MetricsRegistry:
-    """Instrument factory + deterministic snapshot/exposition surface.
+    """Instrument factory + deterministic snapshot/exposition surface."""
 
-    ``enabled=False`` turns every factory into a supplier of the shared
-    :data:`NULL_INSTRUMENT` and every snapshot into ``{}``; callers keep
-    their instrument handles and pay only an empty method call.
-    """
-
-    def __init__(self, enabled: bool = True, namespace: str = "repro") -> None:
-        self.enabled = enabled
+    def __init__(self, namespace: str = "repro") -> None:
         self.namespace = namespace
         self._instruments: Dict[str, object] = {}
         #: name -> (callable, help); read lazily at snapshot time.
@@ -221,9 +216,6 @@ class MetricsRegistry:
         #: Instrument/view names whose values depend on wall-clock timing
         #: (excluded from golden/deterministic comparisons).
         self._timing: set = set()
-
-    def __bool__(self) -> bool:
-        return self.enabled
 
     # -- instrument factories --------------------------------------------------
 
@@ -240,8 +232,6 @@ class MetricsRegistry:
         bounds: Optional[Sequence[float]] = None,
         timing: bool = False,
     ):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         if name in self._instruments:
             return self._existing(Histogram, name)
         instrument = Histogram(name, help, bounds)
@@ -251,8 +241,6 @@ class MetricsRegistry:
         return instrument
 
     def _register(self, cls, name: str, help: str, timing: bool):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         if name in self._instruments:
             return self._existing(cls, name)
         instrument = cls(name, help)
@@ -284,8 +272,6 @@ class MetricsRegistry:
         ``replace=True`` rebinds an existing view (e.g. a second replay
         mounting its fresh stats object); otherwise duplicates raise.
         """
-        if not self.enabled:
-            return
         if name in self._instruments:
             raise ValueError(f"metric {name!r} already registered")
         if name in self._views and not replace:
@@ -306,8 +292,6 @@ class MetricsRegistry:
         The object stays the mutation site (its hot-path increments are
         untouched); the registry reads ``getattr(obj, field)`` lazily.
         """
-        if not self.enabled:
-            return
         names = fields if fields is not None else sorted(vars(obj))
         for field in names:
             if field.startswith("_"):
@@ -332,8 +316,6 @@ class MetricsRegistry:
         drops wall-clock-dependent series, leaving only values that are a
         pure function of the request sequence (golden-comparable).
         """
-        if not self.enabled:
-            return {}
         out: Dict[str, object] = {}
         for name in sorted(set(self._instruments) | set(self._views)):
             if not include_timing and name in self._timing:

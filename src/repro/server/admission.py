@@ -196,12 +196,14 @@ class AdmissionController:
             "0=healthy 1=shedding 2=brick_wall",
         )
 
-    def admit(self, zzone_bound: bool, inflight: int) -> bool:
+    def admit(self, zzone_bound: Callable[[], bool], inflight: int) -> bool:
         """True to execute the request, False to answer ``overloaded``.
 
-        ``zzone_bound`` marks requests whose service would take the
-        Z-zone (expensive) path; ``inflight`` is the count of requests
-        executing right now, *excluding* this one.
+        ``zzone_bound()`` says whether serving the request would take
+        the Z-zone (expensive) path; it costs a Content-Filter pre-check,
+        so it is called only while SHEDDING, where its answer decides.
+        ``inflight`` is the count of requests executing right now,
+        *excluding* this one.
         """
         stats = self.stats
         stats.max_inflight = max(stats.max_inflight, inflight)
@@ -219,7 +221,7 @@ class AdmissionController:
         if self.state == ServerState.SHEDDING:
             if inflight >= self.config.inflight_hard:
                 self._enter(ServerState.BRICK_WALL)
-            elif zzone_bound:
+            elif zzone_bound():
                 return self._shed("shed_zzone")
             elif not self.bucket.try_take():
                 return self._shed("shed_saturated")

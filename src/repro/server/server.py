@@ -1,23 +1,24 @@
 """Asyncio memcached-protocol front-end over a (sharded) zExpander.
 
-The data plane is callbacks, not coroutines: one :class:`asyncio.Protocol`
-per connection serves every request inside ``data_received`` (feed the
-parser, dispatch synchronously, one ``transport.write`` per read), so a
-GET costs no task, timer or stream on top of the event loop.
+The data plane is callbacks, not coroutines: one
+:class:`asyncio.BufferedProtocol` per connection serves every request
+inside ``buffer_updated`` (feed the parser, dispatch each command
+synchronously through the one ``_dispatch``, one ``transport.write`` per
+read), so a GET costs no task, timer, stream or read-buffer allocation
+on top of the event loop.
 
 Robustness is the design driver, not protocol coverage:
 
 * **Slow-client isolation** — a stalled peer costs one connection, never
   the event loop, and no bound is a per-request timer.  *Reads*: one
-  ``call_later`` per connection; ``data_received`` stamps the clock and
+  ``call_later`` per connection; ``buffer_updated`` stamps the clock and
   the timer, when it fires, hangs up or re-arms for the remainder.
   *Writes*: ``pause_writing`` (buffer past high-water) stops the reads
   and starts a stall timer; ``resume_writing`` cancels it, expiry aborts
   the peer.  *Buffering*: replies are written early at 64 KiB and
   dispatch stops at the first event after the transport pauses (the
   rest wait, parsed, in a per-connection deque), so a peer that never
-  reads holds at most high-water + 64 KiB + one dispatch unit's reply —
-  one command's, or one coalesced burst's.
+  reads holds at most high-water + 64 KiB + one command's reply.
 * **Ordered replies** — ``promote``, the one verb that awaits, runs as a
   task with its connection's reads paused and later events parked.
 * **Bounded concurrency** — a global inflight gauge feeds the
@@ -101,15 +102,6 @@ class ServerConfig:
     snapshot_path: Optional[str] = None
     #: Re-verify cache invariants every N commands (0 = off).
     audit_interval: int = 0
-    #: Batched reads: route multi-key GET/GETS through the cache's
-    #: ``get_many`` and coalesce consecutive single-key GETs arriving in
-    #: one pipelined read burst into one batch + one socket write.  Off,
-    #: every key takes the sequential per-key path (the multiget-gate
-    #: baseline).  Either way per-key hit/miss accounting is identical.
-    batch_reads: bool = True
-    #: Unified observability: request-latency/payload histograms plus
-    #: mounted cache/admission/server counters, exposed via ``stats``.
-    metrics: bool = True
     #: Crash-consistent durability: a directory for the write-ahead
     #: journal + checkpoints (None = volatile, the default).  On start
     #: the server recovers checkpoint + journal into the cache, then
@@ -221,12 +213,17 @@ class ServerStats:
     snapshot_truncated: int = 0
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection, served inside its transport callbacks."""
 
     def __init__(self, server: "CacheServer") -> None:
         self.server = server
         self.parser = RequestParser(server.config.max_value_bytes)
+        #: The transport reads into this one buffer for the connection's
+        #: life.  A plain Protocol gets a fresh 256 KiB ``bytes`` per
+        #: read, which glibc may serve by mmap/munmap — two page faults
+        #: per request, depending on the heap's layout at that moment.
+        self.read_view = memoryview(bytearray(_FLUSH_BYTES))
         #: Parsed events not yet dispatched.  Outlives a callback only
         #: while reads are paused (write stall or promotion), so a held
         #: connection buffers at most the one read it was parsing.
@@ -256,9 +253,13 @@ class _Connection(asyncio.Protocol):
         if self.stall_timer is not None:
             self.stall_timer.cancel()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.read_view
+
+    def buffer_updated(self, nbytes: int) -> None:
         self.last_read = self.loop.time()
-        self.parser.feed(data)
+        # The parser copies what it is fed, so the buffer is free again.
+        self.parser.feed(self.read_view[:nbytes])
         self.parked.extend(self.parser.events())
         if not self._held():
             self._pump()
@@ -318,20 +319,7 @@ class _Connection(asyncio.Protocol):
         counted = pending = 0
         alive = True
         while parked and alive and not self._held():
-            event = parked.popleft()
-            # One command per read, the common interactive case, never
-            # pays a coalescing check (``parked`` is already empty).
-            if (
-                parked
-                and server._coalescible(event)
-                and server._coalescible(parked[0])
-            ):
-                run = [event]
-                while parked and server._coalescible(parked[0]):
-                    run.append(parked.popleft())
-                server._dispatch_read_burst(run, out)
-            else:
-                alive = server._dispatch(event, out, self)
+            alive = server._dispatch(parked.popleft(), out, self)
             pending += sum(map(len, out[counted:]))
             counted = len(out)
             if pending >= _FLUSH_BYTES:
@@ -388,10 +376,6 @@ class CacheServer:
         self.config = config if config is not None else ServerConfig()
         self.config.validate()
         self.cache = cache
-        #: Batched-read entry point, when the cache offers one.  All four
-        #: cache flavors (ZExpander, ShardedZExpander, SimpleKVCache) do;
-        #: the getattr keeps bare test doubles working on the per-key path.
-        self._get_many = getattr(cache, "get_many", None)
         # Per-request lookups resolved once: nothing rebinds these after
         # construction.  (The fault injector is NOT among them — chaos
         # harnesses arm injectors after the server is built.)
@@ -413,8 +397,7 @@ class CacheServer:
         #: snapshots (v2) and the journal, but CAS versions restart from
         #: 1 on every boot, as real memcached's do.
         self.meta = ItemMetaStore()
-        self.registry = MetricsRegistry(enabled=self.config.metrics)
-        self._timer = time.perf_counter if self.config.metrics else None
+        self.registry = MetricsRegistry()
         self._latency_hist = self.registry.histogram(
             "server_request_seconds",
             "execute latency of admitted commands",
@@ -686,7 +669,8 @@ class CacheServer:
         if self.config.role == "replica" and self._replica_gate(command, out):
             return True
         if not self.admission.admit(
-            zzone_bound=self._zzone_bound(command), inflight=self._inflight
+            zzone_bound=lambda: self._zzone_bound(command),
+            inflight=self._inflight,
         ):
             if not command.noreply:
                 out.append(_OVERLOADED)
@@ -695,12 +679,9 @@ class CacheServer:
         try:
             if self._tick is not None:
                 self._tick(TICK_SECONDS)
-            if self._timer is not None:
-                started = self._timer()
-                reply = self._execute(command)
-                self._latency_hist.observe(self._timer() - started)
-            else:
-                reply = self._execute(command)
+            started = time.perf_counter()
+            reply = self._execute(command)
+            self._latency_hist.observe(time.perf_counter() - started)
             self._fault_hook(command)
         finally:
             self._inflight -= 1
@@ -717,102 +698,6 @@ class CacheServer:
         if reply and not command.noreply:
             out.append(reply)
         return True
-
-    # -- batched reads ---------------------------------------------------------
-
-    def _faults_armed(self) -> bool:
-        """Any fault injector on any shard?  Checked at burst-formation
-        time, not construction: chaos harnesses arm injectors after the
-        server is built."""
-        shards = getattr(self.cache, "shards", None)
-        if shards is not None:
-            return any(shard.fault_injector is not None for shard in shards)
-        return getattr(self.cache, "fault_injector", None) is not None
-
-    def _coalescible(self, event: protocol.Event) -> bool:
-        """May this parsed event join a batched read burst?
-
-        Conservative by design: only plain ``get``/``gets`` on a
-        non-draining primary with batching enabled and no fault injector
-        armed.  Fault sites key off the per-command counter, so fusing
-        commands would make chaos runs depend on TCP framing; the cache
-        layer applies the same fallback (``ZZone.read_batch`` returns
-        ``None`` under faults), keeping both layers framing-independent.
-        """
-        return (
-            isinstance(event, Command)
-            and event.name in ("get", "gets")
-            and self.config.batch_reads
-            and self._get_many is not None
-            and not self._draining
-            and self.config.role == "primary"
-            and not self._faults_armed()
-        )
-
-    def _dispatch_read_burst(
-        self, commands: List[Command], out: List[bytes]
-    ) -> None:
-        """Serve a run of pipelined get/gets as one batch.
-
-        Every per-command control-plane step — command counting, audits,
-        admission, clock ticks, per-command reply frames (each with its
-        own END) — happens exactly as on the sequential path and in the
-        same order; only the cache lookups fuse into one ``get_many``
-        (the reply frames share the read's one socket write either way).
-        Clock ticks stay interleaved with admission so an injected
-        tick-driven admission controller sees the same clock it would
-        have sequentially (command execution never advances the clock).
-        Overload refusals take their place in the reply stream in
-        command order.
-        """
-        plan: List[Tuple[Command, bool]] = []
-        admitted: List[Command] = []
-        for command in commands:
-            self._count_command()
-            ok = self.admission.admit(
-                zzone_bound=self._zzone_bound(command), inflight=self._inflight
-            )
-            plan.append((command, ok))
-            if ok:
-                admitted.append(command)
-                if self._tick is not None:
-                    self._tick(TICK_SECONDS)
-        replies: List[bytes] = []
-        if admitted:
-            keys = [key for command in admitted for key in command.keys]
-            self._inflight += 1
-            try:
-                if self._timer is not None:
-                    started = self._timer()
-                    values = self._get_many(keys)
-                    share = (self._timer() - started) / len(admitted)
-                    for _ in admitted:
-                        self._latency_hist.observe(share)
-                else:
-                    values = self._get_many(keys)
-                # No _fault_hook: bursts only form with no injector armed.
-            finally:
-                self._inflight -= 1
-            position = 0
-            for command in admitted:
-                count = len(command.keys)
-                self.stats.cmd_get += 1
-                replies.append(
-                    self._render_get(command, values[position : position + count])
-                )
-                position += count
-        reply_iter = iter(replies)
-        out.extend(next(reply_iter) if ok else _OVERLOADED for _, ok in plan)
-        self._maybe_checkpoint()
-        # Sequential dispatch prunes the meta sidecar when the command
-        # counter hits a multiple of 4096; the burst checks whether the
-        # counter crossed one instead of landing exactly on it.
-        before = self.stats.commands - len(commands)
-        if (
-            before // 4096 != self.stats.commands // 4096
-            and len(self.meta) > 2 * self.cache.item_count + 64
-        ):
-            self.stats.meta_pruned += self.meta.prune(self.cache)
 
     # -- replica policy --------------------------------------------------------
 
@@ -944,9 +829,7 @@ class CacheServer:
         ``values[i]`` is the cache's answer for ``command.keys[i]``
         (memcached semantics: hits and misses are counted per *key*, not
         per command — a ``get a b c`` with one hit is 1 get_hits +
-        2 get_misses).  Shared by the sequential path, the multi-key
-        ``get_many`` path, and burst coalescing, so accounting cannot
-        drift between them.
+        2 get_misses).
         """
         chunks = []
         with_cas = command.name == "gets"
@@ -977,17 +860,11 @@ class CacheServer:
         if command.name in ("get", "gets"):
             self.stats.cmd_get += 1
             keys = command.keys
-            if (
-                len(keys) > 1
-                and self.config.batch_reads
-                and self._get_many is not None
-            ):
+            if len(keys) > 1:
                 # One batch shares Z-zone block decodes across the keys;
-                # single-key GETs keep the plain path (nothing to share).
-                return self._render_get(command, self._get_many(keys))
-            return self._render_get(
-                command, [self.cache.get(key) for key in keys]
-            )
+                # a single key has nothing to share.
+                return self._render_get(command, self.cache.get_many(keys))
+            return self._render_get(command, [self.cache.get(keys[0])])
         if command.name == "set":
             self.stats.cmd_set += 1
             return self._store(command)

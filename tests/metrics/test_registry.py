@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.metrics import (
-    NULL_INSTRUMENT,
     Counter,
     Gauge,
     Histogram,
@@ -142,18 +141,6 @@ class TestRegistry:
         golden = registry.snapshot(include_timing=False)
         assert "wall_seconds" in full and "lat" in full
         assert set(golden) == {"steady"}
-
-    def test_disabled_registry_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("c")
-        assert counter is NULL_INSTRUMENT
-        counter.inc()
-        registry.histogram("h").observe(1.0)
-        registry.view("v", lambda: 1)
-        registry.mount("p", object())
-        assert registry.snapshot() == {}
-        assert registry.to_prometheus() == ""
-        assert not registry
 
     def test_summary_flattens_histograms(self):
         registry = MetricsRegistry()

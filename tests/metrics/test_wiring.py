@@ -152,15 +152,6 @@ class TestReplayMetrics:
         assert first == second
         assert "replay_request_seconds" not in first  # timing excluded
 
-    def test_disabled_registry_costs_nothing_and_records_nothing(self):
-        clock = VirtualClock()
-        cache = ZExpander(
-            ZExpanderConfig(total_capacity=48 * 1024, seed=5), clock=clock
-        )
-        registry = MetricsRegistry(enabled=False)
-        run_small_replay(cache, clock, registry=registry)
-        assert registry.snapshot() == {}
-
 
 class TestAuditorMetrics:
     def test_audits_counted_in_registry(self):

@@ -11,6 +11,15 @@ from repro.server.admission import (
 )
 
 
+def z_bound() -> bool:
+    """``admit``'s pre-check for a request the Z-zone would serve."""
+    return True
+
+
+def n_bound() -> bool:
+    return False
+
+
 def controller(rate=10.0, burst=5.0, soft=4, hard=8, low=2, dt=1.0):
     """A controller whose bucket gains ``rate * dt`` tokens per request."""
     config = AdmissionConfig(
@@ -61,14 +70,14 @@ class TestStateMachine:
     def test_healthy_admits_with_tokens(self):
         ctl = controller(rate=100.0, burst=10.0)
         for _ in range(20):
-            assert ctl.admit(zzone_bound=True, inflight=0)
+            assert ctl.admit(zzone_bound=z_bound, inflight=0)
         assert ctl.state is ServerState.HEALTHY
         assert ctl.stats.shed_total == 0
 
     def test_token_exhaustion_enters_shedding(self):
         # 0.1 tokens/request: the burst of 3 goes fast, then starvation.
         ctl = controller(rate=0.1, burst=3.0)
-        outcomes = [ctl.admit(zzone_bound=False, inflight=0) for _ in range(6)]
+        outcomes = [ctl.admit(zzone_bound=n_bound, inflight=0) for _ in range(6)]
         assert outcomes[:3] == [True, True, True]
         assert not all(outcomes[3:])
         assert ctl.state is ServerState.SHEDDING
@@ -78,15 +87,15 @@ class TestStateMachine:
         ctl = controller(rate=0.5, burst=2.0)
         # Exhaust the burst.
         while ctl.state is ServerState.HEALTHY:
-            ctl.admit(zzone_bound=False, inflight=0)
+            ctl.admit(zzone_bound=n_bound, inflight=0)
         # Now alternating traffic: Z-bound always shed, N-bound admitted
         # whenever the half-token-per-request trickle affords one.
         z_admitted = sum(
-            ctl.admit(zzone_bound=True, inflight=ctl.config.inflight_soft)
+            ctl.admit(zzone_bound=z_bound, inflight=ctl.config.inflight_soft)
             for _ in range(10)
         )
         n_admitted = sum(
-            ctl.admit(zzone_bound=False, inflight=ctl.config.inflight_soft)
+            ctl.admit(zzone_bound=n_bound, inflight=ctl.config.inflight_soft)
             for _ in range(10)
         )
         assert z_admitted == 0
@@ -95,28 +104,28 @@ class TestStateMachine:
 
     def test_soft_watermark_triggers_shedding_even_with_tokens(self):
         ctl = controller(rate=1000.0, burst=100.0, soft=4, hard=8)
-        assert ctl.admit(zzone_bound=False, inflight=4)
-        assert not ctl.admit(zzone_bound=True, inflight=5)
+        assert ctl.admit(zzone_bound=n_bound, inflight=4)
+        assert not ctl.admit(zzone_bound=z_bound, inflight=5)
         assert ctl.state is ServerState.SHEDDING
 
     def test_hard_cap_is_brick_wall_for_everything(self):
         ctl = controller(rate=1000.0, burst=100.0, soft=4, hard=8)
-        assert not ctl.admit(zzone_bound=False, inflight=8)
+        assert not ctl.admit(zzone_bound=n_bound, inflight=8)
         assert ctl.state is ServerState.BRICK_WALL
         # Even cheap N-zone work is refused while inflight stays high.
-        assert not ctl.admit(zzone_bound=False, inflight=7)
+        assert not ctl.admit(zzone_bound=n_bound, inflight=7)
         assert ctl.stats.shed_brick_wall >= 1
 
     def test_brick_wall_steps_down_then_recovers(self):
         ctl = controller(rate=1000.0, burst=100.0, soft=4, hard=8, low=2)
-        ctl.admit(zzone_bound=False, inflight=8)
+        ctl.admit(zzone_bound=n_bound, inflight=8)
         assert ctl.state is ServerState.BRICK_WALL
         # Backlog drains below the low watermark: step down to SHEDDING
         # (the triggering request is still refused).
-        assert not ctl.admit(zzone_bound=False, inflight=1)
+        assert not ctl.admit(zzone_bound=n_bound, inflight=1)
         assert ctl.state is ServerState.SHEDDING
         # With a fat refill rate the very next non-Z admit recovers.
-        assert ctl.admit(zzone_bound=False, inflight=1)
+        assert ctl.admit(zzone_bound=n_bound, inflight=1)
         assert ctl.state is ServerState.HEALTHY
         assert ctl.stats.recovered_healthy == 1
 
@@ -128,14 +137,15 @@ class TestStateMachine:
         ctl = controller(rate=2.0, burst=4.0, soft=3, hard=6, low=1)
         for _ in range(500):
             inflight = rng.randrange(0, 10)
-            admitted = ctl.admit(zzone_bound=rng.random() < 0.5, inflight=inflight)
+            bound = z_bound if rng.random() < 0.5 else n_bound
+            admitted = ctl.admit(zzone_bound=bound, inflight=inflight)
             if inflight >= ctl.config.inflight_hard:
                 assert not admitted
         assert ctl.stats.admitted + ctl.stats.shed_total == 500
 
     def test_stats_dict_shape(self):
         ctl = controller()
-        ctl.admit(zzone_bound=False, inflight=0)
+        ctl.admit(zzone_bound=n_bound, inflight=0)
         stats = ctl.stats.as_dict()
         assert stats["admitted"] == 1
         assert set(stats) >= {

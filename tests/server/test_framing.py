@@ -2,8 +2,8 @@
 
 What a client gets back, and what the server counts, must depend on the
 bytes it sent and not on how TCP happened to cut them up: the callback
-data plane parses, parks, coalesces and flushes per ``data_received``,
-so every one of those steps is a chance to let a segment boundary show.
+data plane parses, parks and flushes per ``buffer_updated``, so every
+one of those steps is a chance to let a segment boundary show.
 One seeded script of mixed frames is sent as one segment, a byte at a
 time, and at random cuts; the three reply streams must be identical
 byte for byte and the three servers' counters equal.
@@ -18,10 +18,10 @@ from .test_server import make_cache, running_server
 
 MAX_VALUE_BYTES = 256
 
-#: Counters that legitimately follow the framing (coalescing only fuses
-#: GETs that arrive together) or the wall clock.
-_FRAMING_DEPENDENT = ("metrics_", "fastpath_", "cache_get_many_batches",
-                      "cache_batched_keys")
+#: The one family that follows the wall clock (latency histograms).
+#: Every cache counter is in the property: the dispatch unit is one
+#: command, however the commands arrived.
+_FRAMING_DEPENDENT = ("metrics_",)
 
 
 def build_script(seed: int) -> bytes:

@@ -1,10 +1,10 @@
-"""Multi-key GET: per-key accounting, batching, and burst coalescing.
+"""Multi-key GET: per-key accounting, batching, and pipelined singles.
 
 Pins memcached's per-*key* accounting on multi-key GETs (``get a b c``
 with one resident key is 1 ``get_hits`` + 2 ``get_misses`` but a single
-``cmd_get``) and verifies the batched read path — native multi-key
-``get`` through ``get_many`` and server-side coalescing of pipelined
-single-key GET bursts — answers byte-for-byte like the sequential path.
+``cmd_get``), that a native multi-key ``get`` is the one request shape
+that reaches ``get_many``, and that pipelined single-key GETs are served
+command by command: own reply frame each, no batch formed.
 """
 
 import asyncio
@@ -26,9 +26,9 @@ async def _store(writer, reader, key: bytes, value: bytes) -> None:
 class TestPerKeyAccounting:
     """Satellite regression: hits/misses count per key, not per command."""
 
-    def _scenario(self, batch_reads: bool):
+    def test_per_key_counts(self):
         async def run():
-            async with running_server(batch_reads=batch_reads) as server:
+            async with running_server() as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -53,12 +53,6 @@ class TestPerKeyAccounting:
 
         asyncio.run(run())
 
-    def test_per_key_counts_batched(self):
-        self._scenario(batch_reads=True)
-
-    def test_per_key_counts_sequential(self):
-        self._scenario(batch_reads=False)
-
     def test_multikey_get_counts_as_one_batch(self):
         async def run():
             async with running_server() as server:
@@ -78,10 +72,10 @@ class TestPerKeyAccounting:
         asyncio.run(run())
 
 
-class TestBurstCoalescing:
+class TestPipelinedGets:
     def test_pipelined_gets_reply_per_command(self):
-        """A one-write burst of single-key GETs coalesces server-side
-        but each command keeps its own reply frame (own END)."""
+        """A one-write burst of single-key GETs: each command keeps its
+        own reply frame (own END) and its own cache lookup."""
 
         async def run():
             async with running_server() as server:
@@ -101,20 +95,21 @@ class TestBurstCoalescing:
                     b"END\r\n"
                     b"VALUE pk2 0 2\r\nbb\r\nEND\r\n"
                 )
-                # Coalesced, yet counted command by command.
                 assert server.stats.commands == commands_before + 3
                 assert server.stats.cmd_get == 3
                 assert server.stats.get_hits == 2
                 assert server.stats.get_misses == 1
-                assert server.cache.stats.get_many_batches == 1
-                assert server.cache.stats.batched_keys == 3
+                # Arriving together fuses nothing: only a multi-key
+                # command forms a batch.
+                assert server.cache.stats.get_many_batches == 0
+                assert server.cache.stats.batched_keys == 0
                 writer.close()
 
         asyncio.run(run())
 
     def test_mixed_burst_splits_around_writes(self):
-        """get, set, get in one write: the SET breaks the run, replies
-        arrive in order, nothing is lost."""
+        """get, set, get in one write: the second GET sees the SET,
+        replies arrive in order, nothing is lost."""
 
         async def run():
             async with running_server() as server:

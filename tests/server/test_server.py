@@ -2,9 +2,8 @@
 
 import asyncio
 import contextlib
+import random
 import socket
-
-import pytest
 
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
@@ -21,12 +20,12 @@ def make_cache(capacity=256 * 1024, shards=0, seed=11):
 
 
 @contextlib.asynccontextmanager
-async def running_server(cache=None, **config_kwargs):
+async def running_server(cache=None, admission=None, **config_kwargs):
     """A started CacheServer on an ephemeral port, drained on exit."""
     if cache is None:
         cache = make_cache()
     config_kwargs.setdefault("port", 0)
-    server = CacheServer(cache, ServerConfig(**config_kwargs))
+    server = CacheServer(cache, ServerConfig(**config_kwargs), admission=admission)
     await server.start()
     task = asyncio.create_task(server.run())
     try:
@@ -226,8 +225,7 @@ class TestRobustness:
 
         asyncio.run(scenario())
 
-    @pytest.mark.parametrize("batch_reads", [False, True])
-    def test_slow_reader_is_dropped_and_buffering_stays_bounded(self, batch_reads):
+    def test_slow_reader_is_dropped_and_buffering_stays_bounded(self):
         """A peer that pipelines big GETs and never reads costs one
         connection and a bounded buffer — not the loop, not the heap."""
 
@@ -237,9 +235,7 @@ class TestRobustness:
             frame = b"get big\r\n"
             pipelined = 600  # ~9.6 MB of replies into a 4 KiB receive window
             cache = make_cache(capacity=4 << 20)
-            async with running_server(
-                cache, write_timeout=0.4, batch_reads=batch_reads
-            ) as server:
+            async with running_server(cache, write_timeout=0.4) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -255,9 +251,6 @@ class TestRobustness:
                 slow.setblocking(False)
                 await loop.sock_connect(slow, ("127.0.0.1", server.port))
                 await loop.sock_sendall(slow, frame * pipelined)
-                # The dispatch unit is one command — or, coalesced, the
-                # GETs of one 64 KiB read.
-                unit = reply_len * (pipelined if batch_reads else 1)
                 started = loop.time()
                 peak = 0
                 while server.stats.write_timeouts == 0:
@@ -273,7 +266,8 @@ class TestRobustness:
                     assert reply == b"VALUE small 0 2\r\nok\r\nEND\r\n"
                     await asyncio.sleep(0.01)
                 high_water = 64 * 1024
-                assert high_water < peak <= high_water + 64 * 1024 + unit
+                # Early flush at 64 KiB, and the dispatch unit is one command.
+                assert high_water < peak <= high_water + 64 * 1024 + reply_len
                 await asyncio.sleep(0.05)
                 assert server.stats.connections_current == 1
                 assert server.stats.write_timeouts == 1
@@ -351,6 +345,85 @@ class TestRobustness:
             server.begin_drain()
             await task
             assert server.admission.stats.shed_total == 3
+
+        asyncio.run(scenario())
+
+
+class _CountingCache(ZExpander):
+    """Counts the shedder's Content-Filter pre-checks."""
+
+    routes_calls = 0
+
+    def routes_to_zzone(self, key):
+        self.routes_calls += 1
+        return super().routes_to_zzone(key)
+
+
+class TestZZonePreCheck:
+    """The pre-check runs only where ``admit`` reads its answer."""
+
+    KEYS = 600
+
+    def _cache(self):
+        # A tenth of the capacity is N-zone: most keys live compressed.
+        cache = _CountingCache(
+            ZExpanderConfig(
+                total_capacity=192 * 1024, nzone_fraction=0.1,
+                adaptive=False, seed=11,
+            )
+        )
+        for index in range(self.KEYS):
+            cache.set(b"key:%04d" % index, b"value-%04d-" % index * 8)
+        assert cache.zzone.item_count > self.KEYS // 2
+        return cache
+
+    def _starved(self):
+        # 0.6 tokens per request: HEALTHY drains the burst, SHEDDING
+        # refills it on every Z-bound GET it drops, and so on round.
+        return AdmissionController(
+            AdmissionConfig(rate=0.6, burst=20),
+            now=TickClock(1.0),
+        )
+
+    async def _gets(self, server, count):
+        """``count`` depth-1 GETs, half on 20 hot keys, half uniform."""
+        rng = random.Random(5)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        for _ in range(count):
+            span = 20 if rng.random() < 0.5 else self.KEYS
+            writer.write(b"get key:%04d\r\n" % rng.randrange(span))
+            reply = await reader.readline()
+            if reply.startswith(b"VALUE"):
+                await reader.readuntil(b"END\r\n")
+            else:
+                assert reply in (b"END\r\n", b"SERVER_ERROR overloaded\r\n")
+        writer.close()
+
+    def test_healthy_server_never_asks(self):
+        async def scenario():
+            cache = self._cache()
+            async with running_server(cache) as server:
+                await self._gets(server, 200)
+                assert server.healthy
+                assert server.admission.stats.admitted == 200
+            assert cache.routes_calls == 0
+
+        asyncio.run(scenario())
+
+    def test_shedding_server_asks_and_sheds_as_before(self):
+        async def scenario():
+            cache = self._cache()
+            async with running_server(cache, admission=self._starved()) as server:
+                await self._gets(server, 400)
+                shed = server.admission.stats
+            assert cache.routes_calls >= 1
+            # Pinned from the commit before the pre-check became lazy:
+            # the request that trips HEALTHY -> SHEDDING is judged by
+            # the SHEDDING branch in the same call, so none of these moved.
+            assert (shed.shed_total, shed.shed_zzone, shed.shed_saturated) == (
+                141, 137, 4
+            )
+            assert shed.admitted + shed.shed_total == 400
 
         asyncio.run(scenario())
 

@@ -78,21 +78,6 @@ class TestStatsRoundTrip:
 
         asyncio.run(scenario())
 
-    def test_metrics_disabled_server_still_serves_stats(self):
-        async def scenario():
-            server, task = await start_server(metrics=False)
-            client = MemcacheClient(port=server.port)
-            await client.set(b"k", b"v")
-            wire = await client.stats()
-            assert "curr_items" in wire
-            # The registry is a no-op: no metrics_* keys at all.
-            assert not any(name.startswith("metrics_") for name in wire)
-            await client.close()
-            server.begin_drain()
-            await task
-
-        asyncio.run(scenario())
-
     def test_prometheus_endpoint_renders(self):
         async def scenario():
             server, task = await start_server()
