@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import NodeDownError, ProtocolError, ServingError
 from repro.metrics.registry import merge_snapshots
-from repro.server.client import MemcacheClient, RetryPolicy
+from repro.server.client import MemcacheClient, RetryPolicy, stat_value
 
 Address = Tuple[str, int]
 
@@ -230,17 +230,10 @@ class ClusterClient:
             except _NODE_DOWN_ERRORS:
                 continue
             nodes_up += 1
-            numeric: Dict[str, object] = {}
-            for name, text in raw.items():
-                try:
-                    value = int(text)
-                except ValueError:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        continue
-                numeric[name] = value
-            snapshots.append(numeric)
+            typed = {name: stat_value(text) for name, text in raw.items()}
+            snapshots.append(
+                {n: value for n, value in typed.items() if not isinstance(value, str)}
+            )
         merged = merge_snapshots(snapshots)
         merged["cluster_nodes"] = len(self._clients)
         merged["cluster_nodes_up"] = nodes_up

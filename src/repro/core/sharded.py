@@ -20,8 +20,7 @@ from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import hash_key
 from repro.core.config import ZExpanderConfig
-from repro.core.stats import ZExpanderStats
-from repro.core.zexpander import ZExpander
+from repro.core.zexpander import ZExpander, additive_views
 
 
 class ShardedZExpander:
@@ -146,99 +145,23 @@ class ShardedZExpander:
     def item_count(self) -> int:
         return sum(shard.item_count for shard in self.shards)
 
-    def aggregate_stats(self) -> ZExpanderStats:
-        """Fleet-wide counter totals."""
-        total = ZExpanderStats()
-        for shard in self.shards:
-            for name, value in vars(shard.stats).items():
-                setattr(total, name, getattr(total, name) + value)
-        return total
-
-    def aggregate_integrity(self) -> Dict[str, int]:
-        """Fleet-wide Z-zone integrity counters (chaos/ops dashboards)."""
-        names = (
-            "checksum_failures",
-            "staged_checksum_failures",
-            "codec_failures",
-            "codec_fallbacks",
-            "quarantined_blocks",
-            "quarantined_items",
-            "quarantined_bytes",
-            "emergency_sweeps",
-        )
-        totals = {name: 0 for name in names}
-        for shard in self.shards:
-            stats = shard.zzone.stats
-            for name in names:
-                totals[name] += getattr(stats, name)
-        return totals
-
-    def aggregate_fastpath(self) -> Dict[str, int]:
-        """Fleet-wide Z-zone fast-path counters (staging + container cache)."""
-        names = (
-            "staged_puts",
-            "staging_flushes",
-            "container_cache_hits",
-            "container_cache_misses",
-            "container_decodes_saved",
-        )
-        totals = {name: 0 for name in names}
-        for shard in self.shards:
-            stats = shard.zzone.stats
-            for name in names:
-                totals[name] += getattr(stats, name)
-        totals["container_cache_bytes"] = sum(
-            shard.zzone.container_cache_bytes() for shard in self.shards
-        )
-        return totals
-
     def bind_metrics(self, registry, prefix: str = "cache") -> None:
         """Mount fleet-wide totals into a metrics registry.
 
-        Per-field views sum lazily over the shards at snapshot time, so
-        the fleet exposes the same metric names a single instance does
-        (plus shard-shape gauges) and per-shard hot paths stay untouched.
+        Every additive view a single instance binds, read as its sum
+        over the shards at snapshot time (per-shard hot paths stay
+        untouched), plus the two shard-shape gauges.  The locality
+        benchmark is not among them: see ``ZExpander.bind_metrics``.
         """
-
-        def summed(group: str, field: str):
-            if group == "stats":
-                return lambda: sum(
-                    getattr(shard.stats, field) for shard in self.shards
-                )
-            return lambda: sum(
-                getattr(shard.zzone.stats, field) for shard in self.shards
-            )
-
-        for field in sorted(vars(self.shards[0].stats)):
+        shards = self.shards
+        for suffix, reader, help in additive_views(shards[0]):
             registry.view(
-                f"{prefix}_{field}",
-                summed("stats", field),
-                f"fleet total of ZExpanderStats.{field}",
+                f"{prefix}_{suffix}",
+                lambda reader=reader: sum(map(reader, shards)),
+                help,
             )
-        for field in sorted(vars(self.shards[0].zzone.stats)):
-            registry.view(
-                f"{prefix}_zzone_{field}",
-                summed("zzone", field),
-                f"fleet total of ZZoneStats.{field}",
-            )
-        registry.view(
-            f"{prefix}_used_bytes", lambda: self.used_bytes, "resident bytes"
-        )
-        registry.view(
-            f"{prefix}_capacity_bytes", lambda: self.capacity, "total budget"
-        )
-        registry.view(
-            f"{prefix}_item_count", lambda: self.item_count, "resident items"
-        )
         registry.view(
             f"{prefix}_shards", lambda: self.num_shards, "shard count"
-        )
-        registry.view(
-            f"{prefix}_zzone_container_cache_bytes",
-            lambda: sum(
-                shard.zzone.container_cache_bytes() for shard in self.shards
-            ),
-            "fleet decompressed-container cache scratch bytes",
         )
         registry.view(
             f"{prefix}_shard_imbalance",

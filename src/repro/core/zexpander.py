@@ -18,7 +18,9 @@ Request routing (§3):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ItemTooLargeError
@@ -31,6 +33,47 @@ from repro.core.stats import ZExpanderStats
 from repro.nzone.base import EvictedItem, NZone
 from repro.nzone.hpcache import HPCacheZone
 from repro.zzone.zzone import ZZone
+
+
+def additive_views(cache: "ZExpander") -> List[Tuple[str, Callable, str]]:
+    """Every number an instance reports that adds up across instances,
+    as (metric suffix, reader of one instance, help).
+
+    The one list both bindings are built from: ``ZExpander.bind_metrics``
+    registers each reader over itself, ``ShardedZExpander.bind_metrics``
+    its sum over the shards, so a fleet and a single cache expose the
+    same names.  ``cache`` only decides which entries apply (the
+    allocator's target exists under ``adaptive`` alone).
+    """
+
+    def fields(prefix: str, path: str, stats) -> list:
+        owner = type(stats).__name__
+        return [
+            (prefix + name, attrgetter(f"{path}.{name}"), f"{owner}.{name}")
+            for name in vars(stats)
+        ]
+
+    views = fields("", "stats", cache.stats)
+    views += fields("zzone_", "zzone.stats", cache.zzone.stats)
+    views += [
+        ("used_bytes", attrgetter("used_bytes"), "resident bytes"),
+        ("capacity_bytes", attrgetter("capacity"), "total budget"),
+        ("item_count", attrgetter("item_count"), "resident items"),
+        ("nzone_capacity_bytes", attrgetter("nzone.capacity"),
+         "current N-zone budget (moves under adaptation)"),
+        ("zzone_capacity_bytes", attrgetter("zzone.capacity"),
+         "current Z-zone budget (moves under adaptation)"),
+        ("zzone_container_cache_bytes",
+         lambda cache: cache.zzone.container_cache_bytes(),
+         "decompressed-container cache scratch bytes (not charged "
+         "to the cache budget)"),
+    ]
+    if cache.allocator is not None:
+        views.append(
+            ("nzone_target_bytes", attrgetter("allocator.nzone_target"),
+             "adaptive allocator's N-zone target")
+        )
+    return views
 
 
 class ZExpander:
@@ -257,44 +300,16 @@ class ZExpander:
         snapshot-time view — the request path keeps its plain attribute
         increments, so binding costs nothing per operation.
         """
-        registry.mount(prefix, self.stats)
-        registry.mount(f"{prefix}_zzone", self.zzone.stats)
-        registry.view(
-            f"{prefix}_used_bytes", lambda: self.used_bytes, "resident bytes"
-        )
-        registry.view(
-            f"{prefix}_capacity_bytes", lambda: self.capacity, "total budget"
-        )
-        registry.view(
-            f"{prefix}_item_count", lambda: self.item_count, "resident items"
-        )
-        registry.view(
-            f"{prefix}_nzone_capacity_bytes",
-            lambda: self.nzone.capacity,
-            "current N-zone budget (moves under adaptation)",
-        )
-        registry.view(
-            f"{prefix}_zzone_capacity_bytes",
-            lambda: self.zzone.capacity,
-            "current Z-zone budget (moves under adaptation)",
-        )
+        for suffix, reader, help in additive_views(self):
+            registry.view(f"{prefix}_{suffix}", partial(reader, self), help)
+        # Not in the additive list: a re-use-time threshold is each
+        # instance's own measurement of its own N-zone, and the sum (or
+        # mean) of four shards' thresholds is nobody's benchmark.
         registry.view(
             f"{prefix}_locality_benchmark_seconds",
             lambda: self.benchmark.value or 0.0,
             "marker-measured re-use-time benchmark (0 until first sample)",
         )
-        registry.view(
-            f"{prefix}_zzone_container_cache_bytes",
-            lambda: self.zzone.container_cache_bytes(),
-            "decompressed-container cache scratch bytes (not charged "
-            "to the cache budget)",
-        )
-        if self.allocator is not None:
-            registry.view(
-                f"{prefix}_nzone_target_bytes",
-                lambda: self.allocator.nzone_target,
-                "adaptive allocator's N-zone target",
-            )
 
     # -- internals -------------------------------------------------------------
 
@@ -404,14 +419,6 @@ class ZExpander:
             if self.zzone.maybe_contains(key, hashed):
                 self.zzone.delete(key, hashed)
             self.stats.expirations += 1
-
-    def _maybe_issue_marker(self, now: float) -> None:
-        if self._last_marker_time is None:
-            self._last_marker_time = now
-            return
-        if now - self._last_marker_time < self._marker_interval:
-            return
-        self._issue_marker(now)
 
     def _issue_marker(self, now: float) -> None:
         self._last_marker_time = now

@@ -731,30 +731,20 @@ def run_cluster_command(args) -> int:
 
 def render_stats(stats: Dict[str, str], fmt: str) -> str:
     """Render a ``stats`` reply as kv lines, JSON, or Prometheus text."""
+    from repro.server.client import stat_value
+
     if fmt == "json":
         import json
 
-        typed = {}
-        for name in sorted(stats):
-            value = stats[name]
-            try:
-                typed[name] = int(value)
-            except ValueError:
-                try:
-                    typed[name] = float(value)
-                except ValueError:
-                    typed[name] = value
+        typed = {name: stat_value(text) for name, text in stats.items()}
         return json.dumps(typed, indent=2, sort_keys=True)
     if fmt == "prom":
-        lines = []
-        for name in sorted(stats):
-            value = stats[name]
-            try:
-                float(value)
-            except ValueError:
-                continue  # prom exposition carries numbers only
-            lines.append(f"repro_{name} {value}")
-        return "\n".join(lines)
+        # prom exposition carries numbers only
+        return "\n".join(
+            f"repro_{name} {stats[name]}"
+            for name in sorted(stats)
+            if not isinstance(stat_value(stats[name]), str)
+        )
     width = max(len(name) for name in stats) if stats else 0
     return "\n".join(f"{name:<{width}}  {stats[name]}" for name in sorted(stats))
 

@@ -37,6 +37,7 @@ from repro.experiments.common import (
 )
 from repro.faults.auditor import InvariantAuditor
 from repro.faults.plan import FaultPlan
+from repro.zzone.zzone import INTEGRITY_FIELDS
 
 #: A quarantined or squeeze-evicted item may cost a few extra misses
 #: (the demand-filled copy can be evicted again under pressure); the
@@ -106,17 +107,7 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-_INTEGRITY_COUNTERS = (
-    "checksum_failures",
-    "staged_checksum_failures",
-    "codec_failures",
-    "codec_fallbacks",
-    "quarantined_blocks",
-    "quarantined_items",
-    "quarantined_bytes",
-    "emergency_sweeps",
-    "evicted_items",
-)
+_INTEGRITY_COUNTERS = INTEGRITY_FIELDS + ("evicted_items",)
 
 
 def run_chaos(

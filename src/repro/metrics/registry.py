@@ -20,13 +20,13 @@ and replay timings.  Three design rules shape it:
   request sequence renders byte-identical exposition text (timing
   instruments are flagged and can be excluded for golden comparisons).
 
-Rendering is dual: ``to_json()`` for tooling, ``to_prometheus()`` for
-the conventional text exposition format.
+Rendering: ``snapshot()`` is the plain data, ``summary()`` its flat
+key/value form (the ``stats`` wire reply), ``to_prometheus()`` the
+conventional text exposition format.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence
@@ -232,26 +232,15 @@ class MetricsRegistry:
         bounds: Optional[Sequence[float]] = None,
         timing: bool = False,
     ):
-        if name in self._instruments:
-            return self._existing(Histogram, name)
-        instrument = Histogram(name, help, bounds)
-        self._instruments[name] = instrument
-        if timing:
-            self._timing.add(name)
-        return instrument
+        return self._register(Histogram, name, help, timing, bounds)
 
-    def _register(self, cls, name: str, help: str, timing: bool):
-        if name in self._instruments:
-            return self._existing(cls, name)
-        instrument = cls(name, help)
-        self._instruments[name] = instrument
-        if timing:
-            self._timing.add(name)
-        return instrument
-
-    def _existing(self, cls, name: str):
-        instrument = self._instruments[name]
-        if not isinstance(instrument, cls):
+    def _register(self, cls, name: str, help: str, timing: bool, *args):
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = cls(name, help, *args)
+            if timing:
+                self._timing.add(name)
+        elif not isinstance(instrument, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {type(instrument).__name__}"
             )
@@ -280,20 +269,13 @@ class MetricsRegistry:
         if timing:
             self._timing.add(name)
 
-    def mount(
-        self,
-        prefix: str,
-        obj,
-        fields: Optional[Sequence[str]] = None,
-        replace: bool = False,
-    ) -> None:
+    def mount(self, prefix: str, obj, replace: bool = False) -> None:
         """Mount every numeric field of a stats dataclass as a view.
 
         The object stays the mutation site (its hot-path increments are
         untouched); the registry reads ``getattr(obj, field)`` lazily.
         """
-        names = fields if fields is not None else sorted(vars(obj))
-        for field in names:
+        for field in vars(obj):
             if field.startswith("_"):
                 continue
             value = getattr(obj, field)
@@ -335,13 +317,6 @@ class MetricsRegistry:
                 out[name] = instrument.value
         return out
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(
-            self.snapshot(include_timing=include_timing),
-            indent=2,
-            sort_keys=True,
-        )
-
     def to_prometheus(self, include_timing: bool = True) -> str:
         """Prometheus-style text exposition (no labels, ``le`` excepted)."""
         lines: List[str] = []
@@ -373,21 +348,18 @@ class MetricsRegistry:
         instrument = self._instruments[name]
         return instrument.help, instrument.kind
 
-    def summary(
-        self, include_timing: bool = True, views: bool = True
-    ) -> Dict[str, object]:
+    def is_view(self, name: str) -> bool:
+        """Is ``name`` a mounted view (as opposed to an owned instrument)?"""
+        return name in self._views
+
+    def summary(self, include_timing: bool = True) -> Dict[str, object]:
         """Flat numeric mapping for ``stats``-style key/value exposition.
 
         Histograms flatten to ``_count``/``_sum``/``_p50``/``_p99``
         suffixes so every value is a single parseable number.
-        ``views=False`` keeps only owned instruments — callers that
-        already expose the mounted state (e.g. the server's ``stats``
-        command) use it to avoid double-reporting.
         """
         out: Dict[str, object] = {}
         for name, value in self.snapshot(include_timing=include_timing).items():
-            if not views and name in self._views:
-                continue
             if isinstance(value, dict):
                 instrument = self._instruments[name]
                 out[f"{name}_count"] = value["count"]

@@ -122,18 +122,7 @@ class AdmissionStats:
     max_inflight: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "admitted": self.admitted,
-            "shed_total": self.shed_total,
-            "shed_zzone": self.shed_zzone,
-            "shed_saturated": self.shed_saturated,
-            "shed_brick_wall": self.shed_brick_wall,
-            "shed_lagging": self.shed_lagging,
-            "entered_shedding": self.entered_shedding,
-            "entered_brick_wall": self.entered_brick_wall,
-            "recovered_healthy": self.recovered_healthy,
-            "max_inflight": self.max_inflight,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -189,6 +178,8 @@ class AdmissionController:
             f"{prefix}_tokens",
             lambda: self.bucket.tokens,
             "token-bucket fill level",
+            # Refilled against ``now()``: the wall clock, in production.
+            timing=True,
         )
         registry.view(
             f"{prefix}_state_code",

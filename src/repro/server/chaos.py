@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
-from repro.core.stats import ZExpanderStats
 from repro.core.zexpander import ZExpander
 from repro.faults.plan import WIRE_SITES, FaultPlan, FaultSpec
 from repro.server.admission import AdmissionConfig, AdmissionController, TickClock
@@ -48,6 +47,7 @@ from repro.server.protocol import CRLF
 from repro.server.server import TICK_SECONDS, CacheServer, ServerConfig
 from repro.sim.costmodel import HIGH_PERFORMANCE_COSTS
 from repro.sim.perfsim import PerformanceModel, mix_from_stats
+from repro.zzone.zzone import INTEGRITY_FIELDS
 
 #: Degradation bound, matching the library chaos driver's contract: a
 #: damaged/evicted item may cost this many extra misses ...
@@ -197,30 +197,11 @@ class ServerChaosReport:
         return "\n".join(lines)
 
 
-def _aggregate_zzone(cache) -> Dict[str, int]:
-    shards = getattr(cache, "shards", None) or [cache]
-    names = (
-        "checksum_failures",
-        "codec_failures",
-        "codec_fallbacks",
-        "quarantined_blocks",
-        "quarantined_items",
-        "quarantined_bytes",
-        "emergency_sweeps",
-        "evicted_items",
-    )
-    totals = {name: 0 for name in names}
-    for shard in shards:
-        for name in names:
-            totals[name] += getattr(shard.zzone.stats, name)
-    return totals
-
-
-def _stats_delta(after: ZExpanderStats, before: ZExpanderStats) -> ZExpanderStats:
-    delta = ZExpanderStats()
-    for name, value in vars(after).items():
-        setattr(delta, name, value - getattr(before, name))
-    return delta
+#: The Z-zone counters the report prints (and ``_judge`` weighs damage
+#: by), read from the server's registry as ``cache_zzone_<name>``.
+_ZZONE_REPORTED = tuple(
+    name for name in INTEGRITY_FIELDS if name != "staged_checksum_failures"
+) + ("evicted_items",)
 
 
 def run_server_chaos(
@@ -331,7 +312,10 @@ async def _run_server_chaos(
     await _verify_sweep(load_config, drivers, shared)
     shared.finalise()
     report.load = shared
-    report.zzone_counters = _aggregate_zzone(cache)
+    counters = server.registry.snapshot()
+    report.zzone_counters = {
+        name: counters[f"cache_zzone_{name}"] for name in _ZZONE_REPORTED
+    }
 
     # -- phase 2: drain, snapshot, warm restart --------------------------------
     server.begin_drain()
@@ -521,12 +505,10 @@ async def _overload_probe(seed: int) -> OverloadProbe:
                 yield PROBE_HOT_KEYS + rng.randrange(PROBE_KEYS - PROBE_HOT_KEYS)
 
     # Unloaded twin: same GET stream, admission wide open.
-    baseline_before = _snapshot_stats(cache)
+    baseline_before = cache.stats.snapshot()
     for key_id in op_stream():
         await get_key(key_id)
-    baseline_mix = mix_from_stats(
-        _stats_delta(_snapshot_stats(cache), baseline_before)
-    )
+    baseline_mix = mix_from_stats(cache.stats.delta(baseline_before))
 
     # Overloaded run: starved bucket, tick clock — 0.4 tokens/request.
     tight = AdmissionConfig(
@@ -536,17 +518,17 @@ async def _overload_probe(seed: int) -> OverloadProbe:
         inflight_hard=16,
         inflight_low=2,
     )
+    # The registry's admission_* views stay on the first controller;
+    # the probe reads the new one's stats directly.
     server.admission = AdmissionController(tight, now=TickClock(TICK_SECONDS))
     probe.inflight_hard = tight.inflight_hard
-    overload_before = _snapshot_stats(cache)
+    overload_before = cache.stats.snapshot()
     for key_id in op_stream():
         outcome = await get_key(key_id)
         probe.requests += 1
         if outcome == "overloaded":
             probe.overload_errors_seen += 1
-    overload_mix = mix_from_stats(
-        _stats_delta(_snapshot_stats(cache), overload_before)
-    )
+    overload_mix = mix_from_stats(cache.stats.delta(overload_before))
     stats = server.admission.stats
     probe.admitted = stats.admitted
     probe.shed_total = stats.shed_total
@@ -562,10 +544,3 @@ async def _overload_probe(seed: int) -> OverloadProbe:
     server.begin_drain()
     await run_task
     return probe
-
-
-def _snapshot_stats(cache) -> ZExpanderStats:
-    copy = ZExpanderStats()
-    for name, value in vars(cache.stats).items():
-        setattr(copy, name, value)
-    return copy

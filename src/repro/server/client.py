@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import (
     ConnectionDrainingError,
@@ -140,6 +140,18 @@ def _raise_for_error_line(line: bytes) -> None:
         raise ServingError(message)
     if line.startswith(b"CLIENT_ERROR") or line.startswith(b"ERROR"):
         raise ProtocolError(line.strip().decode("ascii", "replace"))
+
+
+def stat_value(text: str) -> Union[int, float, str]:
+    """One ``stats`` value as a number — int, else float — else its text
+    (``version``, ``state``, ``replication_role``).
+    :meth:`MemcacheClient.stats` itself returns the text as it came."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
 class MemcacheClient:

@@ -37,6 +37,12 @@ Robustness is the design driver, not protocol coverage:
   :class:`InvariantAuditor` re-verifies cache invariants every N
   commands so wire-driven chaos catches bookkeeping damage at the
   request that caused it.
+* **One stats surface** — every number the server reports is a view or
+  an instrument in ``server.registry``, registered by whichever
+  component owns the state; the ``stats`` reply is three text keys plus
+  ``registry.summary()`` under its wire names (:func:`wire_name`, the
+  one rename table).  Swallowed errors land in ``incidents``, whose
+  length is on that surface as ``incidents``.
 """
 
 from __future__ import annotations
@@ -49,8 +55,13 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
-from repro.common.errors import JournalError
-from repro.core.snapshot import LoadResult, load_snapshot, write_snapshot
+from repro.common.errors import CacheError, JournalError
+from repro.core.snapshot import (
+    LoadResult,
+    SnapshotError,
+    load_snapshot,
+    write_snapshot,
+)
 from repro.durability import DurabilityConfig, DurabilityManager
 from repro.faults.auditor import InvariantAuditor
 from repro.metrics import MetricsRegistry, log_buckets
@@ -68,6 +79,7 @@ from repro.server.admission import (
 )
 from repro.server.meta import ItemMetaStore
 from repro.server.protocol import BadCommand, Command, RequestParser
+from repro.zzone.zzone import FASTPATH_FIELDS, INTEGRITY_FIELDS
 
 #: Virtual-clock step per served command in deterministic ("tick") mode —
 #: matches the replay engine's default request rate of 100 k req/s.
@@ -78,6 +90,34 @@ _DRAINING = protocol.server_error("draining")
 _LAGGING = protocol.server_error("lagging")
 _READ_ONLY = protocol.server_error("read-only replica")
 PROMOTED = b"PROMOTED" + protocol.CRLF
+
+#: Registry name -> ``stats`` wire name, where the two differ: the names
+#: memcached fixed, the three the frozen ledger reads off the wire, and
+#: the two Z-zone families.  Every other view crosses under its registry
+#: name less ``server_`` (memcached's bare ``cmd_get``, ``get_hits``);
+#: an instrument the registry owns (histograms, auditor counters) gains
+#: ``metrics_``.
+_WIRE_NAMES = {
+    # Resident copies, not distinct keys: a key whose Z-zone copy awaits
+    # a postponed removal is counted in both zones.
+    "cache_item_count": "curr_items",
+    "cache_used_bytes": "bytes",
+    "cache_capacity_bytes": "limit_maxbytes",
+    "cache_get_hits_nzone": "cache_hits_nzone",
+    "cache_get_hits_zzone": "cache_hits_zzone",
+    "cache_get_misses": "cache_misses",
+    **{f"cache_zzone_{field}": f"integrity_{field}" for field in INTEGRITY_FIELDS},
+    **{f"cache_zzone_{field}": f"fastpath_{field}" for field in FASTPATH_FIELDS},
+    "cache_zzone_container_cache_bytes": "fastpath_container_cache_bytes",
+}
+
+
+def wire_name(name: str, owned: bool = False) -> str:
+    """The ``stats`` key of one ``registry.summary()`` entry."""
+    if owned:
+        return "metrics_" + name
+    return _WIRE_NAMES.get(name) or name.removeprefix("server_")
+
 
 #: Pending replies are written early once they reach this many bytes, so
 #: the transport's high-water mark gets its say inside a long pipeline.
@@ -376,12 +416,14 @@ class CacheServer:
         self.config = config if config is not None else ServerConfig()
         self.config.validate()
         self.cache = cache
-        # Per-request lookups resolved once: nothing rebinds these after
+        # What a served cache may lack (the ledger's dict-backed shell
+        # has none of them), resolved once: nothing rebinds these after
         # construction.  (The fault injector is NOT among them — chaos
         # harnesses arm injectors after the server is built.)
-        self._routes_to_zzone = getattr(cache, "routes_to_zzone", None)
-        self._shard_for = getattr(cache, "shard_for", None)
-        clock = getattr(cache, "clock", None)
+        self._routes_to_zzone, self._shard_for, clock, bind_cache = (
+            getattr(cache, name, None)
+            for name in ("routes_to_zzone", "shard_for", "clock", "bind_metrics")
+        )
         ticking = self.config.clock_mode == "tick" and clock is not None
         self._tick = clock.advance if ticking else None
         # Admission meters *real* arrival rates (wall clock) regardless of
@@ -415,11 +457,7 @@ class CacheServer:
             bounds=_payload_bounds,
         )
         self.registry.mount("server", self.stats)
-        self.registry.view(
-            "server_inflight", lambda: self._inflight, "requests executing now"
-        )
         self.admission.bind_metrics(self.registry)
-        bind_cache = getattr(cache, "bind_metrics", None)
         if bind_cache is not None:
             bind_cache(self.registry)
         self.auditor: Optional[InvariantAuditor] = (
@@ -435,7 +473,9 @@ class CacheServer:
         #: Journal-shipping replication; counters exist (zero-valued)
         #: even when replication is off so the stats wire is stable.
         self.replication_stats = ReplicationStats()
-        self.registry.mount("replication", self.replication_stats)
+        self.replication_stats.bind_metrics(
+            self.registry, lambda: self.repl_client, lambda: self.repl_source
+        )
         self.repl_source: Optional[ReplicationSource] = None
         self.repl_client: Optional[ReplicationClient] = None
         self._housekeeping: Optional[asyncio.Task] = None
@@ -448,6 +488,14 @@ class CacheServer:
         self._exit_code = 0
         #: Messages for post-mortems: invariant failures, snapshot issues.
         self.incidents: List[str] = []
+        # The server's own live values: with these, every number a
+        # ``stats`` reply carries is read from the registry.
+        view = self.registry.view
+        view("server_inflight", lambda: self._inflight, "requests executing now")
+        view("server_draining", lambda: int(self._draining), "1 once drain began")
+        view("server_incidents", lambda: len(self.incidents), "post-mortem messages")
+        view("server_meta_items", lambda: len(self.meta), "flags/CAS sidecar entries")
+        view("server_meta_bytes", lambda: self.meta.memory_bytes, "sidecar bytes")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -510,7 +558,9 @@ class CacheServer:
             )
         except FileNotFoundError:
             return
-        except Exception as exc:  # a bad snapshot must not block startup
+        except (SnapshotError, CacheError, OSError) as exc:
+            # Not a snapshot, an item the cache refused, an unreadable
+            # file: a bad snapshot must not block startup.
             self.incidents.append(f"snapshot load failed: {exc}")
             return
         self.stats.snapshot_loaded = result.loaded
@@ -593,7 +643,7 @@ class CacheServer:
                 self.stats.snapshot_written = write_snapshot(
                     self.cache, self.config.snapshot_path, meta=self.meta
                 )
-            except Exception as exc:
+            except Exception as exc:  # the drain must reach its exit code
                 self.incidents.append(f"snapshot write failed: {exc}")
                 self._exit_code = 1
         if self.durability is not None:
@@ -603,7 +653,7 @@ class CacheServer:
                 # Final checkpoint: the next start recovers from the image
                 # alone, with an empty journal to replay.
                 self.durability.close(self.cache)
-            except Exception as exc:
+            except Exception as exc:  # likewise
                 self.incidents.append(f"final checkpoint failed: {exc}")
                 self._exit_code = 1
         if self.stats.invariant_failures:
@@ -623,7 +673,7 @@ class CacheServer:
         if self.auditor is not None:
             try:
                 self.auditor.on_request(self.stats.commands)
-            except Exception as exc:
+            except Exception as exc:  # whatever the audit tripped over
                 self.stats.invariant_failures += 1
                 self.incidents.append(
                     f"invariant check failed at command "
@@ -634,7 +684,7 @@ class CacheServer:
         if self.durability is not None and self.durability.should_checkpoint():
             try:
                 self.durability.checkpoint(self.cache)
-            except Exception as exc:
+            except Exception as exc:  # not the triggering request's fault
                 self.incidents.append(f"checkpoint failed: {exc}")
 
     def _dispatch(
@@ -757,7 +807,7 @@ class CacheServer:
                     self.cache, catch_up_dir, position, meta=self.meta
                 )
                 self.replication_stats.catch_up_records += caught
-            except Exception as exc:
+            except Exception as exc:  # promote regardless: serve with loss
                 self.incidents.append(f"promotion catch-up failed: {exc}")
         self.config.role = "primary"
         self.replication_stats.promotions += 1
@@ -814,7 +864,11 @@ class CacheServer:
             return protocol.STORED
         try:
             self.cache.set(key, command.value, ttl=ttl, flags=command.flags)
-        except Exception as exc:
+        except (CacheError, OSError) as exc:
+            # What ``set`` can raise: an item no zone can hold, a rebuild
+            # no codec in the chain would compress, a closed or failing
+            # journal.  Anything else is a bug and ends the connection.
+            self.incidents.append(f"{command.name} failed: {exc!r}")
             return protocol.server_error(
                 f"{command.name} failed: {type(exc).__name__}"
             )
@@ -906,108 +960,18 @@ class CacheServer:
 
     # -- introspection ---------------------------------------------------------
 
-    def stats_dict(self) -> Dict[str, object]:
-        """The ``stats`` command's payload: server + admission + cache."""
+    def stats_dict(self, include_timing: bool = True) -> Dict[str, object]:
+        """The ``stats`` command's payload: three text keys, then the
+        whole registry under its wire names (:func:`wire_name`)."""
         out: Dict[str, object] = {
             "version": __version__,
             "state": self.admission.state.value,
-            "draining": int(self._draining),
-            "inflight": self._inflight,
+            "replication_role": self.config.role,
         }
-        for name, value in vars(self.stats).items():
-            out[name] = value
-        for name, value in self.admission.stats.as_dict().items():
-            out["admission_" + name] = value
-        # Resident copies, not distinct keys: a key whose Z-zone copy
-        # awaits a postponed removal is counted in both zones.
-        out["curr_items"] = self.cache.item_count
-        out["bytes"] = self.cache.used_bytes
-        out["limit_maxbytes"] = self.cache.capacity
-        out["meta_items"] = len(self.meta)
-        out["meta_bytes"] = self.meta.memory_bytes
-        cache_stats = getattr(self.cache, "stats", None)
-        if cache_stats is None and hasattr(self.cache, "aggregate_stats"):
-            cache_stats = self.cache.aggregate_stats()
-        if cache_stats is not None:
-            out["cache_gets"] = cache_stats.gets
-            out["cache_sets"] = cache_stats.sets
-            out["cache_hits_nzone"] = cache_stats.get_hits_nzone
-            out["cache_hits_zzone"] = cache_stats.get_hits_zzone
-            out["cache_misses"] = cache_stats.get_misses
-            out["cache_get_many_batches"] = cache_stats.get_many_batches
-            out["cache_batched_keys"] = cache_stats.batched_keys
-        integrity = getattr(self.cache, "aggregate_integrity", None)
-        if integrity is not None:
-            for name, value in integrity().items():
-                out["integrity_" + name] = value
-        else:
-            zzone = getattr(self.cache, "zzone", None)
-            if zzone is not None:
-                zstats = zzone.stats
-                for name in (
-                    "checksum_failures",
-                    "staged_checksum_failures",
-                    "codec_failures",
-                    "codec_fallbacks",
-                    "quarantined_blocks",
-                    "quarantined_items",
-                    "quarantined_bytes",
-                    "emergency_sweeps",
-                ):
-                    out["integrity_" + name] = getattr(zstats, name)
-        if self.durability is not None:
-            for name, value in vars(self.durability.stats).items():
-                out["durability_" + name] = value
-        out["replication_role"] = self.config.role
-        for name, value in vars(self.replication_stats).items():
-            out["replication_" + name] = value
-        if self.repl_client is not None:
-            out["replication_connected"] = int(self.repl_client.connected)
-            out["replication_lag_bytes"] = self.repl_client.lag_bytes()
-            out["replication_pressure"] = self.repl_client.pressure_level()
-        else:
-            out["replication_connected"] = 0
-            out["replication_lag_bytes"] = 0
-            out["replication_pressure"] = 0
-        if self.repl_source is not None:
-            out["replication_replicas_connected"] = (
-                self.repl_source.replicas_connected
-            )
-            out["replication_max_replica_lag_bytes"] = (
-                self.repl_source.max_replica_lag_bytes
-            )
-        else:
-            out["replication_replicas_connected"] = 0
-            out["replication_max_replica_lag_bytes"] = 0
-        fastpath = getattr(self.cache, "aggregate_fastpath", None)
-        if fastpath is not None:
-            for name, value in fastpath().items():
-                out["fastpath_" + name] = value
-        else:
-            zzone = getattr(self.cache, "zzone", None)
-            if zzone is not None:
-                zstats = zzone.stats
-                for name in (
-                    "staged_puts",
-                    "staging_flushes",
-                    "container_cache_hits",
-                    "container_cache_misses",
-                    "container_decodes_saved",
-                ):
-                    out["fastpath_" + name] = getattr(zstats, name)
-                out["fastpath_container_cache_bytes"] = (
-                    zzone.container_cache_bytes()
-                )
-        # Owned registry instruments (latency/payload histograms flattened
-        # to _count/_sum/_p50/_p99, auditor counters); mounted views are
-        # skipped — their state is already reported above.
-        for name, value in self.registry.summary(views=False).items():
-            out["metrics_" + name] = value
+        is_view = self.registry.is_view
+        for name, value in self.registry.summary(include_timing).items():
+            out[wire_name(name, owned=not is_view(name))] = value
         return out
-
-    def prometheus_text(self, include_timing: bool = True) -> str:
-        """Full registry exposition (``cli stats --format prom`` backend)."""
-        return self.registry.to_prometheus(include_timing=include_timing)
 
     @property
     def healthy(self) -> bool:

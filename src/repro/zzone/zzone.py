@@ -109,6 +109,28 @@ class ZZoneStats:
         return self.decompressions + self.compressions
 
 
+#: The two :class:`ZZoneStats` families reported under names of their
+#: own (``integrity_<field>`` / ``fastpath_<field>`` on the stats wire,
+#: the chaos reports).  Stated here once, beside the fields.
+INTEGRITY_FIELDS = (
+    "checksum_failures",
+    "staged_checksum_failures",
+    "codec_failures",
+    "codec_fallbacks",
+    "quarantined_blocks",
+    "quarantined_items",
+    "quarantined_bytes",
+    "emergency_sweeps",
+)
+FASTPATH_FIELDS = (
+    "staged_puts",
+    "staging_flushes",
+    "container_cache_hits",
+    "container_cache_misses",
+    "container_decodes_saved",
+)
+
+
 class ReadBatch:
     """Per-batch memo shared by the :meth:`ZZone.get_batched` calls of one
     batched read.

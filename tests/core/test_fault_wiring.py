@@ -5,6 +5,7 @@ from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.zexpander import ZExpander
 from repro.faults import FaultPlan, FaultSpec, FaultyCompressor
+from repro.metrics import MetricsRegistry
 
 
 def _config(**overrides):
@@ -60,15 +61,17 @@ class TestZExpanderWiring:
 
 
 class TestShardedAggregation:
-    def test_aggregate_integrity_sums_shards(self):
+    def test_integrity_counters_sum_over_shards(self):
         sharded = ShardedZExpander(_config(), num_shards=3, clock=VirtualClock())
         for shard in sharded.shards:
             shard.zzone.stats.checksum_failures += 2
             shard.zzone.stats.quarantined_blocks += 1
-        totals = sharded.aggregate_integrity()
-        assert totals["checksum_failures"] == 6
-        assert totals["quarantined_blocks"] == 3
-        assert totals["codec_fallbacks"] == 0
+        registry = MetricsRegistry()
+        sharded.bind_metrics(registry)
+        totals = registry.snapshot()
+        assert totals["cache_zzone_checksum_failures"] == 6
+        assert totals["cache_zzone_quarantined_blocks"] == 3
+        assert totals["cache_zzone_codec_fallbacks"] == 0
 
     def test_fault_plan_propagates_to_every_shard(self):
         plan = FaultPlan(seed=5, specs=(FaultSpec(site="block.bitflip", rate=0.1),))

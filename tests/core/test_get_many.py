@@ -21,6 +21,7 @@ from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.zexpander import ZExpander
 from repro.faults import FaultPlan, FaultSpec
+from repro.metrics import MetricsRegistry
 from repro.zzone import ZZone
 
 #: Stats fields that only the batch path advances, by design.
@@ -288,10 +289,12 @@ class TestGetManySharded:
             fleet.set(_key(i), _value(i, 4))
         keys = [_key(i % 60) for i in range(0, 120, 7)]  # dupes + misses
         assert fleet.get_many(keys) == [fleet.get(key) for key in keys]
-        total = fleet.aggregate_stats()
+        registry = MetricsRegistry()
+        fleet.bind_metrics(registry)
+        totals = registry.snapshot()
         # Each involved shard counted its group as one batch.
-        assert 1 <= total.get_many_batches <= fleet.num_shards
-        assert total.batched_keys == len(keys)
+        assert 1 <= totals["cache_get_many_batches"] <= fleet.num_shards
+        assert totals["cache_batched_keys"] == len(keys)
 
     def test_empty_batch(self):
         fleet = ShardedZExpander(

@@ -152,12 +152,15 @@ class TestRegistry:
         assert summary["lat_seconds_sum"] == 5.5
         assert 0.0 < summary["lat_seconds_p50"] <= 10.0
 
-    def test_summary_views_false_keeps_owned_only(self):
+    def test_is_view_tells_mounted_from_owned(self):
         registry = MetricsRegistry()
         registry.counter("owned").inc()
+        registry.histogram("lat", bounds=[1.0])
         registry.view("mounted", lambda: 9)
-        summary = registry.summary(views=False)
-        assert "owned" in summary and "mounted" not in summary
+        assert set(registry.summary()) >= {"owned", "mounted", "lat_p99"}
+        assert registry.is_view("mounted")
+        # A flattened histogram key is part of an owned instrument.
+        assert not registry.is_view("owned") and not registry.is_view("lat_p99")
 
     def test_prometheus_exposition_shape(self):
         registry = MetricsRegistry()

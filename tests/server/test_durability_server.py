@@ -135,7 +135,7 @@ class TestStatsSurface:
             assert "durability_torn_tail_records" in stats
             assert "durability_scrub_failures" in stats
             # And through the metrics registry (cli stats --format prom).
-            exposition = server.prometheus_text(include_timing=False)
+            exposition = server.registry.to_prometheus(include_timing=False)
             assert "durability_journal_appends 1" in exposition
             writer.close()
             assert await drain(server, task) == 0
@@ -173,7 +173,7 @@ class TestStatsSurface:
             assert stats["snapshot_skipped"] == 1
             assert stats["snapshot_truncated"] == 1
             assert any("snapshot tail" in line for line in server.incidents)
-            exposition = server.prometheus_text(include_timing=False)
+            exposition = server.registry.to_prometheus(include_timing=False)
             assert "server_snapshot_truncated 1" in exposition
             return await drain(server, task)
 

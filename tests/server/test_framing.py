@@ -18,12 +18,6 @@ from .test_server import make_cache, running_server
 
 MAX_VALUE_BYTES = 256
 
-#: The one family that follows the wall clock (latency histograms).
-#: Every cache counter is in the property: the dispatch unit is one
-#: command, however the commands arrived.
-_FRAMING_DEPENDENT = ("metrics_",)
-
-
 def build_script(seed: int) -> bytes:
     """~90 frames: every kind the parser knows at least once, then a
     random mix, ``quit`` last."""
@@ -83,12 +77,10 @@ async def serve_chunks(chunks):
                 await asyncio.sleep(0)
         replies = await asyncio.wait_for(reader.read(), 10.0)  # quit -> EOF
         writer.close()
-        counters = {
-            name: value
-            for name, value in server.stats_dict().items()
-            if not name.startswith(_FRAMING_DEPENDENT)
-        }
-        return replies, counters
+        # Everything the registry holds that does not follow the wall
+        # clock — cache counters and both payload histograms included:
+        # the dispatch unit is one command, however the commands arrived.
+        return replies, server.stats_dict(include_timing=False)
 
 
 class TestFramingIndependence:
@@ -122,3 +114,5 @@ class TestFramingIndependence:
         assert b"STORED" in replies and b"too large" in replies
         assert counters["protocol_errors"] > counters["oversized_rejects"] > 0
         assert counters["commands"] > 40 and counters["cmd_get"] > 10
+        assert counters["metrics_server_get_value_bytes_count"] > 0
+        assert counters["cache_zzone_puts"] >= 0 and len(counters) > 125
