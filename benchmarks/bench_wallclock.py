@@ -11,27 +11,38 @@ experiment suite.  Run it before and after optimisation work::
     PYTHONPATH=src python benchmarks/bench_wallclock.py            # bench scale
     PYTHONPATH=src python benchmarks/bench_wallclock.py --runall --jobs 4
 
-Results land in ``BENCH_wallclock.json`` at the repo root (override with
-``--out``), one record per bench in the
-:class:`repro.analysis.benchjson.BenchRecord` schema.
+Every record is the best of interleaved rounds taken through
+``benchmarks/timing.py`` (DESIGN.md §16) and lands in
+``BENCH_wallclock.json`` at the repo root (override with ``--out``).
+Three gates are checked on the records the run just wrote — the floors
+are the constants below — and any red one makes the exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
+from typing import Dict, List, Optional
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from timing import (
+    REPO_ROOT,
+    Timed,
+    describe,
+    interleaved,
+    record,
+    sampled,
+    timed,
+    verdict,
+)
 
 from repro.analysis.benchjson import (
     BenchRecord,
     append_records,
     git_revision,
-    percentile,
+    load_records,
 )
 from repro.common.clock import VirtualClock
 from repro.common.hashing import hash_key
@@ -43,6 +54,7 @@ from repro.experiments.common import (
     build_value_source,
 )
 from repro.experiments.mzx_runs import _memcached_factory, _page_bytes, scale_seed
+from repro.metrics import MetricsRegistry
 from repro.nzone.memcached import MemcachedZone
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET
 from repro.zzone.zzone import ZZone
@@ -53,527 +65,334 @@ SCALES = {
 }
 _REQUEST_RATE = 50_000.0
 
-
-def _scale_config(scale: Scale) -> dict:
-    return {
-        "num_keys": scale.num_keys,
-        "num_requests": scale.num_requests,
-        "seed": scale.seed,
-    }
-
-
-def _build_mzx(
-    scale: Scale,
-    trace,
-    capacity: int,
-    verify_checksums: bool = True,
-    fastpath: bool = False,
-):
-    clock = VirtualClock()
-    config = ZExpanderConfig(
-        total_capacity=capacity,
-        nzone_fraction=0.5,
-        nzone_factory=_memcached_factory,
-        adaptive=False,
-        marker_interval_seconds=0.5,
-        seed=scale_seed(trace),
-        verify_checksums=verify_checksums,
-        # ``fastpath`` is the served default (``ZExpanderConfig``'s own
-        # append region, promotion by postponed removal); off is the
-        # paper's region 0.
-        append_region_bytes=None if fastpath else 0,
-    )
-    return ZExpander(config, clock=clock), clock
+#: The served default (write-combining append region, promotion by
+#: postponed removal) must replay at least this much faster than the
+#: paper's region 0.  Twenty-one bench-scale measurements at PR 16 read
+#: 1.18-1.68x, median 1.35x, twenty of them at 1.29x or more.
+FASTPATH_SPEEDUP_FLOOR = 1.15
+#: Region 0 may be at most this much slower than the newest committed
+#: ``replay_etc_mzx_fastpath_off`` row of the same scale, once that row is
+#: rescaled by the machine-speed anchor: the memcached replay taken in the
+#: same interleave, now over committed.  Only a slowdown is a failure.
+REGION0_DRIFT_BUDGET = 0.05
+#: Replaying with a bound ``MetricsRegistry`` may cost at most this much.
+METRICS_OVERHEAD_BUDGET = 0.05
+#: Where the drift gate finds its committed rows, whatever ``--out`` says.
+BASELINE = REPO_ROOT / "BENCH_wallclock.json"
 
 
-def _build_memcached(capacity: int):
-    cache = SimpleKVCache(MemcachedZone(capacity, page_bytes=_page_bytes(capacity)))
-    return cache, VirtualClock()
+class EtcReplay:
+    """The seeded ETC trace and the caches it is replayed against, each
+    sized at twice the trace's base size."""
 
+    def __init__(self, scale: Scale) -> None:
+        self.scale = scale
+        self.trace = build_trace("ETC", scale)
+        self.values = build_value_source("ETC", self.trace, seed=scale.seed)
+        self.capacity = int(base_size_of("ETC", scale) * 2)
 
-def _latency_pass(cache, trace, values, clock, warmup_fraction=0.2):
-    """Replay once more, timing each request; returns measured-phase µs."""
-    warmup = int(len(trace) * warmup_fraction)
-    tick = 1.0 / _REQUEST_RATE
-    samples = []
-    timer = time.perf_counter
-    for position, (op, key_id, _size) in enumerate(trace):
-        clock.advance(tick)
-        key = trace.key_bytes(key_id)
-        started = timer()
-        if op == OP_GET:
-            if cache.get(key) is None:
-                cache.set(key, values.value(key_id))
-        elif op == OP_SET:
-            cache.set(key, values.value(key_id))
-        elif op == OP_DELETE:
-            cache.delete(key)
-        if position >= warmup:
-            samples.append((timer() - started) * 1e6)
-    return samples
-
-
-def bench_replay(name: str, system: str, scale: Scale, git_rev: str) -> BenchRecord:
-    """Throughput + latency of one ETC replay against ``system``."""
-    trace = build_trace("ETC", scale)
-    values = build_value_source("ETC", trace, seed=scale.seed)
-    capacity = int(base_size_of("ETC", scale) * 2)
-    if system == "mzx":
-        cache, clock = _build_mzx(scale, trace, capacity)
-    else:
-        cache, clock = _build_memcached(capacity)
-    started = time.perf_counter()
-    replay_trace(cache, trace, values, clock=clock, request_rate=_REQUEST_RATE)
-    wall = time.perf_counter() - started
-
-    # Fresh cache for the latency pass so both passes see a cold start.
-    if system == "mzx":
-        cache, clock = _build_mzx(scale, trace, capacity)
-    else:
-        cache, clock = _build_memcached(capacity)
-    samples = _latency_pass(cache, trace, values, clock)
-    return BenchRecord(
-        bench=name,
-        config={
+    def config(self, system: str, **extra) -> dict:
+        return {
             "workload": "ETC",
             "system": system,
             "capacity_multiple": 2.0,
             "request_rate": _REQUEST_RATE,
-            **_scale_config(scale),
-        },
-        ops_per_sec=len(trace) / wall,
-        p50_us=percentile(samples, 50.0),
-        p99_us=percentile(samples, 99.0),
-        wall_s=wall,
-        git_rev=git_rev,
-    )
+            **extra,
+            **asdict(self.scale),
+        }
 
-
-def _zzone_corpus(count: int, value_bytes: int = 96):
-    keys = [b"zkey:%010d" % index for index in range(count)]
-    value = b"the quick brown fox jumps over the lazy dog "  # compressible
-    value = (value * ((value_bytes // len(value)) + 1))[:value_bytes]
-    values = [value[:-8] + b"%08d" % index for index in range(count)]
-    return keys, [hash_key(key) for key in keys], values
-
-
-def bench_zzone(scale: Scale, git_rev: str) -> list:
-    """Z-zone microbenchmarks: SET, GET hit, GET miss, sweep pressure."""
-    count = max(500, scale.num_keys)
-    keys, hashes, values = _zzone_corpus(count)
-    item_bytes = sum(len(k) + len(v) + 14 for k, v in zip(keys, values))
-    records = []
-    timer = time.perf_counter
-    config = {"items": count, "value_bytes": 96, **_scale_config(scale)}
-
-    # SET: populate an ample zone (no eviction pressure).
-    zone = ZZone(capacity=item_bytes * 4, clock=VirtualClock(), seed=scale.seed)
-    samples = []
-    started = timer()
-    for key, hashed, value in zip(keys, hashes, values):
-        t0 = timer()
-        zone.put(key, value, hashed)
-        samples.append((timer() - t0) * 1e6)
-    wall = timer() - started
-    records.append(
-        BenchRecord(
-            bench="zzone_set",
-            config=config,
-            ops_per_sec=count / wall,
-            p50_us=percentile(samples, 50.0),
-            p99_us=percentile(samples, 99.0),
-            wall_s=wall,
-            git_rev=git_rev,
+    def mzx(self, fastpath: bool = False):
+        clock = VirtualClock()
+        config = ZExpanderConfig(
+            total_capacity=self.capacity,
+            nzone_fraction=0.5,
+            nzone_factory=_memcached_factory,
+            adaptive=False,
+            marker_interval_seconds=0.5,
+            seed=scale_seed(self.trace),
+            # ``fastpath`` is the served default (``ZExpanderConfig``'s own
+            # append region, promotion by postponed removal); off is the
+            # paper's region 0.
+            append_region_bytes=None if fastpath else 0,
         )
-    )
+        return ZExpander(config, clock=clock), clock
 
-    # GET hit: every key is resident.
-    samples = []
-    started = timer()
-    for key, hashed in zip(keys, hashes):
-        t0 = timer()
-        zone.get(key, hashed)
-        samples.append((timer() - t0) * 1e6)
-    wall = timer() - started
-    records.append(
-        BenchRecord(
-            bench="zzone_get_hit",
-            config=config,
-            ops_per_sec=count / wall,
-            p50_us=percentile(samples, 50.0),
-            p99_us=percentile(samples, 99.0),
-            wall_s=wall,
-            git_rev=git_rev,
-        )
-    )
+    def memcached(self):
+        zone = MemcachedZone(self.capacity, page_bytes=_page_bytes(self.capacity))
+        return SimpleKVCache(zone), VirtualClock()
 
-    # GET miss: absent keys, answered by the Content Filter.
-    miss_keys = [b"miss:%010d" % index for index in range(count)]
-    miss_hashes = [hash_key(key) for key in miss_keys]
-    samples = []
-    started = timer()
-    for key, hashed in zip(miss_keys, miss_hashes):
-        t0 = timer()
-        zone.get(key, hashed)
-        samples.append((timer() - t0) * 1e6)
-    wall = timer() - started
-    records.append(
-        BenchRecord(
-            bench="zzone_get_miss",
-            config=config,
-            ops_per_sec=count / wall,
-            p50_us=percentile(samples, 50.0),
-            p99_us=percentile(samples, 99.0),
-            wall_s=wall,
-            git_rev=git_rev,
-        )
-    )
-
-    # Sweep: a zone sized for a quarter of the corpus, so puts keep
-    # evicting through the CLOCK sweep.
-    zone = ZZone(capacity=item_bytes // 4, clock=VirtualClock(), seed=scale.seed)
-    samples = []
-    started = timer()
-    for key, hashed, value in zip(keys, hashes, values):
-        t0 = timer()
-        zone.put(key, value, hashed)
-        samples.append((timer() - t0) * 1e6)
-    wall = timer() - started
-    records.append(
-        BenchRecord(
-            bench="zzone_sweep",
-            config={**config, "capacity_fraction": 0.25},
-            ops_per_sec=count / wall,
-            p50_us=percentile(samples, 50.0),
-            p99_us=percentile(samples, 99.0),
-            wall_s=wall,
-            git_rev=git_rev,
-        )
-    )
-    return records
-
-
-def bench_integrity(scale: Scale, git_rev: str) -> list:
-    """Integrity-check overhead: the same paths with checksums on vs off.
-
-    Two measurements: the Z-zone GET-hit microbench (where the per-block
-    CRC is the *entire* added work) and the end-to-end M-zX replay with
-    ``verify_checksums=False`` (the PR-1 fast path, which must stay
-    within a few percent of the checked default).  A synthetic
-    ``integrity_check_overhead`` record carries the computed ratios.
-    """
-    count = max(500, scale.num_keys)
-    keys, hashes, values = _zzone_corpus(count)
-    item_bytes = sum(len(k) + len(v) + 14 for k, v in zip(keys, values))
-    timer = time.perf_counter
-    records = []
-    walls = {}
-    for verify in (True, False):
-        zone = ZZone(
-            capacity=item_bytes * 4,
-            clock=VirtualClock(),
-            seed=scale.seed,
-            verify_checksums=verify,
-        )
-        for key, hashed, value in zip(keys, hashes, values):
-            zone.put(key, value, hashed)
-        samples = []
-        started = timer()
-        for key, hashed in zip(keys, hashes):
-            t0 = timer()
-            zone.get(key, hashed)
-            samples.append((timer() - t0) * 1e6)
-        wall = timer() - started
-        walls[verify] = wall
-        records.append(
-            BenchRecord(
-                bench=f"zzone_get_hit_checksum_{'on' if verify else 'off'}",
-                config={
-                    "items": count,
-                    "value_bytes": 96,
-                    "verify_checksums": verify,
-                    **_scale_config(scale),
-                },
-                ops_per_sec=count / wall,
-                p50_us=percentile(samples, 50.0),
-                p99_us=percentile(samples, 99.0),
-                wall_s=wall,
-                git_rev=git_rev,
-            )
-        )
-
-    trace = build_trace("ETC", scale)
-    value_source = build_value_source("ETC", trace, seed=scale.seed)
-    capacity = int(base_size_of("ETC", scale) * 2)
-    replay_walls = {}
-    for verify in (True, False):
-        cache, clock = _build_mzx(scale, trace, capacity, verify_checksums=verify)
-        started = timer()
-        replay_trace(
-            cache, trace, value_source, clock=clock, request_rate=_REQUEST_RATE
-        )
-        replay_walls[verify] = timer() - started
-    records.append(
-        BenchRecord(
-            bench="replay_etc_mzx_nochecksum",
-            config={
-                "workload": "ETC",
-                "system": "mzx",
-                "capacity_multiple": 2.0,
-                "request_rate": _REQUEST_RATE,
-                "verify_checksums": False,
-                **_scale_config(scale),
-            },
-            ops_per_sec=len(trace) / replay_walls[False],
-            wall_s=replay_walls[False],
-            git_rev=git_rev,
-        )
-    )
-    records.append(
-        BenchRecord(
-            bench="integrity_check_overhead",
-            config={
-                "get_hit_overhead_fraction": round(
-                    walls[True] / walls[False] - 1.0, 4
-                ),
-                "replay_overhead_fraction": round(
-                    replay_walls[True] / replay_walls[False] - 1.0, 4
-                ),
-                **_scale_config(scale),
-            },
-            wall_s=walls[True] - walls[False],
-            git_rev=git_rev,
-        )
-    )
-    return records
-
-
-def bench_metrics_overhead(scale: Scale, git_rev: str) -> list:
-    """Replay throughput with the metrics registry on vs off.
-
-    The observability layer promises near-zero cost: sampled latency
-    timing plus lazy mounted views.  Best-of-3 walls per mode keep the
-    comparison stable on noisy machines; the ``metrics_overhead`` record
-    carries the on/off ratio the CI smoke job asserts against.
-    """
-    from repro.metrics import MetricsRegistry
-
-    trace = build_trace("ETC", scale)
-    values = build_value_source("ETC", trace, seed=scale.seed)
-    capacity = int(base_size_of("ETC", scale) * 2)
-    timer = time.perf_counter
-    walls = {False: float("inf"), True: float("inf")}
-    registry = None
-    # Interleave the two modes (off, on, off, on, ...) so machine warmup
-    # and frequency drift hit both sides equally; keep the best of each.
-    for _ in range(3):
-        for metrics_on in (False, True):
-            cache, clock = _build_mzx(scale, trace, capacity)
-            run_registry = MetricsRegistry() if metrics_on else None
-            if metrics_on:
-                cache.bind_metrics(run_registry)
-            started = timer()
+    def throughput(self, build, registry=None) -> Timed:
+        """One whole replay against a fresh ``build()``; carries the cache."""
+        cache, clock = build()
+        if registry is not None:
+            cache.bind_metrics(registry)
+        with timed(len(self.trace)) as run:
             replay_trace(
                 cache,
-                trace,
-                values,
+                self.trace,
+                self.values,
                 clock=clock,
                 request_rate=_REQUEST_RATE,
-                registry=run_registry,
+                registry=registry,
             )
-            wall = timer() - started
-            if wall < walls[metrics_on]:
-                walls[metrics_on] = wall
-                if metrics_on:
-                    registry = run_registry
+        run.carry = cache
+        return run
 
-    latency = registry.snapshot()["replay_request_seconds"]
-    # Re-registration hands back the live histogram for percentiles.
-    hist = registry.histogram("replay_request_seconds", timing=True)
-    records = [
-        BenchRecord(
-            bench="replay_etc_mzx_metrics_off",
-            config={
-                "workload": "ETC",
-                "system": "mzx",
-                "metrics": False,
-                "request_rate": _REQUEST_RATE,
-                **_scale_config(scale),
-            },
-            ops_per_sec=len(trace) / walls["off"],
-            wall_s=walls["off"],
-            git_rev=git_rev,
-        ),
-        BenchRecord(
-            bench="replay_etc_mzx_metrics_on",
-            config={
-                "workload": "ETC",
-                "system": "mzx",
-                "metrics": True,
-                "request_rate": _REQUEST_RATE,
-                "latency_samples": latency["count"],
-                **_scale_config(scale),
-            },
-            ops_per_sec=len(trace) / walls[True],
-            p50_us=hist.percentile(50.0) * 1e6,
-            p99_us=hist.percentile(99.0) * 1e6,
-            wall_s=walls[True],
-            git_rev=git_rev,
-        ),
-        BenchRecord(
-            bench="metrics_overhead",
-            config={
-                "overhead_fraction": round(walls[True] / walls[False] - 1.0, 4),
-                **_scale_config(scale),
-            },
-            wall_s=walls[True] - walls[False],
-            git_rev=git_rev,
-        ),
+    def latency_us(self, build) -> List[float]:
+        """Replay against a fresh ``build()`` with every request timed;
+        the measured phase's samples (``replay_trace``'s 20 % warm-up)."""
+        cache, clock = build()
+        trace, values = self.trace, self.values
+        tick = 1.0 / _REQUEST_RATE
+
+        def serve(op, key, key_id):
+            if op == OP_GET:
+                if cache.get(key) is None:
+                    cache.set(key, values.value(key_id))
+            elif op == OP_SET:
+                cache.set(key, values.value(key_id))
+            elif op == OP_DELETE:
+                cache.delete(key)
+
+        def requests():
+            for op, key_id, _size in trace:
+                clock.advance(tick)
+                yield partial(serve, op, trace.key_bytes(key_id), key_id)
+
+        return sampled(requests()).samples_us[int(len(trace) * 0.2):]
+
+
+def bench_replay(replay: EtcReplay) -> List[BenchRecord]:
+    """Throughput of one ETC replay per system, and — from a second,
+    cold-started replay in the same round — per-request latency."""
+
+    def measure(build) -> Timed:
+        run = replay.throughput(build)
+        run.samples_us = replay.latency_us(build)
+        return run
+
+    systems = {"mzx": replay.mzx, "memcached": replay.memcached}
+    estimates = interleaved(
+        {system: partial(measure, build) for system, build in systems.items()}
+    )
+    return [
+        record(f"replay_etc_{system}", replay.config(system), reduced)
+        for system, reduced in estimates.items()
     ]
-    return records
 
 
-def bench_fastpath(scale: Scale, git_rev: str) -> list:
-    """M-zX replay at the served default ("on") vs the paper's region 0
-    ("off"), best-of-3 each.
+def bench_zzone(replay: EtcReplay) -> List[BenchRecord]:
+    """Z-zone microbenchmarks: SET, GET hit, GET miss, sweep pressure."""
+    scale = replay.scale
+    count = max(500, scale.num_keys)
+    keys = [b"zkey:%010d" % index for index in range(count)]
+    text = b"the quick brown fox jumps over the lazy dog " * 3  # compressible
+    values = [text[:88] + b"%08d" % index for index in range(count)]
+    hashes = [hash_key(key) for key in keys]
+    miss_keys = [b"miss:%010d" % index for index in range(count)]
+    miss_hashes = [hash_key(key) for key in miss_keys]
+    item_bytes = sum(len(k) + len(v) + 14 for k, v in zip(keys, values))
 
-    Interleaved (off, on, off, on, ...) so machine warmup and frequency
-    drift hit both sides equally.  The ``zzone_fastpath_speedup`` record
-    carries the on/off ratio the CI ``zzone-fastpath`` gate asserts
-    against (its floor is in ``fastpath_gate.py``).
+    def zone(capacity: int) -> ZZone:
+        return ZZone(capacity=capacity, clock=VirtualClock(), seed=scale.seed)
+
+    def puts(into: ZZone) -> Timed:
+        return sampled(
+            partial(into.put, key, value, hashed)
+            for key, value, hashed in zip(keys, values, hashes)
+        )
+
+    def gets(asked, asked_hashes) -> Timed:
+        resident = zone(item_bytes * 4)
+        for key, value, hashed in zip(keys, values, hashes):
+            resident.put(key, value, hashed)
+        return sampled(
+            partial(resident.get, key, hashed)
+            for key, hashed in zip(asked, asked_hashes)
+        )
+
+    estimates = interleaved(
+        {
+            # An ample zone: no eviction pressure.
+            "zzone_set": lambda: puts(zone(item_bytes * 4)),
+            "zzone_get_hit": lambda: gets(keys, hashes),
+            # Absent keys, answered by the Content Filter.
+            "zzone_get_miss": lambda: gets(miss_keys, miss_hashes),
+            # A zone sized for a quarter of the corpus, so puts keep
+            # evicting through the CLOCK sweep.
+            "zzone_sweep": lambda: puts(zone(item_bytes // 4)),
+        }
+    )
+    config = {"items": count, "value_bytes": 96, **asdict(scale)}
+    return [record(bench, config, reduced) for bench, reduced in estimates.items()]
+
+
+def _ratio_record(bench: str, config: dict, over, under) -> BenchRecord:
+    """A derived row: two estimates of one interleave, compared."""
+    return BenchRecord(
+        bench=bench,
+        config=config,
+        wall_s=over.value - under.value,
+        unresolved=over.unresolved or under.unresolved,
+    )
+
+
+def bench_metrics_overhead(replay: EtcReplay) -> List[BenchRecord]:
+    """Replay throughput with the metrics registry bound vs not.
+
+    The observability layer promises near-zero cost: sampled latency
+    timing plus lazy mounted views.  ``metrics_overhead`` carries the
+    on/off ratio of best walls that ``METRICS_OVERHEAD_BUDGET`` gates.
     """
-    trace = build_trace("ETC", scale)
-    values = build_value_source("ETC", trace, seed=scale.seed)
-    capacity = int(base_size_of("ETC", scale) * 2)
-    timer = time.perf_counter
-    # "anchor" is the memcached replay measured inside the same
-    # interleaved loop: the fastpath gate rescales committed numbers by
-    # it, so it must share this exact methodology (best-of-3, fresh
-    # cache per round) rather than reuse the single-shot
-    # replay_etc_memcached record.
-    walls = {"off": float("inf"), "on": float("inf"), "anchor": float("inf")}
-    fast = None
-    for _ in range(3):
-        for mode in ("off", "on", "anchor"):
-            if mode == "anchor":
-                cache, clock = _build_memcached(capacity)
-            else:
-                cache, clock = _build_mzx(
-                    scale, trace, capacity, fastpath=(mode == "on")
-                )
-            started = timer()
-            replay_trace(
-                cache, trace, values, clock=clock, request_rate=_REQUEST_RATE
-            )
-            wall = timer() - started
-            if wall < walls[mode]:
-                walls[mode] = wall
-                if mode == "on":
-                    fast = cache
-    fast_stats = fast.zzone.stats
-    fast_knobs = {
+
+    def metered() -> Timed:
+        registry = MetricsRegistry()
+        run = replay.throughput(replay.mzx, registry)
+        run.carry = registry
+        return run
+
+    estimates = interleaved(
+        {"off": partial(replay.throughput, replay.mzx), "on": metered}
+    )
+    off, on = estimates["off"], estimates["on"]
+    # Re-registration hands back the best round's live histogram.
+    latency = on.best.carry.histogram("replay_request_seconds", timing=True)
+    on_config = replay.config("mzx", metrics=True, latency_samples=latency.count)
+    on_row = record("replay_etc_mzx_metrics_on", on_config, on)
+    on_row.p50_us = latency.percentile(50.0) * 1e6
+    on_row.p99_us = latency.percentile(99.0) * 1e6
+    overhead = {
+        "overhead_fraction": round(on.value / off.value - 1.0, 4),
+        **asdict(replay.scale),
+    }
+    return [
+        record("replay_etc_mzx_metrics_off", replay.config("mzx", metrics=False), off),
+        on_row,
+        _ratio_record("metrics_overhead", overhead, on, off),
+    ]
+
+
+def bench_fastpath(replay: EtcReplay) -> List[BenchRecord]:
+    """M-zX replay at the served default ("on") vs the paper's region 0
+    ("off"), with the memcached replay as the third mode of the same
+    interleave: the anchor the drift gate rescales a committed row by, so
+    it must share this exact method rather than reuse
+    ``replay_etc_memcached``.  ``zzone_fastpath_speedup`` carries the
+    off/on ratio of best walls that ``FASTPATH_SPEEDUP_FLOOR`` gates.
+    """
+    estimates = interleaved(
+        {
+            "off": partial(replay.throughput, replay.mzx),
+            "on": partial(replay.throughput, partial(replay.mzx, fastpath=True)),
+            "anchor": partial(replay.throughput, replay.memcached),
+        }
+    )
+    off, on, anchor = estimates["off"], estimates["on"], estimates["anchor"]
+    fast = on.best.carry
+    stats = fast.zzone.stats
+    knobs = {
         "append_region_bytes": fast.config.append_region_bytes,
         "decompressed_cache_blocks": fast.config.decompressed_cache_blocks,
     }
-    fast_config = {
-        "workload": "ETC",
-        "system": "mzx",
-        "capacity_multiple": 2.0,
-        "request_rate": _REQUEST_RATE,
-        **fast_knobs,
-        **_scale_config(scale),
+    on_config = replay.config(
+        "mzx",
+        **knobs,
+        staged_puts=stats.staged_puts,
+        staging_flushes=stats.staging_flushes,
+        container_cache_hits=stats.container_cache_hits,
+        container_cache_misses=stats.container_cache_misses,
+    )
+    paper = {"append_region_bytes": 0, "decompressed_cache_blocks": 0}
+    speedup = {
+        "speedup": round(off.value / on.value, 4),
+        **knobs,
+        **asdict(replay.scale),
     }
     return [
-        BenchRecord(
-            bench="replay_etc_mzx_fastpath_off",
-            config={
-                **fast_config,
-                "append_region_bytes": 0,
-                "decompressed_cache_blocks": 0,
-            },
-            ops_per_sec=len(trace) / walls["off"],
-            wall_s=walls["off"],
-            git_rev=git_rev,
-        ),
-        BenchRecord(
-            bench="replay_etc_mzx_fastpath_on",
-            config={
-                **fast_config,
-                "staged_puts": fast_stats.staged_puts,
-                "staging_flushes": fast_stats.staging_flushes,
-                "container_cache_hits": fast_stats.container_cache_hits,
-                "container_cache_misses": fast_stats.container_cache_misses,
-            },
-            ops_per_sec=len(trace) / walls["on"],
-            wall_s=walls["on"],
-            git_rev=git_rev,
-        ),
-        BenchRecord(
-            bench="replay_etc_fastpath_anchor",
-            config={
-                "workload": "ETC",
-                "system": "memcached",
-                "capacity_multiple": 2.0,
-                "request_rate": _REQUEST_RATE,
-                **_scale_config(scale),
-            },
-            ops_per_sec=len(trace) / walls["anchor"],
-            wall_s=walls["anchor"],
-            git_rev=git_rev,
-        ),
-        BenchRecord(
-            bench="zzone_fastpath_speedup",
-            config={
-                "speedup": round(walls["off"] / walls["on"], 4),
-                **fast_knobs,
-                **_scale_config(scale),
-            },
-            wall_s=walls["off"] - walls["on"],
-            git_rev=git_rev,
-        ),
+        record("replay_etc_mzx_fastpath_off", replay.config("mzx", **paper), off),
+        record("replay_etc_mzx_fastpath_on", on_config, on),
+        record("replay_etc_fastpath_anchor", replay.config("memcached"), anchor),
+        _ratio_record("zzone_fastpath_speedup", speedup, off, on),
     ]
 
 
-def bench_runall(scale: Scale, jobs: int, git_rev: str) -> BenchRecord:
-    """End-to-end ``cli run all`` timing (stdout suppressed)."""
+def bench_runall(scale: Scale, jobs: int) -> BenchRecord:
+    """End-to-end ``cli run all`` timing (stdout suppressed), single shot."""
     import contextlib
     import io
 
     from repro.experiments.cli import main as cli_main
 
-    argv = [
-        "run",
-        "all",
-        "--keys",
-        str(scale.num_keys),
-        "--requests",
-        str(scale.num_requests),
-        "--seed",
-        str(scale.seed),
-        "--jobs",
-        str(jobs),
-    ]
-    started = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
+    argv = ["run", "all", "--keys", str(scale.num_keys), "--jobs", str(jobs)]
+    argv += ["--requests", str(scale.num_requests), "--seed", str(scale.seed)]
+    with timed(1) as run, contextlib.redirect_stdout(io.StringIO()):
         status = cli_main(argv)
-    wall = time.perf_counter() - started
     if status != 0:
         raise RuntimeError(f"cli run all exited with status {status}")
-    return BenchRecord(
-        bench="cli_run_all",
-        config={"jobs": jobs, **_scale_config(scale)},
-        wall_s=wall,
-        git_rev=git_rev,
-    )
+    config = {"jobs": jobs, **asdict(scale)}
+    return BenchRecord(bench="cli_run_all", config=config, wall_s=run.wall_s)
 
 
-def main(argv=None) -> int:
+def _committed_ops(baseline: List[BenchRecord], bench: str, num_keys: int) -> float:
+    """Newest committed ops/s for ``bench`` at this scale (0.0 if absent)."""
+    newest = 0.0
+    for row in baseline:
+        # Appended in measurement order, so the last match is the newest.
+        if (
+            row.bench == bench
+            and row.config.get("num_keys") == num_keys
+            and row.ops_per_sec
+        ):
+            newest = row.ops_per_sec
+    return newest
+
+
+def check_gates(rows: Dict[str, BenchRecord], baseline: List[BenchRecord]) -> bool:
+    """The three gates, each on the rows this run just wrote."""
+    speedup, overhead = rows["zzone_fastpath_speedup"], rows["metrics_overhead"]
+    off = rows["replay_etc_mzx_fastpath_off"]
+    anchor = rows["replay_etc_fastpath_anchor"]
+    held = [
+        verdict(
+            "served default over region 0, replay ops/s",
+            speedup.config["speedup"], speedup, floor=FASTPATH_SPEEDUP_FLOOR,
+        ),
+        verdict(
+            "metrics-on replay wall over metrics-off",
+            1.0 + overhead.config["overhead_fraction"],
+            overhead, budget=1.0 + METRICS_OVERHEAD_BUDGET,
+        ),
+    ]
+    num_keys = off.config["num_keys"]
+    committed_off = _committed_ops(baseline, off.bench, num_keys)
+    committed_anchor = _committed_ops(baseline, anchor.bench, num_keys)
+    if committed_off and committed_anchor:
+        machine = anchor.ops_per_sec / committed_anchor
+        held.append(
+            verdict(
+                f"region 0 over its committed row (x{machine:.2f} by the anchor)",
+                off.ops_per_sec / (committed_off * machine),
+                off, anchor, floor=1.0 - REGION0_DRIFT_BUDGET,
+            )
+        )
+    else:
+        print(
+            f"SKIP: region-0 drift: no committed {off.bench} / {anchor.bench} "
+            f"rows at num_keys={num_keys}"
+        )
+    return all(held)
+
+
+def main(argv=None, scale: Optional[Scale] = None) -> int:
+    """``scale`` handed in directly (the tier-1 smoke test does) replaces
+    ``--scale``; such a run is too short to judge, so its gate verdicts
+    are printed but do not reach the exit status."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", choices=sorted(SCALES), default="bench")
     parser.add_argument(
         "--out",
         type=Path,
-        default=REPO_ROOT / "BENCH_wallclock.json",
+        default=BASELINE,
         help="output JSON path (default: repo-root BENCH_wallclock.json)",
     )
     parser.add_argument(
@@ -585,73 +404,35 @@ def main(argv=None) -> int:
         help="also time the full experiment suite (slow)",
     )
     args = parser.parse_args(argv)
-    scale = SCALES[args.scale]
+    gated = scale is None
+    if scale is None:
+        scale = SCALES[args.scale]
     git_rev = git_revision(REPO_ROOT)
+    # Read before this run's rows are merged in: the drift gate compares
+    # against what was committed, not against itself.
+    baseline = load_records(BASELINE) if BASELINE.exists() else []
 
+    replay = EtcReplay(scale)
     records = []
-    for name, system in (
-        ("replay_etc_mzx", "mzx"),
-        ("replay_etc_memcached", "memcached"),
-    ):
-        record = bench_replay(name, system, scale, git_rev)
-        print(
-            f"{record.bench}: {record.ops_per_sec:,.0f} ops/s  "
-            f"p50 {record.p50_us:.1f} µs  p99 {record.p99_us:.1f} µs  "
-            f"({record.wall_s:.2f} s)"
-        )
-        records.append(record)
-    for record in bench_zzone(scale, git_rev):
-        print(
-            f"{record.bench}: {record.ops_per_sec:,.0f} ops/s  "
-            f"p50 {record.p50_us:.1f} µs  p99 {record.p99_us:.1f} µs  "
-            f"({record.wall_s:.2f} s)"
-        )
-        records.append(record)
-    for record in bench_integrity(scale, git_rev):
-        if record.bench == "integrity_check_overhead":
-            print(
-                "integrity_check_overhead: "
-                f"get-hit {record.config['get_hit_overhead_fraction']:+.1%}  "
-                f"replay {record.config['replay_overhead_fraction']:+.1%}"
-            )
-        elif record.ops_per_sec:
-            print(
-                f"{record.bench}: {record.ops_per_sec:,.0f} ops/s  "
-                f"({record.wall_s:.2f} s)"
-            )
-        records.append(record)
-    for record in bench_metrics_overhead(scale, git_rev):
-        if record.bench == "metrics_overhead":
-            print(
-                "metrics_overhead: "
-                f"replay {record.config['overhead_fraction']:+.1%}"
-            )
-        elif record.ops_per_sec:
-            print(
-                f"{record.bench}: {record.ops_per_sec:,.0f} ops/s  "
-                f"({record.wall_s:.2f} s)"
-            )
-        records.append(record)
-    for record in bench_fastpath(scale, git_rev):
-        if record.bench == "zzone_fastpath_speedup":
-            print(f"zzone_fastpath_speedup: {record.config['speedup']:.2f}x")
-        elif record.ops_per_sec:
-            print(
-                f"{record.bench}: {record.ops_per_sec:,.0f} ops/s  "
-                f"({record.wall_s:.2f} s)"
-            )
-        records.append(record)
+    for bench in (bench_replay, bench_zzone, bench_metrics_overhead, bench_fastpath):
+        for row in bench(replay):
+            if row.ops_per_sec:
+                print(describe(row))
+            records.append(row)
     if args.runall:
-        record = bench_runall(scale, args.jobs, git_rev)
-        print(f"{record.bench} (jobs={args.jobs}): {record.wall_s:.1f} s")
-        records.append(record)
+        row = bench_runall(scale, args.jobs)
+        print(f"{row.bench} (jobs={args.jobs}): {row.wall_s:.1f} s")
+        records.append(row)
+    for row in records:
+        row.git_rev = git_rev
 
     merged = append_records(records, args.out)
     print(
         f"wrote {len(records)} records to {args.out} "
         f"({len(merged)} total after merge)"
     )
-    return 0
+    held = check_gates({row.bench: row for row in records}, baseline)
+    return 0 if held or not gated else 1
 
 
 if __name__ == "__main__":

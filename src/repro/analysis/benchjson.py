@@ -16,9 +16,13 @@ One record per benchmark::
      "git_rev": "e04240e"}
 
 ``ops_per_sec``/``p50_us``/``p99_us`` are null when a bench measures
-only end-to-end time (e.g. a whole experiment run).  Files hold a JSON
-list of records; :func:`write_records` / :func:`load_records` round-trip
-them.
+only end-to-end time (e.g. a whole experiment run).  A record reduced
+from interleaved rounds (``benchmarks/timing.py``) is its best round and
+also carries ``median_round``, ``rounds_within_10pct`` and
+``unresolved`` — what tells a number from weather; a single-shot record
+leaves them unset and they stay off the disk, so rows written before
+the fields existed load and rewrite unchanged.  Files hold a JSON list of
+records; :func:`write_records` / :func:`load_records` round-trip them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,14 @@ class BenchRecord:
     p99_us: Optional[float] = None
     wall_s: float = 0.0
     git_rev: str = "unknown"
+    #: The estimator's fields, in the unit of the value the rounds were
+    #: compared by (seconds for a wall, µs for a p50).
+    median_round: Optional[float] = None
+    rounds_within_10pct: Optional[int] = None
+    unresolved: Optional[bool] = None
+
+
+_ESTIMATOR_FIELDS = ("median_round", "rounds_within_10pct", "unresolved")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -95,7 +107,14 @@ def git_revision(repo_root: Optional[Path] = None) -> str:
 
 def write_records(records: Sequence[BenchRecord], path: Path) -> None:
     """Write ``records`` as a JSON list (stable key order, trailing newline)."""
-    payload = [asdict(record) for record in records]
+    payload = [
+        {
+            key: value
+            for key, value in asdict(record).items()
+            if value is not None or key not in _ESTIMATOR_FIELDS
+        }
+        for record in records
+    ]
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -47,9 +47,6 @@ class ZExpanderConfig:
     promotion_policy: str = "reuse-time"
     use_content_filter: bool = True
     use_access_filter: bool = True
-    #: Verify each Z-zone block's payload CRC before decompression.
-    #: Turning it off recovers the unchecked PR-1 fast path.
-    verify_checksums: bool = True
     #: Optional seeded fault plan; setting one wraps the codec in a
     #: fault injector and arms the corruption hooks (chaos testing).
     fault_plan: Optional[FaultPlan] = None

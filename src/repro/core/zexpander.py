@@ -116,7 +116,6 @@ class ZExpander:
             seed=config.seed,
             use_content_filter=config.use_content_filter,
             use_access_filter=config.use_access_filter,
-            verify_checksums=config.verify_checksums,
             faults=self.fault_injector,
             append_region_bytes=config.append_region_bytes,
             decompressed_cache_blocks=config.decompressed_cache_blocks,

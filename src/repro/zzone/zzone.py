@@ -176,7 +176,6 @@ class ZZone:
         seed: int = 0,
         use_content_filter: bool = True,
         use_access_filter: bool = True,
-        verify_checksums: bool = True,
         faults=None,
         append_region_bytes: int = 0,
         decompressed_cache_blocks: int = 0,
@@ -205,7 +204,6 @@ class ZZone:
         #: Verify each block's payload CRC before decompressing it.  Off,
         #: the zone trusts payloads (the PR-1 fast path); codec failures
         #: are still caught and quarantined either way.
-        self.verify_checksums = verify_checksums
         #: Optional fault injector (duck-typed ``FaultInjector``): consulted
         #: on every keyed access when present, a single ``is None`` check
         #: when absent.
@@ -400,7 +398,7 @@ class ZZone:
         """
         if charge:
             self.stats.decompressions += 1
-        if self.verify_checksums and not self._verified(
+        if not self._verified(
             batch, leaf.generation, leaf.checksum_ok
         ):
             self.stats.checksum_failures += 1
@@ -447,7 +445,7 @@ class ZZone:
             return self._container_of(leaf, batch)
         cached = self._container_cache.get(leaf.generation)
         if cached is not None:
-            if self.verify_checksums and not self._verified(
+            if not self._verified(
                 batch, leaf.generation, leaf.checksum_ok
             ):
                 self.stats.checksum_failures += 1
@@ -498,7 +496,7 @@ class ZZone:
         """Checksummed decompression of a large item; drops it on damage."""
         if charge:
             self.stats.decompressions += 1
-        if self.verify_checksums and not large.checksum_ok():
+        if not large.checksum_ok():
             self.stats.checksum_failures += 1
             self._drop_large(leaf, key)
             return None
@@ -620,7 +618,7 @@ class ZZone:
             # staged bytes can never be served.  The buffer length rides
             # in the memo token because staged appends do not mint a new
             # generation.
-            if self.verify_checksums and not self._verified(
+            if not self._verified(
                 batch,
                 (leaf.generation, len(leaf.staged_buffer)),
                 leaf.staged_checksum_ok,
@@ -798,7 +796,7 @@ class ZZone:
                 leaf.staged_checksum = 0
                 self._recharge(old_bytes, leaf.memory_bytes)
             return True
-        if self.verify_checksums and not leaf.staged_checksum_ok():
+        if not leaf.staged_checksum_ok():
             self.stats.staged_checksum_failures += 1
             self._quarantine(leaf)
             return False
@@ -1195,11 +1193,7 @@ class ZZone:
         and skipped rather than crashing the iteration.
         """
         for leaf in list(self._trie.leaves()):
-            if (
-                leaf.staged_index
-                and self.verify_checksums
-                and not leaf.staged_checksum_ok()
-            ):
+            if leaf.staged_index and not leaf.staged_checksum_ok():
                 # Damaged staged bytes quarantine the whole block, same as
                 # a damaged container — and before anything of the leaf is
                 # yielded, so a snapshot never holds items the zone just

@@ -73,6 +73,37 @@ class TestRecords:
             "git_rev",
         }
 
+    def test_estimator_fields_are_optional(self, tmp_path):
+        """A row written before the estimator's fields existed loads, and
+        rewriting it adds nothing; a reduced record round-trips them."""
+        path = tmp_path / "bench.json"
+        old_row = {
+            "bench": "replay_etc_mzx",
+            "config": {"num_keys": 3000},
+            "ops_per_sec": 29490.4,
+            "p50_us": 12.1,
+            "p99_us": 410.6,
+            "wall_s": 2.03,
+            "git_rev": "e520c75-dirty",
+        }
+        path.write_text(json.dumps([old_row]))
+        (old,) = load_records(path)
+        assert (old.median_round, old.rounds_within_10pct, old.unresolved) == (
+            None, None, None,
+        )
+        reduced = BenchRecord(
+            bench="zzone_fastpath_speedup",
+            wall_s=1.9,
+            median_round=2.0,
+            rounds_within_10pct=3,
+            unresolved=False,
+        )
+        append_records([reduced], path)
+        assert load_records(path) == [old, reduced]
+        on_disk = json.loads(path.read_text())
+        assert on_disk[0] == old_row
+        assert on_disk[1]["unresolved"] is False
+
     def test_non_list_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")

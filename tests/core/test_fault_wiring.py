@@ -55,10 +55,6 @@ class TestZExpanderWiring:
         assert cache.zzone.stats.quarantined_blocks > 0
         cache.check_invariants()
 
-    def test_verify_checksums_toggle_reaches_zzone(self):
-        cache = ZExpander(_config(verify_checksums=False), clock=VirtualClock())
-        assert cache.zzone.verify_checksums is False
-
 
 class TestShardedAggregation:
     def test_integrity_counters_sum_over_shards(self):

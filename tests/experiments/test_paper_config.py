@@ -22,7 +22,7 @@ SOURCES = sorted(
     path
     for path in Path(repro.experiments.__file__).parent.glob("*.py")
     if path.name != "cli.py"
-) + [ROOT / "benchmarks" / "metrics_smoke.py"]
+) + [ROOT / "tests" / "metrics" / "test_golden_exposition.py"]
 
 
 def _config_calls(path: Path):
@@ -65,8 +65,8 @@ def test_every_experiment_config_pins_region_zero_and_no_cache():
         "fig14_threshold.py",
         "fig15_adaptation.py",
         "hzx_runs.py",
-        "metrics_smoke.py",
         "mzx_runs.py",
+        "test_golden_exposition.py",
     ]
 
 

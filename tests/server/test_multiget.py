@@ -9,7 +9,10 @@ command by command: own reply frame each, no batch formed.
 
 import asyncio
 
+from repro.core.config import ZExpanderConfig
+from repro.core.zexpander import ZExpander
 from repro.server.client import MemcacheClient
+from repro.server.loadgen import expected_value, key_name
 
 from .test_server import make_cache, running_server, send
 
@@ -88,7 +91,7 @@ class TestPipelinedGets:
                 writer.write(b"get pk1\r\nget missing\r\nget pk2\r\n")
                 await writer.drain()
                 reply = b""
-                for _ in range(8):
+                for _ in range(7):
                     reply += await reader.readline()
                 assert reply == (
                     b"VALUE pk1 0 2\r\naa\r\nEND\r\n"
@@ -154,6 +157,65 @@ class TestPipelinedGets:
                     b"VALUE ck2 0 2 2\r\nv2\r\nEND\r\n"
                 )
                 writer.close()
+
+        asyncio.run(run())
+
+
+class TestZZoneHeavyBatches:
+    """What ``bench_server.py``'s multiget records are taken on: a cache
+    small enough, with an N-zone fraction low enough, that most resident
+    items live in compressed Z-zone blocks."""
+
+    KEYS, BATCH, ROUNDS = 600, 16, 40
+
+    def _names(self, round_index):
+        """14 resident keys, strided across trie blocks, + 2 never set."""
+        names = [
+            key_name(0, (round_index * 7 + j * 41) % self.KEYS)
+            for j in range(self.BATCH - 2)
+        ]
+        return names + [key_name(9, round_index), key_name(9, round_index + 1)]
+
+    def test_shapes_agree_and_a_batch_shares_decodes(self):
+        async def run():
+            cache = ZExpander(
+                ZExpanderConfig(
+                    total_capacity=192 * 1024, nzone_fraction=0.1, seed=42
+                )
+            )
+            async with running_server(cache=cache) as server:
+                client = MemcacheClient(port=server.port, pool_size=1)
+                for key_id in range(self.KEYS):
+                    await client.set(
+                        key_name(0, key_id), expected_value(42, 0, key_id, 1)
+                    )
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                for round_index in range(self.ROUNDS):
+                    names = self._names(round_index)
+                    native = await client.get_many(names)
+                    assert server.cache.stats.get_many_batches == round_index + 1
+                    # The same keys as pipelined singles in one write:
+                    # own END each, and no batch formed.
+                    writer.write(b"".join(b"get %s\r\n" % n for n in names))
+                    await writer.drain()
+                    singles, ends = {}, 0
+                    while ends < len(names):
+                        line = await reader.readline()
+                        if line.startswith(b"VALUE "):
+                            value = await reader.readline()
+                            singles[line.split(b" ")[1]] = value[:-2]
+                        else:
+                            assert line == b"END\r\n"
+                            ends += 1
+                    assert native and singles == native
+                    assert server.cache.stats.get_many_batches == round_index + 1
+                stats = server.stats_dict()
+                assert stats["cache_get_many_batches"] == self.ROUNDS
+                assert stats["fastpath_container_decodes_saved"] > 0
+                writer.close()
+                await client.close()
 
         asyncio.run(run())
 

@@ -1,22 +1,23 @@
 """Golden-state pin for the Z-zone's read and write paths.
 
 One seeded ~5,000-op sequence of put / get / ``get_batched`` / delete /
-``schedule_removal`` / ``resize`` is run against three configurations and
+``schedule_removal`` / ``resize`` is run against two configurations and
 everything observable afterwards — every leaf's position, compressed
 payload, staged bytes and large-ref keys, every stats counter, the byte
 and item accounting, the trie's lookup telemetry, and every result the
 operations returned along the way — is folded into one SHA-256.
 
-The ``region0_cache0`` and ``no_checksums`` digests were computed at the
-commit *before* the read path became one resolver and the small-item
-write path one merge, and are the paper's write path: nothing may move
-them.  ``region512_cache8`` is the write-combining path and was retaken
-when that path changed on purpose (PR 16: a rebuild of a block now drops
-the copies whose removal is pending, instead of leaving each to its own
-deadline and its own rebuild); a refactor of ``repro.zzone`` that claims
-to preserve behaviour must leave all three unchanged.  The codec is the repo's pure-Python LZ4, so payload bytes do
-not depend on the platform's zlib build.  It takes seconds, where
-regenerating the committed experiment results takes minutes.
+The ``region0_cache0`` digest was computed at the commit *before* the
+read path became one resolver and the small-item write path one merge,
+and is the paper's write path: nothing may move it.  ``region512_cache8``
+is the write-combining path and was retaken when that path changed on
+purpose (PR 16: a rebuild of a block now drops the copies whose removal
+is pending, instead of leaving each to its own deadline and its own
+rebuild); a refactor of ``repro.zzone`` that claims to preserve behaviour
+must leave both unchanged.  The codec is the repo's pure-Python LZ4, so
+payload bytes do not depend on the platform's zlib build.  It takes
+seconds, where regenerating the committed experiment results takes
+minutes.
 """
 
 import hashlib
@@ -40,12 +41,6 @@ GOLDEN = {
     "region512_cache8": (
         {"append_region_bytes": 512, "decompressed_cache_blocks": 8},
         "cd49fb176ff667b5ef4ff3e66568329319ef53b4768644b4622b315442f28ce0",
-    ),
-    # Same digest as region0_cache0 by design: with no fault injected, CRC
-    # verification must never change what the zone does.
-    "no_checksums": (
-        {"verify_checksums": False},
-        "cb988b54af238a6f728aa3856c6a2652b8e42c1890e8256449268051fb0d49a4",
     ),
 }
 

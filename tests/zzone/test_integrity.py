@@ -11,6 +11,8 @@ from repro.common.errors import (
 from repro.common.hashing import hash_key
 from repro.compression import NullCompressor, ZlibCompressor
 from repro.compression.base import Compressed, Compressor
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.codec import FaultyCompressor
 from repro.zzone import ZZone
 from repro.zzone.block import Block
 from repro.zzone.zzone import CODEC_FAULT_TOLERANCE
@@ -43,13 +45,6 @@ def _corrupt(block, position=-1):
     payload[position] ^= 0xFF
     block.compressed = Compressed(
         payload=bytes(payload), stored_size=block.compressed.stored_size
-    )
-
-
-def _wreck(block):
-    """Replace the payload with bytes no codec will accept."""
-    block.compressed = Compressed(
-        payload=b"\x7fgarbage", stored_size=block.compressed.stored_size
     )
 
 
@@ -123,12 +118,18 @@ class TestQuarantine:
         assert zone.used_bytes <= zone.capacity
         zone.check_invariants()
 
-    def test_codec_exception_quarantines_without_checksums(self):
-        zone = _zone(verify_checksums=False)
+    def test_codec_exception_quarantines_whole_block(self):
+        # The payload stays intact (its CRC passes); from request 1 on the
+        # codec that built the blocks raises on every decompress.
+        plan = FaultPlan(
+            specs=[FaultSpec(site="codec.decompress", rate=1.0, start=1)]
+        )
+        injector = FaultInjector(plan)
+        zone = _zone(compressor=FaultyCompressor(ZlibCompressor(), injector))
         _fill(zone)
         leaf = zone._trie.find_leaf(hash_key(b"key000"))
         assert leaf.item_count > 0
-        _wreck(leaf)
+        injector.on_request(1)
         assert zone.get(b"key000", hash_key(b"key000")) is None
         assert zone.stats.checksum_failures == 0  # detection was the codec's
         assert zone.stats.codec_failures >= 1
