@@ -49,8 +49,8 @@ from repro.analysis.benchjson import BenchRecord, append_records, git_revision
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.zexpander import ZExpander
+from repro.harness import expected_value, key_name
 from repro.server.client import MemcacheClient
-from repro.server.loadgen import expected_value, key_name
 from repro.server.server import CacheServer, ServerConfig
 
 

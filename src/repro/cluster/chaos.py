@@ -48,9 +48,9 @@ from repro.harness import (
     closing,
     drive,
     event_point,
+    key_name,
     sweep,
 )
-from repro.server.loadgen import key_name
 
 #: Kill point, as a fraction of the round's total op budget.
 KILL_FRACTION_LO = 0.2
@@ -226,7 +226,7 @@ class _Campaign:
         # No stop event: the drivers finish the round against the
         # degraded fleet.
         await drive(
-            config, self.oracle, f"cluster-ops-r{outcome.round_index}",
+            config, self.oracle, f"cluster-ops-r{outcome.round_index}-c",
             [client] * config.connections,
             lambda key: not self.supervisor.node(client.node_for(key)).alive,
             outcome, self.report, kill,

@@ -50,7 +50,7 @@ class SnapshotError(Exception):
     """Raised for malformed snapshot files."""
 
 
-def _iter_cache_items(cache) -> Iterator[Tuple[bytes, bytes]]:
+def iter_cache_items(cache) -> Iterator[Tuple[bytes, bytes]]:
     """Items of a SimpleKVCache, ZExpander, sharded cache, or bare zone.
 
     For a two-zone cache the Z-zone is written first and the N-zone
@@ -102,7 +102,7 @@ def write_snapshot(
 def _write_stream(cache, stream: BinaryIO, meta=None) -> int:
     stream.write(MAGIC if meta is None else MAGIC_V2)
     count = 0
-    for key, value in _iter_cache_items(cache):
+    for key, value in iter_cache_items(cache):
         if meta is None:
             stream.write(_LENGTHS.pack(len(key), len(value)))
         else:

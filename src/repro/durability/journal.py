@@ -58,7 +58,7 @@ OP_DELETE = 0x44  # b"D"
 #: A SET carrying a non-zero client-flags word (4 bytes BE after the key).
 OP_SET_FLAGS = 0x46  # b"F"
 
-_FRAME_LEN = struct.Struct(">I")
+FRAME_LEN = struct.Struct(">I")
 _PAYLOAD_HEAD = struct.Struct(">BI")
 #: Sanity bound, matching the snapshot reader: no key or value > 256 MiB.
 _MAX_FIELD = 256 * 1024 * 1024
@@ -120,7 +120,7 @@ def encode_payload(
         op = OP_SET_FLAGS
     head = _PAYLOAD_HEAD.pack(op, len(key)) + key
     if op == OP_SET_FLAGS:
-        return head + _FRAME_LEN.pack(flags) + value
+        return head + FRAME_LEN.pack(flags) + value
     return head + value
 
 
@@ -130,9 +130,9 @@ def encode_record(
     """One framed journal record, CRC included."""
     payload = encode_payload(op, key, value, flags)
     return (
-        _FRAME_LEN.pack(len(payload))
+        FRAME_LEN.pack(len(payload))
         + payload
-        + _FRAME_LEN.pack(zlib.crc32(payload))
+        + FRAME_LEN.pack(zlib.crc32(payload))
     )
 
 
@@ -154,10 +154,10 @@ def decode_payload_meta(payload: bytes) -> Tuple[int, bytes, bytes, int]:
     rest = payload[_PAYLOAD_HEAD.size + key_len :]
     flags = 0
     if op == OP_SET_FLAGS:
-        if len(rest) < _FRAME_LEN.size:
+        if len(rest) < FRAME_LEN.size:
             raise JournalError("flagged set record missing its flags word")
-        (flags,) = _FRAME_LEN.unpack_from(rest)
-        rest = rest[_FRAME_LEN.size :]
+        (flags,) = FRAME_LEN.unpack_from(rest)
+        rest = rest[FRAME_LEN.size :]
         op = OP_SET
     if op == OP_DELETE and rest:
         raise JournalError("delete record carries a value")
@@ -237,24 +237,24 @@ def _iter_frames(
 ) -> Iterator[Tuple[int, bytes, bytes, int, int, Optional[str]]]:
     """Yield (op, key, value, flags, end_offset, error); error terminates."""
     while True:
-        header = stream.read(_FRAME_LEN.size)
+        header = stream.read(FRAME_LEN.size)
         if not header:
             return
-        if len(header) != _FRAME_LEN.size:
+        if len(header) != FRAME_LEN.size:
             yield 0, b"", b"", 0, offset, "torn record length header"
             return
-        (payload_len,) = _FRAME_LEN.unpack(header)
+        (payload_len,) = FRAME_LEN.unpack(header)
         if payload_len > _MAX_PAYLOAD:
             yield 0, b"", b"", 0, offset, (
                 f"implausible payload length {payload_len}"
             )
             return
         payload = stream.read(payload_len)
-        trailer = stream.read(_FRAME_LEN.size)
-        if len(payload) != payload_len or len(trailer) != _FRAME_LEN.size:
+        trailer = stream.read(FRAME_LEN.size)
+        if len(payload) != payload_len or len(trailer) != FRAME_LEN.size:
             yield 0, b"", b"", 0, offset, "torn record body"
             return
-        (stored_crc,) = _FRAME_LEN.unpack(trailer)
+        (stored_crc,) = FRAME_LEN.unpack(trailer)
         actual_crc = zlib.crc32(payload)
         if stored_crc != actual_crc:
             yield 0, b"", b"", 0, offset, (
@@ -267,7 +267,7 @@ def _iter_frames(
         except JournalError as exc:
             yield 0, b"", b"", 0, offset, str(exc)
             return
-        offset += _FRAME_LEN.size * 2 + payload_len
+        offset += FRAME_LEN.size * 2 + payload_len
         yield op, key, value, flags, offset, None
 
 
@@ -427,9 +427,9 @@ class JournalWriter:
         if self._stream is None:
             raise JournalError("journal writer is closed")
         record = (
-            _FRAME_LEN.pack(len(payload))
+            FRAME_LEN.pack(len(payload))
             + payload
-            + _FRAME_LEN.pack(zlib.crc32(payload))
+            + FRAME_LEN.pack(zlib.crc32(payload))
         )
         if self._segment_written + len(record) > self.config.segment_bytes:
             self._open_next_segment()

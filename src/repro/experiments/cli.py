@@ -80,7 +80,7 @@ EXPERIMENTS: Dict[str, tuple] = {
 }
 
 #: Experiments whose run() takes no Scale (they build their own inputs).
-_SCALELESS = {"tab02", "fig07", "abl-block", "abl-index", "abl-codec"}
+SCALELESS = {"tab02", "fig07", "abl-block", "abl-index", "abl-codec"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="concurrent loadgen connections (--server mode only)",
-    )
-    chaos_parser.add_argument(
-        "--fastpath",
-        action="store_true",
-        help="arm the Z-zone fast path (1 KB append regions + a 128-block "
-        "decompressed-container cache) so the chaos contract is exercised "
-        "over staged bytes and cached containers",
     )
     chaos_parser.add_argument(
         "--crash",
@@ -432,7 +425,7 @@ def run_experiment(name: str, scale: Scale) -> None:
     # Monotonic, not wall: an NTP step mid-run would skew (or negate)
     # the reported duration.  Matches experiments/parallel.py.
     started = time.monotonic()
-    if name in _SCALELESS:
+    if name in SCALELESS:
         result = module.run()
     else:
         result = module.run(scale)
@@ -544,8 +537,6 @@ def run_chaos_command(args) -> int:
         audit_interval=args.audit_interval,
         baseline=not args.no_baseline,
         size_multiplier=args.size_multiplier,
-        append_region_bytes=1024 if args.fastpath else 0,
-        decompressed_cache_blocks=128 if args.fastpath else 0,
     )
     print(report.render())
     return 0 if report.ok else 1

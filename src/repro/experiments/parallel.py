@@ -40,11 +40,11 @@ def _experiment_task(name: str, scale: Scale) -> Tuple[str, float]:
     Module-level so it pickles into worker processes; the import happens
     here because workers may not have the figure module loaded yet.
     """
-    from repro.experiments.cli import _SCALELESS, EXPERIMENTS
+    from repro.experiments.cli import SCALELESS, EXPERIMENTS
 
     module = importlib.import_module(EXPERIMENTS[name][0])
     started = time.perf_counter()
-    if name in _SCALELESS:
+    if name in SCALELESS:
         result = module.run()
     else:
         result = module.run(scale)

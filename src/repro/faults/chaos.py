@@ -119,15 +119,15 @@ def run_chaos(
     audit_interval: int = 512,
     baseline: bool = True,
     size_multiplier: float = 1.0,
-    append_region_bytes: int = 0,
-    decompressed_cache_blocks: int = 0,
+    append_region_bytes: Optional[int] = None,
 ) -> ChaosReport:
     """Replay ``workload`` under ``plan`` and audit the degradation.
 
-    ``append_region_bytes`` / ``decompressed_cache_blocks`` arm the Z-zone
-    fast path for the run (both twins, so the degradation comparison stays
-    apples-to-apples) — the chaos contract must hold with staged bytes and
-    cached containers in play, not just on the slow path.
+    Both twins run ``ZExpanderConfig``'s default write path — the
+    write-combining append region ``cli serve`` ships — so the contract
+    is held over staged bytes and their CRC quarantine, not only over
+    sealed blocks.  ``append_region_bytes=0`` replays the paper's
+    reconstruct-on-every-put instead.
     """
     if plan is None:
         plan = FaultPlan.default(seed)
@@ -149,7 +149,6 @@ def run_chaos(
                 total_capacity=capacity,
                 seed=seed,
                 append_region_bytes=append_region_bytes,
-                decompressed_cache_blocks=decompressed_cache_blocks,
             ),
             clock=VirtualClock(),
         )
@@ -163,7 +162,6 @@ def run_chaos(
         seed=seed,
         fault_plan=plan,
         append_region_bytes=append_region_bytes,
-        decompressed_cache_blocks=decompressed_cache_blocks,
     )
     cache = ZExpander(config, clock=VirtualClock())
     auditor = InvariantAuditor(cache, interval=audit_interval)

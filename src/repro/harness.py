@@ -1,13 +1,18 @@
-"""The harness kit under the kill / partition / node-kill campaigns.
+"""The harness kit: one oracle and one driver under every campaign.
 
-``cli chaos --crash | --replication | --cluster`` are three campaigns of
-one shape: real ``cli serve`` children, one oracle that knows what every
-key may legally hold, and rounds of *drive seeded traffic, fire one
-event at a seeded op count, sweep the keyspace against the oracle*,
+``cli chaos --crash | --replication | --cluster | --server`` and ``cli
+loadgen`` are five campaigns of one shape: a server (real ``cli serve``
+children, or whatever listens at an address), one oracle that knows what
+every key may legally hold, and rounds of *drive seeded traffic, fire
+one event at a seeded op count, sweep the keyspace against the oracle*,
 ending in a verdict.  This module is that shape, stated once; each
 campaign file keeps only what is particular to its proof (what the
-event is, which children exist, what else it probes).
+event is, which servers exist, what else it probes).
 
+* The value scheme — :func:`key_name`, :func:`expected_value`, the
+  ``UNKNOWN`` / ``TOMBSTONE`` sentinels: every value is a pure function
+  of ``(seed, lane, key, version)``, so returned bytes name the version
+  they are, or prove themselves fabricated.
 * :class:`ServeChild` — the subprocess: spawn, learn its ports from
   stdout, SIGKILL or drain.  A child that fails to bind is killed and
   reaped before the error propagates; nothing is leaked on any path.
@@ -28,10 +33,12 @@ the loss check until its next acknowledged write, so it must be spent
 only where the outcome really is unknowable: a mutation that failed
 *after at least part of it may have reached a live server*.  A request
 addressed to a child the harness has already reaped (``proc.wait()``
-returned before the op began — nothing can apply it), or whose connect
-was refused (no byte left this process), leaves the oracle's state
-standing.  Marking those ``UNKNOWN`` too is what let every op drawn
-after a kill blind the sweep that follows it.
+returned before the op began — nothing can apply it), whose connect was
+refused (no byte left this process), or that a client-side wire fault
+cut short of its last byte (:class:`RequestCut` — servers discard
+partial frames), leaves the oracle's state standing.  Marking those
+``UNKNOWN`` too is what let every op drawn after a kill blind the sweep
+that follows it.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ import random
 import re
 import signal
 import sys
+import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Awaitable,
@@ -58,7 +67,6 @@ from typing import (
 from repro.common.errors import ServingError
 from repro.common.rng import derive_seed
 from repro.server.client import MemcacheClient, RetryPolicy
-from repro.server.loadgen import TOMBSTONE, UNKNOWN, expected_value, key_name
 
 HOST = "127.0.0.1"
 
@@ -68,6 +76,43 @@ SWEEP_BATCH = 16
 #: What a failed request can raise out of a client (``TimeoutError`` and
 #: ``ConnectionError`` are ``OSError`` subclasses).
 OP_FAILURES = (ServingError, OSError, EOFError, asyncio.IncompleteReadError)
+
+
+class RequestCut(ConnectionError):
+    """A client-side wire fault ended the request before its last byte
+    was written; the server discards the partial frame."""
+
+
+#: Failures that prove no server applied the op — on a client that never
+#: re-sends (see :func:`drive`).
+NEVER_SENT = (ConnectionRefusedError, RequestCut)
+
+# -- the value scheme -----------------------------------------------------------
+
+#: Oracle state "the server may or may not have applied the last
+#: mutation" (a timeout after a fully sent write, for example).
+UNKNOWN = -1
+#: Oracle state "deleted": a hit on this key is a resurrection.
+TOMBSTONE = -2
+
+
+def expected_value(seed: int, lane: int, key_id: int, version: int) -> bytes:
+    """The exact bytes version ``version`` of a key must contain.
+
+    Pure function of its arguments: sized 32..~280 bytes by a hash, with
+    a header that binds (lane, key, version) so any cross-key or
+    cross-version mixup is detected byte-for-byte.
+    """
+    header = b"lgv:%d:%d:%d:%d:" % (seed, lane, key_id, version)
+    size = 32 + (zlib.crc32(header) % 250)
+    filler = (header * (size // len(header) + 1))[: max(0, size - len(header))]
+    return header + filler
+
+
+def key_name(lane: int, key_id: int) -> bytes:
+    """Lanes (one per connection) own disjoint key spaces."""
+    return b"lg:%02d:%05d" % (lane, key_id)
+
 
 _SERVING_RE = re.compile(rb"serving memcached protocol on ([\d.]+):(\d+)")
 _REPL_RE = re.compile(
@@ -248,12 +293,17 @@ async def closing(client):
 # -- the oracle -----------------------------------------------------------------
 
 
+#: Verdicts no durability rule excuses: no write of this run, acked or
+#: not, can have put those bytes there.
+FABRICATED = ("wrong", "unwritten")
+
+
 class Oracle:
     """Ground truth: per-key acknowledged state, surviving across rounds.
 
-    Every value is a pure function of ``(seed, lane, key, version)`` (the
-    loadgen scheme), so a returned value names the version it is — or
-    proves itself fabricated.
+    Every value is a pure function of ``(seed, lane, key, version)``, so
+    a returned value names the version it is — or proves itself
+    fabricated.
     """
 
     def __init__(self, seed: int) -> None:
@@ -271,21 +321,33 @@ class Oracle:
         return version, expected_value(self.seed, lane, key_id, version)
 
     def judge(self, lane: int, key_id: int, value: Optional[bytes]) -> str:
-        """Classify a read (``None`` = miss):
-        ok / wrong / acked_loss / resurrection."""
+        """Classify a read (``None`` = miss).  The verdict says what was
+        seen; how bad that is depends on what the server promised, so
+        each report books it under its own durability rule
+        (:meth:`CampaignReport.tally`).
+
+        ============  ==================================================
+        ok            consistent with everything acknowledged
+        missing       a miss, and the key's last write was acknowledged
+        older         a hit on such a key with another version's bytes
+        resurrection  a hit, and the key's delete was acknowledged
+        unwritten     a hit on a key this oracle never wrote
+        wrong         bytes no attempted version of the key looks like
+        ============  ==================================================
+        """
         state = self.state.get((lane, key_id))
         if value is None:
-            return "acked_loss" if state is not None and state >= 0 else "ok"
+            return "missing" if state is not None and state >= 0 else "ok"
+        if state is None:
+            return "unwritten"
         matched = self._match_version(lane, key_id, value)
-        if matched is None or state is None:
-            # No version ever attempted looks like this: fabricated or
-            # cross-key bytes.
+        if matched is None:
             return "wrong"
         if state == UNKNOWN:
             return "ok"
         if state == TOMBSTONE:
             return "resurrection"
-        return "ok" if matched == state else "acked_loss"
+        return "ok" if matched == state else "older"
 
     def _match_version(
         self, lane: int, key_id: int, value: bytes
@@ -364,12 +426,19 @@ class RoundOutcome:
     round_index: int
     #: Seeded op count at which the round's event fires (0 = no event).
     event_after_ops: int = 0
-    ops_issued: int = 0
+    #: Ops sent, by kind (``set`` / ``delete`` / ``get``).
+    issued: Counter = field(default_factory=Counter)
     acked_sets: int = 0
     acked_deletes: int = 0
+    hits: int = 0
+    misses: int = 0
     failed_ops: int = 0
     lost_unsynced: int = 0
     sweeps: List[SweepCount] = field(default_factory=list)
+
+    @property
+    def ops_issued(self) -> int:
+        return sum(self.issued.values())
 
     @property
     def verified_keys(self) -> int:
@@ -403,6 +472,8 @@ class CampaignReport:
     acked_write_loss: int = 0
     deleted_resurrections: int = 0
     lost_unsynced: int = 0
+    #: Drivers that raised (each is also a violation).
+    crashes: int = 0
     rounds: List[RoundOutcome] = field(default_factory=list)
     incidents: List[str] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
@@ -421,17 +492,19 @@ class CampaignReport:
     # -- booking ---------------------------------------------------------------
 
     def tally(self, verdict: str, outcome: RoundOutcome) -> None:
-        """Book one :meth:`Oracle.judge` verdict under the durability rule."""
-        if verdict == "wrong":
-            self.wrong_bytes += 1
-        elif verdict == "ok":
+        """Book one :meth:`Oracle.judge` verdict under the journalled
+        server's rule: an acknowledged write may be neither missing nor
+        older, an acknowledged delete may not come back."""
+        if verdict == "ok":
             return
+        if verdict in FABRICATED:
+            self.wrong_bytes += 1
         elif not self.enforced:
             self.bounded_loss(outcome)
-        elif verdict == "acked_loss":
-            self.acked_write_loss += 1
-        else:
+        elif verdict == "resurrection":
             self.deleted_resurrections += 1
+        else:
+            self.acked_write_loss += 1
 
     def bounded_loss(self, outcome: RoundOutcome) -> None:
         self.lost_unsynced += 1
@@ -441,6 +514,7 @@ class CampaignReport:
         """A driver that raised is a harness-visible failure, not noise."""
         for result in results:
             if isinstance(result, BaseException):
+                self.crashes += 1
                 self.violations.append(
                     f"driver crashed: {type(result).__name__}: {result}"
                 )
@@ -540,15 +614,19 @@ def event_point(
     )
 
 
+def hot_key(rng: random.Random, keys_per_conn: int) -> int:
+    """Quadratic skew: low key ids are hot, high ids are the long tail
+    the Z-zone exists for."""
+    return min(int(keys_per_conn * rng.random() ** 2), keys_per_conn - 1)
+
+
 def op_stream(config: CampaignConfig, label: str) -> Iterator[Tuple[str, int]]:
     """One connection's ``(op, key_id)`` draws: a pure function of
-    ``(config.seed, label)``."""
+    ``(config.seed, label)`` and the config's op mix and key space."""
     rng = random.Random(derive_seed(config.seed, label))
     for _position in range(config.requests_per_conn):
         draw = rng.random()
-        # Quadratic skew: low key ids are hot.
-        key_id = int(config.keys_per_conn * rng.random() ** 2)
-        key_id = min(key_id, config.keys_per_conn - 1)
+        key_id = hot_key(rng, config.keys_per_conn)
         if draw < config.set_fraction:
             yield "set", key_id
         elif draw < config.set_fraction + config.delete_fraction:
@@ -582,14 +660,17 @@ async def drive(
     stop: Optional[asyncio.Event] = None,
 ) -> None:
     """One round of traffic: connection ``i`` draws
-    ``op_stream(config, f"{stream}-c{i}")`` into ``clients[i]`` (anything
+    ``op_stream(config, f"{stream}{i}")`` into ``clients[i]`` (anything
     with ``set``/``delete``/``get``/``close``), and ``on_event`` fires
-    once ``outcome.event_after_ops`` ops have been issued.
+    once ``outcome.event_after_ops`` ops have been issued.  ``stream``
+    is the whole label prefix (``"crash-ops-r3-c"``,
+    ``"loadgen-ops-conn"``): the labels predate the kit, and a seed's
+    traffic must not move.
 
     ``reaped(key)`` must say whether the child ``key`` is addressed to
     has already been reaped; ``stop``, once set, ends the drivers early.
     The clients are closed before returning.  A client that re-sends a
-    request must not let a bare ``ConnectionRefusedError`` escape (an
+    request must not let a bare :data:`NEVER_SENT` error escape (an
     earlier attempt may have landed): :func:`raw_client` never re-sends,
     ``ClusterClient`` wraps what its retries raise in ``NodeDownError``.
     """
@@ -597,7 +678,7 @@ async def drive(
     tasks = [
         asyncio.create_task(
             _drive_connection(
-                config, oracle, conn_id, f"{stream}-c{conn_id}", client,
+                config, oracle, conn_id, f"{stream}{conn_id}", client,
                 reaped, outcome, report, counter, stop,
             )
         )
@@ -631,7 +712,7 @@ async def _drive_connection(
         if stop is not None and stop.is_set():
             break
         counter[0] += 1
-        outcome.ops_issued += 1
+        outcome.issued[op] += 1
         key = key_name(conn_id, key_id)
         slot = (conn_id, key_id)
         # Asked *before* the op: a child reaped by now can apply nothing,
@@ -650,17 +731,17 @@ async def _drive_connection(
                 outcome.acked_deletes += 1
             else:
                 value = await client.get(key)
+                if value is None:
+                    outcome.misses += 1
+                else:
+                    outcome.hits += 1
                 report.tally(oracle.judge(conn_id, key_id, value), outcome)
         except OP_FAILURES as exc:
             outcome.failed_ops += 1
-            # See the module doc.  A refused connect proves nothing was
-            # sent only on a client that never re-sends (raw_client); a
+            # See the module doc.  NEVER_SENT proves nothing was sent
+            # only on a client that never re-sends (raw_client); a
             # retrying client surfaces its own error types instead.
-            if (
-                op != "get"
-                and not gone
-                and not isinstance(exc, ConnectionRefusedError)
-            ):
+            if op != "get" and not gone and not isinstance(exc, NEVER_SENT):
                 oracle.state[slot] = UNKNOWN
 
 

@@ -32,7 +32,7 @@ import time
 from typing import Optional, Tuple
 
 from repro.common.errors import CacheError, ReplicationError
-from repro.core.snapshot import _iter_cache_items, read_snapshot_meta
+from repro.core.snapshot import iter_cache_items, read_snapshot_meta
 from repro.durability.journal import OP_SET, decode_payload_meta
 from repro.durability.manager import replay_journal
 from repro.replication import wire
@@ -307,7 +307,7 @@ class ReplicationClient:
             loaded_keys.add(key)
         stale = [
             key
-            for key, _value in list(_iter_cache_items(self.cache))
+            for key, _value in list(iter_cache_items(self.cache))
             if key not in loaded_keys
         ]
         for key in stale:
@@ -364,7 +364,7 @@ def catch_up_from_directory(
     # Full recovery: drop everything we have (our history may predate the
     # newest checkpoint, and loading an image over live contents could
     # resurrect keys the primary deleted), then replay the directory.
-    for key in [key for key, _value in list(_iter_cache_items(cache))]:
+    for key in [key for key, _value in list(iter_cache_items(cache))]:
         try:
             cache.delete(key)
         except CacheError:

@@ -29,6 +29,7 @@ import os
 from collections import deque
 from typing import Deque, Optional, Set, Tuple
 
+from repro.common.errors import JournalError, ReplicationError
 from repro.core.snapshot import write_snapshot
 from repro.durability.journal import SEGMENT_MAGIC, list_segments, segment_name
 from repro.durability.manager import DurabilityManager
@@ -193,9 +194,9 @@ class ReplicationSource:
             asyncio.IncompleteReadError,
         ):
             pass
-        except Exception:
-            # A malformed HELLO (ReplicationError) or apply-side surprise
-            # must not take the primary's serving loop down.
+        except (ReplicationError, JournalError):
+            # A malformed HELLO or frame, or a journal the tailer cannot
+            # follow: drop this replica's session, keep serving.
             pass
         finally:
             self._sessions.discard(session)
@@ -411,7 +412,8 @@ class ReplicationSource:
                 self.stats.acks_received += 1
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass
-        except Exception:
+        except ReplicationError:
+            # A garbage ACK frame: the finally below ends the session.
             pass
         finally:
             session.closed = True

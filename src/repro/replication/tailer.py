@@ -29,8 +29,8 @@ from typing import List, Optional, Tuple
 
 from repro.common.errors import JournalError
 from repro.durability.journal import (
+    FRAME_LEN,
     SEGMENT_MAGIC,
-    _FRAME_LEN,
     decode_payload,
     list_segments,
     segment_name,
@@ -114,22 +114,22 @@ class JournalTailer:
         stream = self._stream
         assert stream is not None
         start = self.offset
-        header = stream.read(_FRAME_LEN.size)
-        if len(header) != _FRAME_LEN.size:
+        header = stream.read(FRAME_LEN.size)
+        if len(header) != FRAME_LEN.size:
             stream.seek(start)
             return None
-        (payload_len,) = _FRAME_LEN.unpack(header)
-        body = stream.read(payload_len + _FRAME_LEN.size)
-        if len(body) != payload_len + _FRAME_LEN.size:
+        (payload_len,) = FRAME_LEN.unpack(header)
+        body = stream.read(payload_len + FRAME_LEN.size)
+        if len(body) != payload_len + FRAME_LEN.size:
             stream.seek(start)
             return None
         payload, trailer = body[:payload_len], body[payload_len:]
-        (stored_crc,) = _FRAME_LEN.unpack(trailer)
+        (stored_crc,) = FRAME_LEN.unpack(trailer)
         if stored_crc != zlib.crc32(payload):
             stream.seek(start)
             return None
         op, key, value = decode_payload(payload)
-        self.offset = start + _FRAME_LEN.size * 2 + payload_len
+        self.offset = start + FRAME_LEN.size * 2 + payload_len
         return op, key, value, payload
 
     # -- the read loop ---------------------------------------------------------

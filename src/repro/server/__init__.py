@@ -1,11 +1,13 @@
-"""Serving layer: memcached-protocol server, client, loadgen, chaos.
+"""Serving layer: memcached-protocol server, admission, client.
 
 The package turns the library cache into an operable network service.
 ``repro.server`` holds the asyncio front-end (:class:`CacheServer`), the
-admission controller with its overload state machine, a pooled client
-with deadlines and jittered retries, a seeded self-verifying load
-generator, and the over-the-wire chaos driver that exercises the whole
-lifecycle (faulted traffic, drain, snapshot, warm restart, overload).
+admission controller with its overload state machine, and a pooled
+client with deadlines and jittered retries.  The tooling that *tests* a
+server — the load generator (``repro.server.loadgen``), the campaigns
+(``.chaos``, ``.crash``, ``.replchaos``) and the harness kit under them
+— is imported by module path, never through this package, so a serving
+process does not load it.
 """
 
 from repro.server.admission import (
@@ -16,17 +18,11 @@ from repro.server.admission import (
     TickClock,
     TokenBucket,
 )
-from repro.server.chaos import (
-    ServerChaosReport,
-    default_server_plan,
-    run_server_chaos,
-)
 from repro.server.client import (
     FailoverMemcacheClient,
     MemcacheClient,
     RetryPolicy,
 )
-from repro.server.loadgen import LoadConfig, LoadReport, run_loadgen
 from repro.server.meta import ItemMetaStore
 from repro.server.protocol import (
     DEFAULT_MAX_VALUE_BYTES,
@@ -50,21 +46,15 @@ __all__ = [
     "EXPTIME_ABSOLUTE_THRESHOLD",
     "FailoverMemcacheClient",
     "ItemMetaStore",
-    "LoadConfig",
-    "LoadReport",
     "MAX_KEY_BYTES",
     "MemcacheClient",
     "RequestParser",
     "RetryPolicy",
-    "ServerChaosReport",
     "ServerConfig",
     "ServerState",
     "ServerStats",
     "TICK_SECONDS",
     "TickClock",
     "TokenBucket",
-    "default_server_plan",
-    "run_loadgen",
-    "run_server_chaos",
     "valid_key",
 ]

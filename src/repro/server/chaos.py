@@ -17,33 +17,37 @@ Every line of :meth:`ServerChaosReport.render` is a pure function of
 per-connection RNG streams, the overload probe is single-connection
 with a tick-driven token bucket, and everything timing-dependent is
 reduced to a boolean verdict.  Two runs with the same seed render
-byte-identical reports — which is exactly what the ``server-smoke`` CI
+byte-identical reports — which is exactly what the ``harness-smoke`` CI
 job diffs.
+
+The traffic and both sweeps run on the harness kit through the loadgen
+(:func:`~repro.server.loadgen.drive_traffic`, ``verify_sweep``) with one
+:class:`~repro.harness.Oracle` that outlives the restart, so the
+restored server is judged by everything the first one acknowledged.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import random
 import tempfile
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, Optional
 
+from repro.common.errors import ServerOverloadedError
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.zexpander import ZExpander
 from repro.faults.plan import WIRE_SITES, FaultPlan, FaultSpec
+from repro.harness import Oracle, expected_value, key_name, raw_client
 from repro.server.admission import AdmissionConfig, AdmissionController, TickClock
-from repro.server.client import _Connection
 from repro.server.loadgen import (
     LoadConfig,
     LoadReport,
-    _ConnectionDriver,
-    _verify_sweep,
-    expected_value,
-    key_name,
+    drive_traffic,
+    verify_sweep,
 )
-from repro.server.protocol import CRLF
 from repro.server.server import TICK_SECONDS, CacheServer, ServerConfig
 from repro.sim.costmodel import HIGH_PERFORMANCE_COSTS
 from repro.sim.perfsim import PerformanceModel, mix_from_stats
@@ -81,8 +85,6 @@ def _cache_site_plan(plan: FaultPlan) -> Optional[FaultPlan]:
 class OverloadProbe:
     """Deterministic single-connection overload phase results."""
 
-    requests: int = 0
-    admitted: int = 0
     shed_total: int = 0
     shed_zzone: int = 0
     overload_errors_seen: int = 0
@@ -94,34 +96,22 @@ class OverloadProbe:
 
 
 @dataclass
-class ServerChaosReport:
-    """Outcome of one over-the-wire chaos run; ``render()`` is
+class ServerChaosReport(LoadReport):
+    """Outcome of one over-the-wire chaos run: a load report (round 0
+    the traffic, then one sweep before the drain and one after the
+    restart) plus the lifecycle around it; ``render()`` is
     byte-deterministic per (seed, scale)."""
 
-    seed: int
-    connections: int
-    requests_per_conn: int
-    keys_per_conn: int
-    shards: int
-    plan: FaultPlan
-    load: Optional[LoadReport] = None
+    shards: int = 2
     drain_exit_code: int = -1
     invariant_failures: int = 0
     audits: int = 0
     resident_before: int = 0
     resident_after: int = 0
-    restart_wrong_bytes: int = 0
-    restart_resident: int = 0
-    restart_expected: int = 0
     snapshot_loaded: int = 0
     snapshot_skipped: int = 0
     probe: Optional[OverloadProbe] = None
     zzone_counters: Dict[str, int] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def restart_ratio(self) -> float:
@@ -131,36 +121,17 @@ class ServerChaosReport:
 
     def render(self) -> str:
         """Deterministic fields only — safe to byte-diff across runs."""
+        config = self.config
         lines = [
-            f"server-chaos: connections={self.connections} "
-            f"requests_per_conn={self.requests_per_conn} "
-            f"keys_per_conn={self.keys_per_conn} shards={self.shards} "
-            f"seed={self.seed}",
-            f"plan: seed={self.plan.seed} sites={','.join(self.plan.sites) or '-'}",
+            f"server-chaos: connections={config.connections} "
+            f"requests_per_conn={config.requests_per_conn} "
+            f"keys_per_conn={config.keys_per_conn} shards={self.shards} "
+            f"seed={config.seed}",
+            *self.traffic_lines("injected(wire)"),
+            f"drain_exit_code: {self.drain_exit_code}",
+            f"invariant_failures: {self.invariant_failures}",
+            "restart_warm: " + ("yes" if self.restart_ratio >= 0.95 else "NO"),
         ]
-        if self.load is not None:
-            lines.append(
-                f"issued: gets={self.load.issued_gets} "
-                f"sets={self.load.issued_sets} deletes={self.load.issued_deletes}"
-            )
-            wire = {
-                site: self.load.injected.get(site, 0) for site in WIRE_SITES
-            }
-            lines.append(
-                "injected(wire): "
-                + " ".join(f"{site}={count}" for site, count in sorted(wire.items()))
-            )
-            lines.append(
-                f"wrong_bytes: {self.load.wrong_bytes + self.restart_wrong_bytes}"
-            )
-            lines.append(f"stale_reads: {self.load.stale_reads}")
-            lines.append(f"crashes: {self.load.crashes}")
-        lines.append(f"drain_exit_code: {self.drain_exit_code}")
-        lines.append(f"invariant_failures: {self.invariant_failures}")
-        lines.append(
-            "restart_warm: "
-            + ("yes" if self.restart_ratio >= 0.95 else "NO")
-        )
         if self.probe is not None:
             lines.append(
                 f"overload: sheds={self.probe.shed_total} "
@@ -173,12 +144,9 @@ class ServerChaosReport:
                     else "NO"
                 )
             )
-        if self.violations:
-            lines.append(f"FAIL ({len(self.violations)} violations)")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        else:
-            lines.append("OK: served, shed, drained, and restarted cleanly")
+        lines += self.verdict_lines(
+            "served, shed, drained, and restarted cleanly"
+        )
         return "\n".join(lines)
 
     def render_metrics(self) -> str:
@@ -189,16 +157,70 @@ class ServerChaosReport:
             f"snapshot: loaded={self.snapshot_loaded} "
             f"skipped={self.snapshot_skipped}",
             f"audits: {self.audits}",
+            super().render_metrics(),
         ]
-        if self.load is not None:
-            lines.append(self.load.render_metrics())
         for name in sorted(self.zzone_counters):
             lines.append(f"  zzone.{name}: {self.zzone_counters[name]}")
         return "\n".join(lines)
 
+    def finalise(self) -> None:
+        """The load's clauses (wrong bytes, reads after delete, unverified
+        sweeps), then the lifecycle's."""
+        super().finalise()
+        traffic = self.rounds[0]
+        if self.drain_exit_code != 0:
+            self.violations.append(
+                f"drain exited {self.drain_exit_code}, expected 0"
+            )
+        if self.invariant_failures:
+            self.violations.append(
+                f"{self.invariant_failures} invariant failures during serving"
+            )
+        if self.restart_ratio < 0.95:
+            self.violations.append(
+                f"warm restart restored only {self.restart_ratio:.3f} "
+                "of resident items (need >= 0.95)"
+            )
+        damage = (
+            self.zzone_counters.get("quarantined_items", 0)
+            + self.zzone_counters.get("evicted_items", 0)
+        )
+        allowed = DAMAGE_MISS_FACTOR * damage + MISS_SLACK_FRACTION * max(
+            1, traffic.ops_issued
+        )
+        # Misses on acknowledged keys *during the traffic*; what the sweeps
+        # then find missing is the same damage seen again.
+        if traffic.lost_unsynced > allowed:
+            self.violations.append(
+                f"disproportionate degradation: {traffic.lost_unsynced} misses "
+                f"on written keys for {damage} damaged/evicted items "
+                f"(allowed {allowed:.0f})"
+            )
+        probe = self.probe
+        if probe is not None:
+            if probe.shed_total == 0 or probe.shed_zzone == 0:
+                self.violations.append(
+                    "overload probe shed nothing (expected Z-zone-first shedding)"
+                )
+            if probe.overload_errors_seen != probe.shed_total:
+                self.violations.append(
+                    f"{probe.shed_total} sheds but {probe.overload_errors_seen} "
+                    "SERVER_ERROR overloaded replies seen"
+                )
+            if probe.latency_ratio > 2.0:
+                self.violations.append(
+                    f"modeled N-zone service time {probe.latency_ratio:.3f}x "
+                    "unloaded (need <= 2x)"
+                )
+            if probe.max_inflight > probe.inflight_hard:
+                self.violations.append(
+                    f"inflight reached {probe.max_inflight}, past the hard cap "
+                    f"{probe.inflight_hard} (unbounded queue growth)"
+                )
 
-#: The Z-zone counters the report prints (and ``_judge`` weighs damage
-#: by), read from the server's registry as ``cache_zzone_<name>``.
+
+#: The Z-zone counters the report prints (and ``finalise`` weighs
+#: damage by), read from the server's registry as ``cache_zzone_<name>``.
 _ZZONE_REPORTED = tuple(
     name for name in INTEGRITY_FIELDS if name != "staged_checksum_failures"
 ) + ("evicted_items",)
@@ -216,42 +238,35 @@ def run_server_chaos(
     overload: bool = True,
 ) -> ServerChaosReport:
     """Run the whole over-the-wire chaos lifecycle; see the module doc."""
-    if plan is None:
-        plan = default_server_plan(seed)
-    return asyncio.run(
-        _run_server_chaos(
-            seed,
-            connections,
-            requests_per_conn,
-            keys_per_conn,
-            shards,
-            capacity,
-            plan,
-            workdir,
-            overload,
-        )
-    )
-
-
-async def _run_server_chaos(
-    seed: int,
-    connections: int,
-    requests_per_conn: int,
-    keys_per_conn: int,
-    shards: int,
-    capacity: int,
-    plan: FaultPlan,
-    workdir: Optional[str],
-    overload: bool,
-) -> ServerChaosReport:
-    report = ServerChaosReport(
-        seed=seed,
+    load_config = LoadConfig(
         connections=connections,
         requests_per_conn=requests_per_conn,
         keys_per_conn=keys_per_conn,
-        shards=shards,
-        plan=plan,
+        seed=seed,
+        plan=plan if plan is not None else default_server_plan(seed),
+        deadline=3.0,
     )
+    load_config.validate()
+    return asyncio.run(
+        _run_server_chaos(load_config, shards, capacity, workdir, overload)
+    )
+
+
+#: Admission that never sheds: the load phase and the probe's unloaded
+#: twin must see every request served.
+_WIDE_OPEN = AdmissionConfig(
+    rate=1e6, burst=1e5, inflight_soft=256, inflight_hard=512, inflight_low=8
+)
+
+
+async def _run_server_chaos(
+    load_config: LoadConfig,
+    shards: int,
+    capacity: int,
+    workdir: Optional[str],
+    overload: bool,
+) -> ServerChaosReport:
+    seed, plan = load_config.seed, load_config.plan
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="zx-server-chaos-")
     snapshot_path = os.path.join(workdir, "chaos.snap")
@@ -269,49 +284,19 @@ async def _run_server_chaos(
         drain_deadline=5.0,
         snapshot_path=snapshot_path,
         audit_interval=256,
-        admission=AdmissionConfig(
-            rate=1e6, burst=1e5, inflight_soft=256, inflight_hard=512,
-            inflight_low=8,
-        ),
+        admission=_WIDE_OPEN,
     )
     server = CacheServer(cache, server_config)
     await server.start()
     run_task = asyncio.create_task(server.run())
 
-    load_config = LoadConfig(
-        port=server.port,
-        connections=connections,
-        requests_per_conn=requests_per_conn,
-        keys_per_conn=keys_per_conn,
-        seed=seed,
-        plan=plan,
-        deadline=3.0,
-    )
-    load_config.validate()
-    drivers = [
-        _ConnectionDriver(load_config, conn_id, LoadReport(config=load_config))
-        for conn_id in range(connections)
-    ]
-    # Share one report across drivers (run_loadgen does the same wiring;
-    # done by hand here so the drivers' key states survive for the
-    # post-restart verification sweep).
-    shared = LoadReport(config=load_config)
-    for driver in drivers:
-        driver.report = shared
-    results = await asyncio.gather(
-        *(driver.run() for driver in drivers), return_exceptions=True
-    )
-    for result in results:
-        if isinstance(result, BaseException):
-            shared.crashes += 1
-            shared.violations.append(
-                f"connection driver crashed: {type(result).__name__}: {result}"
-            )
-    for site in WIRE_SITES:
-        shared.injected[site] = sum(driver.arm.fired[site] for driver in drivers)
-    await _verify_sweep(load_config, drivers, shared)
-    shared.finalise()
-    report.load = shared
+    load_config.port = server.port
+    report = ServerChaosReport(config=load_config, shards=shards)
+    # One oracle for the whole lifecycle: what the faulted server
+    # acknowledged is what the restarted one is held to.
+    oracle = Oracle(seed)
+    await drive_traffic(report, oracle)
+    await verify_sweep(report, oracle, server.port, "verify")
     counters = server.registry.snapshot()
     report.zzone_counters = {
         name: counters[f"cache_zzone_{name}"] for name in _ZZONE_REPORTED
@@ -330,22 +315,14 @@ async def _run_server_chaos(
     restart_cache = ShardedZExpander(
         ZExpanderConfig(total_capacity=capacity, seed=seed), num_shards=shards
     )
-    restart_server = CacheServer(
-        restart_cache, replace(server_config, snapshot_path=snapshot_path)
-    )
+    restart_server = CacheServer(restart_cache, server_config)
     await restart_server.start()
     restart_task = asyncio.create_task(restart_server.run())
     report.snapshot_loaded = restart_server.stats.snapshot_loaded
     report.snapshot_skipped = restart_server.stats.snapshot_skipped
     report.resident_after = _distinct_resident(restart_cache)
 
-    restart_report = LoadReport(
-        config=replace(load_config, port=restart_server.port)
-    )
-    await _verify_sweep(restart_report.config, drivers, restart_report)
-    report.restart_wrong_bytes = restart_report.wrong_bytes
-    report.restart_resident = restart_report.verify_resident
-    report.restart_expected = restart_report.verify_expected
+    await verify_sweep(report, oracle, restart_server.port, "restart")
     restart_server.begin_drain()
     await restart_task
 
@@ -353,7 +330,7 @@ async def _run_server_chaos(
     if overload:
         report.probe = await _overload_probe(seed)
 
-    _judge(report)
+    report.finalise()
     return report
 
 
@@ -368,67 +345,21 @@ def _distinct_resident(cache: ShardedZExpander) -> int:
     return len({key for key, _value in cache.items()})
 
 
-def _judge(report: ServerChaosReport) -> None:
-    load = report.load
-    assert load is not None
-    report.violations.extend(load.violations)
-    if report.restart_wrong_bytes:
-        report.violations.append(
-            f"{report.restart_wrong_bytes} wrong-byte reads after restart"
-        )
-    if report.drain_exit_code != 0:
-        report.violations.append(
-            f"drain exited {report.drain_exit_code}, expected 0"
-        )
-    if report.invariant_failures:
-        report.violations.append(
-            f"{report.invariant_failures} invariant failures during serving"
-        )
-    if report.restart_ratio < 0.95:
-        report.violations.append(
-            f"warm restart restored only {report.restart_ratio:.3f} "
-            "of resident items (need >= 0.95)"
-        )
-    damage = (
-        report.zzone_counters.get("quarantined_items", 0)
-        + report.zzone_counters.get("evicted_items", 0)
-    )
-    issued = load.issued_gets + load.issued_sets + load.issued_deletes
-    allowed = DAMAGE_MISS_FACTOR * damage + MISS_SLACK_FRACTION * max(1, issued)
-    if load.misses_after_set > allowed:
-        report.violations.append(
-            f"disproportionate degradation: {load.misses_after_set} misses "
-            f"on written keys for {damage} damaged/evicted items "
-            f"(allowed {allowed:.0f})"
-        )
-    probe = report.probe
-    if probe is not None:
-        if probe.shed_total == 0 or probe.shed_zzone == 0:
-            report.violations.append(
-                "overload probe shed nothing (expected Z-zone-first shedding)"
-            )
-        if probe.overload_errors_seen != probe.shed_total:
-            report.violations.append(
-                f"{probe.shed_total} sheds but {probe.overload_errors_seen} "
-                "SERVER_ERROR overloaded replies seen"
-            )
-        if probe.latency_ratio > 2.0:
-            report.violations.append(
-                f"modeled N-zone service time {probe.latency_ratio:.3f}x "
-                "unloaded (need <= 2x)"
-            )
-        if probe.max_inflight > probe.inflight_hard:
-            report.violations.append(
-                f"inflight reached {probe.max_inflight}, past the hard cap "
-                f"{probe.inflight_hard} (unbounded queue growth)"
-            )
-
-
 # -- the overload probe --------------------------------------------------------
 
 PROBE_KEYS = 360
 PROBE_HOT_KEYS = 40
 PROBE_REQUESTS = 700
+
+
+def _probe_keys(seed: int) -> Iterator[int]:
+    """The probe's GET stream: 70 % hot head, 30 % long tail."""
+    rng = random.Random(seed + 17)
+    for _ in range(PROBE_REQUESTS):
+        if rng.random() < 0.7:
+            yield rng.randrange(PROBE_HOT_KEYS)
+        else:
+            yield PROBE_HOT_KEYS + rng.randrange(PROBE_KEYS - PROBE_HOT_KEYS)
 
 
 async def _overload_probe(seed: int) -> OverloadProbe:
@@ -451,63 +382,23 @@ async def _overload_probe(seed: int) -> OverloadProbe:
             promotion_policy="never",
         )
     )
-    config = ServerConfig(
-        port=0,
-        read_timeout=2.0,
-        admission=AdmissionConfig(
-            rate=1e6, burst=1e5, inflight_soft=256, inflight_hard=512,
-            inflight_low=8,
-        ),
+    server = CacheServer(
+        cache, ServerConfig(port=0, read_timeout=2.0, admission=_WIDE_OPEN)
     )
-    server = CacheServer(cache, config)
     await server.start()
     run_task = asyncio.create_task(server.run())
-    conn = await _Connection.open(config.host, server.port)
-
-    async def set_key(key_id: int) -> None:
-        key = key_name(99, key_id)
-        value = expected_value(seed, 99, key_id, 1)
-        conn.writer.write(
-            b"set %s 0 0 %d" % (key, len(value)) + CRLF + value + CRLF
-        )
-        await conn.writer.drain()
-        await conn.read_line()
-
-    async def get_key(key_id: int) -> str:
-        """Issue a GET; returns 'hit', 'miss', or 'overloaded'."""
-        conn.writer.write(b"get %s" % key_name(99, key_id) + CRLF)
-        await conn.writer.drain()
-        line = (await conn.read_line()).rstrip()
-        if line.startswith(b"SERVER_ERROR"):
-            return "overloaded"
-        if line == b"END":
-            return "miss"
-        length = int(line.split(b" ")[3])
-        await conn.read_exactly(length + 2)
-        end = (await conn.read_line()).rstrip()
-        assert end == b"END", end
-        return "hit"
+    # One persistent connection, one attempt per request: a shed GET is
+    # one ``SERVER_ERROR overloaded`` reply, never retried.
+    client = raw_client(server.port)
 
     # Populate: long tail first, hot head last so it owns the N-zone.
-    for key_id in range(PROBE_HOT_KEYS, PROBE_KEYS):
-        await set_key(key_id)
-    for key_id in range(PROBE_HOT_KEYS):
-        await set_key(key_id)
-
-    def op_stream():
-        import random as _random
-
-        rng = _random.Random(seed + 17)
-        for _ in range(PROBE_REQUESTS):
-            if rng.random() < 0.7:
-                yield rng.randrange(PROBE_HOT_KEYS)
-            else:
-                yield PROBE_HOT_KEYS + rng.randrange(PROBE_KEYS - PROBE_HOT_KEYS)
+    for key_id in (*range(PROBE_HOT_KEYS, PROBE_KEYS), *range(PROBE_HOT_KEYS)):
+        await client.set(key_name(99, key_id), expected_value(seed, 99, key_id, 1))
 
     # Unloaded twin: same GET stream, admission wide open.
     baseline_before = cache.stats.snapshot()
-    for key_id in op_stream():
-        await get_key(key_id)
+    for key_id in _probe_keys(seed):
+        await client.get(key_name(99, key_id))
     baseline_mix = mix_from_stats(cache.stats.delta(baseline_before))
 
     # Overloaded run: starved bucket, tick clock — 0.4 tokens/request.
@@ -523,14 +414,13 @@ async def _overload_probe(seed: int) -> OverloadProbe:
     server.admission = AdmissionController(tight, now=TickClock(TICK_SECONDS))
     probe.inflight_hard = tight.inflight_hard
     overload_before = cache.stats.snapshot()
-    for key_id in op_stream():
-        outcome = await get_key(key_id)
-        probe.requests += 1
-        if outcome == "overloaded":
+    for key_id in _probe_keys(seed):
+        try:
+            await client.get(key_name(99, key_id))
+        except ServerOverloadedError:
             probe.overload_errors_seen += 1
     overload_mix = mix_from_stats(cache.stats.delta(overload_before))
     stats = server.admission.stats
-    probe.admitted = stats.admitted
     probe.shed_total = stats.shed_total
     probe.shed_zzone = stats.shed_zzone
     probe.max_inflight = stats.max_inflight
@@ -540,7 +430,7 @@ async def _overload_probe(seed: int) -> OverloadProbe:
         baseline_mix
     )
 
-    conn.close()
+    await client.close()
     server.begin_drain()
     await run_task
     return probe

@@ -29,7 +29,16 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.common.errors import (
     ConnectionDrainingError,
@@ -68,7 +77,7 @@ class RetryPolicy:
         return rng.uniform(0.0, ceiling)
 
 
-class _Connection:
+class Connection:
     """One raw protocol connection (no pooling, no retries)."""
 
     def __init__(
@@ -78,20 +87,23 @@ class _Connection:
         self.writer = writer
 
     @classmethod
-    async def open(cls, host: str, port: int) -> "_Connection":
+    async def open(cls, host: str, port: int) -> "Connection":
         reader, writer = await asyncio.open_connection(host, port)
         return cls(reader, writer)
 
     def close(self) -> None:
         try:
             self.writer.close()
-        except Exception:
+        except (OSError, RuntimeError):
+            # Already reset by the peer, or its event loop is gone.
             pass
 
-    async def round_trip(self, request: bytes) -> bytes:
+    async def send(self, request: bytes) -> None:
+        """Put one whole request on the wire.  Every operation sends
+        through here, so a subclass that breaks the bytes mid-request
+        (the loadgen's wire faults) breaks them for every command."""
         self.writer.write(request)
         await self.writer.drain()
-        return await self.reader.readline()
 
     async def read_line(self) -> bytes:
         line = await self.reader.readline()
@@ -165,6 +177,7 @@ class MemcacheClient:
         deadline: float = 2.0,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[random.Random] = None,
+        connect: Callable[[str, int], Awaitable[Connection]] = Connection.open,
     ) -> None:
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -175,6 +188,9 @@ class MemcacheClient:
         self.deadline = deadline
         self.retry = retry if retry is not None else RetryPolicy()
         self._rng = rng if rng is not None else random.Random()
+        #: How a pool slot dials: the seam through which the loadgen puts
+        #: a fault-applying :class:`Connection` under every command.
+        self._connect = connect
         # LIFO keeps hot connections hot; slots start as None = "create".
         self._pool: asyncio.LifoQueue = asyncio.LifoQueue(pool_size)
         for _ in range(pool_size):
@@ -182,17 +198,17 @@ class MemcacheClient:
 
     # -- pool ------------------------------------------------------------------
 
-    async def _acquire(self) -> _Connection:
+    async def _acquire(self) -> Connection:
         slot = await self._pool.get()
         if slot is not None:
             return slot
         try:
-            return await _Connection.open(self.host, self.port)
+            return await self._connect(self.host, self.port)
         except BaseException:
             self._pool.put_nowait(None)
             raise
 
-    def _release(self, conn: _Connection, healthy: bool) -> None:
+    def _release(self, conn: Connection, healthy: bool) -> None:
         """Return a slot to the pool; must succeed on every code path.
 
         Pool-size conservation is the invariant: every ``_pool.get()``
@@ -301,10 +317,9 @@ class MemcacheClient:
         for request in self._get_requests(b"get", keys):
 
             async def op(
-                conn: _Connection, request: bytes = request
+                conn: Connection, request: bytes = request
             ) -> Dict[bytes, bytes]:
-                conn.writer.write(request)
-                await conn.writer.drain()
+                await conn.send(request)
                 found: Dict[bytes, bytes] = {}
                 async for key, _flags, value, _cas in conn.read_values():
                     found[key] = value
@@ -317,9 +332,8 @@ class MemcacheClient:
         """GET returning ``(value, flags)``; None on miss."""
         request = self._get_request(b"get", [key])
 
-        async def op(conn: _Connection):
-            conn.writer.write(request)
-            await conn.writer.drain()
+        async def op(conn: Connection):
+            await conn.send(request)
             result = None
             async for got, flags, value, _cas in conn.read_values():
                 if got == key:
@@ -332,9 +346,8 @@ class MemcacheClient:
         """GET with a cas token; None on miss."""
         request = self._get_request(b"gets", [key])
 
-        async def op(conn: _Connection):
-            conn.writer.write(request)
-            await conn.writer.drain()
+        async def op(conn: Connection):
+            await conn.send(request)
             result = None
             # Consume the whole reply (through END) so the connection
             # goes back to the pool with nothing buffered.
@@ -356,9 +369,8 @@ class MemcacheClient:
             + CRLF
         )
 
-        async def op(conn: _Connection) -> bool:
-            conn.writer.write(request)
-            await conn.writer.drain()
+        async def op(conn: Connection) -> bool:
+            await conn.send(request)
             line = await conn.read_line()
             if line.rstrip() == b"STORED":
                 return True
@@ -388,9 +400,8 @@ class MemcacheClient:
             + CRLF
         )
 
-        async def op(conn: _Connection) -> Optional[bool]:
-            conn.writer.write(request)
-            await conn.writer.drain()
+        async def op(conn: Connection) -> Optional[bool]:
+            await conn.send(request)
             line = (await conn.read_line()).rstrip()
             if line == b"STORED":
                 return True
@@ -407,9 +418,8 @@ class MemcacheClient:
         self._check_key(key)
         request = b"delete %s" % key + CRLF
 
-        async def op(conn: _Connection) -> bool:
-            conn.writer.write(request)
-            await conn.writer.drain()
+        async def op(conn: Connection) -> bool:
+            await conn.send(request)
             line = (await conn.read_line()).rstrip()
             if line == b"DELETED":
                 return True
@@ -421,9 +431,8 @@ class MemcacheClient:
         return await self._call(op)
 
     async def stats(self) -> Dict[str, str]:
-        async def op(conn: _Connection) -> Dict[str, str]:
-            conn.writer.write(b"stats" + CRLF)
-            await conn.writer.drain()
+        async def op(conn: Connection) -> Dict[str, str]:
+            await conn.send(b"stats" + CRLF)
             out: Dict[str, str] = {}
             while True:
                 line = (await conn.read_line()).rstrip()
@@ -438,9 +447,8 @@ class MemcacheClient:
         return await self._call(op)
 
     async def version(self) -> str:
-        async def op(conn: _Connection) -> str:
-            conn.writer.write(b"version" + CRLF)
-            await conn.writer.drain()
+        async def op(conn: Connection) -> str:
+            await conn.send(b"version" + CRLF)
             line = (await conn.read_line()).rstrip()
             if line.startswith(b"VERSION "):
                 return line[len(b"VERSION ") :].decode("ascii")
@@ -466,9 +474,8 @@ class MemcacheClient:
             request += b" " + catch_up.encode("utf-8")
         request += CRLF
 
-        async def op(conn: _Connection) -> None:
-            conn.writer.write(request)
-            await conn.writer.drain()
+        async def op(conn: Connection) -> None:
+            await conn.send(request)
             line = (await conn.read_line()).rstrip()
             if line == b"PROMOTED":
                 return None

@@ -3,7 +3,7 @@
 The durability layer's contract is only as good as the worst place a
 process can die, so this harness does not pick nice places: it starts a
 real ``cli serve`` child with a journal directory, drives it with
-self-verifying traffic (the loadgen oracle: every value is a pure
+self-verifying traffic (the kit's oracle: every value is a pure
 function of ``(seed, conn, key, version)``), and SIGKILLs the child at a
 seeded random point — mid-append, mid-fsync, mid-checkpoint, mid-prune,
 wherever the dice land.  Then it restarts the child on the same
@@ -156,7 +156,7 @@ async def _run_crash_chaos(config: CrashConfig) -> CrashReport:
                 stop.set()
 
             await drive(
-                config, oracle, f"crash-ops-r{round_index}",
+                config, oracle, f"crash-ops-r{round_index}-c",
                 [raw_client(child.port) for _ in range(config.connections)],
                 lambda _key: not child.alive,
                 outcome, report, kill, stop,

@@ -5,7 +5,7 @@ attacks each one with a real primary/replica pair of ``cli serve``
 children joined through an in-harness TCP chaos proxy:
 
 * **no wrong bytes, ever** — any value served by either node must be
-  *some* version the loadgen oracle attempted; fabricated or cross-key
+  *some* version the oracle attempted; fabricated or cross-key
   bytes are fatal regardless of link state.
 * **no stale reads beyond the advertised bound** — after the link has
   been dead or silent past ``stale_grace``, a replica must refuse reads
@@ -45,8 +45,10 @@ from typing import List, Optional, Set, Tuple
 from repro.common.errors import ReplicaLaggingError
 from repro.common.rng import derive_seed
 from repro.harness import (
+    FABRICATED,
     HOST,
     OP_FAILURES,
+    UNKNOWN,
     CampaignConfig,
     CampaignReport,
     Oracle,
@@ -55,12 +57,13 @@ from repro.harness import (
     closing,
     drive,
     event_point,
+    hot_key,
     journalled_argv,
+    key_name,
     raw_client,
     sweep,
 )
 from repro.server.client import MemcacheClient
-from repro.server.loadgen import UNKNOWN, key_name
 
 #: The four seeded link events; the plan covers each at least once.
 LINK_KINDS = ("partition", "stall", "reset", "resync")
@@ -132,7 +135,7 @@ class ReplChaosReport(CampaignReport):
     def tally_stale(self, verdict: str, outcome: RoundOutcome) -> None:
         """The converged-replica rule: any deviation from the oracle
         while advertising lag 0 is a stale serve."""
-        if verdict == "wrong":
+        if verdict in FABRICATED:
             self.wrong_bytes += 1
         elif verdict == "ok":
             return
@@ -475,7 +478,7 @@ class _Campaign:
             # kit (the crash campaign's driver was borrowed); renaming it
             # would change every seed's traffic.
             await drive(
-                config, self.oracle, f"crash-ops-r{outcome.round_index}",
+                config, self.oracle, f"crash-ops-r{outcome.round_index}-c",
                 [raw_client(primary.port) for _ in range(config.connections)],
                 lambda _key: not primary.alive,
                 outcome, self.report, on_event,
@@ -501,10 +504,7 @@ class _Campaign:
         async with closing(raw_client(self.replica.port)) as client:
             while not stop.is_set():
                 lane = rng.randrange(config.connections)
-                key_id = min(
-                    int(config.keys_per_conn * rng.random() ** 2),
-                    config.keys_per_conn - 1,
-                )
+                key_id = hot_key(rng, config.keys_per_conn)
                 try:
                     value = await client.get(key_name(lane, key_id))
                 except ReplicaLaggingError:
@@ -517,7 +517,7 @@ class _Campaign:
                     outcome.replica_reads += 1
                     if (
                         value is not None
-                        and self.oracle.judge(lane, key_id, value) == "wrong"
+                        and self.oracle.judge(lane, key_id, value) in FABRICATED
                     ):
                         self.report.wrong_bytes += 1
                 await asyncio.sleep(0.002)

@@ -42,6 +42,16 @@ class TestChaosContract:
         assert report.zzone_counters["quarantined_blocks"] > 0
         assert report.audits > 0
 
+    def test_default_write_path_quarantines_staged_bytes(self):
+        # What `cli chaos` and CI's chaos-smoke replay: the served
+        # default's append region, whose staged-CRC check the paper's
+        # reconstruct-on-every-put (region 0) never reaches.
+        assert _run().zzone_counters["staged_checksum_failures"] > 0
+        paper = _run(append_region_bytes=0)
+        assert paper.ok, paper.violations
+        assert paper.zzone_counters["staged_checksum_failures"] == 0
+        assert paper.zzone_counters["checksum_failures"] > 0
+
     def test_rerun_is_byte_identical(self):
         assert _run().render() == _run().render()
 

@@ -7,6 +7,7 @@ from repro.core import SimpleKVCache
 from repro.nzone import PlainZone
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
+from repro.replication import wire
 from repro.replication.replica import ReplicationClient, catch_up_from_directory
 from repro.server.server import CacheServer, ServerConfig
 
@@ -137,6 +138,58 @@ class TestPropagation:
             assert b"lagging" in reply
             writer.close()
             await drain(replica, rtask)
+
+        asyncio.run(go())
+
+
+class TestHostileReplica:
+    def test_malformed_frames_drop_the_session_not_the_primary(self, tmp_path):
+        """A bad HELLO or a garbage ACK ends that replica's session —
+        by name (ReplicationError), not through a catch-all — while the
+        primary keeps serving and the next replica connects."""
+
+        async def closed_by_primary(reader):
+            # read() returns only at EOF, after whatever frames the
+            # primary had queued before it saw the bad one.
+            await asyncio.wait_for(reader.read(), 5.0)
+
+        async def go():
+            primary, ptask = await start_primary(tmp_path)
+            source = primary.repl_source
+            # A well-framed HELLO whose position body is the wrong size.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", source.port
+            )
+            writer.write(wire.encode_frame(wire.HELLO, b"short"))
+            await closed_by_primary(reader)
+            writer.close()
+            assert source.stats.replica_connects == 0
+            # A proper HELLO, then an ACK frame whose CRC is wrong.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", source.port
+            )
+            writer.write(wire.encode_frame(wire.HELLO, wire.encode_position(0, 0)))
+            await writer.drain()
+            assert await wait_until(lambda: source.replicas_connected == 1)
+            ack = bytearray(wire.encode_frame(wire.ACK, wire.encode_ack(1, 0, 0)))
+            ack[-1] ^= 0xFF
+            writer.write(bytes(ack))
+            await closed_by_primary(reader)
+            writer.close()
+            assert await wait_until(lambda: source.replicas_connected == 0)
+
+            creader, cwriter = await asyncio.open_connection(
+                "127.0.0.1", primary.port
+            )
+            assert (
+                await send(cwriter, creader, b"set pk 0 0 3\r\nval\r\n")
+                == b"STORED\r\n"
+            )
+            cwriter.close()
+            replica, rtask = await start_replica(source.port)
+            assert await wait_until(lambda: replica.cache.get(b"pk") == b"val")
+            await drain(replica, rtask)
+            assert await drain(primary, ptask) == 0
 
         asyncio.run(go())
 

@@ -11,8 +11,8 @@ import asyncio
 
 from repro.core.config import ZExpanderConfig
 from repro.core.zexpander import ZExpander
+from repro.harness import expected_value, key_name
 from repro.server.client import MemcacheClient
-from repro.server.loadgen import expected_value, key_name
 
 from .test_server import make_cache, running_server, send
 

@@ -21,18 +21,22 @@ from repro.cluster.chaos import ClusterChaosConfig
 from repro.common.errors import NodeDownError, RequestTimeoutError
 from repro.common.rng import derive_seed
 from repro.harness import (
+    TOMBSTONE,
+    UNKNOWN,
     CampaignConfig,
     CampaignReport,
     Oracle,
+    RequestCut,
     RoundOutcome,
     ServeChild,
     drive,
     event_point,
+    expected_value,
+    key_name,
     op_stream,
     sweep,
 )
 from repro.server.crash import KILL_FRACTION_HI, KILL_FRACTION_LO, CrashConfig
-from repro.server.loadgen import TOMBSTONE, UNKNOWN, expected_value, key_name
 from repro.server.replchaos import (
     EVENT_FRACTION_HI,
     EVENT_FRACTION_LO,
@@ -55,17 +59,20 @@ _READS = {
     "current": 2, "older": 1, "in_flight": 3, "fabricated": "x", "miss": None,
 }
 _TABLE = {
-    # An acked key must read back as exactly the acked version.
-    "acked": dict(current="ok", older="acked_loss", in_flight="acked_loss",
-                  fabricated="wrong", miss="acked_loss"),
+    # An acked key must read back as exactly the acked version.  Gone
+    # (legal where eviction is) and another version (never legal) are
+    # told apart; so are the two ways bytes can come from nowhere.
+    "acked": dict(current="ok", older="older", in_flight="older",
+                  fabricated="wrong", miss="missing"),
     # UNKNOWN exempts the key from the loss check, never from the bytes check.
     "unknown": dict(current="ok", older="ok", in_flight="ok",
                     fabricated="wrong", miss="ok"),
     "tombstone": dict(current="resurrection", older="resurrection",
                       in_flight="resurrection", fabricated="wrong", miss="ok"),
-    # Nothing was ever sent for this key: any bytes at all are fabricated.
-    "never": dict(current="wrong", older="wrong", in_flight="wrong",
-                  fabricated="wrong", miss="ok"),
+    # Nothing was ever sent for this key: a hit is not this run's doing,
+    # whatever the bytes look like (a warm server may hold them).
+    "never": dict(current="unwritten", older="unwritten",
+                  in_flight="unwritten", fabricated="unwritten", miss="ok"),
 }
 
 
@@ -104,6 +111,9 @@ _OP_STREAM_GOLDENS = {
     "cluster-ops-r0-c1": "da907ecd0619420d93f8fcb53177c1dea82152350320caf01a41515bbbe82a57",
     "cluster-ops-r1-c0": "b6930702eb2c397bce36868f559f728a5faeb9e8f03ca8cca4829b2181b358de",
     "cluster-ops-r1-c1": "dab56be2cb3d2f27cc20ee88ba0dadd39b9bce41c28d9ea090f898e9681e5d3b",
+    # Taken from the loadgen's own driver before it moved onto the kit.
+    "loadgen-ops-conn0": "249db32d26065b80b5fbada1a66d8b9df8897587cf1f6b97e874ca21f1df3d75",
+    "loadgen-ops-conn1": "40a8601552ac6311eba06635ff357f7a19d864ab35ddd9345ecd7a853c296d52",
 }
 
 
@@ -216,6 +226,13 @@ def test_refused_connect_leaves_the_oracle_standing():
     assert oracle.state == before
 
 
+def test_wire_fault_abort_leaves_the_oracle_standing():
+    # The loadgen's conn.reset / conn.stall cut the request short of its
+    # last byte; the server discards the partial frame.
+    oracle, before = _drive_against(RequestCut("conn.reset"), False)
+    assert oracle.state == before
+
+
 @pytest.mark.parametrize(
     "error",
     [ConnectionResetError("cut"), RequestTimeoutError("late"), EOFError()],
@@ -317,7 +334,7 @@ def test_sweep_books_loss_through_the_tally():
 
 def test_verdict_tail_renders_as_before():
     relaxed = CampaignReport(config=CampaignConfig(fsync="interval"))
-    relaxed.tally("acked_loss", RoundOutcome(0))
+    relaxed.tally("missing", RoundOutcome(0))
     relaxed.check_durability()
     assert relaxed.durability_lines() == [
         "acked_write_loss: not enforced (fsync=interval)",
@@ -327,9 +344,9 @@ def test_verdict_tail_renders_as_before():
     assert relaxed.verdict_lines("fine") == ["OK: fine"]
 
     strict = CampaignReport(config=CampaignConfig(fsync="always"))
-    strict.tally("acked_loss", RoundOutcome(0))
+    strict.tally("older", RoundOutcome(0))
     strict.tally("resurrection", RoundOutcome(0))
-    strict.tally("wrong", RoundOutcome(0))
+    strict.tally("unwritten", RoundOutcome(0))
     strict.check_bytes()
     strict.check_durability()
     strict.check_drain(1)
