@@ -18,7 +18,6 @@ from repro.core.snapshot import (
     SnapshotError,
     load_snapshot,
     read_snapshot,
-    read_snapshot_meta,
     write_snapshot,
 )
 from repro.core.stats import ZExpanderStats
@@ -38,7 +37,6 @@ __all__ = [
     "ZExpanderStats",
     "load_snapshot",
     "read_snapshot",
-    "read_snapshot_meta",
     "replay_trace",
     "write_snapshot",
 ]

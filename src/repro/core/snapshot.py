@@ -148,31 +148,24 @@ class LoadResult(int):
 
 
 def read_snapshot(
-    source: Union[PathLike, BinaryIO], strict: bool = True
-) -> Iterator[Tuple[bytes, bytes]]:
-    """Yield (key, value) pairs from a snapshot; validates the format.
-
-    Reads both format versions (version-2 flags are dropped — use
-    :func:`read_snapshot_meta` to see them).  With ``strict=False`` a
-    malformed *tail* (truncated header or body, implausible lengths)
-    ends the iteration instead of raising; a bad magic still raises — a
-    file that never was a snapshot should not silently load as an empty
-    one.
-    """
-    for key, value, _flags in read_snapshot_meta(source, strict):
-        yield key, value
-
-
-def read_snapshot_meta(
-    source: Union[PathLike, BinaryIO], strict: bool = True
+    source: Union[PathLike, BinaryIO],
+    strict: bool = True,
+    damage: Optional[list] = None,
 ) -> Iterator[Tuple[bytes, bytes, int]]:
-    """Yield (key, value, flags) triples; version-1 files yield flags=0."""
-    sink: list = []
+    """Yield (key, value, flags) triples from a snapshot; validates the format.
+
+    Reads both format versions (version-1 files yield flags=0).  With
+    ``strict=False`` a malformed *tail* (truncated header or body,
+    implausible lengths) ends the iteration instead of raising, and its
+    description is appended to ``damage`` when a list is given; a bad
+    magic still raises — a file that never was a snapshot should not
+    silently load as an empty one.
+    """
     if hasattr(source, "read"):
-        yield from _read_stream(source, strict, sink)
+        yield from _read_stream(source, strict, damage)
         return
     with open(source, "rb") as stream:
-        yield from _read_stream(stream, strict, sink)
+        yield from _read_stream(stream, strict, damage)
 
 
 def _read_stream(
@@ -238,19 +231,10 @@ def load_snapshot(
     """
     damage: list = []
     count = 0
-
-    def ingest(iterator) -> None:
-        nonlocal count
-        for key, value, flags in iterator:
-            cache.set(key, value)
-            if meta is not None:
-                meta.on_set(key, flags)
-            count += 1
-
-    if hasattr(source, "read"):
-        ingest(_read_stream(source, strict, damage))
-    else:
-        with open(source, "rb") as stream:
-            ingest(_read_stream(stream, strict, damage))
+    for key, value, flags in read_snapshot(source, strict, damage):
+        cache.set(key, value)
+        if meta is not None:
+            meta.on_set(key, flags)
+        count += 1
     error = damage[0] if damage else None
     return LoadResult(count, skipped=1 if error else 0, error=error)

@@ -380,13 +380,20 @@ class ZExpander:
                 continue
 
     def _expire(self, key: bytes) -> None:
-        """Drop an expired key from both zones."""
+        """Drop an expired key from both zones.
+
+        Journaled as a delete: the journal and the replication stream
+        carry no TTL, so without it recovery and every replica would go
+        on holding a value this cache has stopped serving.
+        """
         self._expiry.clear(key)
         self.nzone.delete(key)
         hashed = hash_key(key)
         if self.zzone.maybe_contains(key, hashed):
             self.zzone.delete(key, hashed)
         self.stats.expirations += 1
+        if self.journal is not None:
+            self.journal.append_delete(key)
 
     def _housekeeping(self) -> None:
         """Per-request upkeep, structured as cheap inline guards.
@@ -413,11 +420,7 @@ class ZExpander:
 
     def _purge_due(self, now: float) -> None:
         for key in list(self._expiry.pop_due(now)):
-            self.nzone.delete(key)
-            hashed = hash_key(key)
-            if self.zzone.maybe_contains(key, hashed):
-                self.zzone.delete(key, hashed)
-            self.stats.expirations += 1
+            self._expire(key)
 
     def _issue_marker(self, now: float) -> None:
         self._last_marker_time = now

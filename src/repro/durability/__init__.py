@@ -24,8 +24,8 @@ from repro.durability.journal import (
     JournalConfig,
     JournalWriter,
     SegmentScan,
+    apply_record,
     decode_payload,
-    decode_payload_meta,
     encode_record,
     list_segments,
     read_segment,
@@ -51,8 +51,8 @@ __all__ = [
     "RecoveryResult",
     "ScrubReport",
     "SegmentScan",
+    "apply_record",
     "decode_payload",
-    "decode_payload_meta",
     "encode_record",
     "list_checkpoints",
     "list_segments",

@@ -124,11 +124,8 @@ def encode_payload(
     return head + value
 
 
-def encode_record(
-    op: int, key: bytes, value: bytes = b"", flags: int = 0
-) -> bytes:
-    """One framed journal record, CRC included."""
-    payload = encode_payload(op, key, value, flags)
+def frame(payload: bytes) -> bytes:
+    """``payload`` between its length word and its CRC: what a segment holds."""
     return (
         FRAME_LEN.pack(len(payload))
         + payload
@@ -136,7 +133,14 @@ def encode_record(
     )
 
 
-def decode_payload_meta(payload: bytes) -> Tuple[int, bytes, bytes, int]:
+def encode_record(
+    op: int, key: bytes, value: bytes = b"", flags: int = 0
+) -> bytes:
+    """One framed journal record, CRC included."""
+    return frame(encode_payload(op, key, value, flags))
+
+
+def decode_payload(payload: bytes) -> Tuple[int, bytes, bytes, int]:
     """(op, key, value, flags) from a CRC-verified payload.
 
     ``op`` is normalised: :data:`OP_SET_FLAGS` records come back as
@@ -164,14 +168,25 @@ def decode_payload_meta(payload: bytes) -> Tuple[int, bytes, bytes, int]:
     return op, key, rest, flags
 
 
-def decode_payload(payload: bytes) -> Tuple[int, bytes, bytes]:
-    """(op, key, value) from a CRC-verified payload; raises JournalError.
+def apply_record(
+    cache, meta, op: int, key: bytes, value: bytes, flags: int
+) -> None:
+    """Apply one decoded record to ``cache`` and its flags sidecar.
 
-    Flags-unaware compatibility surface: flagged SETs decode as plain
-    :data:`OP_SET` with the flags word stripped.
+    The one place a journal record becomes a mutation: recovery, the
+    replica's stream and promotion catch-up all call it.  ``meta``
+    (``on_set(key, flags)``/``on_delete(key)``) may be None.  A
+    :class:`CacheError` from the cache propagates before the sidecar is
+    touched; what it means is the caller's business.
     """
-    op, key, value, _flags = decode_payload_meta(payload)
-    return op, key, value
+    if op == OP_SET:
+        cache.set(key, value, flags=flags)
+        if meta is not None:
+            meta.on_set(key, flags)
+    else:
+        cache.delete(key)
+        if meta is not None:
+            meta.on_delete(key)
 
 
 @dataclass
@@ -193,19 +208,18 @@ class SegmentScan:
 
 def read_segment(
     path: str,
-    apply: Optional[Callable[[int, bytes, bytes], None]] = None,
-    apply_meta: Optional[Callable[[int, bytes, bytes, int], None]] = None,
+    apply: Optional[Callable[[int, bytes, bytes, int], None]] = None,
 ) -> SegmentScan:
-    """Walk a segment, calling ``apply(op, key, value)`` per valid record.
+    """Walk a segment, calling ``apply(op, key, value, flags)`` per record.
 
-    Flags-aware consumers pass ``apply_meta(op, key, value, flags)``
-    instead (recovery restores the server's flags sidecar this way);
-    ``op`` is normalised either way, so both callbacks dispatch on
-    SET/DELETE only.
+    ``op`` is normalised (see :func:`decode_payload`), so the callback
+    dispatches on SET/DELETE only.  Every payload is decoded whether or
+    not anyone listens: the scrubber's verdict covers the codec too.
 
-    Never raises for damage: the scan stops at the first short or
-    CRC-failing record and reports it in the returned :class:`SegmentScan`.
-    A missing/garbled magic counts the whole file as damaged (records=0).
+    Never raises for damage: the scan stops at the first short,
+    CRC-failing or undecodable record and reports it in the returned
+    :class:`SegmentScan`.  A missing/garbled magic counts the whole file
+    as damaged (records=0).
     """
     scan = SegmentScan()
     size = os.path.getsize(path)
@@ -216,59 +230,58 @@ def read_segment(
             scan.damaged_bytes = size
             return scan
         scan.valid_bytes = len(SEGMENT_MAGIC)
-        for op, key, value, flags, end_offset, error in _iter_frames(
-            stream, scan.valid_bytes
-        ):
-            if error is not None:
-                scan.error = error
+        frames = iter_frames(stream, scan.valid_bytes)
+        while True:
+            # Only reading and decoding are damage; what ``apply`` raises
+            # is the caller's and must not be booked against the file.
+            try:
+                payload, end_offset = next(frames)
+                record = decode_payload(payload)
+            except StopIteration:
+                break
+            except JournalError as exc:
+                scan.error = str(exc)
                 scan.damaged_bytes = size - scan.valid_bytes
-                return scan
-            if apply_meta is not None:
-                apply_meta(op, key, value, flags)
-            elif apply is not None:
-                apply(op, key, value)
+                break
+            if apply is not None:
+                apply(*record)
             scan.records += 1
             scan.valid_bytes = end_offset
     return scan
 
 
-def _iter_frames(
-    stream: BinaryIO, offset: int
-) -> Iterator[Tuple[int, bytes, bytes, int, int, Optional[str]]]:
-    """Yield (op, key, value, flags, end_offset, error); error terminates."""
+def iter_frames(stream: BinaryIO, offset: int) -> Iterator[Tuple[bytes, int]]:
+    """Yield CRC-checked ``(payload, end_offset)`` from ``stream`` at ``offset``.
+
+    The journal's one frame reader: recovery and the scrubber decode
+    what it yields, the replication tailer ships it undecoded.  Returns
+    at a clean end of file; a short, oversized or CRC-failing frame
+    raises :class:`JournalError` with the stream left past the damage
+    (a consumer that means to retry seeks back to the last
+    ``end_offset``).
+    """
     while True:
         header = stream.read(FRAME_LEN.size)
         if not header:
             return
         if len(header) != FRAME_LEN.size:
-            yield 0, b"", b"", 0, offset, "torn record length header"
-            return
+            raise JournalError("torn record length header")
         (payload_len,) = FRAME_LEN.unpack(header)
         if payload_len > _MAX_PAYLOAD:
-            yield 0, b"", b"", 0, offset, (
-                f"implausible payload length {payload_len}"
-            )
-            return
-        payload = stream.read(payload_len)
-        trailer = stream.read(FRAME_LEN.size)
-        if len(payload) != payload_len or len(trailer) != FRAME_LEN.size:
-            yield 0, b"", b"", 0, offset, "torn record body"
-            return
-        (stored_crc,) = FRAME_LEN.unpack(trailer)
+            raise JournalError(f"implausible payload length {payload_len}")
+        body = stream.read(payload_len + FRAME_LEN.size)
+        if len(body) != payload_len + FRAME_LEN.size:
+            raise JournalError("torn record body")
+        payload = body[:payload_len]
+        (stored_crc,) = FRAME_LEN.unpack_from(body, payload_len)
         actual_crc = zlib.crc32(payload)
         if stored_crc != actual_crc:
-            yield 0, b"", b"", 0, offset, (
+            raise JournalError(
                 f"record CRC mismatch: stored {stored_crc:#010x}, "
                 f"computed {actual_crc:#010x}"
             )
-            return
-        try:
-            op, key, value, flags = decode_payload_meta(payload)
-        except JournalError as exc:
-            yield 0, b"", b"", 0, offset, str(exc)
-            return
         offset += FRAME_LEN.size * 2 + payload_len
-        yield op, key, value, flags, offset, None
+        yield payload, offset
 
 
 # -- the writer -----------------------------------------------------------------
@@ -352,11 +365,6 @@ class JournalWriter:
         self._segment_written = 0
         self._unsynced = 0
         self._last_sync = monotonic()
-        #: Called as ``listener(seq, end_offset, payload)`` after each
-        #: append is flushed — the replication source's live-tail hook.
-        self._append_listeners: List[
-            Callable[[int, int, bytes], None]
-        ] = []
         self._open_next_segment()
 
     # -- plumbing --------------------------------------------------------------
@@ -370,19 +378,6 @@ class JournalWriter:
     def position(self) -> Tuple[int, int]:
         """(segment seq, byte offset) just past the last flushed record."""
         return self._seq, self._segment_written
-
-    def add_append_listener(
-        self, listener: Callable[[int, int, bytes], None]
-    ) -> None:
-        self._append_listeners.append(listener)
-
-    def remove_append_listener(
-        self, listener: Callable[[int, int, bytes], None]
-    ) -> None:
-        try:
-            self._append_listeners.remove(listener)
-        except ValueError:
-            pass
 
     @property
     def current_path(self) -> str:
@@ -426,11 +421,7 @@ class JournalWriter:
     def _append(self, payload: bytes) -> None:
         if self._stream is None:
             raise JournalError("journal writer is closed")
-        record = (
-            FRAME_LEN.pack(len(payload))
-            + payload
-            + FRAME_LEN.pack(zlib.crc32(payload))
-        )
+        record = frame(payload)
         if self._segment_written + len(record) > self.config.segment_bytes:
             self._open_next_segment()
         stream = self._stream
@@ -456,8 +447,6 @@ class JournalWriter:
                 self.stats.fsyncs += 1
                 self._unsynced = 0
                 self._last_sync = now
-        for listener in self._append_listeners:
-            listener(self._seq, self._segment_written, payload)
 
     def maybe_sync(self) -> bool:
         """Interval-policy housekeeping for idle periods; True if fsynced."""

@@ -34,18 +34,19 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import CacheError, ConfigurationError
 from repro.common.fsio import atomic_write, fsync_directory
-from repro.core.snapshot import load_snapshot, write_snapshot
+from repro.core.snapshot import SnapshotError, load_snapshot, write_snapshot
 from repro.durability.journal import (
-    OP_SET,
     SEGMENT_MAGIC,
     DurabilityStats,
     JournalConfig,
     JournalWriter,
     SegmentScan,
+    apply_record,
     list_segments,
     read_segment,
     segment_name,
@@ -170,13 +171,16 @@ class DurabilityConfig:
     #: Seconds between background integrity scrubs (0 disables).
     scrub_interval: float = 30.0
 
-    def validate(self) -> None:
-        JournalConfig(
+    def journal_config(self) -> JournalConfig:
+        return JournalConfig(
             directory=self.directory,
             segment_bytes=self.segment_bytes,
             fsync=self.fsync,
             fsync_interval=self.fsync_interval,
-        ).validate()
+        )
+
+    def validate(self) -> None:
+        self.journal_config().validate()
         if self.checkpoint_bytes < 0:
             raise ConfigurationError("checkpoint_bytes must be >= 0")
         if self.scrub_interval < 0:
@@ -229,12 +233,7 @@ class DurabilityManager:
         for seq, _path in list_checkpoints(self.config.directory):
             top = max(top, seq)
         self.writer = JournalWriter(
-            JournalConfig(
-                directory=self.config.directory,
-                segment_bytes=self.config.segment_bytes,
-                fsync=self.config.fsync,
-                fsync_interval=self.config.fsync_interval,
-            ),
+            self.config.journal_config(),
             stats=self.stats,
             start_seq=top + 1 if top else None,
         )
@@ -365,6 +364,10 @@ def replay_journal(
     result = RecoveryResult()
     directory = os.fspath(directory)
 
+    def quarantine(path: str) -> None:
+        if quarantine_file(directory, path) is not None:
+            result.quarantined.append(os.path.basename(path))
+
     # 1. Newest checkpoint whose at-rest CRC matches.
     base_seq = 0
     for seq, path in reversed(list_checkpoints(directory)):
@@ -372,20 +375,16 @@ def replay_journal(
             result.incidents.append(
                 f"checkpoint {os.path.basename(path)} failed its CRC; quarantined"
             )
-            moved = quarantine_file(directory, path)
-            if moved is not None:
-                result.quarantined.append(os.path.basename(path))
+            quarantine(path)
             continue
         try:
             loaded = load_snapshot(cache, path, strict=False, meta=meta)
-        except Exception as exc:
+        except (SnapshotError, CacheError, OSError) as exc:
             result.incidents.append(
                 f"checkpoint {os.path.basename(path)} unreadable "
                 f"({type(exc).__name__}: {exc}); quarantined"
             )
-            moved = quarantine_file(directory, path)
-            if moved is not None:
-                result.quarantined.append(os.path.basename(path))
+            quarantine(path)
             continue
         base_seq = seq
         result.checkpoint_seq = seq
@@ -435,21 +434,11 @@ def replay_journal(
                 f"segment {os.path.basename(path)} follows damaged history; "
                 "quarantined"
             )
-            if quarantine_file(directory, path) is not None:
-                result.quarantined.append(os.path.basename(path))
+            quarantine(path)
             continue
-
-        def apply(op, key, value, flags):
-            if op == OP_SET:
-                cache.set(key, value)
-                if meta is not None:
-                    meta.on_set(key, flags)
-            else:
-                cache.delete(key)
-                if meta is not None:
-                    meta.on_delete(key)
-
-        scan: SegmentScan = read_segment(path, apply_meta=apply)
+        scan: SegmentScan = read_segment(
+            path, partial(apply_record, cache, meta)
+        )
         result.replayed_segments += 1
         result.replayed_records += scan.records
         if scan.clean:
@@ -469,8 +458,7 @@ def replay_journal(
             _truncate(path, scan.valid_bytes)
         else:
             # The magic itself was damaged: nothing salvageable.
-            if quarantine_file(directory, path) is not None:
-                result.quarantined.append(os.path.basename(path))
+            quarantine(path)
 
     if stats is not None:
         stats.recovered_checkpoint_seq = result.checkpoint_seq

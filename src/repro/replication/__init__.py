@@ -3,7 +3,7 @@
 The PR 6 write-ahead journal is already a total order of acknowledged
 mutations; this package ships it.  See :mod:`repro.replication.wire` for
 the frame protocol, :mod:`repro.replication.source` for the primary's
-sender (live queue -> file tail -> snapshot resync), and
+sender (tail the journal file, or snapshot resync), and
 :mod:`repro.replication.replica` for the applying side, lag tracking,
 and consensus-free promotion.
 """

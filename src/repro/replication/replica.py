@@ -32,8 +32,8 @@ import time
 from typing import Optional, Tuple
 
 from repro.common.errors import CacheError, ReplicationError
-from repro.core.snapshot import iter_cache_items, read_snapshot_meta
-from repro.durability.journal import OP_SET, decode_payload_meta
+from repro.core.snapshot import iter_cache_items, read_snapshot
+from repro.durability.journal import apply_record, decode_payload
 from repro.durability.manager import replay_journal
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -183,13 +183,9 @@ class ReplicationClient:
         await writer.drain()
         self._conn_applied = 0
         self._heartbeat = None
-        snapshot_buffer: Optional[bytearray] = None
-        snapshot_position: Tuple[int, int] = (0, 0)
-        unacked = 0
         watchdog = asyncio.create_task(self._watchdog(writer))
         try:
-            await self._stream(reader, writer, snapshot_buffer,
-                               snapshot_position, unacked)
+            await self._stream(reader, writer)
         finally:
             watchdog.cancel()
             try:
@@ -214,13 +210,11 @@ class ReplicationClient:
                 return
 
     async def _stream(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        snapshot_buffer: Optional[bytearray],
-        snapshot_position: Tuple[int, int],
-        unacked: int,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        snapshot_buffer: Optional[bytearray] = None
+        snapshot_position: Tuple[int, int] = (0, 0)
+        unacked = 0
         while not self._stopped:
             frame = await wire.read_frame(reader)
             if frame is None:
@@ -276,16 +270,8 @@ class ReplicationClient:
         self.stats.acks_sent += 1
 
     def _apply_payload(self, payload: bytes) -> None:
-        op, key, value, flags = decode_payload_meta(payload)
         try:
-            if op == OP_SET:
-                self.cache.set(key, value, flags=flags)
-                if self.meta is not None:
-                    self.meta.on_set(key, flags)
-            else:
-                self.cache.delete(key)
-                if self.meta is not None:
-                    self.meta.on_delete(key)
+            apply_record(self.cache, self.meta, *decode_payload(payload))
         except CacheError:
             self.stats.apply_errors += 1
 
@@ -294,9 +280,7 @@ class ReplicationClient:
         import io
 
         loaded_keys = set()
-        for key, value, flags in read_snapshot_meta(
-            io.BytesIO(image), strict=True
-        ):
+        for key, value, flags in read_snapshot(io.BytesIO(image), strict=True):
             try:
                 self.cache.set(key, value, flags=flags)
             except CacheError:
@@ -343,17 +327,10 @@ def catch_up_from_directory(
                 batch = tailer.read_batch(1024)
                 if not batch:
                     return total, "tail"
-                for op, key, value, payload, _seg, _end in batch:
+                for payload, _seg, _end in batch:
+                    record = decode_payload(payload)
                     try:
-                        if op == OP_SET:
-                            flags = decode_payload_meta(payload)[3]
-                            cache.set(key, value, flags=flags)
-                            if meta is not None:
-                                meta.on_set(key, flags)
-                        else:
-                            cache.delete(key)
-                            if meta is not None:
-                                meta.on_delete(key)
+                        apply_record(cache, meta, *record)
                     except CacheError:
                         pass
                     total += 1

@@ -1,24 +1,26 @@
-"""The primary's replication listener: journal shipping with backpressure.
+"""The primary's replication listener: the journal file is the stream.
 
 One :class:`ReplicationSource` serves any number of replicas.  Each
-replica connection moves through three sending modes, cheapest first:
+replica connection is in one of two sending modes:
 
-* **live** — the journal writer's append listener feeds a *bounded*
-  in-memory queue; records go out without touching disk again.
-* **file tail** — the queue overflowed (or the replica just connected
-  behind the tail): re-read the on-disk journal from the replica's
-  position via :class:`~repro.replication.tailer.JournalTailer`.  The
-  journal itself is the retransmission buffer, bounded by checkpoint
-  pruning — the sender never buffers more than ``queue_bytes`` in RAM.
+* **tail** — read the on-disk journal from the replica's position via
+  :class:`~repro.replication.tailer.JournalTailer` and ship what is
+  there.  ``JournalWriter._append`` flushes every record to the OS
+  before the write is acknowledged, so the file is always at least as
+  far along as anything a client was told; there is nothing to ship
+  that the file does not hold, and the sender buffers one batch in RAM.
+  Caught up, it sleeps one flush tick: appends never wake it.
 * **snapshot resync** — pruning passed the replica's position (or its
   HELLO position was bogus): stream the current cache image (the same
-  bytes a PR 6 checkpoint would hold) and resume tailing from the
-  position captured atomically with the image.
+  bytes a checkpoint would hold) and resume tailing from the position
+  captured atomically with the image.
 
-Backpressure is explicit at every hop: socket writes must drain within
-``write_timeout`` or the replica is dropped (it reconnects and resumes
-from its position — usually straight into file-tail mode), and the live
-queue never exceeds ``queue_bytes``.
+The sender only ever moves forward from what it has sent, so a replica
+never sees a record twice within a session and never steps back.
+
+Backpressure is explicit: socket writes must drain within
+``WRITE_TIMEOUT`` or the replica is dropped (it reconnects and resumes
+from its position).
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from __future__ import annotations
 import asyncio
 import io
 import os
-from collections import deque
-from typing import Deque, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.common.errors import JournalError, ReplicationError
 from repro.core.snapshot import write_snapshot
@@ -37,81 +38,44 @@ from repro.replication import wire
 from repro.replication.stats import ReplicationStats
 from repro.replication.tailer import JournalTailer, SegmentPrunedError
 
+#: A caught-up sender sleeps this long before it looks at the file
+#: again, so records appended meanwhile ship in one socket write.
+#: Waking it per append would tax every SET ack on the serving path; the
+#: tick makes the primary's streaming cost per-batch instead of
+#: per-record, at the price of this much extra replica lag.
+FLUSH_INTERVAL = 0.005
+HEARTBEAT_INTERVAL = 0.25
+#: A replica whose socket will not drain for this long is cut.
+WRITE_TIMEOUT = 5.0
+HELLO_TIMEOUT = 10.0
+
 
 class _ReplicaSession:
-    """Per-connection send state; owned by the sender task."""
-
-    __slots__ = (
-        "live",
-        "queue",
-        "queue_bytes",
-        "sent_bytes",
-        "acked_bytes",
-        "sent_pos",
-        "acked_pos",
-        "closed",
-        "event",
-    )
+    """Per-connection send state; owned by the handler task."""
 
     def __init__(self) -> None:
-        self.live = False
-        self.queue: Deque[Tuple[bytes, int, int]] = deque()
-        self.queue_bytes = 0
+        self.task = asyncio.current_task()
+        #: Payload bytes since the connection (or its last snapshot)
+        #: began; both ends restart the count at a snapshot boundary.
         self.sent_bytes = 0
         self.acked_bytes = 0
         self.sent_pos: Tuple[int, int] = (0, 0)
-        self.acked_pos: Tuple[int, int] = (0, 0)
         self.closed = False
-        self.event = asyncio.Event()
-
-    def reset_stream_counters(self) -> None:
-        """Both sides restart byte accounting at a snapshot boundary."""
-        self.sent_bytes = 0
-        self.acked_bytes = 0
-
-    def drop_live(self) -> None:
-        self.live = False
-        self.queue.clear()
-        self.queue_bytes = 0
-
-    @property
-    def lag_bytes(self) -> int:
-        return max(0, self.sent_bytes - self.acked_bytes) + self.queue_bytes
 
 
 class ReplicationSource:
-    """Stream the journal (live tail + history + resync images) to replicas."""
+    """Stream the journal (file tail + resync images) to replicas."""
 
     def __init__(
         self,
         cache,
         manager: DurabilityManager,
         stats: Optional[ReplicationStats] = None,
-        *,
-        heartbeat_interval: float = 0.25,
-        write_timeout: float = 5.0,
-        queue_bytes: int = 1 << 20,
-        hello_timeout: float = 10.0,
-        flush_interval: float = 0.005,
-        flush_bytes: int = 256 * 1024,
     ) -> None:
         assert manager.writer is not None, "recover_into must run first"
         self.cache = cache
         self.manager = manager
         self.stats = stats if stats is not None else ReplicationStats()
-        self.heartbeat_interval = heartbeat_interval
-        self.write_timeout = write_timeout
-        self.queue_bytes = queue_bytes
-        self.hello_timeout = hello_timeout
-        #: Live records coalesce for up to this long before one socket
-        #: write ships them all.  Waking the sender (and paying a write
-        #: + drain cycle) per append would tax every SET ack on the
-        #: serving path; a bounded flush tick makes the primary's
-        #: streaming cost per-batch instead of per-record, at the price
-        #: of ~flush_interval of extra replica lag.
-        self.flush_interval = flush_interval
-        #: ...except a burst this large flushes immediately.
-        self.flush_bytes = flush_bytes
         self._sessions: Set[_ReplicaSession] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
@@ -122,20 +86,23 @@ class ReplicationSource:
         self._server = await asyncio.start_server(
             self._handle_replica, host=host, port=port
         )
-        self.manager.writer.add_append_listener(self._on_append)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
     async def close(self) -> None:
-        if self.manager.writer is not None:
-            self.manager.writer.remove_append_listener(self._on_append)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for session in list(self._sessions):
+        sessions = list(self._sessions)
+        for session in sessions:
             session.closed = True
-            session.event.set()
+        if sessions:
+            # Each sender sees the flag within a flush tick (or, its
+            # socket jammed, within WRITE_TIMEOUT) and ends by itself; a
+            # handler still running when the loop stops would be
+            # cancelled with its tailer and socket open.
+            await asyncio.wait([session.task for session in sessions])
 
     @property
     def replicas_connected(self) -> int:
@@ -143,25 +110,16 @@ class ReplicationSource:
 
     @property
     def max_replica_lag_bytes(self) -> int:
-        return max((s.lag_bytes for s in self._sessions), default=0)
-
-    # -- live feed -------------------------------------------------------------
-
-    def _on_append(self, segment: int, end_offset: int, payload: bytes) -> None:
-        for session in self._sessions:
-            if not session.live:
-                continue
-            session.queue.append((payload, segment, end_offset))
-            session.queue_bytes += len(payload)
-            if session.queue_bytes > self.queue_bytes:
-                session.drop_live()
-                self.stats.live_queue_overflows += 1
-                session.event.set()
-            elif session.queue_bytes >= self.flush_bytes:
-                # A burst worth a socket write right now; smaller dribs
-                # ride the sender's flush tick so the serving path never
-                # pays a per-record sender wakeup.
-                session.event.set()
+        """Sent but unacknowledged, plus what the file holds past the
+        sent position: zero only once a replica has acked everything."""
+        return max(
+            (
+                max(0, s.sent_bytes - s.acked_bytes)
+                + self._backlog_on_disk(s.sent_pos)
+                for s in self._sessions
+            ),
+            default=0,
+        )
 
     # -- per-replica sender ----------------------------------------------------
 
@@ -171,9 +129,7 @@ class ReplicationSource:
         session = _ReplicaSession()
         ack_task: Optional[asyncio.Task] = None
         try:
-            frame = await asyncio.wait_for(
-                wire.read_frame(reader), self.hello_timeout
-            )
+            frame = await asyncio.wait_for(wire.read_frame(reader), HELLO_TIMEOUT)
             if frame is None or frame[0] != wire.HELLO:
                 return
             segment, offset = wire.decode_position(frame[1])
@@ -182,17 +138,8 @@ class ReplicationSource:
             ack_task = asyncio.create_task(self._ack_loop(reader, session))
             if not self._position_on_disk(segment, offset):
                 segment, offset = await self._send_snapshot(writer, session)
-            tailer = JournalTailer(
-                self.manager.config.directory, segment, offset
-            )
-            session.sent_pos = tailer.position
-            await self._send_loop(writer, session, tailer)
-        except (
-            asyncio.TimeoutError,
-            ConnectionError,
-            OSError,
-            asyncio.IncompleteReadError,
-        ):
+            await self._send_loop(writer, session, segment, offset)
+        except (asyncio.TimeoutError, OSError, asyncio.IncompleteReadError):
             pass
         except (ReplicationError, JournalError):
             # A malformed HELLO or frame, or a journal the tailer cannot
@@ -234,7 +181,7 @@ class ReplicationSource:
         transport = writer.transport
         if transport is not None and transport.get_write_buffer_size() == 0:
             return
-        await asyncio.wait_for(writer.drain(), self.write_timeout)
+        await asyncio.wait_for(writer.drain(), WRITE_TIMEOUT)
 
     async def _send_snapshot(
         self, writer: asyncio.StreamWriter, session: _ReplicaSession
@@ -245,14 +192,13 @@ class ReplicationSource:
         point between them, so the image is exactly the state at that
         journal position (the event loop cannot interleave a mutation).
         """
-        session.drop_live()
         position = self.manager.writer.position
         buffer = io.BytesIO()
         # The manager's meta sidecar (when the server wired one) rides
         # along as a v2 image, so a resync restores client flags too.
         count = write_snapshot(self.cache, buffer, meta=self.manager.meta)
         image = buffer.getvalue()
-        session.reset_stream_counters()
+        session.sent_bytes = session.acked_bytes = 0
         writer.write(
             wire.encode_frame(
                 wire.SNAP_BEGIN, wire.encode_position(*position)
@@ -271,108 +217,57 @@ class ReplicationSource:
         self,
         writer: asyncio.StreamWriter,
         session: _ReplicaSession,
-        tailer: JournalTailer,
+        segment: int,
+        offset: int,
     ) -> None:
+        """Ship the journal from (segment, offset) until the session ends."""
+        directory = self.manager.config.directory
         loop = asyncio.get_running_loop()
         last_heartbeat = 0.0
-        while not session.closed:
-            now = loop.time()
-            if now - last_heartbeat >= self.heartbeat_interval:
-                backlog = (
-                    session.queue_bytes
-                    if session.live
-                    else self._backlog_on_disk(session.sent_pos)
-                )
-                writer.write(
-                    wire.encode_heartbeat(
-                        session.sent_bytes, backlog, *session.sent_pos
+        tailer = JournalTailer(directory, segment, offset)
+        try:
+            session.sent_pos = tailer.position
+            while not session.closed:
+                now = loop.time()
+                if now - last_heartbeat >= HEARTBEAT_INTERVAL:
+                    writer.write(
+                        wire.encode_heartbeat(
+                            session.sent_bytes,
+                            self._backlog_on_disk(session.sent_pos),
+                            *session.sent_pos,
+                        )
                     )
-                )
-                await self._drain(writer)
-                self.stats.heartbeats_sent += 1
-                last_heartbeat = now
-
-            if session.live:
-                if session.queue:
-                    sent = bytearray()
-                    while session.queue and len(sent) < 1 << 20:
-                        payload, seg, end = session.queue.popleft()
-                        session.queue_bytes -= len(payload)
-                        sent += wire.encode_record_frame(seg, end, payload)
-                        session.sent_bytes += len(payload)
-                        session.sent_pos = (seg, end)
-                        self.stats.records_sent += 1
-                        self.stats.bytes_sent += len(payload)
-                    try:
-                        writer.write(bytes(sent))
-                        await self._drain(writer)
-                    except asyncio.TimeoutError:
-                        self.stats.slow_replica_drops += 1
-                        return
-                    continue
-                # The flush tick: sleep at most flush_interval, so any
-                # records that arrive while we sleep ship in one batch on
-                # the next pass.  Appends do not wake us (see _on_append)
-                # unless they pile up past flush_bytes.
-                timeout = max(
-                    0.001,
-                    min(
-                        self.flush_interval,
-                        self.heartbeat_interval
-                        - (loop.time() - last_heartbeat),
-                    ),
-                )
-                session.event.clear()
+                    await self._drain(writer)
+                    self.stats.heartbeats_sent += 1
+                    last_heartbeat = now
                 try:
-                    await asyncio.wait_for(session.event.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-
-            # File-tail mode.
-            try:
-                batch = tailer.read_batch()
-            except SegmentPrunedError:
-                segment, offset = await self._send_snapshot(writer, session)
-                tailer.close()
-                tailer = JournalTailer(
-                    self.manager.config.directory, segment, offset
-                )
-                session.sent_pos = tailer.position
-                continue
-            if batch:
+                    batch = tailer.read_batch()
+                except SegmentPrunedError:
+                    tailer.close()
+                    tailer = JournalTailer(
+                        directory, *await self._send_snapshot(writer, session)
+                    )
+                    session.sent_pos = tailer.position
+                    continue
+                if not batch:
+                    # Caught up with the file: the flush tick.
+                    await asyncio.sleep(FLUSH_INTERVAL)
+                    continue
                 sent = bytearray()
-                for _op, _key, _value, payload, seg, end in batch:
+                for payload, seg, end in batch:
                     sent += wire.encode_record_frame(seg, end, payload)
                     session.sent_bytes += len(payload)
                     session.sent_pos = (seg, end)
                     self.stats.records_sent += 1
                     self.stats.bytes_sent += len(payload)
                 try:
-                    writer.write(bytes(sent))
+                    writer.write(sent)
                     await self._drain(writer)
                 except asyncio.TimeoutError:
                     self.stats.slow_replica_drops += 1
                     return
-                continue
-            # Caught up with the on-disk tail.  This check and the switch
-            # to live mode run in one event-loop slice, so no append can
-            # slip between them.
-            if tailer.position == self.manager.writer.position:
-                session.live = True
-                session.event.clear()
-                timeout = max(
-                    0.001,
-                    min(
-                        self.flush_interval,
-                        self.heartbeat_interval
-                        - (loop.time() - last_heartbeat),
-                    ),
-                )
-                try:
-                    await asyncio.wait_for(session.event.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
+        finally:
+            tailer.close()
 
     def _backlog_on_disk(self, position: Tuple[int, int]) -> int:
         """Approximate on-disk bytes between ``position`` and the writer."""
@@ -406,9 +301,7 @@ class ReplicationSource:
                 frame_type, body = frame
                 if frame_type != wire.ACK:
                     continue
-                applied_bytes, seg, off = wire.decode_ack(body)
-                session.acked_bytes = applied_bytes
-                session.acked_pos = (seg, off)
+                session.acked_bytes, _seg, _off = wire.decode_ack(body)
                 self.stats.acks_received += 1
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass
@@ -417,4 +310,3 @@ class ReplicationSource:
             pass
         finally:
             session.closed = True
-            session.event.set()

@@ -25,10 +25,6 @@ class ReplicationStats:
     #: A replica's socket would not drain within the write timeout; the
     #: connection was cut rather than buffering unboundedly.
     slow_replica_drops: int = 0
-    #: The bounded in-memory live queue overflowed; the sender fell back
-    #: to tailing the on-disk journal (and, if pruning passes the
-    #: replica's position, to a checkpoint-image resync).
-    live_queue_overflows: int = 0
     # -- replica side (applying) -----------------------------------------------
     records_applied: int = 0
     bytes_applied: int = 0

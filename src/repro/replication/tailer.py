@@ -16,22 +16,22 @@ writer beyond the on-disk ordering the writer already guarantees:
   tail) — the tailer stops cleanly before it and will resume if more
   bytes arrive;
 * checkpoint pruning deletes old segments; if the tailer's current
-  segment is gone while newer ones exist, the position is unrecoverable
-  from the journal alone and :class:`SegmentPrunedError` tells the
-  caller to fall back to a checkpoint-image resync.
+  segment is gone while newer ones exist — or it has read its segment
+  to the end and the next survivor is not the successor (segments are
+  numbered consecutively) — the position is unrecoverable from the
+  journal alone and :class:`SegmentPrunedError` tells the caller to
+  fall back to a checkpoint-image resync.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from typing import List, Optional, Tuple
 
 from repro.common.errors import JournalError
 from repro.durability.journal import (
-    FRAME_LEN,
     SEGMENT_MAGIC,
-    decode_payload,
+    iter_frames,
     list_segments,
     segment_name,
 )
@@ -41,8 +41,10 @@ class SegmentPrunedError(JournalError):
     """The tailer's position was pruned; resync from a checkpoint image."""
 
 
-#: One tailed record: (op, key, value, payload, segment, end_offset).
-TailedRecord = Tuple[int, bytes, bytes, bytes, int, int]
+#: One tailed record, CRC-checked and undecoded: (payload, segment,
+#: end_offset).  The sender ships the payload as it is; whoever applies
+#: it decodes it, once.
+TailedRecord = Tuple[bytes, int, int]
 
 
 class JournalTailer:
@@ -51,7 +53,7 @@ class JournalTailer:
     ``offset`` 0 (or anything below the magic) means "start of segment".
     The tailer never blocks: :meth:`read_batch` returns what is on disk
     right now and the caller decides how to wait for more (the
-    replication source wakes on the writer's append listener).
+    replication source sleeps one flush tick).
     """
 
     def __init__(self, directory: str, segment: int, offset: int = 0) -> None:
@@ -71,14 +73,11 @@ class JournalTailer:
 
     # -- internals -------------------------------------------------------------
 
-    def _segment_path(self, seq: int) -> str:
-        return os.path.join(self.directory, segment_name(seq))
-
     def _open_current(self) -> bool:
-        """Ensure the current segment is open and positioned; False if absent."""
+        """Ensure the current segment is open; False if absent."""
         if self._stream is not None:
             return True
-        path = self._segment_path(self.segment)
+        path = os.path.join(self.directory, segment_name(self.segment))
         try:
             stream = open(path, "rb")
         except FileNotFoundError:
@@ -90,7 +89,6 @@ class JournalTailer:
                 f"bad magic in tailed segment {segment_name(self.segment)}: "
                 f"{magic!r}"
             )
-        stream.seek(self.offset)
         self._stream = stream
         return True
 
@@ -102,46 +100,25 @@ class JournalTailer:
         ]
         return min(later) if later else None
 
-    def _read_one(self) -> Optional[Tuple[int, bytes, bytes, bytes]]:
-        """One whole record at the current offset, or None (partial/EOF).
-
-        A partial frame is left untouched (the stream is rewound) so the
-        next call retries once the writer has finished it.  A CRC failure
-        is also treated as "no more": on a live primary it can only be a
-        torn in-progress write; on a dead primary's directory it is the
-        unacked torn tail recovery would truncate anyway.
-        """
-        stream = self._stream
-        assert stream is not None
-        start = self.offset
-        header = stream.read(FRAME_LEN.size)
-        if len(header) != FRAME_LEN.size:
-            stream.seek(start)
-            return None
-        (payload_len,) = FRAME_LEN.unpack(header)
-        body = stream.read(payload_len + FRAME_LEN.size)
-        if len(body) != payload_len + FRAME_LEN.size:
-            stream.seek(start)
-            return None
-        payload, trailer = body[:payload_len], body[payload_len:]
-        (stored_crc,) = FRAME_LEN.unpack(trailer)
-        if stored_crc != zlib.crc32(payload):
-            stream.seek(start)
-            return None
-        op, key, value = decode_payload(payload)
-        self.offset = start + FRAME_LEN.size * 2 + payload_len
-        return op, key, value, payload
-
     # -- the read loop ---------------------------------------------------------
 
     def read_batch(self, max_records: int = 256) -> List[TailedRecord]:
         """Up to ``max_records`` whole records at/after the position.
 
-        Returns an empty list when caught up with the on-disk tail.
+        Returns an empty list when caught up with the on-disk tail.  A
+        short or CRC-failing frame at the end of the *newest* segment is
+        "no more yet": on a live primary it can only be a write in
+        progress, on a dead primary's directory it is the unacked torn
+        tail recovery would truncate anyway; the position stays before
+        it and the next call retries.
+
         Raises :class:`SegmentPrunedError` when the position's segment no
         longer exists (checkpoint pruning passed it), and plain
-        :class:`JournalError` for at-rest damage in a *non-tail* spot
-        (bad magic), which no amount of waiting will fix.
+        :class:`JournalError` for at-rest damage no amount of waiting
+        will fix: a bad magic, or a damaged frame in a segment that
+        already has a successor (the writer finished that segment, so
+        the damage is rot, and records past a hole must not be shipped —
+        the same rule recovery applies).
         """
         out: List[TailedRecord] = []
         while len(out) < max_records:
@@ -154,19 +131,36 @@ class JournalTailer:
                 # Nothing newer on disk either: the writer simply has not
                 # created this segment yet (we are positioned at its start).
                 return out
-            record = self._read_one()
-            if record is not None:
-                op, key, value, payload = record
-                out.append((op, key, value, payload, self.segment, self.offset))
-                continue
-            # No whole record here.  Hand off iff a newer segment exists —
-            # the writer never touches this one again — and we have truly
-            # consumed it (anything left is a torn unacked tail, which the
-            # writer's close-before-create ordering makes impossible on a
-            # live rotation, and recovery truncates on a dead one).
+            damage: Optional[JournalError] = None
+            self._stream.seek(self.offset)
+            try:
+                for payload, end in iter_frames(self._stream, self.offset):
+                    out.append((payload, self.segment, end))
+                    self.offset = end
+                    if len(out) == max_records:
+                        return out
+            except JournalError as exc:
+                damage = exc
+            # No further whole record here.  Hand off iff a newer segment
+            # exists: the writer closes a segment before creating its
+            # successor and never touches it again, so a clean end of
+            # file there is final.
             next_seq = self._next_segment()
-            if next_seq is None:
+            if next_seq is None or (damage is not None and out):
                 return out
+            if damage is not None:
+                raise JournalError(
+                    f"damage in closed segment {segment_name(self.segment)} "
+                    f"at byte {self.offset}: {damage}"
+                )
+            if next_seq != self.segment + 1:
+                # Segments are numbered consecutively, so the successor
+                # was pruned while we still held this one open: stepping
+                # to the next survivor would skip its records.
+                raise SegmentPrunedError(
+                    f"segment {segment_name(self.segment + 1)} pruned under "
+                    "the tailer; checkpoint resync required"
+                )
             self.close()
             self.segment = next_seq
             self.offset = len(SEGMENT_MAGIC)

@@ -320,11 +320,11 @@ async def _await_convergence(
     """Poll both sides until the replica is connected with zero lag.
 
     The replica's own lag estimate comes from heartbeats, so right after
-    a write burst it can briefly advertise 0 while the primary still
-    holds records in its live queue (the sender coalesces appends for up
-    to its flush interval).  The primary's per-session lag counts those
-    queued-but-unsent bytes and only reaches zero once the replica has
-    ACKed everything, so convergence requires both views to agree.
+    a write burst it can briefly advertise 0 while the primary's journal
+    holds records its sender has not read yet (it looks at the file once
+    per flush tick).  The primary's per-session lag counts those on-disk
+    bytes and only reaches zero once the replica has ACKed everything,
+    so convergence requires both views to agree.
     """
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout

@@ -52,6 +52,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
@@ -176,11 +177,6 @@ class ServerConfig:
     #: Replica-side half-open-link detection: this long with nothing
     #: received on an open stream and the replica re-dials the primary.
     repl_silence_timeout: float = 5.0
-    repl_heartbeat_interval: float = 0.25
-    repl_write_timeout: float = 5.0
-    #: Bound on the primary's in-memory live send queue per replica;
-    #: overflow falls back to tailing the on-disk journal.
-    repl_queue_bytes: int = 1 << 20
 
     def validate(self) -> None:
         if self.read_timeout <= 0 or self.write_timeout <= 0:
@@ -424,8 +420,16 @@ class CacheServer:
             getattr(cache, name, None)
             for name in ("routes_to_zzone", "shard_for", "clock", "bind_metrics")
         )
-        ticking = self.config.clock_mode == "tick" and clock is not None
-        self._tick = clock.advance if ticking else None
+        #: Moves the cache's clock once per dispatched command: a fixed
+        #: step in ``tick`` mode, as far as ``time.monotonic`` moved in
+        #: ``wall`` mode (nothing else ever advances a VirtualClock).
+        if clock is None:
+            self._tick = None
+        elif self.config.clock_mode == "tick":
+            self._tick = partial(clock.advance, TICK_SECONDS)
+        else:
+            origin = time.monotonic() - clock.now()
+            self._tick = lambda: clock.set(time.monotonic() - origin)
         # Admission meters *real* arrival rates (wall clock) regardless of
         # the cache's clock_mode; deterministic runs inject a controller
         # driven by a TickClock instead.
@@ -527,12 +531,7 @@ class CacheServer:
         if self.config.repl_port is not None:
             assert self.durability is not None
             self.repl_source = ReplicationSource(
-                self.cache,
-                self.durability,
-                self.replication_stats,
-                heartbeat_interval=self.config.repl_heartbeat_interval,
-                write_timeout=self.config.repl_write_timeout,
-                queue_bytes=self.config.repl_queue_bytes,
+                self.cache, self.durability, self.replication_stats
             )
             await self.repl_source.start(
                 self.config.repl_host, self.config.repl_port
@@ -728,7 +727,7 @@ class CacheServer:
         self._inflight += 1
         try:
             if self._tick is not None:
-                self._tick(TICK_SECONDS)
+                self._tick()
             started = time.perf_counter()
             reply = self._execute(command)
             self._latency_hist.observe(time.perf_counter() - started)
@@ -807,7 +806,8 @@ class CacheServer:
                     self.cache, catch_up_dir, position, meta=self.meta
                 )
                 self.replication_stats.catch_up_records += caught
-            except Exception as exc:  # promote regardless: serve with loss
+            except (JournalError, CacheError, OSError) as exc:
+                # Promote regardless: serve with loss.
                 self.incidents.append(f"promotion catch-up failed: {exc}")
         self.config.role = "primary"
         self.replication_stats.promotions += 1

@@ -86,7 +86,7 @@ class TestRoundtrip:
         buffer = io.BytesIO()
         write_snapshot(cache, buffer)
         buffer.seek(0)
-        assert list(read_snapshot(buffer)) == [(b"a", b"1")]
+        assert list(read_snapshot(buffer)) == [(b"a", b"1", 0)]
 
     def test_empty_cache(self, tmp_path):
         cache = SimpleKVCache(PlainZone(4096))

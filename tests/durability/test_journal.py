@@ -1,6 +1,7 @@
 """The write-ahead journal: codec, writer, rotation, fsync accounting."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +26,13 @@ class TestCodec:
     def test_set_record_roundtrip(self):
         record = encode_record(OP_SET, b"user:1", b"some value \x00\xff")
         payload = record[4:-4]  # strip length header and CRC trailer
-        op, key, value = decode_payload(payload)
-        assert (op, key, value) == (OP_SET, b"user:1", b"some value \x00\xff")
+        assert decode_payload(payload) == (
+            OP_SET, b"user:1", b"some value \x00\xff", 0
+        )
 
     def test_delete_record_has_empty_value(self):
         payload = encode_record(OP_DELETE, b"gone")[4:-4]
-        op, key, value = decode_payload(payload)
-        assert (op, key, value) == (OP_DELETE, b"gone", b"")
+        assert decode_payload(payload) == (OP_DELETE, b"gone", b"", 0)
 
     def test_unknown_op_rejected_at_encode_and_decode(self):
         with pytest.raises(ValueError):
@@ -76,7 +77,9 @@ class TestWriter:
             writer.append_delete(b"a")
             path = writer.current_path
         replayed = []
-        scan = read_segment(path, lambda op, k, v: replayed.append((op, k, v)))
+        scan = read_segment(
+            path, lambda op, k, v, _flags: replayed.append((op, k, v))
+        )
         assert scan.clean and scan.records == 3
         assert replayed == [
             (OP_SET, b"a", b"1"),
@@ -173,8 +176,8 @@ class TestDamageDetection:
 
     def test_torn_tail_stops_at_valid_prefix(self, tmp_path):
         path = self._write_segment(tmp_path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-5])  # cut the last record's CRC
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:-5])  # cut the last record's CRC
         scan = read_segment(path)
         assert not scan.clean
         assert scan.records == 4
@@ -183,9 +186,9 @@ class TestDamageDetection:
 
     def test_flipped_bit_fails_crc(self, tmp_path):
         path = self._write_segment(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[len(SEGMENT_MAGIC) + 6] ^= 0x40  # inside the first payload
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         scan = read_segment(path)
         assert not scan.clean
         assert scan.records == 0
@@ -193,9 +196,9 @@ class TestDamageDetection:
 
     def test_bad_magic_marks_whole_file(self, tmp_path):
         path = self._write_segment(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[0] ^= 0xFF
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         scan = read_segment(path)
         assert not scan.clean
         assert scan.records == 0

@@ -8,6 +8,8 @@ Two invariants, checked over generated inputs:
    never a record that was not written (no wrong bytes, ever).
 """
 
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.durability.journal import (
@@ -31,12 +33,12 @@ class TestCodecRoundtrip:
     @given(key=keys, value=values)
     def test_set_roundtrip(self, key, value):
         payload = encode_record(OP_SET, key, value)[4:-4]
-        assert decode_payload(payload) == (OP_SET, key, value)
+        assert decode_payload(payload) == (OP_SET, key, value, 0)
 
     @given(key=keys)
     def test_delete_roundtrip(self, key):
         payload = encode_record(OP_DELETE, key)[4:-4]
-        assert decode_payload(payload) == (OP_DELETE, key, b"")
+        assert decode_payload(payload) == (OP_DELETE, key, b"", 0)
 
     @given(key=keys, value=values)
     def test_frame_length_matches_encoding(self, key, value):
@@ -69,13 +71,13 @@ class TestDamagedReplayNeverLies:
                                              cut):
         directory = str(tmp_path_factory.mktemp("trunc"))
         path = write_segment(directory, records)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         cut = min(cut, len(raw))
-        open(path, "wb").write(raw[:cut])
+        Path(path).write_bytes(raw[:cut])
 
         replayed = []
         scan = read_segment(
-            path, lambda op, k, v: replayed.append((k, v))
+            path, lambda op, k, v, _flags: replayed.append((k, v))
         )
         # Whatever survived is exactly the first N records written.
         assert replayed == records[: len(replayed)]
@@ -89,16 +91,16 @@ class TestDamagedReplayNeverLies:
                                               data):
         directory = str(tmp_path_factory.mktemp("flip"))
         path = write_segment(directory, records)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         position = data.draw(
             st.integers(min_value=0, max_value=len(raw) - 1), label="byte"
         )
         bit = data.draw(st.integers(min_value=0, max_value=7), label="bit")
         raw[position] ^= 1 << bit
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
 
         replayed = []
-        read_segment(path, lambda op, k, v: replayed.append((k, v)))
+        read_segment(path, lambda op, k, v, _flags: replayed.append((k, v)))
         # A flip inside record i kills record i and everything after it
         # (replay stops at the first damage); records before it are
         # untouched.  In no case does a record we never wrote appear.
@@ -112,14 +114,14 @@ class TestDamagedReplayNeverLies:
         and the recovered cache holds only values that were written."""
         directory = str(tmp_path_factory.mktemp("recover"))
         path = write_segment(directory, records)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         position = data.draw(
             st.integers(min_value=0, max_value=len(raw) - 1), label="byte"
         )
         raw[position] ^= 1 << data.draw(
             st.integers(min_value=0, max_value=7), label="bit"
         )
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
 
         cache = SimpleKVCache(PlainZone(1 << 22))
         result = replay_journal(directory, cache)

@@ -1,6 +1,7 @@
 """Point-in-time recovery: checkpoint + replay, damage containment."""
 
 import os
+from pathlib import Path
 
 from repro.core import SimpleKVCache
 from repro.durability.journal import (
@@ -26,10 +27,16 @@ def make_cache(capacity=1 << 20):
     return SimpleKVCache(PlainZone(capacity))
 
 
+#: Managers :func:`journalled_cache` built; conftest.py closes their
+#: writers after each test so no ``.wal`` handle outlives it.
+OPEN_MANAGERS = []
+
+
 def journalled_cache(directory, items=50, deletes=10, **config_kwargs):
     """A cache wired to a fresh durability dir, with some traffic applied."""
     config = DurabilityConfig(directory=str(directory), **config_kwargs)
     manager = DurabilityManager(config)
+    OPEN_MANAGERS.append(manager)
     cache = make_cache()
     manager.recover_into(cache)
     manager.attach_to(cache)
@@ -106,18 +113,18 @@ class TestCheckpointRecovery:
         manager, cache = journalled_cache(tmp_path, deletes=0)
         first = manager.checkpoint(cache)
         first_path = os.path.join(str(tmp_path), checkpoint_name(first))
-        saved_image = open(first_path, "rb").read()
-        saved_crc = open(first_path + CRC_SUFFIX, "rb").read()
+        saved_image = Path(first_path).read_bytes()
+        saved_crc = Path(first_path + CRC_SUFFIX).read_bytes()
         cache.set(b"newer", b"than-first")
         second = manager.checkpoint(cache)
         # Resurrect the first checkpoint (pruning removed it) as a
         # stale-but-valid fallback, then rot the newest image.
-        open(first_path, "wb").write(saved_image)
-        open(first_path + CRC_SUFFIX, "wb").write(saved_crc)
+        Path(first_path).write_bytes(saved_image)
+        Path(first_path + CRC_SUFFIX).write_bytes(saved_crc)
         second_path = os.path.join(str(tmp_path), checkpoint_name(second))
-        data = bytearray(open(second_path, "rb").read())
+        data = bytearray(Path(second_path).read_bytes())
         data[len(data) // 2] ^= 0xFF
-        open(second_path, "wb").write(bytes(data))
+        Path(second_path).write_bytes(bytes(data))
 
         restored = make_cache()
         result = replay_journal(str(tmp_path), restored)
@@ -153,8 +160,8 @@ class TestDamageContainment:
         manager.writer.sync()
         path = manager.writer.current_path
         manager.writer.close()
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-cut])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:-cut])
         return path
 
     def test_torn_tail_truncated_and_counted(self, tmp_path):
@@ -179,9 +186,9 @@ class TestDamageContainment:
         segments = list_segments(str(tmp_path))
         assert len(segments) >= 3
         victim_seq, victim_path = segments[1]
-        data = bytearray(open(victim_path, "rb").read())
+        data = bytearray(Path(victim_path).read_bytes())
         data[len(SEGMENT_MAGIC) + 2] ^= 0x10
-        open(victim_path, "wb").write(bytes(data))
+        Path(victim_path).write_bytes(bytes(data))
 
         restored = make_cache()
         result = replay_journal(str(tmp_path), restored)
@@ -245,6 +252,7 @@ class TestManagerLifecycle:
         assert manager.should_checkpoint()
         manager.checkpoint(cache)
         assert not manager.should_checkpoint()
+        manager.close()
 
     def test_checkpoints_disabled_with_zero_budget(self, tmp_path):
         config = DurabilityConfig(directory=str(tmp_path), checkpoint_bytes=0)
@@ -255,3 +263,4 @@ class TestManagerLifecycle:
         for i in range(50):
             cache.set(b"key%02d" % i, b"v" * 100)
         assert not manager.should_checkpoint()
+        manager.close()

@@ -1,6 +1,7 @@
 """At-rest integrity scrubbing: detect and quarantine silent rot."""
 
 import os
+from pathlib import Path
 
 from repro.durability.journal import (
     DurabilityStats,
@@ -49,9 +50,9 @@ class TestScrub:
     def test_rotten_segment_quarantined(self, tmp_path):
         segments = multi_segment_dir(tmp_path)
         victim_seq, victim_path = segments[0]
-        data = bytearray(open(victim_path, "rb").read())
+        data = bytearray(Path(victim_path).read_bytes())
         data[20] ^= 0x01
-        open(victim_path, "wb").write(bytes(data))
+        Path(victim_path).write_bytes(bytes(data))
 
         stats = DurabilityStats()
         report = scrub_directory(str(tmp_path), stats=stats)
@@ -74,9 +75,9 @@ class TestScrub:
         manager, cache = journalled_cache(tmp_path)
         seq = manager.checkpoint(cache)
         path = os.path.join(str(tmp_path), checkpoint_name(seq))
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[-1] ^= 0xFF
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         report = manager.scrub_once()
         assert not report.clean
         assert checkpoint_name(seq) in report.quarantined
@@ -93,9 +94,9 @@ class TestScrub:
     def test_quarantined_files_not_rescanned(self, tmp_path):
         segments = multi_segment_dir(tmp_path)
         _seq, victim_path = segments[0]
-        data = bytearray(open(victim_path, "rb").read())
+        data = bytearray(Path(victim_path).read_bytes())
         data[20] ^= 0x01
-        open(victim_path, "wb").write(bytes(data))
+        Path(victim_path).write_bytes(bytes(data))
         first = scrub_directory(str(tmp_path))
         assert not first.clean
         second = scrub_directory(str(tmp_path))

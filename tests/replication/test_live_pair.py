@@ -18,14 +18,15 @@ def make_cache(capacity=512 * 1024, shards=2, seed=11):
     )
 
 
-async def start_primary(journal_dir, **kwargs):
+async def start_primary(journal_dir, cache=None, **kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("fsync", "always")
     kwargs.setdefault("repl_port", 0)
     kwargs.setdefault("journal_segment_bytes", 1024)
     kwargs.setdefault("checkpoint_bytes", 4096)
     server = CacheServer(
-        make_cache(), ServerConfig(journal_dir=str(journal_dir), **kwargs)
+        cache if cache is not None else make_cache(),
+        ServerConfig(journal_dir=str(journal_dir), **kwargs),
     )
     await server.start()
     task = asyncio.create_task(server.run())
@@ -138,6 +139,113 @@ class TestPropagation:
             assert b"lagging" in reply
             writer.close()
             await drain(replica, rtask)
+
+        asyncio.run(go())
+
+
+class TestOnePath:
+    def test_a_burst_past_a_megabyte_ships_each_record_once(self, tmp_path):
+        """Well over 1 MiB of SETs inside one flush tick (eight
+        connections, each a pipeline of 64 KiB values): every journal
+        append reaches the replica exactly once, in order.  (A sender
+        with an in-memory queue beside the file overflowed here, resumed
+        from where it had last read the file rather than from what it
+        had sent, and walked the replica back through old versions.)"""
+
+        async def go():
+            primary, ptask = await start_primary(
+                tmp_path,
+                cache=make_cache(capacity=16 << 20),
+                fsync="never",
+                journal_segment_bytes=1 << 20,
+                checkpoint_bytes=0,
+            )
+            replica, rtask = await start_replica(
+                primary.repl_source.port, cache=make_cache(capacity=16 << 20)
+            )
+            sent = primary.replication_stats
+            applied = replica.replication_stats
+            assert await wait_until(lambda: applied.snapshots_applied == 1)
+            client = replica.repl_client
+            positions = []
+            apply_payload = client._apply_payload
+
+            def recording_apply(payload):
+                positions.append(client.position)
+                apply_payload(payload)
+
+            client._apply_payload = recording_apply
+
+            def appends():
+                return primary.durability.stats.journal_appends
+
+            links = [
+                await asyncio.open_connection("127.0.0.1", primary.port)
+                for _ in range(8)
+            ]
+            reader, writer = links[0]
+            for i in range(40):  # a trickle: about one record per tick
+                reply = await send(
+                    writer, reader, b"set hot%d 0 0 6\r\nold%03d\r\n" % (i % 10, i)
+                )
+                assert reply == b"STORED\r\n"
+                await asyncio.sleep(0.006)
+            assert await wait_until(lambda: sent.records_sent == appends())
+            for lane, (_reader, writer) in enumerate(links):
+                writer.write(
+                    b"".join(
+                        b"set hot%d 0 0 65536\r\n%s\r\n"
+                        % (i % 10, b"%02d%02d" % (lane, i) * 16384)
+                        for i in range(20)
+                    )
+                )
+            for reader, writer in links:
+                await writer.drain()
+                for _ in range(20):
+                    assert await reader.readline() == b"STORED\r\n"
+            assert appends() == 40 + 8 * 20
+            assert await wait_until(lambda: applied.records_applied >= appends())
+            await asyncio.sleep(0.05)  # anything re-shipped would land now
+            assert sent.records_sent == appends()
+            assert applied.records_applied == appends()
+            assert positions == sorted(positions)
+            assert client.position == primary.durability.writer.position
+            for i in range(10):
+                value = primary.cache.get(b"hot%d" % i)
+                assert value is not None and len(value) == 65536
+                assert replica.cache.get(b"hot%d" % i) == value
+            for _reader, writer in links:
+                writer.close()
+            await drain(replica, rtask)
+            await drain(primary, ptask)
+
+        asyncio.run(go())
+
+    def test_an_expired_item_leaves_the_replica_too(self, tmp_path):
+        """The stream carries no TTL: the primary's expiry reaches the
+        replica (and the journal) as a delete."""
+
+        async def go():
+            primary, ptask = await start_primary(tmp_path)
+            replica, rtask = await start_replica(primary.repl_source.port)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", primary.port
+            )
+            assert (
+                await send(writer, reader, b"set brief 0 1 5\r\nhello\r\n")
+                == b"STORED\r\n"
+            )
+            assert await wait_until(
+                lambda: replica.cache.get(b"brief") == b"hello"
+            )
+            primary.cache.clock.advance(2.0)
+            assert await send(writer, reader, b"get brief\r\n") == b"END\r\n"
+            assert await wait_until(lambda: replica.cache.get(b"brief") is None)
+            # The set and the expiry's delete: recovery agrees too.
+            assert primary.durability.stats.journal_appends == 2
+            writer.close()
+            await drain(replica, rtask)
+            await drain(primary, ptask)
 
         asyncio.run(go())
 
@@ -398,6 +506,7 @@ class TestCatchUpFromDirectory:
         assert cache.get(b"c024") == b"val-024"
 
     def test_tail_replay_from_known_position(self, tmp_path):
+        from repro.durability.journal import apply_record, decode_payload
         from repro.replication.tailer import JournalTailer
 
         self._build_journal(tmp_path)
@@ -407,13 +516,8 @@ class TestCatchUpFromDirectory:
         applied = 0
         position = (1, 0)
         while applied < 10:
-            for op, key, value, _p, seg, end in tailer.read_batch(1):
-                from repro.durability.journal import OP_SET
-
-                if op == OP_SET:
-                    cache.set(key, value)
-                else:
-                    cache.delete(key)
+            for payload, seg, end in tailer.read_batch(1):
+                apply_record(cache, None, *decode_payload(payload))
                 position = (seg, end)
                 applied += 1
         tailer.close()

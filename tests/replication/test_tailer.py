@@ -1,6 +1,6 @@
 """Journal tailing across segment rotations: every record once, in order.
 
-The replication sender's fallback path and a promoting replica's catch-up
+The replication sender (its only path) and a promoting replica's catch-up
 both ride :class:`JournalTailer`; a dropped or duplicated record at a
 rotation boundary would become silent replica divergence, so the
 boundary cases get their own tests: batch reads that straddle rotations,
@@ -19,6 +19,7 @@ from repro.durability.journal import (
     SEGMENT_MAGIC,
     JournalConfig,
     JournalWriter,
+    decode_payload,
     list_segments,
     segment_name,
 )
@@ -52,6 +53,11 @@ def read_everything(tailer, batch=256):
         out.extend(records)
 
 
+def decoded(records):
+    """(op, key, value) of each tailed (payload, segment, end_offset)."""
+    return [decode_payload(payload)[:3] for payload, _seg, _end in records]
+
+
 class TestRotationBoundaries:
     def test_no_drop_no_dup_across_many_rotations(self, tmp_path):
         writer = make_writer(tmp_path, segment_bytes=256)
@@ -65,7 +71,7 @@ class TestRotationBoundaries:
         tailer = JournalTailer(str(tmp_path), 1, 0)
         records = read_everything(tailer)
         tailer.close()
-        assert [(op, key, value) for op, key, value, *_ in records] == expected
+        assert decoded(records) == expected
 
     def test_single_record_batches_cross_rotations_too(self, tmp_path):
         """read_batch(1) forces every boundary through the handoff path."""
@@ -76,7 +82,7 @@ class TestRotationBoundaries:
         tailer = JournalTailer(str(tmp_path), 1, 0)
         records = read_everything(tailer, batch=1)
         tailer.close()
-        assert [(op, key, value) for op, key, value, *_ in records] == expected
+        assert decoded(records) == expected
 
     def test_positions_strictly_advance_and_never_straddle(self, tmp_path):
         writer = make_writer(tmp_path, segment_bytes=256)
@@ -86,7 +92,7 @@ class TestRotationBoundaries:
         tailer = JournalTailer(str(tmp_path), 1, 0)
         records = read_everything(tailer)
         tailer.close()
-        positions = [(seg, end) for *_rest, seg, end in records]
+        positions = [(seg, end) for _payload, seg, end in records]
         assert positions == sorted(positions)
         assert len(set(positions)) == len(positions)
         # Every end offset fits inside its own segment file: records
@@ -108,13 +114,11 @@ class TestRotationBoundaries:
         records = read_everything(tailer)
         tailer.close()
         for cut in (0, 5, len(records) // 2, len(records) - 1):
-            _op, _key, _value, _payload, seg, end = records[cut]
+            _payload, seg, end = records[cut]
             resumed = JournalTailer(str(tmp_path), seg, end)
             rest = read_everything(resumed)
             resumed.close()
-            assert [
-                (op, key, value) for op, key, value, *_ in rest
-            ] == expected[cut + 1 :]
+            assert decoded(rest) == expected[cut + 1 :]
 
     def test_live_tail_sees_later_appends_exactly_once(self, tmp_path):
         writer = make_writer(tmp_path, segment_bytes=256)
@@ -122,7 +126,7 @@ class TestRotationBoundaries:
 
         tailer = JournalTailer(str(tmp_path), 1, 0)
         got = read_everything(tailer)
-        assert [(op, key, value) for op, key, value, *_ in got] == first
+        assert decoded(got) == first
         # Caught up: nothing more on disk right now.
         assert tailer.read_batch() == []
 
@@ -130,7 +134,7 @@ class TestRotationBoundaries:
         writer.close()
         more = read_everything(tailer)
         tailer.close()
-        assert [(op, key, value) for op, key, value, *_ in more] == second
+        assert decoded(more) == second
 
 
 class TestTailDamage:
@@ -144,7 +148,7 @@ class TestTailDamage:
 
         tailer = JournalTailer(str(tmp_path), seq, 0)
         records = read_everything(tailer)
-        assert [(op, key, value) for op, key, value, *_ in records] == expected
+        assert decoded(records) == expected
         # Still parked before the torn bytes, not erroring on them.
         assert tailer.read_batch() == []
         tailer.close()
@@ -158,6 +162,25 @@ class TestTailDamage:
         os.remove(segments[0][1])  # prune the tailer's segment
 
         tailer = JournalTailer(str(tmp_path), segments[0][0], 0)
+        with pytest.raises(SegmentPrunedError):
+            tailer.read_batch()
+        tailer.close()
+
+    def test_pruned_successor_demands_resync(self, tmp_path):
+        """A tailer that read its segment to the end keeps the handle;
+        if checkpoints then prune that segment *and its successor*, the
+        next survivor is not where the stream continues."""
+        writer = make_writer(tmp_path, segment_bytes=256)
+        append_sets(writer, 3)
+        first = writer.current_seq
+        tailer = JournalTailer(str(tmp_path), first, 0)
+        assert len(read_everything(tailer)) == 3
+        append_sets(writer, 30, start=3)
+        writer.close()
+        segments = list_segments(str(tmp_path))
+        assert len(segments) >= 4
+        for _seq, path in segments[:2]:
+            os.remove(path)  # the tailer's own segment and the next one
         with pytest.raises(SegmentPrunedError):
             tailer.read_batch()
         tailer.close()
@@ -185,3 +208,67 @@ class TestTailDamage:
         with pytest.raises(SegmentPrunedError):
             tailer.read_batch()
         tailer.close()
+
+
+class TestTailUnderCheckpoints:
+    def test_every_record_once_or_a_resync(self, tmp_path):
+        """A seeded interleaving of writes, checkpoints (rotate + prune),
+        lazy polls and reconnects: what the tailer yields, with a resync
+        standing for "take the image", is exactly what was written."""
+        import random
+
+        from repro.core import SimpleKVCache
+        from repro.durability.manager import DurabilityConfig, DurabilityManager
+        from repro.nzone import PlainZone
+
+        for seed in range(6):
+            rng = random.Random(seed)
+            directory = str(tmp_path / f"seed{seed}")
+            manager = DurabilityManager(
+                DurabilityConfig(
+                    directory=directory,
+                    segment_bytes=512,
+                    checkpoint_bytes=2048,
+                    fsync="never",
+                )
+            )
+            cache = SimpleKVCache(PlainZone(1 << 22))
+            manager.recover_into(cache)
+            manager.attach_to(cache)
+            written, got, resyncs = [], [], 0
+            tailer = JournalTailer(directory, *manager.writer.position)
+
+            def poll(batch):
+                nonlocal tailer, got, resyncs
+                try:
+                    records = tailer.read_batch(batch)
+                except SegmentPrunedError:
+                    resyncs += 1
+                    tailer.close()
+                    got = list(written)  # the image holds all of it
+                    tailer = JournalTailer(directory, *manager.writer.position)
+                    return True
+                got += decoded(records)
+                return bool(records)
+
+            for step in range(1500):
+                draw = rng.random()
+                if draw < 0.6:
+                    key = b"k%02d" % rng.randrange(50)
+                    value = b"v%06d" % step * rng.randrange(1, 8)
+                    cache.set(key, value)
+                    written.append((OP_SET, key, value))
+                    if manager.should_checkpoint():
+                        manager.checkpoint(cache)
+                elif draw < 0.9:
+                    poll(rng.choice((1, 4, 256)))
+                elif draw < 0.95:
+                    position = tailer.position
+                    tailer.close()
+                    tailer = JournalTailer(directory, *position)
+            while poll(256):
+                pass
+            tailer.close()
+            manager.close()
+            assert got == written, seed
+            assert resyncs > 0  # the schedule did outrun the pruning

@@ -227,6 +227,28 @@ class TestAbsoluteExptime:
         asyncio.run(scenario())
 
 
+    def test_wall_clock_ttl_expires_in_real_time(self):
+        """``clock_mode="wall"`` follows the wall clock: nothing else
+        ever advances the cache's VirtualClock, so without that a TTL
+        never comes due."""
+
+        async def scenario():
+            server, task = await started_server(clock_mode="wall")
+            reader, writer = await connect(server)
+            assert (
+                await send(writer, reader, b"set k 0 1 2\r\nhi\r\n")
+                == b"STORED\r\n"
+            )
+            reply = await send(writer, reader, b"get k\r\n", reply_lines=3)
+            assert reply == b"VALUE k 0 2\r\nhi\r\nEND\r\n"
+            await asyncio.sleep(1.1)
+            assert await send(writer, reader, b"get k\r\n") == b"END\r\n"
+            writer.close()
+            await drain(server, task)
+
+        asyncio.run(scenario())
+
+
 class TestFlagsPersistence:
     def test_flags_survive_journal_recovery(self, tmp_path):
         async def first_life():

@@ -81,7 +81,7 @@ class TestWireContract:
             for name in SHIPPED_NAMES
             if journalled or not name.startswith("durability_")
         ]
-        assert len(shipped) == (121 if journalled else 102)
+        assert len(shipped) == (120 if journalled else 101)
         assert not set(shipped) - set(wire)
         assert len(wire) >= 130
 
