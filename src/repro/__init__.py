@@ -44,10 +44,8 @@ from repro.common.errors import (
 from repro.common.records import KVItem, Operation, Request
 from repro.common.units import GB, KB, MB, format_bytes, parse_size
 from repro.core import (
-    LoadResult,
     ShardedZExpander,
     SimpleKVCache,
-    SnapshotError,
     ZExpander,
     ZExpanderConfig,
     ZExpanderStats,
@@ -115,7 +113,6 @@ __all__ = [
     "JournalWriter",
     "KVItem",
     "LZ4Compressor",
-    "LoadResult",
     "MemcachedZone",
     "MetricsRegistry",
     "ModelCompressor",
@@ -133,7 +130,6 @@ __all__ = [
     "ServingError",
     "ShardedZExpander",
     "SimpleKVCache",
-    "SnapshotError",
     "VirtualClock",
     "ZExpander",
     "ZExpanderConfig",

@@ -13,30 +13,21 @@ from repro.core.marker import LocalityBenchmark
 from repro.core.replay import ReplayStats, replay_trace
 from repro.core.sharded import ShardedZExpander
 from repro.core.simple import SimpleKVCache
-from repro.core.snapshot import (
-    LoadResult,
-    SnapshotError,
-    load_snapshot,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.core.stats import ZExpanderStats
 from repro.core.zexpander import ZExpander
 
 __all__ = [
     "AdaptiveAllocator",
     "AllocationAction",
-    "LoadResult",
     "LocalityBenchmark",
     "ReplayStats",
     "ShardedZExpander",
     "SimpleKVCache",
-    "SnapshotError",
     "ZExpander",
     "ZExpanderConfig",
     "ZExpanderStats",
     "load_snapshot",
-    "read_snapshot",
     "replay_trace",
     "write_snapshot",
 ]

@@ -4,11 +4,13 @@ The cache itself is volatile by design; this package makes its contents
 survive anything up to and including ``kill -9`` and power loss, with a
 loss bound chosen by fsync policy:
 
-* :mod:`repro.durability.journal` — CRC-framed append-only segments that
-  every acknowledged SET/DELETE writes through before the ack.
-* :mod:`repro.durability.manager` — incremental checkpoints (snapshot
-  format + CRC sidecar), point-in-time recovery (checkpoint + replay),
-  pruning, and the :class:`DurabilityManager` that owns a directory.
+* :mod:`repro.durability.journal` — append-only segments of CRC-framed
+  records (:mod:`repro.common.framing`) that every acknowledged
+  SET/DELETE writes through before the ack.
+* :mod:`repro.durability.manager` — incremental checkpoints (a cache
+  image in the same record format + CRC sidecar), point-in-time recovery
+  (checkpoint + replay), pruning, and the :class:`DurabilityManager`
+  that owns a directory.
 * :mod:`repro.durability.scrub` — background re-verification of at-rest
   files, quarantining rot before recovery can trip over it.
 
@@ -16,19 +18,21 @@ See DESIGN.md §10 for the format, the recovery ordering argument, and
 the per-policy loss bounds.
 """
 
-from repro.durability.journal import (
+from repro.common.framing import (
     OP_DELETE,
     OP_SET,
     OP_SET_FLAGS,
-    DurabilityStats,
-    JournalConfig,
-    JournalWriter,
     SegmentScan,
     apply_record,
     decode_payload,
     encode_record,
-    list_segments,
     read_segment,
+)
+from repro.durability.journal import (
+    DurabilityStats,
+    JournalConfig,
+    JournalWriter,
+    list_segments,
 )
 from repro.durability.manager import (
     DurabilityConfig,

@@ -15,17 +15,9 @@ frame CRCs make the only two crash outcomes distinguishable:
   damaged middle could resurrect deleted keys), quarantines the damage,
   and counts the loss.
 
-Wire format (segment version 1): an 8-byte magic, then per record::
-
-    [4-byte BE payload length][payload][4-byte BE CRC32(payload)]
-    payload = [1-byte op][4-byte BE key length][key bytes][value bytes]
-
-Ops are ``S`` (set), ``D`` (delete, empty value), and ``F`` (set with
-client flags — a 4-byte BE flags word between the key and the value;
-plain ``S`` is still written when flags are zero, so journals without
-flagged items are byte-identical to the version-1 format and readable
-by older tooling).  Lengths are bounds-checked before allocation, same
-as the snapshot reader.
+The record format, its frame reader, decoder and applier live in
+:mod:`repro.common.framing`, shared with cache images; this module owns
+the segment files, their rotation and the fsync policy.
 
 Fsync policy decides the loss bound on *power* failure (a SIGKILL loses
 nothing past the OS write() in any mode, because every append is flushed
@@ -42,27 +34,19 @@ to the kernel):
 from __future__ import annotations
 
 import os
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic
-from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, JournalError
+from repro.common.framing import (
+    OP_DELETE,
+    OP_SET,
+    SEGMENT_MAGIC,
+    encode_payload,
+    frame,
+)
 from repro.common.fsio import fsync_directory
-
-SEGMENT_MAGIC = b"ZXWAL001"
-
-OP_SET = 0x53  # b"S"
-OP_DELETE = 0x44  # b"D"
-#: A SET carrying a non-zero client-flags word (4 bytes BE after the key).
-OP_SET_FLAGS = 0x46  # b"F"
-
-FRAME_LEN = struct.Struct(">I")
-_PAYLOAD_HEAD = struct.Struct(">BI")
-#: Sanity bound, matching the snapshot reader: no key or value > 256 MiB.
-_MAX_FIELD = 256 * 1024 * 1024
-_MAX_PAYLOAD = _PAYLOAD_HEAD.size + 2 * _MAX_FIELD
 
 FSYNC_POLICIES = ("always", "interval", "never")
 
@@ -97,191 +81,6 @@ def list_segments(directory: str) -> List[Tuple[int, str]]:
             found.append((seq, os.path.join(directory, name)))
     found.sort()
     return found
-
-
-# -- record codec ---------------------------------------------------------------
-
-
-def encode_payload(
-    op: int, key: bytes, value: bytes = b"", flags: int = 0
-) -> bytes:
-    """The unframed record payload (shared with the replication stream).
-
-    A SET with non-zero ``flags`` is encoded as :data:`OP_SET_FLAGS`
-    regardless of the ``op`` argument; zero-flag SETs stay plain
-    :data:`OP_SET` so unflagged journals match the v1 format byte for
-    byte.
-    """
-    if op not in (OP_SET, OP_DELETE, OP_SET_FLAGS):
-        raise ValueError(f"unknown journal op {op:#x}")
-    if op == OP_DELETE and flags:
-        raise ValueError("delete records carry no flags")
-    if flags and op == OP_SET:
-        op = OP_SET_FLAGS
-    head = _PAYLOAD_HEAD.pack(op, len(key)) + key
-    if op == OP_SET_FLAGS:
-        return head + FRAME_LEN.pack(flags) + value
-    return head + value
-
-
-def frame(payload: bytes) -> bytes:
-    """``payload`` between its length word and its CRC: what a segment holds."""
-    return (
-        FRAME_LEN.pack(len(payload))
-        + payload
-        + FRAME_LEN.pack(zlib.crc32(payload))
-    )
-
-
-def encode_record(
-    op: int, key: bytes, value: bytes = b"", flags: int = 0
-) -> bytes:
-    """One framed journal record, CRC included."""
-    return frame(encode_payload(op, key, value, flags))
-
-
-def decode_payload(payload: bytes) -> Tuple[int, bytes, bytes, int]:
-    """(op, key, value, flags) from a CRC-verified payload.
-
-    ``op`` is normalised: :data:`OP_SET_FLAGS` records come back as
-    :data:`OP_SET` with their flags word extracted, so every consumer
-    dispatches on exactly two ops.  Raises JournalError on damage.
-    """
-    if len(payload) < _PAYLOAD_HEAD.size:
-        raise JournalError("record payload shorter than its fixed header")
-    op, key_len = _PAYLOAD_HEAD.unpack_from(payload)
-    if op not in (OP_SET, OP_DELETE, OP_SET_FLAGS):
-        raise JournalError(f"unknown journal op {op:#x}")
-    if key_len > _MAX_FIELD or _PAYLOAD_HEAD.size + key_len > len(payload):
-        raise JournalError(f"implausible key length {key_len}")
-    key = payload[_PAYLOAD_HEAD.size : _PAYLOAD_HEAD.size + key_len]
-    rest = payload[_PAYLOAD_HEAD.size + key_len :]
-    flags = 0
-    if op == OP_SET_FLAGS:
-        if len(rest) < FRAME_LEN.size:
-            raise JournalError("flagged set record missing its flags word")
-        (flags,) = FRAME_LEN.unpack_from(rest)
-        rest = rest[FRAME_LEN.size :]
-        op = OP_SET
-    if op == OP_DELETE and rest:
-        raise JournalError("delete record carries a value")
-    return op, key, rest, flags
-
-
-def apply_record(
-    cache, meta, op: int, key: bytes, value: bytes, flags: int
-) -> None:
-    """Apply one decoded record to ``cache`` and its flags sidecar.
-
-    The one place a journal record becomes a mutation: recovery, the
-    replica's stream and promotion catch-up all call it.  ``meta``
-    (``on_set(key, flags)``/``on_delete(key)``) may be None.  A
-    :class:`CacheError` from the cache propagates before the sidecar is
-    touched; what it means is the caller's business.
-    """
-    if op == OP_SET:
-        cache.set(key, value, flags=flags)
-        if meta is not None:
-            meta.on_set(key, flags)
-    else:
-        cache.delete(key)
-        if meta is not None:
-            meta.on_delete(key)
-
-
-@dataclass
-class SegmentScan:
-    """Outcome of reading one segment: the valid prefix plus damage info."""
-
-    records: int = 0
-    #: Byte offset just past the last whole, CRC-valid record.
-    valid_bytes: int = 0
-    #: Bytes past the valid prefix (torn tail or corrupt middle), 0 if clean.
-    damaged_bytes: int = 0
-    #: Human-readable description of the first damage hit, or None.
-    error: Optional[str] = None
-
-    @property
-    def clean(self) -> bool:
-        return self.error is None
-
-
-def read_segment(
-    path: str,
-    apply: Optional[Callable[[int, bytes, bytes, int], None]] = None,
-) -> SegmentScan:
-    """Walk a segment, calling ``apply(op, key, value, flags)`` per record.
-
-    ``op`` is normalised (see :func:`decode_payload`), so the callback
-    dispatches on SET/DELETE only.  Every payload is decoded whether or
-    not anyone listens: the scrubber's verdict covers the codec too.
-
-    Never raises for damage: the scan stops at the first short,
-    CRC-failing or undecodable record and reports it in the returned
-    :class:`SegmentScan`.  A missing/garbled magic counts the whole file
-    as damaged (records=0).
-    """
-    scan = SegmentScan()
-    size = os.path.getsize(path)
-    with open(path, "rb") as stream:
-        magic = stream.read(len(SEGMENT_MAGIC))
-        if magic != SEGMENT_MAGIC:
-            scan.error = f"bad segment magic: {magic!r}"
-            scan.damaged_bytes = size
-            return scan
-        scan.valid_bytes = len(SEGMENT_MAGIC)
-        frames = iter_frames(stream, scan.valid_bytes)
-        while True:
-            # Only reading and decoding are damage; what ``apply`` raises
-            # is the caller's and must not be booked against the file.
-            try:
-                payload, end_offset = next(frames)
-                record = decode_payload(payload)
-            except StopIteration:
-                break
-            except JournalError as exc:
-                scan.error = str(exc)
-                scan.damaged_bytes = size - scan.valid_bytes
-                break
-            if apply is not None:
-                apply(*record)
-            scan.records += 1
-            scan.valid_bytes = end_offset
-    return scan
-
-
-def iter_frames(stream: BinaryIO, offset: int) -> Iterator[Tuple[bytes, int]]:
-    """Yield CRC-checked ``(payload, end_offset)`` from ``stream`` at ``offset``.
-
-    The journal's one frame reader: recovery and the scrubber decode
-    what it yields, the replication tailer ships it undecoded.  Returns
-    at a clean end of file; a short, oversized or CRC-failing frame
-    raises :class:`JournalError` with the stream left past the damage
-    (a consumer that means to retry seeks back to the last
-    ``end_offset``).
-    """
-    while True:
-        header = stream.read(FRAME_LEN.size)
-        if not header:
-            return
-        if len(header) != FRAME_LEN.size:
-            raise JournalError("torn record length header")
-        (payload_len,) = FRAME_LEN.unpack(header)
-        if payload_len > _MAX_PAYLOAD:
-            raise JournalError(f"implausible payload length {payload_len}")
-        body = stream.read(payload_len + FRAME_LEN.size)
-        if len(body) != payload_len + FRAME_LEN.size:
-            raise JournalError("torn record body")
-        payload = body[:payload_len]
-        (stored_crc,) = FRAME_LEN.unpack_from(body, payload_len)
-        actual_crc = zlib.crc32(payload)
-        if stored_crc != actual_crc:
-            raise JournalError(
-                f"record CRC mismatch: stored {stored_crc:#010x}, "
-                f"computed {actual_crc:#010x}"
-            )
-        offset += FRAME_LEN.size * 2 + payload_len
-        yield payload, offset
 
 
 # -- the writer -----------------------------------------------------------------

@@ -7,9 +7,10 @@ A durability directory holds three kinds of files::
     checkpoint-XXXXXXXX.snap.crc32   sidecar: hex CRC32 of the .snap bytes
     quarantine/                 damaged files moved aside, never deleted
 
-A checkpoint reuses the snapshot wire format (so a checkpoint loads with
-the ordinary :func:`repro.core.snapshot.load_snapshot`) and is written
-through :func:`repro.common.fsio.atomic_write`; its sequence number is
+A checkpoint is a cache image — a segment of SET records in the
+journal's own format, written by :func:`repro.core.snapshot.write_snapshot`
+through :func:`repro.common.fsio.atomic_write` and loaded by the same
+frame reader and applier that replay the journal; its sequence number is
 the journal segment that was *active when the image was taken*, i.e.
 recovery = load ``checkpoint-S.snap`` then replay segments ``>= S`` in
 order.  After a checkpoint lands durably, segments ``< S`` and older
@@ -38,17 +39,19 @@ from functools import partial
 from typing import List, Optional
 
 from repro.common.errors import CacheError, ConfigurationError
-from repro.common.fsio import atomic_write, fsync_directory
-from repro.core.snapshot import SnapshotError, load_snapshot, write_snapshot
-from repro.durability.journal import (
+from repro.common.framing import (
     SEGMENT_MAGIC,
+    SegmentScan,
+    apply_record,
+    read_segment,
+)
+from repro.common.fsio import atomic_write, fsync_directory
+from repro.core.snapshot import load_snapshot, write_snapshot
+from repro.durability.journal import (
     DurabilityStats,
     JournalConfig,
     JournalWriter,
-    SegmentScan,
-    apply_record,
     list_segments,
-    read_segment,
     segment_name,
 )
 
@@ -206,8 +209,8 @@ class DurabilityManager:
         self.config = config
         self.stats = stats if stats is not None else DurabilityStats()
         #: Optional per-item metadata sidecar (``on_set``/``on_delete``/
-        #: ``flags_of``): checkpoints persist its flags (snapshot v2) and
-        #: recovery repopulates it.  CAS versions are never persisted.
+        #: ``flags_of``): checkpoints persist its flags and recovery
+        #: repopulates it.  CAS versions are never persisted.
         self.meta = meta
         self.writer: Optional[JournalWriter] = None
         self._bytes_at_checkpoint = 0
@@ -378,22 +381,23 @@ def replay_journal(
             quarantine(path)
             continue
         try:
-            loaded = load_snapshot(cache, path, strict=False, meta=meta)
-        except (SnapshotError, CacheError, OSError) as exc:
+            image = load_snapshot(cache, path, meta=meta)
+            unreadable = None if image.valid_bytes else image.error
+        except (CacheError, OSError) as exc:
+            unreadable = f"{type(exc).__name__}: {exc}"
+        if unreadable is not None:
             result.incidents.append(
                 f"checkpoint {os.path.basename(path)} unreadable "
-                f"({type(exc).__name__}: {exc}); quarantined"
+                f"({unreadable}); quarantined"
             )
             quarantine(path)
             continue
         base_seq = seq
         result.checkpoint_seq = seq
-        result.checkpoint_loaded = loaded.loaded
-        result.checkpoint_skipped = loaded.skipped
-        if loaded.error:
-            result.incidents.append(
-                f"checkpoint tail skipped: {loaded.error}"
-            )
+        result.checkpoint_loaded = image.records
+        if not image.clean:
+            result.checkpoint_skipped = 1
+            result.incidents.append(f"checkpoint tail skipped: {image.error}")
         break
 
     # 2. Replay segments >= base_seq, oldest first.  A *hole* in that

@@ -20,7 +20,8 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.durability.journal import DurabilityStats, list_segments, read_segment
+from repro.common.framing import read_segment
+from repro.durability.journal import DurabilityStats, list_segments
 from repro.durability.manager import (
     checkpoint_crc_ok,
     list_checkpoints,

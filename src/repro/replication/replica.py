@@ -27,13 +27,14 @@ is present), flips to the primary role, and starts taking writes.
 from __future__ import annotations
 
 import asyncio
+import io
 import random
 import time
 from typing import Optional, Tuple
 
 from repro.common.errors import CacheError, ReplicationError
-from repro.core.snapshot import iter_cache_items, read_snapshot
-from repro.durability.journal import apply_record, decode_payload
+from repro.common.framing import apply_record, decode_payload, read_segment
+from repro.core.snapshot import iter_cache_items
 from repro.durability.manager import replay_journal
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -254,8 +255,9 @@ class ReplicationClient:
             elif frame_type == wire.SNAP_END:
                 if snapshot_buffer is None:
                     raise ReplicationError("snapshot end outside a snapshot")
-                wire.decode_snap_end(body)
-                self._apply_snapshot(bytes(snapshot_buffer))
+                self._apply_snapshot(
+                    bytes(snapshot_buffer), wire.decode_snap_end(body)
+                )
                 snapshot_buffer = None
                 self.position = snapshot_position
                 self._conn_applied = 0
@@ -275,20 +277,30 @@ class ReplicationClient:
         except CacheError:
             self.stats.apply_errors += 1
 
-    def _apply_snapshot(self, image: bytes) -> None:
-        """Replace our contents with the image: load it, drop the rest."""
-        import io
+    def _apply_snapshot(self, image: bytes, count: int) -> None:
+        """Replace our contents with the image: load it, drop the rest.
 
+        The whole buffered image is verified before anything is applied,
+        so a damaged or short one drops the session (``_run`` re-dials)
+        with our contents still the old state, never a part of the new.
+        """
+        scan = read_segment(io.BytesIO(image))
+        if not scan.clean or scan.records != count:
+            raise ReplicationError(
+                f"resync image refused: {scan.records} of {count} records "
+                f"whole ({scan.error})"
+            )
         loaded_keys = set()
-        for key, value, flags in read_snapshot(io.BytesIO(image), strict=True):
+
+        def apply(op: int, key: bytes, value: bytes, flags: int) -> None:
             try:
-                self.cache.set(key, value, flags=flags)
+                apply_record(self.cache, self.meta, op, key, value, flags)
             except CacheError:
                 self.stats.apply_errors += 1
-                continue
-            if self.meta is not None:
-                self.meta.on_set(key, flags)
-            loaded_keys.add(key)
+            else:
+                loaded_keys.add(key)
+
+        read_segment(io.BytesIO(image), apply)
         stale = [
             key
             for key, _value in list(iter_cache_items(self.cache))

@@ -31,8 +31,9 @@ import os
 from typing import Optional, Set, Tuple
 
 from repro.common.errors import JournalError, ReplicationError
+from repro.common.framing import SEGMENT_MAGIC
 from repro.core.snapshot import write_snapshot
-from repro.durability.journal import SEGMENT_MAGIC, list_segments, segment_name
+from repro.durability.journal import list_segments, segment_name
 from repro.durability.manager import DurabilityManager
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -194,8 +195,8 @@ class ReplicationSource:
         """
         position = self.manager.writer.position
         buffer = io.BytesIO()
-        # The manager's meta sidecar (when the server wired one) rides
-        # along as a v2 image, so a resync restores client flags too.
+        # The manager's meta sidecar (when the server wired one) supplies
+        # each record's flags, so a resync restores client flags too.
         count = write_snapshot(self.cache, buffer, meta=self.manager.meta)
         image = buffer.getvalue()
         session.sent_bytes = session.acked_bytes = 0

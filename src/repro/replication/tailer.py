@@ -29,12 +29,8 @@ import os
 from typing import List, Optional, Tuple
 
 from repro.common.errors import JournalError
-from repro.durability.journal import (
-    SEGMENT_MAGIC,
-    iter_frames,
-    list_segments,
-    segment_name,
-)
+from repro.common.framing import SEGMENT_MAGIC, iter_frames
+from repro.durability.journal import list_segments, segment_name
 
 
 class SegmentPrunedError(JournalError):

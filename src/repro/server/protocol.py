@@ -38,6 +38,8 @@ DEFAULT_MAX_VALUE_BYTES = 1024 * 1024
 ABSOLUTE_MAX_VALUE_BYTES = 64 * 1024 * 1024
 #: A command line (longest: multi-get) may not exceed this.
 MAX_LINE_BYTES = 8192
+#: Client flags are an unsigned 32-bit word, on the wire and on disk.
+MAX_FLAGS = 0xFFFFFFFF
 
 #: memcached's relative/absolute exptime pivot: values above 30 days
 #: (in seconds) are absolute Unix timestamps, not TTLs.
@@ -191,6 +193,12 @@ class RequestParser:
     def _finish_data_block(self) -> Optional[Event]:
         pending = self._pending
         assert pending is not None
+        if pending.reject is not None:
+            # A refused block is dropped as it arrives, never held: the
+            # buffer stays within what an accepted value may occupy.
+            dropped = min(pending.length, len(self._buffer))
+            del self._buffer[:dropped]
+            pending.length -= dropped
         needed = pending.length + len(CRLF)
         if len(self._buffer) < needed:
             return None
@@ -216,9 +224,9 @@ class RequestParser:
         )
 
     def _parse_line(self, line: bytes) -> Event:
-        if not line:
-            return BadCommand(ERROR, "empty command line")
         parts = [part for part in line.split(b" ") if part]
+        if not parts:
+            return BadCommand(ERROR, "empty command line")
         name = parts[0].lower()
         args = parts[1:]
         if name in (b"get", b"gets"):
@@ -288,10 +296,15 @@ class RequestParser:
                 client_error("bad command line format"),
                 f"non-numeric {name} parameters",
             )
-        if length < 0 or exptime < 0 or flags < 0 or cas_token < 0:
+        if (
+            length < 0
+            or exptime < 0
+            or cas_token < 0
+            or not 0 <= flags <= MAX_FLAGS
+        ):
             return BadCommand(
                 client_error("bad command line format"),
-                f"negative {name} parameters",
+                f"{name} parameters out of range",
             )
         if length > ABSOLUTE_MAX_VALUE_BYTES:
             return BadCommand(

@@ -29,8 +29,8 @@ Robustness is the design driver, not protocol coverage:
   pre-check) go first, protecting the cheap N-zone path.
 * **Graceful drain** — SIGTERM stops accepting, finishes inflight work
   up to a deadline, writes a crash-safe snapshot, and exits 0; a
-  restart warm-loads that snapshot (``strict=False``, so even a torn
-  file yields a partially warm cache).
+  restart warm-loads that snapshot (up to its first damaged record, so
+  even a torn file yields a partially warm cache).
 * **Fault-plan wiring** — a cache-level :class:`FaultPlan` armed via
   ``ZExpanderConfig(fault_plan=...)`` fires on the serving path too
   (bit-flips, codec faults, squeezes, skew), and an
@@ -57,12 +57,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
 from repro.common.errors import CacheError, JournalError
-from repro.core.snapshot import (
-    LoadResult,
-    SnapshotError,
-    load_snapshot,
-    write_snapshot,
-)
+from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.durability import DurabilityConfig, DurabilityManager
 from repro.faults.auditor import InvariantAuditor
 from repro.metrics import MetricsRegistry, log_buckets
@@ -440,8 +435,8 @@ class CacheServer:
         self.stats = ServerStats()
         #: Per-item client flags + monotonic CAS versions.  Lives beside
         #: the cache (which stores only bytes): persisted through
-        #: snapshots (v2) and the journal, but CAS versions restart from
-        #: 1 on every boot, as real memcached's do.
+        #: cache images and the journal (one record format), but CAS
+        #: versions restart from 1 on every boot, as real memcached's do.
         self.meta = ItemMetaStore()
         self.registry = MetricsRegistry()
         self._latency_hist = self.registry.histogram(
@@ -552,21 +547,22 @@ class CacheServer:
 
     def _warm_restart(self, path: str) -> None:
         try:
-            result: LoadResult = load_snapshot(
-                self.cache, path, strict=False, meta=self.meta
-            )
+            image = load_snapshot(self.cache, path, meta=self.meta)
+            failure = None if image.valid_bytes else image.error
         except FileNotFoundError:
             return
-        except (SnapshotError, CacheError, OSError) as exc:
-            # Not a snapshot, an item the cache refused, an unreadable
+        except (CacheError, OSError) as exc:
+            failure = str(exc)
+        if failure is not None:
+            # Not an image, an item the cache refused, an unreadable
             # file: a bad snapshot must not block startup.
-            self.incidents.append(f"snapshot load failed: {exc}")
+            self.incidents.append(f"snapshot load failed: {failure}")
             return
-        self.stats.snapshot_loaded = result.loaded
-        self.stats.snapshot_skipped = result.skipped
-        if result.error:
+        self.stats.snapshot_loaded = image.records
+        if not image.clean:
+            self.stats.snapshot_skipped = 1
             self.stats.snapshot_truncated = 1
-            self.incidents.append(f"snapshot tail skipped: {result.error}")
+            self.incidents.append(f"snapshot tail skipped: {image.error}")
 
     def _recover_durable(self) -> None:
         self.durability = DurabilityManager(

@@ -5,15 +5,26 @@ import io
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig
-from repro.core.snapshot import (
-    SnapshotError,
-    load_snapshot,
-    read_snapshot,
-    write_snapshot,
+from repro.common.framing import (
+    OP_SET,
+    SEGMENT_MAGIC,
+    encode_record,
+    read_segment,
 )
+from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig
+from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.nzone import PlainZone
 from repro.workloads.values import PlacesValueGenerator
+
+
+def read_items(source):
+    """Every (key, value, flags) an image holds; fails on any damage."""
+    items = []
+    scan = read_segment(
+        source, lambda op, key, value, flags: items.append((key, value, flags))
+    )
+    assert scan.clean, scan.error
+    return items
 
 
 def filled_zexpander(total=64 * 1024, items=400):
@@ -45,7 +56,7 @@ class TestRoundtrip:
         assert written == 50
         restored = SimpleKVCache(PlainZone(1 << 16))
         loaded = load_snapshot(restored, path)
-        assert loaded == 50
+        assert loaded.clean and loaded.records == 50
         for i in range(50):
             assert restored.get(b"k%03d" % i) == b"v%03d" % i
 
@@ -85,40 +96,48 @@ class TestRoundtrip:
         cache.set(b"a", b"1")
         buffer = io.BytesIO()
         write_snapshot(cache, buffer)
+        assert buffer.getvalue() == SEGMENT_MAGIC + encode_record(
+            OP_SET, b"a", b"1"
+        )
         buffer.seek(0)
-        assert list(read_snapshot(buffer)) == [(b"a", b"1", 0)]
+        assert read_items(buffer) == [(b"a", b"1", 0)]
 
     def test_empty_cache(self, tmp_path):
         cache = SimpleKVCache(PlainZone(4096))
         path = tmp_path / "empty.snap"
         assert write_snapshot(cache, path) == 0
-        assert list(read_snapshot(path)) == []
+        assert read_items(path) == []
 
 
 class TestValidation:
+    """Damage never raises and never loads: the scan says what happened."""
+
+    def _load(self, data):
+        restored = SimpleKVCache(PlainZone(1 << 16))
+        scan = load_snapshot(restored, io.BytesIO(data))
+        assert list(restored.nzone.items()) == []
+        assert scan.records == 0
+        assert scan.damaged_bytes == len(data) - scan.valid_bytes
+        return scan
+
     def test_bad_magic(self):
-        with pytest.raises(SnapshotError):
-            list(read_snapshot(io.BytesIO(b"NOTASNAP")))
+        scan = self._load(b"NOTASNAP")
+        assert scan.valid_bytes == 0 and "magic" in scan.error
 
     def test_truncated_header(self):
-        from repro.core.snapshot import MAGIC
-
-        with pytest.raises(SnapshotError):
-            list(read_snapshot(io.BytesIO(MAGIC + b"\x00\x00")))
+        scan = self._load(SEGMENT_MAGIC + b"\x00\x00")
+        assert scan.valid_bytes == len(SEGMENT_MAGIC)
+        assert "header" in scan.error
 
     def test_truncated_body(self):
-        from repro.core.snapshot import MAGIC
-
-        data = MAGIC + (5).to_bytes(4, "big") + (5).to_bytes(4, "big") + b"ab"
-        with pytest.raises(SnapshotError):
-            list(read_snapshot(io.BytesIO(data)))
+        record = encode_record(OP_SET, b"key", b"ab")
+        scan = self._load(SEGMENT_MAGIC + record[:-5])
+        assert scan.valid_bytes == len(SEGMENT_MAGIC)
+        assert "body" in scan.error
 
     def test_implausible_lengths(self):
-        from repro.core.snapshot import MAGIC
-
-        data = MAGIC + (1 << 30).to_bytes(4, "big") + (0).to_bytes(4, "big")
-        with pytest.raises(SnapshotError):
-            list(read_snapshot(io.BytesIO(data)))
+        scan = self._load(SEGMENT_MAGIC + b"\xff\xff\xff\xff" + b"x")
+        assert "implausible" in scan.error
 
 
 class _ExplodingCache:
@@ -153,7 +172,7 @@ class TestCrashSafeWrite:
         # The atomic replace never ran: old snapshot intact, loadable.
         assert path.read_bytes() == before
         restored = SimpleKVCache(PlainZone(1 << 16))
-        assert load_snapshot(restored, path) == 20
+        assert load_snapshot(restored, path).records == 20
 
     def test_snapshot_write_fsyncs_parent_directory(self, tmp_path, monkeypatch):
         """The rename only survives a power cut if the parent dir is
@@ -210,9 +229,9 @@ class TestCrashSafeWrite:
         finally:
             child.send_signal(signal.SIGKILL)
             child.wait()
+            child.stdout.close()
         if path.exists():
-            items = list(read_snapshot(path))  # strict: raises if torn
-            assert len(items) == 4000
+            assert len(read_items(path)) == 4000  # fails if torn
         # A leftover .tmp is acceptable debris; the *final* path never
         # holds a partial file, and the next writer simply replaces it.
 
@@ -230,47 +249,72 @@ class TestRecoveryMode:
         data = self._snapshot_bytes()
         torn = io.BytesIO(data[: len(data) - 7])  # cuts the last record
         restored = SimpleKVCache(PlainZone(1 << 16))
-        result = load_snapshot(restored, torn, strict=False)
-        assert result == 29  # int-compatible: loaded count
-        assert result.loaded == 29
-        assert result.skipped == 1
-        assert result.truncated
-        assert "truncated" in result.error
+        result = load_snapshot(restored, torn)
+        assert result.records == 29
+        assert not result.clean and "torn" in result.error
+        assert result.valid_bytes + result.damaged_bytes == len(data) - 7
+        assert restored.get(b"key:0028") == b"value-0028"
+        assert restored.get(b"key:0029") is None
 
     def test_intact_snapshot_reports_clean(self, tmp_path):
         path = tmp_path / "clean.snap"
-        path.write_bytes(self._snapshot_bytes())
-        restored = SimpleKVCache(PlainZone(1 << 16))
-        result = load_snapshot(restored, path, strict=False)
-        assert result.loaded == 30
-        assert result.skipped == 0
-        assert result.error is None and not result.truncated
-
-    def test_strict_load_still_raises_on_torn_tail(self):
         data = self._snapshot_bytes()
+        path.write_bytes(data)
         restored = SimpleKVCache(PlainZone(1 << 16))
-        with pytest.raises(SnapshotError):
-            load_snapshot(restored, io.BytesIO(data[:-3]), strict=True)
+        result = load_snapshot(restored, path)
+        assert result.records == 30
+        assert result.clean and result.damaged_bytes == 0
+        assert result.valid_bytes == len(data)
 
-    def test_bad_magic_raises_even_in_recovery_mode(self):
+    def test_bad_magic_is_refused_not_loaded_as_empty(self):
+        """A file that never was an image must be tellable from an empty
+        one: ``valid_bytes`` is 0 and the error is set."""
         restored = SimpleKVCache(PlainZone(1 << 16))
-        with pytest.raises(SnapshotError):
-            load_snapshot(restored, io.BytesIO(b"GARBAGE!"), strict=False)
+        result = load_snapshot(restored, io.BytesIO(b"GARBAGE!"))
+        assert (result.records, result.valid_bytes) == (0, 0)
+        assert not result.clean
+        empty = load_snapshot(restored, io.BytesIO(SEGMENT_MAGIC))
+        assert empty.clean and empty.valid_bytes == len(SEGMENT_MAGIC)
 
     def test_recovery_mode_on_midfile_header_cut(self):
         data = self._snapshot_bytes()
         # Cut inside a *header*, not a body: leave magic + 10 records + 3
         # stray bytes that look like the start of a length header.
-        from repro.core.snapshot import MAGIC
-
-        record_size = 8 + len(b"key:0000") + len(b"value-0000")
-        assert len(data) == len(MAGIC) + 30 * record_size
-        cut = len(MAGIC) + 10 * record_size + 3
+        record_size = len(encode_record(OP_SET, b"key:0000", b"value-0000"))
+        assert len(data) == len(SEGMENT_MAGIC) + 30 * record_size
+        cut = len(SEGMENT_MAGIC) + 10 * record_size + 3
         restored = SimpleKVCache(PlainZone(1 << 16))
-        result = load_snapshot(restored, io.BytesIO(data[:cut]), strict=False)
-        assert result.loaded == 10
-        assert result.skipped == 1
+        result = load_snapshot(restored, io.BytesIO(data[:cut]))
+        assert result.records == 10
+        assert result.valid_bytes == cut - 3
         assert "header" in result.error
+
+    def test_every_flip_and_every_cut_is_a_miss_never_wrong_bytes(self):
+        """The defect the old format had: one flipped bit in a value
+        loaded clean and was served.  Exhaustively, for a small image:
+        whatever single bit flips or wherever the file is cut, each key
+        reads as the value written or as a miss, and only a cut on a
+        record boundary goes unreported."""
+        data = self._snapshot_bytes(12)
+        written = {b"key:%04d" % i: b"value-%04d" % i for i in range(12)}
+        record_size = len(encode_record(OP_SET, b"key:0000", b"value-0000"))
+        variants = [data[:cut] for cut in range(len(data))]
+        for position in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[position] ^= 1 << bit
+                variants.append(bytes(flipped))
+        for bad in variants:
+            restored = SimpleKVCache(PlainZone(1 << 16))
+            result = load_snapshot(restored, io.BytesIO(bad))
+            got = dict(restored.nzone.items())
+            assert got.items() <= written.items()
+            assert len(got) == result.records
+            on_boundary = (
+                bad == data[: len(bad)]
+                and (len(bad) - len(SEGMENT_MAGIC)) % record_size == 0
+            )
+            assert result.clean == on_boundary, (len(bad), result)
 
 
 class TestFastPathSnapshot:
@@ -327,5 +371,5 @@ class TestFastPathSnapshot:
         write_snapshot(cache, path)
         restored = filled_zexpander(items=0)
         loaded = load_snapshot(restored, path)
-        assert int(loaded) > 0
+        assert loaded.clean and loaded.records > 0
         restored.check_invariants()

@@ -6,18 +6,20 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import ConfigurationError, JournalError
-from repro.durability.journal import (
+from repro.common.framing import (
     OP_DELETE,
     OP_SET,
     SEGMENT_MAGIC,
+    decode_payload,
+    encode_record,
+    read_segment,
+)
+from repro.durability.journal import (
     DurabilityStats,
     JournalConfig,
     JournalWriter,
-    decode_payload,
-    encode_record,
     list_segments,
     parse_segment_seq,
-    read_segment,
     segment_name,
 )
 

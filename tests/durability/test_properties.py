@@ -1,4 +1,4 @@
-"""Property tests: the journal codec and replay under arbitrary damage.
+"""Property tests: the item codec and its readers under arbitrary damage.
 
 Two invariants, checked over generated inputs:
 
@@ -6,24 +6,41 @@ Two invariants, checked over generated inputs:
 2. however a segment is damaged — truncated at any byte, or any single
    bit flipped — replay yields a strict prefix of the records written,
    never a record that was not written (no wrong bytes, ever).
+
+A cache image (``--snapshot`` file, checkpoint, resync image) is a
+segment too, so it is one more input to the same strategies, and each of
+its three consumers is held to the same standard.
 """
 
+import io
+import os
+import zlib
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.durability.journal import (
+from repro.common.errors import ReplicationError
+from repro.common.framing import (
+    FRAME_LEN,
+    MAX_PAYLOAD,
     OP_DELETE,
     OP_SET,
-    JournalConfig,
-    JournalWriter,
     decode_payload,
     encode_record,
     read_segment,
 )
-from repro.durability.manager import replay_journal
+from repro.durability.journal import JournalConfig, JournalWriter
+from repro.durability.manager import (
+    CRC_SUFFIX,
+    DurabilityConfig,
+    DurabilityManager,
+    checkpoint_name,
+    replay_journal,
+)
 from repro.core import SimpleKVCache
+from repro.core.snapshot import iter_cache_items, load_snapshot, write_snapshot
 from repro.nzone import PlainZone
+from repro.replication.replica import ReplicationClient
 
 keys = st.binary(min_size=1, max_size=64)
 values = st.binary(min_size=0, max_size=256)
@@ -56,21 +73,45 @@ def write_segment(directory, records):
         return writer.current_path
 
 
+def make_cache():
+    return SimpleKVCache(PlainZone(1 << 22))
+
+
+def write_image(directory, records):
+    """An image of a cache that was SET ``records``; returns its path and
+    the items it holds, in file order."""
+    cache = make_cache()
+    for key, value in records:
+        cache.set(key, value)
+    path = os.path.join(directory, "cache.snap")
+    write_snapshot(cache, path)
+    return path, list(iter_cache_items(cache))
+
+
+def write_source(kind, directory, records):
+    """A journal segment or a cache image: (path, the records it holds)."""
+    if kind == "image":
+        return write_image(directory, records)
+    return write_segment(directory, records), records
+
+
 records_strategy = st.lists(
     st.tuples(keys, values), min_size=1, max_size=8
 )
+kinds = st.sampled_from(("journal", "image"))
 
 
 class TestDamagedReplayNeverLies:
     @settings(max_examples=40, deadline=None)
     @given(
+        kind=kinds,
         records=records_strategy,
         cut=st.integers(min_value=0, max_value=10_000),
     )
-    def test_truncation_yields_strict_prefix(self, tmp_path_factory, records,
-                                             cut):
+    def test_truncation_yields_strict_prefix(self, tmp_path_factory, kind,
+                                             records, cut):
         directory = str(tmp_path_factory.mktemp("trunc"))
-        path = write_segment(directory, records)
+        path, records = write_source(kind, directory, records)
         raw = Path(path).read_bytes()
         cut = min(cut, len(raw))
         Path(path).write_bytes(raw[:cut])
@@ -86,11 +127,11 @@ class TestDamagedReplayNeverLies:
             assert len(replayed) == len(records)
 
     @settings(max_examples=40, deadline=None)
-    @given(records=records_strategy, data=st.data())
-    def test_single_bit_flip_never_fabricates(self, tmp_path_factory, records,
-                                              data):
+    @given(kind=kinds, records=records_strategy, data=st.data())
+    def test_single_bit_flip_never_fabricates(self, tmp_path_factory, kind,
+                                              records, data):
         directory = str(tmp_path_factory.mktemp("flip"))
-        path = write_segment(directory, records)
+        path, records = write_source(kind, directory, records)
         raw = bytearray(Path(path).read_bytes())
         position = data.draw(
             st.integers(min_value=0, max_value=len(raw) - 1), label="byte"
@@ -138,3 +179,139 @@ class TestDamagedReplayNeverLies:
             # hit) quarantined — either way the directory is clean now.
             again = replay_journal(directory, SimpleKVCache(PlainZone(1 << 22)))
             assert again.clean
+
+
+def damaged(raw, data):
+    """``raw`` cut at a drawn byte, or with one drawn bit flipped."""
+    if data.draw(st.booleans(), label="cut (else flip)"):
+        return raw[: data.draw(st.integers(0, len(raw)), label="cut at")]
+    flipped = bytearray(raw)
+    position = data.draw(st.integers(0, len(raw) - 1), label="byte")
+    flipped[position] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    return bytes(flipped)
+
+
+#: One value per key, so "the original value or a miss" is decidable.
+unique_records = st.lists(
+    st.tuples(keys, values), min_size=2, max_size=8, unique_by=lambda r: r[0]
+)
+
+
+class _MeteredStream(io.BytesIO):
+    """Records the size of every ``read`` asked of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.asked = []
+
+    def read(self, size=-1):
+        self.asked.append(size)
+        return super().read(size)
+
+
+class TestDamagedImageNeverLies:
+    """Every truncation point and every single-bit flip of an image, through
+    each of its three consumers: a key reads as the exact value written
+    or as a miss, nothing raises, and the damage is reported."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=unique_records, data=st.data())
+    def test_load_snapshot(self, tmp_path_factory, records, data):
+        path, items = write_image(
+            str(tmp_path_factory.mktemp("load")), records
+        )
+        raw = Path(path).read_bytes()
+        bad = damaged(raw, data)
+        stream = _MeteredStream(bad)
+        restored = make_cache()
+        scan = load_snapshot(restored, stream)
+        assert list(iter_cache_items(restored)) == items[: scan.records]
+        assert scan.valid_bytes + scan.damaged_bytes == len(bad)
+        if scan.clean:
+            # Only a cut on a record boundary reads clean: what loaded
+            # is then exactly what those bytes said.
+            assert bad == raw[: scan.valid_bytes]
+        # Bounded buffering: a flipped length word is refused before it
+        # is believed.
+        assert max(stream.asked) <= MAX_PAYLOAD + FRAME_LEN.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=unique_records, data=st.data())
+    def test_checkpoint_recovery(self, tmp_path_factory, records, data):
+        directory = str(tmp_path_factory.mktemp("ckpt"))
+        manager = DurabilityManager(
+            DurabilityConfig(directory=directory, fsync="never")
+        )
+        cache = make_cache()
+        manager.recover_into(cache)
+        manager.attach_to(cache)
+        half = len(records) // 2
+        try:
+            for key, value in records[:half]:
+                cache.set(key, value)
+            first_seq = manager.checkpoint(cache)
+            first = os.path.join(directory, checkpoint_name(first_seq))
+            older = [Path(first + ext).read_bytes() for ext in ("", CRC_SUFFIX)]
+            for key, value in records[half:]:
+                cache.set(key, value)
+            second = checkpoint_name(manager.checkpoint(cache))
+        finally:
+            manager.writer.close()
+        # The older checkpoint survives (a crash mid-prune leaves it).
+        for ext, content in zip(("", CRC_SUFFIX), older):
+            Path(first + ext).write_bytes(content)
+        newest = os.path.join(directory, second)
+        raw = Path(newest).read_bytes()
+        bad = damaged(raw, data)
+        Path(newest).write_bytes(bad)
+        sidecar_matches = bad == raw or data.draw(
+            st.booleans(), label="sidecar matches the damage"
+        )
+        if sidecar_matches:
+            Path(newest + CRC_SUFFIX).write_bytes(
+                b"%08x\n" % zlib.crc32(bad)
+            )
+
+        restored = make_cache()
+        result = replay_journal(directory, restored)
+        got = dict(iter_cache_items(restored))
+        assert got.items() <= dict(records).items()
+        if bad == raw:
+            assert got == dict(records)
+            assert result.checkpoint_skipped == 0
+        elif not sidecar_matches or not bad.startswith(raw[:8]):
+            # The sidecar check (or the magic) refused the image whole:
+            # quarantined, and the next older one loaded.
+            assert second in result.quarantined
+            assert result.checkpoint_seq == first_seq
+            assert got == dict(records[:half])
+        else:
+            # Loaded up to the first damaged record; a cut that falls on
+            # a record boundary is the one damage a segment cannot see.
+            boundary_cut = read_segment(io.BytesIO(bad)).clean
+            assert result.checkpoint_loaded == len(got)
+            assert result.checkpoint_skipped == (0 if boundary_cut else 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=unique_records, data=st.data())
+    def test_replica_resync(self, tmp_path_factory, records, data):
+        """Old state or the whole image, never a part of it."""
+        path, items = write_image(
+            str(tmp_path_factory.mktemp("resync")), records
+        )
+        raw = Path(path).read_bytes()
+        bad = damaged(raw, data)
+        cache = make_cache()
+        old = {b"\x00old-%d" % i: b"replica had this" for i in range(3)}
+        for key, value in old.items():
+            cache.set(key, value)
+        client = ReplicationClient(cache, "127.0.0.1", 0)
+        try:
+            client._apply_snapshot(bad, len(items))
+        except ReplicationError:
+            assert bad != raw
+            assert dict(iter_cache_items(cache)) == old
+        else:
+            assert bad == raw
+            assert dict(iter_cache_items(cache)) == dict(items)
+

@@ -4,8 +4,8 @@ import os
 from pathlib import Path
 
 from repro.core import SimpleKVCache
+from repro.common.framing import SEGMENT_MAGIC
 from repro.durability.journal import (
-    SEGMENT_MAGIC,
     JournalConfig,
     JournalWriter,
     list_segments,

@@ -131,3 +131,18 @@ class TestRenderStats:
         )
         assert code == 2
         assert "no server" in capsys.readouterr().err
+
+
+class TestLoadgenCommand:
+    def test_loadgen_against_dead_port_exits_2(self, capsys):
+        """Every op fails, the oracle learns no key, the sweep reads
+        nothing: that run used to print ``OK`` and exit 0."""
+        code = main(
+            ["loadgen", "--port", "1", "--connections", "2", "--requests",
+             "5", "--keys", "4", "--deadline", "0.5"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no server at 127.0.0.1:1" in captured.err
+        assert "all 10 requests failed" in captured.err
+        assert "OK" not in captured.out

@@ -1,9 +1,13 @@
 """In-process primary/replica pairs: propagation, resync, lag, promotion."""
 
 import asyncio
+import io
 import time
 
+import pytest
+
 from repro.core import SimpleKVCache
+from repro.core.snapshot import iter_cache_items, write_snapshot
 from repro.nzone import PlainZone
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
@@ -343,6 +347,78 @@ class TestSnapshotResync:
         asyncio.run(go())
 
 
+    @pytest.mark.parametrize("damage", ["cut", "wrong_count"])
+    def test_damaged_image_is_refused_whole_then_redialed(self, damage):
+        """A resync image that does not parse, or whose record count is
+        not the one SNAP_END states, is refused before anything is
+        applied: the session drops, the replica keeps its old contents
+        and re-dials, and the next (whole) image replaces them.  At the
+        parent the cut image killed the client task (no re-dial) after
+        9 of 10 items were applied, and the wrong count went unnoticed."""
+        source = SimpleKVCache(PlainZone(1 << 20))
+        for i in range(10):
+            source.set(b"new%02d" % i, b"value-%02d" % i * 4)
+        buffer = io.BytesIO()
+        count = write_snapshot(source, buffer)
+        image = buffer.getvalue()
+        bad = (image[:-7], count) if damage == "cut" else (image, count + 1)
+
+        async def go():
+            cache = SimpleKVCache(PlainZone(1 << 20))
+            cache.set(b"old", b"what the replica had")
+            seen_after_refusal = []
+            writers = []
+
+            async def primary(reader, writer):
+                writers.append(writer)
+                assert (await wire.read_frame(reader))[0] == wire.HELLO
+                first = len(writers) == 1
+                body, stated = bad if first else (image, count)
+                writer.write(
+                    wire.encode_frame(
+                        wire.SNAP_BEGIN, wire.encode_position(3, 8)
+                    )
+                    + wire.encode_frame(wire.SNAP_CHUNK, body[:100])
+                    + wire.encode_frame(wire.SNAP_CHUNK, body[100:])
+                    + wire.encode_snap_end(stated)
+                )
+                await writer.drain()
+                if first:
+                    # The replica hangs up on the refused image.
+                    assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                    seen_after_refusal.append(dict(iter_cache_items(cache)))
+
+            server = await asyncio.start_server(primary, "127.0.0.1", 0)
+            client = ReplicationClient(
+                cache,
+                "127.0.0.1",
+                server.sockets[0].getsockname()[1],
+                reconnect_base=0.01,
+                reconnect_cap=0.05,
+            )
+            client.start()
+            try:
+                assert await wait_until(
+                    lambda: client.stats.snapshots_applied == 1
+                ), client.stats
+                assert seen_after_refusal == [
+                    {b"old": b"what the replica had"}
+                ]
+                assert client.stats.source_connects == 2
+                assert client.position == (3, 8)
+                assert dict(iter_cache_items(cache)) == dict(
+                    iter_cache_items(source)
+                )
+            finally:
+                await client.stop()
+                server.close()
+                await server.wait_closed()
+                for w in writers:
+                    w.close()
+
+        asyncio.run(go())
+
+
 class TestLagPressure:
     def test_pressure_levels_follow_lag_and_silence(self):
         client = ReplicationClient(
@@ -506,7 +582,7 @@ class TestCatchUpFromDirectory:
         assert cache.get(b"c024") == b"val-024"
 
     def test_tail_replay_from_known_position(self, tmp_path):
-        from repro.durability.journal import apply_record, decode_payload
+        from repro.common.framing import apply_record, decode_payload
         from repro.replication.tailer import JournalTailer
 
         self._build_journal(tmp_path)
@@ -566,6 +642,9 @@ class TestSilentLinkWatchdog:
                 await client.stop()
                 server.close()
                 await server.wait_closed()
+                # A dial that landed just before the stop has a handler
+                # that has not run yet: let it register its writer.
+                await asyncio.sleep(0.05)
                 for w in accepted:
                     w.close()
 

@@ -13,13 +13,15 @@ import os
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import JournalError, ReplicationError
-from repro.durability.journal import (
-    _MAX_PAYLOAD,
+from repro.common.framing import (
+    MAX_PAYLOAD,
     OP_SET,
-    JournalConfig,
-    JournalWriter,
     decode_payload,
     encode_payload,
+)
+from repro.durability.journal import (
+    JournalConfig,
+    JournalWriter,
     list_segments,
 )
 from repro.replication import wire
@@ -229,5 +231,5 @@ class TestTailerNeverLies:
             stream.write(b"\xff\xff\xff\xff" + b"not four gigabytes")
         assert tailer.read_batch() == []
         assert tailer.position[1] == os.path.getsize(path) - 22
-        assert asked and max(asked) <= _MAX_PAYLOAD + 4
+        assert asked and max(asked) <= MAX_PAYLOAD + 4
         tailer.close()

@@ -13,13 +13,15 @@ import struct
 
 import pytest
 
-from repro.durability.journal import (
+from repro.common.framing import (
     OP_DELETE,
     OP_SET,
     SEGMENT_MAGIC,
+    decode_payload,
+)
+from repro.durability.journal import (
     JournalConfig,
     JournalWriter,
-    decode_payload,
     list_segments,
     segment_name,
 )

@@ -32,6 +32,7 @@ class ScriptedServer:
         self.connections = 0
         self.requests = 0
         self._server = None
+        self._handlers = []
 
     async def start(self):
         self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
@@ -39,6 +40,13 @@ class ScriptedServer:
 
     async def _handle(self, reader, writer):
         self.connections += 1
+        self._handlers.append(asyncio.current_task())
+        try:
+            await self._serve(reader, writer)
+        finally:
+            writer.close()
+
+    async def _serve(self, reader, writer):
         while True:
             line = await reader.readline()
             if not line:
@@ -57,11 +65,15 @@ class ScriptedServer:
                 await writer.drain()
             except ConnectionError:
                 return
-        writer.close()
 
-    def close(self):
-        if self._server is not None:
-            self._server.close()
+    async def close(self):
+        """Stop listening and end every handler, stalled ones included,
+        so no accepted socket outlives the test."""
+        self._server.close()
+        for handler in self._handlers:
+            handler.cancel()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
+        await self._server.wait_closed()
 
 
 class TestRetryPolicy:
@@ -150,7 +162,8 @@ class TestFailureHandling:
             )
             with pytest.raises(RequestTimeoutError):
                 await client.set(b"k", b"v")
-            peer.close()
+            await client.close()
+            await peer.close()
 
         asyncio.run(scenario())
 
@@ -174,7 +187,8 @@ class TestFailureHandling:
             # Overload replies keep the connection healthy: all three
             # attempts rode the same pooled connection.
             assert peer.connections == 1
-            peer.close()
+            await client.close()
+            await peer.close()
 
         asyncio.run(scenario())
 
@@ -190,7 +204,8 @@ class TestFailureHandling:
             with pytest.raises(ServerOverloadedError):
                 await client.set(b"k", b"v")
             assert peer.requests == 3
-            peer.close()
+            await client.close()
+            await peer.close()
 
         asyncio.run(scenario())
 
@@ -209,7 +224,8 @@ class TestFailureHandling:
             assert await client.set(b"k", b"v") is True
             # The aborted connection was discarded, a fresh one dialed.
             assert peer.connections == 2
-            peer.close()
+            await client.close()
+            await peer.close()
 
         asyncio.run(scenario())
 
@@ -229,6 +245,7 @@ class TestFailureHandling:
             )
             with pytest.raises(OSError):
                 await client.get(b"k")
+            await client.close()
 
         asyncio.run(scenario())
 
@@ -240,7 +257,8 @@ class TestFailureHandling:
             with pytest.raises(ProtocolError):
                 await client.delete(b"k")
             assert peer.requests == 1  # no retry for our own bad request
-            peer.close()
+            await client.close()
+            await peer.close()
 
         asyncio.run(scenario())
 
@@ -276,7 +294,8 @@ class TestPoolSlotConservation:
                     await task
             # The finally in _call returned each slot on cancellation.
             assert client._pool.qsize() == pool_size
-            peer.close()
+            await client.close()
+            await peer.close()
 
         asyncio.run(scenario())
 

@@ -48,6 +48,16 @@ async def drain(server, task):
     return await task
 
 
+async def abandon(server, task):
+    """Stop as a killed process would: no drain, no final checkpoint, not
+    a byte more in the journal — only the OS handles a dead process
+    could not hold are released, so the test leaks none."""
+    task.cancel()
+    server._server.close()
+    await server._server.wait_closed()
+    server.durability.writer.close()
+
+
 class TestRecoveryAcrossAbandon:
     def test_acked_writes_survive_an_undrained_stop(self, tmp_path):
         async def first_life():
@@ -69,9 +79,9 @@ class TestRecoveryAcrossAbandon:
                     == b"DELETED\r\n"
                 )
             # Abandon: close the socket and cancel the serve task without
-            # any drain — no final checkpoint, no journal close.
+            # any drain — no final checkpoint.
             writer.close()
-            task.cancel()
+            await abandon(server, task)
 
         async def second_life():
             server, task = await started_server(tmp_path)
@@ -175,6 +185,32 @@ class TestStatsSurface:
             assert any("snapshot tail" in line for line in server.incidents)
             exposition = server.registry.to_prometheus(include_timing=False)
             assert "server_snapshot_truncated 1" in exposition
+            return await drain(server, task)
+
+        assert asyncio.run(scenario()) == 0
+
+    def test_a_file_that_never_was_an_image_is_refused_whole(self, tmp_path):
+        """A foreign file at the snapshot path (here: the pre-segment
+        ``ZXSNAP01`` format) loads nothing, is one incident, and does not
+        block startup — nor is it mistaken for a torn image."""
+        path = tmp_path / "old.snap"
+        path.write_bytes(
+            b"ZXSNAP01" + (1).to_bytes(4, "big") * 2 + b"k" + b"v"
+        )
+
+        async def scenario():
+            server = CacheServer(
+                make_cache(),
+                ServerConfig(port=0, snapshot_path=str(path)),
+            )
+            await server.start()
+            task = asyncio.create_task(server.run())
+            stats = server.stats_dict()
+            assert stats["curr_items"] == 0
+            assert stats["snapshot_loaded"] == 0
+            assert stats["snapshot_truncated"] == 0
+            assert stats["incidents"] == 1
+            assert "snapshot load failed: bad segment magic" in server.incidents[0]
             return await drain(server, task)
 
         assert asyncio.run(scenario()) == 0

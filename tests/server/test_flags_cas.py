@@ -12,8 +12,11 @@ import time
 
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
+from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.server.meta import ItemMetaStore
 from repro.server.server import CacheServer, ServerConfig
+
+from .test_durability_server import abandon
 
 
 def make_cache(capacity=256 * 1024, shards=2, seed=11):
@@ -22,9 +25,12 @@ def make_cache(capacity=256 * 1024, shards=2, seed=11):
     )
 
 
-async def started_server(**config_kwargs):
+async def started_server(cache=None, **config_kwargs):
     config_kwargs.setdefault("port", 0)
-    server = CacheServer(make_cache(), ServerConfig(**config_kwargs))
+    server = CacheServer(
+        cache if cache is not None else make_cache(),
+        ServerConfig(**config_kwargs),
+    )
     await server.start()
     task = asyncio.create_task(server.run())
     return server, task
@@ -46,6 +52,7 @@ async def connect(server):
 async def drain(server, task):
     server.begin_drain()
     return await task
+
 
 
 class TestFlagsRoundTrip:
@@ -261,7 +268,7 @@ class TestFlagsPersistence:
             await send(writer, reader, b"set c 0 0 1\r\nC\r\n")
             # Abandon without drain: recovery must come from the journal.
             writer.close()
-            task.cancel()
+            await abandon(server, task)
 
         async def second_life():
             server, task = await started_server(
@@ -294,7 +301,7 @@ class TestFlagsPersistence:
                     writer, reader, b"set k%02d %d 0 4\r\nv%03d\r\n" % (i, i, i)
                 )
             writer.close()
-            task.cancel()
+            await abandon(server, task)
 
         async def second_life():
             server, task = await started_server(
@@ -334,6 +341,80 @@ class TestFlagsPersistence:
 
         asyncio.run(first_life())
         asyncio.run(second_life())
+
+
+class TestSidecarBesideTheCache:
+    """The two places the sidecar learns about the cache late: items
+    that arrived without it, and items that left without telling it."""
+
+    def test_gets_mints_a_version_for_an_item_loaded_from_an_image(
+        self, tmp_path
+    ):
+        """An image loaded into the cache before the server exists (the
+        library's warm restart) bypasses the sidecar: the first ``gets``
+        mints the item's version, and the gets/cas pair works from it."""
+        image = tmp_path / "library.snap"
+        original = make_cache()
+        original.set(b"k", b"from the image")
+        write_snapshot(original, image)
+        cache = make_cache()
+        assert load_snapshot(cache, image).records == 1
+
+        async def scenario():
+            server, task = await started_server(cache)
+            assert len(server.meta) == 0
+            reader, writer = await connect(server)
+            reply = await send(writer, reader, b"gets k\r\n", reply_lines=3)
+            header, value, end = reply.split(b"\r\n")[:3]
+            assert (value, end) == (b"from the image", b"END")
+            token = int(header.split()[4])
+            assert header == b"VALUE k 0 14 %d" % token and token > 0
+            # The minted version is the item's version until it changes.
+            again = await send(writer, reader, b"gets k\r\n", reply_lines=3)
+            assert again == reply
+            assert (
+                await send(writer, reader, b"cas k 7 0 3 %d\r\nnew\r\n" % token)
+                == b"STORED\r\n"
+            )
+            assert (
+                await send(writer, reader, b"cas k 7 0 3 %d\r\nold\r\n" % token)
+                == b"EXISTS\r\n"
+            )
+            writer.close()
+            assert await drain(server, task) == 0
+
+        asyncio.run(scenario())
+
+    def test_sidecar_is_pruned_under_churn(self):
+        """Flagged keys churned through a cache far too small for them:
+        evictions never tell the sidecar, so only the periodic prune
+        keeps it near the resident set."""
+        commands = 4096 * 2
+
+        async def scenario():
+            server, task = await started_server(make_cache(capacity=64 * 1024))
+            reader, writer = await connect(server)
+            for start in range(0, commands, 512):
+                writer.write(
+                    b"".join(
+                        b"set churn:%06d %d 0 32 noreply\r\n%s\r\n"
+                        % (i, i % 1000 + 1, b"v" * 32)
+                        for i in range(start, start + 512)
+                    )
+                )
+                await writer.drain()
+            stats = await send(writer, reader, b"version\r\n")
+            assert stats.startswith(b"VERSION")
+            resident = server.cache.item_count
+            assert resident < commands // 4  # most of them were evicted
+            assert server.stats.meta_pruned > 0
+            # Bounded by the prune trigger plus one interval's stores.
+            assert len(server.meta) <= 2 * resident + 64 + 4096
+            assert server.stats_dict()["meta_pruned"] == server.stats.meta_pruned
+            writer.close()
+            assert await drain(server, task) == 0
+
+        asyncio.run(scenario())
 
 
 class TestItemMetaStore:

@@ -1,9 +1,12 @@
 """Protocol edge cases: fragmentation, pipelining, hostile input."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.server.protocol import (
+    ABSOLUTE_MAX_VALUE_BYTES,
     DEFAULT_MAX_VALUE_BYTES,
+    MAX_FLAGS,
     MAX_KEY_BYTES,
     MAX_LINE_BYTES,
     BadCommand,
@@ -210,6 +213,20 @@ class TestRejection:
             assert isinstance(event, BadCommand), line
 
 
+    def test_flags_beyond_32_bits_rejected(self):
+        """Flags are a 4-byte word in a journal record and an image; a
+        wider one used to parse, then raise ``struct.error`` out of the
+        journal append and take the connection with it."""
+        events = feed_all(
+            b"set k %d 0 1\r\nx\r\nset k %d 0 1\r\ny\r\n"
+            % (MAX_FLAGS + 1, MAX_FLAGS)
+        )
+        assert isinstance(events[0], BadCommand) and not events[0].fatal
+        assert events[-1] == Command(
+            "set", keys=(b"k",), value=b"y", flags=MAX_FLAGS
+        )
+
+
 class TestCasGrammar:
     def test_cas_with_token(self):
         (event,) = feed_all(b"cas k 7 0 5 42\r\nhello\r\n")
@@ -305,3 +322,146 @@ class TestEncodersAndKeys:
 
     def test_default_limit_sane(self):
         assert DEFAULT_MAX_VALUE_BYTES == 1024 * 1024
+
+
+# -- structure-aware fuzz ---------------------------------------------------------
+#
+# The standard tests/durability/test_properties.py sets for the journal,
+# for the one other decoder that reads bytes from outside: a valid
+# pipeline with a cut, a flipped byte or an oversized length never
+# raises out of feed()/events(), never buffers past one accepted value
+# or one line, and never disturbs the commands before the damage.
+
+FUZZ_MAX_VALUE = 96
+#: What the parser may hold between two reads: a command line still
+#: missing its newline, or an accepted data block still missing bytes.
+BUFFER_BOUND = max(MAX_LINE_BYTES, FUZZ_MAX_VALUE + len(b"\r\n"))
+
+fuzz_keys = st.binary(min_size=1, max_size=12).map(
+    lambda raw: bytes(33 + byte % 94 for byte in raw)
+)
+fuzz_values = st.binary(max_size=FUZZ_MAX_VALUE)
+small = st.integers(min_value=0, max_value=9999)
+tails = st.sampled_from((b"", b" noreply"))
+
+
+def _storage(verb):
+    def build(key, flags, exptime, value, token, tail):
+        cas = b" %d" % token if verb == b"cas" else b""
+        return b"%s %s %d %d %d%s%s\r\n%s\r\n" % (
+            verb, key, flags, exptime, len(value), cas, tail, value
+        )
+
+    return st.builds(build, fuzz_keys, small, small, fuzz_values, small, tails)
+
+
+fuzz_frames = st.one_of(
+    st.builds(
+        lambda verb, keys: verb + b" " + b" ".join(keys) + b"\r\n",
+        st.sampled_from((b"get", b"gets")),
+        st.lists(fuzz_keys, min_size=1, max_size=4),
+    ),
+    _storage(b"set"),
+    _storage(b"cas"),
+    st.builds(lambda key, tail: b"delete %s%s\r\n" % (key, tail), fuzz_keys, tails),
+    st.sampled_from((b"stats\r\n", b"version\r\n")),
+)
+pipelines = st.lists(fuzz_frames, min_size=1, max_size=8)
+chunkings = st.sampled_from((1, 7, 64, 1 << 16))
+
+
+def drive(data, chunk):
+    """Feed ``data`` in ``chunk``-byte reads the way a connection does —
+    drain the events after every read, stop at a fatal one — checking
+    the buffer bound after each drain.  Returns (events, parser)."""
+    parser = RequestParser(FUZZ_MAX_VALUE)
+    events = []
+    for start in range(0, len(data), chunk):
+        parser.feed(data[start : start + chunk])
+        events.extend(parser.events())
+        if events and getattr(events[-1], "fatal", False):
+            assert list(parser.events()) == []
+            break
+        assert len(parser._buffer) <= BUFFER_BOUND
+    return events, parser
+
+
+def reference(frames):
+    """The one Command each valid frame parses to, frame by frame."""
+    expected = []
+    for frame in frames:
+        (event,), parser = drive(frame, len(frame))
+        assert isinstance(event, Command) and not parser.mid_command
+        expected.append(event)
+    return expected
+
+
+class TestStructureAwareFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=pipelines, chunk=chunkings, data=st.data())
+    def test_a_cut_yields_the_commands_before_it(self, frames, chunk, data):
+        expected = reference(frames)
+        whole = b"".join(frames)
+        cut = data.draw(st.integers(0, len(whole)), label="cut")
+        events, parser = drive(whole[:cut], chunk)
+        ends = [sum(map(len, frames[: i + 1])) for i in range(len(frames))]
+        complete = sum(1 for end in ends if end <= cut)
+        assert events == expected[:complete]
+        assert parser.mid_command == (cut not in [0] + ends)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames=pipelines, chunk=chunkings, data=st.data())
+    def test_a_flipped_byte_spares_the_commands_before_it(
+        self, frames, chunk, data
+    ):
+        expected = reference(frames)
+        whole = bytearray(b"".join(frames))
+        position = data.draw(st.integers(0, len(whole) - 1), label="byte")
+        whole[position] ^= data.draw(st.integers(1, 255), label="xor")
+        events, _parser = drive(bytes(whole), chunk)
+        before = 0
+        while sum(map(len, frames[: before + 1])) <= position:
+            before += 1
+        assert events[:before] == expected[:before]
+        assert len(events) <= len(whole)  # it ended
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        frames=pipelines,
+        chunk=st.sampled_from((512, 1 << 16)),
+        declared=st.one_of(
+            st.integers(FUZZ_MAX_VALUE + 1, 20_000),
+            st.integers(ABSOLUTE_MAX_VALUE_BYTES + 1, 1 << 40),
+        ),
+        honest=st.booleans(),
+    )
+    def test_an_oversized_length_is_never_held(
+        self, frames, chunk, declared, honest
+    ):
+        """A declared length past ``max_value_bytes`` is consumed without
+        being buffered (it used to be held whole, up to 64 MiB per
+        connection); past the absolute bound the connection is dropped
+        at the command line.  Either way the pipeline before it stands,
+        and when the peer really sent that many bytes, so does the one
+        after."""
+        expected = reference(frames)
+        body = b"z" * min(declared, 20_000) if honest else b"short"
+        oversized = b"set big 0 0 %d\r\n%s\r\n" % (declared, body)
+        events, parser = drive(
+            b"".join(frames) + oversized + b"".join(frames), chunk
+        )
+        assert events[: len(expected)] == expected
+        rest = events[len(expected) :]
+        if declared > ABSOLUTE_MAX_VALUE_BYTES:
+            (refusal,) = rest
+            assert refusal.fatal
+        elif honest:
+            refusal = rest[0]
+            assert not refusal.fatal
+            assert rest[1:] == expected and not parser.mid_command
+        else:
+            # The bytes it was promised are taken out of what follows:
+            # what that parses to is not the point, that drive() saw it
+            # end inside the buffer bound is.
+            return
+        assert refusal.reply.startswith(b"CLIENT_ERROR object too large")

@@ -135,6 +135,7 @@ class TestRequestResponse:
                 writer.write(b"quit\r\n")
                 await writer.drain()
                 assert await reader.read() == b""  # server closed it
+                writer.close()
 
         asyncio.run(scenario())
 
@@ -195,6 +196,7 @@ class TestRobustness:
                 assert server.stats.read_timeouts >= 1
                 # The half-received set never touched the cache.
                 assert server.cache.get(b"k") is None
+                writer.close()
 
         asyncio.run(scenario())
 
@@ -452,6 +454,7 @@ class TestDrainAndRestart:
                 assert await r2.read() == b""
                 w2.close()
             assert await task == 0
+            writer.close()
 
         asyncio.run(scenario())
 
