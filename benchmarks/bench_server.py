@@ -152,27 +152,24 @@ async def _set_rtt_replicated(scale: Scale) -> Timed:
     primary's true streaming overhead, not two servers time-slicing one
     event loop.
     """
-    from repro.harness import ServeChild
+    from repro.harness import CHILD_TIMEOUTS, ServeChild
 
     with tempfile.TemporaryDirectory(prefix="zx-bench-repl-") as journal_dir:
         async with _serving(
             journal_dir=journal_dir, fsync="interval", repl_port=0
         ) as server:
             replica = ServeChild(
-                [
-                    "--port", "0",
-                    "--seed", str(SEED),
-                    "--capacity", str(CAPACITY),
-                    "--shards", "2",
-                    "--role", "replica",
-                    "--primary-host", "127.0.0.1",
-                    "--primary-port", str(server.repl_source.port),
-                    "--stale-grace", "0.4",
-                    "--max-lag-bytes", str(1 << 20),
-                    "--repl-silence-timeout", "2.0",
-                    "--read-timeout", "10.0",
-                    "--drain-deadline", "10.0",
-                ]
+                {
+                    "port": 0,
+                    "seed": SEED,
+                    "capacity": CAPACITY,
+                    "shards": 2,
+                    "role": "replica",
+                    "primary_port": server.repl_source.port,
+                    "stale_grace": 0.4,
+                    "repl_silence_timeout": 2.0,
+                    **CHILD_TIMEOUTS,
+                }
             )
             await replica.start()
             try:
@@ -273,7 +270,12 @@ async def _cluster_get_many(scale: Scale) -> Timed:
     rounds = max(1, scale.ops // BATCH)
     with tempfile.TemporaryDirectory(prefix="zx-bench-cluster-") as workdir:
         supervisor = ClusterSupervisor(
-            ClusterConfig(nodes=NODES, seed=SEED, workdir=workdir, fsync="interval")
+            ClusterConfig(
+                nodes=NODES,
+                seed=SEED,
+                workdir=workdir,
+                serve={"capacity": CAPACITY, "shards": 2, "fsync": "interval"},
+            )
         )
         client = ClusterClient(await supervisor.start(), pool_size=2)
         try:

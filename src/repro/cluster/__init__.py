@@ -20,7 +20,6 @@ from repro.cluster.chaos import (
 from repro.cluster.client import ClusterClient
 from repro.cluster.procs import (
     ClusterConfig,
-    ClusterNodeConfig,
     ClusterSupervisor,
     NodeProcess,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ClusterChaosReport",
     "ClusterClient",
     "ClusterConfig",
-    "ClusterNodeConfig",
     "ClusterSupervisor",
     "DEFAULT_VNODES",
     "HashRing",

@@ -34,7 +34,7 @@ import itertools
 import random
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.procs import ClusterConfig, ClusterSupervisor
@@ -134,12 +134,9 @@ class ClusterChaosReport(CampaignReport):
 # -- the campaign ---------------------------------------------------------------
 
 
-def run_cluster_chaos(
-    config: Optional[ClusterChaosConfig] = None, **kwargs
-) -> ClusterChaosReport:
+def run_cluster_chaos(**settings) -> ClusterChaosReport:
     """Run the node-kill campaign; see the module doc."""
-    if config is None:
-        config = ClusterChaosConfig(**kwargs)
+    config = ClusterChaosConfig(**settings)
     config.validate()
     return asyncio.run(_Campaign(config).run())
 
@@ -156,13 +153,8 @@ class _Campaign:
                 nodes=config.nodes,
                 seed=config.seed,
                 workdir=config.workdir or tempfile.mkdtemp(prefix="zx-cluster-"),
-                capacity=config.capacity,
-                shards=config.shards,
-                fsync=config.fsync,
-                # Small on purpose: rotations/checkpoints must happen during
-                # rounds so kills land inside them.
-                segment_bytes=16 * 1024,
-                checkpoint_bytes=48 * 1024,
+                # The nodes' own seed and port stand over the campaign's.
+                serve=config.serve(**config.journal()),
             )
         )
         self.addresses: Dict[str, tuple] = {}

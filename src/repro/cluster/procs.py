@@ -23,29 +23,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.common.rng import derive_seed
-from repro.harness import ServeChild, journalled_argv
-
-
-@dataclass
-class ClusterNodeConfig:
-    """Everything one serve child needs; built by :class:`ClusterConfig`."""
-
-    node_id: str
-    index: int
-    seed: int
-    journal_dir: str
-    host: str = "127.0.0.1"
-    capacity: int = 8 * 1024 * 1024
-    shards: int = 2
-    fsync: str = "always"
-    segment_bytes: int = 1 << 20
-    checkpoint_bytes: int = 4 << 20
-    start_timeout: float = 30.0
-    extra_args: Tuple[str, ...] = ()
+from repro.harness import CHILD_TIMEOUTS, ServeChild
 
 
 @dataclass
@@ -56,71 +38,47 @@ class ClusterConfig:
     seed: int = 0
     workdir: str = ""
     host: str = "127.0.0.1"
-    capacity: int = 8 * 1024 * 1024
-    shards: int = 2
-    fsync: str = "always"
-    segment_bytes: int = 1 << 20
-    checkpoint_bytes: int = 4 << 20
-    start_timeout: float = 30.0
-    extra_args: Tuple[str, ...] = ()
+    #: ``cli serve`` settings every node shares, by flag name (``host``,
+    #: ``port``, ``seed`` and ``journal_dir`` are each node's own).
+    serve: Dict[str, object] = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
         if not self.workdir:
             raise ValueError("workdir is required")
-        if self.fsync not in ("always", "interval", "never"):
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
-
-    def node_config(self, index: int) -> ClusterNodeConfig:
-        node_id = f"node{index}"
-        return ClusterNodeConfig(
-            node_id=node_id,
-            index=index,
-            seed=derive_seed(self.seed, f"cluster-{node_id}"),
-            journal_dir=os.path.join(self.workdir, node_id, "journal"),
-            host=self.host,
-            capacity=self.capacity,
-            shards=self.shards,
-            fsync=self.fsync,
-            segment_bytes=self.segment_bytes,
-            checkpoint_bytes=self.checkpoint_bytes,
-            start_timeout=self.start_timeout,
-            extra_args=self.extra_args,
-        )
 
 
 class NodeProcess(ServeChild):
     """One fleet member: a serve child that rebinds its learned port."""
 
-    def __init__(self, config: ClusterNodeConfig) -> None:
+    def __init__(self, config: ClusterConfig, index: int) -> None:
+        self.node_id = f"node{index}"
         super().__init__(
-            [], config.start_timeout, name=f"node {config.node_id}"
+            {
+                **CHILD_TIMEOUTS,
+                **config.serve,
+                "host": config.host,
+                "seed": derive_seed(config.seed, f"cluster-{self.node_id}"),
+                "journal_dir": os.path.join(
+                    config.workdir, self.node_id, "journal"
+                ),
+            },
+            name=f"node {self.node_id}",
         )
-        self.config = config
-        self.node_id = config.node_id
 
     @property
     def address(self) -> Tuple[str, int]:
         assert self.port is not None, "node not started"
-        return (self.config.host, self.port)
+        return (self.settings["host"], self.port)
 
     async def start(self) -> int:
-        """Spawn the child; first start binds ``--port 0`` and learns the
-        port, restarts rebind the learned port — so the cluster's address
+        """Spawn the child.  The first start binds port 0 and learns the
+        port; a restart rebinds the learned one, so the cluster's address
         book survives kill/restart cycles — retrying briefly in case the
         dead process's socket lingers in TIME_WAIT."""
-        config = self.config
         retries = 0 if self.port is None else 9
-        self.argv = [
-            "--host", config.host,
-            *journalled_argv(
-                self.port or 0, config.seed, config.capacity, config.shards,
-                config.journal_dir, config.fsync, config.segment_bytes,
-                config.checkpoint_bytes,
-            ),
-            *config.extra_args,
-        ]
+        self.settings["port"] = self.port or 0
         for _retry in range(retries):
             try:
                 return await super().start()
@@ -136,8 +94,7 @@ class ClusterSupervisor:
         config.validate()
         self.config = config
         self.nodes: List[NodeProcess] = [
-            NodeProcess(config.node_config(index))
-            for index in range(config.nodes)
+            NodeProcess(config, index) for index in range(config.nodes)
         ]
 
     async def start(self) -> Dict[str, Tuple[str, int]]:
@@ -158,16 +115,10 @@ class ClusterSupervisor:
         """Drain every live node; returns node id -> exit code."""
         codes: Dict[str, int] = {}
         for node in self.nodes:
-            if node.proc is None:
-                continue
             if node.alive:
                 codes[node.node_id] = await node.drain()
-            else:
-                codes[node.node_id] = (
-                    node.proc.returncode
-                    if node.proc.returncode is not None
-                    else -1
-                )
+            elif node.proc is not None:
+                codes[node.node_id] = node.proc.returncode
         return codes
 
     async def terminate(self) -> None:

@@ -161,29 +161,18 @@ class RecoveryResult:
 
 
 @dataclass
-class DurabilityConfig:
-    """Everything the durability subsystem needs to know."""
+class DurabilityConfig(JournalConfig):
+    """Everything the durability subsystem needs to know: the journal
+    writer's knobs, plus when to checkpoint and scrub."""
 
-    directory: str
-    fsync: str = "interval"
-    fsync_interval: float = 0.05
-    segment_bytes: int = 1 << 20
     #: Take a checkpoint once this many journal bytes accumulate past the
     #: previous one (0 disables automatic checkpoints).
     checkpoint_bytes: int = 4 << 20
     #: Seconds between background integrity scrubs (0 disables).
     scrub_interval: float = 30.0
 
-    def journal_config(self) -> JournalConfig:
-        return JournalConfig(
-            directory=self.directory,
-            segment_bytes=self.segment_bytes,
-            fsync=self.fsync,
-            fsync_interval=self.fsync_interval,
-        )
-
     def validate(self) -> None:
-        self.journal_config().validate()
+        super().validate()
         if self.checkpoint_bytes < 0:
             raise ConfigurationError("checkpoint_bytes must be >= 0")
         if self.scrub_interval < 0:
@@ -236,7 +225,7 @@ class DurabilityManager:
         for seq, _path in list_checkpoints(self.config.directory):
             top = max(top, seq)
         self.writer = JournalWriter(
-            self.config.journal_config(),
+            self.config,
             stats=self.stats,
             start_seq=top + 1 if top else None,
         )

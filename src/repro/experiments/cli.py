@@ -138,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the clean twin replay (faster; disables the degradation bound)",
     )
-    chaos_parser.add_argument(
+    # The campaigns over real servers; none = the in-process trace replay.
+    mode = chaos_parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--server",
         action="store_true",
         help="run the chaos discipline over a real TCP serving path "
@@ -150,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="concurrent loadgen connections (--server mode only)",
     )
-    chaos_parser.add_argument(
+    mode.add_argument(
         "--crash",
         action="store_true",
         help="kill-anywhere durability campaign: SIGKILL a journalled "
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="always",
         help="journal fsync policy under test (--crash/--replication modes)",
     )
-    chaos_parser.add_argument(
+    mode.add_argument(
         "--replication",
         action="store_true",
         help="primary/replica campaign: partition/stall/reset the "
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded link-chaos rounds before the kill/promote rounds "
         "(--replication mode only)",
     )
-    chaos_parser.add_argument(
+    mode.add_argument(
         "--cluster",
         action="store_true",
         help="node-kill campaign over a consistent-hash cluster: SIGKILL "
@@ -306,14 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-lag-bytes",
         type=int,
         default=1 << 20,
-        help="replica lag above this sheds Z-zone-bound GETs first",
-    )
-    serve_parser.add_argument(
-        "--hard-lag-bytes",
-        type=int,
-        default=0,
-        help="replica lag above this sheds every GET "
-        "(0 = 4x --max-lag-bytes)",
+        help="replica lag above this sheds Z-zone-bound GETs first, "
+        "above 4x this every GET",
     )
     serve_parser.add_argument(
         "--repl-silence-timeout",
@@ -452,98 +448,65 @@ def _load_plan(path):
 
 
 def run_chaos_command(args) -> int:
-    from repro.faults.chaos import run_chaos
-
     if args.cluster:
-        from repro.cluster.chaos import run_cluster_chaos
+        from repro.cluster.chaos import run_cluster_chaos as run
 
-        # Same budget discipline as --crash: --requests is campaign-wide,
-        # spread over every kill round.
-        per_conn = max(
-            1, args.requests // (args.connections * max(1, args.kill_points))
+        rounds = args.kill_points
+        particular = dict(
+            nodes=args.nodes, kill_points=args.kill_points, fsync=args.fsync
         )
-        report = run_cluster_chaos(
+    elif args.replication:
+        from repro.server.replchaos import run_replication_chaos as run
+
+        rounds = max(1, args.link_points) + 2  # ... + kill + promote
+        particular = dict(link_points=args.link_points, fsync=args.fsync)
+    elif args.crash:
+        from repro.server.crash import run_crash_chaos as run
+
+        rounds = args.crash_points
+        particular = dict(kill_points=args.crash_points, fsync=args.fsync)
+    elif args.server:
+        from repro.server.chaos import run_server_chaos as run
+
+        rounds = 1
+        particular = dict(plan=_load_plan(args.plan))
+    else:
+        from repro.faults.chaos import run_chaos
+
+        report = run_chaos(
+            workload=args.workload,
+            num_keys=args.keys,
+            num_requests=args.requests,
             seed=args.seed,
-            nodes=args.nodes,
-            kill_points=args.kill_points,
-            connections=args.connections,
-            requests_per_conn=per_conn,
-            keys_per_conn=max(1, args.keys // args.connections),
-            fsync=args.fsync,
+            plan=_load_plan(args.plan),
+            audit_interval=args.audit_interval,
+            baseline=not args.no_baseline,
+            size_multiplier=args.size_multiplier,
         )
         print(report.render())
-        print(report.render_metrics(), file=sys.stderr)
         return 0 if report.ok else 1
-    if args.replication:
-        from repro.server.replchaos import run_replication_chaos
-
-        # Same budget discipline as --crash: --requests is campaign-wide,
-        # spread over every round (link points + kill + promote).
-        rounds = max(1, args.link_points) + 2
-        per_conn = max(1, args.requests // (args.connections * rounds))
-        report = run_replication_chaos(
-            seed=args.seed,
-            link_points=args.link_points,
-            connections=args.connections,
-            requests_per_conn=per_conn,
-            keys_per_conn=max(1, args.keys // args.connections),
-            fsync=args.fsync,
-        )
-        print(report.render())
-        print(report.render_metrics(), file=sys.stderr)
-        return 0 if report.ok else 1
-    if args.crash:
-        from repro.server.crash import run_crash_chaos
-
-        # --requests is the campaign-wide op budget: spread over every
-        # kill round so 'chaos --crash --crash-points 40' does more
-        # rounds of the same total work, not 2x the work.
-        per_conn = max(
-            1, args.requests // (args.connections * max(1, args.crash_points))
-        )
-        report = run_crash_chaos(
-            seed=args.seed,
-            kill_points=args.crash_points,
-            connections=args.connections,
-            requests_per_conn=per_conn,
-            keys_per_conn=max(1, args.keys // args.connections),
-            fsync=args.fsync,
-        )
-        print(report.render())
-        print(report.render_metrics(), file=sys.stderr)
-        return 0 if report.ok else 1
-    plan = _load_plan(args.plan)
-    if args.server:
-        from repro.server.chaos import run_server_chaos
-
-        report = run_server_chaos(
-            seed=args.seed,
-            connections=args.connections,
-            requests_per_conn=max(1, args.requests // args.connections),
-            keys_per_conn=max(1, args.keys // args.connections),
-            plan=plan,
-        )
-        print(report.render())
-        # Timing-dependent observables go to stderr so stdout stays
-        # byte-identical across same-seed runs (CI diffs it).
-        print(report.render_metrics(), file=sys.stderr)
-        return 0 if report.ok else 1
-    report = run_chaos(
-        workload=args.workload,
-        num_keys=args.keys,
-        num_requests=args.requests,
+    # --requests is the campaign-wide op budget, spread over every round:
+    # 'chaos --crash --crash-points 40' does more rounds of the same
+    # total work, not 2x the work.
+    report = run(
         seed=args.seed,
-        plan=plan,
-        audit_interval=args.audit_interval,
-        baseline=not args.no_baseline,
-        size_multiplier=args.size_multiplier,
+        connections=args.connections,
+        requests_per_conn=max(
+            1, args.requests // (args.connections * max(1, rounds))
+        ),
+        keys_per_conn=max(1, args.keys // args.connections),
+        **particular,
     )
     print(report.render())
+    # Timing-dependent observables go to stderr so stdout stays
+    # byte-identical across same-seed runs (CI diffs it).
+    print(report.render_metrics(), file=sys.stderr)
     return 0 if report.ok else 1
 
 
 def run_serve_command(args) -> int:
     import asyncio
+    import dataclasses
     import signal
 
     from repro.common.errors import ConfigurationError, JournalError
@@ -558,29 +521,15 @@ def run_serve_command(args) -> int:
         ),
         num_shards=args.shards,
     )
+    # A serve flag named like a ``ServerConfig`` field sets that field.
     config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        read_timeout=args.read_timeout,
-        drain_deadline=args.drain_deadline,
         snapshot_path=args.snapshot,
-        audit_interval=args.audit_interval,
         clock_mode=args.clock,
-        journal_dir=args.journal_dir,
-        fsync=args.fsync,
-        fsync_interval=args.fsync_interval,
-        journal_segment_bytes=args.journal_segment_bytes,
-        checkpoint_bytes=args.checkpoint_bytes,
-        scrub_interval=args.scrub_interval,
-        role=args.role,
-        repl_port=args.repl_port,
-        repl_host=args.host,
-        primary_host=args.primary_host,
-        primary_port=args.primary_port,
-        max_lag_bytes=args.max_lag_bytes,
-        hard_lag_bytes=args.hard_lag_bytes,
-        stale_grace=args.stale_grace,
-        repl_silence_timeout=args.repl_silence_timeout,
+        **{
+            field.name: getattr(args, field.name)
+            for field in dataclasses.fields(ServerConfig)
+            if hasattr(args, field.name)
+        },
     )
 
     async def serve() -> int:
@@ -619,7 +568,7 @@ def run_serve_command(args) -> int:
         if server.repl_source is not None:
             print(
                 f"replication: streaming journal to replicas on "
-                f"{config.repl_host}:{server.repl_source.port}",
+                f"{config.host}:{server.repl_source.port}",
                 flush=True,
             )
         if config.role == "replica":
@@ -664,9 +613,9 @@ def run_cluster_command(args) -> int:
             seed=args.seed,
             workdir=workdir,
             host=args.host,
-            capacity=args.capacity,
-            shards=args.shards,
-            fsync=args.fsync,
+            serve=dict(
+                capacity=args.capacity, shards=args.shards, fsync=args.fsync
+            ),
         )
     )
 
@@ -799,7 +748,7 @@ def run_promote_command(args) -> int:
 def run_loadgen_command(args) -> int:
     import asyncio
 
-    from repro.server.loadgen import LoadConfig, run_loadgen
+    from repro.server.loadgen import READ_MOSTLY, LoadConfig, run_loadgen
 
     config = LoadConfig(
         host=args.host,
@@ -811,6 +760,7 @@ def run_loadgen_command(args) -> int:
         plan=_load_plan(args.plan),
         deadline=args.deadline,
         verify_unwritten=not args.assume_warm,
+        **READ_MOSTLY,
     )
     report = asyncio.run(run_loadgen(config))
     traffic = report.rounds[0]

@@ -13,18 +13,20 @@ event is, which servers exist, what else it probes).
   ``UNKNOWN`` / ``TOMBSTONE`` sentinels: every value is a pure function
   of ``(seed, lane, key, version)``, so returned bytes name the version
   they are, or prove themselves fabricated.
-* :class:`ServeChild` — the subprocess: spawn, learn its ports from
-  stdout, SIGKILL or drain.  A child that fails to bind is killed and
-  reaped before the error propagates; nothing is leaked on any path.
+* :class:`ServeChild` — the subprocess, one settings mapping rendered by
+  :func:`serve_argv` at every start: spawn, learn its ports from stdout,
+  SIGKILL or drain.  A child that fails to bind is killed and reaped
+  before the error propagates; nothing is leaked on any path.
 * :class:`Oracle` — per-key ground truth (acked version / ``UNKNOWN`` /
   ``TOMBSTONE``) and the one verdict table every read is judged by.
 * :func:`drive` — one driver per connection drawing the seeded op
   stream (:func:`op_stream`) into whatever client the campaign hands it,
   plus :func:`fire_after`, the poll-the-counter trigger for the event.
 * :func:`sweep` — every oracle key, in batches, judged and tallied.
-* :class:`CampaignConfig` / :class:`RoundOutcome` /
-  :class:`CampaignReport` — the shared fields, the shared clauses of the
-  verdict, and the split between ``render()`` (stdout: seed-derived
+* :class:`TrafficConfig` / :class:`CampaignConfig` / :class:`RoundOutcome`
+  / :class:`CampaignReport` — a round of traffic and a campaign's
+  process settings, each declared once; the shared clauses of the
+  verdict; and the split between ``render()`` (stdout: seed-derived
   fields and the zero-when-correct counters, byte-diffed by CI) and
   ``render_metrics()`` (stderr: everything that follows the wall clock).
 
@@ -59,6 +61,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -124,16 +127,34 @@ _SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # -- the serve child ------------------------------------------------------------
 
 
+#: Timeouts of every child a campaign or supervisor spawns: its
+#: connections are never idle for long and its drains must not outlive
+#: CI's patience.
+CHILD_TIMEOUTS = {"read_timeout": 10.0, "drain_deadline": 10.0}
+
+
+def serve_argv(**settings: object) -> List[str]:
+    """``cli serve`` arguments for a settings mapping, by one rule:
+    ``name=value`` renders as ``--name value``; ``None`` is skipped."""
+    argv: List[str] = []
+    for name, value in settings.items():
+        if value is not None:
+            # The one flag literal outside cli.py: CI's grep exempts the marker.
+            argv += ["--" + name.replace("_", "-"), str(value)]  # serve_argv
+    return argv
+
+
 class ServeChild:
     """One ``cli serve`` subprocess: spawn, learn its ports, kill or drain."""
 
     def __init__(
         self,
-        argv: Sequence[str],
+        settings: Mapping[str, object],
         start_timeout: float = 30.0,
         name: str = "serve child",
     ) -> None:
-        self.argv = list(argv)
+        #: ``cli serve`` flags by name, rendered at every :meth:`start`.
+        self.settings = dict(settings)
         self.start_timeout = start_timeout
         self.name = name
         self.proc: Optional[asyncio.subprocess.Process] = None
@@ -161,7 +182,7 @@ class ServeChild:
             "-m",
             "repro.experiments.cli",
             "serve",
-            *self.argv,
+            *serve_argv(**self.settings),
             stdout=asyncio.subprocess.PIPE,
             stderr=asyncio.subprocess.STDOUT,
             env=env,
@@ -237,35 +258,6 @@ class ServeChild:
             for line in self.text().splitlines()
             if "recovery:" in line or "incident:" in line
         ]
-
-
-def journalled_argv(
-    port: int,
-    seed: int,
-    capacity: int,
-    shards: int,
-    journal_dir: str,
-    fsync: str,
-    segment_bytes: int,
-    checkpoint_bytes: int,
-) -> List[str]:
-    """``cli serve`` arguments of a journalled child under a campaign.
-
-    The timeouts are short because a campaign's connections are never
-    idle for long and its drains must not outlive CI's patience.
-    """
-    return [
-        "--port", str(port),
-        "--seed", str(seed),
-        "--capacity", str(capacity),
-        "--shards", str(shards),
-        "--journal-dir", journal_dir,
-        "--fsync", fsync,
-        "--journal-segment-bytes", str(segment_bytes),
-        "--checkpoint-bytes", str(checkpoint_bytes),
-        "--read-timeout", "10.0",
-        "--drain-deadline", "10.0",
-    ]
 
 
 def raw_client(port: int) -> MemcacheClient:
@@ -372,18 +364,15 @@ class Oracle:
 
 
 @dataclass
-class CampaignConfig:
-    """What every campaign lets the caller set."""
+class TrafficConfig:
+    """One round of seeded traffic: how many connections draw how many
+    ops, over which keys, in what mix (see :func:`op_stream`)."""
 
     seed: int = 0
     connections: int = 3
     #: Ops per connection per round (the event lands somewhere inside).
     requests_per_conn: int = 150
     keys_per_conn: int = 120
-    fsync: str = "always"
-    capacity: int = 8 * 1024 * 1024
-    shards: int = 2
-    workdir: Optional[str] = None
     set_fraction: float = 0.5
     delete_fraction: float = 0.08
 
@@ -392,8 +381,8 @@ class CampaignConfig:
             raise ValueError("connections and requests_per_conn must be >= 1")
         if self.keys_per_conn < 1:
             raise ValueError("keys_per_conn must be >= 1")
-        if self.fsync not in ("always", "interval", "never"):
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
+        if not 0.0 <= self.set_fraction + self.delete_fraction <= 1.0:
+            raise ValueError("set_fraction + delete_fraction must be in [0, 1]")
 
     def traffic(self) -> str:
         """The tail of every ``render()`` header line."""
@@ -402,6 +391,47 @@ class CampaignConfig:
             f"requests_per_conn={self.requests_per_conn} "
             f"keys_per_conn={self.keys_per_conn} seed={self.seed}"
         )
+
+
+@dataclass
+class CampaignConfig(TrafficConfig):
+    """The traffic, plus the process settings a campaign chooses for its
+    ``cli serve`` children."""
+
+    fsync: str = "always"
+    capacity: int = 8 * 1024 * 1024
+    shards: int = 2
+    workdir: Optional[str] = None
+    #: Small on purpose: rotations and checkpoints must happen *during*
+    #: rounds so kills land inside them.
+    segment_bytes: int = 16 * 1024
+    checkpoint_bytes: int = 48 * 1024
+
+    def validate(self) -> None:
+        super().validate()
+        if self.fsync not in ("always", "interval", "never"):
+            raise ValueError(f"unknown fsync policy {self.fsync!r}")
+
+    def serve(self, **particular: object) -> Dict[str, object]:
+        """Settings of one child of this campaign; ``particular`` is
+        what only that child sets."""
+        return {
+            "port": 0,
+            "seed": self.seed,
+            "capacity": self.capacity,
+            "shards": self.shards,
+            **CHILD_TIMEOUTS,
+            **particular,
+        }
+
+    def journal(self) -> Dict[str, object]:
+        """The journal settings of a durable child (beside its own
+        ``journal_dir``)."""
+        return {
+            "fsync": self.fsync,
+            "journal_segment_bytes": self.segment_bytes,
+            "checkpoint_bytes": self.checkpoint_bytes,
+        }
 
 
 @dataclass
@@ -604,7 +634,7 @@ class CampaignReport:
 
 
 def event_point(
-    rng: random.Random, config: CampaignConfig, lo: float, hi: float
+    rng: random.Random, config: TrafficConfig, lo: float, hi: float
 ) -> int:
     """Seeded op count for a round's event, inside ``[lo, hi]`` of the
     round's op budget so there is traffic both before and after it."""
@@ -620,7 +650,7 @@ def hot_key(rng: random.Random, keys_per_conn: int) -> int:
     return min(int(keys_per_conn * rng.random() ** 2), keys_per_conn - 1)
 
 
-def op_stream(config: CampaignConfig, label: str) -> Iterator[Tuple[str, int]]:
+def op_stream(config: TrafficConfig, label: str) -> Iterator[Tuple[str, int]]:
     """One connection's ``(op, key_id)`` draws: a pure function of
     ``(config.seed, label)`` and the config's op mix and key space."""
     rng = random.Random(derive_seed(config.seed, label))
@@ -649,7 +679,7 @@ async def fire_after(
 
 
 async def drive(
-    config: CampaignConfig,
+    config: TrafficConfig,
     oracle: Oracle,
     stream: str,
     clients: Sequence[object],
@@ -697,7 +727,7 @@ async def drive(
 
 
 async def _drive_connection(
-    config: CampaignConfig,
+    config: TrafficConfig,
     oracle: Oracle,
     conn_id: int,
     label: str,

@@ -12,7 +12,8 @@ partitioned) are removed, so a resync can never resurrect a delete.
 Lag and staleness are advertised, not guessed: ``pressure_level`` is
 
 * ``2`` (shed **all** client GETs) when the link is down or silent past
-  ``stale_grace`` seconds, or lag exceeds ``hard_lag_bytes``;
+  ``stale_grace`` seconds, or lag exceeds ``HARD_LAG_FACTOR`` x
+  ``max_lag_bytes``;
 * ``1`` (shed Z-zone-bound GETs first, the cheap-to-refill half) when
   lag exceeds ``max_lag_bytes``;
 * ``0`` otherwise.
@@ -43,6 +44,10 @@ from repro.replication.tailer import JournalTailer, SegmentPrunedError
 #: Send an ACK at least every this many applied records.
 ACK_EVERY_RECORDS = 64
 
+#: Lag past this many times ``max_lag_bytes`` sheds every GET, not only
+#: the Z-zone-bound ones.
+HARD_LAG_FACTOR = 4
+
 
 class ReplicationClient:
     """Follow one primary; apply its journal stream into ``cache``."""
@@ -55,7 +60,6 @@ class ReplicationClient:
         stats: Optional[ReplicationStats] = None,
         *,
         max_lag_bytes: int = 1 << 20,
-        hard_lag_bytes: int = 0,
         stale_grace: float = 1.0,
         reconnect_base: float = 0.05,
         reconnect_cap: float = 2.0,
@@ -72,9 +76,6 @@ class ReplicationClient:
         self.port = port
         self.stats = stats if stats is not None else ReplicationStats()
         self.max_lag_bytes = max_lag_bytes
-        self.hard_lag_bytes = (
-            hard_lag_bytes if hard_lag_bytes > 0 else max_lag_bytes * 4
-        )
         self.stale_grace = stale_grace
         self.reconnect_base = reconnect_base
         self.reconnect_cap = reconnect_cap
@@ -98,16 +99,24 @@ class ReplicationClient:
     def start(self) -> None:
         self._task = asyncio.create_task(self._run())
 
-    async def stop(self) -> None:
+    def cancel(self) -> None:
+        """Stop following, now: no record is applied after this returns
+        (the task's next step is its ``CancelledError``; its own
+        ``finally`` closes the socket)."""
         self._stopped = True
+        self.connected = False
         if self._task is not None:
             self._task.cancel()
+
+    async def stop(self) -> None:
+        """:meth:`cancel`, then wait until the socket is closed."""
+        self.cancel()
+        if self._task is not None:
             try:
                 await self._task
             except asyncio.CancelledError:
                 pass
             self._task = None
-        self.connected = False
 
     # -- lag / pressure --------------------------------------------------------
 
@@ -128,7 +137,7 @@ class ReplicationClient:
         ):
             return 2
         lag = self.lag_bytes()
-        if lag > self.hard_lag_bytes:
+        if lag > HARD_LAG_FACTOR * self.max_lag_bytes:
             return 2
         if lag > self.max_lag_bytes:
             return 1

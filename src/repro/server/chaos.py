@@ -43,6 +43,7 @@ from repro.faults.plan import WIRE_SITES, FaultPlan, FaultSpec
 from repro.harness import Oracle, expected_value, key_name, raw_client
 from repro.server.admission import AdmissionConfig, AdmissionController, TickClock
 from repro.server.loadgen import (
+    READ_MOSTLY,
     LoadConfig,
     LoadReport,
     drive_traffic,
@@ -52,6 +53,10 @@ from repro.server.server import TICK_SECONDS, CacheServer, ServerConfig
 from repro.sim.costmodel import HIGH_PERFORMANCE_COSTS
 from repro.sim.perfsim import PerformanceModel, mix_from_stats
 from repro.zzone.zzone import INTEGRITY_FIELDS
+
+#: The cache under test: small, so the traffic reaches the Z-zone.
+CAPACITY = 256 * 1024
+SHARDS = 2
 
 #: Degradation bound, matching the library chaos driver's contract: a
 #: damaged/evicted item may cost this many extra misses ...
@@ -102,7 +107,6 @@ class ServerChaosReport(LoadReport):
     restart) plus the lifecycle around it; ``render()`` is
     byte-deterministic per (seed, scale)."""
 
-    shards: int = 2
     drain_exit_code: int = -1
     invariant_failures: int = 0
     audits: int = 0
@@ -125,7 +129,7 @@ class ServerChaosReport(LoadReport):
         lines = [
             f"server-chaos: connections={config.connections} "
             f"requests_per_conn={config.requests_per_conn} "
-            f"keys_per_conn={config.keys_per_conn} shards={self.shards} "
+            f"keys_per_conn={config.keys_per_conn} shards={SHARDS} "
             f"seed={config.seed}",
             *self.traffic_lines("injected(wire)"),
             f"drain_exit_code: {self.drain_exit_code}",
@@ -231,8 +235,6 @@ def run_server_chaos(
     connections: int = 4,
     requests_per_conn: int = 1_500,
     keys_per_conn: int = 150,
-    shards: int = 2,
-    capacity: int = 256 * 1024,
     plan: Optional[FaultPlan] = None,
     workdir: Optional[str] = None,
     overload: bool = True,
@@ -245,10 +247,11 @@ def run_server_chaos(
         seed=seed,
         plan=plan if plan is not None else default_server_plan(seed),
         deadline=3.0,
+        **READ_MOSTLY,
     )
     load_config.validate()
     return asyncio.run(
-        _run_server_chaos(load_config, shards, capacity, workdir, overload)
+        _run_server_chaos(load_config, workdir, overload)
     )
 
 
@@ -261,8 +264,6 @@ _WIDE_OPEN = AdmissionConfig(
 
 async def _run_server_chaos(
     load_config: LoadConfig,
-    shards: int,
-    capacity: int,
     workdir: Optional[str],
     overload: bool,
 ) -> ServerChaosReport:
@@ -274,9 +275,9 @@ async def _run_server_chaos(
     # -- phase 1: chaos traffic against a faulted server ----------------------
     cache = ShardedZExpander(
         ZExpanderConfig(
-            total_capacity=capacity, seed=seed, fault_plan=_cache_site_plan(plan)
+            total_capacity=CAPACITY, seed=seed, fault_plan=_cache_site_plan(plan)
         ),
-        num_shards=shards,
+        num_shards=SHARDS,
     )
     server_config = ServerConfig(
         port=0,
@@ -291,7 +292,7 @@ async def _run_server_chaos(
     run_task = asyncio.create_task(server.run())
 
     load_config.port = server.port
-    report = ServerChaosReport(config=load_config, shards=shards)
+    report = ServerChaosReport(config=load_config)
     # One oracle for the whole lifecycle: what the faulted server
     # acknowledged is what the restarted one is held to.
     oracle = Oracle(seed)
@@ -313,7 +314,7 @@ async def _run_server_chaos(
         report.audits = server.auditor.audits
 
     restart_cache = ShardedZExpander(
-        ZExpanderConfig(total_capacity=capacity, seed=seed), num_shards=shards
+        ZExpanderConfig(total_capacity=CAPACITY, seed=seed), num_shards=SHARDS
     )
     restart_server = CacheServer(restart_cache, server_config)
     await restart_server.start()

@@ -37,7 +37,6 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.rng import derive_seed
 from repro.harness import (
@@ -50,7 +49,6 @@ from repro.harness import (
     closing,
     drive,
     event_point,
-    journalled_argv,
     raw_client,
     sweep,
 )
@@ -66,12 +64,6 @@ class CrashConfig(CampaignConfig):
     """One kill-anywhere campaign."""
 
     kill_points: int = 20
-    #: Small on purpose: rotations and checkpoints must happen *during*
-    #: rounds so kills land inside them.
-    segment_bytes: int = 16 * 1024
-    checkpoint_bytes: int = 48 * 1024
-    #: Seconds to wait for the child to print its serving line.
-    start_timeout: float = 30.0
 
     def validate(self) -> None:
         if self.kill_points < 1:
@@ -107,10 +99,9 @@ class CrashReport(CampaignReport):
         return "\n".join(lines)
 
 
-def run_crash_chaos(config: Optional[CrashConfig] = None, **kwargs) -> CrashReport:
+def run_crash_chaos(**settings) -> CrashReport:
     """Run the kill-anywhere campaign; see the module doc."""
-    if config is None:
-        config = CrashConfig(**kwargs)
+    config = CrashConfig(**settings)
     config.validate()
     return asyncio.run(_run_crash_chaos(config))
 
@@ -124,12 +115,9 @@ async def _run_crash_chaos(config: CrashConfig) -> CrashReport:
 
     # One child object, restarted every round on the one journal dir.
     child = ServeChild(
-        journalled_argv(
-            0, config.seed, config.capacity, config.shards, journal_dir,
-            config.fsync, config.segment_bytes, config.checkpoint_bytes,
+        config.serve(
+            journal_dir=journal_dir, **config.journal(), scrub_interval=1.0
         )
-        + ["--scrub-interval", "1.0"],
-        config.start_timeout,
     )
 
     async def recover(outcome: RoundOutcome) -> RoundOutcome:

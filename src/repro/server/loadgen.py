@@ -32,6 +32,7 @@ from repro.harness import (
     Oracle,
     RequestCut,
     RoundOutcome,
+    TrafficConfig,
     closing,
     drive,
     sweep,
@@ -39,30 +40,23 @@ from repro.harness import (
 from repro.server.client import Connection, MemcacheClient, RetryPolicy
 
 
+#: The loadgen's op mix: read-mostly, the ordinary traffic of a volatile
+#: cache (the campaigns' default is write-heavy, to load the journal).
+READ_MOSTLY = {"set_fraction": 0.30, "delete_fraction": 0.02}
+
+
 @dataclass
-class LoadConfig:
+class LoadConfig(TrafficConfig):
+    """The traffic, plus where to send it and how to judge it."""
+
     host: str = "127.0.0.1"
     port: int = 11311
-    connections: int = 4
-    requests_per_conn: int = 1_000
-    keys_per_conn: int = 100
-    set_fraction: float = 0.30
-    delete_fraction: float = 0.02
-    seed: int = 0
     plan: Optional[FaultPlan] = None
     deadline: float = 2.0
     #: Treat a hit on a key this run never wrote as fabricated bytes.
     #: Turn off when driving a warm server (e.g. after a restart) whose
     #: prior contents legitimately overlap the generator's key space.
     verify_unwritten: bool = True
-
-    def validate(self) -> None:
-        if self.connections < 1 or self.requests_per_conn < 1:
-            raise ValueError("connections and requests_per_conn must be >= 1")
-        if self.keys_per_conn < 1:
-            raise ValueError("keys_per_conn must be >= 1")
-        if not 0.0 <= self.set_fraction + self.delete_fraction <= 1.0:
-            raise ValueError("set_fraction + delete_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -128,12 +122,9 @@ class LoadReport(CampaignReport):
         ]
 
     def render(self) -> str:
-        config = self.config
         return "\n".join(
             [
-                f"loadgen: connections={config.connections} "
-                f"requests_per_conn={config.requests_per_conn} "
-                f"keys_per_conn={config.keys_per_conn} seed={config.seed}",
+                "loadgen: " + self.config.traffic(),
                 *self.traffic_lines(),
                 *self.verdict_lines("traffic verified, no wrong bytes"),
             ]

@@ -58,7 +58,6 @@ from repro.harness import (
     drive,
     event_point,
     hot_key,
-    journalled_argv,
     key_name,
     raw_client,
     sweep,
@@ -88,9 +87,6 @@ class ReplChaosConfig(CampaignConfig):
     #: Replica staleness advertisement under test (kept short so the
     #: partition probe does not dominate wall time).
     stale_grace: float = 0.4
-    max_lag_bytes: int = 1 << 20
-    start_timeout: float = 30.0
-    converge_timeout: float = 30.0
 
     def validate(self) -> None:
         if self.link_points < 1:
@@ -301,6 +297,9 @@ class _LinkProxy:
 
 # -- replica-side observation ---------------------------------------------------
 
+#: Seconds a healed pair gets to advertise convergence.
+CONVERGE_TIMEOUT = 30.0
+
 
 def _pooled(port: int, pool_size: int = 1, deadline: float = 5.0):
     return closing(MemcacheClient(HOST, port, pool_size, deadline))
@@ -314,9 +313,7 @@ async def _fetch_stats(port: int) -> Optional[dict]:
             return None
 
 
-async def _await_convergence(
-    port: int, primary_port: int, timeout: float
-) -> bool:
+async def _await_convergence(port: int, primary_port: int) -> bool:
     """Poll both sides until the replica is connected with zero lag.
 
     The replica's own lag estimate comes from heartbeats, so right after
@@ -327,7 +324,7 @@ async def _await_convergence(
     so convergence requires both views to agree.
     """
     loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
+    deadline = loop.time() + CONVERGE_TIMEOUT
     while loop.time() < deadline:
         stats = await _fetch_stats(port)
         primary_stats = await _fetch_stats(primary_port)
@@ -348,12 +345,9 @@ async def _await_convergence(
 # -- the campaign ---------------------------------------------------------------
 
 
-def run_replication_chaos(
-    config: Optional[ReplChaosConfig] = None, **kwargs
-) -> ReplChaosReport:
+def run_replication_chaos(**settings) -> ReplChaosReport:
     """Run the partition/lag/promotion campaign; see the module doc."""
-    if config is None:
-        config = ReplChaosConfig(**kwargs)
+    config = ReplChaosConfig(**settings)
     config.validate()
     return asyncio.run(_Campaign(config).run())
 
@@ -370,13 +364,10 @@ class _Campaign:
         self.proxy = _LinkProxy()
         # Restarted in place by kill_restart: same journal, new ports.
         self.primary = ServeChild(
-            journalled_argv(
-                0, config.seed, config.capacity, config.shards,
-                self.journal_dir, config.fsync, config.segment_bytes,
-                config.checkpoint_bytes,
+            config.serve(
+                journal_dir=self.journal_dir, **config.journal(),
+                scrub_interval=5.0, repl_port=0,
             )
-            + ["--scrub-interval", "5.0", "--repl-port", "0"],
-            config.start_timeout,
         )
         self.replica: Optional[ServeChild] = None
 
@@ -399,25 +390,16 @@ class _Campaign:
                     + self.primary.text()
                 )
             self.replica = ServeChild(
-                [
-                    "--port", "0",
-                    "--seed", str(config.seed),
-                    "--capacity", str(config.capacity),
-                    "--shards", str(config.shards),
-                    "--role", "replica",
-                    "--primary-host", HOST,
-                    "--primary-port", str(self.proxy.port),
-                    "--stale-grace", str(config.stale_grace),
-                    "--max-lag-bytes", str(config.max_lag_bytes),
+                config.serve(
+                    role="replica",
+                    primary_port=self.proxy.port,
+                    stale_grace=config.stale_grace,
                     # Well past any stall the plan injects, well under the
                     # convergence deadline: a half-open link (SIGKILLed
                     # primary behind the proxy) must be cut and re-dialed
                     # quickly.
-                    "--repl-silence-timeout", "2.0",
-                    "--read-timeout", "10.0",
-                    "--drain-deadline", "10.0",
-                ],
-                config.start_timeout,
+                    repl_silence_timeout=2.0,
+                )
             )
             await self.replica.start()
             # Version 1 of every key, so probes and sweeps have material.
@@ -567,7 +549,7 @@ class _Campaign:
 
     async def _converge(self, outcome: ReplRoundOutcome, failure: str) -> bool:
         outcome.converged = await _await_convergence(
-            self.replica.port, self.primary.port, self.config.converge_timeout
+            self.replica.port, self.primary.port
         )
         if not outcome.converged:
             self.report.violations.append(failure)

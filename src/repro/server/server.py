@@ -19,8 +19,9 @@ Robustness is the design driver, not protocol coverage:
   dispatch stops at the first event after the transport pauses (the
   rest wait, parsed, in a per-connection deque), so a peer that never
   reads holds at most high-water + 64 KiB + one command's reply.
-* **Ordered replies** — ``promote``, the one verb that awaits, runs as a
-  task with its connection's reads paused and later events parked.
+* **Ordered replies** — every verb, ``promote`` included, is answered
+  inside the one synchronous ``_dispatch``, so replies leave in request
+  order by construction.
 * **Bounded concurrency** — a global inflight gauge feeds the
   :class:`~repro.server.admission.AdmissionController`; past the hard
   cap nothing executes, so queue growth is bounded by construction.
@@ -159,15 +160,13 @@ class ServerConfig:
     #: Arm the journal-shipping listener on this port (0 = ephemeral,
     #: None = no replication source).  Requires ``journal_dir``.
     repl_port: Optional[int] = None
-    repl_host: str = "127.0.0.1"
     #: Where a replica finds its primary's replication listener.
     primary_host: str = "127.0.0.1"
     primary_port: Optional[int] = None
     #: Replica-side lag policy: past ``max_lag_bytes`` shed Z-zone-bound
-    #: GETs; past ``hard_lag_bytes`` (0 = 4x max) — or with no stream
-    #: traffic for ``stale_grace`` seconds — shed every GET.
+    #: GETs; past four times that — or with no stream traffic for
+    #: ``stale_grace`` seconds — shed every GET.
     max_lag_bytes: int = 1 << 20
-    hard_lag_bytes: int = 0
     stale_grace: float = 1.0
     #: Replica-side half-open-link detection: this long with nothing
     #: received on an open stream and the replica re-dials the primary.
@@ -194,8 +193,6 @@ class ServerConfig:
             raise ValueError("max_lag_bytes and stale_grace must be positive")
         if self.repl_silence_timeout <= 0:
             raise ValueError("repl_silence_timeout must be positive")
-        if self.hard_lag_bytes < 0:
-            raise ValueError("hard_lag_bytes must be >= 0")
         self.admission.validate()
 
     def durability_config(self) -> DurabilityConfig:
@@ -256,11 +253,10 @@ class _Connection(asyncio.BufferedProtocol):
         #: per request, depending on the heap's layout at that moment.
         self.read_view = memoryview(bytearray(_FLUSH_BYTES))
         #: Parsed events not yet dispatched.  Outlives a callback only
-        #: while reads are paused (write stall or promotion), so a held
-        #: connection buffers at most the one read it was parsing.
+        #: while reads are paused (write stall), so a held connection
+        #: buffers at most the one read it was parsing.
         self.parked: Deque[protocol.Event] = deque()
         self.write_paused = False
-        self.promotion: Optional[asyncio.Task] = None
         self.stall_timer: Optional[asyncio.TimerHandle] = None
 
     def connection_made(self, transport) -> None:
@@ -292,7 +288,7 @@ class _Connection(asyncio.BufferedProtocol):
         # The parser copies what it is fed, so the buffer is free again.
         self.parser.feed(self.read_view[:nbytes])
         self.parked.extend(self.parser.events())
-        if not self._held():
+        if not self.write_paused:
             self._pump()
 
     def eof_received(self) -> None:
@@ -307,7 +303,7 @@ class _Connection(asyncio.BufferedProtocol):
     def _idle_check(self) -> None:
         timeout = self.server.config.read_timeout
         # While reads are paused the silence is ours, not the peer's.
-        idle = 0.0 if self._held() else self.loop.time() - self.last_read
+        idle = 0.0 if self.write_paused else self.loop.time() - self.last_read
         if idle < timeout:
             self.idle_timer = self.loop.call_later(timeout - idle, self._idle_check)
         elif not self.transport.is_closing():
@@ -326,10 +322,16 @@ class _Connection(asyncio.BufferedProtocol):
         )
 
     def resume_writing(self) -> None:
+        """The peer reads again: serve what was parked, then read on."""
         self.write_paused = False
         self.stall_timer.cancel()
         self.stall_timer = None
-        self._resume()
+        if self.transport.is_closing():
+            return
+        self._pump()
+        if not self.write_paused:
+            self.last_read = self.loop.time()
+            self.transport.resume_reading()
 
     def _stalled(self) -> None:
         self.server.stats.write_timeouts += 1
@@ -337,20 +339,16 @@ class _Connection(asyncio.BufferedProtocol):
 
     # -- dispatch --------------------------------------------------------------
 
-    def _held(self) -> bool:
-        """Must parked events wait (stalled peer, promotion in flight)?"""
-        return self.write_paused or self.promotion is not None
-
     def _pump(self) -> None:
         """Dispatch parked events in order, one write per read, until
-        the queue is empty or something holds the connection."""
+        the queue is empty or the peer stops reading its replies."""
         server = self.server
         parked = self.parked
         out: List[bytes] = []
         counted = pending = 0
         alive = True
-        while parked and alive and not self._held():
-            alive = server._dispatch(parked.popleft(), out, self)
+        while parked and alive and not self.write_paused:
+            alive = server._dispatch(parked.popleft(), out)
             pending += sum(map(len, out[counted:]))
             counted = len(out)
             if pending >= _FLUSH_BYTES:
@@ -364,35 +362,6 @@ class _Connection(asyncio.BufferedProtocol):
             # is discarded; close() still flushes the replies so far.
             parked.clear()
             self.transport.close()
-
-    def _resume(self) -> None:
-        """A hold was lifted: serve what was parked, then read again."""
-        if self._held() or self.transport.is_closing():
-            return
-        self._pump()
-        if not self._held():
-            self.last_read = self.loop.time()
-            self.transport.resume_reading()
-
-    def promote(self, command: Command) -> None:
-        """Run ``promote`` as a task; reads pause and later events stay
-        parked until its reply is written, so replies keep their order."""
-        self.transport.pause_reading()
-        self.promotion = self.loop.create_task(self.server._promote(command))
-        self.promotion.add_done_callback(self._promoted)
-
-    def _promoted(self, task: asyncio.Task) -> None:
-        self.promotion = None
-        if task.cancelled():
-            return
-        try:
-            reply = task.result()
-        except Exception as exc:  # the connection must not stay held
-            self.server.incidents.append(f"promotion failed: {exc!r}")
-            reply = protocol.server_error("promotion failed")
-        if not self.transport.is_closing():
-            self.transport.write(reply)
-            self._resume()
 
 
 class CacheServer:
@@ -409,12 +378,19 @@ class CacheServer:
         self.cache = cache
         # What a served cache may lack (the ledger's dict-backed shell
         # has none of them), resolved once: nothing rebinds these after
-        # construction.  (The fault injector is NOT among them — chaos
-        # harnesses arm injectors after the server is built.)
+        # construction.
         self._routes_to_zzone, self._shard_for, clock, bind_cache = (
             getattr(cache, name, None)
             for name in ("routes_to_zzone", "shard_for", "clock", "bind_metrics")
         )
+        # Injectors come from ``ZExpanderConfig.fault_plan`` when the
+        # cache is built, on every shard or on none; a server without
+        # them pays nothing per command.
+        armed = any(
+            getattr(shard, "fault_injector", None)
+            for shard in getattr(cache, "shards", (cache,))
+        )
+        self._fault_hook = self._fire_faults if armed else None
         #: Moves the cache's clock once per dispatched command: a fixed
         #: step in ``tick`` mode, as far as ``time.monotonic`` moved in
         #: ``wall`` mode (nothing else ever advances a VirtualClock).
@@ -528,9 +504,7 @@ class CacheServer:
             self.repl_source = ReplicationSource(
                 self.cache, self.durability, self.replication_stats
             )
-            await self.repl_source.start(
-                self.config.repl_host, self.config.repl_port
-            )
+            await self.repl_source.start(self.config.host, self.config.repl_port)
         if self.config.role == "replica":
             self.repl_client = ReplicationClient(
                 self.cache,
@@ -538,7 +512,6 @@ class CacheServer:
                 self.config.primary_port,
                 self.replication_stats,
                 max_lag_bytes=self.config.max_lag_bytes,
-                hard_lag_bytes=self.config.hard_lag_bytes,
                 stale_grace=self.config.stale_grace,
                 silence_timeout=self.config.repl_silence_timeout,
                 meta=self.meta,
@@ -682,9 +655,7 @@ class CacheServer:
             except Exception as exc:  # not the triggering request's fault
                 self.incidents.append(f"checkpoint failed: {exc}")
 
-    def _dispatch(
-        self, event: protocol.Event, out: List[bytes], connection: "_Connection"
-    ) -> bool:
+    def _dispatch(self, event: protocol.Event, out: List[bytes]) -> bool:
         """Execute one event, appending its reply (if any) to ``out``;
         False ends the connection."""
         if isinstance(event, BadCommand):
@@ -709,7 +680,7 @@ class CacheServer:
             out.append(protocol.encode_stats(self.stats_dict()))
             return True
         if command.name == "promote":
-            connection.promote(command)
+            out.append(self._promote(command))
             return True
         if self.config.role == "replica" and self._replica_gate(command, out):
             return True
@@ -727,7 +698,8 @@ class CacheServer:
             started = time.perf_counter()
             reply = self._execute(command)
             self._latency_hist.observe(time.perf_counter() - started)
-            self._fault_hook(command)
+            if self._fault_hook is not None:
+                self._fault_hook(command)
         finally:
             self._inflight -= 1
         self._maybe_checkpoint()
@@ -769,12 +741,9 @@ class CacheServer:
                 return True
         return False
 
-    async def _promote(self, command: Command) -> bytes:
-        """The consensus-free failover hook: replica -> primary, now.
-
-        The one verb that awaits (the replication client has to stop),
-        so :meth:`_Connection.promote` runs it as a task; returns the
-        reply.
+    def _promote(self, command: Command) -> bytes:
+        """The consensus-free failover hook: replica -> primary, now;
+        returns the reply.
 
         With a catch-up directory (the dead primary's journal on shared
         or local disk) the replica first replays everything past its
@@ -794,7 +763,7 @@ class CacheServer:
         position = (0, 0)
         if client is not None:
             position = client.position
-            await client.stop()
+            client.cancel()
         caught, mode = 0, "none"
         if catch_up_dir is not None:
             try:
@@ -942,17 +911,13 @@ class CacheServer:
             return protocol.DELETED if found else protocol.NOT_FOUND
         raise AssertionError(f"unroutable command {command.name!r}")
 
-    def _fault_hook(self, command: Command) -> None:
+    def _fire_faults(self, command: Command) -> None:
         """Fire control-plane fault sites (squeeze/skew) on the serving path."""
-        if not command.keys:
-            return
         shard_for = self._shard_for
         target = shard_for(command.keys[0]) if shard_for else self.cache
-        injector = getattr(target, "fault_injector", None)
-        if injector is not None:
-            injector.on_request(
-                self.stats.commands, clock=target.clock, cache=target
-            )
+        target.fault_injector.on_request(
+            self.stats.commands, clock=target.clock, cache=target
+        )
 
     # -- introspection ---------------------------------------------------------
 

@@ -30,6 +30,19 @@ class TestClusterChaos:
         assert report.rounds[0].ops_issued > 0
         assert report.rounds[0].ring_probed > 0
         assert report.rounds[-1].verified_keys > 0
+        # The seeded verdict, byte for byte.
+        assert report.render() == (
+            "cluster-chaos: nodes=3 kill_points=1 connections=2 "
+            "requests_per_conn=100 keys_per_conn=40 seed=17\n"
+            "fsync: always\n"
+            "wrong_bytes: 0\n"
+            "ring_violations: 0\n"
+            "acked_write_loss: 0\n"
+            "deleted_resurrections: 0\n"
+            "final_drain_exits: 0,0,0\n"
+            "OK: every kill stayed confined to its arc; recovery and "
+            "ring ownership held"
+        )
 
     def test_render_is_deterministic_and_verdict_only(self):
         config = ClusterChaosConfig(seed=9, nodes=3, kill_points=2)

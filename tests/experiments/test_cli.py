@@ -33,6 +33,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_chaos_runs_one_campaign_at_a_time(self, capsys):
+        # "--crash --cluster" used to run the cluster campaign alone.
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["chaos", "--crash", "--cluster"])
+        assert refused.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_every_registered_module_importable(self):
         import importlib
 

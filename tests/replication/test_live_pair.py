@@ -495,7 +495,7 @@ class TestPromotion:
         asyncio.run(go())
 
     def test_pipelined_commands_wait_for_the_promotion(self, tmp_path):
-        """``promote`` is the one verb that awaits: commands pipelined
+        """``promote`` is dispatched like any verb: commands pipelined
         behind it in the same segment are answered after ``PROMOTED``,
         in order, by the node it made — a primary that takes writes."""
 

@@ -23,6 +23,17 @@ class TestCrashChaos:
         assert len(report.rounds) == 3
         assert report.rounds[0].ops_issued > 0
         assert report.rounds[-1].verified_keys > 0
+        # The seeded verdict, byte for byte.
+        assert report.render() == (
+            "crash-chaos: kill_points=2 connections=2 requests_per_conn=120 "
+            "keys_per_conn=60 seed=17\n"
+            "fsync: always\n"
+            "wrong_bytes: 0\n"
+            "acked_write_loss: 0\n"
+            "deleted_resurrections: 0\n"
+            "final_drain_exit: 0\n"
+            "OK: survived every kill with intact bytes and bounded loss"
+        )
 
     def test_interval_policy_never_fabricates(self, tmp_path):
         report = run_crash_chaos(
@@ -36,6 +47,16 @@ class TestCrashChaos:
         )
         assert report.ok, report.violations
         assert report.wrong_bytes == 0
+        assert report.render() == (
+            "crash-chaos: kill_points=2 connections=2 requests_per_conn=120 "
+            "keys_per_conn=60 seed=4\n"
+            "fsync: interval\n"
+            "wrong_bytes: 0\n"
+            "acked_write_loss: not enforced (fsync=interval)\n"
+            "deleted_resurrections: not enforced (fsync=interval)\n"
+            "final_drain_exit: 0\n"
+            "OK: survived every kill with intact bytes and bounded loss"
+        )
 
     def test_render_is_deterministic_and_verdict_only(self):
         config = CrashConfig(seed=9, kill_points=5, fsync="always")

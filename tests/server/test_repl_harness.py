@@ -42,6 +42,22 @@ class TestCampaign:
         assert len(report.rounds) == 4
         assert all(outcome.ops_issued > 0 for outcome in report.rounds)
         assert report.rounds[0].verified_keys > 0
+        # The seeded verdict, byte for byte.
+        assert report.render() == (
+            "replication-chaos: link_points=2 connections=2 "
+            "requests_per_conn=60 keys_per_conn=40 seed=23\n"
+            "fsync: always  stale_grace: 0.4\n"
+            "plan: partition stall kill_restart kill_promote\n"
+            "wrong_bytes: 0\n"
+            "stale_reads: 0\n"
+            "acked_write_loss: 0\n"
+            "deleted_resurrections: 0\n"
+            "forced_resyncs: 0/0\n"
+            "promotion: ok, writes ok\n"
+            "final_drain_exit: 0\n"
+            "OK: no wrong bytes, no stale serves beyond the bound, "
+            "no acked loss across promotion"
+        )
 
 
 class TestReportContract:

@@ -11,7 +11,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.harness import expected_value, key_name
 from repro.server.chaos import default_server_plan, run_server_chaos
 from repro.server.client import MemcacheClient
-from repro.server.loadgen import LoadConfig, run_loadgen
+from repro.server.loadgen import READ_MOSTLY, LoadConfig, run_loadgen
 from repro.server.server import CacheServer, ServerConfig
 
 
@@ -51,6 +51,7 @@ def _loadgen_against(cache, requests_per_conn, keys_per_conn):
                 requests_per_conn=requests_per_conn,
                 keys_per_conn=keys_per_conn,
                 seed=4,
+                **READ_MOSTLY,
             )
         )
         server.begin_drain()
@@ -147,6 +148,7 @@ class TestLoadgen:
                     requests_per_conn=150,
                     keys_per_conn=30,
                     seed=9,
+                    **READ_MOSTLY,
                 )
             )
             server.begin_drain()

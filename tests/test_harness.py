@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster.chaos import KILL_FRACTION_HI as CLUSTER_HI
 from repro.cluster.chaos import KILL_FRACTION_LO as CLUSTER_LO
-from repro.cluster.chaos import ClusterChaosConfig
+from repro.cluster.chaos import ClusterChaosConfig, _Campaign as ClusterCampaign
 from repro.common.errors import NodeDownError, RequestTimeoutError
 from repro.common.rng import derive_seed
 from repro.harness import (
@@ -34,14 +34,23 @@ from repro.harness import (
     expected_value,
     key_name,
     op_stream,
+    serve_argv,
     sweep,
 )
-from repro.server.crash import KILL_FRACTION_HI, KILL_FRACTION_LO, CrashConfig
+from repro.experiments.cli import build_parser
+from repro.server.crash import (
+    KILL_FRACTION_HI,
+    KILL_FRACTION_LO,
+    CrashConfig,
+    run_crash_chaos,
+)
+from repro.server.loadgen import LoadConfig
 from repro.server.replchaos import (
     EVENT_FRACTION_HI,
     EVENT_FRACTION_LO,
     ReplChaosConfig,
     build_plan,
+    run_replication_chaos,
 )
 
 SEED = 11
@@ -165,6 +174,13 @@ def test_build_plan_golden():
     assert _digest(build_plan(ReplChaosConfig(seed=11, link_points=10))) == (
         "e17353b79c9839f01d1f7a3fd6b0db82012e1cceafc9c1b3e21d04ac9d5d2b83"
     )
+
+
+@pytest.mark.parametrize("config_type", [CampaignConfig, LoadConfig])
+def test_op_mix_must_fit_in_one(config_type):
+    config_type(set_fraction=0.7, delete_fraction=0.3).validate()
+    with pytest.raises(ValueError, match="set_fraction"):
+        config_type(set_fraction=0.7, delete_fraction=0.4).validate()
 
 
 # -- when a key may become UNKNOWN ----------------------------------------------
@@ -362,6 +378,97 @@ def test_verdict_tail_renders_as_before():
     ]
 
 
+# -- every child a campaign describes is a command line `cli serve` reads --------
+
+
+def test_serve_argv_is_one_rule():
+    assert serve_argv(port=0, snapshot=None, read_timeout=10.0, fsync="always") == [
+        "--port", "0", "--read-timeout", "10.0", "--fsync", "always",
+    ]
+
+
+def _assert_reads_back(settings):
+    """A renamed or dropped ``cli serve`` flag fails here, not as "serve
+    child exited before binding" in the middle of a campaign."""
+    args = build_parser().parse_args(["serve", *serve_argv(**settings)])
+    assert {name: getattr(args, name) for name in settings} == settings
+
+
+class _AllDescribed(Exception):
+    pass
+
+
+def _children_of(monkeypatch, run, **kwargs):
+    """What a campaign's children are started with, in start order, none
+    spawned: the stand-in ``start`` hands a replication primary made-up
+    ports (its replica is described next) and ends the run at any other
+    child."""
+    started = []
+
+    async def start(child):
+        started.append(dict(child.settings))
+        if "repl_port" not in child.settings:
+            raise _AllDescribed
+        child.port, child.repl_port = 1, 2
+        return child.port
+
+    monkeypatch.setattr(ServeChild, "start", start)
+    with pytest.raises(_AllDescribed):
+        run(seed=SEED, **kwargs)
+    return started
+
+
+def test_campaign_children_round_trip_through_the_serve_parser(
+    monkeypatch, tmp_path
+):
+    journal = {
+        "fsync": "interval", "journal_segment_bytes": 16 * 1024,
+        "checkpoint_bytes": 48 * 1024,
+    }
+    (crash,) = _children_of(
+        monkeypatch, run_crash_chaos, fsync="interval", workdir=str(tmp_path)
+    )
+    assert crash == {
+        "port": 0, "seed": SEED, "capacity": 8 << 20, "shards": 2,
+        "read_timeout": 10.0, "drain_deadline": 10.0,
+        "journal_dir": str(tmp_path / "journal"), **journal,
+        "scrub_interval": 1.0,
+    }
+    _assert_reads_back(crash)
+
+    primary, replica = _children_of(
+        monkeypatch, run_replication_chaos, workdir=str(tmp_path)
+    )
+    assert primary["journal_segment_bytes"] == 8 * 1024
+    assert primary["repl_port"] == 0
+    assert replica["role"] == "replica" and "journal_dir" not in replica
+    _assert_reads_back(primary)
+    _assert_reads_back(replica)
+
+    config = ClusterChaosConfig(seed=SEED, fsync="interval", workdir=str(tmp_path))
+    node = ClusterCampaign(config).supervisor.nodes[1]
+    started = []
+
+    async def learn_port(child):
+        started.append(dict(child.settings))
+        child.port = 4242
+        return child.port
+
+    monkeypatch.setattr(ServeChild, "start", learn_port)
+    asyncio.run(node.start())
+    asyncio.run(node.start())  # a restart rebinds the port the first learned
+    first, restarted = started
+    assert first == {
+        "read_timeout": 10.0, "drain_deadline": 10.0, "capacity": 8 << 20,
+        "shards": 2, **journal, "host": "127.0.0.1", "port": 0,
+        "seed": derive_seed(SEED, "cluster-node1"),
+        "journal_dir": str(tmp_path / "node1" / "journal"),
+    }
+    assert restarted == {**first, "port": 4242}
+    _assert_reads_back(first)
+    _assert_reads_back(restarted)
+
+
 # -- the one real process -------------------------------------------------------
 
 
@@ -369,7 +476,7 @@ def test_child_that_misses_its_start_deadline_is_reaped(tmp_path):
     # Far shorter than interpreter start-up: the serving line cannot
     # arrive in time.
     child = ServeChild(
-        ["--port", "0", "--journal-dir", str(tmp_path / "journal")],
+        {"port": 0, "journal_dir": str(tmp_path / "journal")},
         start_timeout=0.05,
     )
     with pytest.raises(TimeoutError):
