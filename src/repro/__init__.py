@@ -23,7 +23,6 @@ from repro.common.clock import VirtualClock
 from repro.common.errors import (
     CacheError,
     CapacityError,
-    CheckpointError,
     CodecError,
     ConfigurationError,
     ConnectionDrainingError,
@@ -89,7 +88,6 @@ __all__ = [
     "MB",
     "CacheError",
     "CapacityError",
-    "CheckpointError",
     "CodecError",
     "ConfigurationError",
     "ConnectionDrainingError",

@@ -145,7 +145,3 @@ class DurabilityError(CacheError):
 
 class JournalError(DurabilityError):
     """A journal segment is malformed (bad magic, framing, or CRC)."""
-
-
-class CheckpointError(DurabilityError):
-    """A checkpoint file failed its at-rest CRC or format validation."""

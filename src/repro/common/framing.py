@@ -114,25 +114,19 @@ def decode_payload(payload: bytes) -> Tuple[int, bytes, bytes, int]:
     return op, key, rest, flags
 
 
-def apply_record(
-    cache, meta, op: int, key: bytes, value: bytes, flags: int
-) -> None:
-    """Apply one decoded record to ``cache`` and its flags sidecar.
+def apply_record(target, op: int, key: bytes, value: bytes, flags: int) -> None:
+    """Apply one decoded record to ``target`` (a cache, or anything with
+    its ``set(key, value, flags=)``/``delete(key)``).
 
     The one place a record becomes a mutation: recovery, a cache image
     being loaded, the replica's stream and promotion catch-up all call
-    it.  ``meta`` (``on_set(key, flags)``/``on_delete(key)``) may be
-    None.  A :class:`CacheError` from the cache propagates before the
-    sidecar is touched; what it means is the caller's business.
+    it.  A :class:`CacheError` from ``target`` propagates; what it means
+    is the caller's business.
     """
     if op == OP_SET:
-        cache.set(key, value, flags=flags)
-        if meta is not None:
-            meta.on_set(key, flags)
+        target.set(key, value, flags=flags)
     else:
-        cache.delete(key)
-        if meta is not None:
-            meta.on_delete(key)
+        target.delete(key)
 
 
 def iter_frames(stream: BinaryIO, offset: int) -> Iterator[Tuple[bytes, int]]:

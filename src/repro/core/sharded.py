@@ -119,18 +119,6 @@ class ShardedZExpander:
         for shard in self.shards:
             shard.attach_journal(journal)
 
-    def items(self):
-        """All resident (key, value) pairs, coldest first.
-
-        Z-zone items across every shard come before any N-zone items, so
-        a snapshot replayed in order re-forms the fleet's hot/cold split
-        the same way a single instance's does.
-        """
-        for shard in self.shards:
-            yield from shard.zzone.items()
-        for shard in self.shards:
-            yield from shard.nzone.items()
-
     # -- aggregation -------------------------------------------------------------
 
     @property

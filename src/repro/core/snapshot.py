@@ -7,12 +7,13 @@ on load — an extension beyond the paper, but the natural operational
 companion to a system whose whole point is holding more data.
 
 An image is a journal segment (:mod:`repro.common.framing`): the segment
-magic, then one CRC-framed SET record per resident item, cold items
-first.  The ``--snapshot`` file, every ``checkpoint-*.snap`` and the
-bytes of a replication resync are all written here and all read by the
-journal's one frame reader, decoder and applier, so a flipped bit or a
-cut anywhere in an image ends the load at the last whole record — a
-damaged item is missing, never wrong.
+magic, then one CRC-framed SET record per resident key, holding the
+value a GET returns, cold items first.  The ``--snapshot`` file, every
+``checkpoint-*.snap`` and the bytes of a replication resync are all
+written here and all read by the journal's one frame reader, decoder and
+applier, so a flipped bit or a cut anywhere in an image ends the load at
+the last whole record — a damaged item is missing, never wrong and never
+older.
 
 Crash safety: writing to a path goes through ``<path>.tmp`` with a
 flush+fsync before an atomic ``os.replace``, followed by an fsync of the
@@ -41,37 +42,51 @@ PathLike = Union[str, Path]
 
 
 def iter_cache_items(cache) -> Iterator[Tuple[bytes, bytes]]:
-    """Items of a SimpleKVCache, ZExpander, sharded cache, or bare zone.
+    """Each resident key of a cache once, with the value a GET returns.
 
-    For a two-zone cache the Z-zone is written first and the N-zone
-    last: loading replays the file in order, so the hot N-zone items are
-    the most recent inserts and re-form the N-zone's contents instead of
-    being demoted by later traffic.  Sharded caches provide their own
-    ``items()`` with the same cold-first ordering across shards.
+    ``cache`` is a SimpleKVCache, ZExpander, sharded cache or bare zone.
+    For two-zone caches every shard's Z-zone is walked first and the
+    N-zones last: loading replays an image in order, so the hot N-zone
+    items are the most recent inserts and re-form the N-zone's contents
+    instead of being demoted by later traffic.
 
-    Z-zone append regions need no special handling here: ``ZZone.items()``
-    yields each block's staged entries *after* its container entries, so
-    replaying the file in order lets the staged (newest) version of a key
-    overwrite any stale compressed shadow.
+    A Z-zone copy the N-zone shadows (a stale version after a SET, a
+    promoted item's original, both awaiting a postponed removal) is not
+    an item: an image holding both versions could be cut between them
+    and load the older.  ``ZZone.items()`` likewise yields a staged key
+    once, with its staged value.
     """
-    zzone = getattr(cache, "zzone", None)
-    if zzone is not None:
-        yield from zzone.items()
-    nzone = getattr(cache, "nzone", None)
-    if nzone is not None:
-        yield from nzone.items()
-    if zzone is None and nzone is None:
+    shards = getattr(cache, "shards", None) or (cache,)
+    if not hasattr(shards[0], "nzone"):
         yield from cache.items()
+        return
+    for shard in shards:
+        zzone = getattr(shard, "zzone", None)
+        if zzone is not None:
+            nzone = shard.nzone
+            for key, value in zzone.items():
+                if key not in nzone:
+                    yield key, value
+    for shard in shards:
+        yield from shard.nzone.items()
 
 
-def write_snapshot(
-    cache, destination: Union[PathLike, BinaryIO], meta=None
-) -> int:
-    """Serialise ``cache``'s items; returns the item count written.
+def image_items(target) -> Iterator[Tuple[bytes, bytes, int]]:
+    """What an image of ``target`` holds: ``(key, value, flags)`` per item.
 
-    ``meta`` (anything with ``flags_of(key) -> int``, e.g. the server's
-    :class:`~repro.server.meta.ItemMetaStore`) supplies each item's
-    client flags; without it every record carries flags 0.
+    The one place an image reads client flags.  A target that keeps them
+    (the server's store) walks them itself with ``walk()``; a bare cache
+    keeps none, so its items carry flags 0.
+    """
+    walk = getattr(target, "walk", None)
+    if walk is not None:
+        return walk()
+    return ((key, value, 0) for key, value in iter_cache_items(target))
+
+
+def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:
+    """Serialise ``target``'s items (:func:`image_items`); returns the
+    item count written.
 
     Writing to a *path* is crash-safe: the bytes land in
     ``<destination>.tmp`` first, are flushed and fsynced, and only then
@@ -81,13 +96,12 @@ def write_snapshot(
     file at the final path.  Writing to an already-open stream is left
     to the caller.
     """
-    flags_of = meta.flags_of if meta is not None else (lambda key: 0)
 
     def write(stream: BinaryIO) -> int:
         stream.write(SEGMENT_MAGIC)
         count = 0
-        for key, value in iter_cache_items(cache):
-            stream.write(encode_record(OP_SET, key, value, flags_of(key)))
+        for key, value, flags in image_items(target):
+            stream.write(encode_record(OP_SET, key, value, flags))
             count += 1
         return count
 
@@ -96,15 +110,14 @@ def write_snapshot(
     return atomic_write(destination, write)
 
 
-def load_snapshot(
-    cache, source: Union[PathLike, BinaryIO], meta=None
-) -> SegmentScan:
-    """Re-insert an image's items into ``cache``; returns the scan.
+def load_snapshot(target, source: Union[PathLike, BinaryIO]) -> SegmentScan:
+    """SET an image's items into ``target`` (a cache, or anything with its
+    ``set``/``delete``: the server's store); returns the scan.
 
     Items are SET in file order (cold Z-zone items first, hot N-zone
     items last) so a two-zone cache re-forms roughly the same hot/cold
-    split it had at dump time.  ``meta`` (anything with ``on_set(key,
-    flags)``) receives each item's client flags.
+    split it had at dump time, each with the client flags it was
+    written with.
 
     Damage never raises and never loads: the scan's ``records`` is the
     number of items applied, ``valid_bytes`` how far the image was whole
@@ -112,4 +125,4 @@ def load_snapshot(
     hit, past which nothing was applied.  What to make of a partial
     image is the caller's call.
     """
-    return read_segment(source, partial(apply_record, cache, meta))
+    return read_segment(source, partial(apply_record, target))

@@ -206,8 +206,8 @@ class ZExpander:
         overwrite clears any previous TTL, matching memcached semantics
         where every SET carries its own exptime.  ``flags`` is opaque
         client metadata the cache itself does not store (the server's
-        sidecar does) — it is accepted here only so the write-through
-        journal records it for recovery.
+        store keeps it beside the cache) — it is accepted here only so
+        the write-through journal records it for recovery.
         """
         self._housekeeping()
         self.stats.sets += 1
@@ -376,8 +376,12 @@ class ZExpander:
             try:
                 self.zzone.put(item.key, item.value)
             except ItemTooLargeError:
-                # Larger than the whole Z-zone: drop it, as any cache must.
-                continue
+                # Larger than the whole Z-zone: drop it, as any cache must
+                # — and the older Z-zone copy the N-zone was shadowing
+                # with it, or the next GET would serve that.
+                hashed = hash_key(item.key)
+                if self.zzone.maybe_contains(item.key, hashed):
+                    self.zzone.delete(item.key, hashed)
 
     def _expire(self, key: bytes) -> None:
         """Drop an expired key from both zones.

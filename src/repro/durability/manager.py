@@ -185,22 +185,19 @@ class DurabilityManager:
     Lifecycle: construct, :meth:`recover_into` the (empty) cache, then
     :meth:`attach_to` it so subsequent mutations write through.  The
     attach happens *after* recovery so replayed records are not
-    re-journaled.
+    re-journaled.  Recovery and checkpoints take whatever
+    :func:`~repro.core.snapshot.load_snapshot` and ``write_snapshot``
+    take: a cache, or the server's store with each item's flags.
     """
 
     def __init__(
         self,
         config: DurabilityConfig,
         stats: Optional[DurabilityStats] = None,
-        meta=None,
     ) -> None:
         config.validate()
         self.config = config
         self.stats = stats if stats is not None else DurabilityStats()
-        #: Optional per-item metadata sidecar (``on_set``/``on_delete``/
-        #: ``flags_of``): checkpoints persist its flags and recovery
-        #: repopulates it.  CAS versions are never persisted.
-        self.meta = meta
         self.writer: Optional[JournalWriter] = None
         self._bytes_at_checkpoint = 0
         self.last_recovery: Optional[RecoveryResult] = None
@@ -210,9 +207,7 @@ class DurabilityManager:
 
     def recover_into(self, cache) -> RecoveryResult:
         """Rebuild ``cache`` from checkpoint + journal, then open the writer."""
-        result = replay_journal(
-            self.config.directory, cache, stats=self.stats, meta=self.meta
-        )
+        result = replay_journal(self.config.directory, cache, stats=self.stats)
         self.last_recovery = result
         # The new segment must sort after everything already covered: a
         # surviving checkpoint at seq S with no segments left (all
@@ -265,7 +260,7 @@ class DurabilityManager:
 
         def write_image(stream):
             crc_box = _Crc32Stream(stream)
-            count = write_snapshot(cache, crc_box, meta=self.meta)
+            count = write_snapshot(cache, crc_box)
             return count, crc_box.crc
 
         count, crc = atomic_write(path, write_image)
@@ -341,13 +336,9 @@ def replay_journal(
     directory: str,
     cache,
     stats: Optional[DurabilityStats] = None,
-    meta=None,
 ) -> RecoveryResult:
-    """Point-in-time recovery: newest valid checkpoint + journal replay.
-
-    ``meta`` (``on_set(key, flags)``/``on_delete(key)``) receives each
-    restored item's client flags, repopulating the server's sidecar
-    alongside the cache.
+    """Point-in-time recovery: newest valid checkpoint + journal replay
+    into ``cache`` (or the server's store, which keeps the flags).
 
     Pure function of the directory's contents; never raises for damage —
     every anomaly is counted, quarantined or truncated, and described in
@@ -370,7 +361,7 @@ def replay_journal(
             quarantine(path)
             continue
         try:
-            image = load_snapshot(cache, path, meta=meta)
+            image = load_snapshot(cache, path)
             unreadable = None if image.valid_bytes else image.error
         except (CacheError, OSError) as exc:
             unreadable = f"{type(exc).__name__}: {exc}"
@@ -429,9 +420,7 @@ def replay_journal(
             )
             quarantine(path)
             continue
-        scan: SegmentScan = read_segment(
-            path, partial(apply_record, cache, meta)
-        )
+        scan: SegmentScan = read_segment(path, partial(apply_record, cache))
         result.replayed_segments += 1
         result.replayed_records += scan.records
         if scan.clean:

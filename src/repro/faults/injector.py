@@ -45,10 +45,6 @@ class FaultInjector:
         #: Active capacity squeeze: (restore-at position, original bytes).
         self._squeeze: Optional[Tuple[int, int]] = None
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     # -- firing machinery ------------------------------------------------------
 
     def _fire(self, spec: FaultSpec) -> bool:

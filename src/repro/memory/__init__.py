@@ -2,7 +2,6 @@
 
 from repro.memory.accounting import (
     UsageBreakdown,
-    breakdown_compressed_memcached,
     breakdown_memcached,
     breakdown_zzone,
     fill_memcached,
@@ -13,7 +12,6 @@ from repro.memory.malloc import MallocModel
 __all__ = [
     "MallocModel",
     "UsageBreakdown",
-    "breakdown_compressed_memcached",
     "breakdown_memcached",
     "breakdown_zzone",
     "fill_memcached",

@@ -106,14 +106,6 @@ def breakdown_memcached(
     )
 
 
-def breakdown_compressed_memcached(
-    zone: MemcachedZone, uncompressed_items: int
-) -> UsageBreakdown:
-    return breakdown_memcached(
-        zone, uncompressed_items, label="memcached+item-compression"
-    )
-
-
 def breakdown_zzone(
     zone: ZZone, malloc: Optional[MallocModel] = None
 ) -> UsageBreakdown:

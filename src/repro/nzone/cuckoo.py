@@ -54,9 +54,6 @@ class CuckooTable:
         tag = (hashed >> 56) & 0xFF
         return tag or 1  # tag 0 is reserved, as in cuckoo-filter practice
 
-    def _bucket1(self, hashed: int) -> int:
-        return hashed & self._mask
-
     def _alt_bucket(self, bucket: int, tag: int) -> int:
         # Partial-key cuckoo hashing: the alternate is computable from the
         # bucket and the tag alone, in either direction.

@@ -140,24 +140,6 @@ class SlabAllocator:
     def allocated_bytes(self) -> int:
         return self._total_pages * self.page_bytes
 
-    def free_chunk_bytes(self) -> int:
-        return sum(
-            free * chunk
-            for free, chunk in zip(self._free_chunks, self.chunk_sizes)
-        )
-
-    def page_tail_bytes(self) -> int:
-        return sum(
-            pages * (self.page_bytes % chunk)
-            for pages, chunk in zip(self._pages_per_class, self.chunk_sizes)
-        )
-
-    def used_chunk_bytes(self) -> int:
-        return sum(
-            used * chunk
-            for used, chunk in zip(self._used_chunks, self.chunk_sizes)
-        )
-
 
 class MemcachedZone(NZone):
     """memcached-1.4.24-like N-zone."""

@@ -1,11 +1,11 @@
 """The replica's side of the stream: apply, track lag, survive, promote.
 
 A :class:`ReplicationClient` owns one upstream connection.  It applies
-records through the same ``cache.set``/``cache.delete`` calls recovery
-uses (so a replica with its own ``--journal-dir`` journals everything it
-applies and is durable in its own right), tracks its lag from the
-primary's heartbeats, and reconnects with jittered backoff when the link
-dies.  A snapshot resync replaces the replica's contents wholesale:
+records through the same ``set``/``delete`` calls recovery uses (on a
+server, the store's, so flags arrive with their items; a replica with
+its own ``--journal-dir`` journals everything it applies and is durable
+in its own right), tracks its lag from the primary's heartbeats, and
+reconnects with jittered backoff when the link dies.  A snapshot resync replaces the replica's contents wholesale:
 keys absent from the image (deleted on the primary while we were
 partitioned) are removed, so a resync can never resurrect a delete.
 
@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from repro.common.errors import CacheError, ReplicationError
 from repro.common.framing import apply_record, decode_payload, read_segment
-from repro.core.snapshot import iter_cache_items
+from repro.core.snapshot import image_items
 from repro.durability.manager import replay_journal
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -65,13 +65,10 @@ class ReplicationClient:
         reconnect_cap: float = 2.0,
         silence_timeout: float = 5.0,
         rng: Optional[random.Random] = None,
-        meta=None,
     ) -> None:
+        #: What records are applied to: a cache, or the server's store,
+        #: so a promoted replica serves the flags its primary did.
         self.cache = cache
-        #: Optional flags/CAS sidecar (the server's ItemMetaStore):
-        #: applied records and resync images repopulate it so a promoted
-        #: replica serves the same flags its primary did.
-        self.meta = meta
         self.host = host
         self.port = port
         self.stats = stats if stats is not None else ReplicationStats()
@@ -282,7 +279,7 @@ class ReplicationClient:
 
     def _apply_payload(self, payload: bytes) -> None:
         try:
-            apply_record(self.cache, self.meta, *decode_payload(payload))
+            apply_record(self.cache, *decode_payload(payload))
         except CacheError:
             self.stats.apply_errors += 1
 
@@ -303,7 +300,7 @@ class ReplicationClient:
 
         def apply(op: int, key: bytes, value: bytes, flags: int) -> None:
             try:
-                apply_record(self.cache, self.meta, op, key, value, flags)
+                apply_record(self.cache, op, key, value, flags)
             except CacheError:
                 self.stats.apply_errors += 1
             else:
@@ -312,7 +309,7 @@ class ReplicationClient:
         read_segment(io.BytesIO(image), apply)
         stale = [
             key
-            for key, _value in list(iter_cache_items(self.cache))
+            for key, _value, _flags in image_items(self.cache)
             if key not in loaded_keys
         ]
         for key in stale:
@@ -320,15 +317,13 @@ class ReplicationClient:
                 self.cache.delete(key)
             except CacheError:
                 self.stats.apply_errors += 1
-            if self.meta is not None:
-                self.meta.on_delete(key)
 
 
 # -- promotion catch-up ----------------------------------------------------------
 
 
 def catch_up_from_directory(
-    cache, directory: str, position: Tuple[int, int], meta=None
+    cache, directory: str, position: Tuple[int, int]
 ) -> Tuple[int, str]:
     """Apply the dead primary's on-disk journal from ``position``.
 
@@ -351,7 +346,7 @@ def catch_up_from_directory(
                 for payload, _seg, _end in batch:
                     record = decode_payload(payload)
                     try:
-                        apply_record(cache, meta, *record)
+                        apply_record(cache, *record)
                     except CacheError:
                         pass
                     total += 1
@@ -362,12 +357,10 @@ def catch_up_from_directory(
     # Full recovery: drop everything we have (our history may predate the
     # newest checkpoint, and loading an image over live contents could
     # resurrect keys the primary deleted), then replay the directory.
-    for key in [key for key, _value in list(iter_cache_items(cache))]:
+    for key in [key for key, _value, _flags in image_items(cache)]:
         try:
             cache.delete(key)
         except CacheError:
             pass
-    if meta is not None:
-        meta.clear()
-    result = replay_journal(directory, cache, meta=meta)
+    result = replay_journal(directory, cache)
     return result.checkpoint_loaded + result.replayed_records, "full"

@@ -65,7 +65,11 @@ class _ReplicaSession:
 
 
 class ReplicationSource:
-    """Stream the journal (file tail + resync images) to replicas."""
+    """Stream the journal (file tail + resync images) to replicas.
+
+    ``cache`` is what a resync image is written from: the served cache,
+    or the server's store, whose image carries each item's flags.
+    """
 
     def __init__(
         self,
@@ -195,9 +199,7 @@ class ReplicationSource:
         """
         position = self.manager.writer.position
         buffer = io.BytesIO()
-        # The manager's meta sidecar (when the server wired one) supplies
-        # each record's flags, so a resync restores client flags too.
-        count = write_snapshot(self.cache, buffer, meta=self.manager.meta)
+        count = write_snapshot(self.cache, buffer)
         image = buffer.getvalue()
         session.sent_bytes = session.acked_bytes = 0
         writer.write(

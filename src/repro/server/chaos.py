@@ -38,6 +38,7 @@ from typing import Dict, Iterator, Optional
 from repro.common.errors import ServerOverloadedError
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
+from repro.core.snapshot import iter_cache_items
 from repro.core.zexpander import ZExpander
 from repro.faults.plan import WIRE_SITES, FaultPlan, FaultSpec
 from repro.harness import Oracle, expected_value, key_name, raw_client
@@ -308,7 +309,7 @@ async def _run_server_chaos(
     report.drain_exit_code = await run_task
     # Counted once the server has stopped, so walking the faulted cache
     # cannot disturb the seeded fault stream the traffic and the dump saw.
-    report.resident_before = _distinct_resident(cache)
+    report.resident_before = sum(1 for _item in iter_cache_items(cache))
     report.invariant_failures = server.stats.invariant_failures
     if server.auditor is not None:
         report.audits = server.auditor.audits
@@ -321,7 +322,7 @@ async def _run_server_chaos(
     restart_task = asyncio.create_task(restart_server.run())
     report.snapshot_loaded = restart_server.stats.snapshot_loaded
     report.snapshot_skipped = restart_server.stats.snapshot_skipped
-    report.resident_after = _distinct_resident(restart_cache)
+    report.resident_after = sum(1 for _item in iter_cache_items(restart_cache))
 
     await verify_sweep(report, oracle, restart_server.port, "restart")
     restart_server.begin_drain()
@@ -333,17 +334,6 @@ async def _run_server_chaos(
 
     report.finalise()
     return report
-
-
-def _distinct_resident(cache: ShardedZExpander) -> int:
-    """Distinct resident keys.
-
-    Not ``item_count``: that counts a key twice while its shadowed
-    Z-zone copy (a stale version after a SET, a promoted item's original)
-    waits for its postponed removal, and a restart — which replays each
-    key once — would look like it lost the difference.
-    """
-    return len({key for key, _value in cache.items()})
 
 
 # -- the overload probe --------------------------------------------------------

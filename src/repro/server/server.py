@@ -74,7 +74,7 @@ from repro.server.admission import (
     AdmissionController,
     ServerState,
 )
-from repro.server.meta import ItemMetaStore
+from repro.server.meta import DEFAULT_META, ItemMetaStore
 from repro.server.protocol import BadCommand, Command, RequestParser
 from repro.zzone.zzone import FASTPATH_FIELDS, INTEGRITY_FIELDS
 
@@ -223,8 +223,8 @@ class ServerStats:
     cas_hits: int = 0
     cas_badval: int = 0
     cas_misses: int = 0
-    #: Stale sidecar entries dropped by the periodic prune (items the
-    #: cache evicted without telling the flags/CAS sidecar).
+    #: Stale flags/CAS entries dropped by the store's periodic prune
+    #: (items the cache evicted without telling the store).
     meta_pruned: int = 0
     read_timeouts: int = 0
     #: Peers aborted because they stopped reading their replies.
@@ -409,11 +409,12 @@ class CacheServer:
         else:
             self.admission = AdmissionController(self.config.admission)
         self.stats = ServerStats()
-        #: Per-item client flags + monotonic CAS versions.  Lives beside
-        #: the cache (which stores only bytes): persisted through
-        #: cache images and the journal (one record format), but CAS
-        #: versions restart from 1 on every boot, as real memcached's do.
-        self.meta = ItemMetaStore()
+        #: The cache with each key's client flags + monotonic CAS
+        #: version beside it: every write into the cache and every walk
+        #: of its contents goes through it.  Flags are persisted through
+        #: cache images and the journal (one record format); CAS versions
+        #: restart from 1 on every boot, as real memcached's do.
+        self.store = ItemMetaStore(cache)
         self.registry = MetricsRegistry()
         self._latency_hist = self.registry.histogram(
             "server_request_seconds",
@@ -469,8 +470,8 @@ class CacheServer:
         view("server_inflight", lambda: self._inflight, "requests executing now")
         view("server_draining", lambda: int(self._draining), "1 once drain began")
         view("server_incidents", lambda: len(self.incidents), "post-mortem messages")
-        view("server_meta_items", lambda: len(self.meta), "flags/CAS sidecar entries")
-        view("server_meta_bytes", lambda: self.meta.memory_bytes, "sidecar bytes")
+        view("server_meta_items", lambda: len(self.store), "flags/CAS sidecar entries")
+        view("server_meta_bytes", lambda: self.store.memory_bytes, "sidecar bytes")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -502,25 +503,24 @@ class CacheServer:
         if self.config.repl_port is not None:
             assert self.durability is not None
             self.repl_source = ReplicationSource(
-                self.cache, self.durability, self.replication_stats
+                self.store, self.durability, self.replication_stats
             )
             await self.repl_source.start(self.config.host, self.config.repl_port)
         if self.config.role == "replica":
             self.repl_client = ReplicationClient(
-                self.cache,
+                self.store,
                 self.config.primary_host,
                 self.config.primary_port,
                 self.replication_stats,
                 max_lag_bytes=self.config.max_lag_bytes,
                 stale_grace=self.config.stale_grace,
                 silence_timeout=self.config.repl_silence_timeout,
-                meta=self.meta,
             )
             self.repl_client.start()
 
     def _warm_restart(self, path: str) -> None:
         try:
-            image = load_snapshot(self.cache, path, meta=self.meta)
+            image = load_snapshot(self.store, path)
             failure = None if image.valid_bytes else image.error
         except FileNotFoundError:
             return
@@ -538,10 +538,8 @@ class CacheServer:
             self.incidents.append(f"snapshot tail skipped: {image.error}")
 
     def _recover_durable(self) -> None:
-        self.durability = DurabilityManager(
-            self.config.durability_config(), meta=self.meta
-        )
-        recovery = self.durability.recover_into(self.cache)
+        self.durability = DurabilityManager(self.config.durability_config())
+        recovery = self.durability.recover_into(self.store)
         if recovery.history_gap is not None:
             # A hole in history no quarantine pass could have left:
             # serving over it could resurrect deletes and hide acked
@@ -609,7 +607,7 @@ class CacheServer:
         if self.config.snapshot_path is not None:
             try:
                 self.stats.snapshot_written = write_snapshot(
-                    self.cache, self.config.snapshot_path, meta=self.meta
+                    self.store, self.config.snapshot_path
                 )
             except Exception as exc:  # the drain must reach its exit code
                 self.incidents.append(f"snapshot write failed: {exc}")
@@ -620,7 +618,7 @@ class CacheServer:
             try:
                 # Final checkpoint: the next start recovers from the image
                 # alone, with an empty journal to replay.
-                self.durability.close(self.cache)
+                self.durability.close(self.store)
             except Exception as exc:  # likewise
                 self.incidents.append(f"final checkpoint failed: {exc}")
                 self._exit_code = 1
@@ -651,7 +649,7 @@ class CacheServer:
     def _maybe_checkpoint(self) -> None:
         if self.durability is not None and self.durability.should_checkpoint():
             try:
-                self.durability.checkpoint(self.cache)
+                self.durability.checkpoint(self.store)
             except Exception as exc:  # not the triggering request's fault
                 self.incidents.append(f"checkpoint failed: {exc}")
 
@@ -703,15 +701,10 @@ class CacheServer:
         finally:
             self._inflight -= 1
         self._maybe_checkpoint()
-        # Sidecar hygiene: evictions happen inside the cache without
-        # notifying the flags/CAS sidecar, so under churn it can outgrow
-        # the live item set.  Walk off entries for departed keys once it
-        # doubles the cache's population (bounded work per pass).
-        if (
-            self.stats.commands % 4096 == 0
-            and len(self.meta) > 2 * self.cache.item_count + 64
-        ):
-            self.stats.meta_pruned += self.meta.prune(self.cache)
+        # Evictions never tell the store: now and then it walks off the
+        # entries of departed keys (bounded work per pass).
+        if self.stats.commands % 4096 == 0:
+            self.stats.meta_pruned += self.store.prune()
         if reply and not command.noreply:
             out.append(reply)
         return True
@@ -768,7 +761,7 @@ class CacheServer:
         if catch_up_dir is not None:
             try:
                 caught, mode = catch_up_from_directory(
-                    self.cache, catch_up_dir, position, meta=self.meta
+                    self.store, catch_up_dir, position
                 )
                 self.replication_stats.catch_up_records += caught
             except (JournalError, CacheError, OSError) as exc:
@@ -824,11 +817,10 @@ class CacheServer:
             # Stored but already expired (absolute exptime in the past):
             # acknowledge the write, leave nothing to read.  The delete
             # is journaled, so recovery cannot resurrect an older value.
-            self.cache.delete(key)
-            self.meta.on_delete(key)
+            self.store.delete(key)
             return protocol.STORED
         try:
-            self.cache.set(key, command.value, ttl=ttl, flags=command.flags)
+            self.store.set(key, command.value, ttl=ttl, flags=command.flags)
         except (CacheError, OSError) as exc:
             # What ``set`` can raise: an item no zone can hold, a rebuild
             # no codec in the chain would compress, a closed or failing
@@ -837,7 +829,6 @@ class CacheServer:
             return protocol.server_error(
                 f"{command.name} failed: {type(exc).__name__}"
             )
-        self.meta.on_set(key, command.flags)
         return protocol.STORED
 
     def _render_get(
@@ -852,21 +843,22 @@ class CacheServer:
         """
         chunks = []
         with_cas = command.name == "gets"
+        entries = self.store.entries
         for key, value in zip(command.keys, values):
             if value is None:
                 self.stats.get_misses += 1
-                # The cache evicts/expires without telling the
-                # sidecar; drop the stale entry when the miss shows.
-                self.meta.on_delete(key)
+                # The cache evicts/expires without telling the store;
+                # drop the stale entry when the miss shows.
+                entries.pop(key, None)
                 continue
             self.stats.get_hits += 1
             self._get_bytes_hist.observe(len(value))
-            flags, cas = self.meta.get(key)
+            flags, cas = entries.get(key, DEFAULT_META)
             if with_cas and cas == 0:
                 # Resident item with no recorded version (e.g. loaded
-                # through a path that bypassed the sidecar): mint one
+                # into the cache before the server existed): mint one
                 # so the gets/cas pair stays usable.
-                cas = self.meta.on_set(key, flags)
+                cas = self.store.version(key, flags)
             chunks.append(
                 protocol.encode_value(
                     key, value, flags=flags, cas=cas if with_cas else None
@@ -892,9 +884,9 @@ class CacheServer:
             key = command.keys[0]
             if self.cache.get(key) is None:
                 self.stats.cas_misses += 1
-                self.meta.on_delete(key)
+                self.store.entries.pop(key, None)
                 return protocol.NOT_FOUND
-            stored_cas = self.meta.cas_of(key)
+            stored_cas = self.store.entries.get(key, DEFAULT_META)[1]
             # A zero stored version means "unknown" (never handed out by
             # gets), so it can never match — the client must re-gets.
             if stored_cas == 0 or stored_cas != command.cas_token:
@@ -906,8 +898,7 @@ class CacheServer:
             return reply
         if command.name == "delete":
             self.stats.cmd_delete += 1
-            found = self.cache.delete(command.keys[0])
-            self.meta.on_delete(command.keys[0])
+            found = self.store.delete(command.keys[0])
             return protocol.DELETED if found else protocol.NOT_FOUND
         raise AssertionError(f"unroutable command {command.name!r}")
 

@@ -9,7 +9,6 @@ and the *Access Filter* drives the sweep replacement policy.
 
 from repro.zzone.block import (
     Block,
-    BlockFullError,
     LargeItem,
     decode_items,
     encode_items,
@@ -20,7 +19,6 @@ from repro.zzone.zzone import ZZone, ZZoneStats
 
 __all__ = [
     "Block",
-    "BlockFullError",
     "Bloom128",
     "BlockTrie",
     "LargeItem",

@@ -35,7 +35,7 @@ import struct
 import zlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.common.errors import CacheError, CorruptionDetectedError
+from repro.common.errors import CorruptionDetectedError
 from repro.common.records import KVItem
 from repro.compression.base import Compressed, Compressor
 from repro.zzone.bloom import Bloom128
@@ -53,10 +53,6 @@ BLOCK_METADATA_BYTES = 16 + 16 + 16 + 48 + 4 + 8 + 8
 _crc32 = zlib.crc32
 
 _INDEX_FANOUT = 8
-
-
-class BlockFullError(CacheError):
-    """Inserting would push the container past the block capacity."""
 
 
 #: Per-item wire header: 8-byte big-endian hashed key, 2-byte key length,

@@ -1185,7 +1185,9 @@ class ZZone:
     # -- accounting and invariants ----------------------------------------------------
 
     def items(self):
-        """Iterate resident (key, value) pairs (decompressing blocks).
+        """Iterate resident (key, value) pairs (decompressing blocks), each
+        key once with the value a GET returns: a staged entry shadows the
+        key's container or large-ref copy.
 
         Accounting-neutral: used by snapshots and debugging, so the
         decompressions are *not* charged to the stats the performance
@@ -1204,15 +1206,16 @@ class ZZone:
             container = self._container_of(leaf, charge=False)
             if container is None:
                 continue
+            staged = leaf.staged_index
             for item in decode_items(container):
-                yield item.key, item.value
+                if item.key not in staged:
+                    yield item.key, item.value
             for key, large in list(leaf.large_refs.items()):
+                if key in staged:
+                    continue
                 value = self._large_bytes(leaf, key, large, charge=False)
                 if value is not None:
                     yield key, value
-            # Staged entries last: a staged write is the newest version of
-            # its key, so replaying this iteration in order (as snapshot
-            # load does) lets it overwrite any stale shadow yielded above.
             for item in leaf.staged_items():
                 yield item.key, item.value
 

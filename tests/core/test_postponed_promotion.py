@@ -209,6 +209,40 @@ class TestDueRemovals:
         zone.check_invariants()
 
 
+@pytest.mark.parametrize("region", REGIONS)
+def test_a_refused_demotion_never_serves_the_older_value(region):
+    """v1 sits demoted in the Z-zone when a SET writes a v2 that no zone
+    can keep: the N-zone evicts it at once and the Z-zone refuses it as
+    larger than its whole budget.  The SET was acknowledged, so v1 must
+    not come back; the only legal answer is a miss."""
+    clock = VirtualClock()
+    cache = ZExpander(
+        ZExpanderConfig(
+            total_capacity=256 * 1024,
+            nzone_fraction=0.5,
+            adaptive=False,
+            marker_interval_seconds=1e9,
+            promotion_policy="never",
+            seed=1,
+            append_region_bytes=region,
+        ),
+        clock=clock,
+    )
+    cache.set(b"victim", b"v1" * 20)
+    for i in range(2000):  # push v1 out of the N-zone
+        clock.advance(1e-4)
+        cache.set(b"filler:%05d" % i, b"f" * 40)
+        if b"victim" not in cache.nzone:
+            break
+    assert cache.zzone.get(b"victim") is not None
+    cache.set(b"victim", b"v" * (cache.zzone.capacity + 100))
+    assert b"victim" not in cache.nzone
+    assert cache.get(b"victim") is None
+    assert cache.zzone.get(b"victim") is None
+    assert b"victim" not in cache.zzone._pending_removals
+    cache.check_invariants()
+
+
 _WORDS = (
     b"alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo "
     b"lima mike november oscar papa quebec romeo sierra tango uniform "

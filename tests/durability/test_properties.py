@@ -9,7 +9,9 @@ Two invariants, checked over generated inputs:
 
 A cache image (``--snapshot`` file, checkpoint, resync image) is a
 segment too, so it is one more input to the same strategies, and each of
-its three consumers is held to the same standard.
+its three consumers is held to the same standard — including an image of
+a cache that holds a key's older version in the Z-zone, shadowed by the
+newest in the N-zone: damaged, it gives the newest value or a miss.
 """
 
 import io
@@ -37,7 +39,7 @@ from repro.durability.manager import (
     checkpoint_name,
     replay_journal,
 )
-from repro.core import SimpleKVCache
+from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig
 from repro.core.snapshot import iter_cache_items, load_snapshot, write_snapshot
 from repro.nzone import PlainZone
 from repro.replication.replica import ReplicationClient
@@ -77,12 +79,48 @@ def make_cache():
     return SimpleKVCache(PlainZone(1 << 22))
 
 
-def write_image(directory, records):
-    """An image of a cache that was SET ``records``; returns its path and
-    the items it holds, in file order."""
-    cache = make_cache()
+SHADOWED = b"\x00shadowed"
+
+
+def shadowing_cache():
+    """A two-zone cache whose N-zone holds a few hundred bytes."""
+    return ZExpander(
+        ZExpanderConfig(
+            total_capacity=16 * 1024,
+            nzone_fraction=0.05,
+            nzone_factory=PlainZone,
+            adaptive=False,
+            marker_interval_seconds=1e9,
+            promotion_policy="never",
+            append_region_bytes=0,
+            seed=1,
+        )
+    )
+
+
+def shadow(cache):
+    """Leave ``SHADOWED`` in ``cache`` twice: its older value demoted to
+    the Z-zone, its newest SET over it into the N-zone.  At region 0
+    nothing rebuilds the block before the removal falls due, so the older
+    copy stays resident."""
+    cache.set(SHADOWED, b"older")
+    filler = 0
+    while SHADOWED in cache.nzone:
+        cache.set(b"\x00filler%02d" % filler, b"f" * 24)
+        filler += 1
+    cache.set(SHADOWED, b"newest")
+    assert cache.zzone.get(SHADOWED)[0] == b"older"
+
+
+def write_image(directory, records, shadowed=False):
+    """An image of a cache that was SET ``records`` (then, when
+    ``shadowed``, given a shadowed key); returns its path and the items
+    it holds, in file order."""
+    cache = shadowing_cache() if shadowed else make_cache()
     for key, value in records:
         cache.set(key, value)
+    if shadowed:
+        shadow(cache)
     path = os.path.join(directory, "cache.snap")
     write_snapshot(cache, path)
     return path, list(iter_cache_items(cache))
@@ -90,15 +128,15 @@ def write_image(directory, records):
 
 def write_source(kind, directory, records):
     """A journal segment or a cache image: (path, the records it holds)."""
-    if kind == "image":
-        return write_image(directory, records)
-    return write_segment(directory, records), records
+    if kind == "journal":
+        return write_segment(directory, records), records
+    return write_image(directory, records, shadowed=kind == "shadowed image")
 
 
 records_strategy = st.lists(
     st.tuples(keys, values), min_size=1, max_size=8
 )
-kinds = st.sampled_from(("journal", "image"))
+kinds = st.sampled_from(("journal", "image", "shadowed image"))
 
 
 class TestDamagedReplayNeverLies:
@@ -215,10 +253,10 @@ class TestDamagedImageNeverLies:
     or as a miss, nothing raises, and the damage is reported."""
 
     @settings(max_examples=60, deadline=None)
-    @given(records=unique_records, data=st.data())
-    def test_load_snapshot(self, tmp_path_factory, records, data):
+    @given(records=unique_records, shadowed=st.booleans(), data=st.data())
+    def test_load_snapshot(self, tmp_path_factory, records, shadowed, data):
         path, items = write_image(
-            str(tmp_path_factory.mktemp("load")), records
+            str(tmp_path_factory.mktemp("load")), records, shadowed
         )
         raw = Path(path).read_bytes()
         bad = damaged(raw, data)
@@ -226,6 +264,7 @@ class TestDamagedImageNeverLies:
         restored = make_cache()
         scan = load_snapshot(restored, stream)
         assert list(iter_cache_items(restored)) == items[: scan.records]
+        assert dict(iter_cache_items(restored)).items() <= dict(items).items()
         assert scan.valid_bytes + scan.damaged_bytes == len(bad)
         if scan.clean:
             # Only a cut on a record boundary reads clean: what loaded
@@ -293,11 +332,11 @@ class TestDamagedImageNeverLies:
             assert result.checkpoint_skipped == (0 if boundary_cut else 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(records=unique_records, data=st.data())
-    def test_replica_resync(self, tmp_path_factory, records, data):
+    @given(records=unique_records, shadowed=st.booleans(), data=st.data())
+    def test_replica_resync(self, tmp_path_factory, records, shadowed, data):
         """Old state or the whole image, never a part of it."""
         path, items = write_image(
-            str(tmp_path_factory.mktemp("resync")), records
+            str(tmp_path_factory.mktemp("resync")), records, shadowed
         )
         raw = Path(path).read_bytes()
         bad = damaged(raw, data)
@@ -315,3 +354,21 @@ class TestDamagedImageNeverLies:
             assert bad == raw
             assert dict(iter_cache_items(cache)) == dict(items)
 
+
+    def test_shadowed_key_every_cut_and_flip_newest_or_miss(self, tmp_path):
+        """Exhaustively, for one image of a cache holding a key's older
+        version behind its newest: wherever the file is cut and whichever
+        bit flips, the key loads as its newest value or not at all."""
+        path, items = write_image(str(tmp_path), [], shadowed=True)
+        assert [key for key, _value in items].count(SHADOWED) == 1
+        raw = Path(path).read_bytes()
+        variants = [raw[:cut] for cut in range(len(raw) + 1)]
+        for position in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[position] ^= 1 << bit
+                variants.append(bytes(flipped))
+        for bad in variants:
+            restored = make_cache()
+            load_snapshot(restored, io.BytesIO(bad))
+            assert restored.get(SHADOWED) in (None, b"newest")

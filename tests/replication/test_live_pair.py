@@ -593,7 +593,7 @@ class TestCatchUpFromDirectory:
         position = (1, 0)
         while applied < 10:
             for payload, seg, end in tailer.read_batch(1):
-                apply_record(cache, None, *decode_payload(payload))
+                apply_record(cache, *decode_payload(payload))
                 position = (seg, end)
                 applied += 1
         tailer.close()

@@ -4,16 +4,21 @@ These are the memcached behaviours real client libraries depend on:
 client flags round-trip byte-exact through get/gets, cas tokens are
 monotonic per-item versions (not value hashes), and exptimes above 30
 days are absolute Unix timestamps.  Persistence is covered too — flags
-must survive journal recovery, checkpoints, and warm-restart snapshots.
+must survive every path that writes a served cache: warm restart,
+checkpoint + journal recovery, the replica's stream and resync, and
+promotion catch-up.
 """
 
 import asyncio
+import random
 import time
+
+import pytest
 
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.snapshot import load_snapshot, write_snapshot
-from repro.server.meta import ItemMetaStore
+from repro.server.meta import DEFAULT_META, ItemMetaStore
 from repro.server.server import CacheServer, ServerConfig
 
 from .test_durability_server import abandon
@@ -362,7 +367,7 @@ class TestSidecarBesideTheCache:
 
         async def scenario():
             server, task = await started_server(cache)
-            assert len(server.meta) == 0
+            assert len(server.store) == 0
             reader, writer = await connect(server)
             reply = await send(writer, reader, b"gets k\r\n", reply_lines=3)
             header, value, end = reply.split(b"\r\n")[:3]
@@ -409,7 +414,7 @@ class TestSidecarBesideTheCache:
             assert resident < commands // 4  # most of them were evicted
             assert server.stats.meta_pruned > 0
             # Bounded by the prune trigger plus one interval's stores.
-            assert len(server.meta) <= 2 * resident + 64 + 4096
+            assert len(server.store) <= 2 * resident + 64 + 4096
             assert server.stats_dict()["meta_pruned"] == server.stats.meta_pruned
             writer.close()
             assert await drain(server, task) == 0
@@ -419,34 +424,260 @@ class TestSidecarBesideTheCache:
 
 class TestItemMetaStore:
     def test_monotonic_versions(self):
-        meta = ItemMetaStore()
-        first = meta.on_set(b"a", 1)
-        second = meta.on_set(b"a", 2)
-        third = meta.on_set(b"b", 0)
+        store = ItemMetaStore(make_cache())
+        first = store.set(b"a", b"1", flags=1)
+        second = store.set(b"a", b"2", flags=2)
+        third = store.set(b"b", b"3")
         assert first < second < third
-        assert meta.get(b"a") == (2, second)
+        assert store.entries[b"a"] == (2, second)
+        assert store.cache.get(b"a") == b"2"
 
     def test_zero_means_no_live_version(self):
-        meta = ItemMetaStore()
-        assert meta.cas_of(b"missing") == 0
-        token = meta.on_set(b"k", 0)
+        store = ItemMetaStore(make_cache())
+        assert store.entries.get(b"missing", DEFAULT_META) == (0, 0)
+        token = store.set(b"k", b"v")
         assert token > 0
-        meta.on_delete(b"k")
-        assert meta.cas_of(b"k") == 0
+        assert store.delete(b"k") is True
+        assert b"k" not in store.entries and store.cache.get(b"k") is None
+        assert store.delete(b"k") is False
 
     def test_prune_drops_only_non_resident(self):
-        meta = ItemMetaStore()
-        meta.on_set(b"live", 1)
-        meta.on_set(b"gone", 2)
-        dropped = meta.prune({b"live"})
-        assert dropped == 1
-        assert b"live" in meta
-        assert b"gone" not in meta
+        store = ItemMetaStore(make_cache())
+        store.set(b"live", b"v", flags=1)
+        # Versions of items that left the cache without telling the
+        # store; below the trigger (twice the population + 64) they stay.
+        for i in range(60):
+            store.version(b"gone%02d" % i, 2)
+        assert store.prune() == 0
+        for i in range(60, 100):
+            store.version(b"gone%02d" % i, 2)
+        assert store.prune() == 100
+        assert list(store.entries) == [b"live"]
 
     def test_memory_model_tracks_len(self):
-        meta = ItemMetaStore()
-        assert meta.memory_bytes == 0
-        meta.on_set(b"k", 0)
-        assert meta.memory_bytes > 0
-        meta.clear()
-        assert meta.memory_bytes == 0
+        store = ItemMetaStore(make_cache())
+        assert store.memory_bytes == 0
+        store.set(b"k", b"v")
+        assert store.memory_bytes > 0
+        store.delete(b"k")
+        assert store.memory_bytes == 0
+
+
+# -- flags and cas through every write path ----------------------------------------
+
+SCRIPT_KEYS = [b"fk%02d" % i for i in range(24)]
+
+
+async def gets_token(writer, reader, key):
+    """``key``'s cas token, or None on a miss."""
+    writer.write(b"gets %s\r\n" % key)
+    await writer.drain()
+    header = await reader.readline()
+    if header == b"END\r\n":
+        return None
+    await reader.readexactly(int(header.split()[3]) + 2)
+    assert await reader.readline() == b"END\r\n"
+    return int(header.split()[4])
+
+
+async def run_script(server, seed, ops):
+    """Seeded flagged set / cas / delete traffic against ``server``."""
+    rng = random.Random(seed)
+    reader, writer = await connect(server)
+    for step in range(ops):
+        key = rng.choice(SCRIPT_KEYS)
+        flags = rng.randrange(1 << 32)
+        value = b"%s-%d-%d" % (key, seed, step)
+        draw = rng.random()
+        if draw < 0.15:
+            reply = await send(writer, reader, b"delete %s\r\n" % key)
+            assert reply in (b"DELETED\r\n", b"NOT_FOUND\r\n")
+            continue
+        if draw < 0.4:
+            token = await gets_token(writer, reader, key)
+            command = b"cas %s %d 0 %d %d\r\n%s\r\n" % (
+                key, flags, len(value), token or 1, value
+            )
+            expected = b"STORED\r\n" if token else b"NOT_FOUND\r\n"
+        else:
+            command = b"set %s %d 0 %d\r\n%s\r\n" % (
+                key, flags, len(value), value
+            )
+            expected = b"STORED\r\n"
+        assert await send(writer, reader, command) == expected
+    writer.close()
+
+
+async def served(server):
+    """key -> (flags, value) for every script key ``server`` holds."""
+    reader, writer = await connect(server)
+    got = {}
+    for key in SCRIPT_KEYS:
+        writer.write(b"get %s\r\n" % key)
+        await writer.drain()
+        header = await reader.readline()
+        if header == b"END\r\n":
+            continue
+        _verb, _key, flags, length = header.split()
+        value = (await reader.readexactly(int(length) + 2))[:-2]
+        assert await reader.readline() == b"END\r\n"
+        got[key] = (int(flags), value)
+    writer.close()
+    return got
+
+
+async def assert_serves(server, expected):
+    """``server`` holds exactly ``expected``, takes a fresh cas on every
+    key, and its store versions every key its walk yields."""
+    assert await served(server) == expected
+    reader, writer = await connect(server)
+    for key, (flags, value) in expected.items():
+        token = await gets_token(writer, reader, key)
+        command = b"cas %s %d 0 %d %d\r\n%s\r\n" % (
+            key, flags, len(value), token, value
+        )
+        assert await send(writer, reader, command) == b"STORED\r\n"
+    writer.close()
+    walked = [key for key, _value, _flags in server.store.walk()]
+    assert sorted(walked) == sorted(expected)
+    assert all(key in server.store.entries for key in walked)
+
+
+async def promote(replica, catch_up_dir=None):
+    reader, writer = await connect(replica)
+    command = b"promote\r\n"
+    if catch_up_dir is not None:
+        command = b"promote %s\r\n" % str(catch_up_dir).encode()
+    assert await send(writer, reader, command) == b"PROMOTED\r\n"
+    writer.close()
+
+
+async def kill(server, task):
+    """Stop a primary as SIGKILL would: no drain, no final checkpoint."""
+    await server.repl_source.close()
+    await abandon(server, task)
+
+
+async def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+def caught_up(replica, primary):
+    return lambda: replica.repl_client.position == primary.durability.writer.position
+
+
+async def via_snapshot(tmp_path):
+    snapshot = str(tmp_path / "warm.snap")
+    primary, task = await started_server(snapshot_path=snapshot)
+    await run_script(primary, 1, 160)
+    expected = await served(primary)
+    assert await drain(primary, task) == 0
+    restarted, task = await started_server(snapshot_path=snapshot)
+    assert restarted.stats.snapshot_loaded == len(expected)
+    return expected, restarted, task
+
+
+async def via_recovery(tmp_path):
+    journal = dict(journal_dir=str(tmp_path), fsync="always")
+    primary, task = await started_server(checkpoint_bytes=512, **journal)
+    await run_script(primary, 2, 160)
+    expected = await served(primary)
+    assert primary.durability.stats.checkpoints_written >= 2
+    await abandon(primary, task)
+    recovered, task = await started_server(**journal)
+    recovery = recovered.durability.last_recovery
+    assert recovery.checkpoint_loaded and recovery.replayed_records
+    return expected, recovered, task
+
+
+def primary_config(tmp_path, **overrides):
+    return dict(journal_dir=str(tmp_path), fsync="always", repl_port=0, **overrides)
+
+
+async def replica_of(primary, cache=None):
+    return await started_server(
+        cache,
+        role="replica",
+        primary_port=primary.repl_source.port,
+        stale_grace=5.0,
+    )
+
+
+async def via_stream(tmp_path):
+    primary, ptask = await started_server(**primary_config(tmp_path))
+    replica, rtask = await replica_of(primary)
+    await run_script(primary, 3, 160)
+    expected = await served(primary)
+    await wait_until(caught_up(replica, primary))
+    await promote(replica)
+    assert await drain(primary, ptask) == 0
+    return expected, replica, rtask
+
+
+async def via_resync(tmp_path):
+    primary, ptask = await started_server(
+        **primary_config(tmp_path, journal_segment_bytes=512, checkpoint_bytes=1024)
+    )
+    await run_script(primary, 4, 160)
+    expected = await served(primary)
+    # Whatever the late joiner held before is gone or replaced: these
+    # reached its cache without its store.
+    stale = make_cache()
+    for key in SCRIPT_KEYS:
+        stale.set(key, b"stale")
+    replica, rtask = await replica_of(primary, stale)
+    await wait_until(
+        lambda: replica.replication_stats.snapshots_applied
+        and caught_up(replica, primary)()
+    )
+    await promote(replica)
+    assert await drain(primary, ptask) == 0
+    return expected, replica, rtask
+
+
+async def via_catch_up(tmp_path, mode):
+    primary, ptask = await started_server(**primary_config(tmp_path))
+    replica, rtask = await replica_of(primary)
+    await run_script(primary, 5, 80)
+    await wait_until(caught_up(replica, primary))
+    replica.repl_client.cancel()  # the second half arrives by catch-up only
+    await run_script(primary, 6, 80)
+    expected = await served(primary)
+    if mode == "tail":
+        await kill(primary, ptask)
+    else:
+        # The final checkpoint prunes the segment the replica stopped in.
+        assert await drain(primary, ptask) == 0
+    await promote(replica, tmp_path)
+    caught = replica.incidents[-1].split(f"catch-up {mode}: ")[1]
+    assert int(caught.split()[0]) > 0, replica.incidents
+    return expected, replica, rtask
+
+
+WRITE_PATHS = {
+    "snapshot": via_snapshot,
+    "recovery": via_recovery,
+    "stream": via_stream,
+    "resync": via_resync,
+    "catch_up_tail": lambda tmp_path: via_catch_up(tmp_path, "tail"),
+    "catch_up_full": lambda tmp_path: via_catch_up(tmp_path, "full"),
+}
+
+
+@pytest.mark.parametrize("path", list(WRITE_PATHS))
+def test_flags_and_cas_through_every_write_path(tmp_path, path):
+    """A seeded script of flagged set / cas / delete on a primary, then one
+    path that fills a second server from it: that server answers every
+    key with the primary's value and flags, takes a fresh cas, and its
+    store holds a version of every key it walks."""
+
+    async def scenario():
+        expected, server, task = await WRITE_PATHS[path](tmp_path)
+        assert len(expected) > 8
+        await assert_serves(server, expected)
+        assert await drain(server, task) == 0
+
+    asyncio.run(scenario())

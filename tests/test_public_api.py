@@ -81,7 +81,7 @@ class TestPublicApi:
         assert issubclass(repro.FaultPlanError, repro.ConfigurationError)
 
     def test_durability_exception_hierarchy(self):
-        for exc in (repro.JournalError, repro.CheckpointError):
+        for exc in (repro.JournalError,):
             assert issubclass(exc, repro.DurabilityError), exc
         assert issubclass(repro.DurabilityError, repro.CacheError)
 
