@@ -20,6 +20,12 @@ plain ``S`` is written when flags are zero).  Lengths are bounds-checked
 before allocation.  No pickling: the format is independent of Python
 versions and safe to read from untrusted sources.
 
+A cache image ends with one more record, ``E``: its payload is the op
+byte and an 8-byte BE count of the records before it.  A segment is
+*sealed* when its last record is an ``E`` whose count matches and
+nothing follows it; a journal segment never is, an image that is whole
+always is.
+
 The frame CRC is what lets a reader stop at damage instead of serving
 it: a short, oversized or CRC-failing frame ends the scan at the last
 whole record, and everything before it is exactly what was written.
@@ -41,9 +47,12 @@ OP_SET = 0x53  # b"S"
 OP_DELETE = 0x44  # b"D"
 #: A SET carrying a non-zero client-flags word (4 bytes BE after the key).
 OP_SET_FLAGS = 0x46  # b"F"
+#: An image's last record: the count of records before it.
+OP_END = 0x45  # b"E"
 
 FRAME_LEN = struct.Struct(">I")
 _PAYLOAD_HEAD = struct.Struct(">BI")
+_END_PAYLOAD = struct.Struct(">BQ")
 #: Sanity bound: no key or value > 256 MiB.
 _MAX_FIELD = 256 * 1024 * 1024
 MAX_PAYLOAD = _PAYLOAD_HEAD.size + 2 * _MAX_FIELD
@@ -84,6 +93,11 @@ def encode_record(
 ) -> bytes:
     """One framed record, CRC included."""
     return frame(encode_payload(op, key, value, flags))
+
+
+def end_record(count: int) -> bytes:
+    """The framed ``E`` record that seals an image of ``count`` records."""
+    return frame(_END_PAYLOAD.pack(OP_END, count))
 
 
 def decode_payload(payload: bytes) -> Tuple[int, bytes, bytes, int]:
@@ -175,6 +189,9 @@ class SegmentScan:
     damaged_bytes: int = 0
     #: Human-readable description of the first damage hit, or None.
     error: Optional[str] = None
+    #: The last record was an ``E`` counting the records before it, and
+    #: nothing followed it.
+    sealed: bool = False
 
     @property
     def clean(self) -> bool:
@@ -196,7 +213,9 @@ def read_segment(
     Never raises for damage: the scan stops at the first short,
     CRC-failing or undecodable record and reports it in the returned
     :class:`SegmentScan`.  A missing/garbled magic counts the whole
-    source as damaged (records=0, valid_bytes=0).
+    source as damaged (records=0, valid_bytes=0).  An ``E`` record ends
+    the scan: ``sealed`` when its count matches and nothing follows it,
+    damage otherwise.
     """
     if hasattr(source, "read"):
         return _scan(source, apply)
@@ -217,6 +236,13 @@ def _scan(stream: BinaryIO, apply) -> SegmentScan:
             # is the caller's and must not be booked against the source.
             try:
                 payload, end_offset = next(frames)
+                if payload and payload[0] == OP_END:
+                    _check_end(payload, scan.records)
+                    scan.valid_bytes = end_offset
+                    if stream.read(1):
+                        raise JournalError("bytes after the end record")
+                    scan.sealed = True
+                    break
                 record = decode_payload(payload)
             except StopIteration:
                 break
@@ -230,3 +256,13 @@ def _scan(stream: BinaryIO, apply) -> SegmentScan:
     if scan.error is not None:
         scan.damaged_bytes = stream.seek(0, os.SEEK_END) - scan.valid_bytes
     return scan
+
+
+def _check_end(payload: bytes, records: int) -> None:
+    if len(payload) != _END_PAYLOAD.size:
+        raise JournalError(f"end record of {len(payload)} bytes")
+    _op, count = _END_PAYLOAD.unpack(payload)
+    if count != records:
+        raise JournalError(
+            f"end record counts {count} records, {records} precede it"
+        )

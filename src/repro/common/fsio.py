@@ -2,7 +2,7 @@
 
 The tmp + flush + fsync + ``os.replace`` dance appears anywhere a file
 must transition atomically from "absent or previous version" to "new
-version, fully written" — snapshots, journal checkpoints, CRC sidecars.
+version, fully written" — snapshots and journal checkpoints.
 :func:`atomic_write` is that dance, done once, correctly, including the
 step that is easy to forget: fsyncing the *parent directory* after the
 rename, without which the rename itself may not survive a power cut

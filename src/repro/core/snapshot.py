@@ -8,12 +8,13 @@ companion to a system whose whole point is holding more data.
 
 An image is a journal segment (:mod:`repro.common.framing`): the segment
 magic, then one CRC-framed SET record per resident key, holding the
-value a GET returns, cold items first.  The ``--snapshot`` file, every
+value a GET returns, cold items first, then the ``E`` record that seals
+it with their count.  The ``--snapshot`` file, every
 ``checkpoint-*.snap`` and the bytes of a replication resync are all
-written here and all read by the journal's one frame reader, decoder and
-applier, so a flipped bit or a cut anywhere in an image ends the load at
-the last whole record — a damaged item is missing, never wrong and never
-older.
+written here and all read through :func:`read_image`, so a flipped bit
+or a cut anywhere in an image ends the load at the last whole record — a
+damaged item is missing, never wrong and never older — and is reported,
+a cut between two records included.
 
 Crash safety: writing to a path goes through ``<path>.tmp`` with a
 flush+fsync before an atomic ``os.replace``, followed by an fsync of the
@@ -34,6 +35,7 @@ from repro.common.framing import (
     SegmentScan,
     apply_record,
     encode_record,
+    end_record,
     read_segment,
 )
 from repro.common.fsio import atomic_write
@@ -85,8 +87,8 @@ def image_items(target) -> Iterator[Tuple[bytes, bytes, int]]:
 
 
 def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:
-    """Serialise ``target``'s items (:func:`image_items`); returns the
-    item count written.
+    """Serialise ``target``'s items (:func:`image_items`) and seal them;
+    returns the item count written.
 
     Writing to a *path* is crash-safe: the bytes land in
     ``<destination>.tmp`` first, are flushed and fsynced, and only then
@@ -103,11 +105,29 @@ def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:
         for key, value, flags in image_items(target):
             stream.write(encode_record(OP_SET, key, value, flags))
             count += 1
+        stream.write(end_record(count))
         return count
 
     if hasattr(destination, "write"):
         return write(destination)
     return atomic_write(destination, write)
+
+
+def read_image(source: Union[PathLike, BinaryIO], apply=None) -> SegmentScan:
+    """Walk an image like any segment (:func:`read_segment`), and report
+    one that is not sealed as damaged.
+
+    The one place "is this image whole?" is decided, for warm restart,
+    checkpoint recovery, the scrubber and the replica's resync alike:
+    whole means ``clean``, and only an image that ends in its ``E``
+    record, count matching, with nothing after it, is.  Its valid prefix
+    is still applied and counted; an image written before images were
+    sealed loads whole and is reported unsealed.
+    """
+    scan = read_segment(source, apply)
+    if scan.clean and not scan.sealed:
+        scan.error = "image not sealed: no end record after the last item"
+    return scan
 
 
 def load_snapshot(target, source: Union[PathLike, BinaryIO]) -> SegmentScan:
@@ -122,7 +142,8 @@ def load_snapshot(target, source: Union[PathLike, BinaryIO]) -> SegmentScan:
     Damage never raises and never loads: the scan's ``records`` is the
     number of items applied, ``valid_bytes`` how far the image was whole
     (0: the bytes never were an image) and ``error`` the first damage
-    hit, past which nothing was applied.  What to make of a partial
-    image is the caller's call.
+    hit (an unsealed image's included, :func:`read_image`), past which
+    nothing was applied.  What to make of a partial image is the
+    caller's call.
     """
-    return read_segment(source, partial(apply_record, target))
+    return read_image(source, partial(apply_record, target))

@@ -8,7 +8,8 @@ loss bound chosen by fsync policy:
   records (:mod:`repro.common.framing`) that every acknowledged
   SET/DELETE writes through before the ack.
 * :mod:`repro.durability.manager` — incremental checkpoints (a cache
-  image in the same record format + CRC sidecar), point-in-time recovery
+  image in the same record format, sealed by its end record; one file
+  per checkpoint), point-in-time recovery
   (checkpoint + replay), pruning, and the :class:`DurabilityManager`
   that owns a directory.
 * :mod:`repro.durability.scrub` — background re-verification of at-rest

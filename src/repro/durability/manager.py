@@ -4,13 +4,13 @@ A durability directory holds three kinds of files::
 
     journal-XXXXXXXX.wal        append-only segments (see journal.py)
     checkpoint-XXXXXXXX.snap    base image covering all segments < XXXXXXXX
-    checkpoint-XXXXXXXX.snap.crc32   sidecar: hex CRC32 of the .snap bytes
     quarantine/                 damaged files moved aside, never deleted
 
 A checkpoint is a cache image — a segment of SET records in the
-journal's own format, written by :func:`repro.core.snapshot.write_snapshot`
-through :func:`repro.common.fsio.atomic_write` and loaded by the same
-frame reader and applier that replay the journal; its sequence number is
+journal's own format, sealed by its end record, written by
+:func:`repro.core.snapshot.write_snapshot` through
+:func:`repro.common.fsio.atomic_write` and loaded by the same frame
+reader and applier that replay the journal; its sequence number is
 the journal segment that was *active when the image was taken*, i.e.
 recovery = load ``checkpoint-S.snap`` then replay segments ``>= S`` in
 order.  After a checkpoint lands durably, segments ``< S`` and older
@@ -19,9 +19,11 @@ that the next recovery ignores.
 
 Recovery ordering (the crash-consistency argument):
 
-1. pick the newest checkpoint whose sidecar CRC matches its bytes;
-   damaged checkpoints are quarantined and the next older one is tried
-   (worst case: no base image, cold start + full journal replay);
+1. load the newest checkpoint that is an image at all, up to its first
+   damaged record (an unsealed one is booked as ``checkpoint_skipped``);
+   only bytes that never were an image (a bad magic) are quarantined and
+   the next older one tried (worst case: no base image, cold start +
+   full journal replay);
 2. replay segments ``>= S`` ascending, stopping at the first torn or
    CRC-failing record.  A torn *tail* (the normal crash artefact) is
    truncated back to the valid prefix so the segment is clean at rest; a
@@ -33,7 +35,6 @@ Recovery ordering (the crash-consistency argument):
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional
@@ -45,7 +46,7 @@ from repro.common.framing import (
     apply_record,
     read_segment,
 )
-from repro.common.fsio import atomic_write, fsync_directory
+from repro.common.fsio import fsync_directory
 from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.durability.journal import (
     DurabilityStats,
@@ -57,7 +58,6 @@ from repro.durability.journal import (
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".snap"
-CRC_SUFFIX = ".crc32"
 QUARANTINE_DIR = "quarantine"
 
 
@@ -89,29 +89,8 @@ def list_checkpoints(directory: str) -> List[tuple]:
     return found
 
 
-def file_crc32(path: str) -> int:
-    crc = 0
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 16), b""):
-            crc = zlib.crc32(chunk, crc)
-    return crc
-
-
-def checkpoint_crc_ok(path: str) -> bool:
-    """Does ``path``'s sidecar exist and match its bytes?"""
-    try:
-        with open(path + CRC_SUFFIX, "r", encoding="ascii") as stream:
-            stored = int(stream.read().strip(), 16)
-    except (OSError, ValueError):
-        return False
-    try:
-        return file_crc32(path) == stored
-    except OSError:
-        return False
-
-
 def quarantine_file(directory: str, path: str) -> Optional[str]:
-    """Move ``path`` (plus any sidecar) into ``directory/quarantine/``.
+    """Move ``path`` into ``directory/quarantine/``.
 
     Returns the new path, or None if the move failed (the file is then
     left in place but callers already treat it as unusable).
@@ -123,12 +102,6 @@ def quarantine_file(directory: str, path: str) -> Optional[str]:
         os.replace(path, target)
     except OSError:
         return None
-    sidecar = path + CRC_SUFFIX
-    if os.path.exists(sidecar):
-        try:
-            os.replace(sidecar, target + CRC_SUFFIX)
-        except OSError:
-            pass
     fsync_directory(directory)
     return target
 
@@ -248,26 +221,15 @@ class DurabilityManager:
         """Write a base image covering everything journaled so far.
 
         Returns the checkpoint's sequence number.  Ordering: rotate (so
-        the image covers all closed segments), write + fsync the image
-        and its CRC sidecar atomically, then prune covered segments and
-        superseded checkpoints.
+        the image covers all closed segments), write + fsync the sealed
+        image atomically, then prune covered segments and superseded
+        checkpoints.
         """
         assert self.writer is not None, "recover_into must run first"
         self.writer.sync()
         seq = self.writer.rotate()
-        directory = self.config.directory
-        path = os.path.join(directory, checkpoint_name(seq))
-
-        def write_image(stream):
-            crc_box = _Crc32Stream(stream)
-            count = write_snapshot(cache, crc_box)
-            return count, crc_box.crc
-
-        count, crc = atomic_write(path, write_image)
-        atomic_write(
-            path + CRC_SUFFIX,
-            lambda stream: stream.write(b"%08x\n" % crc),
-        )
+        path = os.path.join(self.config.directory, checkpoint_name(seq))
+        count = write_snapshot(cache, path)
         self.stats.checkpoints_written += 1
         self.stats.checkpoint_items += count
         self._bytes_at_checkpoint = self.stats.journal_bytes
@@ -287,9 +249,6 @@ class DurabilityManager:
             if seq < keep_from:
                 try:
                     os.unlink(path)
-                    os.unlink(path + CRC_SUFFIX)
-                except FileNotFoundError:
-                    pass
                 except OSError:
                     continue
                 self.stats.checkpoints_pruned += 1
@@ -317,18 +276,6 @@ class DurabilityManager:
         self.writer.close()
 
 
-class _Crc32Stream:
-    """Write-through wrapper computing CRC32 of everything written."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.crc = 0
-
-    def write(self, data: bytes) -> int:
-        self.crc = zlib.crc32(data, self.crc)
-        return self._inner.write(data)
-
-
 # -- standalone recovery --------------------------------------------------------
 
 
@@ -351,15 +298,12 @@ def replay_journal(
         if quarantine_file(directory, path) is not None:
             result.quarantined.append(os.path.basename(path))
 
-    # 1. Newest checkpoint whose at-rest CRC matches.
+    # 1. Newest checkpoint that is an image at all.  A damaged or
+    # unsealed one still gives its whole-record prefix, which is what
+    # was written; refusing it whole would fall back to an older image
+    # whose journal the newer checkpoint has already pruned.
     base_seq = 0
     for seq, path in reversed(list_checkpoints(directory)):
-        if not checkpoint_crc_ok(path):
-            result.incidents.append(
-                f"checkpoint {os.path.basename(path)} failed its CRC; quarantined"
-            )
-            quarantine(path)
-            continue
         try:
             image = load_snapshot(cache, path)
             unreadable = None if image.valid_bytes else image.error

@@ -3,10 +3,11 @@
 Disk corruption does not wait for a restart: a journal segment or
 checkpoint can rot while the server is healthy, and the worst time to
 discover that is during the next crash recovery.  The scrubber re-walks
-every at-rest file — full record-CRC walk for segments, sidecar CRC for
-checkpoints — and *quarantines* anything damaged (moves it into
-``quarantine/``), so a later recovery never silently replays rotten
-history; it sees a smaller-but-sound set of files and counts the loss.
+every at-rest file record by record — a checkpoint through
+:func:`repro.core.snapshot.read_image`, so it must also be sealed — and
+*quarantines* anything damaged (moves it into ``quarantine/``), so a
+later recovery never silently replays rotten history; it sees a
+smaller-but-sound set of files and counts the loss.
 
 The active journal segment is skipped (the writer owns it; its tail is
 legitimately in flux), as is anything already quarantined.  Files that
@@ -21,12 +22,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.common.framing import read_segment
+from repro.core.snapshot import read_image
 from repro.durability.journal import DurabilityStats, list_segments
-from repro.durability.manager import (
-    checkpoint_crc_ok,
-    list_checkpoints,
-    quarantine_file,
-)
+from repro.durability.manager import list_checkpoints, quarantine_file
 
 
 @dataclass
@@ -56,30 +54,11 @@ def scrub_directory(
     for _seq, path in list_segments(directory):
         if active is not None and os.path.abspath(path) == active:
             continue
-        try:
-            scan = read_segment(path)
-        except FileNotFoundError:
-            continue  # pruned underneath us — legal
-        report.files_checked += 1
-        if scan.clean:
+        if _verify(directory, path, read_segment, report):
             report.segments_ok += 1
-            continue
-        report.failures.append(f"{os.path.basename(path)}: {scan.error}")
-        if quarantine_file(directory, path) is not None:
-            report.quarantined.append(os.path.basename(path))
-
     for _seq, path in list_checkpoints(directory):
-        if not os.path.exists(path):
-            continue  # pruned underneath us
-        report.files_checked += 1
-        if checkpoint_crc_ok(path):
+        if _verify(directory, path, read_image, report):
             report.checkpoints_ok += 1
-            continue
-        report.failures.append(
-            f"{os.path.basename(path)}: sidecar CRC missing or mismatched"
-        )
-        if quarantine_file(directory, path) is not None:
-            report.quarantined.append(os.path.basename(path))
 
     if stats is not None:
         stats.scrub_passes += 1
@@ -87,3 +66,18 @@ def scrub_directory(
         stats.scrub_failures += len(report.failures)
         stats.quarantined_files += len(report.quarantined)
     return report
+
+
+def _verify(directory: str, path: str, read, report: ScrubReport) -> bool:
+    """Walk one file with ``read``; quarantine it unless it reads clean."""
+    try:
+        scan = read(path)
+    except FileNotFoundError:
+        return False  # pruned underneath us — legal
+    report.files_checked += 1
+    if scan.clean:
+        return True
+    report.failures.append(f"{os.path.basename(path)}: {scan.error}")
+    if quarantine_file(directory, path) is not None:
+        report.quarantined.append(os.path.basename(path))
+    return False

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from repro.common.errors import CacheError, ReplicationError
 from repro.common.framing import apply_record, decode_payload, read_segment
-from repro.core.snapshot import image_items
+from repro.core.snapshot import image_items, read_image
 from repro.durability.manager import replay_journal
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -261,9 +261,7 @@ class ReplicationClient:
             elif frame_type == wire.SNAP_END:
                 if snapshot_buffer is None:
                     raise ReplicationError("snapshot end outside a snapshot")
-                self._apply_snapshot(
-                    bytes(snapshot_buffer), wire.decode_snap_end(body)
-                )
+                self._apply_snapshot(bytes(snapshot_buffer))
                 snapshot_buffer = None
                 self.position = snapshot_position
                 self._conn_applied = 0
@@ -283,18 +281,19 @@ class ReplicationClient:
         except CacheError:
             self.stats.apply_errors += 1
 
-    def _apply_snapshot(self, image: bytes, count: int) -> None:
+    def _apply_snapshot(self, image: bytes) -> None:
         """Replace our contents with the image: load it, drop the rest.
 
-        The whole buffered image is verified before anything is applied,
-        so a damaged or short one drops the session (``_run`` re-dials)
-        with our contents still the old state, never a part of the new.
+        The whole buffered image is verified (:func:`read_image`) before
+        anything is applied, so a damaged, short or unsealed one drops
+        the session (``_run`` re-dials) with our contents still the old
+        state, never a part of the new.
         """
-        scan = read_segment(io.BytesIO(image))
-        if not scan.clean or scan.records != count:
+        scan = read_image(io.BytesIO(image))
+        if not scan.clean:
             raise ReplicationError(
-                f"resync image refused: {scan.records} of {count} records "
-                f"whole ({scan.error})"
+                f"resync image refused after {scan.records} whole records: "
+                f"{scan.error}"
             )
         loaded_keys = set()
 

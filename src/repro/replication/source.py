@@ -157,7 +157,7 @@ class ReplicationSource:
                 ack_task.cancel()
                 try:
                     await ack_task
-                except (asyncio.CancelledError, Exception):
+                except asyncio.CancelledError:
                     pass
             writer.close()
             try:
@@ -199,7 +199,7 @@ class ReplicationSource:
         """
         position = self.manager.writer.position
         buffer = io.BytesIO()
-        count = write_snapshot(self.cache, buffer)
+        write_snapshot(self.cache, buffer)
         image = buffer.getvalue()
         session.sent_bytes = session.acked_bytes = 0
         writer.write(
@@ -211,7 +211,7 @@ class ReplicationSource:
             chunk = image[start : start + wire.SNAPSHOT_CHUNK_BYTES]
             writer.write(wire.encode_frame(wire.SNAP_CHUNK, chunk))
             await self._drain(writer)
-        writer.write(wire.encode_snap_end(count))
+        writer.write(wire.encode_frame(wire.SNAP_END))
         await self._drain(writer)
         self.stats.snapshots_sent += 1
         return position

@@ -16,7 +16,8 @@ Frame types (one ASCII byte each, so captures read well in a hex dump):
                  body carries the journal position the image covers up
                  to — the record stream resumes exactly there.
 ``C`` SNAP_CHUNK primary -> replica: raw snapshot bytes.
-``E`` SNAP_END   primary -> replica: item count, image complete.
+``E`` SNAP_END   primary -> replica: empty; no chunks follow.  Whether
+                 the image is whole is its own end record's call.
 ``R`` RECORD     primary -> replica: one journal record; body is the
                  position *after* the record (segment, end offset)
                  followed by the journal payload codec
@@ -41,9 +42,10 @@ import struct
 import zlib
 from typing import Optional, Tuple
 
+from repro.common import framing
 from repro.common.errors import ReplicationError
+from repro.common.framing import FRAME_LEN
 
-FRAME_LEN = struct.Struct(">I")
 POSITION = struct.Struct(">QQ")
 HEARTBEAT_BODY = struct.Struct(">QQQQ")
 ACK_BODY = struct.Struct(">QQQ")
@@ -69,10 +71,7 @@ SNAPSHOT_CHUNK_BYTES = 256 * 1024
 
 
 def encode_frame(frame_type: int, body: bytes = b"") -> bytes:
-    frame = bytes((frame_type,)) + body
-    return (
-        FRAME_LEN.pack(len(frame)) + frame + FRAME_LEN.pack(zlib.crc32(frame))
-    )
+    return framing.frame(bytes((frame_type,)) + body)
 
 
 def decode_frame(frame: bytes) -> Tuple[int, bytes]:
@@ -168,13 +167,3 @@ def decode_ack(body: bytes) -> Tuple[int, int, int]:
     if len(body) != ACK_BODY.size:
         raise ReplicationError(f"bad ack body length {len(body)}")
     return ACK_BODY.unpack(body)
-
-
-def encode_snap_end(items: int) -> bytes:
-    return encode_frame(SNAP_END, struct.pack(">Q", items))
-
-
-def decode_snap_end(body: bytes) -> int:
-    if len(body) != 8:
-        raise ReplicationError(f"bad snapshot-end body length {len(body)}")
-    return struct.unpack(">Q", body)[0]

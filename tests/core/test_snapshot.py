@@ -9,6 +9,7 @@ from repro.common.framing import (
     OP_SET,
     SEGMENT_MAGIC,
     encode_record,
+    end_record,
     read_segment,
 )
 from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig
@@ -96,8 +97,8 @@ class TestRoundtrip:
         cache.set(b"a", b"1")
         buffer = io.BytesIO()
         write_snapshot(cache, buffer)
-        assert buffer.getvalue() == SEGMENT_MAGIC + encode_record(
-            OP_SET, b"a", b"1"
+        assert buffer.getvalue() == (
+            SEGMENT_MAGIC + encode_record(OP_SET, b"a", b"1") + end_record(1)
         )
         buffer.seek(0)
         assert read_items(buffer) == [(b"a", b"1", 0)]
@@ -247,12 +248,12 @@ class TestRecoveryMode:
 
     def test_truncated_tail_counted_and_skipped(self):
         data = self._snapshot_bytes()
-        torn = io.BytesIO(data[: len(data) - 7])  # cuts the last record
+        cut = len(data) - len(end_record(30)) - 7  # into the last item
         restored = SimpleKVCache(PlainZone(1 << 16))
-        result = load_snapshot(restored, torn)
+        result = load_snapshot(restored, io.BytesIO(data[:cut]))
         assert result.records == 29
         assert not result.clean and "torn" in result.error
-        assert result.valid_bytes + result.damaged_bytes == len(data) - 7
+        assert result.valid_bytes + result.damaged_bytes == cut
         assert restored.get(b"key:0028") == b"value-0028"
         assert restored.get(b"key:0029") is None
 
@@ -273,15 +274,20 @@ class TestRecoveryMode:
         result = load_snapshot(restored, io.BytesIO(b"GARBAGE!"))
         assert (result.records, result.valid_bytes) == (0, 0)
         assert not result.clean
-        empty = load_snapshot(restored, io.BytesIO(SEGMENT_MAGIC))
-        assert empty.clean and empty.valid_bytes == len(SEGMENT_MAGIC)
+        buffer = io.BytesIO()
+        write_snapshot(SimpleKVCache(PlainZone(4096)), buffer)
+        buffer.seek(0)
+        empty = load_snapshot(restored, buffer)
+        assert empty.clean and empty.valid_bytes == len(buffer.getvalue())
 
     def test_recovery_mode_on_midfile_header_cut(self):
         data = self._snapshot_bytes()
         # Cut inside a *header*, not a body: leave magic + 10 records + 3
         # stray bytes that look like the start of a length header.
         record_size = len(encode_record(OP_SET, b"key:0000", b"value-0000"))
-        assert len(data) == len(SEGMENT_MAGIC) + 30 * record_size
+        assert len(data) == (
+            len(SEGMENT_MAGIC) + 30 * record_size + len(end_record(30))
+        )
         cut = len(SEGMENT_MAGIC) + 10 * record_size + 3
         restored = SimpleKVCache(PlainZone(1 << 16))
         result = load_snapshot(restored, io.BytesIO(data[:cut]))
@@ -293,12 +299,12 @@ class TestRecoveryMode:
         """The defect the old format had: one flipped bit in a value
         loaded clean and was served.  Exhaustively, for a small image:
         whatever single bit flips or wherever the file is cut, each key
-        reads as the value written or as a miss, and only a cut on a
-        record boundary goes unreported."""
+        reads as the value written or as a miss, and only the whole
+        image reads clean — a cut on a record boundary leaves it
+        unsealed, which is reported like any other damage."""
         data = self._snapshot_bytes(12)
         written = {b"key:%04d" % i: b"value-%04d" % i for i in range(12)}
-        record_size = len(encode_record(OP_SET, b"key:0000", b"value-0000"))
-        variants = [data[:cut] for cut in range(len(data))]
+        variants = [data[:cut] for cut in range(len(data) + 1)]
         for position in range(len(data)):
             for bit in range(8):
                 flipped = bytearray(data)
@@ -310,11 +316,25 @@ class TestRecoveryMode:
             got = dict(restored.nzone.items())
             assert got.items() <= written.items()
             assert len(got) == result.records
-            on_boundary = (
-                bad == data[: len(bad)]
-                and (len(bad) - len(SEGMENT_MAGIC)) % record_size == 0
-            )
-            assert result.clean == on_boundary, (len(bad), result)
+            assert result.clean == (bad == data), (len(bad), result)
+            assert result.sealed == (bad == data)
+
+    def test_end_record_must_count_what_precedes_it_and_end_the_image(self):
+        """A record dropped from the middle, or bytes appended after the
+        seal, leave every frame whole; the count and the position of the
+        end record are what catch them."""
+        data = self._snapshot_bytes(5)
+        record_size = len(encode_record(OP_SET, b"key:0000", b"value-0000"))
+        start = len(SEGMENT_MAGIC) + 2 * record_size
+        dropped = data[:start] + data[start + record_size :]
+        restored = SimpleKVCache(PlainZone(1 << 16))
+        result = load_snapshot(restored, io.BytesIO(dropped))
+        assert not result.clean and "counts 5 records, 4" in result.error
+        assert result.records == 4
+        result = load_snapshot(restored, io.BytesIO(data + data[-20:]))
+        assert result.records == 5 and result.valid_bytes == len(data)
+        assert result.damaged_bytes == 20 and "after the end" in result.error
+        assert not result.sealed
 
 
 class TestFastPathSnapshot:

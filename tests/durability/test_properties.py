@@ -11,12 +11,13 @@ A cache image (``--snapshot`` file, checkpoint, resync image) is a
 segment too, so it is one more input to the same strategies, and each of
 its three consumers is held to the same standard — including an image of
 a cache that holds a key's older version in the Z-zone, shadowed by the
-newest in the N-zone: damaged, it gives the newest value or a miss.
+newest in the N-zone: damaged, it gives the newest value or a miss.  An
+image is also sealed, so every damage short of the whole image is
+reported, wherever it falls.
 """
 
 import io
 import os
-import zlib
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,6 @@ from repro.common.framing import (
 )
 from repro.durability.journal import JournalConfig, JournalWriter
 from repro.durability.manager import (
-    CRC_SUFFIX,
     DurabilityConfig,
     DurabilityManager,
     checkpoint_name,
@@ -266,10 +266,9 @@ class TestDamagedImageNeverLies:
         assert list(iter_cache_items(restored)) == items[: scan.records]
         assert dict(iter_cache_items(restored)).items() <= dict(items).items()
         assert scan.valid_bytes + scan.damaged_bytes == len(bad)
-        if scan.clean:
-            # Only a cut on a record boundary reads clean: what loaded
-            # is then exactly what those bytes said.
-            assert bad == raw[: scan.valid_bytes]
+        # Only the whole image reads clean; a cut on a record boundary
+        # leaves it unsealed, and that is reported too.
+        assert scan.clean == (bad == raw)
         # Bounded buffering: a flipped length word is refused before it
         # is believed.
         assert max(stream.asked) <= MAX_PAYLOAD + FRAME_LEN.size
@@ -290,26 +289,18 @@ class TestDamagedImageNeverLies:
                 cache.set(key, value)
             first_seq = manager.checkpoint(cache)
             first = os.path.join(directory, checkpoint_name(first_seq))
-            older = [Path(first + ext).read_bytes() for ext in ("", CRC_SUFFIX)]
+            older = Path(first).read_bytes()
             for key, value in records[half:]:
                 cache.set(key, value)
             second = checkpoint_name(manager.checkpoint(cache))
         finally:
             manager.writer.close()
         # The older checkpoint survives (a crash mid-prune leaves it).
-        for ext, content in zip(("", CRC_SUFFIX), older):
-            Path(first + ext).write_bytes(content)
+        Path(first).write_bytes(older)
         newest = os.path.join(directory, second)
         raw = Path(newest).read_bytes()
         bad = damaged(raw, data)
         Path(newest).write_bytes(bad)
-        sidecar_matches = bad == raw or data.draw(
-            st.booleans(), label="sidecar matches the damage"
-        )
-        if sidecar_matches:
-            Path(newest + CRC_SUFFIX).write_bytes(
-                b"%08x\n" % zlib.crc32(bad)
-            )
 
         restored = make_cache()
         result = replay_journal(directory, restored)
@@ -318,18 +309,18 @@ class TestDamagedImageNeverLies:
         if bad == raw:
             assert got == dict(records)
             assert result.checkpoint_skipped == 0
-        elif not sidecar_matches or not bad.startswith(raw[:8]):
-            # The sidecar check (or the magic) refused the image whole:
-            # quarantined, and the next older one loaded.
+        elif not bad.startswith(raw[:8]):
+            # Never was an image: quarantined, and the next older one
+            # loaded.
             assert second in result.quarantined
             assert result.checkpoint_seq == first_seq
             assert got == dict(records[:half])
         else:
-            # Loaded up to the first damaged record; a cut that falls on
-            # a record boundary is the one damage a segment cannot see.
-            boundary_cut = read_segment(io.BytesIO(bad)).clean
+            # Loaded up to the first damaged record, and reported — a
+            # cut on a record boundary included.
+            assert result.checkpoint_seq != first_seq
             assert result.checkpoint_loaded == len(got)
-            assert result.checkpoint_skipped == (0 if boundary_cut else 1)
+            assert result.checkpoint_skipped == 1
 
     @settings(max_examples=60, deadline=None)
     @given(records=unique_records, shadowed=st.booleans(), data=st.data())
@@ -346,7 +337,7 @@ class TestDamagedImageNeverLies:
             cache.set(key, value)
         client = ReplicationClient(cache, "127.0.0.1", 0)
         try:
-            client._apply_snapshot(bad, len(items))
+            client._apply_snapshot(bad)
         except ReplicationError:
             assert bad != raw
             assert dict(iter_cache_items(cache)) == old

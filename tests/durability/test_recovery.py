@@ -4,7 +4,7 @@ import os
 from pathlib import Path
 
 from repro.core import SimpleKVCache
-from repro.common.framing import SEGMENT_MAGIC
+from repro.common.framing import OP_SET, SEGMENT_MAGIC, encode_record
 from repro.durability.journal import (
     JournalConfig,
     JournalWriter,
@@ -12,7 +12,6 @@ from repro.durability.journal import (
     segment_name,
 )
 from repro.durability.manager import (
-    CRC_SUFFIX,
     QUARANTINE_DIR,
     DurabilityConfig,
     DurabilityManager,
@@ -114,34 +113,64 @@ class TestCheckpointRecovery:
         first = manager.checkpoint(cache)
         first_path = os.path.join(str(tmp_path), checkpoint_name(first))
         saved_image = Path(first_path).read_bytes()
-        saved_crc = Path(first_path + CRC_SUFFIX).read_bytes()
         cache.set(b"newer", b"than-first")
         second = manager.checkpoint(cache)
         # Resurrect the first checkpoint (pruning removed it) as a
-        # stale-but-valid fallback, then rot the newest image.
+        # stale-but-valid fallback, then make the newest one bytes that
+        # never were an image: only a bad magic is refused whole.
         Path(first_path).write_bytes(saved_image)
-        Path(first_path + CRC_SUFFIX).write_bytes(saved_crc)
         second_path = os.path.join(str(tmp_path), checkpoint_name(second))
         data = bytearray(Path(second_path).read_bytes())
-        data[len(data) // 2] ^= 0xFF
+        data[0] ^= 0xFF
         Path(second_path).write_bytes(bytes(data))
 
         restored = make_cache()
         result = replay_journal(str(tmp_path), restored)
         assert not result.clean
-        assert any("CRC" in incident for incident in result.incidents)
-        assert checkpoint_name(second) in result.quarantined
-        quarantined = os.path.join(
-            str(tmp_path), QUARANTINE_DIR, checkpoint_name(second)
-        )
-        assert os.path.exists(quarantined)
-        assert os.path.exists(quarantined + CRC_SUFFIX)
+        assert any("magic" in incident for incident in result.incidents)
+        assert result.quarantined == [checkpoint_name(second)]
+        assert os.listdir(os.path.join(str(tmp_path), QUARANTINE_DIR)) == [
+            checkpoint_name(second)
+        ]
         # Fell back to the older image: everything it covered is present;
         # the one write after it is a *detected* loss, not silent wrongness.
         assert result.checkpoint_seq == first
         assert result.checkpoint_loaded == 50
         assert restored.get(b"key:0049") == b"value-0049"
         assert restored.get(b"newer") is None
+        # The newer checkpoint pruned the journal the older one needs:
+        # the directory has a hole, which a server refuses to serve over.
+        assert "journal hole" in result.history_gap
+
+    def test_flipped_checkpoint_keeps_every_record_before_the_flip(
+        self, tmp_path
+    ):
+        """One byte flipped mid-file in the only checkpoint costs the
+        records from the damaged one on, nothing before it.  Refusing the
+        image whole, as the checkpoint's CRC sidecar did, left recovery
+        with 1 of 52 keys: the one write journaled after the checkpoint."""
+        manager, cache = journalled_cache(tmp_path, items=51, deletes=0)
+        seq = manager.checkpoint(cache)
+        cache.set(b"late", b"after the checkpoint")
+        manager.writer.sync()
+        path = os.path.join(str(tmp_path), checkpoint_name(seq))
+        data = bytearray(Path(path).read_bytes())
+        flip = len(data) // 2
+        data[flip] ^= 0x01
+        Path(path).write_bytes(bytes(data))
+        record = len(encode_record(OP_SET, b"key:0000", b"value-0000"))
+        before = (flip - len(SEGMENT_MAGIC)) // record
+
+        restored = make_cache()
+        result = replay_journal(str(tmp_path), restored)
+        assert result.checkpoint_seq == seq
+        assert result.checkpoint_loaded == before
+        assert result.checkpoint_skipped == 1
+        assert result.quarantined == [] and result.history_gap is None
+        assert restored.get(b"late") == b"after the checkpoint"
+        for i in range(51):
+            expected = b"value-%04d" % i if i < before else None
+            assert restored.get(b"key:%04d" % i) == expected
 
     def test_close_writes_final_checkpoint(self, tmp_path):
         manager, cache = journalled_cache(tmp_path)

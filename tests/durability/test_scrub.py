@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+from repro.common.framing import end_record
 from repro.durability.journal import (
     DurabilityStats,
     JournalConfig,
@@ -82,14 +83,19 @@ class TestScrub:
         assert not report.clean
         assert checkpoint_name(seq) in report.quarantined
 
-    def test_missing_sidecar_is_a_failure(self, tmp_path):
+    def test_unsealed_checkpoint_is_a_failure_and_quarantined(self, tmp_path):
+        """Every record whole, the end record cut off: the one damage a
+        record walk alone cannot see."""
         manager, cache = journalled_cache(tmp_path)
         seq = manager.checkpoint(cache)
-        os.unlink(
-            os.path.join(str(tmp_path), checkpoint_name(seq)) + ".crc32"
-        )
+        path = os.path.join(str(tmp_path), checkpoint_name(seq))
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[: -len(end_record(40))])
         report = manager.scrub_once()
         assert not report.clean
+        assert "not sealed" in report.failures[0]
+        assert report.quarantined == [checkpoint_name(seq)]
+        assert report.checkpoints_ok == 0
 
     def test_quarantined_files_not_rescanned(self, tmp_path):
         segments = multi_segment_dir(tmp_path)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.common.framing import OP_SET, SEGMENT_MAGIC, encode_record, end_record
 from repro.core import SimpleKVCache
 from repro.core.snapshot import iter_cache_items, write_snapshot
 from repro.nzone import PlainZone
@@ -347,21 +348,30 @@ class TestSnapshotResync:
         asyncio.run(go())
 
 
-    @pytest.mark.parametrize("damage", ["cut", "wrong_count"])
+    @pytest.mark.parametrize("damage", ["cut", "wrong_count", "unsealed"])
     def test_damaged_image_is_refused_whole_then_redialed(self, damage):
-        """A resync image that does not parse, or whose record count is
-        not the one SNAP_END states, is refused before anything is
-        applied: the session drops, the replica keeps its old contents
-        and re-dials, and the next (whole) image replaces them.  At the
-        parent the cut image killed the client task (no re-dial) after
-        9 of 10 items were applied, and the wrong count went unnoticed."""
+        """A resync image that does not parse, whose end record does not
+        count the records before it (one dropped from the middle leaves
+        every frame whole), or that has no end record, is refused before
+        anything is applied: the session drops, the replica keeps its
+        old contents and re-dials, and the next (whole) image replaces
+        them.  Once the cut image killed the client task (no re-dial)
+        after 9 of 10 items were applied; the dropped record was caught
+        only by a count SNAP_END carried beside the image."""
         source = SimpleKVCache(PlainZone(1 << 20))
         for i in range(10):
             source.set(b"new%02d" % i, b"value-%02d" % i * 4)
         buffer = io.BytesIO()
         count = write_snapshot(source, buffer)
         image = buffer.getvalue()
-        bad = (image[:-7], count) if damage == "cut" else (image, count + 1)
+        items_end = len(image) - len(end_record(count))
+        record = len(encode_record(OP_SET, b"new00", b"value-00" * 4))
+        middle = len(SEGMENT_MAGIC) + 4 * record
+        bad = {
+            "cut": image[: items_end - 7],
+            "wrong_count": image[:middle] + image[middle + record :],
+            "unsealed": image[:items_end],
+        }[damage]
 
         async def go():
             cache = SimpleKVCache(PlainZone(1 << 20))
@@ -373,14 +383,14 @@ class TestSnapshotResync:
                 writers.append(writer)
                 assert (await wire.read_frame(reader))[0] == wire.HELLO
                 first = len(writers) == 1
-                body, stated = bad if first else (image, count)
+                body = bad if first else image
                 writer.write(
                     wire.encode_frame(
                         wire.SNAP_BEGIN, wire.encode_position(3, 8)
                     )
                     + wire.encode_frame(wire.SNAP_CHUNK, body[:100])
                     + wire.encode_frame(wire.SNAP_CHUNK, body[100:])
-                    + wire.encode_snap_end(stated)
+                    + wire.encode_frame(wire.SNAP_END)
                 )
                 await writer.drain()
                 if first:

@@ -49,7 +49,7 @@ CODECS = {
         lambda chunk: wire.encode_frame(wire.SNAP_CHUNK, chunk),
         lambda body: (body,),
     ),
-    wire.SNAP_END: (wire.encode_snap_end, lambda body: (wire.decode_snap_end(body),)),
+    wire.SNAP_END: (lambda: wire.encode_frame(wire.SNAP_END), lambda body: ()),
     wire.RECORD: (wire.encode_record_frame, wire.decode_record_body),
     wire.HEARTBEAT: (wire.encode_heartbeat, wire.decode_heartbeat),
     wire.ACK: (wire.encode_ack, wire.decode_ack),
@@ -59,7 +59,7 @@ typed_frames = st.one_of(
     st.tuples(st.just(wire.HELLO), st.tuples(u64, u64)),
     st.tuples(st.just(wire.SNAP_BEGIN), st.tuples(u64, u64)),
     st.tuples(st.just(wire.SNAP_CHUNK), st.tuples(values)),
-    st.tuples(st.just(wire.SNAP_END), st.tuples(u64)),
+    st.tuples(st.just(wire.SNAP_END), st.tuples()),
     st.tuples(
         st.just(wire.RECORD),
         st.tuples(u64, u64, st.builds(encode_payload, st.just(OP_SET), keys, values)),

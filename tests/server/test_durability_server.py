@@ -8,6 +8,7 @@ SIGKILL discipline lives in tests/server/test_crash_harness.py).
 
 import asyncio
 
+from repro.common.framing import end_record
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.snapshot import write_snapshot
@@ -163,13 +164,9 @@ class TestStatsSurface:
 
         assert asyncio.run(scenario()) == 0
 
-    def test_snapshot_truncation_surfaces_as_gauge(self, tmp_path):
-        cache = SimpleKVCache(PlainZone(1 << 16))
-        for i in range(30):
-            cache.set(b"key:%04d" % i, b"value-%04d" % i)
-        path = tmp_path / "warm.snap"
-        write_snapshot(cache, path)
-        path.write_bytes(path.read_bytes()[:-7])  # tear the last record
+    @staticmethod
+    def _restart_from(path):
+        """Warm-start a server from ``path``; (stats, incidents, exposition)."""
 
         async def scenario():
             server = CacheServer(
@@ -178,16 +175,51 @@ class TestStatsSurface:
             )
             await server.start()
             task = asyncio.create_task(server.run())
-            stats = server.stats_dict()
-            assert stats["snapshot_loaded"] == 29
-            assert stats["snapshot_skipped"] == 1
-            assert stats["snapshot_truncated"] == 1
-            assert any("snapshot tail" in line for line in server.incidents)
-            exposition = server.registry.to_prometheus(include_timing=False)
-            assert "server_snapshot_truncated 1" in exposition
-            return await drain(server, task)
+            seen = (
+                server.stats_dict(),
+                list(server.incidents),
+                server.registry.to_prometheus(include_timing=False),
+            )
+            assert await drain(server, task) == 0
+            return seen
 
-        assert asyncio.run(scenario()) == 0
+        return asyncio.run(scenario())
+
+    @staticmethod
+    def _image(path, items=30):
+        cache = SimpleKVCache(PlainZone(1 << 16))
+        for i in range(items):
+            cache.set(b"key:%04d" % i, b"value-%04d" % i)
+        write_snapshot(cache, path)
+        return path.read_bytes()
+
+    def test_snapshot_truncation_surfaces_as_gauge(self, tmp_path):
+        path = tmp_path / "warm.snap"
+        data = self._image(path)
+        # Tear the last item.
+        path.write_bytes(data[: -len(end_record(30)) - 7])
+        stats, incidents, exposition = self._restart_from(path)
+        assert stats["snapshot_loaded"] == 29
+        assert stats["snapshot_skipped"] == 1
+        assert stats["snapshot_truncated"] == 1
+        assert any("snapshot tail" in line for line in incidents)
+        assert "server_snapshot_truncated 1" in exposition
+
+    def test_a_cut_on_a_record_boundary_is_reported(self, tmp_path):
+        """Every item whole, the end record gone: the restart keeps all
+        30 and still says the image was short.  An unsealed image used
+        to load as if nothing were missing."""
+        path = tmp_path / "warm.snap"
+        data = self._image(path)
+        path.write_bytes(data[: -len(end_record(30))])
+        stats, incidents, exposition = self._restart_from(path)
+        assert stats["snapshot_loaded"] == 30
+        assert stats["snapshot_truncated"] == 1
+        assert incidents == [
+            "snapshot tail skipped: image not sealed: no end record after "
+            "the last item"
+        ]
+        assert "server_snapshot_truncated 1" in exposition
 
     def test_a_file_that_never_was_an_image_is_refused_whole(self, tmp_path):
         """A foreign file at the snapshot path (here: the pre-segment
@@ -197,20 +229,9 @@ class TestStatsSurface:
         path.write_bytes(
             b"ZXSNAP01" + (1).to_bytes(4, "big") * 2 + b"k" + b"v"
         )
-
-        async def scenario():
-            server = CacheServer(
-                make_cache(),
-                ServerConfig(port=0, snapshot_path=str(path)),
-            )
-            await server.start()
-            task = asyncio.create_task(server.run())
-            stats = server.stats_dict()
-            assert stats["curr_items"] == 0
-            assert stats["snapshot_loaded"] == 0
-            assert stats["snapshot_truncated"] == 0
-            assert stats["incidents"] == 1
-            assert "snapshot load failed: bad segment magic" in server.incidents[0]
-            return await drain(server, task)
-
-        assert asyncio.run(scenario()) == 0
+        stats, incidents, _exposition = self._restart_from(path)
+        assert stats["curr_items"] == 0
+        assert stats["snapshot_loaded"] == 0
+        assert stats["snapshot_truncated"] == 0
+        assert stats["incidents"] == 1
+        assert "snapshot load failed: bad segment magic" in incidents[0]
