@@ -90,14 +90,8 @@ class ShardedZExpander:
                 results[position] = value
         return results
 
-    def set(
-        self,
-        key: bytes,
-        value: bytes,
-        ttl: Optional[float] = None,
-        flags: int = 0,
-    ) -> None:
-        self.shard_for(key).set(key, value, ttl=ttl, flags=flags)
+    def set(self, key: bytes, value: bytes, flags: int = 0) -> None:
+        self.shard_for(key).set(key, value, flags=flags)
 
     def delete(self, key: bytes) -> bool:
         return self.shard_for(key).delete(key)

@@ -46,7 +46,9 @@ PathLike = Union[str, Path]
 def iter_cache_items(cache) -> Iterator[Tuple[bytes, bytes]]:
     """Each resident key of a cache once, with the value a GET returns.
 
-    ``cache`` is a SimpleKVCache, ZExpander, sharded cache or bare zone.
+    ``cache`` is a SimpleKVCache, ZExpander, sharded cache or bare zone,
+    or anything else with ``items()`` (the server's store: every key,
+    expired or not).
     For two-zone caches every shard's Z-zone is walked first and the
     N-zones last: loading replays an image in order, so the hot N-zone
     items are the most recent inserts and re-form the N-zone's contents
@@ -73,22 +75,14 @@ def iter_cache_items(cache) -> Iterator[Tuple[bytes, bytes]]:
         yield from shard.nzone.items()
 
 
-def image_items(target) -> Iterator[Tuple[bytes, bytes, int]]:
-    """What an image of ``target`` holds: ``(key, value, flags)`` per item.
+def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:
+    """Serialise ``target``'s items and seal them; returns the item count
+    written.
 
     The one place an image reads client flags.  A target that keeps them
-    (the server's store) walks them itself with ``walk()``; a bare cache
-    keeps none, so its items carry flags 0.
-    """
-    walk = getattr(target, "walk", None)
-    if walk is not None:
-        return walk()
-    return ((key, value, 0) for key, value in iter_cache_items(target))
-
-
-def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:
-    """Serialise ``target``'s items (:func:`image_items`) and seal them;
-    returns the item count written.
+    (the server's store) walks its items itself with ``walk()``, which
+    also leaves out the expired ones; a bare cache keeps none, so its
+    items carry flags 0.
 
     Writing to a *path* is crash-safe: the bytes land in
     ``<destination>.tmp`` first, are flushed and fsynced, and only then
@@ -99,10 +93,16 @@ def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:
     to the caller.
     """
 
+    walk = getattr(target, "walk", None)
+    if walk is not None:
+        items = walk()
+    else:
+        items = ((key, value, 0) for key, value in iter_cache_items(target))
+
     def write(stream: BinaryIO) -> int:
         stream.write(SEGMENT_MAGIC)
         count = 0
-        for key, value, flags in image_items(target):
+        for key, value, flags in items:
             stream.write(encode_record(OP_SET, key, value, flags))
             count += 1
         stream.write(end_record(count))

@@ -30,8 +30,6 @@ class ZExpanderStats:
     postponed_removals: int = 0
     marker_sets: int = 0
     marker_samples: int = 0
-    #: Keys removed because their TTL elapsed (lazy or proactive).
-    expirations: int = 0
     #: Expensive requests serviced per zone (the adaptive signal).
     serviced_nzone: int = 0
     serviced_zzone: int = 0

@@ -27,7 +27,6 @@ from repro.common.errors import ItemTooLargeError
 from repro.common.hashing import hash_key
 from repro.core.adaptive import AdaptiveAllocator
 from repro.core.config import ZExpanderConfig
-from repro.core.expiry import ExpiryIndex
 from repro.core.marker import LocalityBenchmark, MARKER_VALUE, is_marker_key
 from repro.core.stats import ZExpanderStats
 from repro.nzone.base import EvictedItem, NZone
@@ -134,23 +133,18 @@ class ZExpander:
             )
         self._last_marker_time: Optional[float] = None
         self._marker_interval = config.marker_interval_seconds
-        self._expiry = ExpiryIndex()
 
     # -- public API ----------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Look up ``key``; N-zone first, then the Z-zone.
-
-        Expired keys answer None and are removed (lazy expiration, as in
-        memcached).
-        """
+        """Look up ``key``; N-zone first, then the Z-zone."""
         return self._get_one(key, None)
 
     def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Batched lookup, result- and stats-identical to a :meth:`get` loop.
 
         Each key runs the exact per-key control flow of :meth:`get` —
-        N-zone probe first, expiry, promotion, housekeeping, all in caller
+        N-zone probe first, promotion, housekeeping, all in caller
         order — but N-zone misses share one Z-zone :class:`ReadBatch`, so
         a block whose container serves several keys of the batch is
         physically decompressed and CRC-verified once
@@ -167,10 +161,6 @@ class ZExpander:
         """Shared GET body; ``batch`` is a Z-zone ReadBatch or None."""
         self._housekeeping()
         self.stats.gets += 1
-        if self._expiry and self._expiry.is_expired(key, self.clock.now()):
-            self._expire(key)
-            self.stats.get_misses += 1
-            return None
         value = self.nzone.get(key)
         if value is not None:
             self.stats.get_hits_nzone += 1
@@ -193,31 +183,17 @@ class ZExpander:
             self._promote(key, hashed, zvalue)
         return zvalue
 
-    def set(
-        self,
-        key: bytes,
-        value: bytes,
-        ttl: Optional[float] = None,
-        flags: int = 0,
-    ) -> None:
+    def set(self, key: bytes, value: bytes, flags: int = 0) -> None:
         """Insert or update ``key``; always admitted by the N-zone.
 
-        ``ttl`` (seconds) bounds the item's lifetime; omitting it on an
-        overwrite clears any previous TTL, matching memcached semantics
-        where every SET carries its own exptime.  ``flags`` is opaque
-        client metadata the cache itself does not store (the server's
-        store keeps it beside the cache) — it is accepted here only so
-        the write-through journal records it for recovery.
+        ``flags`` is opaque client metadata the cache itself does not
+        store (the server's store keeps it beside the cache) — it is
+        accepted here only so the write-through journal records it for
+        recovery.
         """
         self._housekeeping()
         self.stats.sets += 1
         self._record_service(nzone=True)
-        if ttl is not None:
-            if ttl <= 0:
-                raise ValueError(f"ttl must be positive, got {ttl}")
-            self._expiry.set(key, self.clock.now() + ttl)
-        elif self._expiry:
-            self._expiry.clear(key)
         hashed = hash_key(key)
         # Postpone removal of a stale Z-zone version (§3.3.2): if the item
         # is evicted before the deadline the removal merges with the write.
@@ -232,8 +208,6 @@ class ZExpander:
         """Remove ``key`` from both zones (§3)."""
         self._housekeeping()
         self.stats.deletes += 1
-        if self._expiry:
-            self._expiry.clear(key)
         in_n = self.nzone.delete(key)
         hashed = hash_key(key)
         was_expensive = self.zzone.maybe_contains(key, hashed)
@@ -257,8 +231,6 @@ class ZExpander:
 
     def __contains__(self, key: bytes) -> bool:
         """Residency test without recency side effects (filters only for Z)."""
-        if self._expiry and self._expiry.is_expired(key, self.clock.now()):
-            return False
         return key in self.nzone or self.zzone.maybe_contains(key)
 
     def routes_to_zzone(self, key: bytes) -> bool:
@@ -383,34 +355,15 @@ class ZExpander:
                 if self.zzone.maybe_contains(item.key, hashed):
                     self.zzone.delete(item.key, hashed)
 
-    def _expire(self, key: bytes) -> None:
-        """Drop an expired key from both zones.
-
-        Journaled as a delete: the journal and the replication stream
-        carry no TTL, so without it recovery and every replica would go
-        on holding a value this cache has stopped serving.
-        """
-        self._expiry.clear(key)
-        self.nzone.delete(key)
-        hashed = hash_key(key)
-        if self.zzone.maybe_contains(key, hashed):
-            self.zzone.delete(key, hashed)
-        self.stats.expirations += 1
-        if self.journal is not None:
-            self.journal.append_delete(key)
-
     def _housekeeping(self) -> None:
         """Per-request upkeep, structured as cheap inline guards.
 
         This runs before every GET/SET/DELETE, so each subsystem is
-        gated by the least work that can prove it idle: expiry by the
-        index's emptiness, markers by a float comparison, adaptation by
-        the allocator's presence.  The slow branches live in their own
-        methods.
+        gated by the least work that can prove it idle: markers by a
+        float comparison, adaptation by the allocator's presence.  The
+        slow branches live in their own methods.
         """
         now = self.clock.now()
-        if self._expiry:
-            self._purge_due(now)
         last = self._last_marker_time
         if last is None:
             # Open the first interval without issuing: a marker written
@@ -421,10 +374,6 @@ class ZExpander:
             self._issue_marker(now)
         if self.allocator is not None:
             self._maybe_adapt(now)
-
-    def _purge_due(self, now: float) -> None:
-        for key in list(self._expiry.pop_due(now)):
-            self._expire(key)
 
     def _issue_marker(self, now: float) -> None:
         self._last_marker_time = now

@@ -25,7 +25,9 @@ Injection sites
     ``duration`` requests, then restore it.  Exercises emergency sweeps.
 ``clock.skew``
     Jump the virtual clock forward by ``magnitude`` seconds.  Exercises
-    expiry, marker, and adaptation timing under time anomalies.
+    marker and adaptation timing under time anomalies, and on a served
+    cache TTL expiry too (the server's store reads deadlines on the
+    cache's clock).
 ``conn.reset``
     Serving-layer site: abruptly close the TCP connection mid-request
     (possibly mid-``set`` data block).  Exercises the server's partial

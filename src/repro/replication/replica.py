@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from repro.common.errors import CacheError, ReplicationError
 from repro.common.framing import apply_record, decode_payload, read_segment
-from repro.core.snapshot import image_items, read_image
+from repro.core.snapshot import iter_cache_items, read_image
 from repro.durability.manager import replay_journal
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -307,8 +307,7 @@ class ReplicationClient:
 
         read_segment(io.BytesIO(image), apply)
         stale = [
-            key
-            for key, _value, _flags in image_items(self.cache)
+            key for key, _value in iter_cache_items(self.cache)
             if key not in loaded_keys
         ]
         for key in stale:
@@ -356,7 +355,7 @@ def catch_up_from_directory(
     # Full recovery: drop everything we have (our history may predate the
     # newest checkpoint, and loading an image over live contents could
     # resurrect keys the primary deleted), then replay the directory.
-    for key in [key for key, _value, _flags in image_items(cache)]:
+    for key in [key for key, _value in iter_cache_items(cache)]:
         try:
             cache.delete(key)
         except CacheError:

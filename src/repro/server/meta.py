@@ -1,14 +1,16 @@
-"""The server's store: the cache plus each key's flags and CAS version.
+"""The server's store: the cache plus each key's flags, CAS and deadline.
 
 The zExpander core stores ``key -> value`` bytes and nothing else — it
-has no notion of memcached ``flags`` or CAS versions, and teaching every
-zone/block structure about them would bloat the compressed Z-zone format
-for a concern that is purely the serving layer's.  So the server wraps
-its cache in one :class:`ItemMetaStore`, which holds the cache and a
-``key -> (flags, cas)`` map, where ``cas`` is a server-wide monotonic
-version counter bumped on every successful store (matching real
-memcached, whose CAS values are a global counter that restarts from
-scratch on reboot — CAS tokens are deliberately *not* persisted).
+has no notion of memcached ``flags``, CAS versions or expiry times, and
+teaching every zone/block structure about them would bloat the
+compressed Z-zone format for a concern that is purely the serving
+layer's.  So the server wraps its cache in one :class:`ItemMetaStore`,
+which holds the cache and a ``key -> (flags, cas, deadline)`` map, where
+``cas`` is a server-wide monotonic version counter bumped on every
+successful store (matching real memcached, whose CAS values are a global
+counter that restarts from scratch on reboot — CAS tokens are
+deliberately *not* persisted) and ``deadline`` is the time on
+:attr:`clock` at which a SET's TTL runs out (None: never).
 
 Everything that writes into a served cache goes through :meth:`set` and
 :meth:`delete` — client SET/CAS/DELETE, recovery, image loads, the
@@ -19,6 +21,15 @@ a cache, and never know the map exists.  Only the server's reads (GET,
 and CAS's version check) use :attr:`entries` directly: a hit costs one
 dict probe, not a call, and a miss drops its entry there.
 
+Expiry: a deadline is also pushed on one heap of due times.  The server
+calls :meth:`expire` once per dispatched command while that heap is
+non-empty (a TTL-free workload pays one truthiness test): it deletes up
+to :data:`PURGE_LIMIT` keys that have come due, then any of the
+command's read keys that have.  An expiry is a :meth:`delete`, so it is
+journaled like one and reaches recovery and every replica; the records
+themselves carry no TTL.  :meth:`walk` leaves out a key whose deadline
+has passed, so no image holds an item the server has stopped serving.
+
 Staleness discipline: the cache evicts items without telling the store,
 so an entry can outlive its item.  That is harmless for correctness — a
 GET miss never consults the map for a reply, and the server drops the
@@ -26,27 +37,38 @@ entry when it observes the miss — but it is a memory liability under
 churn, so :meth:`prune` walks off entries whose keys are no longer
 resident once the map grows past twice the cache's live item count.
 Until the drop or a prune runs, a re-stored key simply overwrites its
-stale entry.
+stale entry.  A heap slot whose entry was overwritten, deleted or pruned
+is skipped when it comes due.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+import heapq
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.common.clock import VirtualClock
 from repro.core.snapshot import iter_cache_items
 
-#: ``(flags, cas)`` of a key the store has never versioned.  A zero CAS
-#: is unobtainable from a store (the counter starts at 1), so
+#: ``(flags, cas, deadline)`` of a key the store has never versioned.  A
+#: zero CAS is unobtainable from a store (the counter starts at 1), so
 #: ``cas == 0`` reliably means "no live version".
-DEFAULT_META: Tuple[int, int] = (0, 0)
+DEFAULT_META: Tuple[int, int, Optional[float]] = (0, 0, None)
+
+#: Due keys one :meth:`ItemMetaStore.expire` call deletes at most.
+PURGE_LIMIT = 64
 
 
 class ItemMetaStore:
-    """A cache with ``key -> (flags, cas)`` beside it."""
+    """A cache with ``key -> (flags, cas, deadline)`` beside it."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
-        self.entries: Dict[bytes, Tuple[int, int]] = {}
+        #: The one clock deadlines are read on and the server ticks: the
+        #: cache's own when it has one.
+        self.clock = getattr(cache, "clock", None) or VirtualClock()
+        self.entries: Dict[bytes, Tuple[int, int, Optional[float]]] = {}
+        #: ``(deadline, key)`` per deadline ever set; stale slots included.
+        self.due: List[Tuple[float, bytes]] = []
         self._next_cas = 0
 
     def __len__(self) -> int:
@@ -61,13 +83,22 @@ class ItemMetaStore:
         ttl: Optional[float] = None,
         flags: int = 0,
     ) -> int:
-        """Store ``value`` with its client ``flags``; returns its new CAS.
+        """Store ``value`` with its client ``flags``, for ``ttl`` seconds
+        (None: until evicted or deleted); returns its new CAS.
 
-        A :class:`~repro.common.errors.CacheError` from the cache
+        Every SET carries its own exptime, as in memcached: an overwrite
+        without ``ttl`` clears the old deadline.  A
+        :class:`~repro.common.errors.CacheError` from the cache
         propagates with the map untouched.
         """
-        self.cache.set(key, value, ttl=ttl, flags=flags)
-        return self.version(key, flags)
+        if ttl is not None and ttl <= 0:
+            raise ValueError(f"ttl must be positive, got {ttl}")
+        self.cache.set(key, value, flags=flags)
+        deadline = None
+        if ttl is not None:
+            deadline = self.clock.now() + ttl
+            heapq.heappush(self.due, (deadline, key))
+        return self.version(key, flags, deadline)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key`` from the cache and the map; True if it was found."""
@@ -75,21 +106,53 @@ class ItemMetaStore:
         self.entries.pop(key, None)
         return found
 
-    def version(self, key: bytes, flags: int) -> int:
+    def version(
+        self, key: bytes, flags: int, deadline: Optional[float] = None
+    ) -> int:
         """Mint ``key``'s next CAS version (a resident item reached the
         cache without the store, e.g. through an image loaded before the
         server existed)."""
         self._next_cas += 1
-        self.entries[key] = (flags, self._next_cas)
+        self.entries[key] = (flags, self._next_cas, deadline)
         return self._next_cas
+
+    # -- expiry -------------------------------------------------------------------
+
+    def expire(self, keys: Iterable[bytes] = ()) -> int:
+        """Delete up to :data:`PURGE_LIMIT` keys that have come due, then
+        any of ``keys`` that has; returns how many were deleted."""
+        now = self.clock.now()
+        due, entries = self.due, self.entries
+        expired = 0
+        while due and due[0][0] <= now and expired < PURGE_LIMIT:
+            deadline, key = heapq.heappop(due)
+            entry = entries.get(key)
+            if entry is not None and entry[2] == deadline:
+                self.delete(key)
+                expired += 1
+        for key in keys:
+            deadline = entries.get(key, DEFAULT_META)[2]
+            if deadline is not None and deadline <= now:
+                self.delete(key)
+                expired += 1
+        return expired
 
     # -- reading the contents out -------------------------------------------------
 
+    def items(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Every resident key once with the value a GET returns, expired
+        or not (what a sweep over the cache must reach)."""
+        return iter_cache_items(self.cache)
+
     def walk(self) -> Iterator[Tuple[bytes, bytes, int]]:
-        """Each resident key once, with the value a GET returns and its flags."""
+        """Each resident key once, with the value a GET returns and its
+        flags, less the keys whose deadline has passed."""
         entries = self.entries
-        for key, value in iter_cache_items(self.cache):
-            yield key, value, entries.get(key, DEFAULT_META)[0]
+        now = self.clock.now()
+        for key, value in self.items():
+            flags, _cas, deadline = entries.get(key, DEFAULT_META)
+            if deadline is None or deadline > now:
+                yield key, value, flags
 
     # -- hygiene ----------------------------------------------------------------
 
@@ -112,5 +175,6 @@ class ItemMetaStore:
 
     @property
     def memory_bytes(self) -> int:
-        """Rough accounting: dict slot + tuple of two ints per entry."""
-        return len(self.entries) * 96
+        """Rough accounting: dict slot + tuple of three per entry, and a
+        list slot per heap entry (stale ones until they come due)."""
+        return len(self.entries) * 104 + len(self.due) * 8

@@ -103,6 +103,8 @@ _WIRE_NAMES = {
     "cache_get_hits_nzone": "cache_hits_nzone",
     "cache_get_hits_zzone": "cache_hits_zzone",
     "cache_get_misses": "cache_misses",
+    # A name shipped under the cache's prefix, kept for the store's count.
+    "server_expirations": "cache_expirations",
     **{f"cache_zzone_{field}": f"integrity_{field}" for field in INTEGRITY_FIELDS},
     **{f"cache_zzone_{field}": f"fastpath_{field}" for field in FASTPATH_FIELDS},
     "cache_zzone_container_cache_bytes": "fastpath_container_cache_bytes",
@@ -223,6 +225,8 @@ class ServerStats:
     cas_hits: int = 0
     cas_badval: int = 0
     cas_misses: int = 0
+    #: Keys deleted because their TTL ran out (on a read or by the purge).
+    expirations: int = 0
     #: Stale flags/CAS entries dropped by the store's periodic prune
     #: (items the cache evicted without telling the store).
     meta_pruned: int = 0
@@ -379,9 +383,9 @@ class CacheServer:
         # What a served cache may lack (the ledger's dict-backed shell
         # has none of them), resolved once: nothing rebinds these after
         # construction.
-        self._routes_to_zzone, self._shard_for, clock, bind_cache = (
+        self._routes_to_zzone, self._shard_for, bind_cache = (
             getattr(cache, name, None)
-            for name in ("routes_to_zzone", "shard_for", "clock", "bind_metrics")
+            for name in ("routes_to_zzone", "shard_for", "bind_metrics")
         )
         # Injectors come from ``ZExpanderConfig.fault_plan`` when the
         # cache is built, on every shard or on none; a server without
@@ -391,12 +395,18 @@ class CacheServer:
             for shard in getattr(cache, "shards", (cache,))
         )
         self._fault_hook = self._fire_faults if armed else None
-        #: Moves the cache's clock once per dispatched command: a fixed
-        #: step in ``tick`` mode, as far as ``time.monotonic`` moved in
-        #: ``wall`` mode (nothing else ever advances a VirtualClock).
-        if clock is None:
-            self._tick = None
-        elif self.config.clock_mode == "tick":
+        #: The cache with each key's client flags, monotonic CAS version
+        #: and deadline beside it: every write into the cache and every
+        #: walk of its contents goes through it.  Flags are persisted
+        #: through cache images and the journal (one record format); CAS
+        #: versions restart from 1 on every boot, as real memcached's do.
+        self.store = ItemMetaStore(cache)
+        #: Moves the store's clock (the cache's, when it has one) once
+        #: per dispatched command: a fixed step in ``tick`` mode, as far
+        #: as ``time.monotonic`` moved in ``wall`` mode (nothing else
+        #: ever advances a VirtualClock).
+        clock = self.store.clock
+        if self.config.clock_mode == "tick":
             self._tick = partial(clock.advance, TICK_SECONDS)
         else:
             origin = time.monotonic() - clock.now()
@@ -409,12 +419,6 @@ class CacheServer:
         else:
             self.admission = AdmissionController(self.config.admission)
         self.stats = ServerStats()
-        #: The cache with each key's client flags + monotonic CAS
-        #: version beside it: every write into the cache and every walk
-        #: of its contents goes through it.  Flags are persisted through
-        #: cache images and the journal (one record format); CAS versions
-        #: restart from 1 on every boot, as real memcached's do.
-        self.store = ItemMetaStore(cache)
         self.registry = MetricsRegistry()
         self._latency_hist = self.registry.histogram(
             "server_request_seconds",
@@ -691,9 +695,10 @@ class CacheServer:
             return True
         self._inflight += 1
         try:
-            if self._tick is not None:
-                self._tick()
+            self._tick()
             started = time.perf_counter()
+            if self.store.due:
+                self._expire_due(command)
             reply = self._execute(command)
             self._latency_hist.observe(time.perf_counter() - started)
             if self._fault_hook is not None:
@@ -789,6 +794,14 @@ class CacheServer:
             return False
         return all(routes(key) for key in command.keys)
 
+    def _expire_due(self, command: Command) -> None:
+        """The store's purge, plus the lazy check of the keys a read is
+        about to ask the cache for."""
+        reads = command.name in ("get", "gets", "cas")
+        self.stats.expirations += self.store.expire(
+            command.keys if reads else ()
+        )
+
     def _resolve_ttl(self, exptime: int) -> Tuple[Optional[float], bool]:
         """memcached exptime -> (relative ttl seconds, already_expired).
 
@@ -847,13 +860,13 @@ class CacheServer:
         for key, value in zip(command.keys, values):
             if value is None:
                 self.stats.get_misses += 1
-                # The cache evicts/expires without telling the store;
-                # drop the stale entry when the miss shows.
+                # The cache evicts without telling the store; drop the
+                # stale entry when the miss shows.
                 entries.pop(key, None)
                 continue
             self.stats.get_hits += 1
             self._get_bytes_hist.observe(len(value))
-            flags, cas = entries.get(key, DEFAULT_META)
+            flags, cas, _deadline = entries.get(key, DEFAULT_META)
             if with_cas and cas == 0:
                 # Resident item with no recorded version (e.g. loaded
                 # into the cache before the server existed): mint one

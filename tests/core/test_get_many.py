@@ -1,8 +1,7 @@
 """Batched reads: ``get_many`` must be a pure batching of ``get``.
 
 The contract under test: for any key multiset — duplicates, misses,
-expired items, keys staged in the append region, keys in quarantined
-blocks — ``get_many`` returns exactly what a sequential ``get`` loop
+keys staged in the append region, keys in quarantined blocks — ``get_many`` returns exactly what a sequential ``get`` loop
 would, and leaves *every* counter (cache stats, Z-zone stats, trie
 lookup/probe counts) in exactly the state the loop would, except the
 three batch-usage counters (``get_many_batches``, ``batched_keys``,
@@ -70,8 +69,6 @@ def _apply(cache, ops) -> None:
         name = op[0]
         if name == "set":
             cache.set(_key(op[1]), _value(op[1], op[2]))
-        elif name == "setttl":
-            cache.set(_key(op[1]), _value(op[1], op[2]), ttl=op[3] / 100.0)
         elif name == "setbig":
             # Likely oversized for a block: exercises large-ref routing
             # (and the batch path's no-deferral rule for such blocks).
@@ -124,12 +121,6 @@ def _fingerprint(cache):
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("set"), st.integers(0, 79), st.integers(1, 24)),
-        st.tuples(
-            st.just("setttl"),
-            st.integers(0, 79),
-            st.integers(1, 24),
-            st.integers(2, 30),
-        ),
         st.tuples(st.just("setbig"), st.integers(0, 79)),
         st.tuples(st.just("del"), st.integers(0, 79)),
         st.tuples(st.just("tick"), st.integers(1, 40)),

@@ -429,12 +429,12 @@ class TestItemMetaStore:
         second = store.set(b"a", b"2", flags=2)
         third = store.set(b"b", b"3")
         assert first < second < third
-        assert store.entries[b"a"] == (2, second)
+        assert store.entries[b"a"] == (2, second, None)
         assert store.cache.get(b"a") == b"2"
 
     def test_zero_means_no_live_version(self):
         store = ItemMetaStore(make_cache())
-        assert store.entries.get(b"missing", DEFAULT_META) == (0, 0)
+        assert store.entries.get(b"missing", DEFAULT_META) == (0, 0, None)
         token = store.set(b"k", b"v")
         assert token > 0
         assert store.delete(b"k") is True

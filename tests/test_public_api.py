@@ -20,7 +20,7 @@ class TestPublicApi:
             repro.ZExpanderConfig(total_capacity=4 * repro.MB)
         )
         cache.set(b"user:42", b"value bytes")
-        cache.set(b"session:9", b"expires soon", ttl=300.0)
+        cache.set(b"session:9", b"served until evicted")
         assert cache.get(b"user:42") == b"value bytes"
         cache.delete(b"user:42")
         assert cache.stats.miss_ratio == 0.0
