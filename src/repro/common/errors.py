@@ -10,8 +10,8 @@ class CacheError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
 
 
-class ConfigurationError(CacheError):
-    """An invalid or inconsistent configuration was supplied."""
+class ConfigurationError(CacheError, ValueError):
+    """An invalid or inconsistent configuration (also a ValueError)."""
 
 
 class CapacityError(CacheError):

@@ -59,11 +59,6 @@ class LocalityBenchmark:
         self._samples.appendleft(sample)
         return sample
 
-    def observe_deletion(self, key: bytes) -> bool:
-        """Forget a marker that left the zone by a path other than
-        eviction (e.g. a zone teardown); returns whether it was ours."""
-        return self._outstanding.pop(key, None) is not None
-
     @property
     def value(self) -> Optional[float]:
         """Current benchmark in seconds; None until the first sample."""

@@ -151,9 +151,6 @@ class ShardedZExpander:
             "max-over-mean item count across shards",
         )
 
-    def shard_miss_ratios(self) -> List[float]:
-        return [shard.stats.miss_ratio for shard in self.shards]
-
     def imbalance(self) -> float:
         """Max-over-mean item count across shards (1.0 = perfectly even)."""
         counts = [shard.item_count for shard in self.shards]

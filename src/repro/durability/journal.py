@@ -169,11 +169,6 @@ class JournalWriter:
     # -- plumbing --------------------------------------------------------------
 
     @property
-    def current_seq(self) -> int:
-        """Sequence number of the active segment."""
-        return self._seq
-
-    @property
     def position(self) -> Tuple[int, int]:
         """(segment seq, byte offset) just past the last flushed record."""
         return self._seq, self._segment_written

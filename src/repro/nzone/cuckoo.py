@@ -168,7 +168,3 @@ class CuckooTable:
     def memory_bytes(self) -> int:
         """Modelled footprint: the full slot array, occupied or not."""
         return self.bucket_count * SLOTS_PER_BUCKET * SLOT_BYTES
-
-    @property
-    def load_factor(self) -> float:
-        return self._count / (self.bucket_count * SLOTS_PER_BUCKET)

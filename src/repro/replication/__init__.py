@@ -8,10 +8,7 @@ sender (tail the journal file, or snapshot resync), and
 and consensus-free promotion.
 """
 
-from repro.replication.replica import (
-    ReplicationClient,
-    catch_up_from_directory,
-)
+from repro.replication.replica import ReplicationClient
 from repro.replication.source import ReplicationSource
 from repro.replication.stats import ReplicationStats
 from repro.replication.tailer import JournalTailer, SegmentPrunedError
@@ -22,5 +19,4 @@ __all__ = [
     "ReplicationSource",
     "ReplicationStats",
     "SegmentPrunedError",
-    "catch_up_from_directory",
 ]

@@ -1,13 +1,14 @@
 """The replica's side of the stream: apply, track lag, survive, promote.
 
-A :class:`ReplicationClient` owns one upstream connection.  It applies
-records through the same ``set``/``delete`` calls recovery uses (on a
-server, the store's, so flags arrive with their items; a replica with
-its own ``--journal-dir`` journals everything it applies and is durable
-in its own right), tracks its lag from the primary's heartbeats, and
-reconnects with jittered backoff when the link dies.  A snapshot resync replaces the replica's contents wholesale:
-keys absent from the image (deleted on the primary while we were
-partitioned) are removed, so a resync can never resurrect a delete.
+A :class:`ReplicationClient` owns one upstream connection.  Every record
+it receives — stream, resync image or promotion catch-up — goes through
+its one applier, onto the same ``set``/``delete`` calls recovery uses
+(on a server, the store's, so flags arrive with their items; a replica
+with its own ``--journal-dir`` journals everything it applies and is
+durable in its own right).  It tracks its lag from the primary's
+heartbeats, and reconnects with jittered backoff when the link dies.  A
+resync rebuilds from empty, never over live contents: keys deleted on
+the primary while we were partitioned cannot survive it.
 
 Lag and staleness are advertised, not guessed: ``pressure_level`` is
 
@@ -18,7 +19,7 @@ Lag and staleness are advertised, not guessed: ``pressure_level`` is
   lag exceeds ``max_lag_bytes``;
 * ``0`` otherwise.
 
-Promotion (:func:`catch_up_from_directory` + the server's ``promote``
+Promotion (:meth:`ReplicationClient.catch_up` + the server's ``promote``
 command) is deliberately consensus-free: an operator or harness decides,
 the replica optionally replays the dead primary's on-disk journal from
 its applied position (fsync=always there means every acknowledged write
@@ -31,10 +32,17 @@ import asyncio
 import io
 import random
 import time
-from typing import Optional, Tuple
+from types import SimpleNamespace
+from typing import List, Optional, Tuple
 
-from repro.common.errors import CacheError, ReplicationError
-from repro.common.framing import apply_record, decode_payload, read_segment
+from repro.common.errors import CacheError, JournalError, ReplicationError
+from repro.common.framing import (
+    OP_DELETE,
+    OP_SET,
+    apply_record,
+    decode_payload,
+    read_segment,
+)
 from repro.core.snapshot import iter_cache_items, read_image
 from repro.durability.manager import replay_journal
 from repro.replication import wire
@@ -158,7 +166,10 @@ class ReplicationClient:
             try:
                 await self._session(reader, writer)
             except (
+                # A record that does not decode ends the session like a
+                # frame that does not: skipping it would leave a hole.
                 ReplicationError,
+                JournalError,
                 ConnectionError,
                 OSError,
                 asyncio.IncompleteReadError,
@@ -236,7 +247,7 @@ class ReplicationClient:
             frame_type, body = frame
             if frame_type == wire.RECORD:
                 segment, end_offset, payload = wire.decode_record_body(body)
-                self._apply_payload(payload)
+                self._apply(*decode_payload(payload))
                 self.position = (segment, end_offset)
                 self._conn_applied += len(payload)
                 self.stats.records_applied += 1
@@ -261,7 +272,7 @@ class ReplicationClient:
             elif frame_type == wire.SNAP_END:
                 if snapshot_buffer is None:
                     raise ReplicationError("snapshot end outside a snapshot")
-                self._apply_snapshot(bytes(snapshot_buffer))
+                self._resync(bytes(snapshot_buffer))
                 snapshot_buffer = None
                 self.position = snapshot_position
                 self._conn_applied = 0
@@ -275,90 +286,66 @@ class ReplicationClient:
         writer.write(wire.encode_ack(self._conn_applied, *self.position))
         self.stats.acks_sent += 1
 
-    def _apply_payload(self, payload: bytes) -> None:
+    def _apply(self, op: int, key: bytes, value: bytes, flags: int) -> None:
+        """The one applier: stream, resync, reset and catch-up.  A record
+        the cache refuses is counted, not fatal."""
         try:
-            apply_record(self.cache, *decode_payload(payload))
+            apply_record(self.cache, op, key, value, flags)
         except CacheError:
             self.stats.apply_errors += 1
 
-    def _apply_snapshot(self, image: bytes) -> None:
-        """Replace our contents with the image: load it, drop the rest.
+    def _reset(self) -> None:
+        """Delete every resident key through :meth:`_apply`, so a replica
+        with its own journal journals the deletes too."""
+        for key in [key for key, _value in iter_cache_items(self.cache)]:
+            self._apply(OP_DELETE, key, b"", 0)
 
-        The whole buffered image is verified (:func:`read_image`) before
-        anything is applied, so a damaged, short or unsealed one drops
-        the session (``_run`` re-dials) with our contents still the old
-        state, never a part of the new.
-        """
+    def _resync(self, image: bytes) -> None:
+        """Replace our contents with the image: verify it whole, reset,
+        load.  A damaged, short or unsealed image drops the session
+        (``_run`` re-dials) with our contents still the old state."""
         scan = read_image(io.BytesIO(image))
         if not scan.clean:
             raise ReplicationError(
                 f"resync image refused after {scan.records} whole records: "
                 f"{scan.error}"
             )
-        loaded_keys = set()
+        self._reset()
+        read_segment(io.BytesIO(image), self._apply)
 
-        def apply(op: int, key: bytes, value: bytes, flags: int) -> None:
+    def catch_up(self, directory: str) -> Tuple[int, str, List[str]]:
+        """Apply a dead primary's on-disk journal from our position;
+        returns ``(records, mode, incidents)``.
+
+        ``tail`` replays forward from the position.  ``full``, when the
+        position is unusable, resets and recovers the directory from
+        empty, as the primary itself would have, and returns that
+        recovery's incidents (a journal hole among them).
+        """
+        segment, offset = self.position
+        if segment > 0:
+            tailer = JournalTailer(directory, segment, offset)
+            records = 0
             try:
-                apply_record(self.cache, op, key, value, flags)
-            except CacheError:
-                self.stats.apply_errors += 1
-            else:
-                loaded_keys.add(key)
-
-        read_segment(io.BytesIO(image), apply)
-        stale = [
-            key for key, _value in iter_cache_items(self.cache)
-            if key not in loaded_keys
-        ]
-        for key in stale:
-            try:
-                self.cache.delete(key)
-            except CacheError:
-                self.stats.apply_errors += 1
-
-
-# -- promotion catch-up ----------------------------------------------------------
-
-
-def catch_up_from_directory(
-    cache, directory: str, position: Tuple[int, int]
-) -> Tuple[int, str]:
-    """Apply the dead primary's on-disk journal from ``position``.
-
-    Returns ``(records_applied, mode)`` where mode is ``"tail"`` (replayed
-    forward from the replica's applied position — the cheap, warm path)
-    or ``"full"`` (the position was unusable, so the replica's contents
-    were cleared and the directory recovered from scratch, exactly as the
-    primary itself would have).  Either way the promoted cache ends at
-    the dead primary's final acknowledged state.
-    """
-    segment, offset = position
-    if segment > 0:
-        tailer = JournalTailer(directory, segment, offset)
-        try:
-            total = 0
-            while True:
-                batch = tailer.read_batch(1024)
-                if not batch:
-                    return total, "tail"
-                for payload, _seg, _end in batch:
-                    record = decode_payload(payload)
-                    try:
-                        apply_record(cache, *record)
-                    except CacheError:
-                        pass
-                    total += 1
-        except SegmentPrunedError:
-            pass
-        finally:
-            tailer.close()
-    # Full recovery: drop everything we have (our history may predate the
-    # newest checkpoint, and loading an image over live contents could
-    # resurrect keys the primary deleted), then replay the directory.
-    for key in [key for key, _value in iter_cache_items(cache)]:
-        try:
-            cache.delete(key)
-        except CacheError:
-            pass
-    result = replay_journal(directory, cache)
-    return result.checkpoint_loaded + result.replayed_records, "full"
+                while True:
+                    batch = tailer.read_batch(1024)
+                    if not batch:
+                        self.stats.catch_up_records += records
+                        return records, "tail", []
+                    for payload, seg, end in batch:
+                        self._apply(*decode_payload(payload))
+                        self.position = (seg, end)
+                        records += 1
+            except SegmentPrunedError:
+                pass
+            finally:
+                tailer.close()
+        self._reset()
+        apply = self._apply
+        result = replay_journal(directory, SimpleNamespace(
+            set=lambda key, value, flags=0: apply(OP_SET, key, value, flags),
+            delete=lambda key: apply(OP_DELETE, key, b"", 0),
+        ))
+        records = result.checkpoint_loaded + result.replayed_records
+        self.stats.catch_up_records += records
+        return records, "full", result.incidents

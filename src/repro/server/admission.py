@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro.common.errors import ConfigurationError
+
 
 class ServerState(enum.Enum):
     HEALTHY = "healthy"
@@ -142,12 +144,12 @@ class AdmissionConfig:
 
     def validate(self) -> None:
         if not 0 < self.inflight_low <= self.inflight_soft <= self.inflight_hard:
-            raise ValueError(
+            raise ConfigurationError(
                 "need 0 < inflight_low <= inflight_soft <= inflight_hard, got "
                 f"{self.inflight_low}/{self.inflight_soft}/{self.inflight_hard}"
             )
         if not 0.0 < self.recovery_fraction <= 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"recovery_fraction must be in (0, 1], got {self.recovery_fraction}"
             )
 

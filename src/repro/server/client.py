@@ -601,10 +601,6 @@ class FailoverMemcacheClient:
     def primary_address(self) -> Address:
         return (self._primary.host, self._primary.port)
 
-    @property
-    def replica_addresses(self) -> List[Address]:
-        return [(c.host, c.port) for c in self._replicas]
-
     async def close(self) -> None:
         await self._primary.close()
         for client in self._replicas:

@@ -276,7 +276,8 @@ class _LinkProxy:
             for end in (writer, up_writer):
                 try:
                     end.close()
-                except Exception:
+                except (OSError, RuntimeError):
+                    # Already reset by the peer, or its event loop is gone.
                     pass
 
     async def _pump(

@@ -57,7 +57,7 @@ from functools import partial
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
-from repro.common.errors import CacheError, JournalError
+from repro.common.errors import CacheError, ConfigurationError, JournalError
 from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.durability import DurabilityConfig, DurabilityManager
 from repro.faults.auditor import InvariantAuditor
@@ -66,7 +66,6 @@ from repro.replication import (
     ReplicationClient,
     ReplicationSource,
     ReplicationStats,
-    catch_up_from_directory,
 )
 from repro.server import protocol
 from repro.server.admission import (
@@ -138,6 +137,8 @@ class ServerConfig:
     #: real TTL semantics and accept nondeterminism.
     clock_mode: str = "tick"
     drain_deadline: float = 5.0
+    #: The image a drain writes and a start warm-loads (None = none).
+    #: A server has one persistence base: this or ``journal_dir``.
     snapshot_path: Optional[str] = None
     #: Re-verify cache invariants every N commands (0 = off).
     audit_interval: int = 0
@@ -176,25 +177,30 @@ class ServerConfig:
 
     def validate(self) -> None:
         if self.read_timeout <= 0 or self.write_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+            raise ConfigurationError("timeouts must be positive")
         if self.drain_deadline < 0:
-            raise ValueError("drain_deadline must be >= 0")
+            raise ConfigurationError("drain_deadline must be >= 0")
         if self.clock_mode not in ("tick", "wall"):
-            raise ValueError(f"unknown clock_mode {self.clock_mode!r}")
+            raise ConfigurationError(f"unknown clock_mode {self.clock_mode!r}")
         if self.audit_interval < 0:
-            raise ValueError("audit_interval must be >= 0")
+            raise ConfigurationError("audit_interval must be >= 0")
         if self.journal_dir is not None:
+            if self.snapshot_path is not None:
+                raise ConfigurationError(
+                    "snapshot_path and journal_dir are two persistence bases "
+                    "(the journal's final checkpoint is the drain image)"
+                )
             self.durability_config().validate()
         if self.role not in ("primary", "replica"):
-            raise ValueError(f"unknown role {self.role!r}")
+            raise ConfigurationError(f"unknown role {self.role!r}")
         if self.role == "replica" and self.primary_port is None:
-            raise ValueError("replica role requires primary_port")
+            raise ConfigurationError("replica role requires primary_port")
         if self.repl_port is not None and self.journal_dir is None:
-            raise ValueError("repl_port requires journal_dir (the stream IS the journal)")
+            raise ConfigurationError("repl_port requires journal_dir (the stream IS the journal)")
         if self.max_lag_bytes <= 0 or self.stale_grace <= 0:
-            raise ValueError("max_lag_bytes and stale_grace must be positive")
+            raise ConfigurationError("max_lag_bytes and stale_grace must be positive")
         if self.repl_silence_timeout <= 0:
-            raise ValueError("repl_silence_timeout must be positive")
+            raise ConfigurationError("repl_silence_timeout must be positive")
         self.admission.validate()
 
     def durability_config(self) -> DurabilityConfig:
@@ -486,16 +492,18 @@ class CacheServer:
         return self._port
 
     async def start(self) -> None:
-        """Recover durable state (if any), then bind and accept.
+        """Rebuild from the one persistence base, if any, then bind and
+        accept.
 
-        Ordering: snapshot warm-load first (a pre-durability warm base),
-        then journal recovery (newer, overwrites), then — and only then —
-        attach the journal so recovery itself is never re-journaled.
+        The base is the journal directory (checkpoint + journal, which is
+        attached only afterwards so recovery is never re-journaled) or
+        the ``--snapshot`` image, never both: one laid over the other
+        would bring back what the newer one had deleted.
         """
-        if self.config.snapshot_path is not None:
-            self._warm_restart(self.config.snapshot_path)
         if self.config.journal_dir is not None:
             self._recover_durable()
+        elif self.config.snapshot_path is not None:
+            self._warm_restart(self.config.snapshot_path)
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.config.host, self.config.port
         )
@@ -608,23 +616,23 @@ class CacheServer:
             await self.repl_client.stop()
         if self.repl_source is not None:
             await self.repl_source.close()
-        if self.config.snapshot_path is not None:
-            try:
-                self.stats.snapshot_written = write_snapshot(
-                    self.store, self.config.snapshot_path
-                )
-            except Exception as exc:  # the drain must reach its exit code
-                self.incidents.append(f"snapshot write failed: {exc}")
-                self._exit_code = 1
         if self.durability is not None:
             if self._housekeeping is not None:
                 self._housekeeping.cancel()
             try:
-                # Final checkpoint: the next start recovers from the image
-                # alone, with an empty journal to replay.
+                # Final checkpoint, the drain image: the next start
+                # recovers from it alone, with an empty journal to replay.
                 self.durability.close(self.store)
-            except Exception as exc:  # likewise
+            except Exception as exc:  # the drain must reach its exit code
                 self.incidents.append(f"final checkpoint failed: {exc}")
+                self._exit_code = 1
+        elif self.config.snapshot_path is not None:
+            try:
+                self.stats.snapshot_written = write_snapshot(
+                    self.store, self.config.snapshot_path
+                )
+            except Exception as exc:  # likewise
+                self.incidents.append(f"snapshot write failed: {exc}")
                 self._exit_code = 1
         if self.stats.invariant_failures:
             self._exit_code = 1
@@ -746,8 +754,10 @@ class CacheServer:
         With a catch-up directory (the dead primary's journal on shared
         or local disk) the replica first replays everything past its
         applied position — under fsync=always over there, that is every
-        acknowledged write — so promotion loses nothing.  Without one,
-        loss is bounded by the replication lag at the moment of death.
+        acknowledged write — so promotion loses nothing, and what its
+        recovery found (a journal hole included) lands in ``incidents``.
+        Without one, loss is bounded by the replication lag at the
+        moment of death.
         """
         if self.config.role != "replica":
             return protocol.server_error("not a replica")
@@ -758,20 +768,16 @@ class CacheServer:
                 return protocol.server_error("catch-up dir not found")
         client = self.repl_client
         self.repl_client = None
-        position = (0, 0)
-        if client is not None:
-            position = client.position
-            client.cancel()
+        client.cancel()
         caught, mode = 0, "none"
         if catch_up_dir is not None:
             try:
-                caught, mode = catch_up_from_directory(
-                    self.store, catch_up_dir, position
-                )
-                self.replication_stats.catch_up_records += caught
-            except (JournalError, CacheError, OSError) as exc:
+                caught, mode, incidents = client.catch_up(catch_up_dir)
+            except (CacheError, OSError) as exc:
                 # Promote regardless: serve with loss.
                 self.incidents.append(f"promotion catch-up failed: {exc}")
+            else:
+                self.incidents += [f"promotion catch-up: {i}" for i in incidents]
         self.config.role = "primary"
         self.replication_stats.promotions += 1
         self.incidents.append(

@@ -64,13 +64,6 @@ class TestBenchmark:
         benchmark.observe_eviction(key, now=1.0)
         assert benchmark.outstanding_count == 0
 
-    def test_observe_deletion(self):
-        benchmark = LocalityBenchmark()
-        key = benchmark.mint(now=0.0)
-        assert benchmark.observe_deletion(key) is True
-        assert benchmark.observe_deletion(key) is False
-        assert benchmark.value is None  # deletion is not a sample
-
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             LocalityBenchmark(weights=(1.0, 1.0))

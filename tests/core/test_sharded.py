@@ -70,10 +70,6 @@ class TestShardedZExpander:
         assert totals["cache_gets"] == 100
         assert totals["cache_get_misses"] < 10
 
-    def test_shard_miss_ratios_length(self):
-        fleet = make_fleet(num_shards=3)
-        assert len(fleet.shard_miss_ratios()) == 3
-
     def test_single_shard_equivalent(self):
         fleet = make_fleet(num_shards=1)
         fleet.set(b"key", b"value")

@@ -93,9 +93,9 @@ class TestWriter:
         config = JournalConfig(directory=str(tmp_path))
         with JournalWriter(config) as writer:
             writer.append_set(b"a", b"1")
-            first = writer.current_seq
+            first = writer.position[0]
         with JournalWriter(config) as writer:
-            assert writer.current_seq == first + 1
+            assert writer.position[0] == first + 1
 
     def test_rotation_past_segment_bytes(self, tmp_path):
         config = JournalConfig(directory=str(tmp_path), segment_bytes=256)

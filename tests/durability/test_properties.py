@@ -337,7 +337,7 @@ class TestDamagedImageNeverLies:
             cache.set(key, value)
         client = ReplicationClient(cache, "127.0.0.1", 0)
         try:
-            client._apply_snapshot(bad)
+            client._resync(bad)
         except ReplicationError:
             assert bad != raw
             assert dict(iter_cache_items(cache)) == old

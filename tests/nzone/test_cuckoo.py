@@ -59,12 +59,6 @@ class TestCuckooTable:
         table = CuckooTable(initial_buckets=1024)
         assert table.memory_bytes == 1024 * SLOTS_PER_BUCKET * SLOT_BYTES
 
-    def test_load_factor(self):
-        table = CuckooTable(initial_buckets=16)
-        assert table.load_factor == 0.0
-        table.insert(b"x", 1)
-        assert table.load_factor == pytest.approx(1 / 64)
-
     def test_invalid_buckets(self):
         with pytest.raises(ValueError):
             CuckooTable(initial_buckets=3)

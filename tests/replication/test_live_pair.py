@@ -2,6 +2,8 @@
 
 import asyncio
 import io
+import os
+import socket
 import time
 
 import pytest
@@ -13,7 +15,8 @@ from repro.nzone import PlainZone
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.replication import wire
-from repro.replication.replica import ReplicationClient, catch_up_from_directory
+from repro.durability.journal import JournalConfig, JournalWriter, list_segments
+from repro.replication.replica import ReplicationClient
 from repro.server.server import CacheServer, ServerConfig
 
 
@@ -173,13 +176,13 @@ class TestOnePath:
             assert await wait_until(lambda: applied.snapshots_applied == 1)
             client = replica.repl_client
             positions = []
-            apply_payload = client._apply_payload
+            apply = client._apply
 
-            def recording_apply(payload):
+            def recording_apply(*record):
                 positions.append(client.position)
-                apply_payload(payload)
+                apply(*record)
 
-            client._apply_payload = recording_apply
+            client._apply = recording_apply
 
             def appends():
                 return primary.durability.stats.journal_appends
@@ -307,6 +310,46 @@ class TestHostileReplica:
         asyncio.run(go())
 
 
+    def test_a_record_that_does_not_decode_is_never_skipped(self):
+        """A CRC-whole RECORD whose payload is not a record ends the
+        session at the position before it, so the re-dial asks for that
+        record again.  It used to be counted as an apply error and
+        stepped over, laying every later record over a hole."""
+
+        async def go():
+            hellos, writers = [], []
+
+            async def primary(reader, writer):
+                writers.append(writer)
+                hello = await wire.read_frame(reader)
+                hellos.append(wire.decode_position(hello[1]))
+                writer.write(wire.encode_record_frame(1, 40, b"\xffnot a record"))
+                await writer.drain()
+                await reader.read()  # until the replica hangs up
+
+            server = await asyncio.start_server(primary, "127.0.0.1", 0)
+            client = ReplicationClient(
+                SimpleKVCache(PlainZone(1 << 20)),
+                "127.0.0.1",
+                server.sockets[0].getsockname()[1],
+                reconnect_base=0.01,
+                reconnect_cap=0.05,
+            )
+            client.start()
+            try:
+                assert await wait_until(lambda: len(hellos) >= 2), client.stats
+                assert hellos[:2] == [(0, 0), (0, 0)]
+                assert client.stats.records_applied == 0
+            finally:
+                await client.stop()
+                server.close()
+                await server.wait_closed()
+                for w in writers:
+                    w.close()
+
+        asyncio.run(go())
+
+
 class TestSnapshotResync:
     def test_late_joiner_resyncs_and_drops_stale_keys(self, tmp_path):
         async def go():
@@ -347,6 +390,64 @@ class TestSnapshotResync:
 
         asyncio.run(go())
 
+
+    def test_a_journaled_replica_restarts_with_exactly_the_image(self, tmp_path):
+        """A replica with its own journal directory is resynced, killed
+        (no final checkpoint) and restarted from that directory: it holds
+        exactly the primary's keys, so the reset's deletes reached its
+        journal, not only its cache."""
+        own = str(tmp_path / "replica")
+
+        async def go():
+            # The replica's directory starts with a key of its own.
+            before, task = await start_primary(own, repl_port=None)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", before.port
+            )
+            assert (
+                await send(writer, reader, b"set doomed 0 0 4\r\nlost\r\n")
+                == b"STORED\r\n"
+            )
+            writer.close()
+            assert await drain(before, task) == 0
+
+            primary, ptask = await start_primary(
+                tmp_path / "primary",
+                journal_segment_bytes=512,
+                checkpoint_bytes=2048,
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", primary.port
+            )
+            for i in range(60):
+                reply = await send(
+                    writer, reader, b"set warm%04d 0 0 5\r\nvalue\r\n" % i
+                )
+                assert reply == b"STORED\r\n"
+            writer.close()
+            expected = dict(iter_cache_items(primary.cache))
+            replica, rtask = await start_replica(
+                primary.repl_source.port, journal_dir=own, fsync="always"
+            )
+            assert replica.cache.get(b"doomed") == b"lost"
+            assert await wait_until(
+                lambda: replica.replication_stats.snapshots_applied >= 1
+                and dict(iter_cache_items(replica.cache)) == expected
+            )
+            # Killed, not drained: the restart replays the journal.
+            rtask.cancel()
+            replica._server.close()
+            await replica._server.wait_closed()
+            await replica.repl_client.stop()
+            replica.durability.writer.close()
+            await drain(primary, ptask)
+
+            restarted, task = await start_primary(own, repl_port=None)
+            assert restarted.durability.stats.replayed_records > 0
+            assert dict(iter_cache_items(restarted.cache)) == expected
+            assert await drain(restarted, task) == 0
+
+        asyncio.run(go())
 
     @pytest.mark.parametrize("damage", ["cut", "wrong_count", "unsealed"])
     def test_damaged_image_is_refused_whole_then_redialed(self, damage):
@@ -550,6 +651,47 @@ class TestPromotion:
 
         asyncio.run(go())
 
+    def test_catch_up_over_a_hole_reports_it(self, tmp_path):
+        """A dead primary's directory missing a middle segment: the
+        promoted replica recovers up to the hole, as ``cli serve`` on
+        that directory would refuse to, and says so.  Its incidents
+        used to hold only ``promoted to primary (catch-up full: …)``."""
+        writer = JournalWriter(
+            JournalConfig(directory=str(tmp_path), segment_bytes=256)
+        )
+        writer.append_set(b"k000", b"x" * 48)
+        writer.append_delete(b"k000")
+        for i in range(1, 40):
+            writer.append_set(b"k%03d" % i, b"x" * 48)
+        writer.close()
+        segments = list_segments(str(tmp_path))
+        assert len(segments) >= 3
+        os.remove(segments[len(segments) // 2][1])
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+
+        async def go():
+            replica, rtask = await start_replica(dead_port)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", replica.port
+            )
+            reply = await send(
+                writer, reader, b"promote %s\r\n" % str(tmp_path).encode()
+            )
+            assert reply == b"PROMOTED\r\n"
+            writer.close()
+            holes = [line for line in replica.incidents if "journal hole" in line]
+            assert holes and holes[0].startswith("promotion catch-up: ")
+            assert replica.incidents[-1].startswith(
+                "promoted to primary (catch-up full: "
+            )
+            assert replica.cache.get(b"k000") is None
+            assert replica.cache.get(b"k039") is None  # past the hole
+            await drain(replica, rtask)
+
+        asyncio.run(go())
+
     def test_promote_refused_on_a_primary(self, tmp_path):
         async def go():
             primary, ptask = await start_primary(tmp_path)
@@ -565,9 +707,10 @@ class TestPromotion:
 
 
 class TestCatchUpFromDirectory:
-    def _build_journal(self, tmp_path):
-        from repro.durability.journal import JournalConfig, JournalWriter
+    """``ReplicationClient.catch_up``: from the client's own position,
+    through its one applier, booked on its own stats."""
 
+    def _build_journal(self, tmp_path):
         writer = JournalWriter(
             JournalConfig(
                 directory=str(tmp_path), segment_bytes=512, fsync="never"
@@ -576,17 +719,19 @@ class TestCatchUpFromDirectory:
         for i in range(25):
             writer.append_set(b"c%03d" % i, b"val-%03d" % i)
         writer.append_delete(b"c000")
-        position_mid = None
+        end = writer.position
         writer.close()
-        return position_mid
+        return end
 
     def test_full_replay_from_zero_position(self, tmp_path):
         self._build_journal(tmp_path)
         cache = SimpleKVCache(PlainZone(1 << 20))
         cache.set(b"leftover", b"should vanish")
-        applied, mode = catch_up_from_directory(cache, str(tmp_path), (0, 0))
-        assert mode == "full"
-        assert applied == 26
+        client = ReplicationClient(cache, "127.0.0.1", 0)
+        applied, mode, incidents = client.catch_up(str(tmp_path))
+        assert (applied, mode, incidents) == (26, "full", [])
+        assert client.stats.catch_up_records == 26
+        assert client.stats.apply_errors == 0
         assert cache.get(b"leftover") is None
         assert cache.get(b"c000") is None  # the delete replayed too
         assert cache.get(b"c024") == b"val-024"
@@ -595,21 +740,23 @@ class TestCatchUpFromDirectory:
         from repro.common.framing import apply_record, decode_payload
         from repro.replication.tailer import JournalTailer
 
-        self._build_journal(tmp_path)
+        end = self._build_journal(tmp_path)
         # Apply the first half by tailing, then catch up from there.
         cache = SimpleKVCache(PlainZone(1 << 20))
+        client = ReplicationClient(cache, "127.0.0.1", 0)
         tailer = JournalTailer(str(tmp_path), 1, 0)
         applied = 0
-        position = (1, 0)
         while applied < 10:
-            for payload, seg, end in tailer.read_batch(1):
+            for payload, seg, end_offset in tailer.read_batch(1):
                 apply_record(cache, *decode_payload(payload))
-                position = (seg, end)
+                client.position = (seg, end_offset)
                 applied += 1
         tailer.close()
-        caught, mode = catch_up_from_directory(cache, str(tmp_path), position)
-        assert mode == "tail"
-        assert caught == 16  # the remaining 15 sets + 1 delete
+        caught, mode, incidents = client.catch_up(str(tmp_path))
+        # The remaining 15 sets + 1 delete.
+        assert (caught, mode, incidents) == (16, "tail", [])
+        assert client.stats.catch_up_records == 16
+        assert client.position == end
         assert cache.get(b"c000") is None
         assert cache.get(b"c024") == b"val-024"
 

@@ -174,7 +174,7 @@ class TestTailDamage:
         next survivor is not where the stream continues."""
         writer = make_writer(tmp_path, segment_bytes=256)
         append_sets(writer, 3)
-        first = writer.current_seq
+        first = writer.position[0]
         tailer = JournalTailer(str(tmp_path), first, 0)
         assert len(read_everything(tailer)) == 3
         append_sets(writer, 30, start=3)

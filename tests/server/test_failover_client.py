@@ -154,13 +154,14 @@ class TestPromotionFailover:
                 new_primary = await client.promote(0, str(tmp_path))
                 assert new_primary == ("127.0.0.1", replica.port)
                 assert client.primary_address == new_primary
-                assert client.replica_addresses == []
                 assert client.promotions == 1
                 # Writes now land on the promoted node...
                 assert await client.set(b"after", b"new")
                 assert await client.get(b"after") == b"new"
-                # ...which also kept everything the dead primary acked.
+                # ...which also kept everything the dead primary acked,
+                # and serves reads as the primary, out of the rotation.
                 assert await client.get(b"before") == b"old"
+                assert client.reads_replica == 0
             finally:
                 await client.close()
             await drain(replica, rtask)
@@ -193,10 +194,10 @@ class TestPromotionFailover:
             try:
                 with pytest.raises(Exception):
                     await client.promote(0)
-                assert client.replica_addresses == [
-                    ("127.0.0.1", primary.port)
-                ]
                 assert client.promotions == 0
+                # Still in the read rotation: it answers, not the dead primary.
+                assert await client.get(b"probe") is None
+                assert client.reads_replica == 1
             finally:
                 await client.close()
             await drain(primary, ptask)

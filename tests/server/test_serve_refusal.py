@@ -1,17 +1,21 @@
-"""A hole in journal history must stop the server before it serves.
+"""A hole in journal history, or a refused configuration, must stop the
+server before it serves.
 
 Serving over a gap could resurrect deletes and hide acknowledged writes
 — and a replica would then faithfully replicate the damage.  The server
 layer refuses to start (JournalError), and ``cli serve`` turns that into
-a clear message + exit code 2 instead of a listening socket.
+a clear message + exit code 2 instead of a listening socket.  A
+configuration ``ServerConfig.validate`` refuses gets the same answer.
 """
 
 import asyncio
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.common.errors import JournalError
+from repro.common.errors import ConfigurationError, JournalError
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.durability.journal import (
@@ -89,3 +93,46 @@ class TestHoleRefusal:
             await task
 
         asyncio.run(go())
+
+
+class TestRefusedConfiguration:
+    def test_snapshot_and_journal_are_two_bases(self, tmp_path):
+        """One persistence base per server.  With both, a restart loaded
+        the checkpoint over the older drain snapshot, which brought back
+        every key deleted since that snapshot was written."""
+        with pytest.raises(ConfigurationError, match="two persistence bases"):
+            CacheServer(
+                ShardedZExpander(
+                    ZExpanderConfig(total_capacity=256 * 1024, seed=3),
+                    num_shards=2,
+                ),
+                ServerConfig(
+                    port=0,
+                    snapshot_path=str(tmp_path / "drain.snap"),
+                    journal_dir=str(tmp_path / "wal"),
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--snapshot", "{tmp}/x.snap", "--journal-dir", "{tmp}/wal"],
+            ["--role", "replica"],
+            ["--repl-port", "0"],
+        ],
+        ids=["snapshot_and_journal", "replica_without_primary", "repl_without_journal"],
+    )
+    def test_cli_serve_exits_2_with_an_error_line(self, tmp_path, flags):
+        """In a child process: a configuration that is not refused serves
+        until killed, and the timeout says so."""
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "serve", "--port", "0"]
+            + [flag.format(tmp=tmp_path) for flag in flags],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: "), child.stderr
+        assert "Traceback" not in child.stderr
+        assert "serving memcached protocol" not in child.stdout
