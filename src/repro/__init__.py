@@ -49,7 +49,6 @@ from repro.core import (
     ZExpanderConfig,
     ZExpanderStats,
     load_snapshot,
-    replay_trace,
     write_snapshot,
 )
 from repro.compression import (
@@ -81,6 +80,17 @@ from repro.nzone import HPCacheZone, MemcachedZone, PlainZone
 from repro.zzone import ZZone
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # The trace replayer pulls in the workload generators and numpy; a
+    # serving process never replays, so it is imported on first use.
+    if name == "replay_trace":
+        from repro.core.replay import replay_trace
+
+        return replay_trace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GB",

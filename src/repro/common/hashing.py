@@ -124,16 +124,3 @@ def fnv1a_64(data: bytes, seed: int = 0xCBF29CE484222325) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & _MASK64
     return h
-
-
-def prefix_of(hashed_key: int, depth: int) -> int:
-    """Return the top ``depth`` bits of a 64-bit ``hashed_key``.
-
-    ``depth`` 0 returns 0 (the root prefix).  This is the label of the
-    trie node at that depth on the key's root-to-leaf path.
-    """
-    if depth == 0:
-        return 0
-    if not 0 < depth <= 64:
-        raise ValueError(f"depth must be in [0, 64], got {depth}")
-    return hashed_key >> (64 - depth)

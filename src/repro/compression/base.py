@@ -22,6 +22,10 @@ class Compressed:
     the cache's accounting.  For real codecs the two coincide.
     """
 
+    # Written out, not ``dataclass(slots=True)``, which needs Python 3.10:
+    # every Z-zone block holds one, and a ``__dict__`` costs it ~70 B.
+    __slots__ = ("payload", "stored_size")
+
     payload: bytes
     stored_size: int
 

@@ -10,12 +10,21 @@ versions, and adaptive space allocation between the zones.
 from repro.core.adaptive import AdaptiveAllocator, AllocationAction
 from repro.core.config import ZExpanderConfig
 from repro.core.marker import LocalityBenchmark
-from repro.core.replay import ReplayStats, replay_trace
 from repro.core.sharded import ShardedZExpander
 from repro.core.simple import SimpleKVCache
 from repro.core.snapshot import load_snapshot, write_snapshot
 from repro.core.stats import ZExpanderStats
 from repro.core.zexpander import ZExpander
+
+
+def __getattr__(name: str):
+    # ``replay`` imports the workload generators and numpy, which a
+    # serving process never needs: load it when first asked for.
+    if name in ("ReplayStats", "replay_trace"):
+        from repro.core import replay
+
+        return getattr(replay, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdaptiveAllocator",

@@ -11,18 +11,14 @@ uses in Table 1 — so results are comparable across scales.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.analysis.base_cache import base_cache_size
-from repro.common.rng import derive_seed
-from repro.workloads.facebook import SPECS, generate_facebook_trace
-from repro.workloads.trace import Trace
-from repro.workloads.values import (
-    PlacesValueGenerator,
-    SizedValueSource,
-    ValueSource,
-)
-from repro.workloads.ycsb import YCSBConfig, generate_ycsb_trace
+if TYPE_CHECKING:
+    from repro.workloads.trace import Trace
+
+# The workload generators (and numpy under them) are imported by the
+# functions that build traces, not here: ``cli`` reads :data:`BENCH_SCALE`
+# for its defaults, and ``cli serve`` must not pay for a trace generator.
 
 WORKLOAD_NAMES = ("ETC", "APP", "USR", "YCSB")
 
@@ -71,6 +67,9 @@ def build_trace(
     Figure 10–12 mix sweeps; Facebook traces always use their published
     mixes.
     """
+    from repro.workloads.facebook import SPECS, generate_facebook_trace
+    from repro.workloads.ycsb import YCSBConfig, generate_ycsb_trace
+
     key = (name, scale, get_fraction, set_fraction)
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
@@ -111,6 +110,13 @@ def build_value_source(name: str, trace: Trace, seed: int = 42):
     use the data sets about Twitter's location records to emulate the
     values".
     """
+    from repro.common.rng import derive_seed
+    from repro.workloads.values import (
+        PlacesValueGenerator,
+        SizedValueSource,
+        ValueSource,
+    )
+
     if name == "YCSB":
         return ValueSource(PlacesValueGenerator(seed=derive_seed(seed, "values")))
     return SizedValueSource(
@@ -123,6 +129,8 @@ _BASE_CACHE: Dict[tuple, int] = {}
 
 def base_size_of(name: str, scale: Scale) -> int:
     """Memoised base cache size (§2.1) of a workload at ``scale``."""
+    from repro.analysis.base_cache import base_cache_size
+
     key = (name, scale)
     cached = _BASE_CACHE.get(key)
     if cached is None:

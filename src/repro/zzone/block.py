@@ -33,7 +33,9 @@ import bisect
 import itertools
 import struct
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.common.errors import CorruptionDetectedError
 from repro.common.records import KVItem
@@ -135,6 +137,12 @@ def container_entries(container: bytes) -> List[Entry]:
 #: with a new generation, which is what invalidates cache entries.
 _BLOCK_GENERATION = itertools.count(1)
 
+#: The staged index of every block that has never staged a put (most
+#: never do; a private empty dict and bytearray would cost ~120 B a
+#: block).  Read-only, so only :meth:`Block.stage_put`, which swaps in a
+#: dict and a bytearray of the block's own, can write to a region.
+_NO_STAGED_INDEX: Mapping[bytes, int] = MappingProxyType({})
+
 
 class Block:
     """One immutable compressed container plus its metadata."""
@@ -171,8 +179,8 @@ class Block:
         uncompressed_size: int,
         item_count: int,
         content_filter: Bloom128,
-        index_hashes: List[int],
-        index_offsets: List[int],
+        index_hashes: "array[int]",
+        index_offsets: "array[int]",
         large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
         codec: Optional[Compressor] = None,
     ) -> None:
@@ -207,8 +215,8 @@ class Block:
         #: at the latest offset (last write wins) — and it is CRC-guarded
         #: incrementally, entry by entry, so staged bytes get the same
         #: single-bit-flip detection as the compressed payload.
-        self.staged_buffer = bytearray()
-        self.staged_index: Dict[bytes, int] = {}
+        self.staged_buffer: Union[bytes, bytearray] = b""
+        self.staged_index: Mapping[bytes, int] = _NO_STAGED_INDEX
         self.staged_checksum = 0
         #: Process-unique identity for the decompressed-container cache.
         self.generation = next(_BLOCK_GENERATION)
@@ -260,8 +268,9 @@ class Block:
         append_wire = wires.append
         content = Bloom128()
         content_add = content.add
-        index_hashes: List[int] = []
-        index_offsets: List[int] = []
+        # Unboxed: as Python ints in lists the index costs ~670 B a block.
+        index_hashes = array("Q")
+        index_offsets = array("I")
         step = max(1, len(entries) // _INDEX_FANOUT)
         offset = 0
         for position, (hashed, _key, wire) in enumerate(entries):
@@ -304,6 +313,9 @@ class Block:
         (``crc32(a + b) == crc32(b, crc32(a))``).
         """
         entry = item_entry(key, value, hashed_key)[2]
+        if self.staged_index is _NO_STAGED_INDEX:
+            self.staged_index = {}
+            self.staged_buffer = bytearray()
         is_new = key not in self.staged_index
         self.staged_index[key] = len(self.staged_buffer)
         self.staged_buffer += entry

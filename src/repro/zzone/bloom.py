@@ -11,33 +11,29 @@ the hot path.
 
 from __future__ import annotations
 
-from typing import Dict
-
 SIZE_BYTES = 16
 _BITS = SIZE_BYTES * 8
 _NUM_PROBES = 4
 
-#: Memo of hashed key -> OR-mask of its four probe bits.  Every block
-#: rebuild re-adds the same resident keys to a fresh Content Filter, so
-#: the probe positions for a key are recomputed constantly; the mask is a
-#: pure function of the hashed key and can be derived once.  Cleared
-#: wholesale when full so unbounded key churn cannot grow it.
-_MASK_CACHE: Dict[int, int] = {}
-_MASK_CACHE_LIMIT = 1 << 17
 
-
-def _probe_mask(hashed_key: int) -> int:
-    mask = _MASK_CACHE.get(hashed_key)
-    if mask is None:
-        h1 = hashed_key & 0xFFFFFFFF
-        h2 = (hashed_key >> 32) | 1  # odd step so probes cycle all bits
-        mask = 0
-        for i in range(_NUM_PROBES):
-            mask |= 1 << ((h1 + i * h2) % _BITS)
-        if len(_MASK_CACHE) >= _MASK_CACHE_LIMIT:
-            _MASK_CACHE.clear()
-        _MASK_CACHE[hashed_key] = mask
+def _double_hash_mask(h1: int, h2: int) -> int:
+    """OR-mask of the probe bits ``(h1 + i * h2) % _BITS``, i < 4."""
+    mask = 0
+    for i in range(_NUM_PROBES):
+        mask |= 1 << ((h1 + i * h2) % _BITS)
     return mask
+
+
+#: Every probe mask there is, as ``_MASKS[h1 % 128][(h2 % 128) // 2]``.
+#: ``h1`` is the hash's low 32 bits and ``h2`` its high 32 bits forced
+#: odd; since 128 divides 2**32, the probe bits depend only on the hash's
+#: bits 0-6 and 33-38, so 128 x 64 masks cover every hash.  Built once
+#: at import, it does not grow with the number of keys.  The filter
+#: indexes it inline: a helper call would cost as much again.
+_MASKS = tuple(
+    tuple(_double_hash_mask(low, (odd << 1) | 1) for odd in range(_BITS // 2))
+    for low in range(_BITS)
+)
 
 
 class Bloom128:
@@ -50,10 +46,10 @@ class Bloom128:
 
     def add(self, hashed_key: int) -> None:
         """Record ``hashed_key`` in the filter."""
-        self._bits |= _probe_mask(hashed_key)
+        self._bits |= _MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
 
     def __contains__(self, hashed_key: int) -> bool:
-        mask = _probe_mask(hashed_key)
+        mask = _MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
         return self._bits & mask == mask
 
     def clear(self) -> None:

@@ -389,12 +389,12 @@ class ZZone:
         """Checksummed decompression of ``leaf``'s container.
 
         Returns the container bytes, or None after quarantining the block
-        when its checksum fails or its codec raises / returns bytes of the
-        wrong size.  ``charge=False`` keeps the decompression off the
-        priced stats (accounting-neutral iteration).  A ``batch`` memo
-        only spares the physical work: ``decompressions`` is charged per
-        call regardless, and ``container_decodes_saved`` counts the
-        decodes the memo answered.
+        when its checksum fails or its codec raises ``CodecError`` /
+        returns bytes of the wrong size.  ``charge=False`` keeps the
+        decompression off the priced stats (accounting-neutral
+        iteration).  A ``batch`` memo only spares the physical work:
+        ``decompressions`` is charged per call regardless, and
+        ``container_decodes_saved`` counts the decodes the memo answered.
         """
         if charge:
             self.stats.decompressions += 1
@@ -412,7 +412,7 @@ class ZZone:
         codec = leaf.codec or self.compressor
         try:
             container = codec.decompress(leaf.compressed)
-        except Exception:
+        except CodecError:
             self._note_codec_failure()
             self._quarantine(leaf)
             return None
@@ -503,7 +503,7 @@ class ZZone:
         codec = large.codec or self.compressor
         try:
             value = codec.decompress(large.compressed)
-        except Exception:
+        except CodecError:
             self._note_codec_failure()
             self._drop_large(leaf, key)
             return None

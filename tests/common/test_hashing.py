@@ -1,6 +1,5 @@
 """Tests for repro.common.hashing."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +8,6 @@ from repro.common.hashing import (
     hash_key,
     hash_key_murmur,
     murmur3_32,
-    prefix_of,
 )
 
 
@@ -58,35 +56,13 @@ class TestHashKey:
         # Trie placement uses top bits; they must be well distributed.
         buckets = [0] * 16
         for i in range(16_000):
-            buckets[prefix_of(hash_key(b"k%06d" % i), 4)] += 1
+            buckets[hash_key(b"k%06d" % i) >> 60] += 1
         expected = 1000
         assert all(abs(count - expected) < 200 for count in buckets)
 
     def test_murmur_variant_matches_reference_rounds(self):
         value = hash_key_murmur(b"hello")
         assert value >> 32 == murmur3_32(b"hello", 0)
-
-
-class TestPrefixOf:
-    def test_depth_zero_is_root(self):
-        assert prefix_of(0xFFFFFFFFFFFFFFFF, 0) == 0
-
-    def test_full_depth_is_identity(self):
-        assert prefix_of(0x123456789ABCDEF0, 64) == 0x123456789ABCDEF0
-
-    def test_depth_one_is_top_bit(self):
-        assert prefix_of(1 << 63, 1) == 1
-        assert prefix_of((1 << 63) - 1, 1) == 0
-
-    def test_prefix_extends(self):
-        h = hash_key(b"any")
-        for depth in range(1, 64):
-            assert prefix_of(h, depth + 1) >> 1 == prefix_of(h, depth)
-
-    @pytest.mark.parametrize("depth", [-1, 65])
-    def test_invalid_depth_rejected(self, depth):
-        with pytest.raises(ValueError):
-            prefix_of(0, depth)
 
 
 class TestFnv:

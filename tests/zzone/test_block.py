@@ -1,5 +1,8 @@
 """Tests for Z-zone blocks."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from repro.zzone.block import (
     LargeItem,
     decode_items,
     encode_items,
+    item_entry,
 )
 
 
@@ -154,3 +158,39 @@ class TestAccounting:
         base = block.memory_bytes
         block.large_refs[b"big"] = large
         assert block.memory_bytes == base + large.memory_bytes
+
+
+class TestHostMemory:
+    """What a block costs the process beyond the bytes it is charged.
+
+    Figure 7 charges ``BLOCK_METADATA_BYTES`` per block; the Python
+    objects behind that metadata cost more.  Measured over a few thousand
+    blocks of 20 items (the paper's 2 KB block), excluding each block's
+    compressed payload object.
+    """
+
+    BLOCKS = 2000
+
+    def test_host_bytes_per_block_excluding_payload(self):
+        groups = []
+        for g in range(self.BLOCKS):
+            entries = []
+            for i in range(20):
+                key = b"host:%07d" % (g * 20 + i)
+                value = b"value %d of group %d " % (i, g) * 5
+                entries.append(item_entry(key, value, hash_key(key)))
+            groups.append(sorted(entries))
+        codec = ZlibCompressor()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blocks = [Block.from_entries(entries, codec) for entries in groups]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        payload = sum(sys.getsizeof(block.compressed.payload) for block in blocks)
+        per_block = (grown - payload) / len(blocks)
+        assert per_block < 1000, per_block

@@ -66,3 +66,42 @@ class TestBloom128:
         for key in keys:
             bloom.add(key)
         assert all(key in bloom for key in keys)
+
+
+def _four_probe_mask(hashed_key):
+    """The double-hash formula the mask table is built from."""
+    h1 = hashed_key & 0xFFFFFFFF
+    h2 = (hashed_key >> 32) | 1
+    mask = 0
+    for i in range(4):
+        mask |= 1 << ((h1 + i * h2) % 128)
+    return mask
+
+
+class TestProbeMaskTable:
+    """The filter reads its probe bits from a table, not the formula."""
+
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    @settings(max_examples=500)
+    def test_table_equals_double_hashing(self, hashed_key):
+        bloom = Bloom128()
+        bloom.add(hashed_key)
+        mask = _four_probe_mask(hashed_key)
+        assert bloom._bits == mask
+        assert hashed_key in bloom
+        bloom._bits = mask & (mask - 1)  # drop one probe bit
+        assert hashed_key not in bloom
+
+    def test_only_the_indexed_bits_matter(self):
+        # Bits 0-6 and 33-38 of the hash pick the entry; setting every
+        # other bit keeps the mask.
+        other_bits = ((1 << 64) - 1) & ~0x7F & ~(0x3F << 33)
+        for low in range(128):
+            for odd in range(64):
+                hashed = (odd << 33) | low
+                bloom = Bloom128()
+                bloom.add(hashed)
+                assert bloom._bits == _four_probe_mask(hashed)
+                bloom.clear()
+                bloom.add(hashed | other_bits)
+                assert bloom._bits == _four_probe_mask(hashed)
