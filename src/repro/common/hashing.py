@@ -15,8 +15,7 @@ mixing, where inputs are tiny.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict
+from hashlib import blake2b
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -75,13 +74,9 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     return h
 
 
-#: Memo of key -> placement hash.  A replay hashes the same bounded key
-#: population over and over (every SET re-hashes, every demotion re-hashes
-#: the evicted key); memoising is safe because the hash is a pure function
-#: of the key bytes.  The cache is cleared wholesale when it fills so a
-#: pathological key churn cannot grow it without bound.
-_HASH_CACHE: Dict[bytes, int] = {}
-_HASH_CACHE_LIMIT = 1 << 17
+#: Copying a configured hasher is cheaper than building one from keyword
+#: arguments on every call (≈ 0.4 against 0.55 µs per key).
+_BLAKE2B_64 = blake2b(digest_size=8)
 
 
 def hash_key(key: bytes) -> int:
@@ -89,17 +84,17 @@ def hash_key(key: bytes) -> int:
 
     Trie placement consumes bits from the *top* of this value
     (most-significant first), mirroring the paper's use of a hashed-key
-    binary prefix.
+    binary prefix; shard choice and cuckoo buckets use the low bits.
+
+    A BLAKE2b hash costs about half a microsecond, so a request hashes its
+    key once at the top of the stack and hands the value down
+    (``ShardedZExpander`` -> ``ZExpander`` -> N-zone index and Z-zone)
+    rather than each layer recomputing it.  Nothing is memoised: a memo
+    would hold a reference to every key it had seen.
     """
-    cached = _HASH_CACHE.get(key)
-    if cached is None:
-        cached = int.from_bytes(
-            hashlib.blake2b(key, digest_size=8).digest(), "big"
-        )
-        if len(_HASH_CACHE) >= _HASH_CACHE_LIMIT:
-            _HASH_CACHE.clear()
-        _HASH_CACHE[key] = cached
-    return cached
+    hasher = _BLAKE2B_64.copy()
+    hasher.update(key)
+    return int.from_bytes(hasher.digest(), "big")
 
 
 def hash_key_murmur(key: bytes) -> int:

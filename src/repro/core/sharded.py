@@ -63,9 +63,13 @@ class ShardedZExpander:
         return self.shards[hash_key(key) % self.num_shards]
 
     # -- KV interface ---------------------------------------------------------
+    #
+    # Each call hashes its key once: the hash picks the shard and rides
+    # down to the shard's N-zone index and Z-zone.
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return self.shard_for(key).get(key)
+        hashed = hash_key(key)
+        return self.shards[hashed % self.num_shards].get(key, hashed)
 
     def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
         """Batched lookup: one per-shard batch, results in caller order.
@@ -77,24 +81,27 @@ class ShardedZExpander:
         groups still count as a batch on their shard, matching what a
         fleet of independent servers would report.
         """
+        hashes = [hash_key(key) for key in keys]
         by_shard: Dict[int, List[int]] = {}
-        for position, key in enumerate(keys):
-            shard_index = hash_key(key) % self.num_shards
-            by_shard.setdefault(shard_index, []).append(position)
+        for position, hashed in enumerate(hashes):
+            by_shard.setdefault(hashed % self.num_shards, []).append(position)
         results: List[Optional[bytes]] = [None] * len(keys)
         for shard_index, positions in by_shard.items():
             shard_values = self.shards[shard_index].get_many(
-                [keys[position] for position in positions]
+                [keys[position] for position in positions],
+                [hashes[position] for position in positions],
             )
             for position, value in zip(positions, shard_values):
                 results[position] = value
         return results
 
     def set(self, key: bytes, value: bytes, flags: int = 0) -> None:
-        self.shard_for(key).set(key, value, flags=flags)
+        hashed = hash_key(key)
+        self.shards[hashed % self.num_shards].set(key, value, flags, hashed)
 
     def delete(self, key: bytes) -> bool:
-        return self.shard_for(key).delete(key)
+        hashed = hash_key(key)
+        return self.shards[hashed % self.num_shards].delete(key, hashed)
 
     def __contains__(self, key: bytes) -> bool:
         return key in self.shard_for(key)

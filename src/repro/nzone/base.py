@@ -14,10 +14,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 @dataclass(frozen=True)
 class EvictedItem:
-    """An item pushed out of the N-zone."""
+    """An item pushed out of the N-zone, with its
+    :func:`~repro.common.hashing.hash_key` when the zone had to compute
+    it anyway (a hashed index), so the Z-zone put need not again."""
 
     key: bytes
     value: bytes
+    hashed: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -42,8 +45,12 @@ class NZone(abc.ABC):
     def item_count(self) -> int:
         """Resident item count."""
 
+    # ``hashed`` on get and delete is ``key``'s hash_key when the caller
+    # has it: a zone with a hashed index uses it instead of hashing again,
+    # the others ignore it.
+
     @abc.abstractmethod
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[bytes]:
         """Return the value for ``key`` (refreshing recency) or None."""
 
     @abc.abstractmethod
@@ -51,7 +58,7 @@ class NZone(abc.ABC):
         """Insert or replace; returns the items evicted to make room."""
 
     @abc.abstractmethod
-    def delete(self, key: bytes) -> bool:
+    def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:
         """Remove ``key``; returns whether it was resident."""
 
     @abc.abstractmethod

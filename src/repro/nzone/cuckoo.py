@@ -59,8 +59,9 @@ class CuckooTable:
         # bucket and the tag alone, in either direction.
         return (bucket ^ (_TAG_STEP[tag] & self._mask)) & self._mask
 
-    def _candidates(self, key: bytes) -> Tuple[int, int, int]:
-        hashed = hash_key(key)
+    def _candidates(self, key: bytes, hashed: Optional[int]) -> Tuple[int, int, int]:
+        if hashed is None:
+            hashed = hash_key(key)
         tag = (hashed >> 56) & 0xFF or 1
         mask = self._mask
         b1 = hashed & mask
@@ -68,8 +69,10 @@ class CuckooTable:
 
     # -- operations ---------------------------------------------------------------
 
-    def get(self, key: bytes) -> Optional[Any]:
-        b1, b2, tag = self._candidates(key)
+    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[Any]:
+        """``key``'s payload or None; ``hashed`` is its
+        :func:`~repro.common.hashing.hash_key`, computed here if omitted."""
+        b1, b2, tag = self._candidates(key, hashed)
         for bucket_index in (b1, b2):
             for slot_key, slot_tag, payload in self._buckets[bucket_index]:
                 if slot_tag == tag and slot_key == key:
@@ -82,9 +85,9 @@ class CuckooTable:
     def __len__(self) -> int:
         return self._count
 
-    def insert(self, key: bytes, payload: Any) -> None:
+    def insert(self, key: bytes, payload: Any, hashed: Optional[int] = None) -> None:
         """Insert or replace; grows the table if the walk fails."""
-        b1, b2, tag = self._candidates(key)
+        b1, b2, tag = self._candidates(key, hashed)
         for bucket_index in (b1, b2):
             bucket = self._buckets[bucket_index]
             for position, (slot_key, slot_tag, _payload) in enumerate(bucket):
@@ -96,7 +99,7 @@ class CuckooTable:
             return
         # Displacement walk failed: grow and retry (rehash doubles space).
         self._grow()
-        self.insert(key, payload)
+        self.insert(key, payload, hashed)
 
     def _try_place(
         self, key: bytes, tag: int, payload: Any, b1: int, b2: int
@@ -139,11 +142,12 @@ class CuckooTable:
         self._mask = new_size - 1
         self._count = 0
         self.rehashes += 1
+        # Slots keep no hash: growth (rare) re-hashes every key.
         for key, _tag, payload in old_entries:
             self.insert(key, payload)
 
-    def delete(self, key: bytes) -> bool:
-        b1, b2, tag = self._candidates(key)
+    def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:
+        b1, b2, tag = self._candidates(key, hashed)
         for bucket_index in (b1, b2):
             bucket = self._buckets[bucket_index]
             for position, (slot_key, slot_tag, _payload) in enumerate(bucket):

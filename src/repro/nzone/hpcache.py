@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.common.hashing import hash_key
 from repro.nzone.base import EvictedItem, NZone
 from repro.nzone.cuckoo import CuckooTable
 
@@ -87,10 +88,14 @@ class HPCacheZone(NZone):
             entry[_ALIVE] = False
             self._dead += 1
             self._hand += 1
-            self._table.delete(entry[_KEY])
-            self._payload_bytes -= len(entry[_KEY]) + len(entry[_VALUE])
+            # One hash serves the index delete here and the victim's
+            # Z-zone put.
+            key = entry[_KEY]
+            hashed = hash_key(key)
+            self._table.delete(key, hashed)
+            self._payload_bytes -= len(key) + len(entry[_VALUE])
             self._count -= 1
-            victim = EvictedItem(key=entry[_KEY], value=entry[_VALUE])
+            victim = EvictedItem(key=key, value=entry[_VALUE], hashed=hashed)
             self._compact_ring()
             return victim
 
@@ -117,8 +122,8 @@ class HPCacheZone(NZone):
     def item_count(self) -> int:
         return self._count
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        entry = self._table.get(key)
+    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[bytes]:
+        entry = self._table.get(key, hashed)
         if entry is None or not entry[_ALIVE]:
             return None
         entry[_REFBIT] = True
@@ -127,7 +132,8 @@ class HPCacheZone(NZone):
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
         if self._item_bytes(key, value) > self._capacity:
             return [EvictedItem(key=key, value=value)]
-        entry = self._table.get(key)
+        hashed = hash_key(key)
+        entry = self._table.get(key, hashed)
         if entry is not None and entry[_ALIVE]:
             self._payload_bytes += len(value) - len(entry[_VALUE])
             entry[_VALUE] = value
@@ -135,18 +141,20 @@ class HPCacheZone(NZone):
             return self._evict_to_fit()
         new_entry = [key, value, False, True]
         self._ring.append(new_entry)
-        self._table.insert(key, new_entry)
+        self._table.insert(key, new_entry, hashed)
         self._payload_bytes += len(key) + len(value)
         self._count += 1
         return self._evict_to_fit()
 
-    def delete(self, key: bytes) -> bool:
-        entry = self._table.get(key)
+    def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:
+        if hashed is None:
+            hashed = hash_key(key)
+        entry = self._table.get(key, hashed)
         if entry is None or not entry[_ALIVE]:
             return False
         entry[_ALIVE] = False
         self._dead += 1
-        self._table.delete(key)
+        self._table.delete(key, hashed)
         self._payload_bytes -= len(key) + len(entry[_VALUE])
         self._count -= 1
         self._compact_ring()

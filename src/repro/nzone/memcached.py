@@ -201,7 +201,7 @@ class MemcachedZone(NZone):
     def item_count(self) -> int:
         return len(self._index)
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[bytes]:
         entry = self._index.get(key)
         if entry is None:
             return None
@@ -251,7 +251,7 @@ class MemcachedZone(NZone):
         self._slabs.free(class_id)
         return value
 
-    def delete(self, key: bytes) -> bool:
+    def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:
         entry = self._index.get(key)
         if entry is None:
             return False

@@ -34,7 +34,7 @@ class PlainZone(NZone):
     def item_count(self) -> int:
         return len(self._items)
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[bytes]:
         value = self._items.get(key)
         if value is None:
             return None
@@ -61,7 +61,7 @@ class PlainZone(NZone):
             evicted.append(EvictedItem(key=victim_key, value=victim_value))
         return evicted
 
-    def delete(self, key: bytes) -> bool:
+    def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:
         value = self._items.pop(key, None)
         if value is None:
             return False

@@ -1,25 +1,34 @@
-"""The server's store: the cache plus each key's flags, CAS and deadline.
+"""The server's store: the cache plus the flags, CAS and deadline of the
+keys that need them.
 
 The zExpander core stores ``key -> value`` bytes and nothing else — it
 has no notion of memcached ``flags``, CAS versions or expiry times, and
 teaching every zone/block structure about them would bloat the
 compressed Z-zone format for a concern that is purely the serving
 layer's.  So the server wraps its cache in one :class:`ItemMetaStore`,
-which holds the cache and a ``key -> (flags, cas, deadline)`` map, where
-``cas`` is a server-wide monotonic version counter bumped on every
-successful store (matching real memcached, whose CAS values are a global
-counter that restarts from scratch on reboot — CAS tokens are
-deliberately *not* persisted) and ``deadline`` is the time on
-:attr:`clock` at which a SET's TTL runs out (None: never).
+which holds the cache and a sparse ``key -> (flags, cas, deadline)`` map.
+
+Sparse: a key has an entry only while it has something to record — flags
+other than 0, a deadline (the time on :attr:`clock` at which its TTL
+runs out), or a CAS token.  A plain SET (flags 0, no exptime) removes
+any entry the key had, so a resident key with default metadata costs the
+store nothing, and the default ``(0, 0, None)`` is read for it.
+
+CAS: a token is minted on the first :meth:`gets` of a version, from one
+server-wide counter, and lasts until the next write of that key, which
+drops it; a later ``gets`` mints a fresh, larger one.  So tokens are
+unique, change on every store and are never handed out for a version no
+client asked about.  :meth:`cas` is the one compare.  As in memcached,
+tokens are not persisted: they restart from scratch on every boot.
 
 Everything that writes into a served cache goes through :meth:`set` and
 :meth:`delete` — client SET/CAS/DELETE, recovery, image loads, the
 replica's stream and resyncs, promotion catch-up — and everything that
 reads its contents out (images, resync sweeps) walks :meth:`walk`.  The
 library's appliers and image writers take the store wherever they take
-a cache, and never know the map exists.  Only the server's reads (GET,
-and CAS's version check) use :attr:`entries` directly: a hit costs one
-dict probe, not a call, and a miss drops its entry there.
+a cache, and never know the map exists.  A plain GET reads
+:attr:`entries` directly: a hit costs one dict probe, not a call, and a
+miss drops its entry there.
 
 Expiry: a deadline is also pushed on one heap of due times.  The server
 calls :meth:`expire` once per dispatched command while that heap is
@@ -36,9 +45,9 @@ GET miss never consults the map for a reply, and the server drops the
 entry when it observes the miss — but it is a memory liability under
 churn, so :meth:`prune` walks off entries whose keys are no longer
 resident once the map grows past twice the cache's live item count.
-Until the drop or a prune runs, a re-stored key simply overwrites its
-stale entry.  A heap slot whose entry was overwritten, deleted or pruned
-is skipped when it comes due.
+Until the drop or a prune runs, a re-stored key simply overwrites or
+drops its stale entry.  A heap slot whose entry was overwritten, deleted
+or pruned is skipped when it comes due.
 """
 
 from __future__ import annotations
@@ -49,9 +58,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.common.clock import VirtualClock
 from repro.core.snapshot import iter_cache_items
 
-#: ``(flags, cas, deadline)`` of a key the store has never versioned.  A
-#: zero CAS is unobtainable from a store (the counter starts at 1), so
-#: ``cas == 0`` reliably means "no live version".
+#: ``(flags, cas, deadline)`` of a key without an entry.  A zero CAS is
+#: never minted (the counter starts at 1), so ``cas == 0`` reliably means
+#: "no token for this version".
 DEFAULT_META: Tuple[int, int, Optional[float]] = (0, 0, None)
 
 #: Due keys one :meth:`ItemMetaStore.expire` call deletes at most.
@@ -59,13 +68,14 @@ PURGE_LIMIT = 64
 
 
 class ItemMetaStore:
-    """A cache with ``key -> (flags, cas, deadline)`` beside it."""
+    """A cache with a sparse ``key -> (flags, cas, deadline)`` beside it."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
         #: The one clock deadlines are read on and the server ticks: the
         #: cache's own when it has one.
         self.clock = getattr(cache, "clock", None) or VirtualClock()
+        #: Only keys with flags, a deadline or a token; see the module doc.
         self.entries: Dict[bytes, Tuple[int, int, Optional[float]]] = {}
         #: ``(deadline, key)`` per deadline ever set; stale slots included.
         self.due: List[Tuple[float, bytes]] = []
@@ -82,23 +92,26 @@ class ItemMetaStore:
         value: bytes,
         ttl: Optional[float] = None,
         flags: int = 0,
-    ) -> int:
+    ) -> None:
         """Store ``value`` with its client ``flags``, for ``ttl`` seconds
-        (None: until evicted or deleted); returns its new CAS.
+        (None: until evicted or deleted).
 
         Every SET carries its own exptime, as in memcached: an overwrite
-        without ``ttl`` clears the old deadline.  A
-        :class:`~repro.common.errors.CacheError` from the cache
-        propagates with the map untouched.
+        without ``ttl`` clears the old deadline.  Every write drops the
+        key's CAS token.  A :class:`~repro.common.errors.CacheError` from
+        the cache propagates with the map untouched.
         """
         if ttl is not None and ttl <= 0:
             raise ValueError(f"ttl must be positive, got {ttl}")
         self.cache.set(key, value, flags=flags)
-        deadline = None
         if ttl is not None:
             deadline = self.clock.now() + ttl
             heapq.heappush(self.due, (deadline, key))
-        return self.version(key, flags, deadline)
+            self.entries[key] = (flags, 0, deadline)
+        elif flags:
+            self.entries[key] = (flags, 0, None)
+        else:
+            self.entries.pop(key, None)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key`` from the cache and the map; True if it was found."""
@@ -106,15 +119,28 @@ class ItemMetaStore:
         self.entries.pop(key, None)
         return found
 
-    def version(
-        self, key: bytes, flags: int, deadline: Optional[float] = None
-    ) -> int:
-        """Mint ``key``'s next CAS version (a resident item reached the
-        cache without the store, e.g. through an image loaded before the
-        server existed)."""
-        self._next_cas += 1
-        self.entries[key] = (flags, self._next_cas, deadline)
-        return self._next_cas
+    # -- CAS ------------------------------------------------------------------------
+
+    def gets(self, key: bytes) -> Tuple[int, int]:
+        """``(flags, cas)`` of resident ``key`` for a ``gets`` reply,
+        minting the token if this version has none yet."""
+        flags, cas, deadline = self.entries.get(key, DEFAULT_META)
+        if cas == 0:
+            self._next_cas += 1
+            cas = self._next_cas
+            self.entries[key] = (flags, cas, deadline)
+        return flags, cas
+
+    def cas(self, key: bytes, token: int) -> Optional[bool]:
+        """The compare of a ``cas`` command: None when ``key`` is not
+        resident (NOT_FOUND), False when ``token`` is not the one
+        :meth:`gets` handed out for the current version (EXISTS), True
+        when it is and the caller may store."""
+        if self.cache.get(key) is None:
+            self.entries.pop(key, None)
+            return None
+        cas = self.entries.get(key, DEFAULT_META)[1]
+        return cas != 0 and cas == token
 
     # -- expiry -------------------------------------------------------------------
 

@@ -401,11 +401,12 @@ class CacheServer:
             for shard in getattr(cache, "shards", (cache,))
         )
         self._fault_hook = self._fire_faults if armed else None
-        #: The cache with each key's client flags, monotonic CAS version
-        #: and deadline beside it: every write into the cache and every
-        #: walk of its contents goes through it.  Flags are persisted
-        #: through cache images and the journal (one record format); CAS
-        #: versions restart from 1 on every boot, as real memcached's do.
+        #: The cache with the client flags, CAS token and deadline of the
+        #: keys that have them beside it: every write into the cache and
+        #: every walk of its contents goes through it.  Flags are
+        #: persisted through cache images and the journal (one record
+        #: format); CAS tokens restart from 1 on every boot, as real
+        #: memcached's do.
         self.store = ItemMetaStore(cache)
         #: Moves the store's clock (the cache's, when it has one) once
         #: per dispatched command: a fixed step in ``tick`` mode, as far
@@ -480,7 +481,10 @@ class CacheServer:
         view("server_inflight", lambda: self._inflight, "requests executing now")
         view("server_draining", lambda: int(self._draining), "1 once drain began")
         view("server_incidents", lambda: len(self.incidents), "post-mortem messages")
-        view("server_meta_items", lambda: len(self.store), "flags/CAS sidecar entries")
+        view(
+            "server_meta_items", lambda: len(self.store),
+            "keys with flags, a deadline or a CAS token in the store",
+        )
         view("server_meta_bytes", lambda: self.store.memory_bytes, "sidecar bytes")
 
     # -- lifecycle -------------------------------------------------------------
@@ -872,17 +876,11 @@ class CacheServer:
                 continue
             self.stats.get_hits += 1
             self._get_bytes_hist.observe(len(value))
-            flags, cas, _deadline = entries.get(key, DEFAULT_META)
-            if with_cas and cas == 0:
-                # Resident item with no recorded version (e.g. loaded
-                # into the cache before the server existed): mint one
-                # so the gets/cas pair stays usable.
-                cas = self.store.version(key, flags)
-            chunks.append(
-                protocol.encode_value(
-                    key, value, flags=flags, cas=cas if with_cas else None
-                )
-            )
+            if with_cas:
+                flags, cas = self.store.gets(key)
+            else:
+                flags, cas = entries.get(key, DEFAULT_META)[0], None
+            chunks.append(protocol.encode_value(key, value, flags=flags, cas=cas))
         chunks.append(protocol.END)
         return b"".join(chunks)
 
@@ -900,15 +898,11 @@ class CacheServer:
             return self._store(command)
         if command.name == "cas":
             self.stats.cmd_cas += 1
-            key = command.keys[0]
-            if self.cache.get(key) is None:
+            matched = self.store.cas(command.keys[0], command.cas_token)
+            if matched is None:
                 self.stats.cas_misses += 1
-                self.store.entries.pop(key, None)
                 return protocol.NOT_FOUND
-            stored_cas = self.store.entries.get(key, DEFAULT_META)[1]
-            # A zero stored version means "unknown" (never handed out by
-            # gets), so it can never match — the client must re-gets.
-            if stored_cas == 0 or stored_cas != command.cas_token:
+            if not matched:
                 self.stats.cas_badval += 1
                 return protocol.EXISTS
             reply = self._store(command)

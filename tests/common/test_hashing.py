@@ -1,5 +1,7 @@
 """Tests for repro.common.hashing."""
 
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +61,13 @@ class TestHashKey:
             buckets[hash_key(b"k%06d" % i) >> 60] += 1
         expected = 1000
         assert all(abs(count - expected) < 200 for count in buckets)
+
+    def test_keeps_no_reference_to_key(self):
+        # No memo: hashing a key must not keep it alive.
+        key = b"key:%08d" % 12345678
+        before = sys.getrefcount(key)
+        hash_key(key)
+        assert sys.getrefcount(key) == before
 
     def test_murmur_variant_matches_reference_rounds(self):
         value = hash_key_murmur(b"hello")

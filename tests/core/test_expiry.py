@@ -54,7 +54,7 @@ class TestExpiryIndex:
         store, clock = make_store()
         store.set(b"k", b"v", ttl=10.0)
         store.set(b"k", b"v")
-        assert store.entries[b"k"][2] is None
+        assert b"k" not in store.entries  # no deadline, no flags: no entry
         clock.set(100.0)
         assert store.expire([b"k"]) == 0
         assert store.cache.get(b"k") == b"v"
@@ -103,6 +103,8 @@ class TestExpiryIndex:
         store, _clock = make_store()
         empty = store.memory_bytes
         store.set(b"plain", b"v")
+        assert store.memory_bytes == empty  # a plain SET records nothing
+        store.set(b"flagged", b"v", flags=1)
         untimed = store.memory_bytes
         store.set(b"timed", b"v", ttl=1.0)
         assert empty < untimed

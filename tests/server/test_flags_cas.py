@@ -390,6 +390,34 @@ class TestSidecarBesideTheCache:
 
         asyncio.run(scenario())
 
+    def test_plain_sets_leave_no_entries(self):
+        """Default metadata (flags 0, no exptime, no token) costs the
+        store nothing: ``meta_items`` counts only the keys that have
+        something to record, a ``gets`` token included, and the next
+        plain write of that key drops its entry again."""
+
+        async def scenario():
+            server, task = await started_server(make_cache(capacity=1 << 20))
+            reader, writer = await connect(server)
+            writer.write(
+                b"".join(
+                    b"set plain:%04d 0 0 8 noreply\r\nvalue%03d\r\n" % (i, i % 1000)
+                    for i in range(1000)
+                )
+            )
+            assert (await send(writer, reader, b"version\r\n")).startswith(b"VERSION")
+            assert server.stats_dict()["meta_items"] == 0
+            reply = await send(writer, reader, b"gets plain:0007\r\n", reply_lines=3)
+            assert reply.startswith(b"VALUE plain:0007 0 8 ")
+            assert server.stats_dict()["meta_items"] == 1
+            reply = await send(writer, reader, b"set plain:0007 0 0 3\r\nnew\r\n")
+            assert reply == b"STORED\r\n"
+            assert server.stats_dict()["meta_items"] == 0
+            writer.close()
+            assert await drain(server, task) == 0
+
+        asyncio.run(scenario())
+
     def test_sidecar_is_pruned_under_churn(self):
         """Flagged keys churned through a cache far too small for them:
         evictions never tell the sidecar, so only the periodic prune
@@ -424,40 +452,58 @@ class TestSidecarBesideTheCache:
 
 class TestItemMetaStore:
     def test_monotonic_versions(self):
+        # A token is minted by the first gets of a version and is larger
+        # than every token before it; a write drops it.
         store = ItemMetaStore(make_cache())
-        first = store.set(b"a", b"1", flags=1)
-        second = store.set(b"a", b"2", flags=2)
-        third = store.set(b"b", b"3")
-        assert first < second < third
-        assert store.entries[b"a"] == (2, second, None)
+        store.set(b"a", b"1", flags=1)
+        first = store.gets(b"a")
+        assert store.gets(b"a") == first == (1, first[1])
+        store.set(b"a", b"2", flags=2)
+        assert store.entries[b"a"] == (2, 0, None)
+        second = store.gets(b"a")
+        store.set(b"b", b"3")
+        third = store.gets(b"b")
+        assert first[1] < second[1] < third[1]
+        assert second == (2, second[1]) and third == (0, third[1])
         assert store.cache.get(b"a") == b"2"
 
     def test_zero_means_no_live_version(self):
         store = ItemMetaStore(make_cache())
         assert store.entries.get(b"missing", DEFAULT_META) == (0, 0, None)
-        token = store.set(b"k", b"v")
-        assert token > 0
+        store.set(b"k", b"v")
+        assert b"k" not in store.entries  # default metadata: no entry
+        _flags, token = store.gets(b"k")
+        assert token > 0 and store.cas(b"k", token) is True
+        assert store.cas(b"k", 0) is False
         assert store.delete(b"k") is True
         assert b"k" not in store.entries and store.cache.get(b"k") is None
+        assert store.cas(b"k", token) is None
         assert store.delete(b"k") is False
 
     def test_prune_drops_only_non_resident(self):
         store = ItemMetaStore(make_cache())
         store.set(b"live", b"v", flags=1)
-        # Versions of items that left the cache without telling the
-        # store; below the trigger (twice the population + 64) they stay.
-        for i in range(60):
-            store.version(b"gone%02d" % i, 2)
+
+        def evict(start, stop):
+            # Entries of items that left the cache without telling the
+            # store.
+            for i in range(start, stop):
+                store.set(b"gone%02d" % i, b"v", flags=2)
+                store.cache.delete(b"gone%02d" % i)
+
+        # Below the trigger (twice the population + 64) they stay.
+        evict(0, 60)
         assert store.prune() == 0
-        for i in range(60, 100):
-            store.version(b"gone%02d" % i, 2)
+        evict(60, 100)
         assert store.prune() == 100
         assert list(store.entries) == [b"live"]
 
     def test_memory_model_tracks_len(self):
         store = ItemMetaStore(make_cache())
         assert store.memory_bytes == 0
-        store.set(b"k", b"v")
+        store.set(b"plain", b"v")
+        assert store.memory_bytes == 0  # a plain SET records nothing
+        store.set(b"k", b"v", flags=1)
         assert store.memory_bytes > 0
         store.delete(b"k")
         assert store.memory_bytes == 0
