@@ -6,6 +6,16 @@ CLOCK replacement instead of LRU (one reference bit per item, no list
 pointers to maintain).  This zone is the "H-Cache" baseline of Figures
 10–16 when run standalone, and H-zExpander's N-zone when paired with a
 Z-zone.
+
+Item layout: the CLOCK ring is three parallel arrays indexed by a ring
+slot — ``_keys`` (a dead slot holds None), ``_values`` and the reference
+bits, one byte each in a ``bytearray``.  The cuckoo table maps a key to
+its ring slot (:mod:`repro.nzone.cuckoo`) and compares keys through
+``_keys``, so an item costs the host its key and value objects, two list
+pointers, a byte, and its table slot.  A new item appends a slot; a
+removed one leaves a dead slot behind until more than half the ring is
+dead, when the ring is compacted in order and the table's slot numbers
+and the hand are remapped to match.
 """
 
 from __future__ import annotations
@@ -20,9 +30,6 @@ from repro.nzone.cuckoo import CuckooTable
 #: flags, the CLOCK reference bit, allocation header.
 ITEM_OVERHEAD_BYTES = 24
 
-# Ring-entry field indices.
-_KEY, _VALUE, _REFBIT, _ALIVE = range(4)
-
 
 class HPCacheZone(NZone):
     """Byte-bounded CLOCK cache indexed by a real cuckoo table."""
@@ -31,16 +38,19 @@ class HPCacheZone(NZone):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
+        #: The CLOCK ring, one entry per slot; dead slots linger until
+        #: compaction so the hand's position stays meaningful.  The table
+        #: reads ``_keys`` in place, so compaction rewrites it in place.
+        self._keys: List[Optional[bytes]] = []
+        self._values: List[Optional[bytes]] = []
+        self._refbits = bytearray()
         # Size the table for the capacity (MemC3 provisions its table for
         # the expected item count): ~256 bytes of cache per bucket keeps
         # the slot array at a few percent of the budget.
         buckets = 4
         while buckets * 256 < capacity and buckets < (1 << 24):
             buckets *= 2
-        self._table = CuckooTable(initial_buckets=buckets, seed=seed)
-        #: CLOCK ring: entries are mutable lists; dead entries linger until
-        #: compaction so the hand's position stays meaningful.
-        self._ring: List[list] = []
+        self._table = CuckooTable(self._keys, initial_buckets=buckets, seed=seed)
         self._hand = 0
         self._dead = 0
         self._payload_bytes = 0
@@ -55,47 +65,59 @@ class HPCacheZone(NZone):
     def _items_used(self) -> int:
         return self._payload_bytes + self._count * ITEM_OVERHEAD_BYTES
 
+    def _kill(self, slot: int, key: bytes) -> None:
+        """Retire a live ring slot whose key the table no longer holds."""
+        self._keys[slot] = None
+        self._payload_bytes -= len(key) + len(self._values[slot])
+        self._values[slot] = None
+        self._dead += 1
+        self._count -= 1
+
     def _compact_ring(self) -> None:
-        if self._dead * 2 <= len(self._ring):
+        keys = self._keys
+        if self._dead * 2 <= len(keys):
             return
-        hand_entry = None
-        if self._ring and self._hand < len(self._ring):
-            hand_entry = self._ring[self._hand]
-        self._ring = [entry for entry in self._ring if entry[_ALIVE]]
+        live = [slot for slot, key in enumerate(keys) if key is not None]
+        positions = [0] * len(keys)
+        for new, old in enumerate(live):
+            positions[old] = new
+        hand = self._hand
+        self._hand = (
+            positions[hand] if hand < len(keys) and keys[hand] is not None else 0
+        )
+        keys[:] = [keys[slot] for slot in live]
+        values = self._values
+        self._values = [values[slot] for slot in live]
+        refbits = self._refbits
+        self._refbits = bytearray([refbits[slot] for slot in live])
         self._dead = 0
-        self._hand = 0
-        if hand_entry is not None and hand_entry[_ALIVE]:
-            try:
-                self._hand = self._ring.index(hand_entry)
-            except ValueError:  # pragma: no cover - defensive
-                self._hand = 0
+        self._table.remap(positions)
 
     def _evict_one(self) -> Optional[EvictedItem]:
         """Advance the CLOCK hand to a victim and evict it."""
         if self._count == 0:
             return None
+        keys = self._keys
+        refbits = self._refbits
+        hand = self._hand
         while True:
-            if self._hand >= len(self._ring):
-                self._hand = 0
-            entry = self._ring[self._hand]
-            if not entry[_ALIVE]:
-                self._hand += 1
+            if hand >= len(keys):
+                hand = 0
+            key = keys[hand]
+            if key is None:
+                hand += 1
                 continue
-            if entry[_REFBIT]:
-                entry[_REFBIT] = False
-                self._hand += 1
+            if refbits[hand]:
+                refbits[hand] = 0
+                hand += 1
                 continue
-            entry[_ALIVE] = False
-            self._dead += 1
-            self._hand += 1
+            self._hand = hand + 1
             # One hash serves the index delete here and the victim's
             # Z-zone put.
-            key = entry[_KEY]
             hashed = hash_key(key)
-            self._table.delete(key, hashed)
-            self._payload_bytes -= len(key) + len(entry[_VALUE])
-            self._count -= 1
-            victim = EvictedItem(key=key, value=entry[_VALUE], hashed=hashed)
+            self._table.pop(key, hashed)
+            victim = EvictedItem(key=key, value=self._values[hand], hashed=hashed)
+            self._kill(hand, key)
             self._compact_ring()
             return victim
 
@@ -123,46 +145,40 @@ class HPCacheZone(NZone):
         return self._count
 
     def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[bytes]:
-        entry = self._table.get(key, hashed)
-        if entry is None or not entry[_ALIVE]:
+        slot = self._table.get(key, hashed)
+        if slot is None:
             return None
-        entry[_REFBIT] = True
-        return entry[_VALUE]
+        self._refbits[slot] = 1
+        return self._values[slot]
 
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
         if self._item_bytes(key, value) > self._capacity:
             return [EvictedItem(key=key, value=value)]
         hashed = hash_key(key)
-        entry = self._table.get(key, hashed)
-        if entry is not None and entry[_ALIVE]:
-            self._payload_bytes += len(value) - len(entry[_VALUE])
-            entry[_VALUE] = value
-            entry[_REFBIT] = True
+        slot = self._table.get(key, hashed)
+        if slot is not None:
+            self._payload_bytes += len(value) - len(self._values[slot])
+            self._values[slot] = value
+            self._refbits[slot] = 1
             return self._evict_to_fit()
-        new_entry = [key, value, False, True]
-        self._ring.append(new_entry)
-        self._table.insert(key, new_entry, hashed)
+        self._keys.append(key)
+        self._values.append(value)
+        self._refbits.append(0)
+        self._table.insert(key, len(self._keys) - 1, hashed)
         self._payload_bytes += len(key) + len(value)
         self._count += 1
         return self._evict_to_fit()
 
     def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:
-        if hashed is None:
-            hashed = hash_key(key)
-        entry = self._table.get(key, hashed)
-        if entry is None or not entry[_ALIVE]:
+        slot = self._table.pop(key, hashed)
+        if slot is None:
             return False
-        entry[_ALIVE] = False
-        self._dead += 1
-        self._table.delete(key, hashed)
-        self._payload_bytes -= len(key) + len(entry[_VALUE])
-        self._count -= 1
+        self._kill(slot, key)
         self._compact_ring()
         return True
 
     def __contains__(self, key: bytes) -> bool:
-        entry = self._table.get(key)
-        return entry is not None and entry[_ALIVE]
+        return self._table.get(key) is not None
 
     def resize(self, capacity: int) -> List[EvictedItem]:
         if capacity <= 0:
@@ -178,19 +194,25 @@ class HPCacheZone(NZone):
         }
 
     def items(self):
-        for entry in list(self._ring):
-            if entry[_ALIVE]:
-                yield entry[_KEY], entry[_VALUE]
+        """Live items in ring order, as the ring stood when iteration began."""
+        for key, value in zip(list(self._keys), list(self._values)):
+            if key is not None:
+                yield key, value
 
     def check_invariants(self) -> None:
-        alive = [entry for entry in self._ring if entry[_ALIVE]]
+        keys = self._keys
+        if not len(keys) == len(self._values) == len(self._refbits):
+            raise AssertionError("ring arrays differ in length")
+        alive = [slot for slot, key in enumerate(keys) if key is not None]
         if len(alive) != self._count:
             raise AssertionError(f"count {self._count} != alive {len(alive)}")
+        if len(keys) - len(alive) != self._dead:
+            raise AssertionError("dead-slot count out of sync")
         if len(self._table) != self._count:
             raise AssertionError("cuckoo table and ring disagree")
-        payload = sum(len(e[_KEY]) + len(e[_VALUE]) for e in alive)
+        payload = sum(len(keys[slot]) + len(self._values[slot]) for slot in alive)
         if payload != self._payload_bytes:
             raise AssertionError("payload bytes out of sync")
-        for key, entry in self._table.items():
-            if not entry[_ALIVE] or entry[_KEY] != key:
-                raise AssertionError("table points at dead or wrong entry")
+        for key, slot in self._table.items():
+            if key is None or self._table.get(key) != slot:
+                raise AssertionError("table points at dead or wrong slot")

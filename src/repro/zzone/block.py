@@ -17,6 +17,16 @@ Every block carries:
 * references to *large items* (> half the block capacity) that are
   compressed individually and live outside the container (footnote 3).
 
+Host layout, packed so a block costs the process little beyond what
+Figure 7 charges it: each filter is a bare 128-bit int
+(``content_bits``, ``access_bits``, probed through
+:data:`~repro.zzone.bloom.PROBE_MASKS`); the records are one ``bytes`` of
+up to two 12-byte ``(tag, time)`` structs, empty until the first hit; the
+sparse index is one exactly sized ``array('I')`` of the entries' top 32
+hash bits followed by their offsets; and every block without large items
+shares one read-only empty map, as every block without staged puts
+shares one empty staged index.
+
 Blocks are immutable value containers: inserting or removing items builds
 a replacement block (the paper's "writing a new item into a block always
 leads to its reconstruction") — with one amortisation the paper itself
@@ -40,7 +50,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from repro.common.errors import CorruptionDetectedError
 from repro.common.records import KVItem
 from repro.compression.base import Compressed, Compressor
-from repro.zzone.bloom import Bloom128
+from repro.zzone.bloom import PROBE_MASKS
 
 #: Fixed per-block metadata charged by the memory accounting, following the
 #: paper's layout: Content Filter (16 B) + Access Filter (16 B) + two
@@ -55,6 +65,15 @@ BLOCK_METADATA_BYTES = 16 + 16 + 16 + 48 + 4 + 8 + 8
 _crc32 = zlib.crc32
 
 _INDEX_FANOUT = 8
+
+#: The sparse index of a block with no entries; never written.
+_NO_INDEX = array("I")
+
+#: A recent-access record: 4-byte hashed-key tag, 8-byte timestamp.
+_RECORD = struct.Struct("=Id")
+_RECORD_SIZE = _RECORD.size  # 12
+_pack_record = _RECORD.pack
+_unpack_record = _RECORD.unpack_from
 
 
 #: Per-item wire header: 8-byte big-endian hashed key, 2-byte key length,
@@ -143,6 +162,11 @@ _BLOCK_GENERATION = itertools.count(1)
 #: dict and a bytearray of the block's own, can write to a region.
 _NO_STAGED_INDEX: Mapping[bytes, int] = MappingProxyType({})
 
+#: The large refs of every block that has none (nearly all), read-only
+#: for the same reason: :meth:`Block.add_large` swaps in a dict of the
+#: block's own, and the zone hands a rebuilt block this map, not ``{}``.
+NO_LARGE_REFS: Mapping[bytes, "LargeItem"] = MappingProxyType({})
+
 
 class Block:
     """One immutable compressed container plus its metadata."""
@@ -153,14 +177,13 @@ class Block:
         "compressed",
         "uncompressed_size",
         "item_count",
-        "content_filter",
-        "access_filter",
-        "recent_accesses",
+        "content_bits",
+        "access_bits",
+        "_recent",
         "large_refs",
         "checksum",
         "codec",
-        "_index_hashes",
-        "_index_offsets",
+        "_index",
         "_base_bytes",
         "next_block",
         "prev_block",
@@ -178,9 +201,8 @@ class Block:
         compressed: Compressed,
         uncompressed_size: int,
         item_count: int,
-        content_filter: Bloom128,
-        index_hashes: "array[int]",
-        index_offsets: "array[int]",
+        content_bits: int,
+        index: "array[int]",
         large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
         codec: Optional[Compressor] = None,
     ) -> None:
@@ -189,19 +211,22 @@ class Block:
         self.compressed = compressed
         self.uncompressed_size = uncompressed_size
         self.item_count = item_count
-        self.content_filter = content_filter
-        self.access_filter = Bloom128()
-        #: Two (hashed_key, timestamp) slots for the promotion rule.
-        self.recent_accesses: List[Tuple[int, float]] = []
-        self.large_refs: Dict[bytes, LargeItem] = large_refs or {}
+        #: The Content Filter's and the Access Filter's 128 bits.
+        self.content_bits = content_bits
+        self.access_bits = 0
+        #: Up to two packed (tag, timestamp) records for the promotion
+        #: rule, the first one first; see :meth:`record_get`.
+        self._recent = b""
+        self.large_refs: Mapping[bytes, LargeItem] = large_refs or NO_LARGE_REFS
         #: CRC32 over the compressed payload, checked before decompression.
         self.checksum = _crc32(compressed.payload)
         #: The codec that wrote this container.  The zone decompresses with
         #: it rather than with its *current* codec, so a codec-fallback
         #: switch never strands blocks written under the previous codec.
         self.codec = codec
-        self._index_hashes = index_hashes
-        self._index_offsets = index_offsets
+        #: Sparse index: the top 32 hash bits of up to eight evenly
+        #: spaced entries, then their container offsets.
+        self._index = index
         # Container + fixed metadata never change after construction
         # (blocks are immutable); only large_refs can still vary.
         self._base_bytes = compressed.stored_size + BLOCK_METADATA_BYTES
@@ -266,20 +291,23 @@ class Block:
         """
         wires: List[bytes] = []
         append_wire = wires.append
-        content = Bloom128()
-        content_add = content.add
-        # Unboxed: as Python ints in lists the index costs ~670 B a block.
-        index_hashes = array("Q")
-        index_offsets = array("I")
+        masks = PROBE_MASKS
+        content = 0
+        index_tops: List[int] = []
+        index_offsets: List[int] = []
         step = max(1, len(entries) // _INDEX_FANOUT)
         offset = 0
         for position, (hashed, _key, wire) in enumerate(entries):
-            if position % step == 0 and len(index_hashes) < _INDEX_FANOUT:
-                index_hashes.append(hashed)
+            if position % step == 0 and len(index_tops) < _INDEX_FANOUT:
+                index_tops.append(hashed >> 32)
                 index_offsets.append(offset)
             append_wire(wire)
-            content_add(hashed)
+            content |= masks[hashed & 0x7F][(hashed >> 33) & 0x3F]
             offset += len(wire)
+        if large_refs:
+            for large in large_refs.values():
+                hashed = large.hashed_key
+                content |= masks[hashed & 0x7F][(hashed >> 33) & 0x3F]
         container = b"".join(wires)
         compressed = compressor.compress(container)
         block = cls(
@@ -288,15 +316,12 @@ class Block:
             compressed=compressed,
             uncompressed_size=len(container),
             item_count=len(entries),
-            content_filter=content,
-            index_hashes=index_hashes,
-            index_offsets=index_offsets,
+            content_bits=content,
+            # Unboxed and exactly sized: one array, not two grown ones.
+            index=array("I", index_tops + index_offsets) if entries else _NO_INDEX,
             large_refs=large_refs,
             codec=compressor,
         )
-        if large_refs:
-            for large in large_refs.values():
-                content.add(large.hashed_key)
         if keep_container:
             block.built_container = container
         return block
@@ -320,7 +345,7 @@ class Block:
         self.staged_index[key] = len(self.staged_buffer)
         self.staged_buffer += entry
         self.staged_checksum = _crc32(entry, self.staged_checksum)
-        self.content_filter.add(hashed_key)
+        self.content_bits |= PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
         return is_new
 
     def staged_lookup(self, key: bytes) -> Optional[bytes]:
@@ -371,9 +396,11 @@ class Block:
         self.staged_buffer = donor.staged_buffer
         self.staged_index = donor.staged_index
         self.staged_checksum = donor.staged_checksum
-        for key, offset in self.staged_index.items():
-            hashed, _klen, _vlen = _unpack_header(self.staged_buffer, offset)
-            self.content_filter.add(hashed)
+        content = self.content_bits
+        for offset in self.staged_index.values():
+            hashed = _unpack_header(self.staged_buffer, offset)[0]
+            content |= PROBE_MASKS[hashed & 0x7F][(hashed >> 33) & 0x3F]
+        self.content_bits = content
 
     @property
     def staged_count(self) -> int:
@@ -401,34 +428,30 @@ class Block:
 
     def maybe_contains(self, hashed_key: int) -> bool:
         """Content-Filter check; False means definitely absent."""
-        return hashed_key in self.content_filter
+        mask = PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
+        return self.content_bits & mask == mask
 
-    def lookup(
-        self, key: bytes, hashed_key: int, compressor: Compressor
-    ) -> Optional[bytes]:
-        """Find ``key``'s value, decompressing the container.
-
-        Callers must consult :meth:`maybe_contains` first — that is the
-        whole point of the Content Filter — but lookup stays correct
-        without it.
-        """
-        large = self.large_refs.get(key)
-        if large is not None:
-            return compressor.decompress(large.compressed)
-        container = compressor.decompress(self.compressed)
-        return self.scan(container, key, hashed_key)
+    def was_accessed(self, hashed_key: int) -> bool:
+        """Access-Filter check: whether ``hashed_key`` may have been hit
+        since the sweep last cleared the filter."""
+        mask = PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
+        return self.access_bits & mask == mask
 
     def scan(self, container: bytes, key: bytes, hashed_key: int) -> Optional[bytes]:
-        """Find ``key`` in an already-decompressed ``container``.
+        """Find ``key`` in ``container``, this block's decompressed and
+        verified container (the zone's ``_lookup_container``).
 
-        Split out from :meth:`lookup` so the zone can verify the container's
-        integrity between decompression and the scan.
+        The scan starts at the last index entry whose top 32 hash bits
+        are below the key's: every entry before it hashes lower, and the
+        layout is sorted, so the key cannot precede it.
         """
         pos = 0
-        if self._index_hashes:
-            slot = bisect.bisect_right(self._index_hashes, hashed_key) - 1
+        index = self._index
+        if index:
+            count = len(index) >> 1
+            slot = bisect.bisect_left(index, hashed_key >> 32, 0, count) - 1
             if slot >= 0:
-                pos = self._index_offsets[slot]
+                pos = index[count + slot]
         end = len(container)
         while pos < end:
             item_hash, klen, vlen = _unpack_header(container, pos)
@@ -441,10 +464,6 @@ class Block:
             pos = value_start + vlen
         return None
 
-    def items(self, compressor: Compressor) -> List[KVItem]:
-        """Decode all compacted items (excludes large-item references)."""
-        return decode_items(compressor.decompress(self.compressed))
-
     # -- access tracking (§3.2, §3.3.2) --------------------------------------
 
     def record_get(self, hashed_key: int, now: float) -> Optional[float]:
@@ -452,22 +471,41 @@ class Block:
 
         Adds the key to the Access Filter and manages the block's two
         recent-access records: a key found in a record yields its time gap
-        (for the promotion decision); otherwise the key replaces the older
-        record.
+        (for the promotion decision); otherwise the key fills the second
+        record, or, both taken, replaces the older (the first on a tie).
         """
-        self.access_filter.add(hashed_key)
+        self.access_bits |= PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
         tag = hashed_key & 0xFFFFFFFF
-        for slot, (recorded_tag, recorded_time) in enumerate(self.recent_accesses):
-            if recorded_tag == tag:
-                reuse_time = now - recorded_time
-                self.recent_accesses[slot] = (tag, now)
-                return reuse_time
-        if len(self.recent_accesses) < 2:
-            self.recent_accesses.append((tag, now))
+        record = _pack_record(tag, now)
+        records = self._recent
+        if not records:
+            self._recent = record
+            return None
+        first_tag, first_time = _unpack_record(records)
+        if first_tag == tag:
+            self._recent = record + records[_RECORD_SIZE:]
+            return now - first_time
+        if len(records) == _RECORD_SIZE:
+            self._recent = records + record
+            return None
+        second_tag, second_time = _unpack_record(records, _RECORD_SIZE)
+        if second_tag == tag:
+            self._recent = records[:_RECORD_SIZE] + record
+            return now - second_time
+        if second_time < first_time:
+            self._recent = records[:_RECORD_SIZE] + record
         else:
-            older = min(range(2), key=lambda i: self.recent_accesses[i][1])
-            self.recent_accesses[older] = (tag, now)
+            self._recent = record + records[_RECORD_SIZE:]
         return None
+
+    def add_large(self, large: "LargeItem") -> None:
+        """Reference ``large`` from this block and record it in the
+        Content Filter (a block that had none gets a map of its own)."""
+        if self.large_refs is NO_LARGE_REFS:
+            self.large_refs = {}
+        self.large_refs[large.key] = large
+        hashed = large.hashed_key
+        self.content_bits |= PROBE_MASKS[hashed & 0x7F][(hashed >> 33) & 0x3F]
 
     # -- accounting ----------------------------------------------------------
 

@@ -24,13 +24,14 @@ def _double_hash_mask(h1: int, h2: int) -> int:
     return mask
 
 
-#: Every probe mask there is, as ``_MASKS[h1 % 128][(h2 % 128) // 2]``.
+#: Every probe mask there is, as ``PROBE_MASKS[h1 % 128][(h2 % 128) // 2]``.
 #: ``h1`` is the hash's low 32 bits and ``h2`` its high 32 bits forced
 #: odd; since 128 divides 2**32, the probe bits depend only on the hash's
 #: bits 0-6 and 33-38, so 128 x 64 masks cover every hash.  Built once
 #: at import, it does not grow with the number of keys.  The filter
-#: indexes it inline: a helper call would cost as much again.
-_MASKS = tuple(
+#: indexes it inline: a helper call would cost as much again.  A block
+#: keeps its two filters as bare ints and indexes it the same way.
+PROBE_MASKS = tuple(
     tuple(_double_hash_mask(low, (odd << 1) | 1) for odd in range(_BITS // 2))
     for low in range(_BITS)
 )
@@ -46,10 +47,10 @@ class Bloom128:
 
     def add(self, hashed_key: int) -> None:
         """Record ``hashed_key`` in the filter."""
-        self._bits |= _MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
+        self._bits |= PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
 
     def __contains__(self, hashed_key: int) -> bool:
-        mask = _MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
+        mask = PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
         return self._bits & mask == mask
 
     def clear(self) -> None:

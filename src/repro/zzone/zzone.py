@@ -18,7 +18,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import CacheError, CodecError, ItemTooLargeError
@@ -29,6 +29,7 @@ from repro.compression.lz4 import LZ4Compressor
 from repro.compression.null import NullCompressor
 from repro.compression.zlibc import ZlibCompressor
 from repro.zzone.block import (
+    NO_LARGE_REFS,
     Block,
     Entry,
     LargeItem,
@@ -722,8 +723,8 @@ class ZZone:
         return True
 
     def _shed_stale(
-        self, entries: List[Entry], large_refs: Dict[bytes, LargeItem]
-    ) -> Tuple[List[Entry], Dict[bytes, LargeItem], List[bytes]]:
+        self, entries: List[Entry], large_refs: Mapping[bytes, LargeItem]
+    ) -> Tuple[List[Entry], Mapping[bytes, LargeItem], List[bytes]]:
         """What a rebuild keeps of ``entries`` and ``large_refs`` once the
         copies with a removal pending are dropped, and the keys dropped.
 
@@ -874,8 +875,7 @@ class ZZone:
         if key not in leaf.large_refs:
             self._item_count += 1
         old_bytes = leaf.memory_bytes
-        leaf.large_refs[key] = large
-        leaf.content_filter.add(hashed)
+        leaf.add_large(large)
         self._recharge(old_bytes, leaf.memory_bytes)
 
     def _rebuild(
@@ -1137,11 +1137,11 @@ class ZZone:
             if force or not self.use_access_filter:
                 candidates = list(range(len(entries)))
             else:
-                access_filter = block.access_filter
+                accessed = block.was_accessed
                 candidates = [
                     position
                     for position, (hashed, _key, _wire) in enumerate(entries)
-                    if hashed not in access_filter
+                    if not accessed(hashed)
                 ]
             victims: set = set()
             if candidates:
@@ -1163,12 +1163,12 @@ class ZZone:
                 return True
         elif len(hot_large) != len(block.large_refs):
             old_bytes = block.memory_bytes
-            block.large_refs = hot_large
+            block.large_refs = hot_large or NO_LARGE_REFS
             self._recharge(old_bytes, block.memory_bytes)
             self._item_count -= len(stale)
             self._forget_stale(stale)
             return True
-        block.access_filter.clear()
+        block.access_bits = 0
         if (
             not freed
             and block.staged_index

@@ -197,7 +197,7 @@ class TestDueRemovals:
         live_before = zone.item_count - len(stale)
         for key in (b"k%04d" % i for i in range(1, 400, 2)):
             hashed = hash_key(key)
-            zone._trie.find_leaf(hashed).access_filter.add(hashed)
+            zone._trie.find_leaf(hashed).record_get(hashed, clock.now())
         for leaf in list(zone._trie.leaves()):
             zone._sweep_block(leaf)
         # ... and is swept regardless, long before its deadline, while

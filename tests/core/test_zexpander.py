@@ -109,9 +109,9 @@ class TestMarkers:
         for i in range(300):
             clock.advance(0.05)
             cache.set(b"key%04d" % i, b"v" * 64)
-        for leaf in cache.zzone._trie.leaves():
-            for item in leaf.items(cache.zzone.compressor):
-                assert not is_marker_key(item.key)
+        assert cache.zzone.item_count > 0
+        for key, _value in cache.zzone.items():
+            assert not is_marker_key(key)
 
 
 class TestPromotion:

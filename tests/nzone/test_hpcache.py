@@ -1,5 +1,7 @@
 """H-Cache-specific tests (CLOCK + cuckoo)."""
 
+import tracemalloc
+
 from repro.nzone import HPCacheZone
 
 
@@ -41,3 +43,40 @@ class TestHPCacheClock:
         usage = zone.memory_usage()
         assert usage["metadata"] > 0
         assert usage["items"] == len(b"key") + len(b"value")
+
+
+class TestHostMemory:
+    """What a resident item costs the process beyond its key and value.
+
+    MemC3 charges an item a 1-byte tag and a pointer in its table slot
+    plus a CLOCK bit; the ring's parallel arrays come close to that.  The
+    list-based layout (a 4-element list per item, a ``(key, tag,
+    entry)`` tuple per slot, a list per bucket) cost ~250 B an item.
+    """
+
+    def test_host_bytes_per_resident_item(self):
+        capacity = 1 << 20
+        # Keys and values exist before tracing starts: only what the zone
+        # allocates for them is counted.
+        items = [
+            (b"item:%07d" % i, b"v%d " % i * (8 + i % 40)) for i in range(14000)
+        ]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            zone = HPCacheZone(capacity, seed=3)
+            for i, (key, value) in enumerate(items):
+                zone.set(key, value)
+                if i % 3 == 0:
+                    zone.get(items[i // 2][0])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert zone.used_bytes <= capacity < sum(
+            len(key) + len(value) for key, value in items
+        )
+        per_item = grown / zone.item_count
+        assert per_item <= 100, per_item
