@@ -13,7 +13,7 @@ loss bound chosen by fsync policy:
   (checkpoint + replay), pruning, and the :class:`DurabilityManager`
   that owns a directory.
 * :mod:`repro.durability.scrub` — background re-verification of at-rest
-  files, quarantining rot before recovery can trip over it.
+  files, reporting rot the manager repairs by a checkpoint of the store.
 
 See DESIGN.md §10 for the format, the recovery ordering argument, and
 the per-policy loss bounds.

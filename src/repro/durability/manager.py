@@ -256,14 +256,18 @@ class DurabilityManager:
 
     # -- scrubbing -------------------------------------------------------------
 
-    def scrub_once(self):
-        """Verify at-rest files; see :mod:`repro.durability.scrub`."""
+    def scrub_once(self, cache):
+        """Verify at-rest files (:mod:`repro.durability.scrub`); repair
+        any failure from memory, by a checkpoint of ``cache``, whose
+        prune deletes the rotten file.  Raises as :meth:`checkpoint`."""
         from repro.durability.scrub import scrub_directory
 
-        active = self.writer.current_path if self.writer is not None else None
-        return scrub_directory(
-            self.config.directory, active_segment=active, stats=self.stats
+        report = scrub_directory(
+            self.config.directory, self.writer.current_path, self.stats
         )
+        if not report.clean:
+            report.repaired_by = self.checkpoint(cache)
+        return report
 
     # -- shutdown --------------------------------------------------------------
 
@@ -327,9 +331,10 @@ def replay_journal(
     # 2. Replay segments >= base_seq, oldest first.  A *hole* in that
     # range (a missing seq the writer must have created, or a first
     # segment newer than the checkpoint expects) cannot come from our own
-    # quarantine passes — those always cut history at a point, never out
-    # of the middle.  Flag it and stop before the hole: replaying past
-    # one could resurrect deleted keys and silently drop acked writes.
+    # quarantine passes (CI greps that only this file calls
+    # quarantine_file): they cut history at a point, never out of the
+    # middle.  Flag it and stop before the hole: replaying past one could
+    # resurrect deleted keys and silently drop acked writes.
     segments = [
         (seq, path) for seq, path in list_segments(directory) if seq >= base_seq
     ]

@@ -102,6 +102,8 @@ class ReplicationClient:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
+        """Follow the primary from :attr:`position` (again, after a stop)."""
+        self._stopped = False
         self._task = asyncio.create_task(self._run())
 
     def cancel(self) -> None:
@@ -161,8 +163,8 @@ class ReplicationClient:
                 attempt += 1
                 await asyncio.sleep(self._backoff(attempt))
                 continue
-            attempt = 0
             self.stats.source_connects += 1
+            applied = self._applied()
             try:
                 await self._session(reader, writer)
             except (
@@ -182,9 +184,13 @@ class ReplicationClient:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-            # A beat between sessions so a refusing/eof-ing primary is not
-            # hammered in a tight loop.
-            await asyncio.sleep(self._backoff(1))
+            # Only a session that applied something proves the primary
+            # healthy: one that hangs up at once backs off like a refusal.
+            attempt = 1 if self._applied() > applied else attempt + 1
+            await asyncio.sleep(self._backoff(attempt))
+
+    def _applied(self) -> int:
+        return self.stats.records_applied + self.stats.snapshots_applied
 
     def _backoff(self, attempt: int) -> float:
         ceiling = min(

@@ -10,10 +10,11 @@ replica connection is in one of two sending modes:
   far along as anything a client was told; there is nothing to ship
   that the file does not hold, and the sender buffers one batch in RAM.
   Caught up, it sleeps one flush tick: appends never wake it.
-* **snapshot resync** — pruning passed the replica's position (or its
-  HELLO position was bogus): stream the current cache image (the same
-  bytes a checkpoint would hold) and resume tailing from the position
-  captured atomically with the image.
+* **snapshot resync** — pruning passed the replica's position, rot
+  sits in a closed segment ahead of it (the tailer says both with
+  :class:`SegmentPrunedError`) or its HELLO position was bogus: stream
+  the current cache image (the same bytes a checkpoint would hold) and
+  resume tailing from the position captured atomically with the image.
 
 The sender only ever moves forward from what it has sent, so a replica
 never sees a record twice within a session and never steps back.
@@ -30,7 +31,7 @@ import io
 import os
 from typing import Optional, Set, Tuple
 
-from repro.common.errors import JournalError, ReplicationError
+from repro.common.errors import ReplicationError
 from repro.common.framing import SEGMENT_MAGIC
 from repro.core.snapshot import write_snapshot
 from repro.durability.journal import list_segments, segment_name
@@ -146,9 +147,7 @@ class ReplicationSource:
             await self._send_loop(writer, session, segment, offset)
         except (asyncio.TimeoutError, OSError, asyncio.IncompleteReadError):
             pass
-        except (ReplicationError, JournalError):
-            # A malformed HELLO or frame, or a journal the tailer cannot
-            # follow: drop this replica's session, keep serving.
+        except ReplicationError:  # a malformed HELLO or frame: drop it
             pass
         finally:
             self._sessions.discard(session)

@@ -20,7 +20,9 @@ writer beyond the on-disk ordering the writer already guarantees:
   to the end and the next survivor is not the successor (segments are
   numbered consecutively) — the position is unrecoverable from the
   journal alone and :class:`SegmentPrunedError` tells the caller to
-  fall back to a checkpoint-image resync.
+  fall back to a checkpoint-image resync.  Rot in a segment that has a
+  successor (a bad magic or frame) is the same error: records past it
+  must not be applied over the hole.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from typing import List, Optional, Tuple
 from repro.common.errors import JournalError
 from repro.common.framing import SEGMENT_MAGIC, iter_frames
 from repro.durability.journal import list_segments, segment_name
+from repro.durability.manager import list_checkpoints
 
 
 class SegmentPrunedError(JournalError):
-    """The tailer's position was pruned; resync from a checkpoint image."""
+    """The journal past the tailer's position was pruned or has rotted;
+    resync from a checkpoint image."""
 
 
 #: One tailed record, CRC-checked and undecoded: (payload, segment,
@@ -69,32 +73,23 @@ class JournalTailer:
 
     # -- internals -------------------------------------------------------------
 
-    def _open_current(self) -> bool:
-        """Ensure the current segment is open; False if absent."""
+    def _open_current(self) -> None:
+        """Open the current segment if need be; raises FileNotFoundError
+        or, for a bad magic, JournalError."""
         if self._stream is not None:
-            return True
+            return
         path = os.path.join(self.directory, segment_name(self.segment))
-        try:
-            stream = open(path, "rb")
-        except FileNotFoundError:
-            return False
+        stream = open(path, "rb")
         magic = stream.read(len(SEGMENT_MAGIC))
         if magic != SEGMENT_MAGIC:
             stream.close()
-            raise JournalError(
-                f"bad magic in tailed segment {segment_name(self.segment)}: "
-                f"{magic!r}"
-            )
+            raise JournalError(f"bad magic {magic!r}")
         self._stream = stream
-        return True
 
     def _next_segment(self) -> Optional[int]:
         """Smallest on-disk seq > current, or None."""
-        later = [
-            seq for seq, _path in list_segments(self.directory)
-            if seq > self.segment
-        ]
-        return min(later) if later else None
+        segments = list_segments(self.directory)
+        return min((seq for seq, _ in segments if seq > self.segment), default=None)
 
     # -- the read loop ---------------------------------------------------------
 
@@ -102,39 +97,40 @@ class JournalTailer:
         """Up to ``max_records`` whole records at/after the position.
 
         Returns an empty list when caught up with the on-disk tail.  A
-        short or CRC-failing frame at the end of the *newest* segment is
-        "no more yet": on a live primary it can only be a write in
-        progress, on a dead primary's directory it is the unacked torn
-        tail recovery would truncate anyway; the position stays before
-        it and the next call retries.
+        short or CRC-failing frame (or magic) at the end of the *newest*
+        segment is "no more yet": on a live primary it can only be a
+        write in progress, on a dead primary's directory it is the
+        unacked torn tail recovery would cut anyway; the position stays
+        before it and the next call retries.
 
         Raises :class:`SegmentPrunedError` when the position's segment no
-        longer exists (checkpoint pruning passed it), and plain
-        :class:`JournalError` for at-rest damage no amount of waiting
-        will fix: a bad magic, or a damaged frame in a segment that
-        already has a successor (the writer finished that segment, so
-        the damage is rot, and records past a hole must not be shipped —
-        the same rule recovery applies).
+        longer exists (checkpoint pruning passed it), or is damaged while
+        a successor exists: the writer finished that segment, so that is
+        rot no amount of waiting fixes, and records past a hole must not
+        be shipped (recovery's rule).
         """
         out: List[TailedRecord] = []
         while len(out) < max_records:
-            if not self._open_current():
-                if self._next_segment() is not None or self._has_checkpoints():
-                    raise SegmentPrunedError(
-                        f"segment {segment_name(self.segment)} pruned under "
-                        "the tailer; checkpoint resync required"
-                    )
-                # Nothing newer on disk either: the writer simply has not
-                # created this segment yet (we are positioned at its start).
-                return out
             damage: Optional[JournalError] = None
-            self._stream.seek(self.offset)
             try:
+                self._open_current()
+                self._stream.seek(self.offset)
                 for payload, end in iter_frames(self._stream, self.offset):
                     out.append((payload, self.segment, end))
                     self.offset = end
                     if len(out) == max_records:
                         return out
+            except FileNotFoundError:
+                if self._next_segment() is None and not list_checkpoints(
+                    self.directory
+                ):
+                    # Nothing newer on disk either: the writer simply has
+                    # not created this segment yet (we are at its start).
+                    return out
+                raise SegmentPrunedError(
+                    f"segment {segment_name(self.segment)} pruned under "
+                    "the tailer; checkpoint resync required"
+                ) from None
             except JournalError as exc:
                 damage = exc
             # No further whole record here.  Hand off iff a newer segment
@@ -144,25 +140,16 @@ class JournalTailer:
             next_seq = self._next_segment()
             if next_seq is None or (damage is not None and out):
                 return out
-            if damage is not None:
-                raise JournalError(
-                    f"damage in closed segment {segment_name(self.segment)} "
-                    f"at byte {self.offset}: {damage}"
-                )
-            if next_seq != self.segment + 1:
-                # Segments are numbered consecutively, so the successor
-                # was pruned while we still held this one open: stepping
-                # to the next survivor would skip its records.
+            if damage is not None or next_seq != self.segment + 1:
+                # Rot in a finished segment, or (segments are numbered
+                # consecutively) its successor pruned while we held it
+                # open: stepping on would skip records.
                 raise SegmentPrunedError(
-                    f"segment {segment_name(self.segment + 1)} pruned under "
-                    "the tailer; checkpoint resync required"
+                    f"cannot follow {segment_name(self.segment)} past byte "
+                    f"{self.offset} ({damage or 'successor pruned'}); "
+                    "checkpoint resync required"
                 )
             self.close()
             self.segment = next_seq
             self.offset = len(SEGMENT_MAGIC)
         return out
-
-    def _has_checkpoints(self) -> bool:
-        from repro.durability.manager import list_checkpoints
-
-        return bool(list_checkpoints(self.directory))

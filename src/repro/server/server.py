@@ -586,10 +586,13 @@ class CacheServer:
             if writer is not None and not writer.closed:
                 writer.maybe_sync()
             if next_scrub is not None and time.monotonic() >= next_scrub:
-                report = self.durability.scrub_once()
-                for failure in report.failures:
-                    self.incidents.append(f"scrub: {failure}")
                 next_scrub = time.monotonic() + config.scrub_interval
+                # A failed repair leaves the rot for the next pass.
+                report = self._checkpoint(self.durability.scrub_once)
+                self.incidents += [
+                    f"scrub: {failure}; repaired by checkpoint {report.repaired_by}"
+                    for failure in (report.failures if report else ())
+                ]
 
     async def run(self) -> int:
         """Serve until drained; returns the process exit code."""
@@ -664,10 +667,15 @@ class CacheServer:
 
     def _maybe_checkpoint(self) -> None:
         if self.durability is not None and self.durability.should_checkpoint():
-            try:
-                self.durability.checkpoint(self.store)
-            except Exception as exc:  # not the triggering request's fault
-                self.incidents.append(f"checkpoint failed: {exc}")
+            self._checkpoint(self.durability.checkpoint)
+
+    def _checkpoint(self, take):
+        """``take(self.store)``, which writes a checkpoint; a failure is
+        an incident, not the caller's (a request or the housekeeping)."""
+        try:
+            return take(self.store)
+        except Exception as exc:
+            self.incidents.append(f"checkpoint failed: {exc}")
 
     def _dispatch(self, event: protocol.Event, out: List[bytes]) -> bool:
         """Execute one event, appending its reply (if any) to ``out``;

@@ -3,6 +3,7 @@
 import asyncio
 import io
 import os
+import random
 import socket
 import time
 
@@ -18,6 +19,7 @@ from repro.replication import wire
 from repro.durability.journal import JournalConfig, JournalWriter, list_segments
 from repro.replication.replica import ReplicationClient
 from repro.server.server import CacheServer, ServerConfig
+from tests.durability.test_scrub import flip
 
 
 def make_cache(capacity=512 * 1024, shards=2, seed=11):
@@ -449,6 +451,64 @@ class TestSnapshotResync:
 
         asyncio.run(go())
 
+    def test_rot_past_a_replica_resyncs_it_from_memory(self, tmp_path):
+        """Rot in a closed segment the replica has yet to read, with no
+        scrub on the primary to repair it: the sender cannot ship past
+        it, so it resyncs the replica from memory, once.  The session
+        used to end on the rot instead, every re-dial ended the same
+        way, and the replica shed every GET for as long as the rot
+        stayed on disk."""
+
+        async def go():
+            primary, ptask = await start_primary(
+                tmp_path, checkpoint_bytes=0, scrub_interval=0
+            )
+            replica, rtask = await start_replica(primary.repl_source.port)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", primary.port
+            )
+
+            async def sets(first, count):
+                writer.write(
+                    b"".join(
+                        b"set rot%04d 0 0 12\r\nvalue-%06d\r\n" % (i, i)
+                        for i in range(first, first + count)
+                    )
+                )
+                await writer.drain()
+                for _ in range(count):
+                    assert await reader.readline() == b"STORED\r\n"
+
+            await sets(0, 50)
+            client = replica.repl_client
+            assert await wait_until(
+                lambda: client.position == primary.durability.writer.position
+            )
+            await client.stop()
+            await sets(50, 400)
+            segment = client.position[0]
+            later = [
+                path for seq, path in list_segments(str(tmp_path))
+                if seq > segment
+            ]
+            assert len(later) >= 2  # the rotten one is closed
+            flip(later[0], 40)
+            resyncs = client.stats.snapshots_applied
+
+            client.start()
+            assert await wait_until(
+                lambda: client.pressure_level() == 0
+                and sorted(replica.store.walk()) == sorted(primary.store.walk()),
+                timeout=2.0,
+            ), client.stats
+            assert client.stats.snapshots_applied == resyncs + 1
+            assert len(list(replica.store.walk())) == 450
+            writer.close()
+            await drain(replica, rtask)
+            await drain(primary, ptask)
+
+        asyncio.run(go())
+
     @pytest.mark.parametrize("damage", ["cut", "wrong_count", "unsealed"])
     def test_damaged_image_is_refused_whole_then_redialed(self, damage):
         """A resync image that does not parse, whose end record does not
@@ -759,6 +819,39 @@ class TestCatchUpFromDirectory:
         assert client.position == end
         assert cache.get(b"c000") is None
         assert cache.get(b"c024") == b"val-024"
+
+
+class TestReconnectBackoff:
+    def test_a_primary_that_hangs_up_at_once_is_not_hammered(self):
+        """A session that applies nothing proves nothing: the re-dial
+        backs off as after a refused connect.  The counter used to reset
+        on every TCP accept, so such a primary was dialled every <= 50
+        ms (about 40 times a second)."""
+
+        async def go():
+            accepted = []
+
+            async def hang_up(reader, writer):
+                accepted.append(time.monotonic())
+                writer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            client = ReplicationClient(
+                SimpleKVCache(PlainZone(1 << 20)),
+                "127.0.0.1",
+                server.sockets[0].getsockname()[1],
+                rng=random.Random(5),
+            )
+            client.start()
+            try:
+                await asyncio.sleep(1.0)
+            finally:
+                await client.stop()
+                server.close()
+                await server.wait_closed()
+            assert 2 <= len(accepted) <= 10, len(accepted)
+
+        asyncio.run(go())
 
 
 class TestSilentLinkWatchdog:

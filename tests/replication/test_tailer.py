@@ -25,7 +25,11 @@ from repro.durability.journal import (
     list_segments,
     segment_name,
 )
+from repro.core import SimpleKVCache
+from repro.nzone import PlainZone
+from repro.replication.replica import ReplicationClient
 from repro.replication.tailer import JournalTailer, SegmentPrunedError
+from tests.durability.test_scrub import flip
 
 
 def make_writer(tmp_path, segment_bytes=256):
@@ -53,6 +57,11 @@ def read_everything(tailer, batch=256):
         if not records:
             return out
         out.extend(records)
+
+
+def rot(path, where):
+    """Flip one byte of a segment: its magic, or a frame mid-file."""
+    flip(path, 0 if where == "magic" else os.path.getsize(path) // 2)
 
 
 def decoded(records):
@@ -186,6 +195,46 @@ class TestTailDamage:
         with pytest.raises(SegmentPrunedError):
             tailer.read_batch()
         tailer.close()
+
+    @pytest.mark.parametrize("where", ["frame", "magic"])
+    def test_rot_in_a_closed_segment_demands_resync(self, tmp_path, where):
+        """A segment with a successor is final: damage there is rot, and
+        the one answer is the one a pruned position gets."""
+        writer = make_writer(tmp_path, segment_bytes=256)
+        append_sets(writer, 40)
+        writer.close()
+        segments = list_segments(str(tmp_path))
+        assert len(segments) >= 4
+        rot(segments[1][1], where)
+
+        tailer = JournalTailer(str(tmp_path), segments[0][0], 0)
+        before = tailer.read_batch()  # what precedes the rot, then stop
+        assert before and tailer.position[0] == segments[1][0]
+        with pytest.raises(SegmentPrunedError, match="cannot follow"):
+            tailer.read_batch()
+        assert tailer.position[0] == segments[1][0]  # never past the rot
+        tailer.close()
+
+    @pytest.mark.parametrize("where", ["frame", "magic"])
+    def test_catch_up_over_rot_recovers_the_directory(self, tmp_path, where):
+        """A promoting replica whose tail meets rot rebuilds from empty
+        under recovery's rule, and books what that applied."""
+        writer = make_writer(tmp_path, segment_bytes=256)
+        append_sets(writer, 40)
+        writer.close()
+        segments = list_segments(str(tmp_path))
+        rot(segments[1][1], where)
+
+        cache = SimpleKVCache(PlainZone(1 << 20))
+        client = ReplicationClient(cache, "127.0.0.1", 0)
+        client.position = (segments[0][0], 0)
+        records, mode, incidents = client.catch_up(str(tmp_path))
+        assert mode == "full"
+        assert any("mid-log damage" in incident for incident in incidents)
+        assert records > 0
+        assert client.stats.catch_up_records == records
+        assert cache.get(b"key-0000") is not None
+        assert cache.get(b"key-0039") is None  # past the rot
 
     def test_not_yet_created_segment_is_just_empty(self, tmp_path):
         writer = make_writer(tmp_path, segment_bytes=256)

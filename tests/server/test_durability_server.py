@@ -7,15 +7,18 @@ SIGKILL discipline lives in tests/server/test_crash_harness.py).
 """
 
 import asyncio
+import os
 
 from repro.common.framing import end_record
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.snapshot import write_snapshot
 from repro.core import SimpleKVCache
+from repro.durability.journal import list_segments
 from repro.durability.manager import list_checkpoints
 from repro.nzone import PlainZone
 from repro.server.server import CacheServer, ServerConfig
+from tests.durability.test_scrub import flip
 
 
 def make_cache(capacity=256 * 1024, shards=2, seed=11):
@@ -42,6 +45,15 @@ async def started_server(journal_dir, **config_kwargs):
     await server.start()
     task = asyncio.create_task(server.run())
     return server, task
+
+
+async def wait_until(predicate, timeout=10.0, interval=0.02):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while asyncio.get_running_loop().time() < deadline:
+        if predicate():
+            return True
+        await asyncio.sleep(interval)
+    return predicate()
 
 
 async def drain(server, task):
@@ -129,6 +141,108 @@ class TestRecoveryAcrossAbandon:
         asyncio.run(life())
         assert len(list_checkpoints(str(tmp_path))) == 1
         asyncio.run(after())
+
+
+class TestScrubRepair:
+    """The housekeeping scrub repairs rot by a checkpoint of the live
+    store.  It used to move the rotten file aside, so the next restart
+    refused the directory (a ``journal hole``) or came back nearly cold."""
+
+    KEYS = 120
+
+    async def _populate(self, server):
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(
+            b"".join(
+                b"set r%03d 0 0 40\r\n%s\r\n" % (i, b"%03d" % i * 13 + b"x")
+                for i in range(self.KEYS)
+            )
+        )
+        await writer.drain()
+        for _ in range(self.KEYS):
+            assert await reader.readline() == b"STORED\r\n"
+        writer.close()
+
+    def _rot_a_closed_segment(self, tmp_path):
+        segments = list_segments(str(tmp_path))
+        assert len(segments) >= 4
+        _seq, path = segments[1]
+        flip(path, 30)
+        return os.path.basename(path)
+
+    def test_rot_is_repaired_and_the_restart_serves_every_key(self, tmp_path):
+        async def first_life():
+            server, task = await started_server(
+                tmp_path,
+                scrub_interval=0.05,
+                journal_segment_bytes=1024,
+                checkpoint_bytes=0,
+            )
+            await self._populate(server)
+            victim = self._rot_a_closed_segment(tmp_path)
+            assert await wait_until(
+                lambda: server.durability.stats.checkpoints_written == 1
+            )
+            scrubs = [i for i in server.incidents if i.startswith("scrub: ")]
+            ((seq, _path),) = list_checkpoints(str(tmp_path))
+            assert len(scrubs) == 1
+            assert scrubs[0].startswith(f"scrub: {victim}: ")
+            assert scrubs[0].endswith(f"; repaired by checkpoint {seq}")
+            await abandon(server, task)
+
+        async def second_life():
+            server, task = await started_server(tmp_path)
+            assert server.durability.last_recovery.clean
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            for i in range(self.KEYS):
+                reply = await send(
+                    writer, reader, b"get r%03d\r\n" % i, reply_lines=3
+                )
+                assert reply == b"VALUE r%03d 0 40\r\n%s\r\nEND\r\n" % (
+                    i, b"%03d" % i * 13 + b"x"
+                )
+            writer.close()
+            assert await drain(server, task) == 0
+
+        asyncio.run(first_life())
+        asyncio.run(second_life())
+
+    def test_a_failed_repair_is_an_incident_and_the_next_pass_retries(
+        self, tmp_path
+    ):
+        async def scenario():
+            server, task = await started_server(
+                tmp_path,
+                scrub_interval=0.05,
+                journal_segment_bytes=1024,
+                checkpoint_bytes=0,
+            )
+            await self._populate(server)
+            durability = server.durability
+            checkpoint = durability.checkpoint
+            calls = []
+
+            def failing_once(store):
+                calls.append(store)
+                if len(calls) == 1:
+                    raise OSError("no space left on device")
+                return checkpoint(store)
+
+            durability.checkpoint = failing_once
+            self._rot_a_closed_segment(tmp_path)
+            assert await wait_until(lambda: len(calls) == 2)
+            assert server.incidents[0] == (
+                "checkpoint failed: no space left on device"
+            )
+            assert "repaired by checkpoint" in server.incidents[1]
+            assert len(server.incidents) == 2
+            assert not server._housekeeping.done()
+            assert all(c is server.store for c in calls)
+            assert await drain(server, task) == 0
+
+        asyncio.run(scenario())
 
 
 class TestStatsSurface:
