@@ -9,13 +9,20 @@ MurmurHash costs ~10 µs per key — enough to dominate replay time.  The
 MurmurHash3 port is kept (and tested against reference vectors) as the
 faithful-to-paper alternative: :func:`hash_key_murmur`.
 
+BLAKE2b is imported from ``_blake2``, the module :mod:`hashlib` itself
+takes it from, so ``blake2b is hashlib.blake2b`` and every hash is
+bit-identical.  Importing :mod:`hashlib` would also import ``_hashlib``,
+which maps OpenSSL's ``libcrypto`` into every served process (with
+``ssl`` kept out by the CLI entry, ≈ 4 MiB of resident memory) for a
+function OpenSSL does not provide.
+
 A separate FNV-1a hash is provided for seed derivation and cuckoo bucket
 mixing, where inputs are tiny.
 """
 
 from __future__ import annotations
 
-from hashlib import blake2b
+from _blake2 import blake2b
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -818,4 +818,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
+    # No subcommand speaks TLS.  A None entry makes ``import ssl`` raise
+    # ImportError, so asyncio takes its no-SSL branch and libssl/libcrypto
+    # are never mapped (≈ 5 MiB per serve child, DESIGN §9.3).  Program
+    # entry only: in-process callers of main() keep a working ssl.
+    sys.modules.setdefault("ssl", None)
     sys.exit(main())
