@@ -132,10 +132,10 @@ def apply_record(target, op: int, key: bytes, value: bytes, flags: int) -> None:
     """Apply one decoded record to ``target`` (a cache, or anything with
     its ``set(key, value, flags=)``/``delete(key)``).
 
-    The one place a record becomes a mutation: recovery, a cache image
-    being loaded, the replica's stream and promotion catch-up all call
-    it.  A :class:`CacheError` from ``target`` propagates; what it means
-    is the caller's business.
+    The one place a record becomes a mutation: recovery (a full
+    catch-up's included), image loads and the replica's applier call it.
+    An error from ``target`` propagates: recovery and image loads pass it
+    on, the replica's applier counts it; no cache in the library raises.
     """
     if op == OP_SET:
         target.set(key, value, flags=flags)

@@ -39,6 +39,7 @@ from repro.common.framing import (
     read_segment,
 )
 from repro.common.fsio import atomic_write
+from repro.core.marker import is_marker_key
 
 PathLike = Union[str, Path]
 
@@ -72,7 +73,9 @@ def iter_cache_items(cache) -> Iterator[Tuple[bytes, bytes]]:
                 if key not in nzone:
                     yield key, value
     for shard in shards:
-        yield from shard.nzone.items()
+        for key, value in shard.nzone.items():
+            if not is_marker_key(key):  # a probe of the N-zone, not an item
+                yield key, value
 
 
 def write_snapshot(target, destination: Union[PathLike, BinaryIO]) -> int:

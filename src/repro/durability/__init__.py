@@ -19,16 +19,6 @@ See DESIGN.md §10 for the format, the recovery ordering argument, and
 the per-policy loss bounds.
 """
 
-from repro.common.framing import (
-    OP_DELETE,
-    OP_SET,
-    OP_SET_FLAGS,
-    SegmentScan,
-    apply_record,
-    decode_payload,
-    encode_record,
-    read_segment,
-)
 from repro.durability.journal import (
     DurabilityStats,
     JournalConfig,
@@ -45,9 +35,6 @@ from repro.durability.manager import (
 from repro.durability.scrub import ScrubReport, scrub_directory
 
 __all__ = [
-    "OP_DELETE",
-    "OP_SET",
-    "OP_SET_FLAGS",
     "DurabilityConfig",
     "DurabilityManager",
     "DurabilityStats",
@@ -55,13 +42,8 @@ __all__ = [
     "JournalWriter",
     "RecoveryResult",
     "ScrubReport",
-    "SegmentScan",
-    "apply_record",
-    "decode_payload",
-    "encode_record",
     "list_checkpoints",
     "list_segments",
-    "read_segment",
     "replay_journal",
     "scrub_directory",
 ]

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional
 
-from repro.common.errors import CacheError, ConfigurationError
+from repro.common.errors import ConfigurationError
 from repro.common.framing import (
     SEGMENT_MAGIC,
     SegmentScan,
@@ -291,9 +291,9 @@ def replay_journal(
     """Point-in-time recovery: newest valid checkpoint + journal replay
     into ``cache`` (or the server's store, which keeps the flags).
 
-    Pure function of the directory's contents; never raises for damage —
-    every anomaly is counted, quarantined or truncated, and described in
-    the result's ``incidents``.
+    Pure function of the directory's contents; damage never raises (it
+    is counted, quarantined or truncated, and described in ``incidents``)
+    and an error from ``cache`` propagates with every file left in place.
     """
     result = RecoveryResult()
     directory = os.fspath(directory)
@@ -311,7 +311,7 @@ def replay_journal(
         try:
             image = load_snapshot(cache, path)
             unreadable = None if image.valid_bytes else image.error
-        except (CacheError, OSError) as exc:
+        except OSError as exc:
             unreadable = f"{type(exc).__name__}: {exc}"
         if unreadable is not None:
             result.incidents.append(

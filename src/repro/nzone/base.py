@@ -55,7 +55,8 @@ class NZone(abc.ABC):
 
     @abc.abstractmethod
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
-        """Insert or replace; returns the items evicted to make room."""
+        """Insert or replace; returns the items evicted to make room.  An
+        item too big to hold is returned itself, its older version gone."""
 
     @abc.abstractmethod
     def delete(self, key: bytes, hashed: Optional[int] = None) -> bool:

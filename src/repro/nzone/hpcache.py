@@ -153,6 +153,7 @@ class HPCacheZone(NZone):
 
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
         if self._item_bytes(key, value) > self._capacity:
+            self.delete(key)  # the older version must not outlive the write
             return [EvictedItem(key=key, value=value)]
         hashed = hash_key(key)
         slot = self._table.get(key, hashed)

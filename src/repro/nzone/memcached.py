@@ -213,7 +213,9 @@ class MemcachedZone(NZone):
         footprint = self.item_footprint(key, value)
         class_id = self._slabs.class_for(footprint)
         if class_id is None:
-            # Larger than the biggest chunk: memcached refuses the store.
+            # Larger than the biggest chunk: memcached refuses the store
+            # and unlinks the older version, which must not outlive it.
+            self.delete(key)
             return [EvictedItem(key=key, value=value)]
         evicted: List[EvictedItem] = []
         old_entry = self._index.get(key)

@@ -44,7 +44,9 @@ class PlainZone(NZone):
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
         size = len(key) + len(value)
         if size > self._capacity:
-            # Too big to ever fit; report it straight through as a spill.
+            # Too big to ever fit; report it straight through as a spill,
+            # and drop the older version, which must not outlive the write.
+            self.delete(key)
             return [EvictedItem(key=key, value=value)]
         old = self._items.pop(key, None)
         if old is not None:

@@ -1,14 +1,14 @@
 """The replica's side of the stream: apply, track lag, survive, promote.
 
 A :class:`ReplicationClient` owns one upstream connection.  Every record
-it receives — stream, resync image or promotion catch-up — goes through
-its one applier, onto the same ``set``/``delete`` calls recovery uses
-(on a server, the store's, so flags arrive with their items; a replica
-with its own ``--journal-dir`` journals everything it applies and is
-durable in its own right).  It tracks its lag from the primary's
-heartbeats, and reconnects with jittered backoff when the link dies.  A
-resync rebuilds from empty, never over live contents: keys deleted on
-the primary while we were partitioned cannot survive it.
+it receives — stream, resync image or catch-up tail — goes through its
+one applier onto the ``set``/``delete`` calls recovery uses (on a
+server, the store's, so flags arrive with their items; a replica with
+its own ``--journal-dir`` journals everything it applies).  A full
+catch-up is recovery itself, handed the store.  It tracks its lag from
+the primary's heartbeats, and reconnects with jittered backoff when the
+link dies.  A resync rebuilds from empty, never over live contents:
+keys deleted on the primary while we were partitioned cannot survive it.
 
 Lag and staleness are advertised, not guessed: ``pressure_level`` is
 
@@ -24,6 +24,7 @@ command) is deliberately consensus-free: an operator or harness decides,
 the replica optionally replays the dead primary's on-disk journal from
 its applied position (fsync=always there means every acknowledged write
 is present), flips to the primary role, and starts taking writes.
+What damage it meets is booked; an error from the store propagates.
 """
 
 from __future__ import annotations
@@ -32,18 +33,17 @@ import asyncio
 import io
 import random
 import time
-from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from repro.common.errors import CacheError, JournalError, ReplicationError
 from repro.common.framing import (
     OP_DELETE,
-    OP_SET,
     apply_record,
     decode_payload,
     read_segment,
 )
 from repro.core.snapshot import iter_cache_items, read_image
+from repro.durability.journal import segment_name
 from repro.durability.manager import replay_journal
 from repro.replication import wire
 from repro.replication.stats import ReplicationStats
@@ -293,8 +293,8 @@ class ReplicationClient:
         self.stats.acks_sent += 1
 
     def _apply(self, op: int, key: bytes, value: bytes, flags: int) -> None:
-        """The one applier: stream, resync, reset and catch-up.  A record
-        the cache refuses is counted, not fatal."""
+        """The one applier: stream, resync, reset and a catch-up's tail.
+        An error from the cache is counted (none is known), not fatal."""
         try:
             apply_record(self.cache, op, key, value, flags)
         except CacheError:
@@ -323,10 +323,11 @@ class ReplicationClient:
         """Apply a dead primary's on-disk journal from our position;
         returns ``(records, mode, incidents)``.
 
-        ``tail`` replays forward from the position.  ``full``, when the
-        position is unusable, resets and recovers the directory from
-        empty, as the primary itself would have, and returns that
-        recovery's incidents (a journal hole among them).
+        ``tail`` replays forward from the position and books the damage
+        it stops before, if any (the records past it are lost).
+        ``full``, when the position is unusable, resets and recovers the
+        directory from empty, as the primary itself would have, and
+        returns that recovery's incidents (a journal hole among them).
         """
         segment, offset = self.position
         if segment > 0:
@@ -337,7 +338,11 @@ class ReplicationClient:
                     batch = tailer.read_batch(1024)
                     if not batch:
                         self.stats.catch_up_records += records
-                        return records, "tail", []
+                        damage = tailer.damage
+                        return records, "tail", [] if damage is None else [
+                            f"tail stopped in {segment_name(tailer.segment)} "
+                            f"at byte {tailer.offset}: {damage}"
+                        ]
                     for payload, seg, end in batch:
                         self._apply(*decode_payload(payload))
                         self.position = (seg, end)
@@ -347,11 +352,7 @@ class ReplicationClient:
             finally:
                 tailer.close()
         self._reset()
-        apply = self._apply
-        result = replay_journal(directory, SimpleNamespace(
-            set=lambda key, value, flags=0: apply(OP_SET, key, value, flags),
-            delete=lambda key: apply(OP_DELETE, key, b"", 0),
-        ))
+        result = replay_journal(directory, self.cache)
         records = result.checkpoint_loaded + result.replayed_records
         self.stats.catch_up_records += records
         return records, "full", result.incidents

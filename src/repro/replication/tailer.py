@@ -60,6 +60,7 @@ class JournalTailer:
         self.directory = os.fspath(directory)
         self.segment = segment
         self.offset = max(offset, len(SEGMENT_MAGIC))
+        self.damage: Optional[JournalError] = None  # see read_batch
         self._stream = None
 
     @property
@@ -98,10 +99,10 @@ class JournalTailer:
 
         Returns an empty list when caught up with the on-disk tail.  A
         short or CRC-failing frame (or magic) at the end of the *newest*
-        segment is "no more yet": on a live primary it can only be a
-        write in progress, on a dead primary's directory it is the
-        unacked torn tail recovery would cut anyway; the position stays
-        before it and the next call retries.
+        segment is "no more yet", kept in :attr:`damage`: on a live
+        primary it can only be a write in progress, in a dead primary's
+        directory a torn tail or rot; the position stays before it and
+        the next call retries.
 
         Raises :class:`SegmentPrunedError` when the position's segment no
         longer exists (checkpoint pruning passed it), or is damaged while
@@ -110,6 +111,7 @@ class JournalTailer:
         be shipped (recovery's rule).
         """
         out: List[TailedRecord] = []
+        self.damage = None
         while len(out) < max_records:
             damage: Optional[JournalError] = None
             try:
@@ -139,6 +141,7 @@ class JournalTailer:
             # file there is final.
             next_seq = self._next_segment()
             if next_seq is None or (damage is not None and out):
+                self.damage = damage
                 return out
             if damage is not None or next_seq != self.segment + 1:
                 # Rot in a finished segment, or (segments are numbered

@@ -540,11 +540,10 @@ class CacheServer:
             failure = None if image.valid_bytes else image.error
         except FileNotFoundError:
             return
-        except (CacheError, OSError) as exc:
+        except OSError as exc:
             failure = str(exc)
         if failure is not None:
-            # Not an image, an item the cache refused, an unreadable
-            # file: a bad snapshot must not block startup.
+            # Not an image, or unreadable: a bad snapshot must not block startup.
             self.incidents.append(f"snapshot load failed: {failure}")
             return
         self.stats.snapshot_loaded = image.records
@@ -853,9 +852,9 @@ class CacheServer:
         try:
             self.store.set(key, command.value, ttl=ttl, flags=command.flags)
         except (CacheError, OSError) as exc:
-            # What ``set`` can raise: an item no zone can hold, a rebuild
-            # no codec in the chain would compress, a closed or failing
-            # journal.  Anything else is a bug and ends the connection.
+            # What ``set`` can raise is the journal's: closed or failing
+            # (the cache itself refuses no item).  Anything else is a
+            # bug and ends the connection.
             self.incidents.append(f"{command.name} failed: {exc!r}")
             return protocol.server_error(
                 f"{command.name} failed: {type(exc).__name__}"

@@ -243,6 +243,28 @@ def test_a_refused_demotion_never_serves_the_older_value(region):
     cache.check_invariants()
 
 
+@pytest.mark.parametrize("region", REGIONS)
+def test_an_overwrite_no_zone_can_hold_never_serves_the_n_zone_copy(region):
+    """The store model's shrunk example: v1 still in the N-zone when a SET
+    writes a v2 larger than the whole cache.  The N-zone spilled v2 and
+    kept v1, which the next GET served."""
+    cache = ZExpander(
+        ZExpanderConfig(
+            total_capacity=3 * 1024,
+            block_capacity=512,
+            nzone_fraction=0.3,
+            seed=17,
+            append_region_bytes=region,
+        ),
+        clock=VirtualClock(),
+    )
+    cache.set(b"st:00", b"0:1:")
+    cache.set(b"st:00", b"z" * 3 * 1024)
+    assert cache.get(b"st:00") is None
+    assert b"st:00" not in cache
+    cache.check_invariants()
+
+
 _WORDS = (
     b"alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo "
     b"lima mike november oscar papa quebec romeo sierra tango uniform "

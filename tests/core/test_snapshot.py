@@ -110,6 +110,31 @@ class TestRoundtrip:
         assert read_items(path) == []
 
 
+class TestMarkers:
+    def test_an_image_holds_no_locality_marker(self):
+        """The store model's shrunk example: the locality marker a command
+        mints after an idle interval sits in the N-zone, and every image
+        (snapshot, checkpoint, resync) carried it as an item no client
+        wrote."""
+        clock = VirtualClock()
+        cache = ZExpander(
+            ZExpanderConfig(
+                total_capacity=3 * 1024,
+                block_capacity=512,
+                marker_interval_seconds=0.1,
+                seed=17,
+            ),
+            clock=clock,
+        )
+        cache.delete(b"st:00")
+        clock.advance(0.1)
+        cache.delete(b"st:00")
+        assert cache.benchmark.outstanding_count == 1
+        assert cache.item_count == 1  # the marker
+        image = io.BytesIO()
+        assert write_snapshot(cache, image) == 0
+
+
 class TestValidation:
     """Damage never raises and never loads: the scan says what happened."""
 

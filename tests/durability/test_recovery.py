@@ -3,6 +3,9 @@
 import os
 from pathlib import Path
 
+import pytest
+
+from repro.common.errors import CacheError
 from repro.core import SimpleKVCache
 from repro.common.framing import OP_SET, SEGMENT_MAGIC, encode_record
 from repro.durability.journal import (
@@ -247,6 +250,36 @@ class TestDamageContainment:
         result = replay_journal(str(tmp_path), restored)
         assert result.clean
         assert restored.get(b"victim") is None
+
+
+class RefusingCache:
+    """A test double for a cache that refuses every item, which no
+    cache in the library does."""
+
+    def set(self, key, value, flags=0):
+        raise CacheError(f"refused {key!r}")
+
+    def delete(self, key):
+        return False
+
+
+class TestRefusal:
+    def test_a_refused_checkpoint_stays_in_place_and_the_error_surfaces(
+        self, tmp_path
+    ):
+        """A refusal is not damage: it reaches the caller, and the sealed,
+        undamaged checkpoint is neither quarantined nor reported as
+        unreadable.  Recovery used to catch it, move the file to
+        quarantine/ and serve without the items behind the refusal."""
+        manager, cache = journalled_cache(tmp_path)
+        seq = manager.checkpoint(cache)
+        path = tmp_path / checkpoint_name(seq)
+        with pytest.raises(CacheError, match="refused"):
+            replay_journal(str(tmp_path), RefusingCache())
+        assert path.exists()
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        restored = make_cache()
+        assert replay_journal(str(tmp_path), restored).checkpoint_loaded == 40
 
 
 class TestManagerLifecycle:

@@ -1,9 +1,10 @@
 """The list-based N-zone as it stood before the slot-array layout: the
 test oracle for :mod:`repro.nzone.hpcache` and :mod:`repro.nzone.cuckoo`.
 
-Kept verbatim apart from this docstring and the imports: one 4-element
-list per ring item, one ``(key, tag, payload)`` tuple per table slot and
-one list per bucket.  ``tests/nzone/test_slot_layout.py`` drives this copy
+Kept verbatim apart from this docstring, the imports and one line both
+layouts lacked (an oversized SET drops the key's older version): one
+4-element list per ring item, one ``(key, tag, payload)`` tuple per
+table slot and one list per bucket.  ``tests/nzone/test_slot_layout.py`` drives this copy
 and the shipped one with the same operations and requires every answer,
 eviction, count and slot position to agree.
 """
@@ -290,6 +291,7 @@ class HPCacheZone(NZone):
 
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
         if self._item_bytes(key, value) > self._capacity:
+            self.delete(key)
             return [EvictedItem(key=key, value=value)]
         hashed = hash_key(key)
         entry = self._table.get(key, hashed)

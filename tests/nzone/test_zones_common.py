@@ -33,6 +33,16 @@ class TestAllZones:
         assert zone.get(b"key") == b"v2"
         assert zone.item_count == 1
 
+    def test_a_spilled_overwrite_takes_the_older_version_with_it(self, zone):
+        """A SET too big for the zone is spilled at once; the version it
+        overwrote must not stay behind to be served in its place."""
+        zone.set(b"key", b"v1")
+        spilled = zone.set(b"key", b"x" * (zone.capacity + 1))
+        assert [item.key for item in spilled] == [b"key"]
+        assert zone.get(b"key") is None
+        assert b"key" not in zone
+        zone.check_invariants()
+
     def test_delete(self, zone):
         zone.set(b"key", b"value")
         assert zone.delete(b"key") is True

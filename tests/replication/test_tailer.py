@@ -236,6 +236,32 @@ class TestTailDamage:
         assert cache.get(b"key-0000") is not None
         assert cache.get(b"key-0039") is None  # past the rot
 
+    def test_catch_up_books_a_bad_magic_in_the_newest_segment(self, tmp_path):
+        """The newest segment of a dead primary's directory has no writer
+        left to finish it: a bad magic there is rot, and the acknowledged
+        records behind it are lost.  The tail used to read it as "no
+        more yet" and book nothing."""
+        writer = make_writer(tmp_path, segment_bytes=256)
+        append_sets(writer, 40)
+        writer.close()
+        segments = list_segments(str(tmp_path))
+        newest = segments[-1][0]
+        rot(segments[-1][1], "magic")
+
+        cache = SimpleKVCache(PlainZone(1 << 20))
+        client = ReplicationClient(cache, "127.0.0.1", 0)
+        client.position = (segments[0][0], 0)
+        records, mode, incidents = client.catch_up(str(tmp_path))
+        assert mode == "tail"
+        assert incidents == [
+            f"tail stopped in {segment_name(newest)} at byte "
+            f"{len(SEGMENT_MAGIC)}: bad magic "
+            f"{bytes([SEGMENT_MAGIC[0] ^ 1]) + SEGMENT_MAGIC[1:]!r}"
+        ]
+        assert cache.get(b"key-0039") is None  # behind the rot
+        assert client.position[0] == newest - 1
+        assert client.stats.catch_up_records == records
+
     def test_not_yet_created_segment_is_just_empty(self, tmp_path):
         writer = make_writer(tmp_path, segment_bytes=256)
         append_sets(writer, 3)
