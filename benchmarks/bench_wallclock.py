@@ -290,26 +290,24 @@ def bench_fastpath(replay: EtcReplay) -> List[BenchRecord]:
     off, on, anchor = estimates["off"], estimates["on"], estimates["anchor"]
     fast = on.best.carry
     stats = fast.zzone.stats
-    knobs = {
-        "append_region_bytes": fast.config.append_region_bytes,
-        "decompressed_cache_blocks": fast.config.decompressed_cache_blocks,
-    }
+    region = fast.config.append_region_bytes
     on_config = replay.config(
         "mzx",
-        **knobs,
+        append_region_bytes=region,
         staged_puts=stats.staged_puts,
         staging_flushes=stats.staging_flushes,
-        container_cache_hits=stats.container_cache_hits,
-        container_cache_misses=stats.container_cache_misses,
     )
-    paper = {"append_region_bytes": 0, "decompressed_cache_blocks": 0}
     speedup = {
         "speedup": round(off.value / on.value, 4),
-        **knobs,
+        "append_region_bytes": region,
         **asdict(replay.scale),
     }
     return [
-        record("replay_etc_mzx_fastpath_off", replay.config("mzx", **paper), off),
+        record(
+            "replay_etc_mzx_fastpath_off",
+            replay.config("mzx", append_region_bytes=0),
+            off,
+        ),
         record("replay_etc_mzx_fastpath_on", on_config, on),
         record("replay_etc_fastpath_anchor", replay.config("memcached"), anchor),
         _ratio_record("zzone_fastpath_speedup", speedup, off, on),

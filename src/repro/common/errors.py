@@ -124,11 +124,7 @@ class ReplicationError(ServingError):
     """The replication stream is malformed (framing, CRC, or handshake)."""
 
 
-class ClusterError(ServingError):
-    """Base class for errors raised by the cluster tier."""
-
-
-class NodeDownError(ClusterError):
+class NodeDownError(ServingError):
     """The node owning a key is unreachable and the client was configured
     to surface that (``on_node_down="error"``) rather than degrade the
     read to a miss."""

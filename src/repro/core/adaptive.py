@@ -20,6 +20,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+#: Neither zone's target may fall below this share of the total (§3.3.1).
+MIN_ZONE_FRACTION = 0.05
+
+
 class AllocationAction(enum.Enum):
     """Z-zone action status, as named in the paper."""
 
@@ -56,7 +60,7 @@ class AdaptiveAllocator:
         slack: float = 0.02,
         step_fraction: float = 0.03,
         window_seconds: float = 60.0,
-        min_zone_fraction: float = 0.05,
+        min_zone_fraction: float = MIN_ZONE_FRACTION,
     ) -> None:
         if initial_nzone_target <= 0 or initial_nzone_target >= total_capacity:
             raise ValueError("initial N-zone target must be inside the cache")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.compression.base import Compressor
+from repro.core.adaptive import MIN_ZONE_FRACTION
 from repro.faults.plan import FaultPlan
 from repro.nzone.base import NZone
 from repro.zzone.zzone import DEFAULT_BLOCK_CAPACITY
@@ -20,12 +21,13 @@ class ZExpanderConfig:
 
     * ``target_service_fraction`` — the fraction of (expensive) requests
       that should be handled by the N-zone; 90 % by default (§3.3.1).
-    * ``adjustment_step`` — each adaptation moves the N-zone target by 3 %
-      of the total cache space (§3.3.1).
     * ``window_seconds`` — adaptation check period, one minute (§3.3.1).
     * ``block_capacity`` — Z-zone container capacity, 2 KB (§3.2).
-    * ``benchmark_weights`` — weighted average over the three most recent
-      marker samples (§3.3.2), most recent first.
+
+    §3.3's other constants — the 3 % adjustment step, the ±2 % slack,
+    the 5 % zone floor and the marker weights — are declared once, as
+    the defaults of :class:`~repro.core.adaptive.AdaptiveAllocator` and
+    :class:`~repro.core.marker.LocalityBenchmark`.
     """
 
     total_capacity: int
@@ -35,12 +37,8 @@ class ZExpanderConfig:
     block_capacity: int = DEFAULT_BLOCK_CAPACITY
     adaptive: bool = True
     target_service_fraction: float = 0.90
-    service_fraction_slack: float = 0.02
-    adjustment_step: float = 0.03
     window_seconds: float = 60.0
     marker_interval_seconds: float = 10.0
-    benchmark_weights: Tuple[float, float, float] = (0.5, 0.3, 0.2)
-    min_zone_fraction: float = 0.05
     seed: int = 0
     #: Ablation knobs: "reuse-time" is the paper's §3.3.2 rule; "always"
     #: promotes every Z-zone hit; "never" leaves items in place.
@@ -57,10 +55,6 @@ class ZExpanderConfig:
     #: paper's write — every put reconstructs its block — and what every
     #: paper-figure configuration passes explicitly.
     append_region_bytes: Optional[int] = None
-    #: Z-zone fast path: decompressed-container LRU capacity in blocks.
-    #: 0 (the default) disables the cache.  Its memory is host-side
-    #: scratch, metered by a gauge but not charged to the cache budget.
-    decompressed_cache_blocks: int = 0
 
     def __post_init__(self) -> None:
         if self.append_region_bytes is None:
@@ -73,23 +67,14 @@ class ZExpanderConfig:
             raise ConfigurationError("nzone_fraction must be in (0, 1)")
         if not 0.0 < self.target_service_fraction < 1.0:
             raise ConfigurationError("target_service_fraction must be in (0, 1)")
-        if not 0.0 < self.adjustment_step < 0.5:
-            raise ConfigurationError("adjustment_step must be in (0, 0.5)")
         if self.window_seconds <= 0:
             raise ConfigurationError("window_seconds must be positive")
         if self.marker_interval_seconds <= 0:
             raise ConfigurationError("marker_interval_seconds must be positive")
-        if len(self.benchmark_weights) != 3 or any(
-            w < 0 for w in self.benchmark_weights
-        ):
-            raise ConfigurationError("benchmark_weights must be 3 non-negatives")
-        if sum(self.benchmark_weights) <= 0:
-            raise ConfigurationError("benchmark_weights must not all be zero")
-        if not 0.0 < self.min_zone_fraction < 0.5:
-            raise ConfigurationError("min_zone_fraction must be in (0, 0.5)")
-        if not self.min_zone_fraction <= self.nzone_fraction <= 1 - self.min_zone_fraction:
+        if not MIN_ZONE_FRACTION <= self.nzone_fraction <= 1 - MIN_ZONE_FRACTION:
             raise ConfigurationError(
-                "nzone_fraction must respect min_zone_fraction on both sides"
+                f"nzone_fraction must be in [{MIN_ZONE_FRACTION}, "
+                f"{1 - MIN_ZONE_FRACTION}], the allocator's floor for each zone"
             )
         if self.promotion_policy not in ("reuse-time", "always", "never"):
             raise ConfigurationError(
@@ -108,5 +93,3 @@ class ZExpanderConfig:
                 "append_region_bytes must not exceed block_capacity "
                 f"({self.append_region_bytes} > {self.block_capacity})"
             )
-        if self.decompressed_cache_blocks < 0:
-            raise ConfigurationError("decompressed_cache_blocks must be >= 0")

@@ -62,10 +62,6 @@ def additive_views(cache: "ZExpander") -> List[Tuple[str, Callable, str]]:
          "current N-zone budget (moves under adaptation)"),
         ("zzone_capacity_bytes", attrgetter("zzone.capacity"),
          "current Z-zone budget (moves under adaptation)"),
-        ("zzone_container_cache_bytes",
-         lambda cache: cache.zzone.container_cache_bytes(),
-         "decompressed-container cache scratch bytes (not charged "
-         "to the cache budget)"),
     ]
     if cache.allocator is not None:
         views.append(
@@ -117,19 +113,15 @@ class ZExpander:
             use_access_filter=config.use_access_filter,
             faults=self.fault_injector,
             append_region_bytes=config.append_region_bytes,
-            decompressed_cache_blocks=config.decompressed_cache_blocks,
         )
-        self.benchmark = LocalityBenchmark(config.benchmark_weights)
+        self.benchmark = LocalityBenchmark()
         self.allocator: Optional[AdaptiveAllocator] = None
         if config.adaptive:
             self.allocator = AdaptiveAllocator(
                 total_capacity=config.total_capacity,
                 initial_nzone_target=nzone_capacity,
                 target_fraction=config.target_service_fraction,
-                slack=config.service_fraction_slack,
-                step_fraction=config.adjustment_step,
                 window_seconds=config.window_seconds,
-                min_zone_fraction=config.min_zone_fraction,
             )
         self._last_marker_time: Optional[float] = None
         self._marker_interval = config.marker_interval_seconds

@@ -126,18 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSON fault plan (default: the built-in all-sites mix)",
     )
-    chaos_parser.add_argument(
-        "--size-multiplier",
-        type=float,
-        default=1.0,
-        help="cache capacity as a multiple of the workload's base cache size",
-    )
     chaos_parser.add_argument("--audit-interval", type=int, default=512)
-    chaos_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the clean twin replay (faster; disables the degradation bound)",
-    )
     # The campaigns over real servers; none = the in-process trace replay.
     mode = chaos_parser.add_mutually_exclusive_group()
     mode.add_argument(
@@ -480,8 +469,6 @@ def run_chaos_command(args) -> int:
             seed=args.seed,
             plan=_load_plan(args.plan),
             audit_interval=args.audit_interval,
-            baseline=not args.no_baseline,
-            size_multiplier=args.size_multiplier,
         )
         print(report.render())
         return 0 if report.ok else 1

@@ -88,11 +88,10 @@ class ChaosReport:
                 f"replay: requests={self.replay.requests} "
                 f"miss_ratio={self.replay.miss_ratio:.6f}"
             )
-        if self.baseline is not None:
-            lines.append(
-                f"baseline: requests={self.baseline.requests} "
-                f"miss_ratio={self.baseline.miss_ratio:.6f}"
-            )
+        lines.append(
+            f"baseline: requests={self.baseline.requests} "
+            f"miss_ratio={self.baseline.miss_ratio:.6f}"
+        )
         lines.append("zzone integrity:")
         for name in sorted(self.zzone_counters):
             lines.append(f"  {name}: {self.zzone_counters[name]}")
@@ -117,8 +116,6 @@ def run_chaos(
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
     audit_interval: int = 512,
-    baseline: bool = True,
-    size_multiplier: float = 1.0,
     append_region_bytes: Optional[int] = None,
 ) -> ChaosReport:
     """Replay ``workload`` under ``plan`` and audit the degradation.
@@ -134,7 +131,7 @@ def run_chaos(
     scale = Scale(num_keys=num_keys, num_requests=num_requests, seed=seed)
     trace = build_trace(workload, scale)
     values = build_value_source(workload, trace, seed=seed)
-    capacity = max(64 * 1024, int(base_size_of(workload, scale) * size_multiplier))
+    capacity = max(64 * 1024, int(base_size_of(workload, scale)))
     report = ChaosReport(
         workload=workload,
         num_keys=num_keys,
@@ -143,19 +140,18 @@ def run_chaos(
         plan=plan,
     )
 
-    if baseline:
-        clean_cache = ZExpander(
-            ZExpanderConfig(
-                total_capacity=capacity,
-                seed=seed,
-                append_region_bytes=append_region_bytes,
-            ),
-            clock=VirtualClock(),
-        )
-        report.baseline = replay_trace(
-            clean_cache, trace, values, clock=clean_cache.clock
-        )
-        report.baseline_evicted_items = clean_cache.zzone.stats.evicted_items
+    clean_cache = ZExpander(
+        ZExpanderConfig(
+            total_capacity=capacity,
+            seed=seed,
+            append_region_bytes=append_region_bytes,
+        ),
+        clock=VirtualClock(),
+    )
+    report.baseline = replay_trace(
+        clean_cache, trace, values, clock=clean_cache.clock
+    )
+    report.baseline_evicted_items = clean_cache.zzone.stats.evicted_items
 
     config = ZExpanderConfig(
         total_capacity=capacity,
@@ -207,7 +203,7 @@ def run_chaos(
             "corruption detected but nothing was quarantined"
         )
 
-    if report.baseline is not None and report.replay is not None:
+    if report.replay is not None:
         extra_misses = report.replay.get_misses - report.baseline.get_misses
         # Damage = items lost to faults: quarantined outright, plus the
         # evictions the squeezes forced beyond the clean twin's load.

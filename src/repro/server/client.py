@@ -330,7 +330,7 @@ class MemcacheClient:
 
     async def get_full(self, key: bytes) -> Optional[Tuple[bytes, int]]:
         """GET returning ``(value, flags)``; None on miss."""
-        request = self._get_request(b"get", [key])
+        (request,) = self._get_requests(b"get", [key])
 
         async def op(conn: Connection):
             await conn.send(request)
@@ -344,7 +344,7 @@ class MemcacheClient:
 
     async def gets(self, key: bytes) -> Optional[Tuple[bytes, int]]:
         """GET with a cas token; None on miss."""
-        request = self._get_request(b"gets", [key])
+        (request,) = self._get_requests(b"gets", [key])
 
         async def op(conn: Connection):
             await conn.send(request)
@@ -490,13 +490,6 @@ class MemcacheClient:
     def _check_key(key: bytes) -> None:
         if not valid_key(key):
             raise ProtocolError(f"invalid key {key!r}")
-
-    def _get_request(self, verb: bytes, keys: Sequence[bytes]) -> bytes:
-        if not keys:
-            raise ValueError("need at least one key")
-        for key in keys:
-            self._check_key(key)
-        return verb + b" " + b" ".join(keys) + CRLF
 
     def _get_requests(
         self, verb: bytes, keys: Sequence[bytes]

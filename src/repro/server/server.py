@@ -106,7 +106,6 @@ _WIRE_NAMES = {
     "server_expirations": "cache_expirations",
     **{f"cache_zzone_{field}": f"integrity_{field}" for field in INTEGRITY_FIELDS},
     **{f"cache_zzone_{field}": f"fastpath_{field}" for field in FASTPATH_FIELDS},
-    "cache_zzone_container_cache_bytes": "fastpath_container_cache_bytes",
 }
 
 

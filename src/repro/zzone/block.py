@@ -150,10 +150,10 @@ def container_entries(container: bytes) -> List[Entry]:
     return entries
 
 
-#: Monotonic block identity for the zone's decompressed-container cache.
-#: Blocks are immutable, so a generation uniquely names one container's
-#: bytes for the life of the process; any rebuild produces a new block
-#: with a new generation, which is what invalidates cache entries.
+#: Monotonic block identity for a read batch's memos.  Blocks are
+#: immutable, so a generation uniquely names one container's bytes for
+#: the life of the process; any rebuild produces a new block with a new
+#: generation, which is what invalidates memo entries.
 _BLOCK_GENERATION = itertools.count(1)
 
 #: The staged index of every block that has never staged a put (most
@@ -191,7 +191,6 @@ class Block:
         "staged_index",
         "staged_checksum",
         "generation",
-        "built_container",
     )
 
     def __init__(
@@ -243,14 +242,8 @@ class Block:
         self.staged_buffer: Union[bytes, bytearray] = b""
         self.staged_index: Mapping[bytes, int] = _NO_STAGED_INDEX
         self.staged_checksum = 0
-        #: Process-unique identity for the decompressed-container cache.
+        #: Process-unique identity: a read batch's memos key on it.
         self.generation = next(_BLOCK_GENERATION)
-        #: Uncompressed container bytes kept by ``from_entries`` when
-        #: asked (``keep_container=True``) so
-        #: the zone can seed its decompressed-container cache without
-        #: paying a decompression; the zone consumes and clears it
-        #: immediately — it never outlives the construction call.
-        self.built_container: Optional[bytes] = None
 
     # -- construction -------------------------------------------------------
 
@@ -262,15 +255,12 @@ class Block:
         depth: int = 0,
         prefix: int = 0,
         large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
-        keep_container: bool = False,
     ) -> "Block":
         """Build a block from ``items`` (any order; sorted here)."""
         entries = sorted(
             item_entry(item.key, item.value, item.hashed_key) for item in items
         )
-        return cls.from_entries(
-            entries, compressor, depth, prefix, large_refs, keep_container
-        )
+        return cls.from_entries(entries, compressor, depth, prefix, large_refs)
 
     @classmethod
     def from_entries(
@@ -280,7 +270,6 @@ class Block:
         depth: int = 0,
         prefix: int = 0,
         large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
-        keep_container: bool = False,
     ) -> "Block":
         """Build a block from ``entries`` already in canonical order.
 
@@ -310,7 +299,7 @@ class Block:
                 content |= masks[hashed & 0x7F][(hashed >> 33) & 0x3F]
         container = b"".join(wires)
         compressed = compressor.compress(container)
-        block = cls(
+        return cls(
             depth=depth,
             prefix=prefix,
             compressed=compressed,
@@ -322,9 +311,6 @@ class Block:
             large_refs=large_refs,
             codec=compressor,
         )
-        if keep_container:
-            block.built_container = container
-        return block
 
     # -- write-combining append region (§3.2) ---------------------------------
 
@@ -439,7 +425,7 @@ class Block:
 
     def scan(self, container: bytes, key: bytes, hashed_key: int) -> Optional[bytes]:
         """Find ``key`` in ``container``, this block's decompressed and
-        verified container (the zone's ``_lookup_container``).
+        verified container (the zone's ``_container_of``).
 
         The scan starts at the last index entry whose top 32 hash bits
         are below the key's: every entry before it hashes lower, and the

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -92,10 +91,11 @@ class ZZoneStats:
     #: (no compression), and region-full merges into the container.
     staged_puts: int = 0
     staging_flushes: int = 0
-    #: Decompressed-container cache: GETs answered from a cached container
-    #: (no decompression) vs. GETs that had to decompress and fill it.
+    #: Always 0: the decoded-container LRU it counted is gone (the N-zone
+    #: is the one uncompressed tier).  Kept only because the frozen
+    #: ledger's ``benchmarks/ledger/traced.py`` reads it by name in
+    #: ``ZZONE_COUNTERS``; drop it when that ledger is re-frozen.
     container_cache_hits: int = 0
-    container_cache_misses: int = 0
     #: Staged bytes failed their running CRC; the block was quarantined.
     staged_checksum_failures: int = 0
     #: Batched GETs: physical decompressions skipped because an earlier
@@ -127,7 +127,6 @@ FASTPATH_FIELDS = (
     "staged_puts",
     "staging_flushes",
     "container_cache_hits",
-    "container_cache_misses",
     "container_decodes_saved",
 )
 
@@ -179,7 +178,6 @@ class ZZone:
         use_access_filter: bool = True,
         faults=None,
         append_region_bytes: int = 0,
-        decompressed_cache_blocks: int = 0,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -188,11 +186,6 @@ class ZZone:
         if append_region_bytes < 0:
             raise ValueError(
                 f"append_region_bytes must be >= 0, got {append_region_bytes}"
-            )
-        if decompressed_cache_blocks < 0:
-            raise ValueError(
-                "decompressed_cache_blocks must be >= 0, "
-                f"got {decompressed_cache_blocks}"
             )
         self.capacity = capacity
         self.block_capacity = block_capacity
@@ -232,17 +225,10 @@ class ZZone:
         #: key; the rest are skipped when they surface.
         self._removal_deadlines: List[Tuple[float, bytes]] = []
         self._removal_order = itertools.count()
-        #: Fast-path knobs.  A bare zone defaults both off (the paper's
-        #: write path); ``ZExpanderConfig`` sizes the region for a cache.
+        #: Write-combining append region.  A bare zone defaults it off
+        #: (the paper's write path); ``ZExpanderConfig`` sizes it for a
+        #: cache.
         self.append_region_bytes = append_region_bytes
-        self.decompressed_cache_blocks = decompressed_cache_blocks
-        #: LRU of decompressed containers keyed by block generation.  A
-        #: host-side scratch buffer: its bytes are *not* charged to the
-        #: zone's capacity (metered separately via
-        #: :meth:`container_cache_bytes`), and generations are
-        #: process-unique, so a rebuilt block can never alias a stale
-        #: entry.
-        self._container_cache: "OrderedDict[int, bytes]" = OrderedDict()
         root = self._build_block([])
         self._trie.insert_root(root)
         self._link_initial(root)
@@ -356,18 +342,11 @@ class ZZone:
     ) -> Block:
         """Build a block of ``entries`` (in canonical order) with the
         current codec, degrading on codec faults."""
-        block = self._with_codec(
+        return self._with_codec(
             lambda codec: Block.from_entries(
-                entries,
-                codec,
-                depth=depth,
-                prefix=prefix,
-                large_refs=large_refs,
-                keep_container=self.decompressed_cache_blocks > 0,
+                entries, codec, depth=depth, prefix=prefix, large_refs=large_refs
             )
         )
-        self._cache_store(block)
-        return block
 
     @staticmethod
     def _verified(batch: Optional[ReadBatch], token, check) -> bool:
@@ -426,71 +405,6 @@ class ZZone:
             batch.containers[leaf.generation] = container
         return container
 
-    def _lookup_container(
-        self, leaf: Block, batch: Optional[ReadBatch] = None
-    ) -> Optional[bytes]:
-        """Container of ``leaf`` via the decompressed-container cache.
-
-        Every read path — GET, batched GET, merges, sweep, delete — goes
-        through here.  A hit still verifies the payload CRC before
-        trusting the cached bytes: CRC32 over the compressed payload is an
-        order of magnitude cheaper than decompression, so corruption is
-        detected with its usual latency (a flipped bit quarantines the
-        block even when the cache is warm) while the expensive work is
-        skipped.  The cache is probed and maintained the same way with or
-        without a ``batch`` memo — same counters, same LRU movement — so
-        its state after a batch is that of the equivalent GET loop.  With
-        the cache disabled this is exactly :meth:`_container_of`.
-        """
-        if self.decompressed_cache_blocks == 0:
-            return self._container_of(leaf, batch)
-        cached = self._container_cache.get(leaf.generation)
-        if cached is not None:
-            if not self._verified(
-                batch, leaf.generation, leaf.checksum_ok
-            ):
-                self.stats.checksum_failures += 1
-                self._quarantine(leaf)
-                return None
-            self.stats.container_cache_hits += 1
-            self._container_cache.move_to_end(leaf.generation)
-            return cached
-        self.stats.container_cache_misses += 1
-        container = self._container_of(leaf, batch)
-        if container is not None:
-            self._cache_fill(leaf.generation, container)
-        return container
-
-    def _cache_fill(self, generation: int, container: bytes) -> None:
-        """Insert as most recent, trimming the LRU to its block budget."""
-        self._container_cache[generation] = container
-        while len(self._container_cache) > self.decompressed_cache_blocks:
-            self._container_cache.popitem(last=False)
-
-    def _invalidate_cached(self, block: Block) -> None:
-        """Drop a replaced block's cached container (if any)."""
-        if self._container_cache:
-            self._container_cache.pop(block.generation, None)
-
-    def _cache_store(self, block: Block) -> None:
-        """Write-through: seed the cache with a freshly built container.
-
-        Construction had the uncompressed bytes in hand
-        (``built_container``), so caching them here makes the first read
-        after a rebuild a hit instead of a decompression.  The bytes are
-        consumed — a block never retains its own uncompressed copy.
-        """
-        container = block.built_container
-        if container is None:
-            return
-        block.built_container = None
-        self._cache_fill(block.generation, container)
-
-    def container_cache_bytes(self) -> int:
-        """Scratch bytes currently held by the decompressed-container
-        cache (not charged to the zone's capacity; exposed as a gauge)."""
-        return sum(len(c) for c in self._container_cache.values())
-
     def _large_bytes(
         self, leaf: Block, key: bytes, large: LargeItem, charge: bool = True
     ) -> Optional[bytes]:
@@ -538,7 +452,6 @@ class ZZone:
         self._trie.replace_leaf(block, replacement)
         self._splice_replace(block, [replacement])
         self._recharge(block.memory_bytes, replacement.memory_bytes)
-        self._invalidate_cached(block)
         return replacement
 
     # -- core operations --------------------------------------------------------
@@ -636,7 +549,7 @@ class ZZone:
             if value is not None:
                 large.accessed = True
             return value
-        container = self._lookup_container(leaf, batch)
+        container = self._container_of(leaf, batch)
         if container is None:
             return None
         value = leaf.scan(container, key, hashed)
@@ -801,7 +714,7 @@ class ZZone:
             self.stats.staged_checksum_failures += 1
             self._quarantine(leaf)
             return False
-        container = self._lookup_container(leaf)
+        container = self._container_of(leaf)
         if container is None:
             return False
         newest: Dict[bytes, Entry] = {}
@@ -857,7 +770,7 @@ class ZZone:
         if leaf.maybe_contains(hashed) and key not in leaf.large_refs:
             # The key may exist compacted in the container: rebuild without
             # it so the item is not doubly stored.
-            container = self._lookup_container(leaf)
+            container = self._container_of(leaf)
             if container is None:
                 # Quarantined: fall through to the rebuilt empty slot.
                 leaf = self._trie.find_leaf(hashed)
@@ -895,7 +808,6 @@ class ZZone:
         self._trie.replace_leaf(old, new)
         self._splice_replace(old, [new])
         self._recharge(old.memory_bytes, new.memory_bytes)
-        self._invalidate_cached(old)
         return new
 
     def _split(
@@ -943,7 +855,6 @@ class ZZone:
         self.stats.splits += 1
         self._trie.split_leaf(old, left, right)
         self._splice_replace(old, [left, right])
-        self._invalidate_cached(old)
         self._recharge(
             old.memory_bytes + trie_before,
             left.memory_bytes + right.memory_bytes + self._trie.memory_bytes,
@@ -969,7 +880,7 @@ class ZZone:
             del leaf.staged_index[key]
             self._item_count -= 1
             staged_removed = True
-        container = self._lookup_container(leaf)
+        container = self._container_of(leaf)
         if container is None:
             # Quarantined whole; the key is gone either way.
             return staged_removed
@@ -1081,8 +992,6 @@ class ZZone:
                 left.memory_bytes + right.memory_bytes + trie_before,
                 parent.memory_bytes + self._trie.memory_bytes,
             )
-            self._invalidate_cached(left)
-            self._invalidate_cached(right)
             merged = True
             block = parent
         return merged
@@ -1113,7 +1022,7 @@ class ZZone:
         # block is quarantined whole, which frees its bytes — progress.
         entries: List[Entry] = []
         if block.item_count > 0:
-            container = self._lookup_container(block)
+            container = self._container_of(block)
             if container is None:
                 return True
             # Survivors are entries sliced straight into the replacement

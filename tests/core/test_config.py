@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core import ZExpanderConfig
+from repro.core import ZExpander, ZExpanderConfig
 
 
 def valid_config(**overrides):
@@ -23,22 +23,14 @@ class TestConfigValidation:
             ("total_capacity", 0),
             ("nzone_fraction", 0.0),
             ("nzone_fraction", 1.0),
-            ("nzone_fraction", 0.97),  # violates min_zone_fraction
+            ("nzone_fraction", 0.97),  # violates MIN_ZONE_FRACTION
             ("target_service_fraction", 0.0),
             ("target_service_fraction", 1.0),
-            ("adjustment_step", 0.0),
-            ("adjustment_step", 0.6),
             ("window_seconds", 0.0),
             ("marker_interval_seconds", 0.0),
-            ("benchmark_weights", (1.0, 1.0)),
-            ("benchmark_weights", (0.0, 0.0, 0.0)),
-            ("benchmark_weights", (-1.0, 1.0, 1.0)),
-            ("min_zone_fraction", 0.0),
-            ("min_zone_fraction", 0.5),
             ("promotion_policy", "sometimes"),
             ("append_region_bytes", -1),
             ("append_region_bytes", 4096),  # exceeds block_capacity
-            ("decompressed_cache_blocks", -1),
         ],
     )
     def test_invalid_rejected(self, field, value):
@@ -48,7 +40,6 @@ class TestConfigValidation:
     def test_region_defaults_to_an_eighth_of_the_block_and_cache_off(self):
         config = valid_config()
         assert config.append_region_bytes == config.block_capacity // 8 == 256
-        assert config.decompressed_cache_blocks == 0
         # Derived from the block it belongs to, not a second literal ...
         small = ZExpanderConfig(total_capacity=1 << 20, block_capacity=512)
         assert small.append_region_bytes == 64
@@ -56,9 +47,7 @@ class TestConfigValidation:
         assert valid_config(append_region_bytes=0).append_region_bytes == 0
 
     def test_fastpath_knobs_accepted(self):
-        valid_config(
-            append_region_bytes=1024, decompressed_cache_blocks=128
-        ).validate()
+        valid_config(append_region_bytes=1024).validate()
 
     @pytest.mark.parametrize("policy", ["reuse-time", "always", "never"])
     def test_promotion_policies_accepted(self, policy):
@@ -67,6 +56,8 @@ class TestConfigValidation:
     def test_paper_defaults(self):
         config = ZExpanderConfig(total_capacity=1 << 20)
         assert config.target_service_fraction == 0.90
-        assert config.adjustment_step == 0.03
+        # The 3 % step is the allocator's own default, declared once.
+        allocator = ZExpander(config).allocator
+        assert allocator.step_bytes == int(config.total_capacity * 0.03)
         assert config.window_seconds == 60.0
         assert config.block_capacity == 2048

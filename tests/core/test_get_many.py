@@ -30,8 +30,7 @@ BATCH_ONLY_ZZONE = {"container_decodes_saved"}
 #: The fastpath-knob grid the parity property runs over.
 KNOBS = (
     {},
-    {"append_region_bytes": 512, "decompressed_cache_blocks": 2},
-    {"decompressed_cache_blocks": 1},
+    {"append_region_bytes": 512},
     {"use_content_filter": False},
 )
 
@@ -154,9 +153,8 @@ class TestGetManyProperty:
         assert batched.stats.get_many_batches == 1
         assert batched.stats.batched_keys == len(keys)
         # Post-state parity: a sequential pass over the same keys on
-        # *both* caches must still agree — the batch left promotion,
-        # container-cache, and recent-access state exactly where the
-        # loop did.
+        # *both* caches must still agree — the batch left promotion and
+        # recent-access state exactly where the loop did.
         follow_batched = [batched.get(key) for key in keys]
         follow_sequential = [sequential.get(key) for key in keys]
         assert follow_batched == follow_sequential
@@ -199,9 +197,7 @@ class TestGetManyZZone:
         return stats, zone._trie.lookup_count, zone._trie.probe_count
 
     def test_staged_and_container_keys_match(self):
-        batched, sequential = self._twin_zones(
-            append_region_bytes=1024, decompressed_cache_blocks=2
-        )
+        batched, sequential = self._twin_zones(append_region_bytes=1024)
         for zone in (batched, sequential):
             self._fill(zone)
             # Staged writes land in append regions, not containers.

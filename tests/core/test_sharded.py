@@ -94,7 +94,6 @@ def make_fastpath_fleet(num_shards=4, total=256 * 1024):
         marker_interval_seconds=1e9,
         seed=5,
         append_region_bytes=512,
-        decompressed_cache_blocks=16,
     )
     return ShardedZExpander(config, num_shards=num_shards, clock=VirtualClock())
 
@@ -104,15 +103,12 @@ class TestFastPathSharding:
         fleet = make_fastpath_fleet(num_shards=4)
         for shard in fleet.shards:
             assert shard.zzone.append_region_bytes == 512
-            assert shard.zzone.decompressed_cache_blocks == 16
 
     def test_default_fleet_combines_writes_and_keeps_the_cache_dark(self):
         fleet = make_fleet(num_shards=2)
         for shard in fleet.shards:
             assert shard.zzone.append_region_bytes == 256
-            assert shard.zzone.decompressed_cache_blocks == 0
         fastpath = ["cache_zzone_" + name for name in FASTPATH_FIELDS]
-        fastpath.append("cache_zzone_container_cache_bytes")
         totals = fleet_totals(fleet)
         assert all(totals[name] == 0 for name in fastpath)
         for i in range(2000):
@@ -121,7 +117,6 @@ class TestFastPathSharding:
         totals = fleet_totals(fleet)
         assert totals["cache_zzone_staged_puts"] > 0
         assert totals["cache_zzone_container_cache_hits"] == 0
-        assert totals["cache_zzone_container_cache_misses"] == 0
 
     def test_fleet_fastpath_totals_sum_shard_counters(self):
         fleet = make_fastpath_fleet(num_shards=4)
@@ -138,9 +133,6 @@ class TestFastPathSharding:
             assert totals["cache_zzone_" + name] == sum(
                 getattr(shard.zzone.stats, name) for shard in fleet.shards
             )
-        assert totals["cache_zzone_container_cache_bytes"] == sum(
-            shard.zzone.container_cache_bytes() for shard in fleet.shards
-        )
         fleet.check_invariants()
 
 
@@ -179,7 +171,7 @@ class TestOneViewList:
             shard.bind_metrics(registry)
             per_shard.append(registry.snapshot())
         summed = set(totals) - {"cache_shards", "cache_shard_imbalance"}
-        assert len(summed) > 50
+        assert len(summed) >= 50
         for name in summed:
             assert totals[name] == sum(snap[name] for snap in per_shard), name
         # The paper's control loop, visible for the fleet: the N/Z

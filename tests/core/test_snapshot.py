@@ -363,8 +363,7 @@ class TestRecoveryMode:
 
 
 class TestFastPathSnapshot:
-    """Snapshots must capture staged (not-yet-merged) Z-zone items and
-    never persist the decompressed-container cache."""
+    """Snapshots must capture staged (not-yet-merged) Z-zone items."""
 
     def _fastpath_cache(self, items=400):
         clock = VirtualClock()
@@ -376,7 +375,6 @@ class TestFastPathSnapshot:
                 marker_interval_seconds=1e9,
                 seed=9,
                 append_region_bytes=512,
-                decompressed_cache_blocks=8,
             ),
             clock=clock,
         )

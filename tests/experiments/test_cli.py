@@ -121,13 +121,12 @@ class TestRenderStats:
             "fastpath_staged_puts": "41",
             "fastpath_staging_flushes": "3",
             "fastpath_container_cache_hits": "17",
-            "fastpath_container_cache_misses": "5",
-            "fastpath_container_cache_bytes": "2048",
+            "fastpath_container_decodes_saved": "2048",
         }
         kv = render_stats(stats, "kv")
         assert "fastpath_staged_puts" in kv and " 41" in kv
         data = json.loads(render_stats(stats, "json"))
-        assert data["fastpath_container_cache_bytes"] == 2048
+        assert data["fastpath_container_decodes_saved"] == 2048
         prom = render_stats(stats, "prom")
         assert "repro_fastpath_container_cache_hits 17" in prom
         assert "repro_fastpath_staging_flushes 3" in prom

@@ -7,7 +7,7 @@ experiment that builds a config without ``append_region_bytes=0`` would
 silently inherit the served default and its results would drift, so this
 walks every ``ZExpanderConfig(...)`` call under ``repro.experiments`` (and
 the metrics-golden replay) and refuses one that leaves the region to the
-default or arms the container cache.
+default.
 """
 
 import ast
@@ -55,7 +55,6 @@ def test_every_experiment_config_pins_region_zero_and_no_cache():
                 f"{where}: pass append_region_bytes=0 (the paper's "
                 "reconstruct-on-every-put); the default is the served config"
             )
-            assert _literal(call, "decompressed_cache_blocks") in (None, 0), where
             builders.append(path.name)
     assert sorted(builders) == [
         "abl_hzx_capacity.py",
@@ -77,4 +76,3 @@ def test_a_bare_zone_is_the_paper_zone():
 
     zone = ZZone(64 * 1024)
     assert zone.append_region_bytes == 0
-    assert zone.decompressed_cache_blocks == 0

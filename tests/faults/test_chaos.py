@@ -60,11 +60,6 @@ class TestChaosContract:
         other = FaultPlan(seed=12, specs=_PLAN.specs)
         assert _run().render() != _run(plan=other).render()
 
-    def test_no_baseline_skips_degradation_bound(self):
-        report = _run(baseline=False)
-        assert report.baseline is None
-        assert report.ok, report.violations
-
 
 class TestChaosCli:
     def test_cli_chaos_exits_zero(self, capsys):
@@ -90,7 +85,6 @@ class TestChaosCli:
                 "--requests", str(_REQUESTS),
                 "--seed", "11",
                 "--plan", str(path),
-                "--no-baseline",
             ]
         )
         out = capsys.readouterr().out

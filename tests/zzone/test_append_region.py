@@ -1,5 +1,5 @@
 """Property and behaviour tests for the Z-zone write-combining append
-region and the decompressed-container cache (the fast-path knobs)."""
+region."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,7 +10,7 @@ from repro.compression import ZlibCompressor
 from repro.zzone import ZZone
 
 
-def _zone(capacity=1 << 20, append=256, cache=0, seed=3):
+def _zone(capacity=1 << 20, append=256, seed=3):
     return ZZone(
         capacity,
         compressor=ZlibCompressor(),
@@ -18,7 +18,6 @@ def _zone(capacity=1 << 20, append=256, cache=0, seed=3):
         clock=VirtualClock(),
         seed=seed,
         append_region_bytes=append,
-        decompressed_cache_blocks=cache,
     )
 
 
@@ -55,8 +54,8 @@ class TestOracleAgreement:
         container (both copies are charged and counted until the merge
         reconciles them).
         """
-        for append, cache in ((0, 0), (256, 4)):
-            zone = _zone(append=append, cache=cache)
+        for append in (0, 256):
+            zone = _zone(append=append)
             oracle = {}
             for op, key_id, size in ops:
                 key = b"a%03d" % key_id
@@ -88,7 +87,7 @@ class TestOracleAgreement:
         staged copies, and flushes merge stale container shadows — none of
         which may ever surface an overwritten or deleted value.
         """
-        zone = _zone(capacity=capacity_kb * 1024, append=256, cache=4)
+        zone = _zone(capacity=capacity_kb * 1024, append=256)
         latest = {}
         for op, key_id, size in ops:
             zone.clock.advance(0.01)
@@ -150,6 +149,13 @@ class TestStagedFlush:
             assert result is not None and result[0] == b"x" * 40
         zone.check_invariants()
 
+    def test_memory_usage_reports_staged_items(self):
+        zone = _zone(append=512)
+        for i in range(5):
+            zone.put(b"mu%02d" % i, b"u" * 30)
+        usage = zone.memory_usage()
+        assert usage["staged_items"] > 0
+
 
 class TestStagedCorruption:
     @given(data=st.data())
@@ -208,8 +214,8 @@ class TestFilterNegativeGets:
         assert zone.stats.expensive_ops == before_expensive
         assert zone.stats.filter_skips == before_skips + len(absent)
 
-    def test_guaranteed_misses_skip_staging_and_cache_too(self):
-        zone = _zone(append=512, cache=8)
+    def test_guaranteed_misses_skip_staging(self):
+        zone = _zone(append=512)
         for i in range(200):
             zone.put(b"res%04d" % i, b"r" * 48)
         absent = [
@@ -219,55 +225,7 @@ class TestFilterNegativeGets:
         ]
         assert len(absent) >= 500
         before_expensive = zone.stats.expensive_ops
-        cache_reads = (
-            zone.stats.container_cache_hits + zone.stats.container_cache_misses
-        )
         for key in absent:
             assert zone.get(key) is None
         assert zone.stats.expensive_ops == before_expensive
-        assert (
-            zone.stats.container_cache_hits + zone.stats.container_cache_misses
-            == cache_reads
-        )
 
-
-class TestContainerCache:
-    def test_cache_hits_counted_and_bounded(self):
-        zone = _zone(append=0, cache=2)
-        for i in range(40):
-            zone.put(b"cache%03d" % i, b"c" * 60)
-        assert zone.block_count > 2
-        for i in range(40):
-            result = zone.get(b"cache%03d" % i)
-            assert result is not None
-        assert len(zone._container_cache) <= 2
-        assert zone.stats.container_cache_hits > 0
-        assert zone.container_cache_bytes() > 0
-
-    def test_rebuild_invalidates_cached_container(self):
-        zone = _zone(append=0, cache=8)
-        zone.put(b"inv", b"old" * 10)
-        assert zone.get(b"inv")[0] == b"old" * 10  # warms the cache
-        zone.put(b"inv", b"new" * 10)  # rebuild -> new generation
-        result = zone.get(b"inv")
-        assert result is not None and result[0] == b"new" * 10
-
-    def test_cache_memory_not_charged_to_zone(self):
-        plain = _zone(append=0, cache=0, seed=11)
-        cached = _zone(append=0, cache=64, seed=11)
-        for i in range(60):
-            key, value = b"chg%03d" % i, b"m" * 50
-            plain.put(key, value)
-            cached.put(key, value)
-        for i in range(60):
-            plain.get(b"chg%03d" % i)
-            cached.get(b"chg%03d" % i)
-        assert cached.container_cache_bytes() > 0
-        assert cached.used_bytes == plain.used_bytes
-
-    def test_memory_usage_reports_staged_items(self):
-        zone = _zone(append=512)
-        for i in range(5):
-            zone.put(b"mu%02d" % i, b"u" * 30)
-        usage = zone.memory_usage()
-        assert usage["staged_items"] > 0
