@@ -38,7 +38,7 @@ from typing import Dict, List
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.procs import ClusterConfig, ClusterSupervisor
-from repro.common.errors import ServingError
+from repro.common.errors import ConfigurationError, ServingError
 from repro.common.rng import derive_seed
 from repro.harness import (
     CampaignConfig,
@@ -70,9 +70,9 @@ class ClusterChaosConfig(CampaignConfig):
 
     def validate(self) -> None:
         if self.nodes < 2:
-            raise ValueError("cluster chaos needs >= 2 nodes")
+            raise ConfigurationError("cluster chaos needs >= 2 nodes")
         if self.kill_points < 1:
-            raise ValueError("kill_points must be >= 1")
+            raise ConfigurationError("kill_points must be >= 1")
         super().validate()
 
 

@@ -294,13 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--role replica)",
     )
     serve_parser.add_argument(
-        "--max-lag-bytes",
-        type=int,
-        default=1 << 20,
-        help="replica lag above this sheds Z-zone-bound GETs first, "
-        "above 4x this every GET",
-    )
-    serve_parser.add_argument(
         "--repl-silence-timeout",
         type=float,
         default=5.0,
@@ -496,7 +489,7 @@ def run_serve_command(args) -> int:
     import dataclasses
     import signal
 
-    from repro.common.errors import ConfigurationError, JournalError
+    from repro.common.errors import JournalError
     from repro.core.config import ZExpanderConfig
     from repro.core.sharded import ShardedZExpander
     from repro.server import CacheServer, ServerConfig
@@ -520,11 +513,7 @@ def run_serve_command(args) -> int:
     )
 
     async def serve() -> int:
-        try:
-            server = CacheServer(cache, config)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        server = CacheServer(cache, config)
         try:
             await server.start()
         except JournalError as exc:
@@ -559,9 +548,11 @@ def run_serve_command(args) -> int:
                 flush=True,
             )
         if config.role == "replica":
+            from repro.replication.replica import MAX_LAG_BYTES
+
             print(
                 f"replica: following {config.primary_host}:"
-                f"{config.primary_port} (max lag {config.max_lag_bytes} B)",
+                f"{config.primary_port} (max lag {MAX_LAG_BYTES} B)",
                 flush=True,
             )
         print(
@@ -767,7 +758,18 @@ def run_loadgen_command(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused setting is one ``error:`` line, exit 2."""
+    from repro.common.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args) -> int:
     if args.command == "chaos":
         return run_chaos_command(args)
     if args.command == "serve":

@@ -167,7 +167,6 @@ def run_chaos(
             trace,
             values,
             clock=cache.clock,
-            faults=cache.fault_injector,
             on_request=auditor.on_request,
         )
     except Exception as exc:  # the one thing chaos must never see

@@ -67,7 +67,7 @@ from typing import (
     Tuple,
 )
 
-from repro.common.errors import ServingError
+from repro.common.errors import ConfigurationError, ServingError
 from repro.common.rng import derive_seed
 from repro.server.client import MemcacheClient, RetryPolicy
 
@@ -378,11 +378,11 @@ class TrafficConfig:
 
     def validate(self) -> None:
         if self.connections < 1 or self.requests_per_conn < 1:
-            raise ValueError("connections and requests_per_conn must be >= 1")
+            raise ConfigurationError("connections and requests_per_conn must be >= 1")
         if self.keys_per_conn < 1:
-            raise ValueError("keys_per_conn must be >= 1")
+            raise ConfigurationError("keys_per_conn must be >= 1")
         if not 0.0 <= self.set_fraction + self.delete_fraction <= 1.0:
-            raise ValueError("set_fraction + delete_fraction must be in [0, 1]")
+            raise ConfigurationError("set_fraction + delete_fraction must be in [0, 1]")
 
     def traffic(self) -> str:
         """The tail of every ``render()`` header line."""
@@ -410,7 +410,7 @@ class CampaignConfig(TrafficConfig):
     def validate(self) -> None:
         super().validate()
         if self.fsync not in ("always", "interval", "never"):
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
+            raise ConfigurationError(f"unknown fsync policy {self.fsync!r}")
 
     def serve(self, **particular: object) -> Dict[str, object]:
         """Settings of one child of this campaign; ``particular`` is

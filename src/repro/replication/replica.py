@@ -14,9 +14,9 @@ Lag and staleness are advertised, not guessed: ``pressure_level`` is
 
 * ``2`` (shed **all** client GETs) when the link is down or silent past
   ``stale_grace`` seconds, or lag exceeds ``HARD_LAG_FACTOR`` x
-  ``max_lag_bytes``;
+  ``MAX_LAG_BYTES``;
 * ``1`` (shed Z-zone-bound GETs first, the cheap-to-refill half) when
-  lag exceeds ``max_lag_bytes``;
+  lag exceeds ``MAX_LAG_BYTES``;
 * ``0`` otherwise.
 
 Promotion (:meth:`ReplicationClient.catch_up` + the server's ``promote``
@@ -52,7 +52,10 @@ from repro.replication.tailer import JournalTailer, SegmentPrunedError
 #: Send an ACK at least every this many applied records.
 ACK_EVERY_RECORDS = 64
 
-#: Lag past this many times ``max_lag_bytes`` sheds every GET, not only
+#: Lag past this many bytes sheds the Z-zone-bound GETs first.
+MAX_LAG_BYTES = 1 << 20
+
+#: Lag past this many times ``MAX_LAG_BYTES`` sheds every GET, not only
 #: the Z-zone-bound ones.
 HARD_LAG_FACTOR = 4
 
@@ -67,7 +70,6 @@ class ReplicationClient:
         port: int,
         stats: Optional[ReplicationStats] = None,
         *,
-        max_lag_bytes: int = 1 << 20,
         stale_grace: float = 1.0,
         reconnect_base: float = 0.05,
         reconnect_cap: float = 2.0,
@@ -80,7 +82,6 @@ class ReplicationClient:
         self.host = host
         self.port = port
         self.stats = stats if stats is not None else ReplicationStats()
-        self.max_lag_bytes = max_lag_bytes
         self.stale_grace = stale_grace
         self.reconnect_base = reconnect_base
         self.reconnect_cap = reconnect_cap
@@ -144,9 +145,9 @@ class ReplicationClient:
         ):
             return 2
         lag = self.lag_bytes()
-        if lag > HARD_LAG_FACTOR * self.max_lag_bytes:
+        if lag > HARD_LAG_FACTOR * MAX_LAG_BYTES:
             return 2
-        if lag > self.max_lag_bytes:
+        if lag > MAX_LAG_BYTES:
             return 1
         return 0
 

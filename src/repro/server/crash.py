@@ -38,6 +38,7 @@ import random
 import tempfile
 from dataclasses import dataclass
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.harness import (
     HOST,
@@ -67,7 +68,7 @@ class CrashConfig(CampaignConfig):
 
     def validate(self) -> None:
         if self.kill_points < 1:
-            raise ValueError("kill_points must be >= 1")
+            raise ConfigurationError("kill_points must be >= 1")
         super().validate()
 
 

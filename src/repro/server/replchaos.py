@@ -42,7 +42,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from repro.common.errors import ReplicaLaggingError
+from repro.common.errors import ConfigurationError, ReplicaLaggingError
 from repro.common.rng import derive_seed
 from repro.harness import (
     FABRICATED,
@@ -90,10 +90,10 @@ class ReplChaosConfig(CampaignConfig):
 
     def validate(self) -> None:
         if self.link_points < 1:
-            raise ValueError("link_points must be >= 1")
+            raise ConfigurationError("link_points must be >= 1")
         super().validate()
         if self.stale_grace <= 0:
-            raise ValueError("stale_grace must be positive")
+            raise ConfigurationError("stale_grace must be positive")
 
 
 @dataclass

@@ -165,16 +165,17 @@ class ServerConfig:
     #: Where a replica finds its primary's replication listener.
     primary_host: str = "127.0.0.1"
     primary_port: Optional[int] = None
-    #: Replica-side lag policy: past ``max_lag_bytes`` shed Z-zone-bound
-    #: GETs; past four times that — or with no stream traffic for
-    #: ``stale_grace`` seconds — shed every GET.
-    max_lag_bytes: int = 1 << 20
+    #: Replica-side staleness: with no stream traffic for this many
+    #: seconds, shed every GET (the lag bounds are
+    #: ``replication.replica.MAX_LAG_BYTES`` and ``HARD_LAG_FACTOR``).
     stale_grace: float = 1.0
     #: Replica-side half-open-link detection: this long with nothing
     #: received on an open stream and the replica re-dials the primary.
     repl_silence_timeout: float = 5.0
 
     def validate(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ConfigurationError(f"port must be in 0..65535, got {self.port}")
         if self.read_timeout <= 0 or self.write_timeout <= 0:
             raise ConfigurationError("timeouts must be positive")
         if self.drain_deadline < 0:
@@ -196,8 +197,8 @@ class ServerConfig:
             raise ConfigurationError("replica role requires primary_port")
         if self.repl_port is not None and self.journal_dir is None:
             raise ConfigurationError("repl_port requires journal_dir (the stream IS the journal)")
-        if self.max_lag_bytes <= 0 or self.stale_grace <= 0:
-            raise ConfigurationError("max_lag_bytes and stale_grace must be positive")
+        if self.stale_grace <= 0:
+            raise ConfigurationError("stale_grace must be positive")
         if self.repl_silence_timeout <= 0:
             raise ConfigurationError("repl_silence_timeout must be positive")
         self.admission.validate()
@@ -527,7 +528,6 @@ class CacheServer:
                 self.config.primary_host,
                 self.config.primary_port,
                 self.replication_stats,
-                max_lag_bytes=self.config.max_lag_bytes,
                 stale_grace=self.config.stale_grace,
                 silence_timeout=self.config.repl_silence_timeout,
             )

@@ -195,9 +195,6 @@ class ZZone:
         #: blindly.
         self.use_content_filter = use_content_filter
         self.use_access_filter = use_access_filter
-        #: Verify each block's payload CRC before decompressing it.  Off,
-        #: the zone trusts payloads (the PR-1 fast path); codec failures
-        #: are still caught and quarantined either way.
         #: Optional fault injector (duck-typed ``FaultInjector``): consulted
         #: on every keyed access when present, a single ``is None`` check
         #: when absent.

@@ -71,6 +71,37 @@ class TestReplay:
         )
         assert seen == [(0, OP_SET), (1, OP_GET)]
 
+    def test_fault_injector_fires_before_each_request(self, values):
+        """A cache's ``fault_injector`` acts before the request, and
+        ``on_request`` after it, across the warmup/measured boundary."""
+        trace = trace_of([(OP_SET, 1, 0), (OP_GET, 1, 0), (OP_DELETE, 1, 0)])
+        clock = VirtualClock()
+        cache = SimpleKVCache(PlainZone(1 << 16))
+        events = []
+
+        class Injector:
+            def on_request(self, position, clock=None, cache=None):
+                events.append(("fault", position, clock.now(), cache.item_count))
+
+        cache.fault_injector = Injector()
+        replay_trace(
+            cache,
+            trace,
+            values,
+            clock=clock,
+            request_rate=1000.0,
+            warmup_fraction=0.5,
+            on_request=lambda position, op: events.append(("request", position, op)),
+        )
+        assert events == [
+            ("fault", 0, pytest.approx(0.001), 0),
+            ("request", 0, OP_SET),
+            ("fault", 1, pytest.approx(0.002), 1),
+            ("request", 1, OP_GET),
+            ("fault", 2, pytest.approx(0.003), 1),
+            ("request", 2, OP_DELETE),
+        ]
+
     def test_invalid_rate(self, values):
         trace = trace_of([(OP_GET, 1, 0)])
         with pytest.raises(ValueError):

@@ -152,3 +152,33 @@ class TestLoadgenCommand:
         assert "no server at 127.0.0.1:1" in captured.err
         assert "all 10 requests failed" in captured.err
         assert "OK" not in captured.out
+
+
+class TestRefusedSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "0", "--capacity", "0"],
+            ["serve", "--port", "0", "--shards", "0"],
+            ["serve", "--port", "-5"],
+            ["loadgen", "--port", "1", "--connections", "0"],
+            ["chaos", "--crash", "--crash-points", "0"],
+            ["chaos", "--replication", "--link-points", "0"],
+        ],
+        ids=[
+            "serve_capacity_0",
+            "serve_shards_0",
+            "serve_port_negative",
+            "loadgen_connections_0",
+            "crash_points_0",
+            "link_points_0",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, argv):
+        """Exit 1 is ``chaos``'s "contract violated"; a setting refused
+        before anything ran is exit 2 and one line, not a traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert "serving memcached protocol" not in captured.out

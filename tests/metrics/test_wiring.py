@@ -124,16 +124,24 @@ class TestReplayMetrics:
         assert snap["replay_gets"] == stats.gets
         assert snap["replay_get_misses"] == stats.get_misses
 
-    def test_reference_loop_records_metrics_too(self):
+    def test_metrics_recorded_with_on_request_hook(self):
         clock = VirtualClock()
         cache = ZExpander(
             ZExpanderConfig(total_capacity=48 * 1024, seed=5), clock=clock
         )
         registry = MetricsRegistry()
-        run_small_replay(cache, clock, registry=registry, batched=False)
+        seen = []
+        stats = run_small_replay(
+            cache,
+            clock,
+            registry=registry,
+            on_request=lambda position, op: seen.append(position),
+        )
         snap = registry.snapshot()
+        assert len(seen) == SCALE.num_requests
         assert snap["replay_request_seconds"]["count"] > 0
         assert snap["replay_measured_seconds"] > 0.0
+        assert snap["replay_gets"] == stats.gets
 
     def test_timing_excluded_snapshot_is_deterministic(self):
         def golden():

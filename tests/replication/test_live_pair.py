@@ -17,7 +17,11 @@ from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.replication import wire
 from repro.durability.journal import JournalConfig, JournalWriter, list_segments
-from repro.replication.replica import ReplicationClient
+from repro.replication.replica import (
+    HARD_LAG_FACTOR,
+    MAX_LAG_BYTES,
+    ReplicationClient,
+)
 from repro.server.server import CacheServer, ServerConfig
 from tests.durability.test_scrub import flip
 
@@ -596,7 +600,6 @@ class TestLagPressure:
             SimpleKVCache(PlainZone(1 << 20)),
             "127.0.0.1",
             1,
-            max_lag_bytes=1000,
             stale_grace=0.5,
         )
         # Never connected: shed everything.
@@ -606,16 +609,18 @@ class TestLagPressure:
         client.last_contact = now
         assert client.pressure_level(now) == 0
         # Heartbeat says the primary sent more than we applied.
+        sent = MAX_LAG_BYTES + MAX_LAG_BYTES // 2
         client._conn_applied = 0
-        client._heartbeat = (1500, 0, 1, 0)
-        assert client.lag_bytes() == 1500
+        client._heartbeat = (sent, 0, 1, 0)
+        assert client.lag_bytes() == sent
         assert client.pressure_level(now) == 1  # past max, under hard (4x)
-        client._heartbeat = (1500, 3000, 1, 0)
-        assert client.lag_bytes() == 4500
+        backlog = HARD_LAG_FACTOR * MAX_LAG_BYTES
+        client._heartbeat = (sent, backlog, 1, 0)
+        assert client.lag_bytes() == sent + backlog
         assert client.pressure_level(now) == 2  # past hard_lag
         # Catching up drops the pressure again.
-        client._heartbeat = (1500, 0, 1, 0)
-        client._conn_applied = 1400
+        client._heartbeat = (sent, 0, 1, 0)
+        client._conn_applied = sent - 100
         assert client.lag_bytes() == 100
         assert client.pressure_level(now) == 0
         # A healthy-looking lag still sheds once the link goes silent.
