@@ -25,6 +25,7 @@ import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, List, Optional
 
 from timing import (
@@ -56,7 +57,6 @@ from repro.experiments.common import (
 from repro.experiments.mzx_runs import _memcached_factory, _page_bytes, scale_seed
 from repro.metrics import MetricsRegistry
 from repro.nzone.memcached import MemcachedZone
-from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET
 from repro.zzone.zzone import ZZone
 
 SCALES = {
@@ -139,27 +139,25 @@ class EtcReplay:
         return run
 
     def latency_us(self, build) -> List[float]:
-        """Replay against a fresh ``build()`` with every request timed;
-        the measured phase's samples (``replay_trace``'s 20 % warm-up)."""
+        """Replay against a fresh ``build()``; each measured request's
+        µs is the wall between its ``on_request`` stamp and the one
+        before, so it is one turn of ``replay_trace``'s own loop."""
         cache, clock = build()
-        trace, values = self.trace, self.values
-        tick = 1.0 / _REQUEST_RATE
-
-        def serve(op, key, key_id):
-            if op == OP_GET:
-                if cache.get(key) is None:
-                    cache.set(key, values.value(key_id))
-            elif op == OP_SET:
-                cache.set(key, values.value(key_id))
-            elif op == OP_DELETE:
-                cache.delete(key)
-
-        def requests():
-            for op, key_id, _size in trace:
-                clock.advance(tick)
-                yield partial(serve, op, trace.key_bytes(key_id), key_id)
-
-        return sampled(requests()).samples_us[int(len(trace) * 0.2):]
+        stamps: List[float] = []
+        replay_trace(
+            cache,
+            self.trace,
+            self.values,
+            clock=clock,
+            request_rate=_REQUEST_RATE,
+            on_request=lambda _position, _op: stamps.append(perf_counter()),
+        )
+        # ``replay_trace``'s 20 % warm-up is stamped too, and cut here.
+        warmup = max(1, int(len(self.trace) * 0.2))
+        return [
+            (after - before) * 1e6
+            for before, after in zip(stamps[warmup - 1 :], stamps[warmup:])
+        ]
 
 
 def bench_replay(replay: EtcReplay) -> List[BenchRecord]:

@@ -92,8 +92,9 @@ class RequestTimeoutError(ServingError, TimeoutError):
 class ConnectionDrainingError(ServingError):
     """The server is draining (``SERVER_ERROR draining``) and will exit.
 
-    New work is refused while inflight requests finish; clients should
-    reconnect elsewhere (or wait for the replacement process).
+    Every command but ``stats`` and ``version`` is refused while the
+    server writes its snapshot and closes; clients should reconnect
+    elsewhere (or wait for the replacement process).
     """
 
 

@@ -212,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-load at start; written crash-safely on graceful drain",
     )
     serve_parser.add_argument("--read-timeout", type=float, default=30.0)
+    # Unread, like its field: benchmarks/ledger/traced.py:296 passes it (ROADMAP 2(a)).
     serve_parser.add_argument("--drain-deadline", type=float, default=5.0)
     serve_parser.add_argument("--audit-interval", type=int, default=0)
     serve_parser.add_argument(

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.common.errors import ConfigurationError
+
 if TYPE_CHECKING:
     from repro.workloads.trace import Trace
 
@@ -35,6 +37,10 @@ class Scale:
     num_keys: int = 15_000
     num_requests: int = 300_000
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.num_keys < 1:
+            raise ConfigurationError(f"num_keys must be >= 1, got {self.num_keys}")
 
     def smaller(self, factor: int) -> "Scale":
         """A proportionally reduced scale (for quick/test runs)."""

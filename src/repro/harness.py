@@ -128,9 +128,8 @@ _SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 #: Timeouts of every child a campaign or supervisor spawns: its
-#: connections are never idle for long and its drains must not outlive
-#: CI's patience.
-CHILD_TIMEOUTS = {"read_timeout": 10.0, "drain_deadline": 10.0}
+#: connections are never idle for long.
+CHILD_TIMEOUTS = {"read_timeout": 10.0}
 
 
 def serve_argv(**settings: object) -> List[str]:

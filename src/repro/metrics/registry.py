@@ -38,7 +38,7 @@ def log_buckets(
     """Log-spaced bucket upper bounds covering [``lo``, ``hi``].
 
     The defaults span 1 µs to 10 s — wide enough for both a Z-zone block
-    decompression and a drain-deadline stall — at 5 buckets per decade
+    decompression and a seconds-long fsync stall — at 5 buckets per decade
     (~58 % resolution), the classic Prometheus-style trade-off between
     fidelity and mergeable fixed cost.
     """

@@ -41,6 +41,7 @@ from typing import (
 )
 
 from repro.common.errors import (
+    ConfigurationError,
     ConnectionDrainingError,
     ProtocolError,
     ReadOnlyReplicaError,
@@ -179,10 +180,12 @@ class MemcacheClient:
         rng: Optional[random.Random] = None,
         connect: Callable[[str, int], Awaitable[Connection]] = Connection.open,
     ) -> None:
+        if not 0 < port <= 65535:
+            raise ConfigurationError(f"port must be in 1..65535, got {port}")
         if pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
+            raise ConfigurationError(f"pool_size must be >= 1, got {pool_size}")
         if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+            raise ConfigurationError(f"deadline must be positive, got {deadline}")
         self.host = host
         self.port = port
         self.deadline = deadline

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.faults.plan import WIRE_SITES, FaultPlan, FaultSpec
 from repro.harness import (
@@ -57,6 +58,11 @@ class LoadConfig(TrafficConfig):
     #: Turn off when driving a warm server (e.g. after a restart) whose
     #: prior contents legitimately overlap the generator's key space.
     verify_unwritten: bool = True
+
+    def validate(self) -> None:
+        super().validate()
+        if not 0 < self.port <= 65535:
+            raise ConfigurationError(f"port must be in 1..65535, got {self.port}")
 
 
 @dataclass

@@ -22,16 +22,18 @@ Robustness is the design driver, not protocol coverage:
 * **Ordered replies** — every verb, ``promote`` included, is answered
   inside the one synchronous ``_dispatch``, so replies leave in request
   order by construction.
-* **Bounded concurrency** — a global inflight gauge feeds the
-  :class:`~repro.server.admission.AdmissionController`; past the hard
-  cap nothing executes, so queue growth is bounded by construction.
-* **Load shedding in N/Z order** — overloaded requests are refused with
-  ``SERVER_ERROR overloaded``; Z-zone-destined GETs (Content-Filter
-  pre-check) go first, protecting the cheap N-zone path.
-* **Graceful drain** — SIGTERM stops accepting, finishes inflight work
-  up to a deadline, writes a crash-safe snapshot, and exits 0; a
-  restart warm-loads that snapshot (up to its first damaged record, so
-  even a torn file yields a partially warm cache).
+* **Load shedding in N/Z order** — a token bucket
+  (:class:`~repro.server.admission.AdmissionController`) caps the rate
+  of executed commands; past it, requests are refused with
+  ``SERVER_ERROR overloaded``, Z-zone-destined GETs (Content-Filter
+  pre-check) first, protecting the cheap N-zone path.  There is no
+  concurrency to bound: every command runs to its reply inside one
+  synchronous dispatch, and a connection's backlog is bounded by the
+  write pause above.
+* **Graceful drain** — SIGTERM stops accepting, answers further
+  commands ``SERVER_ERROR draining``, writes a crash-safe snapshot, and
+  exits 0; a restart warm-loads that snapshot (up to its first damaged
+  record, so even a torn file yields a partially warm cache).
 * **Fault-plan wiring** — a cache-level :class:`FaultPlan` armed via
   ``ZExpanderConfig(fault_plan=...)`` fires on the serving path too
   (bit-flips, codec faults, squeezes, skew), and an
@@ -135,6 +137,7 @@ class ServerConfig:
     #: command (deterministic); ``wall`` is left to operators who need
     #: real TTL semantics and accept nondeterminism.
     clock_mode: str = "tick"
+    # Unread: benchmarks/ledger/traced.py:296 still passes it (ROADMAP 2(a)).
     drain_deadline: float = 5.0
     #: The image a drain writes and a start warm-loads (None = none).
     #: A server has one persistence base: this or ``journal_dir``.
@@ -466,7 +469,6 @@ class CacheServer:
         self.repl_source: Optional[ReplicationSource] = None
         self.repl_client: Optional[ReplicationClient] = None
         self._housekeeping: Optional[asyncio.Task] = None
-        self._inflight = 0
         self._draining = False
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -478,7 +480,6 @@ class CacheServer:
         # The server's own live values: with these, every number a
         # ``stats`` reply carries is read from the registry.
         view = self.registry.view
-        view("server_inflight", lambda: self._inflight, "requests executing now")
         view("server_draining", lambda: int(self._draining), "1 once drain began")
         view("server_incidents", lambda: len(self.incidents), "post-mortem messages")
         view(
@@ -609,14 +610,9 @@ class CacheServer:
         asyncio.get_running_loop().create_task(self._finish_drain())
 
     async def _finish_drain(self) -> None:
-        deadline = self.config.drain_deadline
-        try:
-            await asyncio.wait_for(self._inflight_zero(), deadline)
-        except (asyncio.TimeoutError, TimeoutError):
-            self.incidents.append(
-                f"drain deadline ({deadline}s) expired with "
-                f"{self._inflight} requests inflight"
-            )
+        # One loop turn first: a command already in a socket when the
+        # drain began gets ``SERVER_ERROR draining``, not a closed socket.
+        await asyncio.sleep(0)
         if self.repl_client is not None:
             await self.repl_client.stop()
         if self.repl_source is not None:
@@ -644,10 +640,6 @@ class CacheServer:
         for connection in list(self._connections):
             connection.transport.close()
         self._stopped.set()
-
-    async def _inflight_zero(self) -> None:
-        while self._inflight > 0:
-            await asyncio.sleep(0.01)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -706,23 +698,19 @@ class CacheServer:
             return True
         if not self.admission.admit(
             zzone_bound=lambda: self._zzone_bound(command),
-            inflight=self._inflight,
+            inflight=0,  # unread: benchmarks/ledger/traced.py:366 (ROADMAP 2(a))
         ):
             if not command.noreply:
                 out.append(_OVERLOADED)
             return True
-        self._inflight += 1
-        try:
-            self._tick()
-            started = time.perf_counter()
-            if self.store.due:
-                self._expire_due(command)
-            reply = self._execute(command)
-            self._latency_hist.observe(time.perf_counter() - started)
-            if self._fault_hook is not None:
-                self._fault_hook(command)
-        finally:
-            self._inflight -= 1
+        self._tick()
+        started = time.perf_counter()
+        if self.store.due:
+            self._expire_due(command)
+        reply = self._execute(command)
+        self._latency_hist.observe(time.perf_counter() - started)
+        if self._fault_hook is not None:
+            self._fault_hook(command)
         self._maybe_checkpoint()
         # Evictions never tell the store: now and then it walks off the
         # entries of departed keys (bounded work per pass).

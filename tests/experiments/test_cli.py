@@ -164,6 +164,10 @@ class TestRefusedSettings:
             ["loadgen", "--port", "1", "--connections", "0"],
             ["chaos", "--crash", "--crash-points", "0"],
             ["chaos", "--replication", "--link-points", "0"],
+            ["stats", "--port", "70000"],
+            ["promote", "--port", "70000"],
+            ["loadgen", "--port", "70000"],
+            ["chaos", "--keys", "0"],
         ],
         ids=[
             "serve_capacity_0",
@@ -172,6 +176,10 @@ class TestRefusedSettings:
             "loadgen_connections_0",
             "crash_points_0",
             "link_points_0",
+            "stats_port_70000",
+            "promote_port_70000",
+            "loadgen_port_70000",
+            "chaos_keys_0",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, argv):

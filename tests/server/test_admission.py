@@ -1,7 +1,8 @@
-"""The overload state machine: transitions, shedding order, boundedness."""
+"""The overload state machine: transitions, shedding order, recovery."""
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.server.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -20,15 +21,9 @@ def n_bound() -> bool:
     return False
 
 
-def controller(rate=10.0, burst=5.0, soft=4, hard=8, low=2, dt=1.0):
+def controller(rate=10.0, burst=5.0, dt=1.0):
     """A controller whose bucket gains ``rate * dt`` tokens per request."""
-    config = AdmissionConfig(
-        rate=rate,
-        burst=burst,
-        inflight_soft=soft,
-        inflight_hard=hard,
-        inflight_low=low,
-    )
+    config = AdmissionConfig(rate=rate, burst=burst)
     return AdmissionController(config, now=TickClock(dt))
 
 
@@ -90,84 +85,51 @@ class TestStateMachine:
             ctl.admit(zzone_bound=n_bound, inflight=0)
         # Now alternating traffic: Z-bound always shed, N-bound admitted
         # whenever the half-token-per-request trickle affords one.
-        z_admitted = sum(
-            ctl.admit(zzone_bound=z_bound, inflight=ctl.config.inflight_soft)
-            for _ in range(10)
-        )
-        n_admitted = sum(
-            ctl.admit(zzone_bound=n_bound, inflight=ctl.config.inflight_soft)
-            for _ in range(10)
-        )
+        z_admitted = sum(ctl.admit(zzone_bound=z_bound, inflight=0) for _ in range(10))
+        n_admitted = sum(ctl.admit(zzone_bound=n_bound, inflight=0) for _ in range(10))
         assert z_admitted == 0
         assert n_admitted > 0
         assert ctl.stats.shed_zzone >= 10
 
-    def test_soft_watermark_triggers_shedding_even_with_tokens(self):
-        ctl = controller(rate=1000.0, burst=100.0, soft=4, hard=8)
-        assert ctl.admit(zzone_bound=n_bound, inflight=4)
-        assert not ctl.admit(zzone_bound=z_bound, inflight=5)
+    def test_shedding_recovers_once_half_the_burst_is_left(self):
+        """SHEDDING returns to HEALTHY on the first admitted request that
+        leaves the bucket holding half its burst, and not before."""
+        # Half a token per request, burst 4: recovery needs 2 tokens left
+        # after the admitted request has taken its own.
+        ctl = controller(rate=0.5, burst=4.0)
+        while ctl.state is ServerState.HEALTHY:
+            ctl.admit(zzone_bound=n_bound, inflight=0)
+        # A shed Z-bound request takes no token: each one refills half.
+        while ctl.bucket.tokens < 2.0:
+            assert not ctl.admit(zzone_bound=z_bound, inflight=0)
+        assert ctl.admit(zzone_bound=n_bound, inflight=0)  # leaves 1.5
         assert ctl.state is ServerState.SHEDDING
-
-    def test_hard_cap_is_brick_wall_for_everything(self):
-        ctl = controller(rate=1000.0, burst=100.0, soft=4, hard=8)
-        assert not ctl.admit(zzone_bound=n_bound, inflight=8)
-        assert ctl.state is ServerState.BRICK_WALL
-        # Even cheap N-zone work is refused while inflight stays high.
-        assert not ctl.admit(zzone_bound=n_bound, inflight=7)
-        assert ctl.stats.shed_brick_wall >= 1
-
-    def test_brick_wall_steps_down_then_recovers(self):
-        ctl = controller(rate=1000.0, burst=100.0, soft=4, hard=8, low=2)
-        ctl.admit(zzone_bound=n_bound, inflight=8)
-        assert ctl.state is ServerState.BRICK_WALL
-        # Backlog drains below the low watermark: step down to SHEDDING
-        # (the triggering request is still refused).
-        assert not ctl.admit(zzone_bound=n_bound, inflight=1)
-        assert ctl.state is ServerState.SHEDDING
-        # With a fat refill rate the very next non-Z admit recovers.
-        assert ctl.admit(zzone_bound=n_bound, inflight=1)
+        assert ctl.stats.recovered_healthy == 0
+        for _ in range(2):
+            assert not ctl.admit(zzone_bound=z_bound, inflight=0)
+        assert ctl.admit(zzone_bound=n_bound, inflight=0)  # leaves 2.0
         assert ctl.state is ServerState.HEALTHY
         assert ctl.stats.recovered_healthy == 1
-
-    def test_nothing_admitted_at_or_past_hard_cap(self):
-        """The boundedness invariant, brute-forced over a hostile mix."""
-        import random
-
-        rng = random.Random(7)
-        ctl = controller(rate=2.0, burst=4.0, soft=3, hard=6, low=1)
-        for _ in range(500):
-            inflight = rng.randrange(0, 10)
-            bound = z_bound if rng.random() < 0.5 else n_bound
-            admitted = ctl.admit(zzone_bound=bound, inflight=inflight)
-            if inflight >= ctl.config.inflight_hard:
-                assert not admitted
-        assert ctl.stats.admitted + ctl.stats.shed_total == 500
 
     def test_stats_dict_shape(self):
         ctl = controller()
         ctl.admit(zzone_bound=n_bound, inflight=0)
         stats = ctl.stats.as_dict()
         assert stats["admitted"] == 1
-        assert set(stats) >= {
+        assert set(stats) == {
+            "admitted",
             "shed_total",
             "shed_zzone",
             "shed_saturated",
-            "shed_brick_wall",
-            "max_inflight",
+            "shed_lagging",
+            "entered_shedding",
+            "recovered_healthy",
         }
 
 
 class TestConfigValidation:
-    def test_watermark_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(inflight_soft=10, inflight_hard=5).validate()
-        with pytest.raises(ValueError):
-            AdmissionConfig(
-                inflight_low=50, inflight_soft=10, inflight_hard=60
-            ).validate()
-
-    def test_recovery_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(recovery_fraction=0.0).validate()
-        with pytest.raises(ValueError):
-            AdmissionConfig(recovery_fraction=1.5).validate()
+    def test_rate_and_burst_refused(self):
+        with pytest.raises(ConfigurationError):
+            AdmissionConfig(rate=0.0).validate()
+        with pytest.raises(ConfigurationError):
+            AdmissionConfig(burst=0.5).validate()

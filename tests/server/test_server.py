@@ -314,13 +314,7 @@ class TestRobustness:
             cache = make_cache()
             # 0 refill effectively: burst of 3, then everything sheds.
             admission = AdmissionController(
-                AdmissionConfig(
-                    rate=1e-6,
-                    burst=3,
-                    inflight_soft=4,
-                    inflight_hard=8,
-                    inflight_low=1,
-                ),
+                AdmissionConfig(rate=1e-6, burst=3),
                 now=TickClock(1.0),
             )
             server = CacheServer(cache, ServerConfig(port=0), admission=admission)
@@ -433,9 +427,7 @@ class TestZZonePreCheck:
 class TestDrainAndRestart:
     def test_drain_answers_draining_then_closes(self):
         async def scenario():
-            server = CacheServer(
-                make_cache(), ServerConfig(port=0, drain_deadline=1.0)
-            )
+            server = CacheServer(make_cache(), ServerConfig(port=0))
             await server.start()
             task = asyncio.create_task(server.run())
             reader, writer = await asyncio.open_connection(

@@ -171,7 +171,7 @@ crashes: 0
 drain_exit_code: 0
 invariant_failures: 0
 restart_warm: yes
-overload: sheds=391 shed_zzone=171 latency_ratio=0.870 bounded_inflight=yes
+overload: sheds=391 shed_zzone=171 latency_ratio=0.870
 OK: served, shed, drained, and restarted cleanly"""
 
 
@@ -219,7 +219,6 @@ class TestServerChaos:
         assert probe.shed_zzone > 0
         assert probe.overload_errors_seen == probe.shed_total
         assert probe.latency_ratio <= 2.0
-        assert probe.max_inflight <= probe.inflight_hard
 
     def test_same_seed_renders_byte_identical(self, chaos_pair):
         first, second = chaos_pair

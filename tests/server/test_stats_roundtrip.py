@@ -81,9 +81,9 @@ class TestWireContract:
             for name in SHIPPED_NAMES
             if journalled or not name.startswith("durability_")
         ]
-        assert len(shipped) == (118 if journalled else 99)
+        assert len(shipped) == (114 if journalled else 95)
         assert not set(shipped) - set(wire)
-        assert len(wire) >= 130
+        assert len(wire) >= 126
 
     def test_a_served_fleet_reports_the_nz_boundary(self):
         wire = asyncio.run(

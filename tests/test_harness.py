@@ -430,7 +430,7 @@ def test_campaign_children_round_trip_through_the_serve_parser(
     )
     assert crash == {
         "port": 0, "seed": SEED, "capacity": 8 << 20, "shards": 2,
-        "read_timeout": 10.0, "drain_deadline": 10.0,
+        "read_timeout": 10.0,
         "journal_dir": str(tmp_path / "journal"), **journal,
         "scrub_interval": 1.0,
     }
@@ -459,7 +459,7 @@ def test_campaign_children_round_trip_through_the_serve_parser(
     asyncio.run(node.start())  # a restart rebinds the port the first learned
     first, restarted = started
     assert first == {
-        "read_timeout": 10.0, "drain_deadline": 10.0, "capacity": 8 << 20,
+        "read_timeout": 10.0, "capacity": 8 << 20,
         "shards": 2, **journal, "host": "127.0.0.1", "port": 0,
         "seed": derive_seed(SEED, "cluster-node1"),
         "journal_dir": str(tmp_path / "node1" / "journal"),
