@@ -26,7 +26,6 @@ from repro.common.errors import (
     CodecError,
     ConfigurationError,
     ConnectionDrainingError,
-    CorruptionDetectedError,
     DurabilityError,
     FaultPlanError,
     IntegrityError,
@@ -41,7 +40,7 @@ from repro.common.errors import (
     ServingError,
 )
 from repro.common.records import KVItem, Operation, Request
-from repro.common.units import GB, KB, MB, format_bytes, parse_size
+from repro.common.units import GB, KB, MB, format_bytes
 from repro.core import (
     ShardedZExpander,
     SimpleKVCache,
@@ -76,7 +75,7 @@ from repro.metrics import (
     log_buckets,
     merge_snapshots,
 )
-from repro.nzone import HPCacheZone, MemcachedZone, PlainZone
+from repro.nzone import HPCacheZone, MemcachedZone
 from repro.zzone import ZZone
 
 __version__ = "1.0.0"
@@ -101,7 +100,6 @@ __all__ = [
     "CodecError",
     "ConfigurationError",
     "ConnectionDrainingError",
-    "CorruptionDetectedError",
     "Counter",
     "DurabilityConfig",
     "DurabilityError",
@@ -126,7 +124,6 @@ __all__ = [
     "ModelCompressor",
     "NullCompressor",
     "Operation",
-    "PlainZone",
     "ProtocolError",
     "RecoveryResult",
     "Request",
@@ -148,7 +145,6 @@ __all__ = [
     "load_snapshot",
     "log_buckets",
     "merge_snapshots",
-    "parse_size",
     "replay_journal",
     "replay_trace",
     "scrub_directory",

@@ -157,16 +157,10 @@ class ClusterClient:
         return merged
 
     async def gets(self, key: bytes) -> Optional[Tuple[bytes, int]]:
-        return await self._route_read(key, lambda c: c.gets(key))
-
-    async def get_full(self, key: bytes) -> Optional[Tuple[bytes, int]]:
-        return await self._route_read(key, lambda c: c.get_full(key))
-
-    async def _route_read(self, key: bytes, op):
         node_id = self.ring.node_for(key)
         self.per_node_requests[node_id] += 1
         try:
-            return await op(self._clients[node_id])
+            return await self._clients[node_id].gets(key)
         except _NODE_DOWN_ERRORS as exc:
             _reraise_bugs(exc)
             if self.on_node_down == "miss":

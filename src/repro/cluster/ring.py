@@ -25,7 +25,7 @@ never interprets them beyond hashing ``b"<id>#<replica>"``.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.common.hashing import hash_key
 
@@ -45,7 +45,7 @@ class HashRing:
         self.vnodes = vnodes
         self._points: List[Tuple[int, str]] = []
         self._hashes: List[int] = []
-        self._nodes: Dict[str, List[int]] = {}
+        self._nodes: Set[str] = set()
         for node_id in node_ids:
             self.add_node(node_id)
 
@@ -54,24 +54,13 @@ class HashRing:
     def add_node(self, node_id: str) -> None:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already on the ring")
-        hashes = []
         for replica in range(self.vnodes):
             point = hash_key(f"{node_id}#{replica}".encode("utf-8"))
             # A 64-bit collision between distinct (node, replica) labels
             # is ~impossible; ties are broken by node id so insertion
             # order can never change ownership.
             bisect.insort(self._points, (point, node_id))
-            hashes.append(point)
-        self._nodes[node_id] = hashes
-        self._hashes = [point for point, _node in self._points]
-
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
-            raise ValueError(f"node {node_id!r} not on the ring")
-        del self._nodes[node_id]
-        self._points = [
-            (point, node) for point, node in self._points if node != node_id
-        ]
+        self._nodes.add(node_id)
         self._hashes = [point for point, _node in self._points]
 
     @property
@@ -95,43 +84,9 @@ class HashRing:
             index = 0  # wrap: first point clockwise from the top
         return self._points[index][1]
 
-    def nodes_for(self, key: bytes, count: int) -> List[str]:
-        """Return up to ``count`` *distinct* nodes clockwise from ``key``.
-
-        The first entry is the owner; the rest are the natural fallback
-        order a replica-placement or retry policy would use.
-        """
-        if not self._points:
-            raise ValueError("ring has no nodes")
-        count = min(count, len(self._nodes))
-        index = bisect.bisect_right(self._hashes, hash_key(key))
-        out: List[str] = []
-        for step in range(len(self._points)):
-            node = self._points[(index + step) % len(self._points)][1]
-            if node not in out:
-                out.append(node)
-                if len(out) == count:
-                    break
-        return out
-
     def partition(self, keys: Sequence[bytes]) -> Dict[str, List[bytes]]:
         """Group ``keys`` by owning node, preserving per-node key order."""
         out: Dict[str, List[bytes]] = {}
         for key in keys:
             out.setdefault(self.node_for(key), []).append(key)
         return out
-
-    def share_of(self, node_id: str) -> float:
-        """Fraction of the 2**64 keyspace the node's arcs cover."""
-        if node_id not in self._nodes:
-            raise ValueError(f"node {node_id!r} not on the ring")
-        if len(self._nodes) == 1:
-            return 1.0
-        total = 0
-        span = 1 << 64
-        for index, (point, node) in enumerate(self._points):
-            if node != node_id:
-                continue
-            previous = self._points[index - 1][0]
-            total += (point - previous) % span or span
-        return total / span

@@ -10,9 +10,9 @@ from repro.common.errors import (
     ConfigurationError,
     ItemTooLargeError,
 )
-from repro.common.hashing import fnv1a_64, hash_key, murmur3_32
+from repro.common.hashing import fnv1a_64, hash_key
 from repro.common.records import KVItem, Operation, Request
-from repro.common.units import GB, KB, MB, format_bytes, parse_size
+from repro.common.units import GB, KB, MB, format_bytes
 
 __all__ = [
     "CacheError",
@@ -21,7 +21,6 @@ __all__ = [
     "ItemTooLargeError",
     "fnv1a_64",
     "hash_key",
-    "murmur3_32",
     "KVItem",
     "Operation",
     "Request",
@@ -29,5 +28,4 @@ __all__ = [
     "KB",
     "MB",
     "format_bytes",
-    "parse_size",
 ]

@@ -39,18 +39,6 @@ class IntegrityError(CacheError):
     """
 
 
-class CorruptionDetectedError(IntegrityError):
-    """A block's payload checksum did not match its stored checksum."""
-
-    def __init__(self, expected: int, actual: int) -> None:
-        super().__init__(
-            f"payload checksum mismatch: stored {expected:#010x}, "
-            f"computed {actual:#010x}"
-        )
-        self.expected = expected
-        self.actual = actual
-
-
 class CodecError(IntegrityError, ValueError):
     """A codec raised or produced bytes that cannot be the original data.
 

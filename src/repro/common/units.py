@@ -1,43 +1,14 @@
 """Byte-size units and human-readable formatting.
 
 The paper expresses every capacity in binary units (2 KB blocks, 60 GB
-caches).  Benches and configs in this reproduction use the same notation via
-:func:`parse_size`.
+caches); so does this reproduction.
 """
 
 from __future__ import annotations
 
-import re
-
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
-
-_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([KMG]?B?)\s*$", re.IGNORECASE)
-
-_MULTIPLIERS = {
-    "": 1,
-    "B": 1,
-    "K": KB,
-    "KB": KB,
-    "M": MB,
-    "MB": MB,
-    "G": GB,
-    "GB": GB,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human size string such as ``"2KB"`` or ``"1.5 MB"`` to bytes.
-
-    Raises ``ValueError`` for unrecognised input.  Fractional sizes are
-    rounded down to whole bytes.
-    """
-    match = _SIZE_RE.match(text)
-    if match is None:
-        raise ValueError(f"unrecognised size: {text!r}")
-    number, unit = match.groups()
-    return int(float(number) * _MULTIPLIERS[unit.upper()])
 
 
 def format_bytes(num_bytes: int) -> str:

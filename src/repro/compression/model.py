@@ -27,16 +27,6 @@ TWEETS_TABLE2_POINTS: Tuple[Tuple[int, float], ...] = (
     (4096, 1.41),
 )
 
-#: Same calibration for Table 2's "Places" row.
-PLACES_TABLE2_POINTS: Tuple[Tuple[int, float], ...] = (
-    (1, 1.28),
-    (256, 1.28),
-    (512, 1.45),
-    (1024, 1.60),
-    (2048, 1.70),
-    (4096, 1.77),
-)
-
 
 def interpolated_ratio(
     points: Sequence[Tuple[int, float]],

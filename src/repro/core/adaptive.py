@@ -89,10 +89,6 @@ class AdaptiveAllocator:
     def zzone_target(self) -> int:
         return self.total_capacity - self._nzone_target
 
-    @property
-    def action(self) -> AllocationAction:
-        return self._action
-
     def record_nzone(self, count: int = 1) -> None:
         self._window.nzone += count
 

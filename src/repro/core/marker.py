@@ -67,11 +67,3 @@ class LocalityBenchmark:
         used = list(self._samples)
         weights = self._weights[: len(used)]
         return sum(w * s for w, s in zip(weights, used)) / sum(weights)
-
-    @property
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)
-
-    @property
-    def sample_count(self) -> int:
-        return len(self._samples)

@@ -10,7 +10,7 @@ uses in Table 1 — so results are comparable across scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import ConfigurationError
@@ -41,22 +41,14 @@ class Scale:
     def __post_init__(self) -> None:
         if self.num_keys < 1:
             raise ConfigurationError(f"num_keys must be >= 1, got {self.num_keys}")
-
-    def smaller(self, factor: int) -> "Scale":
-        """A proportionally reduced scale (for quick/test runs)."""
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        return replace(
-            self,
-            num_keys=max(1000, self.num_keys // factor),
-            num_requests=max(5000, self.num_requests // factor),
-        )
+        if self.num_requests < 1:
+            raise ConfigurationError(
+                f"num_requests must be >= 1, got {self.num_requests}"
+            )
 
 
 #: Default scale used by the committed bench outputs.
 BENCH_SCALE = Scale()
-#: Fast scale for unit/integration tests.
-TEST_SCALE = Scale(num_keys=3_000, num_requests=60_000, seed=42)
 
 _TRACE_CACHE: Dict[tuple, Trace] = {}
 

@@ -139,18 +139,6 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` (same bounds) into this histogram."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds "
-                f"({self.name} vs {other.name})"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self._count += other._count
-        self._sum += other._sum
-
     def percentile(self, q: float) -> float:
         """Value at percentile ``q`` (0–100); 0.0 when empty."""
         if not 0.0 <= q <= 100.0:

@@ -1,7 +1,7 @@
 """N-zone implementations: the uncompressed, high-performance partition.
 
 The paper's N-zone is "almost a plug-in of any existing KV cache system".
-Three managers are provided:
+Two managers are provided:
 
 * :class:`MemcachedZone` — a behavioural model of memcached 1.4.24: slab
   classes, per-class LRU queues, chained hash table, and byte-accurate
@@ -9,15 +9,12 @@ Three managers are provided:
 * :class:`HPCacheZone` — a MemC3-style cache: 4-way optimistic cuckoo
   hashing with CLOCK replacement (drives Figures 10–16; the paper's
   "H-Cache").
-* :class:`PlainZone` — a minimal dict+LRU zone used as a reference
-  implementation in tests.
 """
 
 from repro.nzone.base import EvictedItem, NZone
 from repro.nzone.cuckoo import CuckooTable
 from repro.nzone.hpcache import HPCacheZone
 from repro.nzone.memcached import MemcachedZone, SlabAllocator
-from repro.nzone.plain import PlainZone
 
 __all__ = [
     "CuckooTable",
@@ -25,6 +22,5 @@ __all__ = [
     "HPCacheZone",
     "MemcachedZone",
     "NZone",
-    "PlainZone",
     "SlabAllocator",
 ]

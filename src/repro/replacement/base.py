@@ -10,7 +10,7 @@ not about data movement.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict
+from typing import Dict
 
 
 class EvictingCache(abc.ABC):
@@ -62,10 +62,6 @@ class EvictingCache(abc.ABC):
                 f"{type(self).__name__}: used {self._used} B exceeds "
                 f"capacity {self.capacity} B"
             )
-
-
-#: Builds a policy instance for a given byte capacity.
-PolicyFactory = Callable[[int], EvictingCache]
 
 
 def admit_oversized(cache: EvictingCache, size: int) -> bool:

@@ -331,20 +331,6 @@ class MemcacheClient:
             out.update(await self._call(op))
         return out
 
-    async def get_full(self, key: bytes) -> Optional[Tuple[bytes, int]]:
-        """GET returning ``(value, flags)``; None on miss."""
-        (request,) = self._get_requests(b"get", [key])
-
-        async def op(conn: Connection):
-            await conn.send(request)
-            result = None
-            async for got, flags, value, _cas in conn.read_values():
-                if got == key:
-                    result = (value, flags)
-            return result
-
-        return await self._call(op)
-
     async def gets(self, key: bytes) -> Optional[Tuple[bytes, int]]:
         """GET with a cas token; None on miss."""
         (request,) = self._get_requests(b"gets", [key])

@@ -27,7 +27,7 @@ from repro.sim.costmodel import (
     CostModel,
     OpKind,
 )
-from repro.sim.latency import LatencyModel, percentile, percentile_curve
+from repro.sim.latency import LatencyModel, percentile
 from repro.sim.perfsim import OpMix, PerformanceModel, mix_from_stats
 
 __all__ = [
@@ -41,5 +41,4 @@ __all__ = [
     "PerformanceModel",
     "mix_from_stats",
     "percentile",
-    "percentile_curve",
 ]

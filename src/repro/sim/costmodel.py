@@ -21,7 +21,7 @@ nanoseconds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class OpKind(enum.Enum):
@@ -61,9 +61,6 @@ class CostModel:
 
     def cost(self, kind: OpKind) -> float:
         return getattr(self, kind.value)
-
-    def with_network(self, network_per_request: float) -> "CostModel":
-        return replace(self, network_per_request=network_per_request)
 
 
 #: H-prototype costs (no networking), §4.1's second prototype.  The

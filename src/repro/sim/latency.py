@@ -36,14 +36,6 @@ def percentile(sorted_samples: Sequence[float], q: float) -> float:
     return sorted_samples[low] * (1 - weight) + sorted_samples[high] * weight
 
 
-def percentile_curve(
-    samples: Sequence[float], points: Sequence[float] = (50, 90, 95, 99, 99.9)
-) -> List[Tuple[float, float]]:
-    """(percentile, value) pairs for CDF reporting."""
-    ordered = sorted(samples)
-    return [(q, percentile(ordered, q)) for q in points]
-
-
 class LatencyModel:
     """Samples per-request processing times for a mix at a thread count."""
 

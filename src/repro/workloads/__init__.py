@@ -1,5 +1,8 @@
 """Workload generation: key popularity, value corpora, and trace synthesis.
 
+Key popularity is uniform or Zipfian: the paper's workloads need no other
+distribution.
+
 The paper evaluates on three Facebook memcached traces (ETC, APP, USR), a
 YCSB Zipfian(0.99) trace, and value corpora derived from Twitter data.  None
 of those inputs are public, so this package synthesises statistically
@@ -14,7 +17,6 @@ from repro.workloads.facebook import (
     FacebookTraceSpec,
     generate_facebook_trace,
 )
-from repro.workloads.hotspot import HotspotGenerator, LatestGenerator
 from repro.workloads.sizes import (
     DiscreteMixtureSize,
     FixedSize,
@@ -39,8 +41,6 @@ __all__ = [
     "DiscreteMixtureSize",
     "FacebookTraceSpec",
     "FixedSize",
-    "HotspotGenerator",
-    "LatestGenerator",
     "LogNormalSize",
     "OP_DELETE",
     "OP_GET",

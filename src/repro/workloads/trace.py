@@ -141,18 +141,6 @@ class Trace:
                 sizes[key_id] = key_len + size
         return sizes
 
-    def operation_mix(self) -> Dict[str, float]:
-        """Fractions of GET/SET/DELETE in the trace."""
-        if not len(self):
-            return {"GET": 0.0, "SET": 0.0, "DELETE": 0.0}
-        counts = Counter(self._ops)
-        total = len(self)
-        return {
-            "GET": counts.get(OP_GET, 0) / total,
-            "SET": counts.get(OP_SET, 0) / total,
-            "DELETE": counts.get(OP_DELETE, 0) / total,
-        }
-
 
 def concat_traces(name: str, traces: "List[Trace]") -> "Trace":
     """Concatenate traces over the same key space (phased workloads).

@@ -26,13 +26,3 @@ class UniformGenerator:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         return self._np_rng.integers(0, self.num_items, size=count, dtype=np.int64)
-
-    def next_rank(self) -> int:
-        """Return the next sampled rank."""
-        return int(self._np_rng.integers(0, self.num_items))
-
-    def probability(self, rank: int) -> float:
-        """Popularity of ``rank`` — identical for all ranks."""
-        if not 0 <= rank < self.num_items:
-            raise ValueError(f"rank {rank} out of [0, {self.num_items})")
-        return 1.0 / self.num_items

@@ -44,8 +44,6 @@ _WORDS = (
     "home night life world friend music video photo watch live free best"
 ).split()
 
-_TLDS = ("com", "net", "org", "io", "co")
-
 # Multi-word collocations: real tweet streams share phrases, not just
 # words, and LZ4's 4-byte minimum match only pays off on runs this long.
 _PHRASES = (
@@ -198,21 +196,6 @@ class PlacesValueGenerator(ValueGenerator):
             )
         )
         return record
-
-
-class FixedPatternValueGenerator(ValueGenerator):
-    """Fixed-size values with a per-index pattern (USR's 2 B values)."""
-
-    def __init__(self, size: int, seed: int = 0) -> None:
-        super().__init__(seed)
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self.size = size
-
-    def generate(self, index: int) -> bytes:
-        pattern = index.to_bytes(8, "little")
-        repeats = (self.size + len(pattern) - 1) // len(pattern)
-        return (pattern * repeats)[: self.size]
 
 
 class SizedValueSource:

@@ -57,8 +57,6 @@ def zeta(n: int, theta: float) -> float:
 class ZipfianGenerator:
     """Draws ranks in ``[0, num_items)`` with Zipf(theta) popularity."""
 
-    _BATCH = 4096
-
     def __init__(self, num_items: int, theta: float = 0.99, seed: int = 0) -> None:
         if num_items < 1:
             raise ValueError(f"num_items must be >= 1, got {num_items}")
@@ -67,9 +65,9 @@ class ZipfianGenerator:
         self.num_items = num_items
         self.theta = theta
         self._np_rng = np.random.default_rng(derive_seed(seed, "zipfian"))
-        self._zetan = zeta(num_items, theta)
         self._cdf = None
         if theta < 1.0 and num_items >= 2:
+            self._zetan = zeta(num_items, theta)
             self._zeta2 = zeta(2, theta)
             self._alpha = 1.0 / (1.0 - theta)
             self._eta = (1.0 - (2.0 / num_items) ** (1.0 - theta)) / (
@@ -79,8 +77,6 @@ class ZipfianGenerator:
             weights = 1.0 / np.arange(1, num_items + 1, dtype=np.float64) ** theta
             self._cdf = np.cumsum(weights)
             self._cdf /= self._cdf[-1]
-        self._buffer = np.empty(0, dtype=np.int64)
-        self._buffer_pos = 0
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` ranks as an ``int64`` array."""
@@ -102,18 +98,3 @@ class ZipfianGenerator:
         ranks[uz < 1.0 + 0.5**self.theta] = 1
         ranks[uz < 1.0] = 0
         return ranks
-
-    def next_rank(self) -> int:
-        """Return the next sampled rank (0 = hottest), one at a time."""
-        if self._buffer_pos >= len(self._buffer):
-            self._buffer = self.sample(self._BATCH)
-            self._buffer_pos = 0
-        rank = int(self._buffer[self._buffer_pos])
-        self._buffer_pos += 1
-        return rank
-
-    def probability(self, rank: int) -> float:
-        """Exact popularity of ``rank`` under this distribution."""
-        if not 0 <= rank < self.num_items:
-            raise ValueError(f"rank {rank} out of [0, {self.num_items})")
-        return (1.0 / (rank + 1) ** self.theta) / self._zetan

@@ -7,23 +7,15 @@ block: the *Content Filter* avoids decompressing blocks for absent keys,
 and the *Access Filter* drives the sweep replacement policy.
 """
 
-from repro.zzone.block import (
-    Block,
-    LargeItem,
-    decode_items,
-    encode_items,
-)
-from repro.zzone.bloom import Bloom128
+from repro.zzone.block import Block, LargeItem, decode_items
 from repro.zzone.trie import BlockTrie
 from repro.zzone.zzone import ZZone, ZZoneStats
 
 __all__ = [
     "Block",
-    "Bloom128",
     "BlockTrie",
     "LargeItem",
     "ZZone",
     "ZZoneStats",
     "decode_items",
-    "encode_items",
 ]

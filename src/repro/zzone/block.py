@@ -45,9 +45,8 @@ import struct
 import zlib
 from array import array
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.common.errors import CorruptionDetectedError
 from repro.common.records import KVItem
 from repro.compression.base import Compressed, Compressor
 from repro.zzone.bloom import PROBE_MASKS
@@ -116,23 +115,16 @@ Entry = Tuple[int, bytes, bytes]
 
 
 def item_entry(key: bytes, value: bytes, hashed_key: int) -> Entry:
-    """The :data:`Entry` of one item."""
-    if hashed_key < 0:
-        raise ValueError(f"item {key!r} is missing its hashed key")
-    return hashed_key, key, _pack_header(hashed_key, len(key), len(value)) + key + value
-
-
-def encode_items(items: Iterable[KVItem]) -> bytes:
-    """Serialise items (already sorted by hashed key) into a container.
+    """The :data:`Entry` of one item.
 
     Wire format per item: 8-byte big-endian hashed key, 2-byte key length,
     4-byte value length, key bytes, value bytes.  Big-endian hashed keys
     make lexicographic order equal numeric order, which the sorted layout
     relies on.
     """
-    return b"".join(
-        [item_entry(item.key, item.value, item.hashed_key)[2] for item in items]
-    )
+    if hashed_key < 0:
+        raise ValueError(f"item {key!r} is missing its hashed key")
+    return hashed_key, key, _pack_header(hashed_key, len(key), len(value)) + key + value
 
 
 def container_entries(container: bytes) -> List[Entry]:
@@ -403,12 +395,6 @@ class Block:
     def checksum_ok(self) -> bool:
         """Whether the compressed payload still matches its stored CRC32."""
         return _crc32(self.compressed.payload) == self.checksum
-
-    def verify_checksum(self) -> None:
-        """Raise :class:`CorruptionDetectedError` if the payload changed."""
-        actual = _crc32(self.compressed.payload)
-        if actual != self.checksum:
-            raise CorruptionDetectedError(self.checksum, actual)
 
     # -- lookups ------------------------------------------------------------
 

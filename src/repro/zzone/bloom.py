@@ -28,46 +28,11 @@ def _double_hash_mask(h1: int, h2: int) -> int:
 #: ``h1`` is the hash's low 32 bits and ``h2`` its high 32 bits forced
 #: odd; since 128 divides 2**32, the probe bits depend only on the hash's
 #: bits 0-6 and 33-38, so 128 x 64 masks cover every hash.  Built once
-#: at import, it does not grow with the number of keys.  The filter
-#: indexes it inline: a helper call would cost as much again.  A block
-#: keeps its two filters as bare ints and indexes it the same way.
+#: at import, it does not grow with the number of keys.  A block keeps
+#: its two filters as bare ints and indexes this table inline: a helper
+#: call would cost as much again.
 PROBE_MASKS = tuple(
     tuple(_double_hash_mask(low, (odd << 1) | 1) for odd in range(_BITS // 2))
     for low in range(_BITS)
 )
 
-
-class Bloom128:
-    """A 128-bit Bloom filter over 64-bit hashed keys."""
-
-    __slots__ = ("_bits",)
-
-    def __init__(self) -> None:
-        self._bits = 0
-
-    def add(self, hashed_key: int) -> None:
-        """Record ``hashed_key`` in the filter."""
-        self._bits |= PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
-
-    def __contains__(self, hashed_key: int) -> bool:
-        mask = PROBE_MASKS[hashed_key & 0x7F][(hashed_key >> 33) & 0x3F]
-        return self._bits & mask == mask
-
-    def clear(self) -> None:
-        """Reset the filter (the sweep clears Access Filters, §3.2)."""
-        self._bits = 0
-
-    @property
-    def bit_count(self) -> int:
-        """Number of set bits (for load/FP diagnostics)."""
-        return bin(self._bits).count("1")
-
-    def false_positive_rate(self) -> float:
-        """Estimated FP probability at the current load."""
-        load = self.bit_count / _BITS
-        return load**_NUM_PROBES
-
-    @property
-    def memory_bytes(self) -> int:
-        """Bytes this filter is charged in the cache's accounting."""
-        return SIZE_BYTES

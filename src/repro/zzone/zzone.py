@@ -104,11 +104,6 @@ class ZZoneStats:
     #: sequential (stats parity); this counter records the real savings.
     container_decodes_saved: int = 0
 
-    @property
-    def expensive_ops(self) -> int:
-        """Operations involving block (de)compression (§3.3.1's metric)."""
-        return self.decompressions + self.compressions
-
 
 #: The two :class:`ZZoneStats` families reported under names of their
 #: own (``integrity_<field>`` / ``fastpath_<field>`` on the stats wire,

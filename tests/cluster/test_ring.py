@@ -9,11 +9,16 @@ def sample_keys(count):
     return [b"ring-key-%06d" % i for i in range(count)]
 
 
+def sampled_shares(ring, keys):
+    """Each member's share of ``keys``, measured by routing them."""
+    groups = ring.partition(keys)
+    return {node: len(groups.get(node, [])) / len(keys) for node in ring.node_ids}
+
+
 class TestOwnership:
     def test_single_node_owns_everything(self):
         ring = HashRing(["only"])
         assert all(ring.node_for(k) == "only" for k in sample_keys(100))
-        assert ring.share_of("only") == 1.0
 
     def test_empty_ring_refuses(self):
         ring = HashRing()
@@ -39,23 +44,13 @@ class TestOwnership:
             indices = [order[k] for k in node_keys]
             assert indices == sorted(indices)
 
-    def test_nodes_for_distinct_and_owner_first(self):
-        ring = HashRing(["node0", "node1", "node2"])
-        for key in sample_keys(50):
-            fallback = ring.nodes_for(key, 3)
-            assert fallback[0] == ring.node_for(key)
-            assert len(fallback) == len(set(fallback)) == 3
-
     def test_membership_api(self):
         ring = HashRing(["a"])
         ring.add_node("b")
         assert "b" in ring and len(ring) == 2
         with pytest.raises(ValueError):
             ring.add_node("a")
-        ring.remove_node("a")
-        assert ring.node_ids == ["b"]
-        with pytest.raises(ValueError):
-            ring.remove_node("a")
+        assert ring.node_ids == ["a", "b"]
 
 
 class TestStability:
@@ -83,47 +78,40 @@ class TestStability:
                 assert owner == "node3"
 
     def test_remove_node_strands_only_its_keys(self):
+        # Ownership is a function of the member list, so a node's removal
+        # is the ring built without it.
         keys = sample_keys(2000)
-        ring = HashRing(["node0", "node1", "node2"])
-        before = {k: ring.node_for(k) for k in keys}
-        ring.remove_node("node1")
+        before = HashRing(["node0", "node1", "node2"])
+        after = HashRing(["node0", "node2"])
         for key in keys:
-            if before[key] != "node1":
-                assert ring.node_for(key) == before[key]
-
-    def test_add_then_remove_is_identity(self):
-        keys = sample_keys(1000)
-        ring = HashRing(["node0", "node1"])
-        before = {k: ring.node_for(k) for k in keys}
-        ring.add_node("node2")
-        ring.remove_node("node2")
-        assert {k: ring.node_for(k) for k in keys} == before
+            if before.node_for(key) != "node1":
+                assert after.node_for(key) == before.node_for(key)
 
 
 class TestBalance:
     def test_vnodes_smooth_the_split(self):
         nodes = [f"node{i}" for i in range(4)]
-        shares = [
-            HashRing(nodes, vnodes=vnodes).share_of("node0")
+        keys = sample_keys(6000)
+        one, many = (
+            sampled_shares(HashRing(nodes, vnodes=vnodes), keys)
             for vnodes in (1, DEFAULT_VNODES)
-        ]
+        )
         # With 64 vnodes each node's share is within a few points of 1/4;
-        # with 1 vnode it can be wildly off.  Only the many-vnode bound
-        # is asserted (the 1-vnode ring is just exercised for coverage).
-        assert 0.10 <= shares[1] <= 0.45
+        # with 1 vnode it can be wildly off.
+        assert all(0.10 <= share <= 0.45 for share in many.values())
+        assert max(many.values()) - min(many.values()) < (
+            max(one.values()) - min(one.values())
+        )
 
     def test_shares_sum_to_one(self):
         ring = HashRing([f"node{i}" for i in range(5)])
-        total = sum(ring.share_of(node) for node in ring.node_ids)
+        total = sum(sampled_shares(ring, sample_keys(2000)).values())
         assert total == pytest.approx(1.0)
 
     def test_keyspace_split_tracks_share(self):
         ring = HashRing(["node0", "node1", "node2"])
-        keys = sample_keys(6000)
-        groups = ring.partition(keys)
-        for node in ring.node_ids:
-            observed = len(groups.get(node, [])) / len(keys)
-            assert observed == pytest.approx(ring.share_of(node), abs=0.04)
+        for share in sampled_shares(ring, sample_keys(6000)).values():
+            assert share == pytest.approx(1 / 3, abs=0.07)
 
     def test_vnodes_validated(self):
         with pytest.raises(ValueError):

@@ -7,40 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import hashing
-from repro.common.hashing import (
-    fnv1a_64,
-    hash_key,
-    hash_key_murmur,
-    murmur3_32,
-)
-
-
-class TestMurmur3:
-    """Reference vectors from Austin Appleby's murmur3 test suite."""
-
-    def test_empty_seed_zero(self):
-        assert murmur3_32(b"", 0) == 0
-
-    def test_empty_seed_one(self):
-        assert murmur3_32(b"", 1) == 0x514E28B7
-
-    def test_known_vector_hello(self):
-        # Widely published vector: murmur3_32("hello", 0).
-        assert murmur3_32(b"hello", 0) == 0x248BFA47
-
-    def test_known_vector_hello_world(self):
-        assert murmur3_32(b"hello, world", 0) == 0x149BBB7F
-
-    def test_known_vector_with_seed(self):
-        assert murmur3_32(b"hello", 0x2A) == 0xE2DBD2E1
-
-    def test_tail_lengths(self):
-        # Exercise all tail branches (len % 4 in {0,1,2,3}).
-        results = {murmur3_32(b"a" * n) for n in range(1, 9)}
-        assert len(results) == 8
-
-    def test_deterministic(self):
-        assert murmur3_32(b"key") == murmur3_32(b"key")
+from repro.common.hashing import fnv1a_64, hash_key
 
 
 class TestHashKey:
@@ -80,10 +47,6 @@ class TestHashKey:
         before = sys.getrefcount(key)
         hash_key(key)
         assert sys.getrefcount(key) == before
-
-    def test_murmur_variant_matches_reference_rounds(self):
-        value = hash_key_murmur(b"hello")
-        assert value >> 32 == murmur3_32(b"hello", 0)
 
 
 class TestFnv:

@@ -2,30 +2,7 @@
 
 import pytest
 
-from repro.common.units import GB, KB, MB, format_bytes, parse_size
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("0", 0),
-            ("512", 512),
-            ("512B", 512),
-            ("2KB", 2 * KB),
-            ("2kb", 2 * KB),
-            ("1.5 MB", int(1.5 * MB)),
-            ("60 GB", 60 * GB),
-            ("3K", 3 * KB),
-        ],
-    )
-    def test_valid(self, text, expected):
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "abc", "12TB", "-5KB", "1..2KB"])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError):
-            parse_size(text)
+from repro.common.units import GB, KB, MB, format_bytes
 
 
 class TestFormatBytes:
@@ -45,6 +22,3 @@ class TestFormatBytes:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_bytes(-1)
-
-    def test_roundtrip_parse(self):
-        assert parse_size(format_bytes(2 * KB)) == 2 * KB

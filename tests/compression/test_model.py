@@ -4,7 +4,6 @@ import pytest
 
 from repro.compression.model import (
     ModelCompressor,
-    PLACES_TABLE2_POINTS,
     TWEETS_TABLE2_POINTS,
     interpolated_ratio,
 )
@@ -60,7 +59,3 @@ class TestModelCompressor:
         codec = ModelCompressor()
         stored = codec.compress(b"x" * 2048).stored_size
         assert stored == pytest.approx(2048 / 1.34, abs=2)
-
-    def test_places_calibration_available(self):
-        ratio = interpolated_ratio(PLACES_TABLE2_POINTS)
-        assert ratio(4096) == pytest.approx(1.77)

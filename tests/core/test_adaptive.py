@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveAllocator, AllocationAction
+from repro.core.adaptive import AdaptiveAllocator
 
 
 def make_allocator(**kwargs):
@@ -55,7 +55,7 @@ class TestAdaptiveAllocator:
         allocator.maybe_adjust(0.0)
         changed = feed_window(allocator, nzone=90, zzone=10, start=0, end=61)
         assert changed is False
-        assert allocator.action is AllocationAction.STAY
+        assert allocator.nzone_target == 300
 
     def test_empty_window_stays(self):
         allocator = make_allocator()
@@ -143,4 +143,3 @@ class TestAdaptiveAllocator:
         target = allocator.nzone_target
         assert allocator.maybe_adjust(122.0) is False  # traffic-free window
         assert allocator.nzone_target == target
-        assert allocator.action is AllocationAction.STAY

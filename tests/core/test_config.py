@@ -37,7 +37,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             valid_config(**{field: value}).validate()
 
-    def test_region_defaults_to_an_eighth_of_the_block_and_cache_off(self):
+    def test_region_defaults_to_an_eighth_of_the_block(self):
         config = valid_config()
         assert config.append_region_bytes == config.block_capacity // 8 == 256
         # Derived from the block it belongs to, not a second literal ...

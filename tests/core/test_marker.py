@@ -55,14 +55,17 @@ class TestBenchmark:
             key = benchmark.mint(now=0.0)
             benchmark.observe_eviction(key, now=age)
         assert benchmark.value == pytest.approx(7.0)
-        assert benchmark.sample_count == 3
+        oldest = LocalityBenchmark(weights=(0.0, 0.0, 1.0))
+        for age in (5.0, 50.0, 500.0, 7.0):
+            key = oldest.mint(now=0.0)
+            oldest.observe_eviction(key, now=age)
+        assert oldest.value == pytest.approx(50.0)  # 5.0 fell out
 
     def test_outstanding_tracking(self):
         benchmark = LocalityBenchmark()
         key = benchmark.mint(now=0.0)
-        assert benchmark.outstanding_count == 1
-        benchmark.observe_eviction(key, now=1.0)
-        assert benchmark.outstanding_count == 0
+        assert benchmark.observe_eviction(key, now=1.0) == pytest.approx(1.0)
+        assert benchmark.observe_eviction(key, now=2.0) is None  # settled
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.common.hashing import hash_key
 from repro.core import ZExpander, ZExpanderConfig
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.zzone import ZZone
 
 REGIONS = [pytest.param(None, id="default"), pytest.param(0, id="region0")]

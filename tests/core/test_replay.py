@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.core import SimpleKVCache, replay_trace
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, TraceBuilder
 from repro.workloads.values import PlacesValueGenerator, ValueSource
 

@@ -14,7 +14,7 @@ from repro.common.clock import VirtualClock
 from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig, replay_trace
 from repro.experiments.common import Scale, build_trace
 from repro.metrics import MetricsRegistry
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, TraceBuilder
 from repro.workloads.values import PlacesValueGenerator, ValueSource
 

@@ -104,7 +104,7 @@ class TestFastPathSharding:
         for shard in fleet.shards:
             assert shard.zzone.append_region_bytes == 512
 
-    def test_default_fleet_combines_writes_and_keeps_the_cache_dark(self):
+    def test_default_fleet_combines_writes(self):
         fleet = make_fleet(num_shards=2)
         for shard in fleet.shards:
             assert shard.zzone.append_region_bytes == 256

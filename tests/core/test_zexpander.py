@@ -5,7 +5,7 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig
 from repro.core.marker import is_marker_key
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 
 
 def make_cache(

@@ -41,7 +41,7 @@ from repro.durability.manager import (
 )
 from repro.core import SimpleKVCache, ZExpander, ZExpanderConfig
 from repro.core.snapshot import iter_cache_items, load_snapshot, write_snapshot
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.replication.replica import ReplicationClient
 
 keys = st.binary(min_size=1, max_size=64)

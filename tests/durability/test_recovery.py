@@ -22,7 +22,7 @@ from repro.durability.manager import (
     list_checkpoints,
     replay_journal,
 )
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 
 
 def make_cache(capacity=1 << 20):

@@ -168,6 +168,9 @@ class TestRefusedSettings:
             ["promote", "--port", "70000"],
             ["loadgen", "--port", "70000"],
             ["chaos", "--keys", "0"],
+            ["chaos", "--requests", "0"],
+            ["chaos", "--requests", "-5"],
+            ["run", "fig02", "--requests", "0"],
         ],
         ids=[
             "serve_capacity_0",
@@ -180,6 +183,9 @@ class TestRefusedSettings:
             "promote_port_70000",
             "loadgen_port_70000",
             "chaos_keys_0",
+            "chaos_requests_0",
+            "chaos_requests_negative",
+            "run_requests_0",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, argv):

@@ -43,7 +43,7 @@ def _literal(call: ast.Call, keyword: str):
     return None
 
 
-def test_every_experiment_config_pins_region_zero_and_no_cache():
+def test_every_experiment_config_pins_region_zero():
     builders = []
     for path in SOURCES:
         for call in _config_calls(path):

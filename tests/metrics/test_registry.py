@@ -67,21 +67,6 @@ class TestInstruments:
     def test_histogram_percentile_empty_is_zero(self):
         assert Histogram("h").percentile(99.0) == 0.0
 
-    def test_histogram_merge_elementwise(self):
-        a = Histogram("a", bounds=[1.0, 10.0])
-        b = Histogram("b", bounds=[1.0, 10.0])
-        a.observe(0.5)
-        b.observe(5.0)
-        b.observe(50.0)
-        a.merge(b)
-        assert a.count == 3
-        assert a.counts == [1, 1, 1]
-        assert a.sum == 55.5
-
-    def test_histogram_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("a", bounds=[1.0]).merge(Histogram("b", bounds=[2.0]))
-
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
             Histogram("h", bounds=[2.0, 1.0])

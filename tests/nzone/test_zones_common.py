@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.nzone import HPCacheZone, MemcachedZone, PlainZone
+from repro.nzone import HPCacheZone, MemcachedZone
+from tests.nzone.plain import PlainZone
 
 ZONE_FACTORIES = {
     "plain": lambda: PlainZone(64 * 1024),

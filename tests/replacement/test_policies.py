@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.replacement import (
     ARCCache,
-    ClockCache,
-    FIFOCache,
     LIRSCache,
     LRUCache,
     LRUXCache,
@@ -16,8 +14,6 @@ from repro.replacement import (
 
 POLICY_FACTORIES = {
     "lru": lambda cap: LRUCache(cap),
-    "fifo": lambda cap: FIFOCache(cap),
-    "clock": lambda cap: ClockCache(cap),
     "random": lambda cap: RandomCache(cap, seed=1),
     "arc": lambda cap: ARCCache(cap),
     "lirs": lambda cap: LIRSCache(cap),

@@ -12,7 +12,7 @@ import pytest
 from repro.common.framing import OP_SET, SEGMENT_MAGIC, encode_record, end_record
 from repro.core import SimpleKVCache
 from repro.core.snapshot import iter_cache_items, write_snapshot
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.replication import wire

@@ -26,7 +26,7 @@ from repro.durability.journal import (
     segment_name,
 )
 from repro.core import SimpleKVCache
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.replication.replica import ReplicationClient
 from repro.replication.tailer import JournalTailer, SegmentPrunedError
 from tests.durability.test_scrub import flip
@@ -296,7 +296,7 @@ class TestTailUnderCheckpoints:
 
         from repro.core import SimpleKVCache
         from repro.durability.manager import DurabilityConfig, DurabilityManager
-        from repro.nzone import PlainZone
+        from tests.nzone.plain import PlainZone
 
         for seed in range(6):
             rng = random.Random(seed)

@@ -16,7 +16,7 @@ from repro.core.snapshot import write_snapshot
 from repro.core import SimpleKVCache
 from repro.durability.journal import list_segments
 from repro.durability.manager import list_checkpoints
-from repro.nzone import PlainZone
+from tests.nzone.plain import PlainZone
 from repro.server.server import CacheServer, ServerConfig
 from tests.durability.test_scrub import flip
 

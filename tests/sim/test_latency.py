@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.costmodel import HIGH_PERFORMANCE_COSTS, OpKind
-from repro.sim.latency import LatencyModel, percentile, percentile_curve
+from repro.sim.latency import LatencyModel, percentile
 from repro.sim.perfsim import OpMix
 
 
@@ -27,11 +27,6 @@ class TestPercentile:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_curve(self):
-        curve = percentile_curve([float(i) for i in range(101)], points=(50, 99))
-        assert curve[0] == (50, 50.0)
-        assert curve[1][1] == pytest.approx(99.0)
 
 
 def hcache_mix():

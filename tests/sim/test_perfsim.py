@@ -116,8 +116,3 @@ class TestPerformanceModel:
         model = PerformanceModel(HIGH_PERFORMANCE_COSTS)
         with pytest.raises(ValueError):
             model.service_time(OpMix(rates={}))
-
-    def test_cost_model_with_network(self):
-        updated = HIGH_PERFORMANCE_COSTS.with_network(5e-6)
-        assert updated.network_per_request == 5e-6
-        assert HIGH_PERFORMANCE_COSTS.network_per_request == 0.0

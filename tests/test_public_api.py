@@ -67,14 +67,12 @@ class TestPublicApi:
             repro.CapacityError,
             repro.ItemTooLargeError,
             repro.IntegrityError,
-            repro.CorruptionDetectedError,
             repro.CodecError,
             repro.FaultPlanError,
         )
         for exc in exported:
             assert issubclass(exc, repro.CacheError), exc
         assert issubclass(repro.ItemTooLargeError, repro.CapacityError)
-        assert issubclass(repro.CorruptionDetectedError, repro.IntegrityError)
         assert issubclass(repro.CodecError, repro.IntegrityError)
         # Backward compat: corrupt-container callers catch ValueError.
         assert issubclass(repro.CodecError, ValueError)
@@ -100,8 +98,5 @@ class TestPublicApi:
         assert issubclass(repro.RequestTimeoutError, TimeoutError)
 
     def test_exceptions_carry_context(self):
-        err = repro.CorruptionDetectedError(0x1234, 0x5678)
-        assert err.expected == 0x1234 and err.actual == 0x5678
-        assert "checksum" in str(err)
         too_big = repro.ItemTooLargeError(b"k", 100, 10)
         assert too_big.item_size == 100 and too_big.limit == 10

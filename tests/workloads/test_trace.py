@@ -75,12 +75,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             build_sample().split(1.5)
 
-    def test_operation_mix(self):
-        mix = build_sample().operation_mix()
-        assert mix["GET"] == pytest.approx(0.6)
-        assert mix["SET"] == pytest.approx(0.2)
-        assert mix["DELETE"] == pytest.approx(0.2)
-
     def test_access_counts_exclude_deletes(self):
         counts = build_sample().access_counts()
         assert counts[1] == 2

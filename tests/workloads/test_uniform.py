@@ -19,9 +19,6 @@ class TestUniformGenerator:
         for rank in range(10):
             assert abs(counts[rank] - 5000) < 600
 
-    def test_probability(self):
-        assert UniformGenerator(4).probability(0) == pytest.approx(0.25)
-
     def test_deterministic(self):
         a = UniformGenerator(100, seed=3).sample(20)
         b = UniformGenerator(100, seed=3).sample(20)
@@ -32,5 +29,3 @@ class TestUniformGenerator:
             UniformGenerator(0)
         with pytest.raises(ValueError):
             UniformGenerator(10).sample(-1)
-        with pytest.raises(ValueError):
-            UniformGenerator(10).probability(10)

@@ -5,7 +5,6 @@ import statistics
 from repro.compression import LZ4Compressor, container_compression_ratio, individual_compression_ratio
 from repro.workloads.trace import TraceBuilder, OP_SET
 from repro.workloads.values import (
-    FixedPatternValueGenerator,
     PlacesValueGenerator,
     SizedValueSource,
     TweetValueGenerator,
@@ -63,16 +62,6 @@ class TestPlacesValueGenerator:
     def test_protobuf_varint_tag_present(self):
         # Field 1, wire type 0 -> tag byte 0x08 leads every record.
         assert PlacesValueGenerator(seed=4).generate(0)[0] == 0x08
-
-
-class TestFixedPatternValueGenerator:
-    def test_size_exact(self):
-        generator = FixedPatternValueGenerator(2, seed=1)
-        assert all(len(generator.generate(i)) == 2 for i in range(50))
-
-    def test_distinct_indices_distinct_values(self):
-        generator = FixedPatternValueGenerator(8, seed=1)
-        assert generator.generate(1) != generator.generate(2)
 
 
 class TestValueSource:

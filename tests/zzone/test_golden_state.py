@@ -7,7 +7,7 @@ payload, staged bytes and large-ref keys, every stats counter, the byte
 and item accounting, the trie's lookup telemetry, and every result the
 operations returned along the way — is folded into one SHA-256.
 
-The ``region0_cache0`` digest was computed at the commit *before* the
+The ``region0`` digest was computed at the commit *before* the
 read path became one resolver and the small-item write path one merge,
 and is the paper's write path: nothing may move it.  ``region512`` is
 the write-combining path (a rebuild of a block drops the copies whose
@@ -35,7 +35,7 @@ OPS = 5000
 KEYS = 1200
 
 GOLDEN = {
-    "region0_cache0": (
+    "region0": (
         {},
         "cb988b54af238a6f728aa3856c6a2652b8e42c1890e8256449268051fb0d49a4",
     ),
