@@ -42,16 +42,14 @@ def fsync_directory(path: PathLike) -> bool:
 def atomic_write(
     destination: PathLike,
     writer: Callable[[BinaryIO], T],
-    fsync_file: bool = True,
-    fsync_parent: bool = True,
 ) -> T:
     """Write a file atomically: tmp + fsync + ``os.replace`` + dir fsync.
 
     ``writer`` receives the open binary stream for ``<destination>.tmp``
     and its return value is passed through.  On any failure the tmp file
     is unlinked and the final path is untouched; on success the final
-    path holds the complete new bytes and (with ``fsync_parent``) the
-    rename itself has been pushed to stable storage.
+    path holds the complete new bytes and the rename itself has been
+    pushed to stable storage.
     """
     final = os.fspath(destination)
     tmp = final + ".tmp"
@@ -59,8 +57,7 @@ def atomic_write(
         with open(tmp, "wb") as stream:
             result = writer(stream)
             stream.flush()
-            if fsync_file:
-                os.fsync(stream.fileno())
+            os.fsync(stream.fileno())
         os.replace(tmp, final)
     except BaseException:
         # Best-effort cleanup; the final path was never touched.
@@ -69,6 +66,5 @@ def atomic_write(
         except OSError:
             pass
         raise
-    if fsync_parent:
-        fsync_directory(os.path.dirname(final) or ".")
+    fsync_directory(os.path.dirname(final) or ".")
     return result

@@ -8,6 +8,7 @@ experiment while sub-components stay statistically independent.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from repro.common.hashing import fnv1a_64
 
@@ -27,3 +28,17 @@ def make_rng(seed: int, label: str = "") -> random.Random:
     if label:
         seed = derive_seed(seed, label)
     return random.Random(seed)
+
+
+@dataclass
+class RetryPolicy:
+    """Exponential backoff with full jitter."""
+
+    max_attempts: int = 4
+    backoff_base: float = 0.02
+    backoff_cap: float = 0.5
+
+    def delay(self, attempt: int, rng: random.Random) -> float:
+        """Sleep before retry ``attempt`` (1-based): full jitter."""
+        ceiling = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+        return rng.uniform(0.0, ceiling)

@@ -22,6 +22,10 @@ from typing import Optional
 
 #: Neither zone's target may fall below this share of the total (§3.3.1).
 MIN_ZONE_FRACTION = 0.05
+#: One adjustment moves the boundary by this share of the total (§3.3.1).
+STEP_FRACTION = 0.03
+#: A window whose N-zone share is within this of the target moves nothing.
+SLACK = 0.02
 
 
 class AllocationAction(enum.Enum):
@@ -57,21 +61,17 @@ class AdaptiveAllocator:
         total_capacity: int,
         initial_nzone_target: int,
         target_fraction: float = 0.90,
-        slack: float = 0.02,
-        step_fraction: float = 0.03,
         window_seconds: float = 60.0,
-        min_zone_fraction: float = MIN_ZONE_FRACTION,
     ) -> None:
         if initial_nzone_target <= 0 or initial_nzone_target >= total_capacity:
             raise ValueError("initial N-zone target must be inside the cache")
         self.total_capacity = total_capacity
         self.target_fraction = target_fraction
-        self.slack = slack
         # A sub-byte step would round to 0 on tiny caches and freeze the
         # N/Z boundary forever; one byte is the smallest honest move.
-        self.step_bytes = max(1, int(total_capacity * step_fraction))
+        self.step_bytes = max(1, int(total_capacity * STEP_FRACTION))
         self.window_seconds = window_seconds
-        floor = int(total_capacity * min_zone_fraction)
+        floor = int(total_capacity * MIN_ZONE_FRACTION)
         self._min_target = floor
         self._max_target = total_capacity - floor
         self._nzone_target = initial_nzone_target
@@ -111,7 +111,7 @@ class AdaptiveAllocator:
             self._action = AllocationAction.STAY
             return False
         changed = False
-        if fraction < self.target_fraction - self.slack:
+        if fraction < self.target_fraction - SLACK:
             # Too much expensive traffic at the Z-zone: grow the N-zone.
             # The hysteresis guard delays an immediate reversal of a
             # Z-zone expansion by one window.
@@ -120,7 +120,7 @@ class AdaptiveAllocator:
                 self._action = AllocationAction.SHRINK
             else:
                 self._action = AllocationAction.STAY
-        elif fraction > self.target_fraction + self.slack:
+        elif fraction > self.target_fraction + SLACK:
             if self._action is not AllocationAction.SHRINK:
                 changed = self._move_target(-self.step_bytes)
                 self._action = AllocationAction.EXPAND

@@ -25,9 +25,8 @@ class ZExpanderConfig:
     * ``block_capacity`` — Z-zone container capacity, 2 KB (§3.2).
 
     §3.3's other constants — the 3 % adjustment step, the ±2 % slack,
-    the 5 % zone floor and the marker weights — are declared once, as
-    the defaults of :class:`~repro.core.adaptive.AdaptiveAllocator` and
-    :class:`~repro.core.marker.LocalityBenchmark`.
+    the 5 % zone floor and the marker weights — are module constants of
+    :mod:`repro.core.adaptive` and :mod:`repro.core.marker`.
     """
 
     total_capacity: int

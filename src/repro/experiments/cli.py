@@ -466,6 +466,12 @@ def run_chaos_command(args) -> int:
         )
         print(report.render())
         return 0 if report.ok else 1
+    if args.connections < 1:
+        from repro.common.errors import ConfigurationError
+
+        raise ConfigurationError(
+            f"--connections must be >= 1, got {args.connections}"
+        )
     # --requests is the campaign-wide op budget, spread over every round:
     # 'chaos --crash --crash-points 40' does more rounds of the same
     # total work, not 2x the work.

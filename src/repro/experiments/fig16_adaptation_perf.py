@@ -17,6 +17,9 @@ from repro.experiments.common import BENCH_SCALE, Scale
 from repro.experiments.fig15_adaptation import Fig15Result
 from repro.experiments.fig15_adaptation import run as run_fig15
 
+#: A phase's settled tail, averaged for its table row: its second half.
+TAIL_FRACTION = 0.5
+
 
 @dataclass
 class Fig16Result:
@@ -39,12 +42,13 @@ class Fig16Result:
             title="Figure 16: miss ratio and throughput over the adaptation run",
         )
 
-    def phase_average(self, phase: str, tail_fraction: float = 0.5):
-        """(miss ratio, throughput) averaged over a phase's settled tail."""
+    def phase_average(self, phase: str):
+        """(miss ratio, throughput) averaged over a phase's settled tail:
+        its last ``TAIL_FRACTION`` of points."""
         points = self.timeline.phase_points(phase)
         if not points:
             raise KeyError(phase)
-        tail = points[int(len(points) * (1 - tail_fraction)) :]
+        tail = points[int(len(points) * (1 - TAIL_FRACTION)) :]
         miss = sum(p.miss_ratio for p in tail) / len(tail)
         throughput = sum(p.throughput for p in tail) / len(tail)
         return miss, throughput

@@ -39,13 +39,14 @@ from repro.faults.auditor import InvariantAuditor
 from repro.faults.plan import FaultPlan
 from repro.zzone.zzone import INTEGRITY_FIELDS
 
+#: The degradation bound of every chaos run, library and over the wire.
 #: A quarantined or squeeze-evicted item may cost a few extra misses
 #: (the demand-filled copy can be evicted again under pressure); the
 #: proportionality bound allows this factor per damaged item ...
 DAMAGE_MISS_FACTOR = 4
-#: ... plus this fraction of measured requests as absolute slack (clock
-#: skew and emergency sweeps perturb policy decisions slightly even when
-#: no data is damaged).
+#: ... plus this fraction of measured (or issued) requests as absolute
+#: slack (clock skew and emergency sweeps perturb policy decisions
+#: slightly even when no data is damaged).
 MISS_SLACK_FRACTION = 0.02
 
 

@@ -131,6 +131,9 @@ _SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: connections are never idle for long.
 CHILD_TIMEOUTS = {"read_timeout": 10.0}
 
+#: Seconds a spawned child has to print its serving line.
+START_TIMEOUT = 30.0
+
 
 def serve_argv(**settings: object) -> List[str]:
     """``cli serve`` arguments for a settings mapping, by one rule:
@@ -149,12 +152,10 @@ class ServeChild:
     def __init__(
         self,
         settings: Mapping[str, object],
-        start_timeout: float = 30.0,
         name: str = "serve child",
     ) -> None:
         #: ``cli serve`` flags by name, rendered at every :meth:`start`.
         self.settings = dict(settings)
-        self.start_timeout = start_timeout
         self.name = name
         self.proc: Optional[asyncio.subprocess.Process] = None
         self.port: Optional[int] = None
@@ -187,9 +188,7 @@ class ServeChild:
             env=env,
         )
         try:
-            self.port = await asyncio.wait_for(
-                self._await_port(), self.start_timeout
-            )
+            self.port = await asyncio.wait_for(self._await_port(), START_TIMEOUT)
         except BaseException:
             # A child that missed its deadline (or died, or whose caller
             # was cancelled) still holds a journal dir and maybe a port.

@@ -7,10 +7,8 @@ from repro.memory.accounting import (
     fill_memcached,
     fill_zzone,
 )
-from repro.memory.malloc import MallocModel
 
 __all__ = [
-    "MallocModel",
     "UsageBreakdown",
     "breakdown_memcached",
     "breakdown_zzone",

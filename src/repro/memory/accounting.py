@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from repro.compression.base import Compressor
-from repro.memory.malloc import MallocModel
+from repro.memory import malloc
 from repro.nzone.memcached import MemcachedZone
 from repro.zzone.zzone import ZZone
 
@@ -106,16 +106,13 @@ def breakdown_memcached(
     )
 
 
-def breakdown_zzone(
-    zone: ZZone, malloc: Optional[MallocModel] = None
-) -> UsageBreakdown:
+def breakdown_zzone(zone: ZZone) -> UsageBreakdown:
     """Break a Z-zone-only cache down, charging malloc chunk overhead.
 
     Block containers are malloc'd, so each block pays the allocator's
     header + alignment waste — reported under ``other`` to mirror
     Figure 7's "others" slice.
     """
-    malloc = malloc if malloc is not None else MallocModel()
     usage = zone.memory_usage()
     malloc_overhead = sum(
         malloc.overhead(leaf.stored_bytes) for leaf in zone._trie.leaves()

@@ -12,30 +12,29 @@ while it would be enormous for 100 B items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: ptmalloc's per-chunk size header.
+HEADER_BYTES = 8
+#: Chunks are rounded up to this many bytes.
+ALIGNMENT = 16
+#: The smallest chunk ptmalloc hands out.
+MIN_CHUNK = 32
 
 
-@dataclass(frozen=True)
-class MallocModel:
-    """ptmalloc-style chunk accounting."""
+def chunk_size(request: int) -> int:
+    """Bytes actually consumed by an allocation of ``request`` bytes."""
+    if request < 0:
+        raise ValueError(f"request must be >= 0, got {request}")
+    needed = request + HEADER_BYTES
+    rounded = (needed + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
+    return max(MIN_CHUNK, rounded)
 
-    header_bytes: int = 8
-    alignment: int = 16
-    min_chunk: int = 32
 
-    def chunk_size(self, request: int) -> int:
-        """Bytes actually consumed by an allocation of ``request`` bytes."""
-        if request < 0:
-            raise ValueError(f"request must be >= 0, got {request}")
-        needed = request + self.header_bytes
-        rounded = (needed + self.alignment - 1) & ~(self.alignment - 1)
-        return max(self.min_chunk, rounded)
+def overhead(request: int) -> int:
+    """Waste (header + rounding) for one allocation."""
+    return chunk_size(request) - request
 
-    def overhead(self, request: int) -> int:
-        """Waste (header + rounding) for one allocation."""
-        return self.chunk_size(request) - request
 
-    def overhead_fraction(self, request: int) -> float:
-        """Waste as a fraction of the chunk — the §3.2 comparison point."""
-        chunk = self.chunk_size(request)
-        return (chunk - request) / chunk
+def overhead_fraction(request: int) -> float:
+    """Waste as a fraction of the chunk — the §3.2 comparison point."""
+    chunk = chunk_size(request)
+    return (chunk - request) / chunk

@@ -31,6 +31,9 @@ import math
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence
 
+#: The prefix of every name in the Prometheus exposition.
+NAMESPACE = "repro"
+
 
 def log_buckets(
     lo: float = 1e-6, hi: float = 10.0, per_decade: int = 5
@@ -64,8 +67,8 @@ class Counter:
         self.help = help
         self._value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        self._value += amount
+    def inc(self) -> None:
+        self._value += 1
 
     @property
     def value(self) -> int:
@@ -86,11 +89,11 @@ class Gauge:
     def set(self, value: float) -> None:
         self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
+    def inc(self) -> None:
+        self._value += 1.0
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
+    def dec(self) -> None:
+        self._value -= 1.0
 
     @property
     def value(self) -> float:
@@ -171,10 +174,10 @@ class _NullInstrument:
     count = 0
     sum = 0.0
 
-    def inc(self, amount=1) -> None:
+    def inc(self) -> None:
         pass
 
-    def dec(self, amount=1) -> None:
+    def dec(self) -> None:
         pass
 
     def set(self, value) -> None:
@@ -196,8 +199,7 @@ NULL_INSTRUMENT = _NullInstrument()
 class MetricsRegistry:
     """Instrument factory + deterministic snapshot/exposition surface."""
 
-    def __init__(self, namespace: str = "repro") -> None:
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
         #: name -> (callable, help); read lazily at snapshot time.
         self._views: Dict[str, tuple] = {}
@@ -310,7 +312,7 @@ class MetricsRegistry:
         lines: List[str] = []
         snap = self.snapshot(include_timing=include_timing)
         for name, value in snap.items():
-            full = f"{self.namespace}_{name}"
+            full = f"{NAMESPACE}_{name}"
             help_text, kind = self._describe(name)
             if help_text:
                 lines.append(f"# HELP {full} {help_text}")

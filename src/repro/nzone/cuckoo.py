@@ -27,6 +27,8 @@ from repro.common.hashing import fnv1a_64, hash_key
 from repro.common.rng import make_rng
 
 SLOTS_PER_BUCKET = 4
+#: Displacement steps an insert tries before the table grows.
+MAX_KICKS = 500
 #: Modelled bytes per slot: a 1-byte tag plus a pointer, padded.
 SLOT_BYTES = 8
 
@@ -47,7 +49,6 @@ class CuckooTable:
         self,
         keys: Sequence[Optional[bytes]],
         initial_buckets: int = 1024,
-        max_kicks: int = 500,
         seed: int = 0,
     ) -> None:
         if initial_buckets < 2 or initial_buckets & (initial_buckets - 1):
@@ -56,7 +57,6 @@ class CuckooTable:
         self._tags = bytearray(initial_buckets * SLOTS_PER_BUCKET)
         self._slots = array("I", bytes(4 * initial_buckets * SLOTS_PER_BUCKET))
         self._mask = initial_buckets - 1
-        self._max_kicks = max_kicks
         self._rng = make_rng(seed, "cuckoo")
         self._count = 0
         #: The position a failed displacement walk left without a slot;
@@ -160,7 +160,7 @@ class CuckooTable:
         # Random-walk displacement.
         mask = self._mask
         bucket = self._rng.choice((b1, b2))
-        for _ in range(self._max_kicks):
+        for _ in range(MAX_KICKS):
             victim = (bucket << 2) + self._rng.randrange(SLOTS_PER_BUCKET)
             tag, tags[victim] = tags[victim], tag
             position, slots[victim] = slots[victim], position

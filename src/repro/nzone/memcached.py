@@ -31,28 +31,21 @@ ITEM_HEADER_BYTES = 48
 ITEM_SUFFIX_BYTES = 8
 HASH_BUCKET_BYTES = 8
 DEFAULT_PAGE_BYTES = 1 * MB
-DEFAULT_MIN_CHUNK = 96
-DEFAULT_GROWTH_FACTOR = 1.25
+#: The smallest slab class's chunk, and the factor between classes.
+MIN_CHUNK = 96
+GROWTH_FACTOR = 1.25
 
 
-def build_chunk_sizes(
-    min_chunk: int = DEFAULT_MIN_CHUNK,
-    growth_factor: float = DEFAULT_GROWTH_FACTOR,
-    max_chunk: int = DEFAULT_PAGE_BYTES,
-) -> List[int]:
+def build_chunk_sizes(max_chunk: int) -> List[int]:
     """The geometric chunk-size ladder of memcached's slab classes."""
-    if min_chunk < 48:
-        raise ValueError(f"min_chunk must be >= 48, got {min_chunk}")
-    if growth_factor <= 1.0:
-        raise ValueError(f"growth_factor must exceed 1, got {growth_factor}")
     sizes: List[int] = []
-    size = min_chunk
+    size = MIN_CHUNK
     while size < max_chunk:
         # memcached aligns chunks to 8 bytes.
         aligned = (size + 7) & ~7
         if not sizes or aligned > sizes[-1]:
             sizes.append(aligned)
-        size = int(size * growth_factor)
+        size = int(size * GROWTH_FACTOR)
     sizes.append(max_chunk)
     return sizes
 
@@ -70,7 +63,6 @@ class SlabAllocator:
         self,
         memory_limit: int,
         page_bytes: int = DEFAULT_PAGE_BYTES,
-        chunk_sizes: Optional[List[int]] = None,
     ) -> None:
         if memory_limit < page_bytes:
             raise ValueError(
@@ -78,7 +70,7 @@ class SlabAllocator:
             )
         self.memory_limit = memory_limit
         self.page_bytes = page_bytes
-        self.chunk_sizes = chunk_sizes or build_chunk_sizes(max_chunk=page_bytes)
+        self.chunk_sizes = build_chunk_sizes(page_bytes)
         self._pages_per_class = [0] * len(self.chunk_sizes)
         self._free_chunks = [0] * len(self.chunk_sizes)
         self._used_chunks = [0] * len(self.chunk_sizes)
@@ -148,14 +140,8 @@ class MemcachedZone(NZone):
         self,
         capacity: int,
         page_bytes: int = DEFAULT_PAGE_BYTES,
-        min_chunk: int = DEFAULT_MIN_CHUNK,
-        growth_factor: float = DEFAULT_GROWTH_FACTOR,
     ) -> None:
-        self._slabs = SlabAllocator(
-            capacity,
-            page_bytes=page_bytes,
-            chunk_sizes=build_chunk_sizes(min_chunk, growth_factor, page_bytes),
-        )
+        self._slabs = SlabAllocator(capacity, page_bytes=page_bytes)
         self._capacity = capacity
         # Per-class LRU queues: class_id -> OrderedDict[key, value].
         self._lru: Dict[int, "OrderedDict[bytes, bytes]"] = {}

@@ -47,20 +47,17 @@ def simulate_trace(
     cache: EvictingCache,
     trace: Trace,
     warmup_fraction: float = 0.2,
-    key_overhead: int = 0,
 ) -> MissStats:
     """Replay ``trace`` through ``cache``; measure after the warmup prefix.
 
-    ``key_overhead`` adds a constant to every item size (key bytes +
-    per-item header) when the experiment charges them; Section 2's
-    simulations charge only KV-item payloads, so the default is 0 and the
-    trace's recorded size — key + value — is used as-is.
+    An item's size is its key + value bytes: Section 2's simulations
+    charge only KV-item payloads, no per-item header.
     """
     warmup_requests = int(len(trace) * warmup_fraction)
     key_len = len(trace.key_prefix) + 12
     stats = MissStats()
     for position, (op, key, value_size) in enumerate(trace):
-        size = key_len + value_size + key_overhead
+        size = key_len + value_size
         measuring = position >= warmup_requests
         if op == OP_GET:
             hit = cache.access(key, size)

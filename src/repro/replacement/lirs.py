@@ -25,6 +25,11 @@ from typing import Deque, Dict, Tuple
 
 from repro.replacement.base import EvictingCache, admit_oversized
 
+#: The HIR (resident, non-LIR) partition's share of the capacity.
+HIR_FRACTION = 0.01
+#: Ghost (non-resident HIR) entries kept, per resident item.
+GHOST_MULTIPLE = 2.0
+
 _LIR = 0
 _HIR_RESIDENT = 1
 _HIR_GHOST = 2
@@ -33,20 +38,10 @@ _HIR_GHOST = 2
 class LIRSCache(EvictingCache):
     """Size-aware LIRS with bounded ghost history."""
 
-    def __init__(
-        self,
-        capacity: int,
-        hir_fraction: float = 0.01,
-        ghost_multiple: float = 2.0,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        if not 0.0 < hir_fraction < 1.0:
-            raise ValueError(f"hir_fraction must be in (0, 1), got {hir_fraction}")
-        if ghost_multiple <= 0:
-            raise ValueError(f"ghost_multiple must be positive, got {ghost_multiple}")
-        self._hir_capacity = max(1, int(capacity * hir_fraction))
+        self._hir_capacity = max(1, int(capacity * HIR_FRACTION))
         self._lir_capacity = capacity - self._hir_capacity
-        self._ghost_multiple = ghost_multiple
         # Stack S: key -> [state, size, seq]; last item is the stack top.
         self._s: "OrderedDict[int, list]" = OrderedDict()
         # Queue Q: resident HIR in FIFO order; key -> size.
@@ -126,7 +121,7 @@ class LIRSCache(EvictingCache):
 
     def _trim_ghosts(self) -> None:
         resident = len(self._q) + self._lir_count()
-        limit = max(64, int(self._ghost_multiple * resident))
+        limit = max(64, int(GHOST_MULTIPLE * resident))
         while self._ghost_count > limit and self._ghost_log:
             key, seq = self._ghost_log.popleft()
             entry = self._s.get(key)

@@ -42,6 +42,7 @@ from repro.common.framing import (
     decode_payload,
     read_segment,
 )
+from repro.common.rng import RetryPolicy
 from repro.core.snapshot import iter_cache_items, read_image
 from repro.durability.journal import segment_name
 from repro.durability.manager import replay_journal
@@ -59,6 +60,9 @@ MAX_LAG_BYTES = 1 << 20
 #: the Z-zone-bound ones.
 HARD_LAG_FACTOR = 4
 
+#: The re-dial backoff: doubling from 50 ms to a 2 s cap, full jitter.
+RECONNECT = RetryPolicy(backoff_base=0.05, backoff_cap=2.0)
+
 
 class ReplicationClient:
     """Follow one primary; apply its journal stream into ``cache``."""
@@ -71,8 +75,6 @@ class ReplicationClient:
         stats: Optional[ReplicationStats] = None,
         *,
         stale_grace: float = 1.0,
-        reconnect_base: float = 0.05,
-        reconnect_cap: float = 2.0,
         silence_timeout: float = 5.0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -83,8 +85,6 @@ class ReplicationClient:
         self.port = port
         self.stats = stats if stats is not None else ReplicationStats()
         self.stale_grace = stale_grace
-        self.reconnect_base = reconnect_base
-        self.reconnect_cap = reconnect_cap
         #: A half-open link (primary SIGKILLed behind a middlebox that
         #: never propagates the close) delivers no bytes and no error; a
         #: blocking read would follow it forever.  After this long with
@@ -162,7 +162,7 @@ class ReplicationClient:
                 )
             except (ConnectionError, OSError):
                 attempt += 1
-                await asyncio.sleep(self._backoff(attempt))
+                await asyncio.sleep(RECONNECT.delay(attempt, self.rng))
                 continue
             self.stats.source_connects += 1
             applied = self._applied()
@@ -188,16 +188,10 @@ class ReplicationClient:
             # Only a session that applied something proves the primary
             # healthy: one that hangs up at once backs off like a refusal.
             attempt = 1 if self._applied() > applied else attempt + 1
-            await asyncio.sleep(self._backoff(attempt))
+            await asyncio.sleep(RECONNECT.delay(attempt, self.rng))
 
     def _applied(self) -> int:
         return self.stats.records_applied + self.stats.snapshots_applied
-
-    def _backoff(self, attempt: int) -> float:
-        ceiling = min(
-            self.reconnect_cap, self.reconnect_base * (2 ** (attempt - 1))
-        )
-        return self.rng.uniform(0, ceiling) if ceiling > 0 else 0.0
 
     async def _session(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

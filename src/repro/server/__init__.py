@@ -25,7 +25,7 @@ from repro.server.client import (
 )
 from repro.server.meta import ItemMetaStore
 from repro.server.protocol import (
-    DEFAULT_MAX_VALUE_BYTES,
+    MAX_VALUE_BYTES,
     EXPTIME_ABSOLUTE_THRESHOLD,
     MAX_KEY_BYTES,
     BadCommand,
@@ -42,7 +42,7 @@ __all__ = [
     "BadCommand",
     "CacheServer",
     "Command",
-    "DEFAULT_MAX_VALUE_BYTES",
+    "MAX_VALUE_BYTES",
     "EXPTIME_ABSOLUTE_THRESHOLD",
     "FailoverMemcacheClient",
     "ItemMetaStore",

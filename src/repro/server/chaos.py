@@ -40,6 +40,7 @@ from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.core.snapshot import iter_cache_items
 from repro.core.zexpander import ZExpander
+from repro.faults.chaos import DAMAGE_MISS_FACTOR, MISS_SLACK_FRACTION
 from repro.faults.plan import WIRE_SITES, FaultPlan, FaultSpec
 from repro.harness import Oracle, expected_value, key_name, raw_client
 from repro.server.admission import AdmissionConfig, AdmissionController, TickClock
@@ -58,13 +59,6 @@ from repro.zzone.zzone import INTEGRITY_FIELDS
 #: The cache under test: small, so the traffic reaches the Z-zone.
 CAPACITY = 256 * 1024
 SHARDS = 2
-
-#: Degradation bound, matching the library chaos driver's contract: a
-#: damaged/evicted item may cost this many extra misses ...
-DAMAGE_MISS_FACTOR = 4
-#: ... plus this fraction of issued requests as absolute slack.
-MISS_SLACK_FRACTION = 0.02
-
 
 def default_server_plan(seed: int = 0) -> FaultPlan:
     """The standard over-the-wire mix: cache faults + wire faults."""
@@ -225,7 +219,6 @@ def run_server_chaos(
     keys_per_conn: int = 150,
     plan: Optional[FaultPlan] = None,
     workdir: Optional[str] = None,
-    overload: bool = True,
 ) -> ServerChaosReport:
     """Run the whole over-the-wire chaos lifecycle; see the module doc."""
     load_config = LoadConfig(
@@ -238,9 +231,7 @@ def run_server_chaos(
         **READ_MOSTLY,
     )
     load_config.validate()
-    return asyncio.run(
-        _run_server_chaos(load_config, workdir, overload)
-    )
+    return asyncio.run(_run_server_chaos(load_config, workdir))
 
 
 #: Admission that never sheds: the load phase and the probe's unloaded
@@ -251,7 +242,6 @@ _WIDE_OPEN = AdmissionConfig(rate=1e6, burst=1e5)
 async def _run_server_chaos(
     load_config: LoadConfig,
     workdir: Optional[str],
-    overload: bool,
 ) -> ServerChaosReport:
     seed, plan = load_config.seed, load_config.plan
     if workdir is None:
@@ -313,8 +303,7 @@ async def _run_server_chaos(
     await restart_task
 
     # -- phase 3: deterministic overload probe ---------------------------------
-    if overload:
-        report.probe = await _overload_probe(seed)
+    report.probe = await _overload_probe(seed)
 
     report.finalise()
     return report

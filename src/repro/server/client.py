@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
 from typing import (
     Awaitable,
     Callable,
@@ -50,6 +49,7 @@ from repro.common.errors import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.common.rng import RetryPolicy
 from repro.server.protocol import CRLF, MAX_LINE_BYTES, valid_key
 
 #: Errors worth retrying: the next attempt may land on a healthy
@@ -62,20 +62,6 @@ _RETRYABLE = (
     EOFError,
     OSError,
 )
-
-
-@dataclass
-class RetryPolicy:
-    """Exponential backoff with full jitter."""
-
-    max_attempts: int = 4
-    backoff_base: float = 0.02
-    backoff_cap: float = 0.5
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Sleep before retry ``attempt`` (1-based): full jitter."""
-        ceiling = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-        return rng.uniform(0.0, ceiling)
 
 
 class Connection:

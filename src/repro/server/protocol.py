@@ -31,8 +31,8 @@ CRLF = b"\r\n"
 
 #: memcached's key limit.
 MAX_KEY_BYTES = 250
-#: Default per-item value bound (memcached's classic -I default).
-DEFAULT_MAX_VALUE_BYTES = 1024 * 1024
+#: Per-item value bound (memcached's classic -I default).
+MAX_VALUE_BYTES = 1024 * 1024
 #: Declared data blocks beyond this are not even consumed: the peer is
 #: either broken or hostile, and the connection is dropped.
 ABSOLUTE_MAX_VALUE_BYTES = 64 * 1024 * 1024
@@ -144,10 +144,7 @@ class RequestParser:
     a partial trailing command stays buffered for the next ``feed``.
     """
 
-    def __init__(self, max_value_bytes: int = DEFAULT_MAX_VALUE_BYTES) -> None:
-        if max_value_bytes <= 0:
-            raise ValueError("max_value_bytes must be positive")
-        self.max_value_bytes = max_value_bytes
+    def __init__(self) -> None:
         self._buffer = bytearray()
         self._pending: Optional[_PendingSet] = None
         self._broken = False
@@ -317,9 +314,9 @@ class RequestParser:
         if not valid_key(key):
             reject = client_error("bad key")
             reason = f"bad key {key!r}"
-        elif length > self.max_value_bytes:
+        elif length > MAX_VALUE_BYTES:
             reject = client_error("object too large for cache")
-            reason = f"value of {length} B exceeds {self.max_value_bytes} B"
+            reason = f"value of {length} B exceeds {MAX_VALUE_BYTES} B"
         self._pending = _PendingSet(
             name=name,
             keys=(key,),

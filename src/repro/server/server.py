@@ -122,6 +122,10 @@ def wire_name(name: str, owned: bool = False) -> str:
 #: the transport's high-water mark gets its say inside a long pipeline.
 _FLUSH_BYTES = 64 * 1024
 
+#: A peer that reads none of its replies for this many seconds, once
+#: they pass the transport's high-water mark, is disconnected.
+WRITE_TIMEOUT = 10.0
+
 
 @dataclass
 class ServerConfig:
@@ -130,8 +134,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 11311
     read_timeout: float = 30.0
-    write_timeout: float = 10.0
-    max_value_bytes: int = protocol.DEFAULT_MAX_VALUE_BYTES
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: ``tick`` advances the cache's virtual clock a fixed step per
     #: command (deterministic); ``wall`` is left to operators who need
@@ -179,8 +181,8 @@ class ServerConfig:
     def validate(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(f"port must be in 0..65535, got {self.port}")
-        if self.read_timeout <= 0 or self.write_timeout <= 0:
-            raise ConfigurationError("timeouts must be positive")
+        if self.read_timeout <= 0:
+            raise ConfigurationError("read_timeout must be positive")
         if self.drain_deadline < 0:
             raise ConfigurationError("drain_deadline must be >= 0")
         if self.clock_mode not in ("tick", "wall"):
@@ -259,7 +261,7 @@ class _Connection(asyncio.BufferedProtocol):
 
     def __init__(self, server: "CacheServer") -> None:
         self.server = server
-        self.parser = RequestParser(server.config.max_value_bytes)
+        self.parser = RequestParser()
         #: The transport reads into this one buffer for the connection's
         #: life.  A plain Protocol gets a fresh 256 KiB ``bytes`` per
         #: read, which glibc may serve by mmap/munmap — two page faults
@@ -327,12 +329,10 @@ class _Connection(asyncio.BufferedProtocol):
 
     def pause_writing(self) -> None:
         # The peer is not reading its replies: stop reading its requests
-        # and give it ``write_timeout`` to drain below low-water.
+        # and give it ``WRITE_TIMEOUT`` to drain below low-water.
         self.write_paused = True
         self.transport.pause_reading()
-        self.stall_timer = self.loop.call_later(
-            self.server.config.write_timeout, self._stalled
-        )
+        self.stall_timer = self.loop.call_later(WRITE_TIMEOUT, self._stalled)
 
     def resume_writing(self) -> None:
         """The peer reads again: serve what was parked, then read on."""

@@ -36,6 +36,11 @@ def percentile(sorted_samples: Sequence[float], q: float) -> float:
     return sorted_samples[low] * (1 - weight) + sorted_samples[high] * weight
 
 
+#: Arrival burstiness: mean wait exceeds the USL's *time-average*
+#: inflation because waits cluster at contended instants.
+BURST_FACTOR = 2.5
+
+
 class LatencyModel:
     """Samples per-request processing times for a mix at a thread count."""
 
@@ -44,14 +49,10 @@ class LatencyModel:
         costs: CostModel,
         contention: ContentionModel = None,
         seed: int = 0,
-        burst_factor: float = 2.5,
     ) -> None:
         self.costs = costs
         self.contention = contention if contention is not None else ContentionModel()
         self._rng = np.random.default_rng(derive_seed(seed, "latency"))
-        #: Arrival burstiness: mean wait exceeds the USL's *time-average*
-        #: inflation because waits cluster at contended instants.
-        self.burst_factor = burst_factor
 
     def sample(self, mix: OpMix, threads: int, count: int = 100_000) -> np.ndarray:
         """Return ``count`` simulated request latencies in seconds."""
@@ -90,7 +91,7 @@ class LatencyModel:
             waits = self._rng.exponential(
                 (inflation / max(mix.lock_share, 1e-9))
                 * hold_time
-                * self.burst_factor,
+                * BURST_FACTOR,
                 size=count,
             )
             latencies = latencies + np.where(contended, waits, 0.0)

@@ -33,11 +33,14 @@ def coverage_fraction(
     return min(k, num_items) / num_items
 
 
+#: The bisection stops once theta is pinned this closely.
+TOLERANCE = 1e-4
+
+
 def calibrate_zipf_skew(
     num_items: int,
     item_fraction: float,
     access_share: float = 0.8,
-    tolerance: float = 1e-4,
 ) -> float:
     """Solve for the Zipf theta whose hottest ``item_fraction`` of items
     receives ``access_share`` of accesses.
@@ -53,7 +56,7 @@ def calibrate_zipf_skew(
         return hi
     if coverage_fraction(lo, num_items, access_share) < item_fraction:
         return lo
-    while hi - lo > tolerance:
+    while hi - lo > TOLERANCE:
         mid = (lo + hi) / 2.0
         if coverage_fraction(mid, num_items, access_share) > item_fraction:
             lo = mid

@@ -74,14 +74,13 @@ def synthesize_trace(
     set_fraction: float = 0.05,
     delete_fraction: float = 0.0,
     seed: int = 0,
-    scramble: bool = True,
     key_prefix: bytes = b"key:",
 ) -> Trace:
     """Build a compact trace from a popularity source and an op mix.
 
-    ``rank_generator`` yields popularity ranks (0 = hottest); ``scramble``
-    maps them through a bijective permutation so key ids are uncorrelated
-    with popularity, matching YCSB's scrambled-Zipfian behaviour.
+    ``rank_generator`` yields popularity ranks (0 = hottest), mapped
+    through a bijective permutation so key ids are uncorrelated with
+    popularity, matching YCSB's scrambled-Zipfian behaviour.
     """
     fractions = (get_fraction, set_fraction, delete_fraction)
     if any(f < 0 for f in fractions):
@@ -103,12 +102,9 @@ def synthesize_trace(
 
     for op, rank in zip(ops, ranks):
         rank = int(rank)
-        if scramble:
-            key_id = scramble_cache.get(rank)
-            if key_id is None:
-                key_id = permutation.apply(rank)
-                scramble_cache[rank] = key_id
-        else:
-            key_id = rank
+        key_id = scramble_cache.get(rank)
+        if key_id is None:
+            key_id = permutation.apply(rank)
+            scramble_cache[rank] = key_id
         builder.add(int(op), key_id, size_assigner.size_for(key_id))
     return builder.build()

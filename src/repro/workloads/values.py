@@ -91,6 +91,10 @@ class ValueGenerator(abc.ABC):
             yield self.generate(index)
 
 
+#: Words, phrases and artefacts in a tweet, on average.
+MEAN_PARTS = 9
+
+
 class TweetValueGenerator(ValueGenerator):
     """English-like tweet texts averaging ~92 bytes.
 
@@ -101,18 +105,12 @@ class TweetValueGenerator(ValueGenerator):
     win by deduplicating vocabulary across tweets.
     """
 
-    def __init__(self, seed: int = 0, mean_parts: int = 9) -> None:
-        super().__init__(seed)
-        if mean_parts < 1:
-            raise ValueError(f"mean_parts must be >= 1, got {mean_parts}")
-        self.mean_parts = mean_parts
-
     def _rng_for(self, index: int) -> random.Random:
         return make_rng(self.seed, f"tweet-{index}")
 
     def generate(self, index: int) -> bytes:
         rng = self._rng_for(index)
-        count = max(2, int(rng.gauss(self.mean_parts, self.mean_parts / 3)))
+        count = max(2, int(rng.gauss(MEAN_PARTS, MEAN_PARTS / 3)))
         parts = []
         for _ in range(count):
             draw = rng.random()

@@ -48,6 +48,9 @@ DIRECTORY_ENTRY_BYTES = 12
 
 MAX_DEPTH = 48
 
+#: :meth:`BlockTrie.render` lists at most this many leaves.
+RENDERED_LEAVES = 64
+
 
 class BlockTrie:
     """Two-level pointer-array trie of blocks."""
@@ -238,18 +241,18 @@ class BlockTrie:
             return 0.0
         return self.probe_count / self.lookup_count
 
-    def render(self, max_leaves: int = 64) -> str:
+    def render(self) -> str:
         """ASCII rendering of the trie's leaves (debugging aid).
 
         One line per leaf: its binary prefix (Figure 3's node labels),
-        item count, and container sizes.  Leaves beyond ``max_leaves``
-        are elided.
+        item count, and container sizes.  Leaves beyond
+        ``RENDERED_LEAVES`` are elided.
         """
         lines = [f"trie: {self._block_count} leaves, height {self._height}"]
         leaves = sorted(
             self.leaves(), key=lambda leaf: (leaf.depth, leaf.prefix)
         )
-        for leaf in leaves[:max_leaves]:
+        for leaf in leaves[:RENDERED_LEAVES]:
             label = (
                 format(leaf.prefix, f"0{leaf.depth}b") if leaf.depth else "(root)"
             )
@@ -258,6 +261,6 @@ class BlockTrie:
                 f"uncompressed={leaf.uncompressed_size}B "
                 f"stored={leaf.stored_bytes}B"
             )
-        if len(leaves) > max_leaves:
-            lines.append(f"  ... {len(leaves) - max_leaves} more leaves")
+        if len(leaves) > RENDERED_LEAVES:
+            lines.append(f"  ... {len(leaves) - RENDERED_LEAVES} more leaves")
         return "\n".join(lines)

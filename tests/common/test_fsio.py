@@ -62,17 +62,3 @@ class TestAtomicWrite:
         atomic_write(tmp_path / "out.bin", lambda stream: stream.write(b"x"))
         assert len(synced_fds) == 1  # the tmp file, before the rename
         assert dir_syncs == [str(tmp_path)]  # the parent, after the rename
-
-    def test_fsyncs_can_be_disabled(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fsio.os, "fsync", lambda fd: calls.append(fd))
-        monkeypatch.setattr(
-            fsio, "fsync_directory", lambda path: calls.append(path)
-        )
-        atomic_write(
-            tmp_path / "out.bin",
-            lambda stream: stream.write(b"x"),
-            fsync_file=False,
-            fsync_parent=False,
-        )
-        assert calls == []

@@ -10,10 +10,7 @@ def make_allocator(**kwargs):
         total_capacity=1000,
         initial_nzone_target=300,
         target_fraction=0.9,
-        slack=0.02,
-        step_fraction=0.03,
         window_seconds=60.0,
-        min_zone_fraction=0.05,
     )
     defaults.update(kwargs)
     return AdaptiveAllocator(**defaults)
@@ -112,7 +109,6 @@ class TestAdaptiveAllocator:
         allocator = make_allocator(
             total_capacity=20,
             initial_nzone_target=10,
-            min_zone_fraction=0.0,
         )
         assert allocator.step_bytes == 1
         allocator.maybe_adjust(0.0)
@@ -124,7 +120,6 @@ class TestAdaptiveAllocator:
         allocator = make_allocator(
             total_capacity=20,
             initial_nzone_target=10,
-            min_zone_fraction=0.0,
         )
         allocator.maybe_adjust(0.0)
         start = allocator.nzone_target

@@ -164,6 +164,10 @@ class TestRefusedSettings:
             ["loadgen", "--port", "1", "--connections", "0"],
             ["chaos", "--crash", "--crash-points", "0"],
             ["chaos", "--replication", "--link-points", "0"],
+            ["chaos", "--server", "--connections", "0"],
+            ["chaos", "--crash", "--connections", "0"],
+            ["chaos", "--cluster", "--connections", "0"],
+            ["chaos", "--replication", "--connections", "0"],
             ["stats", "--port", "70000"],
             ["promote", "--port", "70000"],
             ["loadgen", "--port", "70000"],
@@ -179,6 +183,10 @@ class TestRefusedSettings:
             "loadgen_connections_0",
             "crash_points_0",
             "link_points_0",
+            "server_connections_0",
+            "crash_connections_0",
+            "cluster_connections_0",
+            "replication_connections_0",
             "stats_port_70000",
             "promote_port_70000",
             "loadgen_port_70000",

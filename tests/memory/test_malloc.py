@@ -2,31 +2,27 @@
 
 import pytest
 
-from repro.memory.malloc import MallocModel
+from repro.memory.malloc import chunk_size, overhead, overhead_fraction
 
 
 class TestMallocModel:
     def test_minimum_chunk(self):
-        model = MallocModel()
-        assert model.chunk_size(0) == 32
-        assert model.chunk_size(8) == 32
+        assert chunk_size(0) == 32
+        assert chunk_size(8) == 32
 
     def test_alignment(self):
-        model = MallocModel()
-        assert model.chunk_size(100) % 16 == 0
-        assert model.chunk_size(100) >= 108
+        assert chunk_size(100) % 16 == 0
+        assert chunk_size(100) >= 108
 
     def test_overhead_bounded(self):
-        model = MallocModel()
         for request in (100, 500, 2048):
-            assert 0 < model.overhead(request) <= 8 + 16
+            assert 0 < overhead(request) <= 8 + 16
 
     def test_large_blocks_waste_relatively_little(self):
         """§3.2's claim: block-sized allocations make malloc waste moot."""
-        model = MallocModel()
-        assert model.overhead_fraction(2048) < 0.02
-        assert model.overhead_fraction(100) > 0.05
+        assert overhead_fraction(2048) < 0.02
+        assert overhead_fraction(100) > 0.05
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            MallocModel().chunk_size(-1)
+            chunk_size(-1)

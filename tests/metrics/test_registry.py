@@ -37,14 +37,15 @@ class TestLogBuckets:
 class TestInstruments:
     def test_counter_increments(self):
         counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
+        for _ in range(5):
+            counter.inc()
         assert counter.value == 5
 
     def test_gauge_set_inc_dec(self):
         gauge = Gauge("g")
-        gauge.set(10.0)
-        gauge.inc(2.5)
+        gauge.set(10.5)
+        gauge.inc()
+        gauge.inc()
         gauge.dec()
         assert gauge.value == 11.5
 
@@ -75,7 +76,8 @@ class TestInstruments:
 class TestRegistry:
     def test_snapshot_is_name_sorted_and_plain_data(self):
         registry = MetricsRegistry()
-        registry.counter("zz").inc(3)
+        for _ in range(3):
+            registry.counter("zz").inc()
         registry.gauge("aa").set(1.5)
         registry.histogram("mm", bounds=[1.0]).observe(0.5)
         snap = registry.snapshot()
@@ -149,7 +151,9 @@ class TestRegistry:
 
     def test_prometheus_exposition_shape(self):
         registry = MetricsRegistry()
-        registry.counter("reqs_total", "requests").inc(2)
+        requests = registry.counter("reqs_total", "requests")
+        requests.inc()
+        requests.inc()
         registry.histogram("lat", "latency", bounds=[1.0, 10.0]).observe(0.5)
         text = registry.to_prometheus()
         assert "# TYPE repro_reqs_total counter" in text
@@ -162,7 +166,8 @@ class TestRegistry:
     def test_prometheus_deterministic_for_same_sequence(self):
         def build():
             registry = MetricsRegistry()
-            registry.counter("a").inc(3)
+            for _ in range(3):
+                registry.counter("a").inc()
             hist = registry.histogram("h", bounds=log_buckets(1.0, 100.0, 2))
             for value in (1.0, 7.0, 40.0):
                 hist.observe(value)
@@ -175,7 +180,8 @@ class TestMergeSnapshots:
     def test_merges_counters_and_histograms(self):
         def shard(n):
             registry = MetricsRegistry()
-            registry.counter("hits").inc(n)
+            for _ in range(n):
+                registry.counter("hits").inc()
             registry.histogram("lat", bounds=[1.0, 10.0]).observe(float(n))
             return registry.snapshot()
 

@@ -42,14 +42,14 @@ class TestCuckooTable:
         assert len(table) == 0
 
     def test_displacement_under_load(self):
-        keys, table = keyed(40, initial_buckets=16, max_kicks=100, seed=1)
+        keys, table = keyed(40, initial_buckets=16, seed=1)
         for i in range(40):  # 62 % load on 64 slots: kicks near-certain
             table.insert(keys[i], i)
         for i in range(40):
             assert table.get(keys[i]) == i
 
     def test_grows_when_walk_fails(self):
-        keys, table = keyed(100, initial_buckets=2, max_kicks=10, seed=2)
+        keys, table = keyed(100, initial_buckets=2, seed=2)
         for i in range(100):
             table.insert(keys[i], i)
         assert table.rehashes >= 1

@@ -13,19 +13,13 @@ from repro.nzone.memcached import (
 
 class TestChunkSizes:
     def test_geometric_growth(self):
-        sizes = build_chunk_sizes(96, 1.25, 1 << 20)
+        sizes = build_chunk_sizes(1 << 20)
         for a, b in zip(sizes, sizes[1:]):
             assert b > a
         assert sizes[-1] == 1 << 20
 
     def test_aligned_to_8(self):
-        assert all(size % 8 == 0 for size in build_chunk_sizes()[:-1])
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            build_chunk_sizes(min_chunk=10)
-        with pytest.raises(ValueError):
-            build_chunk_sizes(growth_factor=1.0)
+        assert all(size % 8 == 0 for size in build_chunk_sizes(DEFAULT_PAGE_BYTES)[:-1])
 
 
 class TestSlabAllocator:

@@ -9,6 +9,8 @@ positions.  The table machine runs tiny tables with short displacement
 walks so kicks and growth happen within a few inserts.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -19,6 +21,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.nzone import cuckoo
 from repro.nzone.cuckoo import CuckooTable
 from repro.nzone.hpcache import HPCacheZone
 
@@ -88,9 +91,9 @@ class TableMachine(RuleBasedStateMachine):
     )
     def build(self, buckets, kicks, seed):
         self.keys = []
-        self.table = CuckooTable(
-            self.keys, initial_buckets=buckets, max_kicks=kicks, seed=seed
-        )
+        self.kicks = mock.patch.object(cuckoo, "MAX_KICKS", kicks)
+        self.kicks.start()
+        self.table = CuckooTable(self.keys, initial_buckets=buckets, seed=seed)
         self.ref = reference.CuckooTable(
             initial_buckets=buckets, max_kicks=kicks, seed=seed
         )
@@ -120,6 +123,10 @@ class TableMachine(RuleBasedStateMachine):
         assert table.rehashes == ref.rehashes
         assert table.total_kicks == ref.total_kicks
         assert table.bucket_count == ref.bucket_count
+
+    def teardown(self):
+        if hasattr(self, "kicks"):
+            self.kicks.stop()
 
 
 MACHINE_SETTINGS = settings(

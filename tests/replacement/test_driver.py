@@ -50,14 +50,3 @@ class TestSimulateTrace:
         stats = simulate_trace(LRUCache(10_000), trace, warmup_fraction=0.0)
         assert stats.miss_ratio == 0.0
         assert stats.sets == 10
-
-    def test_key_overhead_charged(self):
-        # With overhead, two 400 B items no longer fit in 900 B.
-        trace = trace_of([(OP_SET, 1, 400), (OP_SET, 2, 400)])
-        key_len = len(b"key:") + 12
-        cache = LRUCache(2 * (key_len + 400) + 10)
-        simulate_trace(cache, trace, warmup_fraction=0.0, key_overhead=0)
-        assert len(cache.resident_sizes()) == 2
-        cache2 = LRUCache(2 * (key_len + 400) + 10)
-        simulate_trace(cache2, trace, warmup_fraction=0.0, key_overhead=50)
-        assert len(cache2.resident_sizes()) == 1

@@ -11,21 +11,21 @@ class TestLIRS:
         assert 1 in cache and 2 in cache
 
     def test_hir_item_evicted_before_lir(self):
-        cache = LIRSCache(1000, hir_fraction=0.2)
-        # Fill the LIR partition (~800 B).
-        cache.access(1, 400)
-        cache.access(2, 400)
+        cache = LIRSCache(10_000)
+        # Fill the LIR partition (9,900 B beside a 100 B HIR partition).
+        cache.access(1, 4950)
+        cache.access(2, 4950)
         # These go to HIR (resident).
-        cache.access(3, 150)
-        cache.access(4, 150)  # pressure evicts HIR front (3), not LIR
+        cache.access(3, 60)
+        cache.access(4, 60)  # pressure evicts HIR front (3), not LIR
         assert 1 in cache and 2 in cache
 
     def test_reused_hir_promotes_over_stale_lir(self):
-        cache = LIRSCache(1000, hir_fraction=0.3)
-        cache.access(1, 350)
-        cache.access(2, 350)  # LIR partition filled (700 B budget)
-        cache.access(3, 100)  # HIR
-        cache.access(3, 100)  # re-referenced while in S: promote to LIR
+        cache = LIRSCache(10_000)
+        cache.access(1, 4950)
+        cache.access(2, 4950)  # LIR partition filled (9,900 B budget)
+        cache.access(3, 50)  # HIR
+        cache.access(3, 50)  # re-referenced while in S: promote to LIR
         assert 3 in cache
 
     def test_loop_workload_beats_lru(self):
@@ -43,7 +43,7 @@ class TestLIRS:
         assert lirs_hits > lru_hits
 
     def test_ghost_bound_holds(self):
-        cache = LIRSCache(500, ghost_multiple=2.0)
+        cache = LIRSCache(500)
         for key in range(5000):
             cache.access(key, 50)
         resident = len(cache.resident_sizes())

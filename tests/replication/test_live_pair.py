@@ -15,6 +15,7 @@ from repro.core.snapshot import iter_cache_items, write_snapshot
 from tests.nzone.plain import PlainZone
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
+from repro.common.rng import RetryPolicy
 from repro.replication import wire
 from repro.durability.journal import JournalConfig, JournalWriter, list_segments
 from repro.replication.replica import (
@@ -24,6 +25,15 @@ from repro.replication.replica import (
 )
 from repro.server.server import CacheServer, ServerConfig
 from tests.durability.test_scrub import flip
+
+
+@pytest.fixture
+def fast_redial(monkeypatch):
+    """The replica re-dials within 50 ms instead of up to 2 s."""
+    monkeypatch.setattr(
+        "repro.replication.replica.RECONNECT",
+        RetryPolicy(backoff_base=0.01, backoff_cap=0.05),
+    )
 
 
 def make_cache(capacity=512 * 1024, shards=2, seed=11):
@@ -316,6 +326,7 @@ class TestHostileReplica:
         asyncio.run(go())
 
 
+    @pytest.mark.usefixtures("fast_redial")
     def test_a_record_that_does_not_decode_is_never_skipped(self):
         """A CRC-whole RECORD whose payload is not a record ends the
         session at the position before it, so the re-dial asks for that
@@ -338,8 +349,6 @@ class TestHostileReplica:
                 SimpleKVCache(PlainZone(1 << 20)),
                 "127.0.0.1",
                 server.sockets[0].getsockname()[1],
-                reconnect_base=0.01,
-                reconnect_cap=0.05,
             )
             client.start()
             try:
@@ -513,6 +522,7 @@ class TestSnapshotResync:
 
         asyncio.run(go())
 
+    @pytest.mark.usefixtures("fast_redial")
     @pytest.mark.parametrize("damage", ["cut", "wrong_count", "unsealed"])
     def test_damaged_image_is_refused_whole_then_redialed(self, damage):
         """A resync image that does not parse, whose end record does not
@@ -568,8 +578,6 @@ class TestSnapshotResync:
                 cache,
                 "127.0.0.1",
                 server.sockets[0].getsockname()[1],
-                reconnect_base=0.01,
-                reconnect_cap=0.05,
             )
             client.start()
             try:
@@ -860,6 +868,7 @@ class TestReconnectBackoff:
 
 
 class TestSilentLinkWatchdog:
+    @pytest.mark.usefixtures("fast_redial")
     def test_half_open_link_is_cut_and_redialed(self):
         """A primary that accepts, then goes silent forever (half-open
         TCP: SIGKILLed peer behind a middlebox that swallows the close)
@@ -883,8 +892,6 @@ class TestSilentLinkWatchdog:
                 "127.0.0.1",
                 port,
                 silence_timeout=0.3,
-                reconnect_base=0.01,
-                reconnect_cap=0.05,
             )
             client.start()
             try:

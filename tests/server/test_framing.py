@@ -11,11 +11,15 @@ byte for byte and the three servers' counters equal.
 
 import asyncio
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from repro.server import protocol
+
 from .test_server import make_cache, running_server
 
+#: The server's value bound, patched down so an oversized frame is small.
 MAX_VALUE_BYTES = 256
 
 def build_script(seed: int) -> bytes:
@@ -63,24 +67,25 @@ def build_script(seed: int) -> bytes:
 
 async def serve_chunks(chunks):
     """A fresh server fed ``chunks`` one segment each; (replies, counters)."""
-    async with running_server(
-        make_cache(), max_value_bytes=MAX_VALUE_BYTES
-    ) as server:
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-        for chunk in chunks:
-            writer.write(chunk)
-            await writer.drain()
-            if len(chunks) > 1:
-                # Two turns of the shared loop: the server reads this
-                # segment before the next one is written.
-                await asyncio.sleep(0)
-                await asyncio.sleep(0)
-        replies = await asyncio.wait_for(reader.read(), 10.0)  # quit -> EOF
-        writer.close()
-        # Everything the registry holds that does not follow the wall
-        # clock — cache counters and both payload histograms included:
-        # the dispatch unit is one command, however the commands arrived.
-        return replies, server.stats_dict(include_timing=False)
+    with mock.patch.object(protocol, "MAX_VALUE_BYTES", MAX_VALUE_BYTES):
+        async with running_server(make_cache()) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                if len(chunks) > 1:
+                    # Two turns of the shared loop: the server reads this
+                    # segment before the next one is written.
+                    await asyncio.sleep(0)
+                    await asyncio.sleep(0)
+            replies = await asyncio.wait_for(reader.read(), 10.0)  # quit -> EOF
+            writer.close()
+            # Everything the registry holds that does not follow the wall
+            # clock — cache counters and both payload histograms included:
+            # the dispatch unit is one command, however the commands arrived.
+            return replies, server.stats_dict(include_timing=False)
 
 
 class TestFramingIndependence:

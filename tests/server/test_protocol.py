@@ -1,14 +1,17 @@
 """Protocol edge cases: fragmentation, pipelining, hostile input."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.server import protocol
 from repro.server.protocol import (
     ABSOLUTE_MAX_VALUE_BYTES,
-    DEFAULT_MAX_VALUE_BYTES,
     MAX_FLAGS,
     MAX_KEY_BYTES,
     MAX_LINE_BYTES,
+    MAX_VALUE_BYTES,
     BadCommand,
     Command,
     RequestParser,
@@ -159,9 +162,10 @@ class TestRejection:
         assert isinstance(event, BadCommand)
 
     def test_oversized_value_rejected_and_stream_stays_in_sync(self):
-        parser = RequestParser(max_value_bytes=8)
-        payload = b"x" * 20
-        parser.feed(b"set big 0 0 20\r\n" + payload + b"\r\nget ok\r\n")
+        parser = RequestParser()
+        length = MAX_VALUE_BYTES + 1
+        payload = b"x" * length
+        parser.feed(b"set big 0 0 %d\r\n%s\r\nget ok\r\n" % (length, payload))
         events = events_of(parser)
         # The declared block is consumed, CLIENT_ERROR emitted, and the
         # next pipelined command still parses.
@@ -321,7 +325,7 @@ class TestEncodersAndKeys:
         assert not valid_key("unicodeé".encode())
 
     def test_default_limit_sane(self):
-        assert DEFAULT_MAX_VALUE_BYTES == 1024 * 1024
+        assert MAX_VALUE_BYTES == 1024 * 1024
 
 
 # -- structure-aware fuzz ---------------------------------------------------------
@@ -374,15 +378,16 @@ def drive(data, chunk):
     """Feed ``data`` in ``chunk``-byte reads the way a connection does —
     drain the events after every read, stop at a fatal one — checking
     the buffer bound after each drain.  Returns (events, parser)."""
-    parser = RequestParser(FUZZ_MAX_VALUE)
+    parser = RequestParser()
     events = []
-    for start in range(0, len(data), chunk):
-        parser.feed(data[start : start + chunk])
-        events.extend(parser.events())
-        if events and getattr(events[-1], "fatal", False):
-            assert list(parser.events()) == []
-            break
-        assert len(parser._buffer) <= BUFFER_BOUND
+    with mock.patch.object(protocol, "MAX_VALUE_BYTES", FUZZ_MAX_VALUE):
+        for start in range(0, len(data), chunk):
+            parser.feed(data[start : start + chunk])
+            events.extend(parser.events())
+            if events and getattr(events[-1], "fatal", False):
+                assert list(parser.events()) == []
+                break
+            assert len(parser._buffer) <= BUFFER_BOUND
     return events, parser
 
 
@@ -438,7 +443,7 @@ class TestStructureAwareFuzz:
     def test_an_oversized_length_is_never_held(
         self, frames, chunk, declared, honest
     ):
-        """A declared length past ``max_value_bytes`` is consumed without
+        """A declared length past ``MAX_VALUE_BYTES`` is consumed without
         being buffered (it used to be held whole, up to 64 MiB per
         connection); past the absolute bound the connection is dropped
         at the command line.  Either way the pipeline before it stands,

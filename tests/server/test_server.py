@@ -139,9 +139,11 @@ class TestRequestResponse:
 
         asyncio.run(scenario())
 
-    def test_oversized_value_rejected_connection_survives(self):
+    def test_oversized_value_rejected_connection_survives(self, monkeypatch):
+        monkeypatch.setattr("repro.server.protocol.MAX_VALUE_BYTES", 64)
+
         async def scenario():
-            async with running_server(max_value_bytes=64) as server:
+            async with running_server() as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -227,9 +229,10 @@ class TestRobustness:
 
         asyncio.run(scenario())
 
-    def test_slow_reader_is_dropped_and_buffering_stays_bounded(self):
+    def test_slow_reader_is_dropped_and_buffering_stays_bounded(self, monkeypatch):
         """A peer that pipelines big GETs and never reads costs one
         connection and a bounded buffer — not the loop, not the heap."""
+        monkeypatch.setattr("repro.server.server.WRITE_TIMEOUT", 0.4)
 
         async def scenario():
             value = b"v" * 16384
@@ -237,7 +240,7 @@ class TestRobustness:
             frame = b"get big\r\n"
             pipelined = 600  # ~9.6 MB of replies into a 4 KiB receive window
             cache = make_cache(capacity=4 << 20)
-            async with running_server(cache, write_timeout=0.4) as server:
+            async with running_server(cache) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )

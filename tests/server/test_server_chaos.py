@@ -293,7 +293,6 @@ class TestServerChaos:
             keys_per_conn=30,
             plan=plan,
             workdir=str(tmp_path),
-            overload=False,
         )
         assert report.ok
         report.wrong_bytes = 3

@@ -8,15 +8,17 @@ wire the registry does not hold — and no wire name that has shipped
 
 import asyncio
 import pathlib
+from unittest import mock
 
 import pytest
 
 from repro.core.config import ZExpanderConfig
 from repro.core.zexpander import ZExpander
+from repro.server import protocol
 from repro.server.client import MemcacheClient
 from repro.server.server import CacheServer, ServerConfig, wire_name
 
-from .test_framing import build_script
+from .test_framing import MAX_VALUE_BYTES, build_script
 from .test_server import make_cache, running_server
 
 #: Values that are deliberately non-numeric on the wire.
@@ -36,14 +38,17 @@ SHIPPED_NAMES = [
 async def serve_script(inspect, script, shards=0, **config_kwargs):
     """Feed ``script`` (which ends in ``quit``) to a fresh tick-clock
     server; returns ``inspect(server)``, taken before the drain."""
-    async with running_server(
-        make_cache(shards=shards), max_value_bytes=256, **config_kwargs
-    ) as server:
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-        writer.write(script)
-        await asyncio.wait_for(reader.read(), 10.0)
-        writer.close()
-        return inspect(server)
+    with mock.patch.object(protocol, "MAX_VALUE_BYTES", MAX_VALUE_BYTES):
+        async with running_server(
+            make_cache(shards=shards), **config_kwargs
+        ) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(script)
+            await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            return inspect(server)
 
 
 class TestWireContract:

@@ -472,13 +472,11 @@ def test_campaign_children_round_trip_through_the_serve_parser(
 # -- the one real process -------------------------------------------------------
 
 
-def test_child_that_misses_its_start_deadline_is_reaped(tmp_path):
+def test_child_that_misses_its_start_deadline_is_reaped(tmp_path, monkeypatch):
     # Far shorter than interpreter start-up: the serving line cannot
     # arrive in time.
-    child = ServeChild(
-        {"port": 0, "journal_dir": str(tmp_path / "journal")},
-        start_timeout=0.05,
-    )
+    monkeypatch.setattr("repro.harness.START_TIMEOUT", 0.05)
+    child = ServeChild({"port": 0, "journal_dir": str(tmp_path / "journal")})
     with pytest.raises(TimeoutError):
         asyncio.run(child.start())
     assert not child.alive

@@ -75,12 +75,8 @@ class TestSynthesizeTrace:
         assert list(self._build()) == list(self._build())
 
     def test_scramble_decorrelates_rank_zero(self):
-        unscrambled = self._build(scramble=False)
-        counts = unscrambled.access_counts()
-        assert max(counts, key=counts.get) == 0  # hottest is rank 0
-        scrambled = self._build(scramble=True)
-        scrambled_counts = scrambled.access_counts()
-        assert max(scrambled_counts, key=scrambled_counts.get) != 0
+        counts = self._build().access_counts()
+        assert max(counts, key=counts.get) != 0  # rank 0 is not key 0
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
