@@ -39,7 +39,7 @@ from repro.common.errors import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.common.records import KVItem, Operation, Request
+from repro.common.records import KVItem
 from repro.common.units import GB, KB, MB, format_bytes
 from repro.core import (
     ShardedZExpander,
@@ -123,10 +123,8 @@ __all__ = [
     "MetricsRegistry",
     "ModelCompressor",
     "NullCompressor",
-    "Operation",
     "ProtocolError",
     "RecoveryResult",
-    "Request",
     "ReadOnlyReplicaError",
     "ReplicaLaggingError",
     "ReplicationError",

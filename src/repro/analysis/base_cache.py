@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.workloads import calibration
 from repro.workloads.trace import Trace
 
 
-def base_cache_size(trace: Trace, access_share: float = 0.8) -> int:
-    """Bytes of KV items needed to cover ``access_share`` of accesses.
+def base_cache_size(trace: Trace) -> int:
+    """Bytes of KV items needed to cover ``ACCESS_SHARE`` of accesses.
 
     Sizes follow the trace's recorded key+value sizes; metadata is
     excluded, exactly as in the paper's Figure 2 footnote.
     """
-    if not 0.0 < access_share <= 1.0:
-        raise ValueError(f"access_share must be in (0, 1], got {access_share}")
     counts = trace.access_counts()
     if not counts:
         return 0
@@ -27,6 +26,6 @@ def base_cache_size(trace: Trace, access_share: float = 0.8) -> int:
     ordered = sorted(counts.items(), key=lambda kv: -kv[1])
     access_counts = np.array([count for _key, count in ordered], dtype=np.float64)
     cumulative = np.cumsum(access_counts)
-    target = access_share * cumulative[-1]
+    target = calibration.ACCESS_SHARE * cumulative[-1]
     cutoff = int(np.searchsorted(cumulative, target, side="left")) + 1
     return sum(sizes.get(key, 0) for key, _count in ordered[:cutoff])

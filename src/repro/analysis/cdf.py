@@ -10,6 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.workloads import calibration
 from repro.workloads.trace import Trace
 
 
@@ -34,19 +35,17 @@ def access_cdf(trace: Trace, points: int = 200) -> List[Tuple[float, float]]:
     return curve
 
 
-def coverage_point(trace: Trace, access_share: float = 0.8) -> float:
-    """Fraction of hottest items receiving ``access_share`` of accesses.
+def coverage_point(trace: Trace) -> float:
+    """Fraction of hottest items receiving ``ACCESS_SHARE`` of accesses.
 
     The paper's headline Figure 1 numbers (e.g. "the 3.6 % most
     frequently accessed items receive 80 % of total accesses" for ETC).
     """
-    if not 0.0 < access_share <= 1.0:
-        raise ValueError(f"access_share must be in (0, 1], got {access_share}")
     counts = trace.access_counts()
     if not counts:
         return 0.0
     ordered = np.array(sorted(counts.values(), reverse=True), dtype=np.float64)
     cumulative = np.cumsum(ordered)
-    target = access_share * cumulative[-1]
+    target = calibration.ACCESS_SHARE * cumulative[-1]
     k = int(np.searchsorted(cumulative, target, side="left")) + 1
     return min(k, len(ordered)) / len(ordered)

@@ -23,7 +23,7 @@ from repro.cluster.procs import (
     ClusterSupervisor,
     NodeProcess,
 )
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.cluster.ring import HashRing, VNODES
 
 __all__ = [
     "ClusterChaosConfig",
@@ -31,8 +31,8 @@ __all__ = [
     "ClusterClient",
     "ClusterConfig",
     "ClusterSupervisor",
-    "DEFAULT_VNODES",
     "HashRing",
     "NodeProcess",
+    "VNODES",
     "run_cluster_chaos",
 ]

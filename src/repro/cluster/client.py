@@ -68,7 +68,6 @@ class ClusterClient:
         self,
         nodes: Dict[str, Address],
         *,
-        vnodes: int = 64,
         on_node_down: str = "error",
         pool_size: int = 2,
         deadline: float = 2.0,
@@ -84,7 +83,7 @@ class ClusterClient:
                 f"on_node_down must be 'error' or 'miss', got {on_node_down!r}"
             )
         self.on_node_down = on_node_down
-        self.ring = HashRing(sorted(nodes), vnodes=vnodes)
+        self.ring = HashRing(sorted(nodes))
         rng = rng if rng is not None else random.Random()
         self._clients: Dict[str, MemcacheClient] = {
             node_id: MemcacheClient(

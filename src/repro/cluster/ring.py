@@ -1,6 +1,6 @@
 """Consistent-hash ring: stable key ownership across a node set.
 
-The ring places ``vnodes`` virtual points per node on a 64-bit circle
+The ring places ``VNODES`` virtual points per node on a 64-bit circle
 (the same BLAKE2b :func:`~repro.common.hashing.hash_key` the Z-zone trie
 uses, so placement is stable across platforms and interpreter runs) and
 routes each key to the first point clockwise from the key's hash.
@@ -8,7 +8,7 @@ routes each key to the first point clockwise from the key's hash.
 Properties the cluster tier leans on:
 
 * **Determinism** — ownership is a pure function of ``(node_ids,
-  vnodes, key)``.  Two processes that agree on the member list agree on
+  VNODES, key)``.  Two processes that agree on the member list agree on
   every key's owner; the chaos harness exploits this to assert that no
   key is ever served by two live nodes.
 * **Minimal movement** — adding a node steals ~``1/(N+1)`` of the
@@ -29,20 +29,15 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.common.hashing import hash_key
 
-#: Default virtual points per node: enough that per-node keyspace share
-#: is within a few percent of 1/N for small clusters.
-DEFAULT_VNODES = 64
+#: Virtual points per node: enough that per-node keyspace share is
+#: within a few percent of 1/N for small clusters.
+VNODES = 64
 
 
 class HashRing:
     """Consistent-hash ring over string node ids."""
 
-    def __init__(
-        self, node_ids: Sequence[str] = (), vnodes: int = DEFAULT_VNODES
-    ) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, node_ids: Sequence[str] = ()) -> None:
         self._points: List[Tuple[int, str]] = []
         self._hashes: List[int] = []
         self._nodes: Set[str] = set()
@@ -54,7 +49,7 @@ class HashRing:
     def add_node(self, node_id: str) -> None:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already on the ring")
-        for replica in range(self.vnodes):
+        for replica in range(VNODES):
             point = hash_key(f"{node_id}#{replica}".encode("utf-8"))
             # A 64-bit collision between distinct (node, replica) labels
             # is ~impossible; ties are broken by node id so insertion
@@ -62,10 +57,6 @@ class HashRing:
             bisect.insort(self._points, (point, node_id))
         self._nodes.add(node_id)
         self._hashes = [point for point, _node in self._points]
-
-    @property
-    def node_ids(self) -> List[str]:
-        return sorted(self._nodes)
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -11,7 +11,7 @@ from repro.common.errors import (
     ItemTooLargeError,
 )
 from repro.common.hashing import fnv1a_64, hash_key
-from repro.common.records import KVItem, Operation, Request
+from repro.common.records import KVItem
 from repro.common.units import GB, KB, MB, format_bytes
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "fnv1a_64",
     "hash_key",
     "KVItem",
-    "Operation",
-    "Request",
     "GB",
     "KB",
     "MB",

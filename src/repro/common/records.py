@@ -1,45 +1,8 @@
-"""Request and item records shared by workloads, zones, and simulators."""
+"""The item record shared by the cache zones."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional
-
-
-class Operation(enum.Enum):
-    """The three operations of the paper's KV-cache interface."""
-
-    GET = "GET"
-    SET = "SET"
-    DELETE = "DELETE"
-
-
-@dataclass(frozen=True, slots=True)
-class Request:
-    """One client request in a trace.
-
-    ``value`` is only populated for SET requests whose bench materialises
-    real bytes; miss-ratio simulations that only need sizes carry
-    ``value_size`` and leave ``value`` as ``None`` to keep traces small.
-    Slotted so traces that do materialise requests stay compact; callers
-    that already know the value's size pass ``value_size`` and skip the
-    ``__post_init__`` recomputation entirely.
-    """
-
-    op: Operation
-    key: bytes
-    value: Optional[bytes] = None
-    value_size: int = 0
-
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value_size == 0:
-            object.__setattr__(self, "value_size", len(self.value))
-
-    @property
-    def size(self) -> int:
-        """Uncompressed size of the item this request carries or targets."""
-        return len(self.key) + self.value_size
 
 
 @dataclass(eq=False, slots=True)

@@ -47,16 +47,3 @@ class Compressor(abc.ABC):
     @abc.abstractmethod
     def decompress(self, compressed: Compressed) -> bytes:
         """Recover the exact original bytes from ``compressed``."""
-
-    def ratio(self, data: bytes) -> float:
-        """Compression ratio (original size / stored size) on ``data``.
-
-        Follows the paper's Table 2 convention: ratios above 1.0 mean the
-        data shrank.  Empty input has ratio 1.0 by definition.
-        """
-        if not data:
-            return 1.0
-        stored = self.compress(data).stored_size
-        if stored == 0:
-            return float("inf")
-        return len(data) / stored

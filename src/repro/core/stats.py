@@ -49,10 +49,6 @@ class ZExpanderStats:
         return self.get_misses / denominator
 
     @property
-    def hit_ratio(self) -> float:
-        return 1.0 - self.miss_ratio
-
-    @property
     def nzone_service_fraction(self) -> float:
         """Fraction of expensive requests handled by the N-zone."""
         total = self.serviced_nzone + self.serviced_zzone

@@ -91,11 +91,3 @@ def run(
             (block_size, ratio, metadata_fraction, items_per_block, per_block_bytes)
         )
     return AblBlockSizeResult(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -88,11 +88,3 @@ def run(
         ) / max(1, zone.used_bytes)
         rows.append((codec.name, zone.item_count, ratio, metadata_fraction))
     return AblCodecResult(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -81,11 +81,3 @@ def run(
         )
         rows.append((multiple, capacity, hc_miss, zx_miss, reduction, extra_items))
     return AblHzxCapacityResult(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -78,11 +78,3 @@ def run(capacity: int = 2 * MB, probe_gets: int = 4000, seed: int = 42) -> AblIn
         average_probes=zone.average_trie_probes(),
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -81,11 +81,3 @@ def run(scale: Scale = BENCH_SCALE, capacity_multiple: float = 5.0) -> AblPromot
             )
         )
     return AblPromotionResult(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

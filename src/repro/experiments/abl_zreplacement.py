@@ -62,11 +62,3 @@ def run(scale: Scale = BENCH_SCALE, capacity_multiple: float = 1.5) -> AblZRepla
         )
         rows.append((name, replay.miss_ratio, cache.stats.get_hits_zzone))
     return AblZReplacementResult(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -466,15 +466,19 @@ def run_chaos_command(args) -> int:
         )
         print(report.render())
         return 0 if report.ok else 1
-    if args.connections < 1:
-        from repro.common.errors import ConfigurationError
+    from repro.common.errors import ConfigurationError
 
-        raise ConfigurationError(
-            f"--connections must be >= 1, got {args.connections}"
-        )
+    for flag, value in (
+        ("--connections", args.connections),
+        ("--requests", args.requests),
+        ("--keys", args.keys),
+    ):
+        if value < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {value}")
     # --requests is the campaign-wide op budget, spread over every round:
     # 'chaos --crash --crash-points 40' does more rounds of the same
-    # total work, not 2x the work.
+    # total work, not 2x the work.  The floors only round a small budget
+    # up to one op (or key) per connection.
     report = run(
         seed=args.seed,
         connections=args.connections,
@@ -802,8 +806,12 @@ def _run_command(args) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print("use 'list' to see what is available", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        from repro.common.errors import ConfigurationError
+
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     scale = Scale(num_keys=args.keys, num_requests=args.requests, seed=args.seed)
-    if getattr(args, "jobs", 1) > 1:
+    if args.jobs > 1:
         from repro.experiments.parallel import run_experiments
 
         run_experiments(names, scale, args.jobs)

@@ -94,7 +94,9 @@ def build_trace(
             seed=scale.seed,
         )
     else:
-        raise ValueError(f"unknown workload {name!r}; choose from {WORKLOAD_NAMES}")
+        raise ConfigurationError(
+            f"unknown workload {name!r}; choose from {WORKLOAD_NAMES}"
+        )
     _TRACE_CACHE[key] = trace
     return trace
 

@@ -52,15 +52,7 @@ def run(scale: Scale = BENCH_SCALE, requests_per_key: int = 40) -> Fig01Result:
     curves = {}
     for name in WORKLOAD_NAMES:
         trace = build_trace(name, cdf_scale)
-        measured = coverage_point(trace, access_share=0.8)
+        measured = coverage_point(trace)
         rows.append((name, measured, PAPER_COVERAGE[name]))
         curves[name] = access_cdf(trace, points=100)
     return Fig01Result(rows=rows, curves=curves)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -68,11 +68,3 @@ def run(
                     (name, algorithm_name, multiple, capacity, stats.miss_ratio)
                 )
     return Fig02Result(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -65,11 +65,3 @@ def run(
                 )
             )
     return Fig06Result(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -90,11 +90,3 @@ def run(capacity: int = 8 * MB, seed: int = 42) -> Fig07Result:
     breakdowns.append(breakdown_zzone(zonly))
 
     return Fig07Result(breakdowns=breakdowns)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

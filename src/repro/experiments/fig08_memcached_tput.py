@@ -55,11 +55,3 @@ def run(
             zx_rps = model.throughput(zx_cell.mix.with_lock_share(1.0), threads=1)
             rows.append((name, mc_cell.multiple, mc_rps, zx_rps, zx_rps / mc_rps))
     return Fig08Result(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

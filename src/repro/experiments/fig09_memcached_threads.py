@@ -62,11 +62,3 @@ def run(
                     )
                 )
     return Fig09Result(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

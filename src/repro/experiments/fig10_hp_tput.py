@@ -59,11 +59,3 @@ def run(
                 )
             )
     return Fig10Result(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -55,11 +55,3 @@ def run(
         ):
             rows.append((cell.mix_label, cell.system, q, seconds * 1e6))
     return Fig11Result(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

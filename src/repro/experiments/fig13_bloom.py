@@ -128,11 +128,3 @@ def run(
                     )
                 )
     return Fig13Result(rows=rows, false_positive_ratio=fp_ratio)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

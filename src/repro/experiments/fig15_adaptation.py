@@ -205,11 +205,3 @@ def run(
         capacity=capacity,
         switch_time=switch_at / _REQUEST_RATE,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

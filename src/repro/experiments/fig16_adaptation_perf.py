@@ -56,11 +56,3 @@ class Fig16Result:
 
 def run(scale: Scale = BENCH_SCALE, windows: int = 40) -> Fig16Result:
     return Fig16Result(timeline=run_fig15(scale, windows))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -157,7 +157,3 @@ def _mix_cell_task(spec: MixCellSpec) -> HzxCell:
         replay=replay,
         mix=mix_from_cache(hzx),
     )
-
-
-def cells_for(cells: List[HzxCell], label: str, system: str) -> List[HzxCell]:
-    return [c for c in cells if c.mix_label == label and c.system == system]

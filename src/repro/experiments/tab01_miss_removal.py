@@ -92,11 +92,3 @@ def run(
                 removed = -(reference_misses - stats.misses) / reference_misses
                 rows.append((name, algorithm_name, multiple, stats.misses, removed))
     return Tab01Result(references=references, rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -84,11 +84,3 @@ def run(
             }
             rows.append((corpus_name, codec.name, individual, by_size))
     return Tab02Result(rows=rows, container_sizes=container_sizes)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

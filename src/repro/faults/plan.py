@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` describes *what* to break, *where*, and *how often*:
 a top-level seed plus a list of site-addressable :class:`FaultSpec`
-entries.  The plan is pure data — JSON round-trippable so chaos runs can
-be committed, diffed, and replayed byte-identically — and all randomness
-is derived from the plan seed through the same
+entries.  The plan is pure data — loaded from JSON (``cli chaos --plan``)
+so chaos runs can be committed, diffed, and replayed byte-identically —
+and all randomness is derived from the plan seed through the same
 :func:`~repro.common.rng.derive_seed` plumbing every other stochastic
 component uses.
 
@@ -63,9 +63,6 @@ SITES = (
 
 #: Sites applied on the wire by the serving layer, not the cache core.
 WIRE_SITES = ("conn.reset", "conn.stall")
-
-#: Sites where ``mode`` selects the failure flavour.
-_CODEC_SITES = ("codec.compress", "codec.decompress")
 _MODES = ("error", "garbage")
 
 
@@ -134,22 +131,6 @@ class FaultSpec:
             return False
         return self.stop is None or position < self.stop
 
-    def to_dict(self) -> Dict:
-        out: Dict = {"site": self.site, "rate": self.rate}
-        if self.start:
-            out["start"] = self.start
-        if self.stop is not None:
-            out["stop"] = self.stop
-        if self.limit is not None:
-            out["limit"] = self.limit
-        if self.site in _CODEC_SITES:
-            out["mode"] = self.mode
-        if self.site in ("capacity.squeeze", "clock.skew", "conn.stall"):
-            out["magnitude"] = self.magnitude
-        if self.site == "capacity.squeeze":
-            out["duration"] = self.duration
-        return out
-
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultSpec":
         if not isinstance(data, dict):
@@ -202,13 +183,7 @@ class FaultPlan:
         present = {spec.site for spec in self.specs}
         return tuple(site for site in SITES if site in present)
 
-    # -- serialisation --------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "specs": [spec.to_dict() for spec in self.specs],
-        }
+    # -- loading --------------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultPlan":
@@ -225,9 +200,6 @@ class FaultPlan:
             specs=tuple(FaultSpec.from_dict(item) for item in specs),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         try:
@@ -240,10 +212,6 @@ class FaultPlan:
     def load(cls, path: str) -> "FaultPlan":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
 
     # -- canned plans ---------------------------------------------------------
 

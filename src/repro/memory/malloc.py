@@ -32,9 +32,3 @@ def chunk_size(request: int) -> int:
 def overhead(request: int) -> int:
     """Waste (header + rounding) for one allocation."""
     return chunk_size(request) - request
-
-
-def overhead_fraction(request: int) -> float:
-    """Waste as a fraction of the chunk — the §3.2 comparison point."""
-    chunk = chunk_size(request)
-    return (chunk - request) / chunk

@@ -62,7 +62,7 @@ class Counter:
     __slots__ = ("name", "help", "_value")
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self._value = 0
@@ -81,7 +81,7 @@ class Gauge:
     __slots__ = ("name", "help", "_value")
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self._value = 0.0
@@ -91,9 +91,6 @@ class Gauge:
 
     def inc(self) -> None:
         self._value += 1.0
-
-    def dec(self) -> None:
-        self._value -= 1.0
 
     @property
     def value(self) -> float:
@@ -116,7 +113,7 @@ class Histogram:
     def __init__(
         self,
         name: str,
-        help: str = "",
+        help: str,
         bounds: Optional[Sequence[float]] = None,
     ) -> None:
         self.name = name
@@ -175,9 +172,6 @@ class _NullInstrument:
     sum = 0.0
 
     def inc(self) -> None:
-        pass
-
-    def dec(self) -> None:
         pass
 
     def set(self, value) -> None:

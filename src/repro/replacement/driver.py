@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from repro.replacement.base import EvictingCache
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, Trace
 
+#: The paper warms each cache on the first fifth of its trace.
+WARMUP_FRACTION = 0.2
+
 
 @dataclass
 class MissStats:
@@ -43,17 +46,13 @@ class MissStats:
         return self.get_misses
 
 
-def simulate_trace(
-    cache: EvictingCache,
-    trace: Trace,
-    warmup_fraction: float = 0.2,
-) -> MissStats:
+def simulate_trace(cache: EvictingCache, trace: Trace) -> MissStats:
     """Replay ``trace`` through ``cache``; measure after the warmup prefix.
 
     An item's size is its key + value bytes: Section 2's simulations
     charge only KV-item payloads, no per-item header.
     """
-    warmup_requests = int(len(trace) * warmup_fraction)
+    warmup_requests = int(len(trace) * WARMUP_FRACTION)
     key_len = len(trace.key_prefix) + 12
     stats = MissStats()
     for position, (op, key, value_size) in enumerate(trace):

@@ -27,7 +27,7 @@ from repro.sim.costmodel import (
     CostModel,
     OpKind,
 )
-from repro.sim.latency import LatencyModel, percentile
+from repro.sim.latency import LatencyModel
 from repro.sim.perfsim import OpMix, PerformanceModel, mix_from_stats
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "OpMix",
     "PerformanceModel",
     "mix_from_stats",
-    "percentile",
 ]

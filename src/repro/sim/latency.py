@@ -21,21 +21,6 @@ from repro.sim.costmodel import CostModel, OpKind
 from repro.sim.perfsim import OpMix
 
 
-def percentile(sorted_samples: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile ``q`` in [0, 100] of sorted data."""
-    if not sorted_samples:
-        raise ValueError("no samples")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    rank = (q / 100.0) * (len(sorted_samples) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_samples) - 1)
-    weight = rank - low
-    return sorted_samples[low] * (1 - weight) + sorted_samples[high] * weight
-
-
 #: Arrival burstiness: mean wait exceeds the USL's *time-average*
 #: inflation because waits cluster at contended instants.
 BURST_FACTOR = 2.5

@@ -12,23 +12,23 @@ import numpy as np
 
 from repro.workloads.zipfian import MAX_THETA
 
+#: The share of accesses the paper's hottest items are measured against
+#: (§2.1: Figure 1's coverage points and the base cache).
+ACCESS_SHARE = 0.8
 
-def coverage_fraction(
-    theta: float, num_items: int, access_share: float = 0.8
-) -> float:
-    """Fraction of hottest items receiving ``access_share`` of accesses.
+
+def coverage_fraction(theta: float, num_items: int) -> float:
+    """Fraction of hottest items receiving ``ACCESS_SHARE`` of accesses.
 
     Under Zipf(theta) over ``num_items`` keys, finds the smallest k such
-    that the top-k popularity mass reaches ``access_share`` and returns
+    that the top-k popularity mass reaches ``ACCESS_SHARE`` and returns
     ``k / num_items``.
     """
-    if not 0.0 < access_share <= 1.0:
-        raise ValueError(f"access_share must be in (0, 1], got {access_share}")
     if num_items < 1:
         raise ValueError(f"num_items must be >= 1, got {num_items}")
     weights = 1.0 / np.arange(1, num_items + 1, dtype=np.float64) ** theta
     cumulative = np.cumsum(weights)
-    target = access_share * cumulative[-1]
+    target = ACCESS_SHARE * cumulative[-1]
     k = int(np.searchsorted(cumulative, target, side="left")) + 1
     return min(k, num_items) / num_items
 
@@ -37,13 +37,9 @@ def coverage_fraction(
 TOLERANCE = 1e-4
 
 
-def calibrate_zipf_skew(
-    num_items: int,
-    item_fraction: float,
-    access_share: float = 0.8,
-) -> float:
+def calibrate_zipf_skew(num_items: int, item_fraction: float) -> float:
     """Solve for the Zipf theta whose hottest ``item_fraction`` of items
-    receives ``access_share`` of accesses.
+    receives ``ACCESS_SHARE`` of accesses.
 
     Coverage is monotonically decreasing in theta (more skew concentrates
     mass in fewer items), so a bisection suffices.  Returns the calibrated
@@ -52,13 +48,13 @@ def calibrate_zipf_skew(
     if not 0.0 < item_fraction < 1.0:
         raise ValueError(f"item_fraction must be in (0, 1), got {item_fraction}")
     lo, hi = 1e-3, MAX_THETA
-    if coverage_fraction(hi, num_items, access_share) > item_fraction:
+    if coverage_fraction(hi, num_items) > item_fraction:
         return hi
-    if coverage_fraction(lo, num_items, access_share) < item_fraction:
+    if coverage_fraction(lo, num_items) < item_fraction:
         return lo
     while hi - lo > TOLERANCE:
         mid = (lo + hi) / 2.0
-        if coverage_fraction(mid, num_items, access_share) > item_fraction:
+        if coverage_fraction(mid, num_items) > item_fraction:
             lo = mid
         else:
             hi = mid

@@ -20,10 +20,6 @@ class SizeSampler(abc.ABC):
     def sample(self, rng: random.Random) -> int:
         """Return a sampled value size, always >= 1."""
 
-    @abc.abstractmethod
-    def mean(self) -> float:
-        """Analytic (or closely estimated) mean of the distribution."""
-
 
 class FixedSize(SizeSampler):
     """Every value has the same size (USR's 2 B values)."""
@@ -35,9 +31,6 @@ class FixedSize(SizeSampler):
 
     def sample(self, rng: random.Random) -> int:
         return self.size
-
-    def mean(self) -> float:
-        return float(self.size)
 
 
 class UniformSize(SizeSampler):
@@ -51,9 +44,6 @@ class UniformSize(SizeSampler):
 
     def sample(self, rng: random.Random) -> int:
         return rng.randint(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
 
 
 class LogNormalSize(SizeSampler):
@@ -82,11 +72,6 @@ class LogNormalSize(SizeSampler):
         size = int(round(rng.lognormvariate(self.mu, self.sigma)))
         return max(self.low, min(self.high, size))
 
-    def mean(self) -> float:
-        # Mean of the unclipped log-normal; close enough for reporting when
-        # the clip bounds are in the far tails.
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
 
 class DiscreteMixtureSize(SizeSampler):
     """A weighted mixture of size samplers.
@@ -109,7 +94,6 @@ class DiscreteMixtureSize(SizeSampler):
             running += weight / total
             self._cumulative.append(running)
         self._samplers = [sampler for _, sampler in components]
-        self._weights = [w / total for w in weights]
 
     def sample(self, rng: random.Random) -> int:
         u = rng.random()
@@ -117,6 +101,3 @@ class DiscreteMixtureSize(SizeSampler):
             if u <= cumulative:
                 return sampler.sample(rng)
         return self._samplers[-1].sample(rng)
-
-    def mean(self) -> float:
-        return sum(w * s.mean() for w, s in zip(self._weights, self._samplers))

@@ -1,33 +1,22 @@
 """Compact trace containers.
 
 Benches replay traces of millions of requests against many cache
-configurations.  Storing a ``Request`` object per entry would cost ~200 B
-each, so :class:`Trace` keeps three parallel arrays (op code, key id, value
-size) and materialises :class:`~repro.common.records.Request` objects only
-when the real data plane needs bytes.
+configurations.  An object per entry would cost ~200 B each, so
+:class:`Trace` keeps three parallel arrays (op code, key id, value size).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
-
-from repro.common.records import Operation, Request
-from repro.workloads.values import ValueSource
 
 #: Integer op codes used inside compact traces.
 OP_GET = 0
 OP_SET = 1
 OP_DELETE = 2
-
-_OP_TO_OPERATION = {
-    OP_GET: Operation.GET,
-    OP_SET: Operation.SET,
-    OP_DELETE: Operation.DELETE,
-}
 
 #: Entries yielded when iterating a trace: (op_code, key_id, value_size).
 TraceEntry = Tuple[int, int, int]
@@ -78,51 +67,6 @@ class Trace:
         keys = np.frombuffer(self._keys, dtype=np.int64)
         sizes = np.frombuffer(self._sizes, dtype=np.dtype(f"i{self._sizes.itemsize}"))
         return ops, keys, sizes
-
-    def split(self, fraction: float) -> Tuple["Trace", "Trace"]:
-        """Split into (head, tail) at ``fraction`` of the length.
-
-        The paper warms the cache on the first 1/5 of each trace; callers
-        use ``trace.split(0.2)`` to mirror that.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        cut = int(len(self) * fraction)
-        head = Trace(
-            f"{self.name}[:{fraction:g}]",
-            self.num_keys,
-            self._ops[:cut],
-            self._keys[:cut],
-            self._sizes[:cut],
-            self.key_prefix,
-        )
-        tail = Trace(
-            f"{self.name}[{fraction:g}:]",
-            self.num_keys,
-            self._ops[cut:],
-            self._keys[cut:],
-            self._sizes[cut:],
-            self.key_prefix,
-        )
-        return head, tail
-
-    def requests(self, value_source: Optional[ValueSource] = None) -> Iterator[Request]:
-        """Materialise full :class:`Request` objects.
-
-        With a ``value_source``, SET requests carry real value bytes (GETs
-        and DELETEs never do).  Without one, SETs carry only their size.
-        """
-        for op, key_id, size in self:
-            operation = _OP_TO_OPERATION[op]
-            value = None
-            if operation is Operation.SET and value_source is not None:
-                value = value_source.value(key_id)
-            yield Request(
-                op=operation,
-                key=self.key_bytes(key_id),
-                value=value,
-                value_size=size,
-            )
 
     def access_counts(self) -> Counter:
         """Per-key count of GET and SET accesses (DELETEs excluded)."""
@@ -180,7 +124,7 @@ class TraceBuilder:
 
     def add(self, op: int, key_id: int, size: int) -> None:
         """Append one entry; validates op code and key range."""
-        if op not in _OP_TO_OPERATION:
+        if op not in (OP_GET, OP_SET, OP_DELETE):
             raise ValueError(f"unknown op code {op}")
         if not 0 <= key_id < self.num_keys:
             raise ValueError(f"key_id {key_id} out of [0, {self.num_keys})")

@@ -240,21 +240,6 @@ class Block:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        items: List[KVItem],
-        compressor: Compressor,
-        depth: int = 0,
-        prefix: int = 0,
-        large_refs: Optional[Dict[bytes, "LargeItem"]] = None,
-    ) -> "Block":
-        """Build a block from ``items`` (any order; sorted here)."""
-        entries = sorted(
-            item_entry(item.key, item.value, item.hashed_key) for item in items
-        )
-        return cls.from_entries(entries, compressor, depth, prefix, large_refs)
-
-    @classmethod
     def from_entries(
         cls,
         entries: List[Entry],

@@ -48,9 +48,6 @@ DIRECTORY_ENTRY_BYTES = 12
 
 MAX_DEPTH = 48
 
-#: :meth:`BlockTrie.render` lists at most this many leaves.
-RENDERED_LEAVES = 64
-
 
 class BlockTrie:
     """Two-level pointer-array trie of blocks."""
@@ -93,11 +90,6 @@ class BlockTrie:
             del self._segments[segment_index]  # give the segment back
 
     # -- public operations ----------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        """Deepest level with leaves (0 when only the root leaf exists)."""
-        return self._height
 
     @property
     def block_count(self) -> int:
@@ -240,27 +232,3 @@ class BlockTrie:
         if self.lookup_count == 0:
             return 0.0
         return self.probe_count / self.lookup_count
-
-    def render(self) -> str:
-        """ASCII rendering of the trie's leaves (debugging aid).
-
-        One line per leaf: its binary prefix (Figure 3's node labels),
-        item count, and container sizes.  Leaves beyond
-        ``RENDERED_LEAVES`` are elided.
-        """
-        lines = [f"trie: {self._block_count} leaves, height {self._height}"]
-        leaves = sorted(
-            self.leaves(), key=lambda leaf: (leaf.depth, leaf.prefix)
-        )
-        for leaf in leaves[:RENDERED_LEAVES]:
-            label = (
-                format(leaf.prefix, f"0{leaf.depth}b") if leaf.depth else "(root)"
-            )
-            lines.append(
-                f"  {label:<20} items={leaf.item_count:<4} "
-                f"uncompressed={leaf.uncompressed_size}B "
-                f"stored={leaf.stored_bytes}B"
-            )
-        if len(leaves) > RENDERED_LEAVES:
-            lines.append(f"  ... {len(leaves) - RENDERED_LEAVES} more leaves")
-        return "\n".join(lines)

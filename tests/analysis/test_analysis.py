@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import access_cdf, base_cache_size, coverage_point, format_table
+from repro.workloads import calibration
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, TraceBuilder
 
 
@@ -32,28 +33,26 @@ class TestAccessCdf:
 class TestCoveragePoint:
     def test_hot_key_dominates(self):
         # One key carries 80/89 of accesses: 10 % of items covers 80 %.
-        assert coverage_point(skewed_trace(), 0.8) == pytest.approx(0.1)
+        assert coverage_point(skewed_trace()) == pytest.approx(0.1)
 
     def test_uniform_needs_most_items(self):
         builder = TraceBuilder("u", num_keys=10)
         for key in range(10):
             builder.add(OP_GET, key, 100)
-        assert coverage_point(builder.build(), 0.8) == pytest.approx(0.8)
-
-    def test_invalid_share(self):
-        with pytest.raises(ValueError):
-            coverage_point(skewed_trace(), 0.0)
+        assert coverage_point(builder.build()) == pytest.approx(0.8)
 
 
 class TestBaseCacheSize:
     def test_counts_hot_item_bytes(self):
         trace = skewed_trace()
         key_len = len(b"key:") + 12
-        assert base_cache_size(trace, 0.8) == key_len + 100
+        assert base_cache_size(trace) == key_len + 100
 
-    def test_larger_share_needs_more_bytes(self):
+    def test_larger_share_needs_more_bytes(self, monkeypatch):
         trace = skewed_trace()
-        assert base_cache_size(trace, 0.99) > base_cache_size(trace, 0.8)
+        base = base_cache_size(trace)
+        monkeypatch.setattr(calibration, "ACCESS_SHARE", 0.99)
+        assert base_cache_size(trace) > base
 
     def test_empty(self):
         builder = TraceBuilder("e", num_keys=1)

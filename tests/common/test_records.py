@@ -1,29 +1,6 @@
 """Tests for repro.common.records."""
 
-from repro.common.records import KVItem, Operation, Request
-
-
-class TestRequest:
-    def test_value_size_inferred_from_value(self):
-        request = Request(op=Operation.SET, key=b"k", value=b"abcde")
-        assert request.value_size == 5
-
-    def test_explicit_size_without_value(self):
-        request = Request(op=Operation.GET, key=b"k", value_size=100)
-        assert request.value is None
-        assert request.value_size == 100
-
-    def test_size_includes_key(self):
-        request = Request(op=Operation.SET, key=b"key", value=b"vv")
-        assert request.size == 5
-
-    def test_frozen(self):
-        request = Request(op=Operation.GET, key=b"k")
-        try:
-            request.key = b"other"
-            assert False, "Request should be immutable"
-        except AttributeError:
-            pass
+from repro.common.records import KVItem
 
 
 class TestKVItem:

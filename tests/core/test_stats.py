@@ -13,10 +13,6 @@ class TestStats:
     def test_empty_miss_ratio(self):
         assert ZExpanderStats().miss_ratio == 0.0
 
-    def test_hit_ratio_complements(self):
-        stats = ZExpanderStats(gets=100, get_misses=25)
-        assert stats.hit_ratio == pytest.approx(0.75)
-
     def test_service_fraction(self):
         stats = ZExpanderStats(serviced_nzone=90, serviced_zzone=10)
         assert stats.nzone_service_fraction == pytest.approx(0.9)

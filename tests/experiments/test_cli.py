@@ -46,7 +46,8 @@ class TestCli:
         for name, (module_name, _description) in EXPERIMENTS.items():
             module = importlib.import_module(module_name)
             assert hasattr(module, "run"), name
-            assert hasattr(module, "main"), name
+            # ``cli run <name>`` is the one way to run an experiment.
+            assert not hasattr(module, "main"), name
 
 
 class TestRunExperimentClock:
@@ -175,6 +176,9 @@ class TestRefusedSettings:
             ["chaos", "--requests", "0"],
             ["chaos", "--requests", "-5"],
             ["run", "fig02", "--requests", "0"],
+            ["run", "fig01", "--jobs", "0"],
+            ["chaos", "--workload", "FOO"],
+            ["chaos", "--server", "--requests", "0"],
         ],
         ids=[
             "serve_capacity_0",
@@ -194,6 +198,9 @@ class TestRefusedSettings:
             "chaos_requests_0",
             "chaos_requests_negative",
             "run_requests_0",
+            "run_jobs_0",
+            "chaos_unknown_workload",
+            "server_requests_0",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, argv):

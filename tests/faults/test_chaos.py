@@ -1,5 +1,8 @@
 """End-to-end chaos replay: survival, detection, and determinism."""
 
+import json
+from dataclasses import asdict
+
 from repro.experiments.cli import main as cli_main
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.chaos import run_chaos
@@ -77,7 +80,7 @@ class TestChaosCli:
 
     def test_cli_chaos_with_plan_file(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
-        _PLAN.dump(str(path))
+        path.write_text(json.dumps(asdict(_PLAN)))
         rc = cli_main(
             [
                 "chaos",

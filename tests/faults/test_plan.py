@@ -1,4 +1,7 @@
-"""FaultPlan: validation, serialisation, and canned plans."""
+"""FaultPlan: validation, loading, and canned plans."""
+
+import json
+from dataclasses import asdict
 
 import pytest
 
@@ -48,17 +51,15 @@ class TestFaultPlan:
             FaultPlan(seed=1, specs=(FaultSpec(site="nope", rate=0.5),))
 
     def test_json_round_trip(self):
+        # Every field a spec declares is a key the loader accepts.
         plan = FaultPlan.default(seed=42)
-        clone = FaultPlan.from_json(plan.to_json())
+        clone = FaultPlan.from_json(json.dumps(asdict(plan)))
         assert clone == plan
-
-    def test_json_is_deterministic(self):
-        assert FaultPlan.default(7).to_json() == FaultPlan.default(7).to_json()
 
     def test_file_round_trip(self, tmp_path):
         plan = FaultPlan.default(seed=9)
         path = tmp_path / "plan.json"
-        plan.dump(str(path))
+        path.write_text(json.dumps(asdict(plan)))
         assert FaultPlan.load(str(path)) == plan
 
     def test_bad_json_rejected(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory.malloc import chunk_size, overhead, overhead_fraction
+from repro.memory.malloc import chunk_size, overhead
 
 
 class TestMallocModel:
@@ -20,8 +20,8 @@ class TestMallocModel:
 
     def test_large_blocks_waste_relatively_little(self):
         """§3.2's claim: block-sized allocations make malloc waste moot."""
-        assert overhead_fraction(2048) < 0.02
-        assert overhead_fraction(100) > 0.05
+        assert overhead(2048) / chunk_size(2048) < 0.02
+        assert overhead(100) / chunk_size(100) > 0.05
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -36,21 +36,22 @@ class TestLogBuckets:
 
 class TestInstruments:
     def test_counter_increments(self):
-        counter = Counter("c")
+        counter = Counter("c", "")
         for _ in range(5):
             counter.inc()
         assert counter.value == 5
 
     def test_gauge_set_inc_dec(self):
-        gauge = Gauge("g")
+        gauge = Gauge("g", "")
         gauge.set(10.5)
         gauge.inc()
         gauge.inc()
-        gauge.dec()
-        assert gauge.value == 11.5
+        assert gauge.value == 12.5
+        gauge.set(3.0)  # a gauge goes down by being set
+        assert gauge.value == 3.0
 
     def test_histogram_observe_count_sum(self):
-        hist = Histogram("h", bounds=[1.0, 10.0, 100.0])
+        hist = Histogram("h", "", bounds=[1.0, 10.0, 100.0])
         for value in (0.5, 5.0, 50.0, 500.0):
             hist.observe(value)
         assert hist.count == 4
@@ -58,7 +59,7 @@ class TestInstruments:
         assert hist.counts == [1, 1, 1, 1]  # one overflow past 100
 
     def test_histogram_percentile_interpolates(self):
-        hist = Histogram("h", bounds=[1.0, 2.0, 4.0, 8.0])
+        hist = Histogram("h", "", bounds=[1.0, 2.0, 4.0, 8.0])
         for _ in range(100):
             hist.observe(1.5)
         p50 = hist.percentile(50.0)
@@ -66,11 +67,11 @@ class TestInstruments:
         assert hist.percentile(0.0) <= hist.percentile(100.0)
 
     def test_histogram_percentile_empty_is_zero(self):
-        assert Histogram("h").percentile(99.0) == 0.0
+        assert Histogram("h", "").percentile(99.0) == 0.0
 
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
-            Histogram("h", bounds=[2.0, 1.0])
+            Histogram("h", "", bounds=[2.0, 1.0])
 
 
 class TestRegistry:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.replacement import LRUCache, simulate_trace
+from repro.replacement import driver
 from repro.replacement.driver import MissStats
 from repro.workloads.trace import OP_DELETE, OP_GET, OP_SET, TraceBuilder
 
@@ -24,16 +25,21 @@ class TestMissStats:
 
 
 class TestSimulateTrace:
+    @pytest.fixture(autouse=True)
+    def measure_everything(self, monkeypatch):
+        monkeypatch.setattr(driver, "WARMUP_FRACTION", 0.0)
+
     def test_demand_fill_on_get_miss(self):
         trace = trace_of([(OP_GET, 1, 50), (OP_GET, 1, 50)])
         cache = LRUCache(1000)
-        stats = simulate_trace(cache, trace, warmup_fraction=0.0)
+        stats = simulate_trace(cache, trace)
         assert stats.gets == 2
         assert stats.get_misses == 1  # the second GET hits the fill
 
-    def test_warmup_not_measured(self):
+    def test_warmup_not_measured(self, monkeypatch):
+        monkeypatch.setattr(driver, "WARMUP_FRACTION", 0.5)
         trace = trace_of([(OP_GET, 1, 50)] * 10)
-        stats = simulate_trace(LRUCache(1000), trace, warmup_fraction=0.5)
+        stats = simulate_trace(LRUCache(1000), trace)
         assert stats.gets == 5
         assert stats.get_misses == 0  # the miss happened during warmup
 
@@ -41,12 +47,12 @@ class TestSimulateTrace:
         trace = trace_of(
             [(OP_SET, 1, 50), (OP_DELETE, 1, 0), (OP_GET, 1, 50)]
         )
-        stats = simulate_trace(LRUCache(1000), trace, warmup_fraction=0.0)
+        stats = simulate_trace(LRUCache(1000), trace)
         assert stats.get_misses == 1
         assert stats.deletes == 1
 
     def test_set_always_hit_in_ratio(self):
         trace = trace_of([(OP_SET, k, 50) for k in range(10)])
-        stats = simulate_trace(LRUCache(10_000), trace, warmup_fraction=0.0)
+        stats = simulate_trace(LRUCache(10_000), trace)
         assert stats.miss_ratio == 0.0
         assert stats.sets == 10

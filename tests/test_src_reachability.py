@@ -2,7 +2,7 @@
 
 A definition only ``tests/`` call is code the project carries for its
 own tests: it is read, documented and kept working, and nothing a user
-runs can reach it.  This walks, by name, from what does run:
+runs can reach it.  This walks from what does run:
 
 - the module-level code of every ``src/`` module (imports and
   ``__all__`` excepted, so a package re-export reaches nothing);
@@ -11,34 +11,62 @@ runs can reach it.  This walks, by name, from what does run:
   spans), the documented public API.
 
 A definition is a module-level function, class or named constant, or a
-method of a class.  It is reached when a reached body names it (as a
-name or an attribute, so any ``.get`` reaches every ``get``) and, for a
-method, its class is reached.  Dunders count as reached, and so does a
-method that overrides an attribute of a base class from outside
-``repro`` (``asyncio.Protocol`` callbacks), since the outside code calls
-it.  So does a name spelled as an
-identifier string in reached code (``getattr`` dispatch).  The scan errs
-towards "reached": it can miss dead code, never call live code dead.
+method of a class.  A reached body reaches a definition by these rules:
+
+- (a) A bare name reaches only a module-level definition bound in the
+  module that spells it: defined there, or imported with ``from M import
+  name`` (a package's re-exports followed to the defining module).  It
+  never reaches a method.
+- (b) ``.name`` on a receiver the walk can type reaches only that
+  type's definitions.  A receiver is typed when it is ``self`` or
+  ``cls`` in a class body, a ``src/`` class name, a local (or module
+  constant) bound once from a ``src/`` class's constructor, or a module
+  imported by name.  On a class it reaches the methods of the class's
+  family (its ``src/`` bases and subclasses, and their bases); on a
+  ``src/`` module, that module's definition; on a module from outside
+  the repository (``json.dump``), nothing.  On any other receiver,
+  ``.name`` reaches every definition of that name.
+- (c) A name spelled as an identifier string reaches every definition
+  of that name (``getattr`` dispatch), unless the string is a dict
+  literal's key or a subscript: those are data.
+
+A method is reached only once its class is.  Dunders count as reached,
+and so does a method that overrides an attribute of a base class from
+outside ``repro`` (``asyncio.Protocol`` callbacks), since the outside
+code calls it.  Wherever a rule cannot decide (a name bound twice, an
+unresolved import, a receiver it cannot type), the walk errs towards
+"reached": it can miss dead code, never call live code dead.
 
 Every option is set by something that ships, too.  An option is a
 parameter or dataclass field in ``src/`` whose default is a value: a
 literal (``1 << 20`` included) or an UPPER_CASE constant.  One that only
 tests set is a second configuration the project tests and documents
 while every user runs the default; it is a module constant instead, and
-a test that needs another value patches the constant.  An option is set when the
-shipped code above (all of ``src/``, ``benchmarks/``, ``examples/`` and
-README's Python blocks) passes it by keyword (to any call: a forwarded
-``**kwargs`` reaches it), by position (to a call spelled with its
-function's or class's name), as a ``cli`` flag dest or as a settings-dict
-key; a field is also set by a store to it (counters) or by its name in a
-string (``setattr`` dispatch).  The scan leaves out:
+a test that needs another value patches the constant.  An option is set
+when the shipped code above (all of ``src/``, ``benchmarks/``,
+``examples/`` and README's Python blocks) does one of these:
+
+- (d) passes it by keyword on a call spelled with its function's name,
+  or its class's or a subclass's name.  The walk follows ``import … as``
+  aliases and functions that forward ``**kwargs`` to such a call, and a
+  keyword to ``dataclasses.replace`` sets the field of that name.  A
+  method's parameter, whose receiver the walk cannot type, is set by a
+  keyword of its name on any call;
+- passes it by position, to a call spelled with its function's or
+  class's name;
+- names it as a ``cli`` flag dest or a settings-dict key;
+- for a field: stores to it (counters), names it in a string
+  (``setattr`` dispatch) or redeclares it in a subclass (the two
+  declarations are one option, set by the redeclaration).
+
+The scan leaves out:
 
 - ``None``-default parameters and fields, which inject a collaborator (a
   clock, an rng, a fake) or mark an optional feature, not a value;
 - ``src/repro/experiments/``, whose sweep points define each figure and
   which the tests shrink to keep the suite fast.
 
-Like the first walk it matches by name and errs towards "set".
+Like the first walk it errs towards "set".
 
 ``PYTHONPATH=src python tests/test_src_reachability.py`` prints the
 unreached definitions, then the unset options, one ``path:line name`` a
@@ -46,7 +74,9 @@ line.
 """
 
 import ast
+import builtins
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -56,23 +86,7 @@ SRC = Path(repro.__file__).resolve().parent
 ROOT = SRC.parent.parent
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 UPPER = re.compile(r"[A-Z][A-Z0-9_]*")
-
-
-def _names(nodes):
-    """Every identifier a list of AST nodes uses as a name or attribute."""
-    found = set()
-    for top in nodes:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                found.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if WORD.fullmatch(node.value):
-                    found.add(node.value)
-    return found
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _imports(tree):
@@ -97,6 +111,8 @@ def _resolve(expr, bound):
     while isinstance(expr, ast.Attribute):
         parts.append(expr.attr)
         expr = expr.value
+    if isinstance(expr, ast.Name) and expr.id not in bound and not parts:
+        return getattr(builtins, expr.id, None)
     if not isinstance(expr, ast.Name) or expr.id not in bound:
         return None
     dotted = bound[expr.id].split(".") + parts[::-1]
@@ -111,104 +127,409 @@ def _resolve(expr, bound):
     return None
 
 
-class _Definition:
-    def __init__(self, where, name, body, owner=None, external=False):
-        self.where, self.name, self.body = where, name, body
-        self.owner, self.external = owner, external
-
-
-def _definitions(path):
-    """(definitions, root nodes) of one ``src/`` module."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    bound = _imports(tree)
-    where = path.relative_to(ROOT)
-    defs, roots = [], []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs.append(_Definition(f"{where}:{node.lineno}", node.name, [node]))
-        elif isinstance(node, ast.ClassDef):
-            bases = [_resolve(base, bound) for base in node.bases]
-            outside = [base for base in bases if base is not None]
-            rest = [
-                stmt
-                for stmt in node.body
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            cls = _Definition(
-                f"{where}:{node.lineno}",
-                node.name,
-                node.bases + node.keywords + node.decorator_list + rest,
-            )
-            defs.append(cls)
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    external = any(hasattr(base, stmt.name) for base in outside)
-                    defs.append(
-                        _Definition(
-                            f"{where}:{stmt.lineno}",
-                            f"{node.name}.{stmt.name}",
-                            [stmt],
-                            owner=cls,
-                            external=external,
-                        )
-                    )
-        elif (
-            isinstance(node, (ast.Assign, ast.AnnAssign))
-            and all(isinstance(t, ast.Name) for t in _targets(node))
-            and node.value is not None
-        ):
-            for target in _targets(node):
-                if target.id == "__all__":
-                    continue
-                defs.append(
-                    _Definition(f"{where}:{node.lineno}", target.id, [node.value])
-                )
-        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-            roots.append(node)
-    return defs, roots
-
-
 def _targets(node):
     return node.targets if isinstance(node, ast.Assign) else [node.target]
 
 
-def _readme_names():
-    text = (ROOT / "README.md").read_text()
+def _is_constant(node):
+    """A module-level ``NAME = value``: a definition, not a store."""
+    return (
+        isinstance(node, (ast.Assign, ast.AnnAssign))
+        and all(isinstance(t, ast.Name) for t in _targets(node))
+        and node.value is not None
+    )
+
+
+class _Definition:
+    def __init__(self, module, line, name, body, owner=None, node=None):
+        self.module, self.name, self.body = module, name, body
+        self.where = f"{module.where}:{line}"
+        self.short = name.rpartition(".")[2]
+        #: The class a method belongs to; the ClassDef of a class.
+        self.owner, self.node = owner, node
+        self.external = False
+        #: A constant's value when it is a call (a constructor, maybe).
+        self.ctor = None
+
+
+class _Module:
+    """One parsed file and the names its module scope binds."""
+
+    def __init__(self, path, root, dotted=None):
+        self.tree = ast.parse(path.read_text(), filename=str(path))
+        self.where = path.relative_to(root)
+        self.dotted, self.package = dotted, path.name == "__init__.py"
+        #: name -> [("def", definition) | ("module", dotted)
+        #: | ("from", dotted, name) | ("other",)]
+        self.binds = {}
+        self.defs, self.roots = [], []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self._bind(alias.asname, ("module", alias.name))
+                    else:
+                        head = alias.name.split(".")[0]
+                        self._bind(head, ("module", head))
+            elif isinstance(node, ast.ImportFrom):
+                source = self._absolute(node)
+                for alias in node.names:
+                    self._bind(alias.asname or alias.name, ("from", source, alias.name))
+            elif isinstance(node, ast.Global):
+                for name in node.names:
+                    self._bind(name, ("other",))
+        if dotted is not None:
+            self._definitions()
+        self._stores(self.tree.body)
+
+    def _bind(self, name, source):
+        self.binds.setdefault(name, []).append(source)
+
+    def _absolute(self, node):
+        if not node.level:
+            return node.module
+        base = (self.dotted or "").split(".")
+        base = base if self.package else base[:-1]
+        base = base[: len(base) - node.level + 1]
+        return ".".join(base + ([node.module] if node.module else []))
+
+    def _stores(self, statements):
+        """Bind every other name stored in module scope (not in bodies)."""
+        for stmt in statements:
+            if isinstance(stmt, _FUNCTIONS + (ast.ClassDef,)) or _is_constant(stmt):
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                    self._bind(node.id, ("other",))
+
+    def _definitions(self):
+        for node in self.tree.body:
+            if isinstance(node, _FUNCTIONS):
+                self._define(_Definition(self, node.lineno, node.name, [node]))
+            elif isinstance(node, ast.ClassDef):
+                rest = [stmt for stmt in node.body if not isinstance(stmt, _FUNCTIONS)]
+                cls = _Definition(
+                    self, node.lineno, node.name,
+                    node.bases + node.keywords + node.decorator_list + rest, node=node,
+                )
+                self._define(cls)
+                for stmt in node.body:
+                    if isinstance(stmt, _FUNCTIONS):
+                        self.defs.append(_Definition(
+                            self, stmt.lineno, f"{node.name}.{stmt.name}", [stmt], owner=cls,
+                        ))
+            elif _is_constant(node):
+                for target in _targets(node):
+                    if target.id == "__all__":
+                        continue
+                    constant = _Definition(self, node.lineno, target.id, [node.value])
+                    if len(_targets(node)) == 1 and isinstance(node.value, ast.Call):
+                        constant.ctor = node.value.func
+                    self._define(constant)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.roots.append(node)
+
+    def _define(self, definition):
+        self.defs.append(definition)
+        self._bind(definition.name, ("def", definition))
+
+
+class _Scope:
+    """A function's locals: which it binds, and which it binds once from a
+    constructor call (name -> the callee expression)."""
+
+    def __init__(self, node):
+        args = node.args
+        every = args.posonlyargs + args.args + args.kwonlyargs
+        every += [a for a in (args.vararg, args.kwarg) if a is not None]
+        counts = {}
+        for arg in every:
+            counts[arg.arg] = counts.get(arg.arg, 0) + 1
+        ctors = {}
+        body = node.body if isinstance(node.body, list) else [node.body]
+        for stmt in body:
+            for part in ast.walk(stmt):
+                if isinstance(part, ast.Name) and not isinstance(part.ctx, ast.Load):
+                    counts[part.id] = counts.get(part.id, 0) + 1
+                elif isinstance(part, (ast.Global, ast.Nonlocal)):
+                    for name in part.names:
+                        counts[name] = counts.get(name, 0) + 2
+                elif isinstance(part, ast.Assign) and isinstance(part.value, ast.Call):
+                    if len(part.targets) == 1 and isinstance(part.targets[0], ast.Name):
+                        ctors[part.targets[0].id] = part.value.func
+        self.bound = set(counts)
+        self.ctors = {name: f for name, f in ctors.items() if counts[name] == 1}
+
+
+class _Index:
+    """Every ``src/`` module, its definitions and the class families."""
+
+    def __init__(self, root):
+        src = root / "src" / "repro"
+        self.root, self.modules = root.resolve(), {}
+        for path in sorted(src.rglob("*.py")):
+            parts = path.relative_to(src.parent).with_suffix("").parts
+            dotted = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            self.modules[dotted] = _Module(path, root, dotted)
+        self.defs = [d for m in self.modules.values() for d in m.defs]
+        self.by_short = {}
+        for definition in self.defs:
+            self.by_short.setdefault(definition.short, []).append(definition)
+        self._hierarchy()
+
+    def _hierarchy(self):
+        """Each class's ``src/`` bases; a class with a base the walk cannot
+        place has an open family (``.name`` on it is untyped)."""
+        classes = [d for d in self.defs if d.node is not None]
+        self.parents = {cls: [] for cls in classes}
+        self.open = set()
+        outside = {}
+        for cls in classes:
+            bound = _imports(cls.module.tree)
+            outside[cls] = []
+            for base in cls.node.bases:
+                kind, found = self.type_of(base, cls.module, None, [])
+                if kind == "class":
+                    self.parents[cls].append(found)
+                    continue
+                obj = _resolve(base, bound)
+                if obj is None:
+                    self.open.add(cls)
+                else:
+                    outside[cls].append(obj)
+        children = {cls: [] for cls in classes}
+        for cls, parents in self.parents.items():
+            for parent in parents:
+                children[parent].append(cls)
+        self.families = {}
+        for cls in classes:
+            below = _closure(cls, children)
+            self.families[cls] = {a for d in below for a in _closure(d, self.parents)}
+        for method in self.defs:
+            if method.owner is not None:
+                bases = [o for a in _closure(method.owner, self.parents) for o in outside[a]]
+                method.external = any(hasattr(base, method.short) for base in bases)
+
+    def binding(self, dotted, name, seen=None):
+        """(definitions, modules) that ``from dotted import name`` binds."""
+        seen = set() if seen is None else seen
+        if (dotted, name) in seen:
+            return set(), set()
+        seen.add((dotted, name))
+        module = self.modules.get(dotted)
+        if module is None:
+            return set(), set()
+        defs, modules = set(), set()
+        if f"{dotted}.{name}" in self.modules:
+            modules.add(f"{dotted}.{name}")
+        sources = module.binds.get(name, [])
+        for source in sources:
+            found, mods = self._source(source, seen)
+            defs |= found
+            modules |= mods
+        if not sources and "__getattr__" in module.binds:
+            defs |= {d for d in self.by_short.get(name, ()) if d.owner is None}
+        return defs, modules
+
+    def _source(self, source, seen=None):
+        if source[0] == "def":
+            return {source[1]}, set()
+        if source[0] == "module":
+            return set(), {source[1]}
+        if source[0] == "from":
+            return self.binding(source[1], source[2], seen)
+        return set(), set()
+
+    def bare(self, module, name):
+        """The definitions a bare name reaches in ``module`` (rule a)."""
+        found = set()
+        for source in module.binds.get(name, ()):
+            found |= self._source(source)[0]
+        return found
+
+    def type_of(self, expr, module, cls, scopes):
+        """("class" | "instance", class def), ("module", dotted) or (None, None)."""
+        if isinstance(expr, ast.Attribute):
+            kind, found = self.type_of(expr.value, module, cls, scopes)
+            if kind == "module":
+                return self._one(*self.binding(found, expr.attr))
+            return None, None
+        if not isinstance(expr, ast.Name):
+            return None, None
+        if expr.id in ("self", "cls") and cls is not None:
+            return ("class" if expr.id == "cls" else "instance"), cls
+        for scope in reversed(scopes):
+            if expr.id in scope.bound:
+                return self._instance(scope.ctors.get(expr.id), module, cls, scopes)
+        sources = module.binds.get(expr.id, [])
+        if len(sources) != 1:
+            return None, None
+        return self._one(*self._source(sources[0]))
+
+    def _one(self, defs, modules):
+        """The type of a binding that names one module, class or constant."""
+        if len(defs) + len(modules) != 1:
+            return None, None
+        if modules:
+            return "module", next(iter(modules))
+        found = next(iter(defs))
+        if found.node is not None:
+            return "class", found
+        return self._instance(found.ctor, found.module, None, [])
+
+    def _instance(self, callee, module, cls, scopes):
+        if callee is None:
+            return None, None
+        kind, found = self.type_of(callee, module, cls, scopes)
+        return ("instance", found) if kind == "class" else (None, None)
+
+    def attribute(self, kind, found, name):
+        """The definitions ``.name`` reaches on a receiver (rule b)."""
+        if kind == "module" and (found in self.modules or _outside(found, self.root)):
+            return self.binding(found, name)[0]
+        every = self.by_short.get(name, [])
+        if kind in ("class", "instance") and found not in self.open:
+            family = self.families[found]
+            return {d for d in every if d.owner in family}
+        return set(every)
+
+
+def _outside(dotted, root):
+    """Whether ``dotted`` is a module from outside the repository (the
+    standard library, numpy), whose attributes are no ``src/`` code."""
+    try:
+        spec = importlib.util.find_spec(dotted.split(".")[0])
+    except (ImportError, ValueError):
+        return False
+    origin = spec and spec.origin
+    return bool(origin) and root not in Path(origin).resolve().parents
+
+
+def _closure(start, edges):
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in edges[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+class _Reach(ast.NodeVisitor):
+    """The definitions one body reaches, by rules (a) to (c)."""
+
+    def __init__(self, index, module, cls):
+        self.index, self.module, self.cls = index, module, cls
+        self.scopes, self.found = [], set()
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        parts = node.decorator_list + args.defaults + args.kw_defaults + [node.returns]
+        parts += [arg.annotation for arg in every if arg is not None]
+        for part in parts:
+            if part is not None:
+                self.visit(part)
+        self.scopes.append(_Scope(node))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.scopes.append(_Scope(node))
+        self.visit(node.body)
+        self.scopes.pop()
+
+    def visit_ClassDef(self, node):
+        outer, self.cls = self.cls, None  # a nested class is no src/ class
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_Import(self, node):
+        pass
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Name(self, node):
+        self.found |= self.index.bare(self.module, node.id)
+
+    def visit_Attribute(self, node):
+        kind, found = self.index.type_of(node.value, self.module, self.cls, self.scopes)
+        self.found |= self.index.attribute(kind, found, node.attr)
+        self.visit(node.value)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and WORD.fullmatch(node.value):
+            self.found |= set(self.index.by_short.get(node.value, ()))
+
+    def visit_Dict(self, node):
+        for key in node.keys:
+            if key is not None and not _is_string(key):
+                self.visit(key)
+        for value in node.values:
+            self.visit(value)
+
+    def visit_Subscript(self, node):
+        self.visit(node.value)
+        if not _is_string(node.slice):
+            self.visit(node.slice)
+
+
+def _is_string(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _readme_names(root):
+    readme = root / "README.md"
+    if not readme.exists():
+        return set()
+    text = readme.read_text()
     spans = re.findall(r"```.*?```", text, flags=re.S)
     spans += re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
     return {word for span in spans for word in WORD.findall(span)}
 
 
-def unreached():
+def unreached(root=ROOT):
     """``path:line name`` for each ``src/`` definition nothing ships reaches."""
-    defs, roots = [], []
-    for path in sorted(SRC.rglob("*.py")):
-        found, code = _definitions(path)
-        defs += found
-        roots += code
+    index = _Index(root)
+    hits = set()
+    for module in index.modules.values():
+        reach = _Reach(index, module, None)
+        for node in module.roots:
+            reach.visit(node)
+        hits |= reach.found
     for folder in ("benchmarks", "examples"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            roots.append(ast.parse(path.read_text(), filename=str(path)))
-    names = _names(roots) | _readme_names()
+        for path in sorted((root / folder).rglob("*.py")):
+            module = _Module(path, root)
+            reach = _Reach(index, module, None)
+            reach.visit(module.tree)
+            hits |= reach.found
+    for name in _readme_names(root):
+        hits |= set(index.by_short.get(name, ()))
     reached = set()
     pending = True
     while pending:
         pending = False
-        for definition in defs:
+        for definition in index.defs:
             if definition in reached:
                 continue
-            short = definition.name.rpartition(".")[2]
             if definition.owner is not None and definition.owner not in reached:
                 continue
+            short = definition.short
             if (
-                short in names
+                definition in hits
                 or (short.startswith("__") and short.endswith("__"))
                 or definition.external
             ):
                 reached.add(definition)
-                names |= _names(definition.body)
+                reach = _Reach(index, definition.module, definition.owner)
+                for node in definition.body:
+                    reach.visit(node)
+                hits |= reach.found
                 pending = True
-    return [f"{d.where} {d.name}" for d in defs if d not in reached]
+    return [f"{d.where} {d.name}" for d in index.defs if d not in reached]
 
 
 def _is_value(default):
@@ -238,11 +559,13 @@ def _is_dataclass(node):
 
 
 class _Option:
-    def __init__(self, where, label, name, callee, index, field=False):
+    def __init__(self, where, label, name, callee, index, field=False, method=False):
         self.where, self.label, self.name = where, label, name
         #: The call name that passes it by position, and at what index
         #: (None for a keyword-only parameter).
         self.callee, self.index, self.field = callee, index, field
+        #: A method's parameter: a keyword on any call sets it.
+        self.method = method
 
 
 def _parameters(where, node, owner=None):
@@ -251,17 +574,28 @@ def _parameters(where, node, owner=None):
     static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
     if owner is not None and not static:
         positional = positional[1:]  # self / cls
-    callee = owner if owner is not None and node.name == "__init__" else node.name
+    init = owner is not None and node.name == "__init__"
+    callee = owner if init else node.name
     label = f"{owner}.{node.name}" if owner is not None else node.name
+    method = owner is not None and not init
     pad = len(positional) - len(args.defaults)
     pairs = [(arg, default, pad + i) for i, (arg, default) in
              enumerate(zip(positional[pad:], args.defaults))]
     pairs += [(arg, default, None) for arg, default in
               zip(args.kwonlyargs, args.kw_defaults) if default is not None]
     return [
-        _Option(f"{where}:{arg.lineno}", f"{label}({arg.arg})", arg.arg, callee, index)
+        _Option(f"{where}:{arg.lineno}", f"{label}({arg.arg})", arg.arg, callee, index,
+                method=method)
         for arg, default, index in pairs
         if _is_value(default)
+    ]
+
+
+def _field_names(node):
+    return [
+        stmt.target.id
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
 
 
@@ -289,24 +623,35 @@ def _options(path, root):
     where = path.relative_to(root)
     found = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, _FUNCTIONS):
             found += _parameters(where, node)
         elif isinstance(node, ast.ClassDef):
             for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(stmt, _FUNCTIONS):
                     found += _parameters(where, stmt, owner=node.name)
             if _is_dataclass(node):
                 found += _fields(where, node)
     return found
 
 
+def _callee(func):
+    return getattr(func, "attr", getattr(func, "id", None))
+
+
 class _Settings:
     """What shipped code sets, by the ways :func:`unset_options` counts."""
 
     def __init__(self):
-        self.keywords, self.keys, self.stored = set(), set(), set()
+        self.keys, self.stored, self.replaced = set(), set(), set()
+        #: call name -> the keywords its calls pass.
+        self.keywords = {}
         #: call name -> the most positional arguments one call passes.
         self.positions = {}
+        #: a name that calls reach another by: an ``import … as`` alias,
+        #: or a function that forwards its ``**kwargs`` (name -> names).
+        self.forwards = {}
+        #: class name -> its base class names; class name -> field names.
+        self.bases, self.declared = {}, {}
 
     def scan(self, tree):
         for node in ast.walk(tree):
@@ -324,11 +669,31 @@ class _Settings:
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if WORD.fullmatch(node.value):
                     self.stored.add(node.value)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.asname:
+                        self._forward(alias.asname, alias.name.rpartition(".")[2])
+            elif isinstance(node, _FUNCTIONS) and node.args.kwarg is not None:
+                kwarg = node.args.kwarg.arg
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and any(
+                        kw.arg is None and getattr(kw.value, "id", None) == kwarg
+                        for kw in call.keywords
+                    ):
+                        self._forward(node.name, _callee(call.func))
+            elif isinstance(node, ast.ClassDef):
+                self.bases[node.name] = [_callee(base) for base in node.bases]
+                self.declared[node.name] = set(_field_names(node))
+
+    def _forward(self, name, target):
+        self.forwards.setdefault(name, set()).add(target)
 
     def _call(self, node):
-        func = node.func
-        callee = getattr(func, "attr", getattr(func, "id", None))
-        self.keywords.update(kw.arg for kw in node.keywords if kw.arg)
+        callee = _callee(node.func)
+        words = {kw.arg for kw in node.keywords if kw.arg}
+        self.keywords.setdefault(callee, set()).update(words)
+        if callee == "replace":
+            self.replaced |= words
         count = len(node.args)
         if any(isinstance(arg, ast.Starred) for arg in node.args):
             count = float("inf")
@@ -339,10 +704,42 @@ class _Settings:
                     self.keys.add(flag[2:].replace("-", "_"))
             self.keys.update(_strings(kw.value for kw in node.keywords if kw.arg == "dest"))
 
+    def _spellings(self, callee):
+        """The call names that reach ``callee``: itself, its subclasses,
+        and any alias or ``**kwargs`` forwarder of those."""
+        names = {callee}
+        grown = True
+        while grown:
+            grown = False
+            for name, targets in list(self.forwards.items()):
+                if name not in names and targets & names:
+                    names.add(name)
+                    grown = True
+            for name, bases in self.bases.items():
+                if name not in names and set(bases) & names:
+                    names.add(name)
+                    grown = True
+        return names
+
+    def _redeclared(self, option):
+        family = self._spellings(option.callee) - {option.callee}
+        family |= set(self.bases.get(option.callee, ()))
+        return any(option.name in self.declared.get(name, ()) for name in family)
+
     def sets(self, option):
-        if option.name in self.keywords or option.name in self.keys:
+        if option.name in self.keys:
             return True
-        if option.field and option.name in self.stored:
+        if option.method:
+            spellings = set(self.keywords)
+        else:
+            spellings = self._spellings(option.callee)
+        if any(option.name in self.keywords.get(name, ()) for name in spellings):
+            return True
+        if option.field and (
+            option.name in self.stored
+            or option.name in self.replaced
+            or self._redeclared(option)
+        ):
             return True
         return option.index is not None and self.positions.get(option.callee, 0) > option.index
 
@@ -434,16 +831,197 @@ never_set(1)
 """
 
 
-def test_the_option_walk_reports_only_the_option_nothing_sets(tmp_path):
-    package = tmp_path / "src" / "repro"
+def _tree(root, planted, shipped):
+    """A checkout whose ``src/`` is one module and whose only shipped code
+    is one benchmark file."""
+    package = root / "src" / "repro"
     (package / "experiments").mkdir(parents=True)
-    (package / "planted.py").write_text(_PLANTED)
-    (package / "experiments" / "sweep.py").write_text("def point(n=10):\n    pass\n")
-    (tmp_path / "benchmarks").mkdir()
-    (tmp_path / "examples").mkdir()
-    (tmp_path / "benchmarks" / "shipped.py").write_text(_SHIPPED)
-    line = _PLANTED.splitlines().index("def never_set(a, width=WIDTH):") + 1
-    assert unset_options(tmp_path) == [f"src/repro/planted.py:{line} never_set(width)"]
+    (package / "__init__.py").write_text("")
+    (package / "planted.py").write_text(planted)
+    (root / "benchmarks").mkdir()
+    (root / "examples").mkdir()
+    (root / "benchmarks" / "shipped.py").write_text(shipped)
+    return root
+
+
+def _at(source, text):
+    return f"src/repro/planted.py:{source.splitlines().index(text) + 1}"
+
+
+def test_the_option_walk_reports_only_the_option_nothing_sets(tmp_path):
+    root = _tree(tmp_path, _PLANTED, _SHIPPED)
+    (root / "src" / "repro" / "experiments" / "sweep.py").write_text(
+        "def point(n=10):\n    pass\n"
+    )
+    line = _at(_PLANTED, "def never_set(a, width=WIDTH):")
+    assert unset_options(root) == [f"{line} never_set(width)"]
+
+
+_BARE = """\
+def used():
+    pass
+
+
+def shadowed():
+    pass
+
+
+class Box:
+    def build(self):
+        pass
+"""
+
+_BARE_SHIPPED = """\
+from repro.planted import Box, used
+
+
+def run(build, shadowed):
+    used()
+    build()
+    return Box(), shadowed
+"""
+
+
+def test_a_bare_name_reaches_only_what_its_module_binds(tmp_path):
+    # A parameter named ``build`` or ``shadowed`` is no call of either.
+    root = _tree(tmp_path, _BARE, _BARE_SHIPPED)
+    assert unreached(root) == [
+        f"{_at(_BARE, 'def shadowed():')} shadowed",
+        f"{_at(_BARE, '    def build(self):')} Box.build",
+    ]
+
+
+_TYPED = """\
+def dump(path):
+    pass
+
+
+class Left:
+    def step(self):
+        self.tick()
+
+    def tick(self):
+        pass
+
+
+class Right:
+    def step(self):
+        pass
+
+    def tick(self):
+        pass
+
+
+class Low(Left):
+    def tick(self):
+        pass
+"""
+
+_TYPED_SHIPPED = """\
+import json
+
+from repro import planted
+
+
+def run(stream):
+    left = planted.Left()
+    left.step()
+    json.dump({}, stream)
+    return planted.Right, planted.Low
+"""
+
+
+def test_a_typed_receiver_reaches_only_its_family(tmp_path):
+    # ``self.tick`` in ``Left`` reaches ``Low.tick`` (a subclass may be
+    # the receiver), not ``Right.tick``; ``json.dump`` is no ``dump``.
+    root = _tree(tmp_path, _TYPED, _TYPED_SHIPPED)
+    right = _TYPED.splitlines().index("class Right:") + 1
+    assert unreached(root) == [
+        f"{_at(_TYPED, 'def dump(path):')} dump",
+        f"src/repro/planted.py:{right + 1} Right.step",
+        f"src/repro/planted.py:{right + 4} Right.tick",
+    ]
+
+
+_DATA = """\
+def overhead():
+    pass
+
+
+def dispatched():
+    pass
+"""
+
+_DATA_SHIPPED = """\
+import repro.planted as planted
+
+row = {"overhead": 1}
+print(row["overhead"], getattr(planted, "dispatched"))
+"""
+
+
+def test_a_dict_key_or_subscript_string_is_data(tmp_path):
+    root = _tree(tmp_path, _DATA, _DATA_SHIPPED)
+    assert unreached(root) == [f"{_at(_DATA, 'def overhead():')} overhead"]
+
+
+_CALLS = """\
+from dataclasses import dataclass
+
+
+def scaled(n, share=0.8):
+    pass
+
+
+def other(n, share=0.5):
+    pass
+
+
+def target(*, limit=3):
+    pass
+
+
+def aliased(*, width=4):
+    pass
+
+
+@dataclass
+class Base:
+    depth: int = 1
+    size: int = 2
+    mode: str = "fast"
+
+
+@dataclass
+class Sub(Base):
+    mode: str = "slow"
+"""
+
+_CALLS_SHIPPED = """\
+import dataclasses
+
+from repro.planted import aliased as al
+
+
+def wrapper(**kwargs):
+    return target(**kwargs)
+
+
+other(1, share=0.4)
+scaled(1)
+wrapper(limit=1)
+al(width=2)
+dataclasses.replace(Base(), depth=3)
+Sub(size=5)
+"""
+
+
+def test_a_keyword_sets_only_the_option_of_the_call_it_spells(tmp_path):
+    # Forwarded ``**kwargs``, an ``as`` alias, ``replace``, a subclass's
+    # constructor and a redeclared field each set the option they name.
+    root = _tree(tmp_path, _CALLS, _CALLS_SHIPPED)
+    line = _at(_CALLS, "def scaled(n, share=0.8):")
+    assert unset_options(root) == [f"{line} scaled(share)"]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workloads import calibration
 from repro.workloads.calibration import calibrate_zipf_skew, coverage_fraction
 
 
@@ -16,12 +17,9 @@ class TestCoverageFraction:
         skewed = coverage_fraction(0.99, 10_000)
         assert skewed < flat
 
-    def test_full_share(self):
-        assert coverage_fraction(0.9, 100, access_share=1.0) == 1.0
-
-    def test_invalid_share(self):
-        with pytest.raises(ValueError):
-            coverage_fraction(0.9, 100, access_share=0.0)
+    def test_full_share(self, monkeypatch):
+        monkeypatch.setattr(calibration, "ACCESS_SHARE", 1.0)
+        assert coverage_fraction(0.9, 100) == 1.0
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):

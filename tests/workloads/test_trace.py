@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.records import Operation
 from repro.workloads.trace import (
     OP_DELETE,
     OP_GET,
@@ -11,7 +10,6 @@ from repro.workloads.trace import (
     TraceBuilder,
     concat_traces,
 )
-from repro.workloads.values import PlacesValueGenerator, ValueSource
 
 
 def build_sample() -> Trace:
@@ -65,16 +63,6 @@ class TestTrace:
         assert trace.key_bytes(1) == b"t:000000000001"
         assert len(trace.key_bytes(1)) == len(trace.key_bytes(99))
 
-    def test_split_fractions(self):
-        head, tail = build_sample().split(0.4)
-        assert len(head) == 2
-        assert len(tail) == 3
-        assert list(head) + list(tail) == list(build_sample())
-
-    def test_split_invalid(self):
-        with pytest.raises(ValueError):
-            build_sample().split(1.5)
-
     def test_access_counts_exclude_deletes(self):
         counts = build_sample().access_counts()
         assert counts[1] == 2
@@ -85,19 +73,6 @@ class TestTrace:
         sizes = build_sample().key_sizes()
         key_len = len(b"t:") + 12
         assert sizes[1] == key_len + 10
-
-    def test_requests_materialise(self):
-        source = ValueSource(PlacesValueGenerator(seed=1))
-        requests = list(build_sample().requests(source))
-        assert requests[0].op is Operation.GET
-        assert requests[0].value is None
-        assert requests[1].op is Operation.SET
-        assert requests[1].value is not None
-
-    def test_requests_without_source_carry_sizes(self):
-        requests = list(build_sample().requests())
-        assert requests[1].value is None
-        assert requests[1].value_size == 20
 
     def test_mismatched_arrays_rejected(self):
         from array import array

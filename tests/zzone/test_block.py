@@ -18,6 +18,8 @@ from repro.zzone.block import (
     item_entry,
 )
 
+from tests.zzone.blocks import build_block
+
 
 def verified_container(block, codec):
     """``block``'s container as the zone reads it: CRC, then decompress."""
@@ -80,27 +82,27 @@ class TestEncoding:
 
 class TestBlockBuild:
     def test_items_sorted_by_hash(self):
-        block = Block.build(make_items(20), NullCompressor())
+        block = build_block(make_items(20), NullCompressor())
         decoded = decode_items(verified_container(block, NullCompressor()))
         hashes = [item.hashed_key for item in decoded]
         assert hashes == sorted(hashes)
 
     def test_item_count(self):
-        assert Block.build(make_items(7), NullCompressor()).item_count == 7
+        assert build_block(make_items(7), NullCompressor()).item_count == 7
 
     def test_uncompressed_size_counts_headers(self):
         items = make_items(5, value_size=10)
-        block = Block.build(items, NullCompressor())
+        block = build_block(items, NullCompressor())
         expected = sum(14 + item.size for item in items)
         assert block.uncompressed_size == expected
 
     def test_content_filter_covers_all(self):
         items = make_items(15)
-        block = Block.build(items, ZlibCompressor())
+        block = build_block(items, ZlibCompressor())
         assert all(block.maybe_contains(item.hashed_key) for item in items)
 
     def test_empty_block(self):
-        block = Block.build([], NullCompressor())
+        block = build_block([], NullCompressor())
         assert block.item_count == 0
         assert lookup(block, b"missing", NullCompressor()) is None
 
@@ -109,42 +111,42 @@ class TestBlockLookup:
     def test_finds_every_item(self):
         codec = ZlibCompressor()
         items = make_items(25)
-        block = Block.build(items, codec)
+        block = build_block(items, codec)
         for item in items:
             assert lookup(block, item.key, codec) == item.value
 
     def test_absent_key_returns_none(self):
         codec = ZlibCompressor()
-        block = Block.build(make_items(10), codec)
+        block = build_block(make_items(10), codec)
         assert lookup(block, b"nope", codec) is None
 
     def test_single_item(self):
         codec = NullCompressor()
         items = make_items(1)
-        block = Block.build(items, codec)
+        block = build_block(items, codec)
         assert lookup(block, items[0].key, codec) == items[0].value
 
     def test_index_narrowing_still_correct(self):
         # >8 items exercises the 8-offset sparse index path.
         codec = NullCompressor()
         items = make_items(64, value_size=8)
-        block = Block.build(items, codec)
+        block = build_block(items, codec)
         for item in items:
             assert lookup(block, item.key, codec) == item.value
 
 
 class TestRecordGet:
     def test_first_access_returns_none(self):
-        block = Block.build(make_items(3), NullCompressor())
+        block = build_block(make_items(3), NullCompressor())
         assert block.record_get(111, now=1.0) is None
 
     def test_reaccess_returns_gap(self):
-        block = Block.build(make_items(3), NullCompressor())
+        block = build_block(make_items(3), NullCompressor())
         block.record_get(111, now=1.0)
         assert block.record_get(111, now=3.5) == pytest.approx(2.5)
 
     def test_only_two_slots_kept(self):
-        block = Block.build(make_items(3), NullCompressor())
+        block = build_block(make_items(3), NullCompressor())
         block.record_get(1, now=1.0)
         block.record_get(2, now=2.0)
         block.record_get(3, now=3.0)  # displaces the older record (1)
@@ -154,7 +156,7 @@ class TestRecordGet:
         assert block.record_get(2, now=6.0) is None
 
     def test_access_filter_updated(self):
-        block = Block.build(make_items(3), NullCompressor())
+        block = build_block(make_items(3), NullCompressor())
         assert not block.was_accessed(12345)
         block.record_get(12345, now=0.0)
         assert block.was_accessed(12345)
@@ -162,12 +164,12 @@ class TestRecordGet:
 
 class TestAccounting:
     def test_memory_includes_metadata(self):
-        block = Block.build(make_items(5), NullCompressor())
+        block = build_block(make_items(5), NullCompressor())
         assert block.memory_bytes == block.stored_bytes + BLOCK_METADATA_BYTES
 
     def test_large_ref_charged(self):
         codec = NullCompressor()
-        block = Block.build([], codec)
+        block = build_block([], codec)
         large = LargeItem(
             key=b"big",
             hashed_key=hash_key(b"big"),

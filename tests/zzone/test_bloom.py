@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from repro.common.hashing import hash_key
 from repro.common.records import KVItem
 from repro.compression import ZlibCompressor
-from repro.zzone.block import Block
 from repro.zzone.bloom import PROBE_MASKS, SIZE_BYTES
+
+from tests.zzone.blocks import build_block
 
 
 def _mask(hashed_key):
@@ -50,7 +51,7 @@ class TestBloom128:
             KVItem(key=b"k%03d" % i, value=b"v", hashed_key=hash_key(b"k%03d" % i))
             for i in range(20)
         ]
-        block = Block.build(items, ZlibCompressor())
+        block = build_block(items, ZlibCompressor())
         bits = 0
         for item in items:
             bits = _add(bits, item.hashed_key)

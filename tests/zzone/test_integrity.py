@@ -10,8 +10,9 @@ from repro.compression.base import Compressed, Compressor
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.codec import FaultyCompressor
 from repro.zzone import ZZone
-from repro.zzone.block import Block
 from repro.zzone.zzone import CODEC_FAULT_TOLERANCE
+
+from tests.zzone.blocks import build_block
 
 
 def _zone(**kwargs):
@@ -46,7 +47,7 @@ def _corrupt(block, position=-1):
 
 class TestBlockChecksum:
     def test_fresh_block_verifies(self):
-        block = Block.build([], ZlibCompressor())
+        block = build_block([], ZlibCompressor())
         assert block.checksum_ok()
 
     def test_corrupt_block_fails_verification(self):

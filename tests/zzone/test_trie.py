@@ -5,13 +5,13 @@ import pytest
 from repro.common.hashing import hash_key
 from repro.common.records import KVItem
 from repro.compression import NullCompressor
-from repro.zzone.block import Block
 from repro.zzone.trie import POINTER_BYTES, SEGMENT_POINTERS, BlockTrie
+
+from tests.zzone.blocks import build_block, height
 
 
 def empty_block(depth=0, prefix=0):
-    return Block.build([], NullCompressor(), depth=depth, prefix=prefix)
-
+    return build_block([], NullCompressor(), depth=depth, prefix=prefix)
 
 def split(trie, block):
     left = empty_block(block.depth + 1, block.prefix * 2)
@@ -45,7 +45,7 @@ class TestBlockTrie:
         assert trie.find_leaf(0) is left
         assert trie.find_leaf(1 << 63) is right
         assert trie.block_count == 2
-        assert trie.height == 1
+        assert height(trie) == 1
 
     def test_deep_split_path(self):
         trie = BlockTrie()
@@ -56,7 +56,7 @@ class TestBlockTrie:
         assert trie.find_leaf(0) is ll
         assert trie.find_leaf(1 << 62) is lr
         assert trie.find_leaf(1 << 63) is right  # unbalanced side still found
-        assert trie.height == 2
+        assert height(trie) == 2
         assert trie.block_count == 3
 
     def test_replace_leaf(self):

@@ -1,41 +1,10 @@
-"""Tests for the trie renderer and deep-split edge cases."""
+"""Deep-split edge cases of the Z-zone trie."""
 
 from repro.common.clock import VirtualClock
-from repro.common.records import KVItem
 from repro.compression import NullCompressor
 from repro.zzone import ZZone
-from repro.zzone.block import Block
-from repro.zzone.trie import BlockTrie
 
-
-class TestRender:
-    def test_render_single_root(self):
-        trie = BlockTrie()
-        trie.insert_root(Block.build([], NullCompressor()))
-        text = trie.render()
-        assert "1 leaves" in text
-        assert "(root)" in text
-
-    def test_render_after_splits(self):
-        zone = ZZone(1 << 20, compressor=NullCompressor(),
-                     block_capacity=256, clock=VirtualClock())
-        for i in range(300):
-            zone.put(b"r%05d" % i, b"v" * 40)
-        text = zone._trie.render()  # 106 leaves
-        assert "more leaves" in text
-        assert "items=" in text
-
-    def test_render_binary_labels(self):
-        trie = BlockTrie()
-        root = Block.build([], NullCompressor())
-        trie.insert_root(root)
-        left = Block.build([], NullCompressor(), depth=1, prefix=0)
-        right = Block.build([], NullCompressor(), depth=1, prefix=1)
-        trie.split_leaf(root, left, right)
-        text = trie.render()
-        lines = text.splitlines()
-        assert any(line.strip().startswith("0 ") for line in lines)
-        assert any(line.strip().startswith("1 ") for line in lines)
+from tests.zzone.blocks import height
 
 
 class TestDeepSplit:
@@ -52,7 +21,7 @@ class TestDeepSplit:
             hashed = base | (i << 46)
             zone.put(key, b"v" * 40, hashed=hashed)
         zone.check_invariants()
-        assert zone._trie.height >= 12  # splits had to descend 12+ levels
+        assert height(zone._trie) >= 12  # splits had to descend 12+ levels
         for i in range(24):
             result = zone.get(b"clustered:%04d" % i, hashed=base | (i << 46))
             assert result is not None and result[0] == b"v" * 40
@@ -69,7 +38,7 @@ class TestDeepSplit:
         for i in range(24):
             zone.put(b"twin:%04d" % i, b"v" * 40, hashed=base | i)
         zone.check_invariants()
-        assert zone._trie.height <= MAX_DEPTH
+        assert height(zone._trie) <= MAX_DEPTH
         for i in range(24):
             result = zone.get(b"twin:%04d" % i, hashed=base | i)
             assert result is not None and result[0] == b"v" * 40
