@@ -73,7 +73,6 @@ from repro.metrics import (
     Histogram,
     MetricsRegistry,
     log_buckets,
-    merge_snapshots,
 )
 from repro.nzone import HPCacheZone, MemcachedZone
 from repro.zzone import ZZone
@@ -142,7 +141,6 @@ __all__ = [
     "format_bytes",
     "load_snapshot",
     "log_buckets",
-    "merge_snapshots",
     "replay_journal",
     "replay_trace",
     "scrub_directory",

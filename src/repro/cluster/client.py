@@ -25,10 +25,6 @@ When a node is down the behaviour is the caller's policy:
 
 Writes always raise: degrading a SET/DELETE to a no-op would silently
 drop acknowledged state, which no policy should permit.
-
-``merged_stats`` sums the numeric stats of every reachable node (same
-summation discipline as :func:`repro.metrics.registry.merge_snapshots`)
-and reports ``cluster_nodes``/``cluster_nodes_up`` alongside.
 """
 
 from __future__ import annotations
@@ -38,8 +34,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import NodeDownError, ProtocolError, ServingError
-from repro.metrics.registry import merge_snapshots
-from repro.server.client import MemcacheClient, RetryPolicy, stat_value
+from repro.server.client import MemcacheClient, RetryPolicy
 
 Address = Tuple[str, int]
 
@@ -103,10 +98,6 @@ class ClusterClient:
         }
 
     # -- topology --------------------------------------------------------------
-
-    @property
-    def node_ids(self) -> List[str]:
-        return sorted(self._clients)
 
     def node_for(self, key: bytes) -> str:
         """The id of the node this client would route ``key`` to."""
@@ -204,30 +195,3 @@ class ClusterClient:
         except _NODE_DOWN_ERRORS as exc:
             _reraise_bugs(exc)
             raise NodeDownError(f"node {node_id} unreachable: {exc}") from exc
-
-    # -- aggregate observability -----------------------------------------------
-
-    async def merged_stats(self) -> Dict[str, object]:
-        """Sum every reachable node's numeric stats into one snapshot.
-
-        String-valued stats (``server_state`` etc.) are dropped before
-        merging — summation is only meaningful for numbers — and two
-        synthetic gauges are added: ``cluster_nodes`` (configured) and
-        ``cluster_nodes_up`` (answered this call).
-        """
-        snapshots: List[Dict[str, object]] = []
-        nodes_up = 0
-        for node_id in self.node_ids:
-            try:
-                raw = await self._clients[node_id].stats()
-            except _NODE_DOWN_ERRORS:
-                continue
-            nodes_up += 1
-            typed = {name: stat_value(text) for name, text in raw.items()}
-            snapshots.append(
-                {n: value for n, value in typed.items() if not isinstance(value, str)}
-            )
-        merged = merge_snapshots(snapshots)
-        merged["cluster_nodes"] = len(self._clients)
-        merged["cluster_nodes_up"] = nodes_up
-        return dict(sorted(merged.items()))

@@ -89,11 +89,11 @@ class AdaptiveAllocator:
     def zzone_target(self) -> int:
         return self.total_capacity - self._nzone_target
 
-    def record_nzone(self, count: int = 1) -> None:
-        self._window.nzone += count
+    def record_nzone(self) -> None:
+        self._window.nzone += 1
 
-    def record_zzone(self, count: int = 1) -> None:
-        self._window.zzone += count
+    def record_zzone(self) -> None:
+        self._window.zzone += 1
 
     # -- the decision rule --------------------------------------------------------
 

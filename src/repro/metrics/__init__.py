@@ -4,7 +4,7 @@ The cache core, admission controller, serving layer, replay engine, and
 fault auditor all report through a :class:`MetricsRegistry` — existing
 ``*Stats`` dataclasses are mounted as snapshot-time views (hot paths
 untouched), while latencies and payload sizes land in fixed-bucket
-log-spaced histograms that merge across shards and processes.
+log-spaced histograms.
 """
 
 from repro.metrics.registry import (
@@ -14,7 +14,6 @@ from repro.metrics.registry import (
     Histogram,
     MetricsRegistry,
     log_buckets,
-    merge_snapshots,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "log_buckets",
-    "merge_snapshots",
 ]

@@ -14,15 +14,14 @@ and replay timings.  Three design rules shape it:
   registry holds the shared :data:`NULL_INSTRUMENT`, whose
   ``inc``/``observe`` are empty methods; its call sites keep one
   attribute lookup and one no-op call.
-* **Deterministic, mergeable snapshots.**  Buckets are fixed and
-  log-spaced, so histograms from different shards or processes merge by
-  plain element-wise addition (:func:`merge_snapshots`), and the same
-  request sequence renders byte-identical exposition text (timing
-  instruments are flagged and can be excluded for golden comparisons).
+* **Deterministic snapshots.**  Buckets are fixed and log-spaced, and
+  the same request sequence yields an identical snapshot, less the
+  series registered with ``timing=True`` (listed in ``timed``), which
+  follow the wall clock.
 
 Rendering: ``snapshot()`` is the plain data, ``summary()`` its flat
-key/value form (the ``stats`` wire reply), ``to_prometheus()`` the
-conventional text exposition format.
+key/value form (the ``stats`` wire reply, which ``cli stats`` renders as
+kv, JSON or Prometheus text).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence
-
-#: The prefix of every name in the Prometheus exposition.
-NAMESPACE = "repro"
 
 
 def log_buckets(
@@ -100,11 +96,10 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram over log-spaced bounds.
 
-    ``observe`` is a bisect into the bounds plus two adds; ``merge`` is
-    element-wise addition, valid across shards and processes because the
-    bounds are fixed by construction.  ``percentile`` interpolates
-    linearly inside the landing bucket (exact enough for p50/p99
-    reporting; the raw buckets are what gets exposed).
+    ``observe`` is a bisect into the bounds plus two adds.
+    ``percentile`` interpolates linearly inside the landing bucket
+    (exact enough for p50/p99 reporting; the raw buckets are what gets
+    exposed).
     """
 
     __slots__ = ("name", "help", "bounds", "counts", "_count", "_sum")
@@ -197,14 +192,14 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
         #: name -> (callable, help); read lazily at snapshot time.
         self._views: Dict[str, tuple] = {}
-        #: Instrument/view names whose values depend on wall-clock timing
-        #: (excluded from golden/deterministic comparisons).
-        self._timing: set = set()
+        #: Instrument/view names whose values follow the wall clock; a
+        #: byte-stable (golden) comparison leaves these out.
+        self.timed: set = set()
 
     # -- instrument factories --------------------------------------------------
 
-    def counter(self, name: str, help: str = "", timing: bool = False):
-        return self._register(Counter, name, help, timing)
+    def counter(self, name: str, help: str = ""):
+        return self._register(Counter, name, help, False)
 
     def gauge(self, name: str, help: str = "", timing: bool = False):
         return self._register(Gauge, name, help, timing)
@@ -223,7 +218,7 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._instruments[name] = cls(name, help, *args)
             if timing:
-                self._timing.add(name)
+                self.timed.add(name)
         elif not isinstance(instrument, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {type(instrument).__name__}"
@@ -251,7 +246,7 @@ class MetricsRegistry:
             raise ValueError(f"metric {name!r} already registered")
         self._views[name] = (fn, help)
         if timing:
-            self._timing.add(name)
+            self.timed.add(name)
 
     def mount(self, prefix: str, obj, replace: bool = False) -> None:
         """Mount every numeric field of a stats dataclass as a view.
@@ -274,18 +269,15 @@ class MetricsRegistry:
 
     # -- snapshot + rendering --------------------------------------------------
 
-    def snapshot(self, include_timing: bool = True) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         """Name-sorted plain-data snapshot.
 
         Counters/gauges/views map to numbers; histograms to
-        ``{"count", "sum", "bounds", "counts"}``.  ``include_timing=False``
-        drops wall-clock-dependent series, leaving only values that are a
-        pure function of the request sequence (golden-comparable).
+        ``{"count", "sum", "bounds", "counts"}``.  Less the :attr:`timed`
+        series, every value is a pure function of the request sequence.
         """
         out: Dict[str, object] = {}
         for name in sorted(set(self._instruments) | set(self._views)):
-            if not include_timing and name in self._timing:
-                continue
             if name in self._views:
                 out[name] = self._views[name][0]()
                 continue
@@ -301,49 +293,18 @@ class MetricsRegistry:
                 out[name] = instrument.value
         return out
 
-    def to_prometheus(self, include_timing: bool = True) -> str:
-        """Prometheus-style text exposition (no labels, ``le`` excepted)."""
-        lines: List[str] = []
-        snap = self.snapshot(include_timing=include_timing)
-        for name, value in snap.items():
-            full = f"{NAMESPACE}_{name}"
-            help_text, kind = self._describe(name)
-            if help_text:
-                lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} {kind}")
-            if isinstance(value, dict):
-                cumulative = 0
-                for bound, count in zip(value["bounds"], value["counts"]):
-                    cumulative += count
-                    lines.append(
-                        f'{full}_bucket{{le="{_format(bound)}"}} {cumulative}'
-                    )
-                cumulative += value["counts"][-1]
-                lines.append(f'{full}_bucket{{le="+Inf"}} {cumulative}')
-                lines.append(f"{full}_sum {_format(value['sum'])}")
-                lines.append(f"{full}_count {value['count']}")
-            else:
-                lines.append(f"{full} {_format(value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def _describe(self, name: str) -> tuple:
-        if name in self._views:
-            return self._views[name][1], "gauge"
-        instrument = self._instruments[name]
-        return instrument.help, instrument.kind
-
     def is_view(self, name: str) -> bool:
         """Is ``name`` a mounted view (as opposed to an owned instrument)?"""
         return name in self._views
 
-    def summary(self, include_timing: bool = True) -> Dict[str, object]:
+    def summary(self) -> Dict[str, object]:
         """Flat numeric mapping for ``stats``-style key/value exposition.
 
         Histograms flatten to ``_count``/``_sum``/``_p50``/``_p99``
         suffixes so every value is a single parseable number.
         """
         out: Dict[str, object] = {}
-        for name, value in self.snapshot(include_timing=include_timing).items():
+        for name, value in self.snapshot().items():
             if isinstance(value, dict):
                 instrument = self._instruments[name]
                 out[f"{name}_count"] = value["count"]
@@ -353,48 +314,3 @@ class MetricsRegistry:
             else:
                 out[name] = value
         return out
-
-
-def merge_snapshots(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Merge per-shard/per-process snapshots by summation.
-
-    Counters and gauges add; histograms require identical bounds and add
-    element-wise.  Metrics absent from some snapshots merge from those
-    that have them, so heterogeneous shards still aggregate.
-    """
-    merged: Dict[str, object] = {}
-    for snap in snapshots:
-        for name, value in snap.items():
-            if name not in merged:
-                merged[name] = (
-                    dict(value, counts=list(value["counts"]))
-                    if isinstance(value, dict)
-                    else value
-                )
-                continue
-            existing = merged[name]
-            if isinstance(value, dict) != isinstance(existing, dict):
-                raise ValueError(f"metric {name!r} has mixed shapes")
-            if isinstance(value, dict):
-                if value["bounds"] != existing["bounds"]:
-                    raise ValueError(
-                        f"metric {name!r} has mismatched histogram bounds"
-                    )
-                existing["count"] += value["count"]
-                existing["sum"] += value["sum"]
-                for index, count in enumerate(value["counts"]):
-                    existing["counts"][index] += count
-            else:
-                merged[name] = existing + value
-    return dict(sorted(merged.items()))
-
-
-def _format(value) -> str:
-    """Repr-stable number formatting (ints stay ints)."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)

@@ -44,14 +44,14 @@ class ReplicationStats:
     promotions: int = 0
     catch_up_records: int = 0
 
-    def bind_metrics(self, registry, client, source, prefix="replication") -> None:
+    def bind_metrics(self, registry, client, source) -> None:
         """Mount the counters, plus the live state of the two stream ends.
 
         ``client()`` / ``source()`` return the running ``ReplicationClient``
         / ``ReplicationSource`` or None (a promoted replica drops its
         client); an end that is not up reads 0, so every role has every name.
         """
-        registry.mount(prefix, self)
+        registry.mount("replication", self)
         for name, end, read, help, timing in (
             ("connected", client, lambda c: int(c.connected),
              "replica: the stream from the primary is open", False),
@@ -71,4 +71,4 @@ class ReplicationStats:
                 live = end()
                 return 0 if live is None else read(live)
 
-            registry.view(f"{prefix}_{name}", value, help, timing=timing)
+            registry.view(f"replication_{name}", value, help, timing=timing)

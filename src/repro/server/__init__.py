@@ -19,7 +19,6 @@ from repro.server.admission import (
     TokenBucket,
 )
 from repro.server.client import (
-    FailoverMemcacheClient,
     MemcacheClient,
     RetryPolicy,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "Command",
     "MAX_VALUE_BYTES",
     "EXPTIME_ABSOLUTE_THRESHOLD",
-    "FailoverMemcacheClient",
     "ItemMetaStore",
     "MAX_KEY_BYTES",
     "MemcacheClient",

@@ -16,12 +16,7 @@ of the wire:
   The jitter RNG is injectable, so tests and chaos runs stay seeded.
   Connection *refused* is the exception: nothing is listening, so waiting
   cannot help — refused attempts retry immediately with no sleep and the
-  call fails fast, letting a failover caller move to the next endpoint.
-* **Failover** — :class:`FailoverMemcacheClient` fronts a primary plus
-  read replicas: writes go to the primary, reads rotate across replicas
-  and fall back endpoint-by-endpoint (lagging, draining, or unreachable
-  replicas are skipped), and ``promote`` retargets writes after a
-  replica is promoted.
+  call fails fast.
 """
 
 from __future__ import annotations
@@ -239,9 +234,9 @@ class MemcacheClient:
                 # Nothing is listening on the endpoint.  Sleeping cannot
                 # help: either the process is mid-restart (the immediate
                 # next attempt may land) or it is dead and the caller
-                # should fail over to another endpoint *now*.  Retry
-                # without backoff so the whole call fails in microseconds
-                # instead of stalling a failover behind jittered sleeps.
+                # should move to another endpoint *now*.  Retry without
+                # backoff so the whole call fails in microseconds instead
+                # of stalling the caller behind jittered sleeps.
                 last_error = exc
                 backoff = False
             except _RETRYABLE as exc:
@@ -266,8 +261,8 @@ class MemcacheClient:
                 except (ReplicaLaggingError, ReadOnlyReplicaError):
                     # The server answered deliberately; the connection is
                     # fine, but retrying the same endpoint cannot change
-                    # the answer — surface it so a failover client can
-                    # pick another endpoint.
+                    # the answer — surface it so the caller can pick
+                    # another endpoint.
                     healthy = True
                     raise
                 except ServerOverloadedError as exc:
@@ -492,168 +487,3 @@ class MemcacheClient:
             length += cost
         requests.append(verb + b" " + b" ".join(chunk) + CRLF)
         return requests
-
-
-#: Read-path conditions that mean "try the next endpoint", not "give up":
-#: the endpoint is lagging, draining, overloaded, unreachable, or slow.
-#: ProtocolError is deliberately absent — a malformed exchange is a bug,
-#: and failing over would only mask it.
-_FAILOVER_ERRORS = (
-    ReplicaLaggingError,
-    ReadOnlyReplicaError,
-    ServerOverloadedError,
-    ConnectionDrainingError,
-    RequestTimeoutError,
-    ConnectionError,
-    OSError,
-    EOFError,
-    asyncio.IncompleteReadError,
-)
-
-Address = Tuple[str, int]
-
-
-class FailoverMemcacheClient:
-    """A primary plus read replicas behind one client interface.
-
-    * **Writes** (``set``/``delete``) go to the primary only; replicas
-      answer them with ``SERVER_ERROR read-only replica`` anyway.
-    * **Reads** rotate across the replicas round-robin and fall back
-      endpoint-by-endpoint — a replica that is lagging past its
-      advertised bound, draining, or unreachable just means the next
-      replica (and finally the primary) is tried.  Each endpoint attempt
-      runs under the per-request deadline of its own pooled client, and
-      connection-refused endpoints fail over in microseconds (see
-      :meth:`MemcacheClient._call`).
-    * **Promotion** — :meth:`promote` sends the ``promote`` command to a
-      chosen replica and, on success, retargets writes at it.  The
-      rotation is a plain counter and the replica order is the caller's,
-      so a seeded harness sees identical routing every run.
-    """
-
-    def __init__(
-        self,
-        primary: Address,
-        replicas: Sequence[Address] = (),
-        *,
-        pool_size: int = 2,
-        deadline: float = 2.0,
-        retry: Optional[RetryPolicy] = None,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        rng = rng if rng is not None else random.Random()
-
-        def make(address: Address) -> MemcacheClient:
-            host, port = address
-            return MemcacheClient(
-                host=host,
-                port=port,
-                pool_size=pool_size,
-                deadline=deadline,
-                retry=retry,
-                rng=rng,
-            )
-
-        self._primary = make(primary)
-        self._replicas: List[MemcacheClient] = [make(a) for a in replicas]
-        self._rotation = 0
-        #: Observability for tests and the chaos harness.
-        self.reads_primary = 0
-        self.reads_replica = 0
-        self.read_failovers = 0
-        self.promotions = 0
-
-    # -- topology --------------------------------------------------------------
-
-    @property
-    def primary_address(self) -> Address:
-        return (self._primary.host, self._primary.port)
-
-    async def close(self) -> None:
-        await self._primary.close()
-        for client in self._replicas:
-            await client.close()
-
-    # -- reads -----------------------------------------------------------------
-
-    def _read_order(self) -> List[MemcacheClient]:
-        """Replicas from the rotation point, then the primary as backstop."""
-        if not self._replicas:
-            return [self._primary]
-        start = self._rotation % len(self._replicas)
-        self._rotation += 1
-        ordered = self._replicas[start:] + self._replicas[:start]
-        ordered.append(self._primary)
-        return ordered
-
-    async def get(self, key: bytes) -> Optional[bytes]:
-        values = await self.get_many([key])
-        return values.get(key)
-
-    async def get_many(self, keys: Sequence[bytes]) -> Dict[bytes, bytes]:
-        last_error: Optional[BaseException] = None
-        for client in self._read_order():
-            try:
-                result = await client.get_many(keys)
-            except _FAILOVER_ERRORS as exc:
-                last_error = exc
-                self.read_failovers += 1
-                continue
-            if client is self._primary:
-                self.reads_primary += 1
-            else:
-                self.reads_replica += 1
-            return result
-        assert last_error is not None
-        raise last_error
-
-    # -- writes ----------------------------------------------------------------
-
-    async def set(
-        self, key: bytes, value: bytes, ttl: float = 0.0, flags: int = 0
-    ) -> bool:
-        return await self._primary.set(key, value, ttl, flags)
-
-    async def cas(
-        self,
-        key: bytes,
-        value: bytes,
-        token: int,
-        ttl: float = 0.0,
-        flags: int = 0,
-    ) -> Optional[bool]:
-        return await self._primary.cas(key, value, token, ttl, flags)
-
-    async def delete(self, key: bytes) -> bool:
-        return await self._primary.delete(key)
-
-    async def stats(self) -> Dict[str, str]:
-        return await self._primary.stats()
-
-    # -- failover --------------------------------------------------------------
-
-    async def promote(self, replica_index: int = 0, catch_up: str = "") -> Address:
-        """Promote one replica and retarget writes at it.
-
-        Returns the new primary's address.  On failure the topology is
-        unchanged (the replica stays in the read rotation) and the error
-        propagates.  The old primary's client is closed, not promoted
-        back — the caller decides whether the dead process ever returns,
-        and if it does, it must come back as a replica.
-        """
-        if not 0 <= replica_index < len(self._replicas):
-            raise ValueError(
-                f"replica_index {replica_index} out of range "
-                f"(have {len(self._replicas)} replicas)"
-            )
-        client = self._replicas.pop(replica_index)
-        try:
-            await client.promote(catch_up)
-        except BaseException:
-            self._replicas.insert(replica_index, client)
-            raise
-        retired = self._primary
-        self._primary = client
-        self.promotions += 1
-        await retired.close()
-        return self.primary_address

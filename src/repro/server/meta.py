@@ -66,6 +66,9 @@ DEFAULT_META: Tuple[int, int, Optional[float]] = (0, 0, None)
 #: Due keys one :meth:`ItemMetaStore.expire` call deletes at most.
 PURGE_LIMIT = 64
 
+#: Stale entries one :meth:`ItemMetaStore.prune` call drops at most.
+PRUNE_LIMIT = 4096
+
 
 class ItemMetaStore:
     """A cache with a sparse ``key -> (flags, cas, deadline)`` beside it."""
@@ -182,10 +185,10 @@ class ItemMetaStore:
 
     # -- hygiene ----------------------------------------------------------------
 
-    def prune(self, limit: int = 4096) -> int:
-        """Drop up to ``limit`` entries whose key the cache no longer holds,
-        once the map has outgrown twice the cache's population; returns
-        the number dropped."""
+    def prune(self) -> int:
+        """Drop up to :data:`PRUNE_LIMIT` entries whose key the cache no
+        longer holds, once the map has outgrown twice the cache's
+        population; returns the number dropped."""
         cache = self.cache
         if len(self.entries) <= 2 * cache.item_count + 64:
             return 0
@@ -193,7 +196,7 @@ class ItemMetaStore:
         for key in self.entries:
             if key not in cache:
                 stale.append(key)
-                if len(stale) >= limit:
+                if len(stale) >= PRUNE_LIMIT:
                     break
         for key in stale:
             del self.entries[key]

@@ -919,7 +919,7 @@ class CacheServer:
 
     # -- introspection ---------------------------------------------------------
 
-    def stats_dict(self, include_timing: bool = True) -> Dict[str, object]:
+    def stats_dict(self) -> Dict[str, object]:
         """The ``stats`` command's payload: three text keys, then the
         whole registry under its wire names (:func:`wire_name`)."""
         out: Dict[str, object] = {
@@ -928,7 +928,7 @@ class CacheServer:
             "replication_role": self.config.role,
         }
         is_view = self.registry.is_view
-        for name, value in self.registry.summary(include_timing).items():
+        for name, value in self.registry.summary().items():
             out[wire_name(name, owned=not is_view(name))] = value
         return out
 

@@ -85,9 +85,9 @@ class ValueGenerator(abc.ABC):
     def generate(self, index: int) -> bytes:
         """Return the value for ``index``; stable across calls."""
 
-    def corpus(self, count: int, start: int = 0):
-        """Yield ``count`` consecutive values starting at ``start``."""
-        for index in range(start, start + count):
+    def corpus(self, count: int):
+        """Yield the values of indices ``0 .. count - 1``."""
+        for index in range(count):
             yield self.generate(index)
 
 

@@ -16,9 +16,15 @@ def make_allocator(**kwargs):
     return AdaptiveAllocator(**defaults)
 
 
+def record(allocator, nzone=0, zzone=0):
+    for _ in range(nzone):
+        allocator.record_nzone()
+    for _ in range(zzone):
+        allocator.record_zzone()
+
+
 def feed_window(allocator, nzone, zzone, start, end):
-    allocator.record_nzone(nzone)
-    allocator.record_zzone(zzone)
+    record(allocator, nzone, zzone)
     return allocator.maybe_adjust(end)
 
 
@@ -30,7 +36,7 @@ class TestAdaptiveAllocator:
     def test_no_adjust_before_window_ends(self):
         allocator = make_allocator()
         allocator.maybe_adjust(0.0)
-        allocator.record_zzone(100)
+        record(allocator, zzone=100)
         assert allocator.maybe_adjust(30.0) is False
 
     def test_low_fraction_grows_nzone(self):

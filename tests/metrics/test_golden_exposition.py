@@ -2,7 +2,7 @@
 
 A short seeded ETC replay against the paper's configuration
 (``append_region_bytes=0``) with the registry bound must render
-``to_prometheus(include_timing=False)`` byte-identically to
+``to_prometheus(registry, include_timing=False)`` byte-identically to
 ``benchmarks/results/metrics_smoke.prom``.  Timing metrics are excluded,
 so everything left is a pure function of the request sequence; any drift
 means cache behaviour (not just formatting) changed.  Regenerate
@@ -23,6 +23,7 @@ from repro.experiments.common import (
     build_value_source,
 )
 from repro.metrics import MetricsRegistry
+from tests.metrics.exposition import to_prometheus
 
 GOLDEN = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "metrics_smoke.prom"
@@ -54,7 +55,7 @@ def run_exposition() -> str:
         request_rate=50_000.0,
         registry=registry,
     )
-    return registry.to_prometheus(include_timing=False)
+    return to_prometheus(registry, include_timing=False)
 
 
 def test_exposition_matches_the_committed_golden():

@@ -10,8 +10,8 @@ from repro.metrics import (
     Histogram,
     MetricsRegistry,
     log_buckets,
-    merge_snapshots,
 )
+from tests.metrics.exposition import to_prometheus, untimed
 
 
 class TestLogBuckets:
@@ -126,9 +126,9 @@ class TestRegistry:
         registry.gauge("wall_seconds", timing=True).set(1.23)
         registry.histogram("lat", timing=True).observe(0.1)
         full = registry.snapshot()
-        golden = registry.snapshot(include_timing=False)
         assert "wall_seconds" in full and "lat" in full
-        assert set(golden) == {"steady"}
+        assert registry.timed == {"wall_seconds", "lat"}
+        assert set(untimed(registry)) == {"steady"}
 
     def test_summary_flattens_histograms(self):
         registry = MetricsRegistry()
@@ -156,7 +156,7 @@ class TestRegistry:
         requests.inc()
         requests.inc()
         registry.histogram("lat", "latency", bounds=[1.0, 10.0]).observe(0.5)
-        text = registry.to_prometheus()
+        text = to_prometheus(registry)
         assert "# TYPE repro_reqs_total counter" in text
         assert "repro_reqs_total 2" in text
         assert 'repro_lat_bucket{le="1"} 1' in text
@@ -172,38 +172,6 @@ class TestRegistry:
             hist = registry.histogram("h", bounds=log_buckets(1.0, 100.0, 2))
             for value in (1.0, 7.0, 40.0):
                 hist.observe(value)
-            return registry.to_prometheus()
+            return to_prometheus(registry)
 
         assert build() == build()
-
-
-class TestMergeSnapshots:
-    def test_merges_counters_and_histograms(self):
-        def shard(n):
-            registry = MetricsRegistry()
-            for _ in range(n):
-                registry.counter("hits").inc()
-            registry.histogram("lat", bounds=[1.0, 10.0]).observe(float(n))
-            return registry.snapshot()
-
-        merged = merge_snapshots([shard(1), shard(5), shard(20)])
-        assert merged["hits"] == 26
-        assert merged["lat"]["count"] == 3
-        assert merged["lat"]["counts"] == [1, 1, 1]
-
-    def test_merge_tolerates_missing_metrics(self):
-        merged = merge_snapshots([{"a": 1}, {"a": 2, "b": 7}])
-        assert merged == {"a": 3, "b": 7}
-
-    def test_merge_rejects_mismatched_bounds(self):
-        a = {"h": {"count": 1, "sum": 1.0, "bounds": [1.0], "counts": [1, 0]}}
-        b = {"h": {"count": 1, "sum": 1.0, "bounds": [2.0], "counts": [1, 0]}}
-        with pytest.raises(ValueError):
-            merge_snapshots([a, b])
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = {"h": {"count": 1, "sum": 1.0, "bounds": [1.0], "counts": [1, 0]}}
-        b = {"h": {"count": 1, "sum": 2.0, "bounds": [1.0], "counts": [0, 1]}}
-        merge_snapshots([a, b])
-        assert a["h"]["counts"] == [1, 0]
-        assert b["h"]["counts"] == [0, 1]

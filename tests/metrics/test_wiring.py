@@ -8,6 +8,7 @@ from repro.core.zexpander import ZExpander
 from repro.experiments.common import Scale, build_trace, build_value_source
 from repro.faults.auditor import InvariantAuditor
 from repro.metrics import MetricsRegistry
+from tests.metrics.exposition import to_prometheus
 
 SCALE = Scale(num_keys=400, num_requests=6_000, seed=3)
 
@@ -152,7 +153,7 @@ class TestReplayMetrics:
             registry = MetricsRegistry()
             cache.bind_metrics(registry)
             run_small_replay(cache, clock, registry=registry)
-            return registry.to_prometheus(include_timing=False)
+            return to_prometheus(registry, include_timing=False)
 
         first, second = golden(), golden()
         assert first == second

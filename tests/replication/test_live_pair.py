@@ -15,6 +15,7 @@ from repro.core.snapshot import iter_cache_items, write_snapshot
 from tests.nzone.plain import PlainZone
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
+from repro.common.errors import ReadOnlyReplicaError, ReplicaLaggingError
 from repro.common.rng import RetryPolicy
 from repro.replication import wire
 from repro.durability.journal import JournalConfig, JournalWriter, list_segments
@@ -23,6 +24,7 @@ from repro.replication.replica import (
     MAX_LAG_BYTES,
     ReplicationClient,
 )
+from repro.server.client import MemcacheClient
 from repro.server.server import CacheServer, ServerConfig
 from tests.durability.test_scrub import flip
 
@@ -775,6 +777,77 @@ class TestPromotion:
             assert b"not a replica" in reply
             writer.close()
             await drain(primary, ptask)
+
+        asyncio.run(go())
+
+
+class TestThroughMemcacheClient:
+    """The pair as a caller drives it: one pooled client per endpoint,
+    the way ``cli chaos --replication`` and ``cli promote`` do."""
+
+    def test_a_replica_serves_what_it_applied(self, tmp_path):
+        async def go():
+            primary, ptask = await start_primary(tmp_path)
+            replica, rtask = await start_replica(primary.repl_source.port)
+            writes = MemcacheClient(port=primary.port)
+            reads = MemcacheClient(port=replica.port, retry=RetryPolicy(max_attempts=3))
+            try:
+                assert await writes.set(b"fan", b"out", flags=7)
+                assert await wait_until(lambda: replica.cache.get(b"fan") == b"out")
+                assert await reads.get(b"fan") == b"out"
+                assert await reads.get_many([b"fan", b"absent"]) == {b"fan": b"out"}
+                with pytest.raises(ReadOnlyReplicaError):
+                    await reads.set(b"fan", b"in")
+                # Refused once, not retried: the answer cannot change.
+                assert replica.replication_stats.read_only_rejects == 1
+            finally:
+                await writes.close()
+                await reads.close()
+            await drain(replica, rtask)
+            await drain(primary, ptask)
+
+        asyncio.run(go())
+
+    def test_a_lagging_replica_raises_at_once(self, tmp_path):
+        async def go():
+            primary, ptask = await start_primary(tmp_path)
+            replica, rtask = await start_replica(
+                primary.repl_source.port, stale_grace=0.3
+            )
+            assert await wait_until(lambda: replica.repl_client.connected)
+            await drain(primary, ptask)
+            await asyncio.sleep(0.6)
+            reads = MemcacheClient(port=replica.port, retry=RetryPolicy(max_attempts=3))
+            try:
+                with pytest.raises(ReplicaLaggingError):
+                    await reads.get(b"anything")
+                assert replica.replication_stats.lagging_rejects == 1
+            finally:
+                await reads.close()
+            await drain(replica, rtask)
+
+        asyncio.run(go())
+
+    def test_promote_then_write_on_one_client(self, tmp_path):
+        async def go():
+            primary, ptask = await start_primary(tmp_path)
+            replica, rtask = await start_replica(primary.repl_source.port)
+            writes = MemcacheClient(port=primary.port)
+            client = MemcacheClient(port=replica.port)
+            try:
+                assert await writes.set(b"before", b"old")
+                await writes.close()
+                await drain(primary, ptask)  # the primary dies
+
+                await client.promote(str(tmp_path))
+                assert replica.config.role == "primary"
+                assert await client.set(b"after", b"new")
+                assert await client.get(b"after") == b"new"
+                # Every write the dead primary acked survived.
+                assert await client.get(b"before") == b"old"
+            finally:
+                await client.close()
+            await drain(replica, rtask)
 
         asyncio.run(go())
 

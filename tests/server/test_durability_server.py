@@ -19,6 +19,7 @@ from repro.durability.manager import list_checkpoints
 from tests.nzone.plain import PlainZone
 from repro.server.server import CacheServer, ServerConfig
 from tests.durability.test_scrub import flip
+from tests.metrics.exposition import to_prometheus
 
 
 def make_cache(capacity=256 * 1024, shards=2, seed=11):
@@ -259,8 +260,8 @@ class TestStatsSurface:
             assert "durability_replayed_records" in stats
             assert "durability_torn_tail_records" in stats
             assert "durability_scrub_failures" in stats
-            # And through the metrics registry (cli stats --format prom).
-            exposition = server.registry.to_prometheus(include_timing=False)
+            # And through the metrics registry.
+            exposition = to_prometheus(server.registry, include_timing=False)
             assert "durability_journal_appends 1" in exposition
             writer.close()
             assert await drain(server, task) == 0
@@ -292,7 +293,7 @@ class TestStatsSurface:
             seen = (
                 server.stats_dict(),
                 list(server.incidents),
-                server.registry.to_prometheus(include_timing=False),
+                to_prometheus(server.registry, include_timing=False),
             )
             assert await drain(server, task) == 0
             return seen

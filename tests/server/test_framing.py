@@ -16,6 +16,8 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.server import protocol
+from repro.server.server import wire_name
+from tests.metrics.exposition import untimed_summary
 
 from .test_server import make_cache, running_server
 
@@ -85,7 +87,19 @@ async def serve_chunks(chunks):
             # Everything the registry holds that does not follow the wall
             # clock — cache counters and both payload histograms included:
             # the dispatch unit is one command, however the commands arrived.
-            return replies, server.stats_dict(include_timing=False)
+            return replies, untimed_stats(server)
+
+
+def untimed_stats(server):
+    """``server.stats_dict()`` less the series that follow the wall clock."""
+    registry = server.registry
+    kept = untimed_summary(registry)
+    timed = {
+        wire_name(name, owned=not registry.is_view(name))
+        for name in registry.summary()
+        if name not in kept
+    }
+    return {k: v for k, v in server.stats_dict().items() if k not in timed}
 
 
 class TestFramingIndependence:

@@ -17,6 +17,7 @@ from repro.core.zexpander import ZExpander
 from repro.server import protocol
 from repro.server.client import MemcacheClient
 from repro.server.server import CacheServer, ServerConfig, wire_name
+from tests.metrics.exposition import to_prometheus, untimed, untimed_summary
 
 from .test_framing import MAX_VALUE_BYTES, build_script
 from .test_server import make_cache, running_server
@@ -60,14 +61,14 @@ class TestWireContract:
         def inspect(server):
             wire = server.stats_dict()
             registry = server.registry
-            untimed = registry.summary(include_timing=False)
+            stable = untimed_summary(registry)
             named = {
                 wire_name(name, owned=not registry.is_view(name)): value
-                for name, value in untimed.items()
+                for name, value in stable.items()
             }
             # No two registry names land on one wire name, and there is
             # no number on the wire the registry does not hold.
-            assert len(named) == len(untimed)
+            assert len(named) == len(stable)
             assert len(wire) == len(_TEXT_KEYS) + len(registry.summary())
             for name, value in named.items():
                 assert wire[name] == value, name
@@ -75,7 +76,7 @@ class TestWireContract:
             assert wire["curr_items"] == server.cache.item_count
             assert wire["bytes"] == server.cache.used_bytes
             assert wire["limit_maxbytes"] == server.cache.capacity
-            assert wire["cache_hits_nzone"] == untimed["cache_get_hits_nzone"]
+            assert wire["cache_hits_nzone"] == stable["cache_get_hits_nzone"]
             assert wire["cmd_get"] == server.stats.cmd_get > 10
             return wire
 
@@ -102,14 +103,14 @@ class TestWireContract:
 
     def test_untimed_snapshot_is_a_function_of_the_script(self):
         # Wall-clock admission (the default), tick-clock cache: what is
-        # left after ``include_timing=False`` may not move between runs.
-        def untimed(server):
-            return server.registry.snapshot(include_timing=False)
+        # left after the ``timed`` series may not move between runs.
+        def stable(server):
+            return untimed(server.registry)
 
-        first = asyncio.run(serve_script(untimed, build_script(5), shards=2))
+        first = asyncio.run(serve_script(stable, build_script(5), shards=2))
         assert "admission_tokens" not in first
         assert "replication_pressure" not in first
-        assert asyncio.run(serve_script(untimed, build_script(5), shards=2)) == first
+        assert asyncio.run(serve_script(stable, build_script(5), shards=2)) == first
 
     def test_swallowed_store_failure_is_an_incident(self):
         async def scenario():
@@ -202,13 +203,13 @@ class TestStatsRoundTrip:
             client = MemcacheClient(port=server.port)
             await client.set(b"k", b"v")
             await client.get(b"k")
-            text = server.registry.to_prometheus()
+            text = to_prometheus(server.registry)
             assert "# TYPE repro_server_request_seconds histogram" in text
             assert 'repro_server_request_seconds_bucket{le="+Inf"}' in text
             assert "repro_admission_admitted" in text
             assert "repro_cache_gets" in text
             # Golden-comparable form excludes wall-clock metrics.
-            stable = server.registry.to_prometheus(include_timing=False)
+            stable = to_prometheus(server.registry, include_timing=False)
             assert "server_request_seconds" not in stable
             await client.close()
             server.begin_drain()

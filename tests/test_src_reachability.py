@@ -6,9 +6,12 @@ runs can reach it.  This walks from what does run:
 
 - the module-level code of every ``src/`` module (imports and
   ``__all__`` excepted, so a package re-export reaches nothing);
-- every file under ``benchmarks/`` and ``examples/``;
-- each identifier inside README.md code (fenced blocks and backtick
-  spans), the documented public API.
+- every file under ``benchmarks/`` and ``examples/``.
+
+README.md is no root: it documents what ships and keeps nothing alive.
+Its ``python`` blocks are walked like a file under ``examples/``, and a
+block that reaches a definition the roots do not reach fails, so README
+may describe only code that runs.
 
 A definition is a module-level function, class or named constant, or a
 method of a class.  A reached body reaches a definition by these rules:
@@ -43,18 +46,21 @@ literal (``1 << 20`` included) or an UPPER_CASE constant.  One that only
 tests set is a second configuration the project tests and documents
 while every user runs the default; it is a module constant instead, and
 a test that needs another value patches the constant.  An option is set
-when the shipped code above (all of ``src/``, ``benchmarks/``,
-``examples/`` and README's Python blocks) does one of these:
+when the shipped code above (all of ``src/``, ``benchmarks/`` and
+``examples/``) does one of these:
 
 - (d) passes it by keyword on a call spelled with its function's name,
   or its class's or a subclass's name.  The walk follows ``import … as``
   aliases and functions that forward ``**kwargs`` to such a call, and a
   keyword to ``dataclasses.replace`` sets the field of that name.  A
-  method's parameter, whose receiver the walk cannot type, is set by a
-  keyword of its name on any call;
-- passes it by position, to a call spelled with its function's or
-  class's name;
-- names it as a ``cli`` flag dest or a settings-dict key;
+  method's parameter is set only on a call ``receiver.method(...)``
+  spelled with its method's name whose receiver rule (b) types to the
+  method's class family or cannot type, on a local called bare by that
+  name (a bound method passed in), or on a function that forwards
+  ``**kwargs`` to such a call;
+- passes it by position, to a call spelled as above;
+- for a function's or class's option (not a method's): names it as a
+  ``cli`` flag dest or a settings-dict key;
 - for a field: stores to it (counters), names it in a string
   (``setattr`` dispatch) or redeclares it in a subclass (the two
   declarations are one option, set by the redeclaration).
@@ -69,8 +75,8 @@ The scan leaves out:
 Like the first walk it errs towards "set".
 
 ``PYTHONPATH=src python tests/test_src_reachability.py`` prints the
-unreached definitions, then the unset options, one ``path:line name`` a
-line.
+unreached definitions, the README blocks that reach one, then the unset
+options, one ``path:line name`` a line.
 """
 
 import ast
@@ -155,8 +161,9 @@ class _Definition:
 class _Module:
     """One parsed file and the names its module scope binds."""
 
-    def __init__(self, path, root, dotted=None):
-        self.tree = ast.parse(path.read_text(), filename=str(path))
+    def __init__(self, path, root, dotted=None, source=None):
+        source = path.read_text() if source is None else source
+        self.tree = ast.parse(source, filename=str(path))
         self.where = path.relative_to(root)
         self.dotted, self.package = dotted, path.name == "__init__.py"
         #: name -> [("def", definition) | ("module", dotted)
@@ -481,33 +488,76 @@ def _is_string(node):
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
-def _readme_names(root):
+class _Calls(_Reach):
+    """Each call that may be a method's, with its receiver typed by rule
+    (b): ``receiver.name(...)``, or a local ``name(...)`` (a bound method
+    passed in, untyped).  These are what set a method's option."""
+
+    def __init__(self, index, module):
+        super().__init__(index, module, None)
+        #: method name -> [(kind, found, keywords, positional count)]
+        self.calls = {}
+
+    def visit_ClassDef(self, node):
+        outer = self.cls
+        self.cls = next((d for d in self.module.defs if d.node is node), None)
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_Call(self, node):
+        func, kind, found = node.func, None, None
+        if isinstance(func, ast.Attribute):
+            kind, found = self.index.type_of(func.value, self.module, self.cls, self.scopes)
+        elif not (isinstance(func, ast.Name) and any(func.id in s.bound for s in self.scopes)):
+            func = None
+        if func is not None:
+            words = {kw.arg for kw in node.keywords if kw.arg}
+            self.calls.setdefault(_callee(func), []).append(
+                (kind, found, words, _positional(node))
+            )
+        self.generic_visit(node)
+
+
+def _positional(call):
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return float("inf")
+    return len(call.args)
+
+
+def _shipped(root):
+    """The files under ``benchmarks/`` and ``examples/``."""
+    return [
+        path
+        for folder in ("benchmarks", "examples")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+
+
+def _readme_blocks(root):
+    """(first line, source) of each ``python`` block in README.md."""
     readme = root / "README.md"
     if not readme.exists():
-        return set()
+        return []
     text = readme.read_text()
-    spans = re.findall(r"```.*?```", text, flags=re.S)
-    spans += re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
-    return {word for span in spans for word in WORD.findall(span)}
+    return [
+        (text.count("\n", 0, match.start(1)) + 1, match.group(1))
+        for match in re.finditer(r"```python\n(.*?)```", text, flags=re.S)
+    ]
 
 
-def unreached(root=ROOT):
-    """``path:line name`` for each ``src/`` definition nothing ships reaches."""
-    index = _Index(root)
+def _reached(index, root):
+    """The ``src/`` definitions the roots reach."""
     hits = set()
     for module in index.modules.values():
         reach = _Reach(index, module, None)
         for node in module.roots:
             reach.visit(node)
         hits |= reach.found
-    for folder in ("benchmarks", "examples"):
-        for path in sorted((root / folder).rglob("*.py")):
-            module = _Module(path, root)
-            reach = _Reach(index, module, None)
-            reach.visit(module.tree)
-            hits |= reach.found
-    for name in _readme_names(root):
-        hits |= set(index.by_short.get(name, ()))
+    for path in _shipped(root):
+        module = _Module(path, root)
+        reach = _Reach(index, module, None)
+        reach.visit(module.tree)
+        hits |= reach.found
     reached = set()
     pending = True
     while pending:
@@ -529,7 +579,29 @@ def unreached(root=ROOT):
                     reach.visit(node)
                 hits |= reach.found
                 pending = True
+    return reached
+
+
+def unreached(root=ROOT):
+    """``path:line name`` for each ``src/`` definition nothing ships reaches."""
+    index = _Index(root)
+    reached = _reached(index, root)
     return [f"{d.where} {d.name}" for d in index.defs if d not in reached]
+
+
+def readme_unshipped(root=ROOT):
+    """``README.md:line name`` for each ``src/`` definition a README
+    ``python`` block (starting at that line) reaches and nothing ships."""
+    index = _Index(root)
+    reached = _reached(index, root)
+    found = []
+    for line, source in _readme_blocks(root):
+        reach = _Reach(index, _Module(root / "README.md", root, source=source), None)
+        reach.visit(reach.module.tree)
+        found += sorted(
+            f"README.md:{line} {d.name}" for d in reach.found if d not in reached
+        )
+    return found
 
 
 def _is_value(default):
@@ -559,25 +631,25 @@ def _is_dataclass(node):
 
 
 class _Option:
-    def __init__(self, where, label, name, callee, index, field=False, method=False):
+    def __init__(self, where, label, name, callee, index, field=False, owner=None):
         self.where, self.label, self.name = where, label, name
         #: The call name that passes it by position, and at what index
         #: (None for a keyword-only parameter).
         self.callee, self.index, self.field = callee, index, field
-        #: A method's parameter: a keyword on any call sets it.
-        self.method = method
+        #: A method's parameter: the class the method belongs to.
+        self.owner = owner
 
 
-def _parameters(where, node, owner=None):
+def _parameters(where, node, cls=None):
     args = node.args
     positional = args.posonlyargs + args.args
     static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-    if owner is not None and not static:
+    if cls is not None and not static:
         positional = positional[1:]  # self / cls
-    init = owner is not None and node.name == "__init__"
-    callee = owner if init else node.name
-    label = f"{owner}.{node.name}" if owner is not None else node.name
-    method = owner is not None and not init
+    init = cls is not None and node.name == "__init__"
+    callee = cls.name if init else node.name
+    label = f"{cls.name}.{node.name}" if cls is not None else node.name
+    owner = None if init else cls
     pad = len(positional) - len(args.defaults)
     pairs = [(arg, default, pad + i) for i, (arg, default) in
              enumerate(zip(positional[pad:], args.defaults))]
@@ -585,7 +657,7 @@ def _parameters(where, node, owner=None):
               zip(args.kwonlyargs, args.kw_defaults) if default is not None]
     return [
         _Option(f"{where}:{arg.lineno}", f"{label}({arg.arg})", arg.arg, callee, index,
-                method=method)
+                owner=owner)
         for arg, default, index in pairs
         if _is_value(default)
     ]
@@ -617,20 +689,19 @@ def _fields(where, node):
     return found
 
 
-def _options(path, root):
+def _options(module):
     """The value options one ``src/`` module declares."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    where = path.relative_to(root)
     found = []
-    for node in tree.body:
+    for node in module.tree.body:
         if isinstance(node, _FUNCTIONS):
-            found += _parameters(where, node)
+            found += _parameters(module.where, node)
         elif isinstance(node, ast.ClassDef):
+            cls = next(d for d in module.defs if d.node is node)
             for stmt in node.body:
                 if isinstance(stmt, _FUNCTIONS):
-                    found += _parameters(where, stmt, owner=node.name)
+                    found += _parameters(module.where, stmt, cls)
             if _is_dataclass(node):
-                found += _fields(where, node)
+                found += _fields(module.where, node)
     return found
 
 
@@ -641,10 +712,13 @@ def _callee(func):
 class _Settings:
     """What shipped code sets, by the ways :func:`unset_options` counts."""
 
-    def __init__(self):
+    def __init__(self, index):
+        self.index = index
         self.keys, self.stored, self.replaced = set(), set(), set()
         #: call name -> the keywords its calls pass.
         self.keywords = {}
+        #: method name -> the calls that may be its (see :class:`_Calls`).
+        self.calls = {}
         #: call name -> the most positional arguments one call passes.
         self.positions = {}
         #: a name that calls reach another by: an ``import … as`` alias,
@@ -653,8 +727,12 @@ class _Settings:
         #: class name -> its base class names; class name -> field names.
         self.bases, self.declared = {}, {}
 
-    def scan(self, tree):
-        for node in ast.walk(tree):
+    def scan(self, module):
+        calls = _Calls(self.index, module)
+        calls.visit(module.tree)
+        for name, found in calls.calls.items():
+            self.calls.setdefault(name, []).extend(found)
+        for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 self._call(node)
             elif isinstance(node, ast.Dict):
@@ -694,10 +772,7 @@ class _Settings:
         self.keywords.setdefault(callee, set()).update(words)
         if callee == "replace":
             self.replaced |= words
-        count = len(node.args)
-        if any(isinstance(arg, ast.Starred) for arg in node.args):
-            count = float("inf")
-        self.positions[callee] = max(self.positions.get(callee, 0), count)
+        self.positions[callee] = max(self.positions.get(callee, 0), _positional(node))
         if callee == "add_argument":
             for flag in _strings(node.args):
                 if flag.startswith("--"):
@@ -727,12 +802,11 @@ class _Settings:
         return any(option.name in self.declared.get(name, ()) for name in family)
 
     def sets(self, option):
+        if option.owner is not None:
+            return self._sets_method(option)
         if option.name in self.keys:
             return True
-        if option.method:
-            spellings = set(self.keywords)
-        else:
-            spellings = self._spellings(option.callee)
+        spellings = self._spellings(option.callee)
         if any(option.name in self.keywords.get(name, ()) for name in spellings):
             return True
         if option.field and (
@@ -742,6 +816,24 @@ class _Settings:
         ):
             return True
         return option.index is not None and self.positions.get(option.callee, 0) > option.index
+
+    def _sets_method(self, option):
+        for kind, found, words, count in self.calls.get(option.callee, ()):
+            if self._fits(kind, found, option.owner) and (
+                option.name in words
+                or (option.index is not None and count > option.index)
+            ):
+                return True
+        forwarders = self._spellings(option.callee) - {option.callee}
+        return any(option.name in self.keywords.get(name, ()) for name in forwarders)
+
+    def _fits(self, kind, found, owner):
+        """Whether a receiver typed ``(kind, found)`` may be ``owner``'s."""
+        if kind == "module":
+            return False
+        if kind in ("class", "instance") and found not in self.index.open:
+            return owner in self.index.families[found]
+        return True
 
 
 def _strings(nodes):
@@ -754,20 +846,15 @@ def _strings(nodes):
 
 def unset_options(root=ROOT):
     """``path:line name`` for each ``src/`` option no shipped code sets."""
-    src = root / "src" / "repro"
-    settings = _Settings()
+    index = _Index(root)
+    settings = _Settings(index)
     options = []
-    for path in sorted(src.rglob("*.py")):
-        settings.scan(ast.parse(path.read_text(), filename=str(path)))
-        if "experiments" not in path.relative_to(src).parts:
-            options += _options(path, root)
-    for folder in ("benchmarks", "examples"):
-        for path in sorted((root / folder).rglob("*.py")):
-            settings.scan(ast.parse(path.read_text(), filename=str(path)))
-    readme = root / "README.md"
-    if readme.exists():
-        for block in re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S):
-            settings.scan(ast.parse(block))
+    for module in index.modules.values():
+        settings.scan(module)
+        if "experiments" not in module.dotted.split("."):
+            options += _options(module)
+    for path in _shipped(root):
+        settings.scan(_Module(path, root))
     return [f"{o.where} {o.label}" for o in options if not settings.sets(o)]
 
 
@@ -775,6 +862,11 @@ def test_every_src_definition_is_reached_by_shipped_code():
     assert len(list(SRC.rglob("*.py"))) > 100  # the walk found the tree
     dead = unreached()
     assert not dead, "src/ definitions only tests reach:\n" + "\n".join(dead)
+
+
+def test_readme_blocks_reach_only_shipped_code():
+    unshipped = readme_unshipped()
+    assert not unshipped, "README blocks reach code nothing ships:\n" + "\n".join(unshipped)
 
 
 def test_every_src_option_is_set_by_shipped_code():
@@ -831,7 +923,7 @@ never_set(1)
 """
 
 
-def _tree(root, planted, shipped):
+def _tree(root, planted, shipped, readme=None):
     """A checkout whose ``src/`` is one module and whose only shipped code
     is one benchmark file."""
     package = root / "src" / "repro"
@@ -841,6 +933,8 @@ def _tree(root, planted, shipped):
     (root / "benchmarks").mkdir()
     (root / "examples").mkdir()
     (root / "benchmarks" / "shipped.py").write_text(shipped)
+    if readme is not None:
+        (root / "README.md").write_text(readme)
     return root
 
 
@@ -1024,5 +1118,108 @@ def test_a_keyword_sets_only_the_option_of_the_call_it_spells(tmp_path):
     assert unset_options(root) == [f"{line} scaled(share)"]
 
 
+_METHODS = """\
+class Registry:
+    def counter(self, name, timing=False):
+        pass
+
+    def gauge(self, name, timing=False):
+        pass
+
+    def record(self, count=1):
+        pass
+
+
+class Other:
+    def counter(self, name, timing=False):
+        pass
+
+
+class Auditor:
+    def on_request(self, position, op=0):
+        pass
+"""
+
+_METHODS_SHIPPED = """\
+from repro.planted import Auditor, Other, Registry
+
+
+def drive(on_request):
+    on_request(1, 2)
+
+
+def run():
+    other = Other()
+    other.counter("c", timing=True)
+    registry = Registry()
+    registry.gauge("g", timing=True)
+    registry.record()
+    drive(Auditor().on_request)
+    return {"count": 2}
+"""
+
+
+def test_a_method_option_is_set_only_on_its_own_method_and_family(tmp_path):
+    # ``gauge(timing=)`` and ``Other.counter(timing=)`` set no
+    # ``Registry.counter(timing)``, and a dict key sets no method's
+    # parameter; a bound method called bare through a local is untyped.
+    root = _tree(tmp_path, _METHODS, _METHODS_SHIPPED)
+    assert unset_options(root) == [
+        f"{_at(_METHODS, '    def counter(self, name, timing=False):')} "
+        "Registry.counter(timing)",
+        f"{_at(_METHODS, '    def record(self, count=1):')} Registry.record(count)",
+    ]
+
+
+_DOCUMENTED = """\
+class Box:
+    def shipped(self):
+        pass
+
+    def documented(self):
+        pass
+
+
+def mentioned():
+    pass
+"""
+
+_DOCUMENTED_SHIPPED = """\
+from repro.planted import Box
+
+
+def run():
+    box = Box()
+    box.shipped()
+"""
+
+_README = """\
+# Box
+
+Call `mentioned()` or `Box.documented` when in doubt:
+
+```python
+from repro.planted import Box
+
+box = Box()
+box.documented()
+```
+"""
+
+
+def test_readme_prose_keeps_nothing_alive(tmp_path):
+    root = _tree(tmp_path, _DOCUMENTED, _DOCUMENTED_SHIPPED, _README)
+    assert unreached(root) == [
+        f"{_at(_DOCUMENTED, '    def documented(self):')} Box.documented",
+        f"{_at(_DOCUMENTED, 'def mentioned():')} mentioned",
+    ]
+
+
+def test_a_readme_block_may_reach_only_shipped_code(tmp_path):
+    root = _tree(tmp_path, _DOCUMENTED, _DOCUMENTED_SHIPPED, _README)
+    block = _README.splitlines().index("```python") + 2
+    assert readme_unshipped(root) == [f"README.md:{block} Box.documented"]
+
+
 if __name__ == "__main__":
-    print("\n".join(unreached() + unset_options()))
+    print("\n".join(unreached() + readme_unshipped() + unset_options()))
