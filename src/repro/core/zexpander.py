@@ -132,40 +132,17 @@ class ZExpander:
     # already has it (``ShardedZExpander`` hashes to pick the shard): one
     # hash then serves the N-zone index and the Z-zone.
 
-    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[bytes]:
-        """Look up ``key``; N-zone first, then the Z-zone."""
-        return self._get_one(key, hashed, None)
-
-    def get_many(
-        self, keys: Sequence[bytes], hashes: Optional[Sequence[int]] = None
-    ) -> List[Optional[bytes]]:
-        """Batched lookup, result- and stats-identical to a :meth:`get` loop.
-
-        Each key runs the exact per-key control flow of :meth:`get` —
-        N-zone probe first, promotion, housekeeping, all in caller
-        order — but N-zone misses share one Z-zone :class:`ReadBatch`, so
-        a block whose container serves several keys of the batch is
-        physically decompressed and CRC-verified once
-        (``container_decodes_saved`` counts the skipped decodes).  Only
-        ``get_many_batches``/``batched_keys`` distinguish the stats from
-        the equivalent sequential loop.
-        """
-        self.stats.get_many_batches += 1
-        self.stats.batched_keys += len(keys)
-        batch = self.zzone.read_batch()
-        if hashes is None:
-            hashes = [None] * len(keys)
-        return [
-            self._get_one(key, hashed, batch) for key, hashed in zip(keys, hashes)
-        ]
-
-    def _get_one(self, key: bytes, hashed: Optional[int], batch) -> Optional[bytes]:
-        """Shared GET body; ``batch`` is a Z-zone ReadBatch or None."""
+    def get(
+        self, key: bytes, hashed: Optional[int] = None, batch=None
+    ) -> Optional[bytes]:
+        """Look up ``key``; N-zone first, then the Z-zone (through
+        ``batch``, a Z-zone ReadBatch, when :meth:`get_many` passes one)."""
         self._housekeeping()
-        self.stats.gets += 1
+        stats = self.stats
+        stats.gets += 1
         value = self.nzone.get(key, hashed)
         if value is not None:
-            self.stats.get_hits_nzone += 1
+            stats.get_hits_nzone += 1
             self._record_service(nzone=True)
             return value
         if hashed is None:
@@ -175,16 +152,42 @@ class ZExpander:
         else:
             result = self.zzone.get_batched(key, hashed, batch)
         if result is None:
-            self.stats.get_misses += 1
+            stats.get_misses += 1
             # Filter-identified misses are cheap and count for neither
             # zone (§3.3.1); a false positive did cost a decompression.
             return None
         zvalue, reuse_time = result
-        self.stats.get_hits_zzone += 1
+        stats.get_hits_zzone += 1
         self._record_service(nzone=False)
         if self._should_promote(reuse_time):
             self._promote(key, hashed, zvalue)
         return zvalue
+
+    #: :meth:`get_many`'s per-key body: :meth:`get` itself, taken when the
+    #: class is made, so an override of ``get`` wraps single lookups only.
+    _get_one = get
+
+    def get_many(
+        self, keys: Sequence[bytes], hashes: Optional[Sequence[int]] = None
+    ) -> List[Optional[bytes]]:
+        """Batched lookup, result- and stats-identical to a :meth:`get` loop.
+
+        Each key runs :meth:`get` itself — N-zone probe first,
+        promotion, housekeeping, all in caller order — but N-zone misses
+        share one Z-zone :class:`ReadBatch`, so a block whose container
+        serves several keys of the batch is physically decompressed and
+        CRC-verified once (``container_decodes_saved`` counts the skipped
+        decodes).  Only ``get_many_batches``/``batched_keys`` distinguish
+        the stats from the equivalent sequential loop.
+        """
+        self.stats.get_many_batches += 1
+        self.stats.batched_keys += len(keys)
+        batch = self.zzone.read_batch()
+        if hashes is None:
+            hashes = [None] * len(keys)
+        return [
+            self._get_one(key, hashed, batch) for key, hashed in zip(keys, hashes)
+        ]
 
     def set(
         self, key: bytes, value: bytes, flags: int = 0, hashed: Optional[int] = None
@@ -344,7 +347,8 @@ class ZExpander:
         # so the hash cannot ride along here: a hashed index computes its
         # own.
         evicted = self.nzone.set(key, value)
-        self._absorb_evictions(evicted)
+        if evicted:
+            self._absorb_evictions(evicted)
 
     def _absorb_evictions(self, evicted: List[EvictedItem]) -> None:
         now = self.clock.now()
@@ -373,8 +377,8 @@ class ZExpander:
 
         This runs before every GET/SET/DELETE, so each subsystem is
         gated by the least work that can prove it idle: markers by a
-        float comparison, adaptation by the allocator's presence.  The
-        slow branches live in their own methods.
+        float comparison, adaptation by the allocator's own window
+        check.  The slow branches live in their own methods.
         """
         now = self.clock.now()
         last = self._last_marker_time
@@ -385,8 +389,10 @@ class ZExpander:
             self._last_marker_time = now
         elif now - last >= self._marker_interval:
             self._issue_marker(now)
-        if self.allocator is not None:
-            self._maybe_adapt(now)
+        allocator = self.allocator
+        if allocator is not None and allocator.maybe_adjust(now):
+            self.stats.allocation_adjustments += 1
+            self._apply_targets()
 
     def _issue_marker(self, now: float) -> None:
         self._last_marker_time = now
@@ -395,14 +401,6 @@ class ZExpander:
         # Markers go straight to the N-zone; they are not client requests
         # and never count toward service fractions.
         self._absorb_evictions(self.nzone.set(marker_key, MARKER_VALUE))
-
-    def _maybe_adapt(self, now: float) -> None:
-        if self.allocator is None:
-            return
-        if not self.allocator.maybe_adjust(now):
-            return
-        self.stats.allocation_adjustments += 1
-        self._apply_targets()
 
     def _apply_targets(self) -> None:
         """Resize both zones toward the allocator's targets.

@@ -72,27 +72,16 @@ class TickClock:
 
 
 class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second up to ``burst``."""
+    """A token bucket's state: ``rate`` tokens/second up to ``burst``,
+    full at first.  :meth:`AdmissionController.admit` refills it for the
+    time since its ``last`` reading (never for a clock that ran back)
+    and takes a token from it, in one frame."""
 
     def __init__(self, rate: float, burst: float) -> None:
         self.rate = float(rate)
         self.burst = float(burst)
         self.tokens = float(burst)
-        self._last: Optional[float] = None
-
-    def refill(self, now: float) -> None:
-        if self._last is None:
-            self._last = now
-            return
-        elapsed = max(0.0, now - self._last)
-        self._last = now
-        self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
-
-    def try_take(self) -> bool:
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
+        self.last: Optional[float] = None
 
 
 @dataclass
@@ -174,10 +163,17 @@ class AdmissionController:
         so it is called only while SHEDDING, where its answer decides.
         """
         stats = self.stats
-        self.bucket.refill(self._now())
+        bucket = self.bucket
+        now = self._now()
+        last = bucket.last
+        bucket.last = now
+        if last is not None:
+            elapsed = max(0.0, now - last)
+            bucket.tokens = min(bucket.burst, bucket.tokens + elapsed * bucket.rate)
 
         if self.state is ServerState.HEALTHY:
-            if self.bucket.try_take():
+            if bucket.tokens >= 1.0:
+                bucket.tokens -= 1.0
                 stats.admitted += 1
                 return True
             self.state = ServerState.SHEDDING
@@ -185,10 +181,11 @@ class AdmissionController:
 
         if zzone_bound():
             return self._shed("shed_zzone")
-        if not self.bucket.try_take():
+        if bucket.tokens < 1.0:
             return self._shed("shed_saturated")
+        bucket.tokens -= 1.0
         stats.admitted += 1
-        if self.bucket.tokens >= RECOVERY_FRACTION * self.bucket.burst:
+        if bucket.tokens >= RECOVERY_FRACTION * bucket.burst:
             self.state = ServerState.HEALTHY
             stats.recovered_healthy += 1
         return True

@@ -24,8 +24,8 @@ validates the integer — wall-clock conversion is an execution concern).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 CRLF = b"\r\n"
 
@@ -53,9 +53,9 @@ NOT_FOUND = b"NOT_FOUND" + CRLF
 END = b"END" + CRLF
 
 
-@dataclass(frozen=True)
-class Command:
-    """One parsed client command, ready to execute."""
+class Command(NamedTuple):
+    """One parsed client command, ready to execute: an immutable record
+    whose fields ``tuple.__new__`` sets in one step."""
 
     name: str
     keys: Tuple[bytes, ...] = ()
@@ -95,10 +95,10 @@ def server_error(message: str) -> bytes:
 def encode_value(
     key: bytes, value: bytes, flags: int = 0, cas: Optional[int] = None
 ) -> bytes:
-    header = b"VALUE %s %d %d" % (key, flags, len(value))
-    if cas is not None:
-        header += b" %d" % cas
-    return header + CRLF + value + CRLF
+    # One format: the value is copied into the frame once.
+    if cas is None:
+        return b"VALUE %s %d %d\r\n%s\r\n" % (key, flags, len(value), value)
+    return b"VALUE %s %d %d %d\r\n%s\r\n" % (key, flags, len(value), cas, value)
 
 
 def encode_stats(stats: Dict[str, object]) -> bytes:
@@ -107,11 +107,17 @@ def encode_stats(stats: Dict[str, object]) -> bytes:
     return CRLF.join(lines) + CRLF + END if lines else END
 
 
+#: The bytes a key may hold: printable ASCII less the space (33..126).
+_KEY_BYTES = bytes(range(33, 127))
+
+
 def valid_key(key: bytes) -> bool:
-    """memcached key rules: 1..250 bytes, no whitespace or control bytes."""
-    if not key or len(key) > MAX_KEY_BYTES:
-        return False
-    return all(33 <= byte <= 126 for byte in key)
+    """memcached key rules: 1..250 bytes, no whitespace or control bytes.
+
+    Deleting every allowed byte leaves nothing exactly when each byte of
+    ``key`` is one of them: one C pass, not a Python step per byte.
+    """
+    return 0 < len(key) <= MAX_KEY_BYTES and not key.translate(None, _KEY_BYTES)
 
 
 @dataclass
@@ -124,11 +130,11 @@ class _PendingSet:
     exptime: int
     length: int
     noreply: bool
-    cas_token: int = 0
+    cas_token: int
     #: When set, the data block is consumed and discarded and this reply
     #: is emitted instead of a Command (oversized value).
-    reject: Optional[bytes] = None
-    reject_reason: str = ""
+    reject: Optional[bytes]
+    reject_reason: str
 
 
 class RequestParser:
@@ -140,7 +146,7 @@ class RequestParser:
         for event in parser.events():
             ...
 
-    ``events()`` yields every event completable from the buffered bytes;
+    ``events()`` returns every event completable from the buffered bytes;
     a partial trailing command stays buffered for the next ``feed``.
     """
 
@@ -148,6 +154,9 @@ class RequestParser:
         self._buffer = bytearray()
         self._pending: Optional[_PendingSet] = None
         self._broken = False
+        #: ``feed(data)`` appends ``data`` to the buffer: the buffer's own
+        #: ``extend``, so feeding a read runs no Python frame.
+        self.feed = self._buffer.extend
 
     @property
     def mid_command(self) -> bool:
@@ -155,37 +164,37 @@ class RequestParser:
         the abrupt-disconnect accounting test and the drain logic)."""
         return self._pending is not None or bool(self._buffer)
 
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
-    def events(self) -> Iterator[Event]:
-        while True:
-            event = self._next_event()
-            if event is None:
-                return
-            yield event
-            if isinstance(event, BadCommand) and event.fatal:
+    def events(self) -> List[Event]:
+        """Parse every complete command buffered, in order; stop at (and
+        include) a fatal one, after which the parser returns nothing."""
+        events: List[Event] = []
+        buffer = self._buffer
+        while not self._broken:
+            if self._pending is not None:
+                event = self._finish_data_block()
+            else:
+                newline = buffer.find(b"\n")
+                if newline < 0:
+                    if len(buffer) <= MAX_LINE_BYTES:
+                        break
+                    event = BadCommand(
+                        client_error("line too long"), "oversized line", fatal=True
+                    )
+                else:
+                    end = newline
+                    if newline and buffer[newline - 1] == 13:  # b"\r"
+                        end -= 1
+                    line = bytes(buffer[:end])
+                    del buffer[: newline + 1]
+                    event = self._parse_line(line)
+            if event is None:  # a data block still arriving
+                break
+            events.append(event)
+            if event.__class__ is BadCommand and event.fatal:
                 self._broken = True
-                return
+        return events
 
     # -- internals -------------------------------------------------------------
-
-    def _next_event(self) -> Optional[Event]:
-        if self._broken:
-            return None
-        if self._pending is not None:
-            return self._finish_data_block()
-        newline = self._buffer.find(b"\n")
-        if newline < 0:
-            if len(self._buffer) > MAX_LINE_BYTES:
-                return BadCommand(
-                    client_error("line too long"), "oversized line", fatal=True
-                )
-            return None
-        raw = bytes(self._buffer[:newline])
-        del self._buffer[: newline + 1]
-        line = raw[:-1] if raw.endswith(b"\r") else raw
-        return self._parse_line(line)
 
     def _finish_data_block(self) -> Optional[Event]:
         pending = self._pending
@@ -211,36 +220,38 @@ class RequestParser:
         if pending.reject is not None:
             return BadCommand(pending.reject, pending.reject_reason)
         return Command(
-            name=pending.name,
-            keys=pending.keys,
-            value=value,
-            flags=pending.flags,
-            exptime=pending.exptime,
-            noreply=pending.noreply,
-            cas_token=pending.cas_token,
+            pending.name,
+            pending.keys,
+            value,
+            pending.flags,
+            pending.exptime,
+            pending.noreply,
+            pending.cas_token,
         )
 
     def _parse_line(self, line: bytes) -> Event:
-        parts = [part for part in line.split(b" ") if part]
+        """One command line, its ``\\r\\n`` already cut: tokens are
+        separated by runs of spaces (only spaces: a tab is part of a
+        token), and the verb is case-blind."""
+        parts = line.split(b" ")
+        if b"" in parts:  # runs of spaces, or a space at either end
+            parts = list(filter(None, parts))
         if not parts:
             return BadCommand(ERROR, "empty command line")
         name = parts[0].lower()
-        args = parts[1:]
-        if name in (b"get", b"gets"):
-            return self._parse_get(name.decode(), args)
-        if name in (b"set", b"cas"):
-            return self._parse_set(name.decode(), args)
-        if name == b"delete":
-            return self._parse_delete(args)
-        if name in (b"stats", b"version", b"quit"):
-            if args:
-                return BadCommand(ERROR, f"{name.decode()} takes no arguments")
-            return Command(name=name.decode())
-        if name == b"promote":
-            return self._parse_promote(args)
-        return BadCommand(ERROR, f"unknown command {name!r}")
+        verb = _VERBS.get(name)
+        if verb is None:
+            return BadCommand(ERROR, f"unknown command {name!r}")
+        command, parse = verb
+        return parse(self, command, parts[1:])
 
-    def _parse_promote(self, args: List[bytes]) -> Event:
+    def _parse_bare(self, name: str, args: List[bytes]) -> Event:
+        """``stats``, ``version``, ``quit``: a verb and nothing else."""
+        if args:
+            return BadCommand(ERROR, f"{name} takes no arguments")
+        return Command(name)
+
+    def _parse_promote(self, name: str, args: List[bytes]) -> Event:
         """``promote [catch-up-dir]`` — the operator/harness failover hook.
 
         The optional argument is the dead primary's journal directory
@@ -254,7 +265,7 @@ class RequestParser:
                 client_error("bad command line format"),
                 "promote takes at most one argument (catch-up dir)",
             )
-        return Command(name="promote", value=args[0] if args else b"")
+        return Command(name, value=args[0] if args else b"")
 
     def _parse_get(self, name: str, args: List[bytes]) -> Event:
         if not args:
@@ -262,7 +273,7 @@ class RequestParser:
         for key in args:
             if not valid_key(key):
                 return BadCommand(client_error("bad key"), f"bad key {key!r}")
-        return Command(name=name, keys=tuple(args))
+        return Command(name, tuple(args))
 
     def _parse_set(self, name: str, args: List[bytes]) -> Event:
         noreply = False
@@ -278,16 +289,22 @@ class RequestParser:
                 client_error("bad command line format"),
                 f"{name} expects {grammar}",
             )
-        key, flags_raw, exptime_raw, length_raw = args[:4]
-        cas_token = 0
+        key = args[0]
+        # memcached's fields are runs of decimal digits; ``int`` also
+        # takes Python's digit separator (``1_0`` is 10), which no
+        # memcached accepts.  None of the numeric fields may hold one.
+        if b"_" in b"".join(args[1:]):
+            return BadCommand(
+                client_error("bad command line format"),
+                f"digit separator in {name} parameters",
+            )
         try:
-            flags = int(flags_raw)
+            flags = int(args[1])
             # memcached exptime is an integer (a float like ``1.5`` is a
             # malformed command, not a short TTL).
-            exptime = int(exptime_raw)
-            length = int(length_raw)
-            if name == "cas":
-                cas_token = int(args[4])
+            exptime = int(args[2])
+            length = int(args[3])
+            cas_token = int(args[4]) if name == "cas" else 0
         except ValueError:
             return BadCommand(
                 client_error("bad command line format"),
@@ -318,19 +335,11 @@ class RequestParser:
             reject = client_error("object too large for cache")
             reason = f"value of {length} B exceeds {MAX_VALUE_BYTES} B"
         self._pending = _PendingSet(
-            name=name,
-            keys=(key,),
-            flags=flags,
-            exptime=exptime,
-            length=length,
-            noreply=noreply,
-            cas_token=cas_token,
-            reject=reject,
-            reject_reason=reason,
+            name, (key,), flags, exptime, length, noreply, cas_token, reject, reason
         )
         return self._finish_data_block()
 
-    def _parse_delete(self, args: List[bytes]) -> Event:
+    def _parse_delete(self, name: str, args: List[bytes]) -> Event:
         noreply = False
         if args and args[-1] == b"noreply":
             noreply = True
@@ -341,4 +350,19 @@ class RequestParser:
             )
         if not valid_key(args[0]):
             return BadCommand(client_error("bad key"), f"bad key {args[0]!r}")
-        return Command(name="delete", keys=(args[0],), noreply=noreply)
+        return Command(name, (args[0],), noreply=noreply)
+
+
+#: Lower-cased verb -> (the command's name, its argument parser): one
+#: probe picks both.
+_VERBS = {
+    b"get": ("get", RequestParser._parse_get),
+    b"gets": ("gets", RequestParser._parse_get),
+    b"set": ("set", RequestParser._parse_set),
+    b"cas": ("cas", RequestParser._parse_set),
+    b"delete": ("delete", RequestParser._parse_delete),
+    b"stats": ("stats", RequestParser._parse_bare),
+    b"version": ("version", RequestParser._parse_bare),
+    b"quit": ("quit", RequestParser._parse_bare),
+    b"promote": ("promote", RequestParser._parse_promote),
+}

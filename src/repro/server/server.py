@@ -56,6 +56,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
@@ -88,6 +89,11 @@ _DRAINING = protocol.server_error("draining")
 _LAGGING = protocol.server_error("lagging")
 _READ_ONLY = protocol.server_error("read-only replica")
 PROMOTED = b"PROMOTED" + protocol.CRLF
+
+#: Verbs ``_dispatch`` answers through ``_control``, and the two of them
+#: a draining server still answers.
+_CONTROL_VERBS = frozenset(("version", "stats", "promote"))
+_ANSWERED_WHILE_DRAINING = frozenset(("version", "stats"))
 
 #: Registry name -> ``stats`` wire name, where the two differ: the names
 #: memcached fixed, the three the frozen ledger reads off the wire, and
@@ -299,7 +305,8 @@ class _Connection(asyncio.BufferedProtocol):
         return self.read_view
 
     def buffer_updated(self, nbytes: int) -> None:
-        self.last_read = self.loop.time()
+        # ``loop.time()`` is ``time.monotonic()``, less a Python frame.
+        self.last_read = time.monotonic()
         # The parser copies what it is fed, so the buffer is free again.
         self.parser.feed(self.read_view[:nbytes])
         self.parked.extend(self.parser.events())
@@ -355,19 +362,21 @@ class _Connection(asyncio.BufferedProtocol):
     def _pump(self) -> None:
         """Dispatch parked events in order, one write per read, until
         the queue is empty or the peer stops reading its replies."""
-        server = self.server
+        dispatch = self.server._dispatch
         parked = self.parked
         out: List[bytes] = []
         counted = pending = 0
         alive = True
         while parked and alive and not self.write_paused:
-            alive = server._dispatch(parked.popleft(), out)
-            pending += sum(map(len, out[counted:]))
-            counted = len(out)
-            if pending >= _FLUSH_BYTES:
-                self.transport.write(b"".join(out))  # may pause_writing()
-                out.clear()
-                counted = pending = 0
+            alive = dispatch(parked.popleft(), out)
+            if len(out) != counted:
+                # One command, at most one reply.
+                pending += len(out[-1])
+                counted += 1
+                if pending >= _FLUSH_BYTES:
+                    self.transport.write(b"".join(out))  # may pause_writing()
+                    out.clear()
+                    counted = pending = 0
         if out:
             self.transport.write(out[0] if len(out) == 1 else b"".join(out))
         if not alive:
@@ -643,21 +652,15 @@ class CacheServer:
 
     # -- dispatch --------------------------------------------------------------
 
-    def _count_command(self) -> None:
-        self.stats.commands += 1
-        if self.auditor is not None:
-            try:
-                self.auditor.on_request(self.stats.commands)
-            except Exception as exc:  # whatever the audit tripped over
-                self.stats.invariant_failures += 1
-                self.incidents.append(
-                    f"invariant check failed at command "
-                    f"{self.stats.commands}: {exc}"
-                )
-
-    def _maybe_checkpoint(self) -> None:
-        if self.durability is not None and self.durability.should_checkpoint():
-            self._checkpoint(self.durability.checkpoint)
+    def _audit(self) -> None:
+        try:
+            self.auditor.on_request(self.stats.commands)
+        except Exception as exc:  # whatever the audit tripped over
+            self.stats.invariant_failures += 1
+            self.incidents.append(
+                f"invariant check failed at command "
+                f"{self.stats.commands}: {exc}"
+            )
 
     def _checkpoint(self, take):
         """``take(self.store)``, which writes a checkpoint; a failure is
@@ -670,29 +673,27 @@ class CacheServer:
     def _dispatch(self, event: protocol.Event, out: List[bytes]) -> bool:
         """Execute one event, appending its reply (if any) to ``out``;
         False ends the connection."""
-        if isinstance(event, BadCommand):
+        if event.__class__ is BadCommand:
             self.stats.protocol_errors += 1
             if b"too large" in event.reply:
                 self.stats.oversized_rejects += 1
             out.append(event.reply)
             return not event.fatal
         command: Command = event
-        if command.name == "quit":
+        name = command.name
+        if name == "quit":
             return False
-        self._count_command()
-        if self._draining and command.name not in ("stats", "version"):
-            self.stats.drained_commands += 1
+        stats = self.stats
+        stats.commands += 1
+        if self.auditor is not None:
+            self._audit()
+        if self._draining and name not in _ANSWERED_WHILE_DRAINING:
+            stats.drained_commands += 1
             if not command.noreply:
                 out.append(_DRAINING)
             return True
-        if command.name == "version":
-            out.append(b"VERSION repro-zx/" + __version__.encode() + protocol.CRLF)
-            return True
-        if command.name == "stats":
-            out.append(protocol.encode_stats(self.stats_dict()))
-            return True
-        if command.name == "promote":
-            out.append(self._promote(command))
+        if name in _CONTROL_VERBS:
+            out.append(self._control(command))
             return True
         if self.config.role == "replica" and self._replica_gate(command, out):
             return True
@@ -704,21 +705,32 @@ class CacheServer:
                 out.append(_OVERLOADED)
             return True
         self._tick()
-        started = time.perf_counter()
+        started = perf_counter()
         if self.store.due:
             self._expire_due(command)
         reply = self._execute(command)
-        self._latency_hist.observe(time.perf_counter() - started)
+        self._latency_hist.observe(perf_counter() - started)
         if self._fault_hook is not None:
             self._fault_hook(command)
-        self._maybe_checkpoint()
+        durability = self.durability
+        if durability is not None and durability.should_checkpoint():
+            self._checkpoint(durability.checkpoint)
         # Evictions never tell the store: now and then it walks off the
         # entries of departed keys (bounded work per pass).
-        if self.stats.commands % 4096 == 0:
-            self.stats.meta_pruned += self.store.prune()
+        if stats.commands % 4096 == 0:
+            stats.meta_pruned += self.store.prune()
         if reply and not command.noreply:
             out.append(reply)
         return True
+
+    def _control(self, command: Command) -> bytes:
+        """The reply to ``version``, ``stats`` or ``promote``: answered
+        before the replica gate and admission, never shed."""
+        if command.name == "version":
+            return b"VERSION repro-zx/" + __version__.encode() + protocol.CRLF
+        if command.name == "stats":
+            return protocol.encode_stats(self.stats_dict())
+        return self._promote(command)
 
     # -- replica policy --------------------------------------------------------
 

@@ -8,7 +8,6 @@ from repro.server.admission import (
     AdmissionController,
     ServerState,
     TickClock,
-    TokenBucket,
 )
 
 
@@ -27,28 +26,44 @@ def controller(rate=10.0, burst=5.0, dt=1.0):
     return AdmissionController(config, now=TickClock(dt))
 
 
+def readings(*times):
+    """A ``now`` that returns ``times`` in turn."""
+    return iter(times).__next__
+
+
 class TestTokenBucket:
+    """The bucket, through the one call that refills and takes."""
+
     def test_starts_full_and_drains(self):
-        bucket = TokenBucket(rate=1.0, burst=3.0)
-        bucket.refill(0.0)
-        assert [bucket.try_take() for _ in range(4)] == [True, True, True, False]
+        ctl = AdmissionController(
+            AdmissionConfig(rate=1.0, burst=3.0), now=lambda: 0.0
+        )
+        outcomes = [ctl.admit(zzone_bound=n_bound, inflight=0) for _ in range(4)]
+        assert outcomes == [True, True, True, False]
 
     def test_refills_at_rate_up_to_burst(self):
-        bucket = TokenBucket(rate=2.0, burst=3.0)
-        bucket.refill(0.0)
+        ctl = AdmissionController(
+            AdmissionConfig(rate=2.0, burst=3.0),
+            now=readings(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 100.0),
+        )
         for _ in range(3):
-            assert bucket.try_take()
-        bucket.refill(1.0)  # +2 tokens
-        assert bucket.try_take() and bucket.try_take() and not bucket.try_take()
-        bucket.refill(100.0)  # clamped to burst
-        assert bucket.tokens == pytest.approx(3.0)
+            assert ctl.admit(zzone_bound=n_bound, inflight=0)
+        # +2 tokens at 1.0
+        assert ctl.admit(zzone_bound=n_bound, inflight=0)
+        assert ctl.admit(zzone_bound=n_bound, inflight=0)
+        assert not ctl.admit(zzone_bound=n_bound, inflight=0)
+        # Clamped to burst; a shed Z-bound request takes no token.
+        assert not ctl.admit(zzone_bound=z_bound, inflight=0)
+        assert ctl.bucket.tokens == pytest.approx(3.0)
 
     def test_time_never_runs_backward(self):
-        bucket = TokenBucket(rate=1.0, burst=2.0)
-        bucket.refill(5.0)
-        bucket.try_take()
-        bucket.refill(1.0)  # out-of-order reading must not mint tokens
-        assert bucket.tokens == pytest.approx(1.0)
+        ctl = AdmissionController(
+            AdmissionConfig(rate=1.0, burst=2.0), now=readings(5.0, 1.0)
+        )
+        assert ctl.admit(zzone_bound=n_bound, inflight=0)
+        # An out-of-order reading must not mint tokens: 1 left, 1 taken.
+        assert ctl.admit(zzone_bound=n_bound, inflight=0)
+        assert ctl.bucket.tokens == pytest.approx(0.0)
 
 
 class TestTickClock:

@@ -1,9 +1,11 @@
-"""What a resident key costs the serving process beyond its cached bytes.
+"""What a served request and a resident key cost the serving process.
 
-Two pins: a served request hashes its key once (the fleet's shard pick
-rides down to the N-zone index and the Z-zone, and nothing memoises the
-hash), and the host heap per resident key at ``cold_get`` scale stays
-small — the store keeps no entry for a key with default metadata.
+Three pins: a served request runs a fixed number of Python frames (the
+shell around the cache is counted, not timed), it hashes its key once
+(the fleet's shard pick rides down to the N-zone index and the Z-zone,
+and nothing memoises the hash), and the host heap per resident key at
+``cold_get`` scale stays small — the store keeps no entry for a key with
+default metadata.
 """
 
 import asyncio
@@ -17,6 +19,7 @@ from repro.common import hashing
 from repro.core.config import ZExpanderConfig
 from repro.core.sharded import ShardedZExpander
 from repro.server.meta import ItemMetaStore
+from repro.server.server import CacheServer, ServerConfig, _Connection
 
 from .test_flags_cas import connect, drain, started_server
 
@@ -96,6 +99,88 @@ def test_one_hash_per_served_request(hash_calls):
         return seen
 
     assert asyncio.run(scenario()) == {(2, 2), (1, 1)}
+
+
+class StubTransport:
+    """What ``_Connection`` writes to, kept in a list (``write`` is the
+    list's own ``append``, so the stub adds no frame to a count)."""
+
+    def __init__(self):
+        self.written = []
+        self.write = self.written.append
+
+    def is_closing(self):
+        return False
+
+    def close(self):
+        pass
+
+
+def served_frames(connection, request):
+    """The Python frames one read holding ``request`` runs through
+    ``_Connection.buffer_updated``, by ``file:function``, in call order
+    (a resumed generator counts again, C functions do not)."""
+    connection.get_buffer(len(request))[: len(request)] = request
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            calls.append(f"{Path(code.co_filename).name}:{code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        connection.buffer_updated(len(request))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_frames_per_served_request():
+    """One GET hit, one GET miss and one SET overwrite of a 12-byte key,
+    each one read on a connection of the served 4-shard fleet with
+    markers off.  Before the shell was cut, the counts were 50 / 51 / 69:
+    13 of a GET's frames were the key check's per-byte generator.  A new
+    frame on this path has to be a deliberate edit of these numbers."""
+    cache = ShardedZExpander(
+        ZExpanderConfig(
+            total_capacity=4 * 1024 * 1024, seed=42, marker_interval_seconds=1e9
+        ),
+        num_shards=4,
+    )
+    value = b"v" * 100
+
+    async def scenario():
+        connection = _Connection(CacheServer(cache, ServerConfig(port=0)))
+        transport = StubTransport()
+        connection.connection_made(transport)
+        for i in range(100):
+            served_frames(
+                connection, b"set key:%08d 0 0 100\r\n%s\r\n" % (i, value)
+            )
+        transport.written.clear()
+        counts = {
+            name: served_frames(connection, request)
+            for name, request in (
+                ("get hit", b"get key:00000001\r\n"),
+                ("get miss", b"get key:99999999\r\n"),
+                ("set overwrite", b"set key:00000002 0 0 100\r\n%s\r\n" % value),
+            )
+        }
+        connection.connection_lost(None)
+        return counts, transport.written
+
+    counts, written = asyncio.run(scenario())
+    assert written == [
+        b"VALUE key:00000001 0 100\r\n%s\r\nEND\r\n" % value,
+        b"END\r\n",
+        b"STORED\r\n",
+    ]
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "get hit": 25,
+        "get miss": 26,
+        "set overwrite": 43,
+    }, counts
 
 
 def test_host_bytes_per_resident_key_at_cold_get_scale():

@@ -328,6 +328,79 @@ class TestEncodersAndKeys:
         assert MAX_VALUE_BYTES == 1024 * 1024
 
 
+class TestDigitSeparator:
+    """Python's ``int`` reads ``1_0`` as 10; memcached's ``safe_strtoul``
+    refuses it, and so does the parser, in every numeric field."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"set k 1_0 0 1\r\nx\r\n",  # flags
+            b"set k 0 1_0 1\r\nx\r\n",  # exptime
+            b"set k 0 0 1_0\r\n0123456789\r\n",  # bytes
+            b"cas k 0 0 1 1_0\r\nx\r\n",  # cas unique
+        ],
+        ids=["flags", "exptime", "bytes", "cas"],
+    )
+    def test_refused_with_bad_command_line_format(self, frame):
+        refusal, *rest = feed_all(frame)
+        assert isinstance(refusal, BadCommand) and not refusal.fatal
+        assert refusal.reply == b"CLIENT_ERROR bad command line format\r\n"
+        # Nothing was stored: the data line is read as a command line.
+        assert not any(isinstance(event, Command) for event in rest)
+
+    def test_an_underscore_in_the_key_is_still_a_key(self):
+        (event,) = feed_all(b"set a_b 0 0 1\r\nx\r\n")
+        assert event == Command(name="set", keys=(b"a_b",), value=b"x")
+
+
+def old_key_rule(key: bytes) -> bool:
+    """The key rule as it was first written, byte by byte."""
+    if not key or len(key) > MAX_KEY_BYTES:
+        return False
+    return all(33 <= byte <= 126 for byte in key)
+
+
+class TestRewrittenChecks:
+    """The parser's one-pass checks accept exactly what the step-by-step
+    ones did."""
+
+    @pytest.mark.parametrize("length", [1, MAX_KEY_BYTES, MAX_KEY_BYTES + 1])
+    def test_valid_key_matches_the_old_rule_on_every_byte(self, length):
+        for byte in range(256):
+            uniform = bytes([byte]) * length
+            last = b"k" * (length - 1) + bytes([byte])
+            for key in (uniform, last):
+                expected = 33 <= byte <= 126 and length <= MAX_KEY_BYTES
+                assert valid_key(key) is expected, key
+                assert old_key_rule(key) is expected, key
+
+    def test_valid_key_refuses_the_empty_key(self):
+        assert valid_key(b"") is False
+
+    @pytest.mark.parametrize(
+        "frame, expected",
+        [
+            (b"get  a   b\r\n", [Command(name="get", keys=(b"a", b"b"))]),
+            (b"get a \r\n", [Command(name="get", keys=(b"a",))]),
+            (
+                b"get a\tb\r\n",
+                [BadCommand(b"CLIENT_ERROR bad key\r\n", "bad key b'a\\tb'")],
+            ),
+            (b"GET a\r\n", [Command(name="get", keys=(b"a",))]),
+            (
+                b"set  k  0 0 1 \r\nx\r\n",
+                [Command(name="set", keys=(b"k",), value=b"x")],
+            ),
+            (b"  \r\n", [BadCommand(b"ERROR\r\n", "empty command line")]),
+        ],
+        ids=["double-spaces", "trailing-space", "tab-in-token", "upper-case",
+             "set-spacing", "blank"],
+    )
+    def test_line_splitting(self, frame, expected):
+        assert feed_all(frame) == expected
+
+
 # -- structure-aware fuzz ---------------------------------------------------------
 #
 # The standard tests/durability/test_properties.py sets for the journal,
