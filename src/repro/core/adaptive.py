@@ -10,13 +10,14 @@ step per reversal rather than oscillating inside a window.
 
 Requests that need no block (de)compression — filter-identified GET misses
 and DELETEs of absent keys — are excluded from both counts, so the
-controller regulates only the expensive work.
+controller regulates only the expensive work.  The counts are the core's
+own ``ZExpanderStats.serviced_nzone/serviced_zzone``: a window is their
+difference between the instants it opens and closes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 
@@ -36,23 +37,6 @@ class AllocationAction(enum.Enum):
     STAY = "stay"
 
 
-@dataclass
-class WindowCounts:
-    """Expensive-request tallies for the current window."""
-
-    nzone: int = 0
-    zzone: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.nzone + self.zzone
-
-    def fraction_nzone(self) -> Optional[float]:
-        if self.total == 0:
-            return None
-        return self.nzone / self.total
-
-
 class AdaptiveAllocator:
     """Computes the N-zone's target size from windowed service fractions."""
 
@@ -60,8 +44,8 @@ class AdaptiveAllocator:
         self,
         total_capacity: int,
         initial_nzone_target: int,
-        target_fraction: float = 0.90,
-        window_seconds: float = 60.0,
+        target_fraction: float,
+        window_seconds: float,
     ) -> None:
         if initial_nzone_target <= 0 or initial_nzone_target >= total_capacity:
             raise ValueError("initial N-zone target must be inside the cache")
@@ -76,8 +60,9 @@ class AdaptiveAllocator:
         self._max_target = total_capacity - floor
         self._nzone_target = initial_nzone_target
         self._action = AllocationAction.STAY
-        self._window = WindowCounts()
         self._window_start: Optional[float] = None
+        #: ``(serviced_nzone, serviced_zzone)`` when the window opened.
+        self._opened_at = (0, 0)
 
     # -- accounting ------------------------------------------------------------
 
@@ -89,27 +74,29 @@ class AdaptiveAllocator:
     def zzone_target(self) -> int:
         return self.total_capacity - self._nzone_target
 
-    def record_nzone(self) -> None:
-        self._window.nzone += 1
-
-    def record_zzone(self) -> None:
-        self._window.zzone += 1
-
     # -- the decision rule --------------------------------------------------------
 
-    def maybe_adjust(self, now: float) -> bool:
-        """Close the window if due; returns True when targets changed."""
+    def maybe_adjust(self, now: float, stats) -> bool:
+        """Close the window if due; returns True when targets changed.
+
+        ``stats`` is the core's :class:`~repro.core.stats.ZExpanderStats`;
+        the window's service counts are what its ``serviced_*`` fields
+        gained since the window opened."""
         if self._window_start is None:
             self._window_start = now
+            self._opened_at = (stats.serviced_nzone, stats.serviced_zzone)
             return False
         if now - self._window_start < self.window_seconds:
             return False
-        fraction = self._window.fraction_nzone()
-        self._window = WindowCounts()
+        opened_nzone, opened_zzone = self._opened_at
+        nzone = stats.serviced_nzone - opened_nzone
+        total = nzone + stats.serviced_zzone - opened_zzone
         self._window_start = now
-        if fraction is None:
+        self._opened_at = (stats.serviced_nzone, stats.serviced_zzone)
+        if total == 0:
             self._action = AllocationAction.STAY
             return False
+        fraction = nzone / total
         changed = False
         if fraction < self.target_fraction - SLACK:
             # Too much expensive traffic at the Z-zone: grow the N-zone.

@@ -47,6 +47,9 @@ class LocalityBenchmark:
         self._outstanding: Dict[bytes, float] = {}
         #: Most recent eviction-age samples, newest first.
         self._samples: Deque[float] = deque(maxlen=3)
+        #: Current benchmark in seconds: the weighted average of the
+        #: samples, recomputed when one arrives; None until the first.
+        self.value: Optional[float] = None
 
     def mint(self, now: float) -> bytes:
         """Create a fresh marker key, recording its insertion time."""
@@ -62,13 +65,6 @@ class LocalityBenchmark:
             return None
         sample = max(0.0, now - inserted)
         self._samples.appendleft(sample)
+        weights = WEIGHTS[: len(self._samples)]
+        self.value = sum(w * s for w, s in zip(weights, self._samples)) / sum(weights)
         return sample
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current benchmark in seconds; None until the first sample."""
-        if not self._samples:
-            return None
-        used = list(self._samples)
-        weights = WEIGHTS[: len(used)]
-        return sum(w * s for w, s in zip(weights, used)) / sum(weights)

@@ -143,7 +143,7 @@ class ZExpander:
         value = self.nzone.get(key, hashed)
         if value is not None:
             stats.get_hits_nzone += 1
-            self._record_service(nzone=True)
+            stats.serviced_nzone += 1
             return value
         if hashed is None:
             hashed = hash_key(key)
@@ -158,7 +158,7 @@ class ZExpander:
             return None
         zvalue, reuse_time = result
         stats.get_hits_zzone += 1
-        self._record_service(nzone=False)
+        stats.serviced_zzone += 1
         if self._should_promote(reuse_time):
             self._promote(key, hashed, zvalue)
         return zvalue
@@ -201,7 +201,7 @@ class ZExpander:
         """
         self._housekeeping()
         self.stats.sets += 1
-        self._record_service(nzone=True)
+        self.stats.serviced_nzone += 1
         if hashed is None:
             hashed = hash_key(key)
         # Postpone removal of a stale Z-zone version (§3.3.2): if the item
@@ -222,8 +222,10 @@ class ZExpander:
         in_n = self.nzone.delete(key, hashed)
         was_expensive = self.zzone.maybe_contains(key, hashed)
         in_z = self.zzone.delete(key, hashed)
-        if in_n or was_expensive:
-            self._record_service(nzone=not was_expensive)
+        if was_expensive:
+            self.stats.serviced_zzone += 1
+        elif in_n:
+            self.stats.serviced_nzone += 1
         # Journal every acknowledged delete, found or not: the key may
         # live on in an earlier journal segment or checkpoint (e.g. it
         # was evicted here), and replay must not resurrect it.
@@ -294,16 +296,6 @@ class ZExpander:
 
     # -- internals -------------------------------------------------------------
 
-    def _record_service(self, nzone: bool) -> None:
-        if nzone:
-            self.stats.serviced_nzone += 1
-            if self.allocator is not None:
-                self.allocator.record_nzone()
-        else:
-            self.stats.serviced_zzone += 1
-            if self.allocator is not None:
-                self.allocator.record_zzone()
-
     def _should_promote(self, reuse_time: Optional[float]) -> bool:
         policy = self.config.promotion_policy
         if policy == "always":
@@ -359,7 +351,7 @@ class ZExpander:
                     self.stats.marker_samples += 1
                 continue
             self.stats.demotions += 1
-            self._record_service(nzone=False)
+            self.stats.serviced_zzone += 1
             hashed = item.hashed
             if hashed is None:
                 hashed = hash_key(item.key)
@@ -390,7 +382,7 @@ class ZExpander:
         elif now - last >= self._marker_interval:
             self._issue_marker(now)
         allocator = self.allocator
-        if allocator is not None and allocator.maybe_adjust(now):
+        if allocator is not None and allocator.maybe_adjust(now, self.stats):
             self.stats.allocation_adjustments += 1
             self._apply_targets()
 

@@ -57,6 +57,8 @@ class CuckooTable:
         self._tags = bytearray(initial_buckets * SLOTS_PER_BUCKET)
         self._slots = array("I", bytes(4 * initial_buckets * SLOTS_PER_BUCKET))
         self._mask = initial_buckets - 1
+        #: Modelled footprint: the full slot array, occupied or not.
+        self.memory_bytes = initial_buckets * SLOTS_PER_BUCKET * SLOT_BYTES
         self._rng = make_rng(seed, "cuckoo")
         self._count = 0
         #: The position a failed displacement walk left without a slot;
@@ -187,6 +189,7 @@ class CuckooTable:
         self._tags = bytearray(new_size * SLOTS_PER_BUCKET)
         self._slots = array("I", bytes(4 * new_size * SLOTS_PER_BUCKET))
         self._mask = new_size - 1
+        self.memory_bytes *= 2
         self._count = 0
         self.rehashes += 1
         # Slots keep no hash: growth (rare) re-hashes every key.
@@ -231,14 +234,3 @@ class CuckooTable:
         for tag, position in zip(self._tags, self._slots):
             if tag:
                 yield keys[position], position
-
-    # -- accounting ------------------------------------------------------------------
-
-    @property
-    def bucket_count(self) -> int:
-        return self._mask + 1
-
-    @property
-    def memory_bytes(self) -> int:
-        """Modelled footprint: the full slot array, occupied or not."""
-        return self.bucket_count * SLOTS_PER_BUCKET * SLOT_BYTES

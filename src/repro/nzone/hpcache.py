@@ -58,13 +58,6 @@ class HPCacheZone(NZone):
 
     # -- internals -----------------------------------------------------------
 
-    def _item_bytes(self, key: bytes, value: bytes) -> int:
-        return len(key) + len(value) + ITEM_OVERHEAD_BYTES
-
-    @property
-    def _items_used(self) -> int:
-        return self._payload_bytes + self._count * ITEM_OVERHEAD_BYTES
-
     def _kill(self, slot: int, key: bytes) -> None:
         """Retire a live ring slot whose key the table no longer holds."""
         self._keys[slot] = None
@@ -138,7 +131,11 @@ class HPCacheZone(NZone):
 
     @property
     def used_bytes(self) -> int:
-        return self._items_used + self._table.memory_bytes
+        return (
+            self._payload_bytes
+            + self._count * ITEM_OVERHEAD_BYTES
+            + self._table.memory_bytes
+        )
 
     @property
     def item_count(self) -> int:
@@ -152,7 +149,7 @@ class HPCacheZone(NZone):
         return self._values[slot]
 
     def set(self, key: bytes, value: bytes) -> List[EvictedItem]:
-        if self._item_bytes(key, value) > self._capacity:
+        if len(key) + len(value) + ITEM_OVERHEAD_BYTES > self._capacity:
             self.delete(key)  # the older version must not outlive the write
             return [EvictedItem(key=key, value=value)]
         hashed = hash_key(key)

@@ -75,7 +75,7 @@ class ZoneMachine(RuleBasedStateMachine):
         table, ref_table = zone._table, ref._table
         assert table.rehashes == ref_table.rehashes
         assert table.total_kicks == ref_table.total_kicks
-        assert table.bucket_count == ref_table.bucket_count
+        assert table.memory_bytes == ref_table.memory_bytes
         assert [k for k, _ in table.items()] == [k for k, _ in ref_table.items()]
         zone.check_invariants()
 
@@ -122,7 +122,7 @@ class TableMachine(RuleBasedStateMachine):
         assert list(table.items()) == list(ref.items())
         assert table.rehashes == ref.rehashes
         assert table.total_kicks == ref.total_kicks
-        assert table.bucket_count == ref.bucket_count
+        assert table.memory_bytes == ref.memory_bytes
 
     def teardown(self):
         if hasattr(self, "kicks"):

@@ -139,9 +139,12 @@ def served_frames(connection, request):
 def test_frames_per_served_request():
     """One GET hit, one GET miss and one SET overwrite of a 12-byte key,
     each one read on a connection of the served 4-shard fleet with
-    markers off.  Before the shell was cut, the counts were 50 / 51 / 69:
-    13 of a GET's frames were the key check's per-byte generator.  A new
-    frame on this path has to be a deliberate edit of these numbers."""
+    markers off, then a SET of a new key once every shard's N-zone is
+    full, which evicts one item and demotes it to the Z-zone.  Before the
+    shell was cut, the first three were 50 / 51 / 69: 13 of a GET's
+    frames were the key check's per-byte generator.  Before the core kept
+    each number once, the four were 25 / 26 / 43 / 72.  A new frame on
+    this path has to be a deliberate edit of these numbers."""
     cache = ShardedZExpander(
         ZExpanderConfig(
             total_capacity=4 * 1024 * 1024, seed=42, marker_interval_seconds=1e9
@@ -167,19 +170,32 @@ def test_frames_per_served_request():
                 ("set overwrite", b"set key:00000002 0 0 100\r\n%s\r\n" % value),
             )
         }
+        # Fill every shard's N-zone, so a SET of a new key evicts.
+        i = 100
+        while not all(shard.stats.demotions for shard in cache.shards):
+            cache.set(b"key:%08d" % i, value)
+            i += 1
+        demotions = totals(cache)[0]
+        counts["set evicting"] = served_frames(
+            connection, b"set key:99999998 0 0 100\r\n%s\r\n" % value
+        )
+        evicted = totals(cache)[0] - demotions
         connection.connection_lost(None)
-        return counts, transport.written
+        return counts, transport.written, evicted
 
-    counts, written = asyncio.run(scenario())
+    counts, written, evicted = asyncio.run(scenario())
     assert written == [
         b"VALUE key:00000001 0 100\r\n%s\r\nEND\r\n" % value,
         b"END\r\n",
         b"STORED\r\n",
+        b"STORED\r\n",
     ]
+    assert evicted == 1
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "get hit": 25,
+        "get hit": 23,
         "get miss": 26,
-        "set overwrite": 43,
+        "set overwrite": 36,
+        "set evicting": 60,
     }, counts
 
 
